@@ -92,16 +92,9 @@ class _ClassPlan:
                 local_violations=dict(plan.early.local_violations),
             )
             return NegotiationPlan(early=early, space=plan.space)
-        if self.shared_stream is not None:
-            return NegotiationPlan(
-                space=plan.space,
-                stream=self.shared_stream.iter(),
-                offers_in=plan.offers_in,
-            )
-        return NegotiationPlan(
-            space=plan.space,
-            classified=plan.classified,
-            offers_in=plan.offers_in,
+        shared = self.shared_stream
+        return replace(
+            plan, stream=shared.iter() if shared is not None else None
         )
 
 

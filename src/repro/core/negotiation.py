@@ -59,7 +59,7 @@ from .importance import ImportanceProfile, default_importance
 from .mapping import QoSMapper
 from .offers import derive_user_offer
 from .profiles import MMProfile, UserProfile
-from .status import NegotiationStatus
+from .status import NegotiationStatus, StaticNegotiationStatus
 from .stream import stream_classified
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,9 +89,11 @@ roughly the time scale on which playing sessions end and free capacity."""
 class NegotiationResult:
     """Status + user offer + everything adaptation needs later.
 
-    Under streaming, ``classified`` holds only the prefix the
-    commitment walk actually consumed; ``_rest`` keeps the unconsumed
-    continuation of the stream.  :meth:`ensure_classified` drains it on
+    For every streamed verdict — SUCCEEDED, FAILEDWITHOFFER and
+    FAILEDTRYLATER alike — ``classified`` holds only the prefix of the
+    classified order the commitment walk pulled from the stream (a
+    FAILEDTRYLATER walk pulled all of it); ``_rest`` keeps the
+    unconsumed continuation.  :meth:`ensure_classified` drains it on
     demand — adaptation still gets "the whole set of feasible system
     offers" (§4), it just pays for them only when a violation occurs.
     """
@@ -147,6 +149,11 @@ class NegotiationPlan:
     populated (the eager full sort).  The concurrent service plans
     synchronously — steps 1–4 touch no shared ledgers — and then walks
     step 5 cooperatively, yielding between reservations.
+
+    ``policy`` is the classification policy the offers were ordered
+    under (a per-call override, not necessarily the manager default);
+    the streamed walk relies on it to know when no user-satisfying
+    offer can follow.
     """
 
     early: "NegotiationResult | None" = None
@@ -154,6 +161,7 @@ class NegotiationPlan:
     classified: "list[ClassifiedOffer]" = field(default_factory=list)
     stream: "Iterator[ClassifiedOffer] | None" = None
     offers_in: int = 0
+    policy: "ClassificationPolicy | None" = None
 
 
 class QoSManager:
@@ -377,10 +385,7 @@ class QoSManager:
             return plan.early
         assert plan.space is not None
         if plan.stream is not None:
-            return self._commit_stream(
-                plan.stream, plan.space, profile, client, guarantee,
-                offers_in=plan.offers_in,
-            )
+            return self._commit_stream(plan, profile, client, guarantee)
         return self._commit_best(
             plan.classified, plan.space, profile, client, guarantee
         )
@@ -537,7 +542,8 @@ class QoSManager:
             )
 
         return NegotiationPlan(
-            space=space, classified=classified, offers_in=len(classified)
+            space=space, classified=classified, offers_in=len(classified),
+            policy=policy,
         )
 
     def _plan_streaming_steps(
@@ -576,7 +582,9 @@ class QoSManager:
             sp4.set_attribute("streaming", True)
             sp4.set_attribute("offers_in", out)
             sp4.set_attribute("offers_out", out)
-        return NegotiationPlan(space=space, stream=stream, offers_in=out)
+        return NegotiationPlan(
+            space=space, stream=stream, offers_in=out, policy=policy
+        )
 
     def _commit_best(
         self,
@@ -622,21 +630,27 @@ class QoSManager:
 
     def _commit_stream(
         self,
-        stream: "Iterator[ClassifiedOffer]",
-        space: OfferSpace,
+        plan: NegotiationPlan,
         profile: UserProfile,
         client: ClientMachine,
         guarantee: GuaranteeType,
-        *,
-        offers_in: int,
     ) -> NegotiationResult:
         """Step 5 over the lazy stream, in the same two-pass order as
         the eager walk: user-satisfying offers are attempted as they
         arrive (the stream is best-first, so their relative order
         matches the eager satisfying pass), non-satisfying ones are
-        buffered and attempted after the stream drains.  The attempt
-        sequence — and hence the outcome — is identical to
-        :meth:`_commit_best` over the fully sorted list."""
+        held back until no satisfying offer can follow.  Under the
+        SNS-primary policies that is the first CONSTRAINT offer — the
+        bands below it hold nothing else — and from there the stream is
+        walked lazily; under PURE_OIF (or an unrecorded policy) only
+        the drained stream proves it.  The attempt sequence — and hence
+        the outcome — is identical to :meth:`_commit_best` over the
+        fully sorted list."""
+        stream, space = plan.stream, plan.space
+        assert stream is not None and space is not None
+        banded = plan.policy in (
+            ClassificationPolicy.SNS_PRIMARY, ClassificationPolicy.COST_GATED
+        )
         holder = self.new_holder()
         consumed: list[ClassifiedOffer] = []
         deferred: list[ClassifiedOffer] = []
@@ -646,13 +660,18 @@ class QoSManager:
                 consumed.append(item)
                 if item.satisfies_user:
                     yield item
-                else:
-                    deferred.append(item)
+                    continue
+                deferred.append(item)
+                if banded and item.sns is StaticNegotiationStatus.CONSTRAINT:
+                    break
             yield from deferred
+            for item in stream:  # what the break above left unpulled
+                consumed.append(item)
+                yield item
 
         with self.telemetry.span(
             "negotiation.step5.commit",
-            offers_in=offers_in,
+            offers_in=plan.offers_in,
             holder=holder,
         ) as sp5:
             chosen, commitment, attempts, skips = self._attempt_walk(

@@ -23,27 +23,35 @@ the yield order is decided by the recomputed key.  A two-phase pop
 absorbs the one-ulp inversions that different float association orders
 can introduce between a parent and its lattice children.
 
-The SNS-primary policies are layered on top: the OIF-descending stream
-is partitioned on the fly, DESIRABLE offers yielded immediately and
-lower bands deferred (as cheap index tuples, not materialised offers)
-until the stream drains — which is exactly the lexsort order.
+**Band laziness.**  The SNS is the max of the per-axis levels, so the
+offers of SNS ≤ L (before any cost demotion) are exactly the
+sub-product of the per-axis variants of level ≤ L.  Under the
+SNS-primary policies each band L is produced by its own frontier
+search over that sub-product — same per-axis tables, original flat
+indices — yielding only the offers whose *final* level (after the
+unaffordable 0→1 demotion and the COST_GATED →2 demotion) is L.  Within
+a band the lexsort key is ``(-oif, index)``, which is the heap key, so
+the concatenated bands are the lexsort order, and a band's first offer
+costs what that band's sub-product search pops, not the catalogue.
+Bands that provably hold no offer are skipped without a search.
+``PURE_OIF`` has no bands: one search over the whole product.
 
 Streaming requires separable scores; a non-trivial preference
 ``offer_bonus`` is per-offer and breaks separability, so callers fall
-back to the vectorized path (see ``QoSManager._run_steps``).
+back to the vectorized path (see ``QoSManager._plan_steps``).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple
 
 from .classification import (
     ClassificationPolicy,
     ClassifiedOffer,
     _axis_levels,
 )
-from .enumeration import OfferSpace, VariantChoice
+from .enumeration import OfferSpace, _suffix_products
 from .importance import ImportanceProfile
 from .profiles import UserProfile
 from .status import StaticNegotiationStatus
@@ -51,101 +59,116 @@ from .status import StaticNegotiationStatus
 __all__ = ["stream_classified"]
 
 
-def _suffix_radices(sizes: Sequence[int]) -> list[int]:
-    """Mixed-radix place values matching ``OfferSpace.offer_at`` (last
-    axis varies fastest)."""
-    out = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        out[i] = out[i + 1] * sizes[i + 1]
-    return out
+class _AxisTables(NamedTuple):
+    """Per-axis score tables, indexed ``[axis][original variant index]``
+    and built once per stream, shared by every band's search."""
+
+    qimp: "list[list[float]]"
+    cents: "list[list[int]]"
+    levels: "list[list[int]]"
+    radices: "list[int]"
+    cost_per_dollar: float
+    copyright_cents: int
+
+
+def _axis_tables(
+    space: OfferSpace, profile: UserProfile, importance: ImportanceProfile
+) -> "tuple[_AxisTables, list[list[int]]]":
+    """The tables plus each axis's variant order by descending
+    contribution, original index ascending on ties (mirrors the
+    stability of the lexsort)."""
+    axes = [space.axis(mid) for mid in space.monomedia_ids]
+    cpd = importance.cost_per_dollar
+    tables = _AxisTables(
+        qimp=[
+            [importance.qos_importance(choice.presented) for choice in axis]
+            for axis in axes
+        ],
+        cents=[[choice.cost_cents for choice in axis] for axis in axes],
+        levels=[
+            _axis_levels([choice.presented for choice in axis], profile).tolist()
+            for axis in axes
+        ],
+        radices=_suffix_products([len(axis) for axis in axes]),
+        cost_per_dollar=cpd,
+        copyright_cents=space.copyright_cents,
+    )
+    orders: "list[list[int]]" = []
+    for qimp, cents in zip(tables.qimp, tables.cents):
+        contrib = [q - cpd * (c / 100.0) for q, c in zip(qimp, cents)]
+        orders.append(
+            sorted(range(len(contrib)), key=lambda j: (-contrib[j], j))
+        )
+    return tables, orders
+
+
+_Entry = tuple[float, int, int, int, bool, tuple[int, ...]]
+"""A heap entry: ``(-oif, flat, cents, raw level, expanded, pos)``.  The
+``(-oif, flat)`` prefix is unique per candidate, so comparisons never
+reach the remaining fields."""
+
+
+def _candidate(
+    tables: _AxisTables, orders: "list[list[int]]", pos: "tuple[int, ...]"
+) -> _Entry:
+    """The not-yet-expanded heap entry of one frontier position.
+
+    The OIF is computed with the numpy broadcast's operation order —
+    left-to-right QoS sum, then a single cost subtraction on the exact
+    cents total — so it is bit-identical to the vectorized value for
+    the same offer.  The raw level is the max of the per-axis levels,
+    before any cost demotion.
+    """
+    qimp, cents, levels, radices, cpd, total_cents = tables
+    qos = 0.0
+    flat = 0
+    raw = 0
+    for i, p in enumerate(pos):
+        j = orders[i][p]
+        qos = qos + qimp[i][j]
+        total_cents += cents[i][j]
+        flat += j * radices[i]
+        if levels[i][j] > raw:
+            raw = levels[i][j]
+    oif = qos - cpd * (total_cents / 100.0)
+    return -oif, flat, total_cents, raw, False, pos
 
 
 def _oif_descending(
-    axes: Sequence[Sequence[VariantChoice]],
-    importance: ImportanceProfile,
-    copyright_cents: int,
-) -> Iterator[tuple[int, tuple[int, ...], float, int]]:
-    """Yield ``(flat_index, original_digits, oif, total_cents)`` over
-    the whole product space in exact ``(-oif, flat_index)`` order.
+    tables: _AxisTables, orders: "list[list[int]]"
+) -> Iterator[tuple[int, float, int, int]]:
+    """Yield ``(flat_index, oif, total_cents, raw_level)`` over the
+    product of ``orders`` in exact ``(-oif, flat_index)`` order.
 
-    Frontier search over per-axis contribution-sorted variant orders:
-    the successor lattice guarantees that whenever a candidate is
-    yielded, every candidate with a larger real-valued OIF has already
-    been yielded, and the recomputed float key settles rounding ties
-    the same way the vectorized lexsort does.
+    ``orders`` lists, per axis, the original variant indices taking
+    part, by descending contribution.  Frontier search: the successor
+    lattice guarantees that whenever a candidate is yielded, every
+    candidate with a larger real-valued OIF has already been yielded,
+    and the recomputed float key settles rounding ties the same way
+    the vectorized lexsort does.
     """
-    k = len(axes)
-    sizes = [len(axis) for axis in axes]
-    radices = _suffix_radices(sizes)
-    cpd = importance.cost_per_dollar
-    qimp: list[list[float]] = [
-        [importance.qos_importance(choice.presented) for choice in axis]
-        for axis in axes
-    ]
-    cents: list[list[int]] = [
-        [choice.cost_cents for choice in axis] for axis in axes
-    ]
-    # Per-axis variant order by descending contribution, original index
-    # ascending on ties (mirrors the stability of the lexsort).
-    orders: list[list[int]] = []
-    for i in range(k):
-        contrib = [
-            qimp[i][j] - cpd * (cents[i][j] / 100.0) for j in range(sizes[i])
-        ]
-        orders.append(
-            sorted(range(sizes[i]), key=lambda j: (-contrib[j], j))
-        )
-
-    def candidate(
-        pos: tuple[int, ...],
-    ) -> tuple[float, int, tuple[int, ...], int]:
-        """(oif, flat, original digits, cents) of one frontier position.
-
-        The OIF is computed with the numpy broadcast's operation order
-        — left-to-right QoS sum, then a single cost subtraction on the
-        exact cents total — so it is bit-identical to the vectorized
-        value for the same offer.
-        """
-        qos = 0.0
-        total_cents = copyright_cents
-        flat = 0
-        digits = [0] * k
-        for i in range(k):
-            j = orders[i][pos[i]]
-            digits[i] = j
-            qos = qos + qimp[i][j]
-            total_cents += cents[i][j]
-            flat += j * radices[i]
-        oif = qos - cpd * (total_cents / 100.0)
-        return oif, flat, tuple(digits), total_cents
-
-    start = (0,) * k
-    oif, flat, digits, total = candidate(start)
-    # Heap entries: (-oif, flat, expanded, pos, digits, cents).  The
-    # (−oif, flat) prefix is unique per candidate, so comparisons never
-    # reach the remaining fields.
-    heap: list[tuple[float, int, int, tuple[int, ...], tuple[int, ...], int]] = [
-        (-oif, flat, 0, start, digits, total)
-    ]
-    seen: set[tuple[int, ...]] = {start}
+    candidate = _candidate
+    sizes = [len(order) for order in orders]
+    axes = range(len(orders))
+    start = (0,) * len(orders)
+    heap = [candidate(tables, orders, start)]
+    seen = {start}
     while heap:
-        neg_oif, flat, expanded, pos, digits, total = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        neg_oif, flat, total, raw, expanded, pos = entry
         if expanded:
-            yield flat, digits, -neg_oif, total
+            yield flat, -neg_oif, total, raw
             continue
         # Two-phase pop: push the lattice children first, then re-offer
         # this node; it is only yielded once nothing in the frontier —
         # children included — beats its recomputed key.
-        for i in range(k):
+        for i in axes:
             if pos[i] + 1 < sizes[i]:
                 child = pos[:i] + (pos[i] + 1,) + pos[i + 1 :]
                 if child not in seen:
                     seen.add(child)
-                    c_oif, c_flat, c_digits, c_total = candidate(child)
-                    heapq.heappush(
-                        heap, (-c_oif, c_flat, 0, child, c_digits, c_total)
-                    )
-        heapq.heappush(heap, (neg_oif, flat, 1, pos, digits, total))
+                    heapq.heappush(heap, candidate(tables, orders, child))
+        heapq.heappush(heap, entry[:4] + (True, pos))
 
 
 def stream_classified(
@@ -158,51 +181,67 @@ def stream_classified(
     """Yield the offer space's classified offers lazily, best first, in
     exactly the order ``classify_space`` would return them.
 
-    Offers are materialised one at a time as they are yielded; deferred
-    lower-SNS candidates are buffered as index tuples only.
+    Offers are materialised one at a time as they are yielded; nothing
+    is buffered beyond the running band's frontier.
     """
     if space.is_empty:
         return
-    axes = [space.axis(mid) for mid in space.monomedia_ids]
-    level_axes = [
-        _axis_levels([choice.presented for choice in axis], profile)
-        for axis in axes
-    ]
-    max_cents = profile.max_cost.cents
+    tables, full_orders = _axis_tables(space, profile, importance)
+    budget = profile.max_cost.cents
     cost_gated = policy is ClassificationPolicy.COST_GATED
     pure_oif = policy is ClassificationPolicy.PURE_OIF
 
-    def materialise(
-        flat: int, level: int, oif: float, affordable: bool
-    ) -> ClassifiedOffer:
-        return ClassifiedOffer(
-            offer=space.offer_at(flat),
-            sns=StaticNegotiationStatus(level),
-            oif=oif,
-            affordable=affordable,
-        )
+    def final_level(raw: int, affordable: bool) -> int:
+        """classify_space's two demotions: DESIRABLE additionally
+        requires the cost bound, COST_GATED sends every unaffordable
+        offer to CONSTRAINT."""
+        if affordable:
+            return raw
+        return 2 if cost_gated else max(raw, 1)
 
-    # SNS-primary delivery: DESIRABLE offers stream through unchanged;
-    # ACCEPTABLE/CONSTRAINT arrive in (−oif, index) order and are held
-    # back until the stream drains, reproducing the lexsort's SNS bands.
-    deferred: tuple[
-        list[tuple[int, int, float, bool]], list[tuple[int, int, float, bool]]
-    ] = ([], [])
-    for flat, digits, oif, total_cents in _oif_descending(
-        axes, importance, space.copyright_cents
-    ):
-        level = max(int(level_axes[i][j]) for i, j in enumerate(digits))
-        affordable = total_cents <= max_cents
-        # DESIRABLE additionally requires the cost bound (classify_space
-        # applies the same demotion before ordering).
-        if level == 0 and not affordable:
-            level = 1
-        if cost_gated and not affordable:
-            level = 2
-        if pure_oif or level == 0:
-            yield materialise(flat, level, oif, affordable)
-        else:
-            deferred[level - 1].append((flat, level, oif, affordable))
-    for bucket in deferred:
-        for flat, level, oif, affordable in bucket:
-            yield materialise(flat, level, oif, affordable)
+    # Raw levels some offer attains exactly: the level's sub-product is
+    # non-empty and grew past the previous level's.
+    attained: list[int] = []
+    previous: "list[list[int]] | None" = None
+    for band in (2,) if pure_oif else (0, 1, 2):
+        orders = [
+            [j for j in order if levels[j] <= band]
+            for order, levels in zip(full_orders, tables.levels)
+        ]
+        grew, previous = orders != previous, orders
+        if not all(orders):
+            continue
+        if grew:
+            attained.append(band)
+        if not pure_oif:
+            # O(axes) cost bounds of the sub-product say which
+            # affordability outcomes exist in it; a band that no
+            # (attained raw level, outcome) pair ends in is empty and
+            # never searched.
+            costs = [
+                [row[j] for j in order]
+                for row, order in zip(tables.cents, orders)
+            ]
+            cheapest = space.copyright_cents + sum(map(min, costs))
+            dearest = space.copyright_cents + sum(map(max, costs))
+            outcomes = []
+            if cheapest <= budget:
+                outcomes.append(True)
+            if dearest > budget:
+                outcomes.append(False)
+            if not any(
+                final_level(raw, affordable) == band
+                for raw in attained
+                for affordable in outcomes
+            ):
+                continue
+        for flat, oif, total_cents, raw in _oif_descending(tables, orders):
+            affordable = total_cents <= budget
+            level = final_level(raw, affordable)
+            if pure_oif or level == band:
+                yield ClassifiedOffer(
+                    offer=space.offer_at(flat),
+                    sns=StaticNegotiationStatus(level),
+                    oif=oif,
+                    affordable=affordable,
+                )

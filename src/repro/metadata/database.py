@@ -50,6 +50,10 @@ class MetadataDatabase:
         # stale entries unreachable; the counter survives removal so a
         # re-inserted document id never reuses an old version.
         self._versions: dict[str, int] = {}
+        # Hydrate-once memo: document id -> (version, hydrated document),
+        # one entry per stored document.  Documents are frozen, so every
+        # request of an unchanged document shares the one object.
+        self._hydrated: dict[str, tuple[int, Document]] = {}
 
     def version_of(self, document_id: str) -> int:
         """The document's current mutation counter (0 when unknown)."""
@@ -128,6 +132,7 @@ class MetadataDatabase:
         if record is None:
             raise NotFoundError(f"no document {document_id!r}")
         self._bump_version(document_id)
+        self._hydrated.pop(document_id, None)
         for monomedia_id in record.monomedia_ids:
             self._monomedia.pop(monomedia_id, None)
             for variant_id in self._variants_by_monomedia.pop(monomedia_id, []):
@@ -146,21 +151,30 @@ class MetadataDatabase:
     # -- reassembly -----------------------------------------------------------
 
     def get_document(self, document_id: str) -> Document:
+        """The stored document, reassembled from its records once per
+        :meth:`version_of` value: any mutation of the document bumps the
+        version, which makes the memoised object unreachable."""
         try:
             record = self._documents[document_id]
         except KeyError:
             raise NotFoundError(f"no document {document_id!r}") from None
+        version = self.version_of(document_id)
+        memo = self._hydrated.get(document_id)
+        if memo is not None and memo[0] == version:
+            return memo[1]
         components = tuple(
             self.get_monomedia(monomedia_id)
             for monomedia_id in record.monomedia_ids
         )
-        return Document(
+        document = Document(
             document_id=record.document_id,
             title=record.title,
             components=components,
             sync=sync_from_record(record.sync_blob),
             copyright_cost=Money(record.copyright_cents),
         )
+        self._hydrated[document_id] = (version, document)
+        return document
 
     def get_monomedia(self, monomedia_id: str) -> Monomedia:
         try:

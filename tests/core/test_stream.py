@@ -6,14 +6,34 @@ import pytest
 
 from repro.client.decoder import DecoderBank
 from repro.client.machine import ClientMachine
+from repro.cmfs import MediaServer
+from repro.cmfs.admission import AdmissionController
+from repro.cmfs.disk import DiskModel
+from repro.core import QoSManager
 from repro.core.classification import ClassificationPolicy, classify_space
 from repro.core.cost import default_cost_model
-from repro.core.enumeration import build_offer_space
+from repro.core.enumeration import OfferSpace, build_offer_space
 from repro.core.importance import default_importance
 from repro.core.preferences import UserPreferences
-from repro.core.status import NegotiationStatus
+from repro.core.status import NegotiationStatus, StaticNegotiationStatus
 from repro.core.stream import stream_classified
 from repro.documents.builder import make_news_article
+from repro.metadata import MetadataDatabase
+from repro.network import Topology, TransportSystem
+from tests.properties.strategies import (
+    GRID_FLAVOURS,
+    GRID_SERVERS,
+    grid_document,
+    grid_profile,
+)
+
+
+def signature(result):
+    return (
+        result.status,
+        result.chosen.offer.offer_id if result.chosen else None,
+        result.attempts,
+    )
 
 
 @pytest.fixture
@@ -72,12 +92,7 @@ class TestStreamOrder:
 
 
 class TestNegotiationModes:
-    def _signature(self, result):
-        return (
-            result.status,
-            result.chosen.offer.offer_id if result.chosen else None,
-            result.attempts,
-        )
+    _signature = staticmethod(signature)
 
     @pytest.mark.parametrize("mode", ["stream", "auto"])
     def test_same_outcome_as_full(self, manager, document, balanced_profile,
@@ -157,3 +172,246 @@ class TestNegotiationModes:
                 document.document_id, balanced_profile, client,
                 offer_mode="fastest",
             )
+
+
+# -- band-lazy walk -----------------------------------------------------------------
+
+# Colour 25 fps is desired, colour 15 fps acceptable, grey a CONSTRAINT:
+# 3 axes x 3 variants = 1 DESIRABLE + 7 ACCEPTABLE + 19 CONSTRAINT
+# offers, and under PURE_OIF the CONSTRAINT ones interleave with the
+# ACCEPTABLE ones.
+WALK_FLAVOURS = [GRID_FLAVOURS[0], GRID_FLAVOURS[1], GRID_FLAVOURS[3]]
+DEAREST_CENTS = 109
+
+
+def walk_manager(stream_caps, *, policy=ClassificationPolicy.SNS_PRIMARY):
+    """A three-server deployment whose only limits are per-server
+    stream caps; variant ``v`` of axis ``x`` sits on server
+    ``(x + v) mod 3``."""
+    disk = DiskModel(
+        transfer_rate_bps=600_000_000.0, avg_seek_s=0.001,
+        rotational_latency_s=0.0005, round_s=0.5,
+    )
+    servers = {
+        server_id: MediaServer(
+            server_id,
+            disk=disk,
+            admission=AdmissionController(
+                disk=disk, buffer_bits=1e10, nic_bps=1e10, max_streams=cap
+            ),
+        )
+        for server_id, cap in zip(GRID_SERVERS, stream_caps)
+    }
+    topology = Topology()
+    for server in servers.values():
+        topology.connect(server.access_point, "backbone", 1e10)
+    topology.connect("client-net", "backbone", 1e10)
+    database = MetadataDatabase()
+    database.insert_document(grid_document([WALK_FLAVOURS] * 3))
+    return QoSManager(
+        database=database,
+        transport=TransportSystem(topology),
+        servers=servers,
+        policy=policy,
+    )
+
+
+def occupy(manager, server_id):
+    """Fill ``server_id`` to its stream cap with foreign streams."""
+    server = manager.committer.servers[server_id]
+    while server.can_admit(1e5):
+        server.admit("squatter", 1e5, holder="squatter")
+
+
+def walk_client():
+    return ClientMachine("walker", access_point="client-net")
+
+
+class TestPlanPolicy:
+    """The walk must follow the policy the stream was built under, not
+    the manager's default."""
+
+    @pytest.mark.parametrize(
+        "override",
+        [ClassificationPolicy.PURE_OIF, ClassificationPolicy.COST_GATED],
+    )
+    @pytest.mark.parametrize("budget", [DEAREST_CENTS, DEAREST_CENTS - 10])
+    def test_per_call_policy_matches_full_sort(self, override, budget):
+        # server-a is full, server-b takes one stream, server-c two.
+        # Under PURE_OIF the first committable satisfying offer
+        # (offer-13) ranks *after* a committable CONSTRAINT one
+        # (offer-19): a walk that trusted the SNS_PRIMARY default would
+        # stop deferring at the first CONSTRAINT offer and settle for
+        # offer-19.
+        profile = grid_profile(GRID_FLAVOURS[0], GRID_FLAVOURS[1], budget)
+        signatures = []
+        for mode in ("full", "stream"):
+            manager = walk_manager((1, 1, 2))
+            occupy(manager, "server-a")
+            result = manager.negotiate(
+                "doc.grid", profile, walk_client(),
+                policy=override, offer_mode=mode,
+            )
+            signatures.append(signature(result))
+        assert signatures[0] == signatures[1]
+        if override is ClassificationPolicy.PURE_OIF:
+            assert signatures[0][0] is (
+                NegotiationStatus.SUCCEEDED if budget == DEAREST_CENTS
+                else NegotiationStatus.FAILED_WITH_OFFER
+            )
+            assert signatures[0][2] > 4  # walked past the first CONSTRAINT
+
+    def test_plans_record_their_policy(self):
+        manager = walk_manager((4, 4, 4))
+        profile = grid_profile(
+            GRID_FLAVOURS[0], GRID_FLAVOURS[1], DEAREST_CENTS
+        )
+        for mode in ("full", "stream"):
+            default = manager.plan(
+                "doc.grid", profile, walk_client(), offer_mode=mode
+            )
+            assert default.policy is ClassificationPolicy.SNS_PRIMARY
+            override = manager.plan(
+                "doc.grid", profile, walk_client(), offer_mode=mode,
+                policy=ClassificationPolicy.PURE_OIF,
+            )
+            assert override.policy is ClassificationPolicy.PURE_OIF
+
+    def test_batch_replay_cursors_carry_the_policy(self):
+        """Three members of one PURE_OIF class share a replayable
+        stream; each member's walk must still know it is unbanded."""
+        from repro.batch import BatchRequest, negotiate_batch
+        from repro.batch.engine import _ClassPlan
+
+        profile = grid_profile(
+            GRID_FLAVOURS[0], GRID_FLAVOURS[1], DEAREST_CENTS
+        )
+        policy = ClassificationPolicy.PURE_OIF
+        batched, sequential = walk_manager((1, 1, 5)), walk_manager((1, 1, 5))
+        for manager in (batched, sequential):
+            occupy(manager, "server-a")
+        results = negotiate_batch(batched, [
+            BatchRequest(
+                "doc.grid", profile, walk_client(),
+                policy=policy, offer_mode="stream",
+            )
+        ] * 3)
+        expected = [
+            signature(sequential.negotiate(
+                "doc.grid", profile, walk_client(),
+                policy=policy, offer_mode="full",
+            ))
+            for _ in range(3)
+        ]
+        assert [signature(r) for r in results] == expected
+        assert expected[0][0] is NegotiationStatus.SUCCEEDED
+        assert expected[1][0] is NegotiationStatus.FAILED_WITH_OFFER
+        for mode in ("full", "stream"):
+            plan = batched.plan(
+                "doc.grid", profile, walk_client(),
+                policy=policy, offer_mode=mode,
+            )
+            assert _ClassPlan(plan=plan).member_plan().policy is policy
+
+    def test_banded_override_on_a_pure_oif_manager_walks_lazily(self):
+        manager = walk_manager(
+            (1, 1, 3), policy=ClassificationPolicy.PURE_OIF
+        )
+        occupy(manager, "server-a")
+        occupy(manager, "server-b")  # every satisfying offer now fails
+        profile = grid_profile(
+            GRID_FLAVOURS[0], GRID_FLAVOURS[1], DEAREST_CENTS
+        )
+        result = manager.negotiate(
+            "doc.grid", profile, walk_client(), offer_mode="stream",
+            policy=ClassificationPolicy.SNS_PRIMARY,
+        )
+        assert result.status is NegotiationStatus.FAILED_WITH_OFFER
+        assert len(result.classified) == result.attempts < 27
+
+
+class TestWalkMaterialisesWhatItAttempts:
+    def _negotiate(self, monkeypatch, budget):
+        """server-a and server-b full: only the all-on-server-c offer
+        (offer-22, a CONSTRAINT one) commits.  Returns the result, the
+        flat indices materialised and the offer ids attempted."""
+        manager = walk_manager((1, 1, 3))
+        occupy(manager, "server-a")
+        occupy(manager, "server-b")
+        materialised, attempted = [], []
+        offer_at = OfferSpace.offer_at
+        try_commit = manager.committer.try_commit
+
+        def counting_offer_at(space, flat):
+            materialised.append(flat)
+            return offer_at(space, flat)
+
+        def recording_try_commit(offer, *args, **kwargs):
+            attempted.append(offer.offer_id)
+            return try_commit(offer, *args, **kwargs)
+
+        monkeypatch.setattr(OfferSpace, "offer_at", counting_offer_at)
+        monkeypatch.setattr(
+            manager.committer, "try_commit", recording_try_commit
+        )
+        profile = grid_profile(GRID_FLAVOURS[0], GRID_FLAVOURS[1], budget)
+        result = manager.negotiate(
+            "doc.grid", profile, walk_client(), offer_mode="stream"
+        )
+        return manager, profile, result, materialised, attempted
+
+    def test_failed_with_offer_materialises_the_attempted_offers(
+        self, monkeypatch
+    ):
+        _, _, result, materialised, attempted = self._negotiate(
+            monkeypatch, DEAREST_CENTS
+        )
+        assert result.status is NegotiationStatus.FAILED_WITH_OFFER
+        assert result.chosen.offer.offer_id == "offer-22"
+        # Every offer is affordable, so nothing is ever deferred: what
+        # was pulled is what was attempted, in order, and the walk
+        # stopped well short of the 27-offer space.
+        assert [c.offer.offer_id for c in result.classified] == attempted
+        assert len(materialised) == result.attempts == len(attempted) < 27
+
+    def test_deferred_offers_are_the_only_extra_materialisations(
+        self, monkeypatch
+    ):
+        # Ten cents under the dearest price: the dearest offers are
+        # QoS-satisfying but unaffordable, hence deferred until the
+        # first CONSTRAINT offer and attempted from there on.
+        manager, profile, result, materialised, attempted = self._negotiate(
+            monkeypatch, DEAREST_CENTS - 10
+        )
+        assert result.status is NegotiationStatus.FAILED_WITH_OFFER
+        assert len(materialised) == len(result.classified) < 27
+        assert sorted(c.offer.offer_id for c in result.classified) == sorted(
+            attempted
+        )
+        deferred = [
+            c for c in result.classified
+            if not c.satisfies_user
+            and c.sns is not StaticNegotiationStatus.CONSTRAINT
+        ]
+        assert deferred
+        # Streamed and eager walks attempt the same sequence.
+        full = walk_manager((1, 1, 3))
+        occupy(full, "server-a")
+        occupy(full, "server-b")
+        eager = full.negotiate(
+            "doc.grid", profile, walk_client(), offer_mode="full"
+        )
+        assert signature(eager) == signature(result)
+
+    def test_ensure_classified_completes_any_verdict(self, monkeypatch):
+        _, profile, result, _, _ = self._negotiate(
+            monkeypatch, DEAREST_CENTS - 10
+        )
+        full = classify_space(
+            result.offer_space, profile, default_importance()
+        )
+        assert len(result.classified) < len(full)
+        assert [
+            (c.offer.offer_id, c.sns, c.oif, c.affordable)
+            for c in result.ensure_classified()
+        ] == [(c.offer.offer_id, c.sns, c.oif, c.affordable) for c in full]

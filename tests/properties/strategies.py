@@ -57,3 +57,135 @@ def video_variants(draw, monomedia_id: str = "m.v", index: int | None = None):
         server_id=draw(st.sampled_from(["server-a", "server-b", "server-c"])),
         duration_s=draw(st.floats(min_value=1.0, max_value=600.0)),
     )
+
+
+# -- banded offer spaces (stream band-laziness suites) ------------------------------
+
+GRID_FLAVOURS = (
+    (ColorMode.COLOR, 25),
+    (ColorMode.COLOR, 15),
+    (ColorMode.COLOR, 10),
+    (ColorMode.GREY, 25),
+    (ColorMode.GREY, 10),
+)
+GRID_SERVERS = ("server-a", "server-b", "server-c")
+GRID_RESOLUTION = 480
+
+
+def grid_document(flavours_per_axis):
+    """A document with one video monomedia per entry of
+    ``flavours_per_axis``, each holding the listed (colour, fps)
+    variants; variant ``v`` of axis ``x`` sits on server
+    ``(x + v) mod 3``.  Repeated flavours are replicas: equal QoS,
+    equal cost, hence exact OIF ties."""
+    from repro.documents.builder import DocumentBuilder, MonomediaBuilder
+    from repro.documents.media import Medium
+
+    builder = DocumentBuilder("doc.grid", "grid")
+    for axis, flavours in enumerate(flavours_per_axis):
+        mono = MonomediaBuilder(
+            f"doc.grid.m{axis + 1}", Medium.VIDEO, f"segment {axis + 1}", 30.0
+        )
+        for index, (color, frame_rate) in enumerate(flavours):
+            mono.add_variant(
+                Codecs.MPEG1,
+                VideoQoS(
+                    color=color,
+                    frame_rate=frame_rate,
+                    resolution=GRID_RESOLUTION,
+                ),
+                GRID_SERVERS[(axis + index) % len(GRID_SERVERS)],
+            )
+        builder.add(mono)
+    return builder.copyright(0.25).build()
+
+
+def grid_space(flavours_per_axis):
+    from repro.client.machine import ClientMachine
+    from repro.core.cost import default_cost_model
+    from repro.core.enumeration import build_offer_space
+
+    return build_offer_space(
+        grid_document(flavours_per_axis),
+        ClientMachine("grid-client", access_point="client-net"),
+        default_cost_model(),
+    )
+
+
+def grid_profile(desired, worst, budget_cents):
+    """A video profile over (colour, fps) bounds with an exact budget."""
+    from repro.core.importance import default_importance
+    from repro.core.profiles import MMProfile, UserProfile
+
+    def side(bound):
+        return MMProfile(
+            video=VideoQoS(
+                color=bound[0], frame_rate=bound[1], resolution=GRID_RESOLUTION
+            ),
+            cost=Money(budget_cents),
+        )
+
+    return UserProfile(
+        name="grid",
+        desired=side(desired),
+        worst=side(worst),
+        importance=default_importance(),
+    )
+
+
+def offer_cost_bounds(space):
+    """(cheapest, dearest) total cents over the whole product."""
+    axes = [space.axis(mid) for mid in space.monomedia_ids]
+    return tuple(
+        space.copyright_cents
+        + sum(pick(choice.cost_cents for choice in axis) for axis in axes)
+        for pick in (min, max)
+    )
+
+
+@st.composite
+def banded_cases(draw, desirable="any", budgets=("none", "all", "mixed")):
+    """``(space, profile)`` over a 1–6 axis grid.
+
+    ``desirable`` shapes the DESIRABLE band: ``"empty"`` (the desired
+    bound beats every variant), ``"single"`` (exactly one variant per
+    axis meets it) or ``"any"``.  ``budgets`` lists the cost ceilings
+    to draw from: below the cheapest offer, above the dearest, or
+    midway (affordability then differs inside a band).
+    """
+    axes = draw(st.integers(min_value=1, max_value=6))
+    tail = st.lists(
+        st.sampled_from(GRID_FLAVOURS[1:]), min_size=1, max_size=3
+    )
+    if desirable == "single":
+        # One lead-flavour variant per axis, anywhere among the others.
+        flavours_per_axis = []
+        for _ in range(axes):
+            others = draw(tail)
+            at = draw(st.integers(min_value=0, max_value=len(others)))
+            flavours_per_axis.append(
+                others[:at] + [GRID_FLAVOURS[0]] + others[at:]
+            )
+        desired = GRID_FLAVOURS[0]
+    elif desirable == "empty":
+        flavours_per_axis = [draw(tail) for _ in range(axes)]
+        desired = GRID_FLAVOURS[0]
+    else:
+        flavours_per_axis = [
+            draw(st.lists(
+                st.sampled_from(GRID_FLAVOURS), min_size=1, max_size=4
+            ))
+            for _ in range(axes)
+        ]
+        desired = draw(st.sampled_from(GRID_FLAVOURS[:2]))
+    worst = draw(st.sampled_from(
+        [f for f in GRID_FLAVOURS if f[0] <= desired[0] and f[1] <= desired[1]]
+    ))
+    space = grid_space(flavours_per_axis)
+    cheapest, dearest = offer_cost_bounds(space)
+    budget = {
+        "none": cheapest - 1,
+        "all": dearest,
+        "mixed": (cheapest + dearest) // 2,
+    }[draw(st.sampled_from(budgets))]
+    return space, grid_profile(desired, worst, budget)

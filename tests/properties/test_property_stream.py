@@ -18,7 +18,7 @@ from repro.core.stream import stream_classified
 from repro.documents.document import Document
 from repro.documents.monomedia import Monomedia
 
-from .strategies import video_variants
+from .strategies import banded_cases, video_variants
 
 
 @st.composite
@@ -76,6 +76,26 @@ class TestStreamEquivalence:
             assert s.sns is f.sns
             assert s.affordable == f.affordable
             assert s.oif == f.oif  # bit-identical, not approx
+
+    @given(
+        st.sampled_from(["empty", "single", "any"]).flatmap(banded_cases),
+        st.sampled_from(list(ClassificationPolicy)),
+    )
+    @settings(max_examples=90, deadline=None)
+    def test_banded_stream_matches_full_sort(self, case, policy):
+        """Band by band: an empty or one-offer DESIRABLE band, budgets
+        that make a whole band (or part of one) unaffordable, replica
+        ties — the per-band searches still concatenate to the lexsort
+        order, float for float."""
+        space, profile = case
+        importance = default_importance()
+        streamed = list(
+            stream_classified(space, profile, importance, policy=policy)
+        )
+        full = classify_space(space, profile, importance, policy=policy)
+        assert [
+            (s.offer.offer_id, s.sns, s.affordable, s.oif) for s in streamed
+        ] == [(f.offer.offer_id, f.sns, f.affordable, f.oif) for f in full]
 
     @given(random_spaces(), random_profiles())
     @settings(max_examples=30, deadline=None)
