@@ -1,0 +1,72 @@
+"""Cross-commit byte identity of every telemetry artifact CI diffs.
+
+CI's determinism steps ``cmp`` two runs of the *same* commit, which a
+change that moves every artifact in the same way sails through.  These
+digests were computed at the commit *before* the telemetry hot path was
+optimised (pooled span ids, memoised counter keys, slot-reading flight
+recorder); an optimisation must reproduce them bit for bit.  A digest
+may only be re-pinned by a PR that sets out to change the artifact and
+says so.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.cli import main
+
+TRACE_JSONL = "91702581765baffe001616476921e3c72f7908b582c96b2319160bcd08ef43be"
+STATS_JSON = "fefd63c9267fb51b6d0baaff64306e14afc59e0847085c84365a932c775fbbdf"
+CHAOS_TRACE_JSONL = "6c5abfb5881d22416b3b61b9d431fa5bcf4b9d5afdd33af65a25b23217bd851f"
+LOAD_JSON = "66bb27d93cec7975b33d3e80a405c240c3111005f5183f4895dd531d24179acb"
+SLO_TIMESERIES = "2624a3440ea96981cd42c818faf10d349b60a76c2a384e7a2876a55e8d720157"
+SLO_FLAMEGRAPH = "610670a8cf85d245dd244f1dccc6386e31b66faa5d36b1154db0b38180dfc56c"
+STORM_TRACE_JSONL = "7f698d90090f571495f33ccb347752d5daa27d1cf881141cce01238fc15205ff"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def stdout_digest(capsys: pytest.CaptureFixture, argv: "list[str]") -> str:
+    main(argv)
+    return sha256(capsys.readouterr().out.encode("utf-8"))
+
+
+def test_trace_jsonl(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    assert main(["trace", "--seed", "7", "--telemetry", str(path)]) == 0
+    assert sha256(path.read_bytes()) == TRACE_JSONL
+
+
+def test_stats_json_and_chaos_trace(tmp_path, capsys):
+    assert stdout_digest(
+        capsys, ["stats", "--seed", "1", "--json"]
+    ) == STATS_JSON
+    path = tmp_path / "chaos-trace.jsonl"
+    main(["stats", "--seed", "1", "--telemetry", str(path)])
+    assert sha256(path.read_bytes()) == CHAOS_TRACE_JSONL
+
+
+def test_load_flash_json(capsys):
+    assert stdout_digest(capsys, [
+        "load", "--arrivals", "flash", "--seed", "1", "--horizon", "60",
+        "--multipliers", "1,4", "--json",
+    ]) == LOAD_JSON
+
+
+def test_slo_timeseries_and_flamegraph(tmp_path, capsys):
+    series, folded = tmp_path / "ts.jsonl", tmp_path / "fg.folded"
+    assert main([
+        "slo", "--timeseries", str(series), "--flamegraph", str(folded),
+    ]) == 0
+    assert sha256(series.read_bytes()) == SLO_TIMESERIES
+    assert sha256(folded.read_bytes()) == SLO_FLAMEGRAPH
+
+
+def test_storm_trace_jsonl(tmp_path, capsys):
+    # 25k spans: the one artifact long enough to cross many id-pool
+    # refills and every emit/start_span/new_context interleaving.
+    path = tmp_path / "storm.jsonl"
+    assert main(["storm", "--seed", "1", "--telemetry", str(path)]) == 0
+    assert sha256(path.read_bytes()) == STORM_TRACE_JSONL

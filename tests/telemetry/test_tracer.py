@@ -1,5 +1,6 @@
 """Tracer: nesting, determinism, error transparency."""
 
+import numpy as np
 import pytest
 
 from repro.telemetry import NULL_SPAN, InMemorySpanExporter, Telemetry, Tracer, traced
@@ -137,3 +138,56 @@ class TestDisabledTracer:
     def test_disabled_hub_is_a_singleton(self):
         assert Telemetry.disabled() is Telemetry.disabled()
         assert not Telemetry.disabled().enabled
+
+
+def reference_ids(seed, count):
+    """The id stream as first shipped: one 8-byte draw per id.  Kept as
+    the oracle — every exported trace is pinned to this sequence."""
+    rng = np.random.default_rng(seed)
+    return [
+        rng.integers(0, 256, size=8, dtype="uint8").tobytes().hex()
+        for _ in range(count)
+    ]
+
+
+class TestIdStream:
+    IDS = 5000
+
+    def drain(self, tracer, count):
+        """``count`` ids through every path that draws one, interleaved."""
+        ids = []
+        while len(ids) < count:
+            turn = len(ids) % 7
+            if turn < 2:
+                ids.extend(tracer.new_context())
+            elif turn < 4:
+                orphan = tracer.emit("orphan", start_s=0.0, end_s=0.0)
+                ids.extend((orphan.trace_id, orphan.span_id))
+            elif turn < 5:
+                context = tracer.new_context()
+                child = tracer.emit(
+                    "child", start_s=0.0, end_s=0.0, parent=context
+                )
+                ids.extend((*context, child.span_id))
+            else:
+                with tracer.span("root") as root:
+                    with tracer.span("nested") as nested:
+                        pass
+                ids.extend((root.trace_id, root.span_id, nested.span_id))
+        return ids[:count]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    def test_ids_equal_the_per_id_reference_formula(self, seed):
+        ids = self.drain(make_tracer(seed=seed), self.IDS)
+        assert ids == reference_ids(seed, self.IDS)
+
+    def test_same_seed_tracers_never_share_a_stream(self):
+        first, second = make_tracer(seed=3), make_tracer(seed=3)
+        expected = reference_ids(3, 64)
+        # Interleave the two: each must see the whole stream, not half.
+        got_first, got_second = [], []
+        for _ in range(32):
+            got_first.extend(first.new_context())
+            got_second.extend(second.new_context())
+        assert got_first == expected
+        assert got_second == expected
