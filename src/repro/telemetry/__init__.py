@@ -22,7 +22,7 @@ behaviour of the library is unchanged until a deployment opts in.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from ..util.clock import ManualClock
 from .catalog import CATALOG, METRICS, MetricKind, MetricSpec, metric_names
@@ -137,18 +137,26 @@ class Telemetry:
         self.metrics = MetricsRegistry(enabled=enabled)
 
     # -- convenience delegates (the one-line call sites) ---------------------------
+    # Each hands out the component's own bound method, looked up per
+    # use: ``telemetry.count(...)`` is then one call, not two with the
+    # label dict re-packed in between, and it runs whatever
+    # ``MetricsRegistry.count`` the class holds at that moment.
 
-    def span(self, name: str, **attributes: Any) -> Any:
-        return self.tracer.span(name, **attributes)
+    @property
+    def span(self) -> "Callable[..., Any]":
+        return self.tracer.span
 
-    def count(self, name: str, amount: float = 1.0, **labels: str) -> None:
-        self.metrics.count(name, amount, **labels)
+    @property
+    def count(self) -> "Callable[..., None]":
+        return self.metrics.count
 
-    def observe(self, name: str, value: float) -> None:
-        self.metrics.observe(name, value)
+    @property
+    def observe(self) -> "Callable[[str, float], None]":
+        return self.metrics.observe
 
-    def annotate(self, **attributes: Any) -> None:
-        self.tracer.annotate(**attributes)
+    @property
+    def annotate(self) -> "Callable[..., None]":
+        return self.tracer.annotate
 
     @classmethod
     def disabled(cls) -> "Telemetry":

@@ -11,6 +11,7 @@ with flat ``name{label=value}`` keys, rendered deterministically
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Any, Iterator
 
 from ..util.errors import TelemetryError
@@ -69,11 +70,13 @@ class HistogramState:
     def observe(self, value: float) -> None:
         self.total += 1
         self.sum += value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.overflow += 1
+        # First bucket whose bound is >= value; NaN compares below no
+        # bound, so it overflows.
+        index = bisect_left(self.buckets, value)
+        if index < len(self.counts) and value == value:
+            self.counts[index] += 1
+        else:
+            self.overflow += 1
 
     def quantile(self, q: float) -> float:
         """Deterministic quantile estimate from the fixed buckets.
@@ -118,6 +121,49 @@ class HistogramState:
         return data
 
 
+class _KeyMemo(dict[tuple[Any, ...], str]):
+    """``(name, (label keyword, label value))`` -> validated flat key,
+    for one metric kind.  A miss validates the emission against the
+    catalog; only successes are stored, so an emission the catalog
+    rejects raises on every call, not just the first."""
+
+    def __init__(self, kind: MetricKind) -> None:
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, memo_key: "tuple[Any, ...]") -> str:
+        name, *labels = memo_key
+        spec = MetricsRegistry._spec(name, self.kind)
+        if len(labels) > 1:
+            raise TelemetryError(
+                "at most one label per metric, got "
+                f"{sorted(keyword for keyword, _ in labels)}"
+            )
+        if not labels:
+            if spec.label is not None:
+                raise TelemetryError(
+                    f"metric {name!r} requires the {spec.label!r} label"
+                )
+            self[memo_key] = name
+            return name
+        (keyword, value), = labels
+        if spec.label is None:
+            raise TelemetryError(
+                f"metric {name!r} takes no label, got {keyword!r}"
+            )
+        if keyword != spec.label:
+            raise TelemetryError(
+                f"metric {name!r} is labelled by {spec.label!r}, "
+                f"not {keyword!r}"
+            )
+        key = format_metric_key(name, str(value))
+        # 1, True and 1.0 hash alike but format differently: only an
+        # exact str stands for its own formatting in the memo.
+        if type(value) is str:
+            self[memo_key] = key
+        return key
+
+
 class MetricsRegistry:
     """Catalog-validated counters, gauges and histograms.
 
@@ -130,6 +176,8 @@ class MetricsRegistry:
         self._counters: "dict[str, float]" = {}
         self._gauges: "dict[str, float]" = {}
         self._histograms: "dict[str, HistogramState]" = {}
+        self._counter_keys = _KeyMemo(MetricKind.COUNTER)
+        self._gauge_keys = _KeyMemo(MetricKind.GAUGE)
 
     # -- validation ----------------------------------------------------------------
 
@@ -147,18 +195,6 @@ class MetricsRegistry:
             )
         return spec
 
-    @staticmethod
-    def _key(spec: MetricSpec, label: "str | None") -> str:
-        if spec.label is None and label is not None:
-            raise TelemetryError(
-                f"metric {spec.name!r} takes no label, got {label!r}"
-            )
-        if spec.label is not None and label is None:
-            raise TelemetryError(
-                f"metric {spec.name!r} requires the {spec.label!r} label"
-            )
-        return format_metric_key(spec.name, label)
-
     # -- emission ------------------------------------------------------------------
 
     def count(
@@ -168,52 +204,34 @@ class MetricsRegistry:
         e.g. ``count("breaker.opens", server="server-a")``)."""
         if not self.enabled:
             return
-        key = self._key(
-            self._spec(name, MetricKind.COUNTER), self._label_of(labels)
-        )
+        key = self._counter_keys[(name, *labels.items())]
         self._counters[key] = self._counters.get(key, 0.0) + amount
 
     def gauge_set(self, name: str, value: float, **labels: str) -> None:
         if not self.enabled:
             return
-        key = self._key(
-            self._spec(name, MetricKind.GAUGE), self._label_of(labels)
-        )
+        key = self._gauge_keys[(name, *labels.items())]
         self._gauges[key] = value
 
     def gauge_add(self, name: str, delta: float, **labels: str) -> None:
         if not self.enabled:
             return
-        key = self._key(
-            self._spec(name, MetricKind.GAUGE), self._label_of(labels)
-        )
+        key = self._gauge_keys[(name, *labels.items())]
         self._gauges[key] = self._gauges.get(key, 0.0) + delta
 
     def observe(self, name: str, value: float) -> None:
         if not self.enabled:
             return
-        spec = self._spec(name, MetricKind.HISTOGRAM)
         state = self._histograms.get(name)
-        if state is None:
+        if state is None:  # a live state implies a validated name
+            spec = self._spec(name, MetricKind.HISTOGRAM)
             state = self._histograms[name] = HistogramState(spec.buckets)
         state.observe(value)
-
-    @staticmethod
-    def _label_of(labels: "dict[str, str]") -> "str | None":
-        if not labels:
-            return None
-        if len(labels) > 1:
-            raise TelemetryError(
-                f"at most one label per metric, got {sorted(labels)}"
-            )
-        return str(next(iter(labels.values())))
 
     # -- reading -------------------------------------------------------------------
 
     def counter_value(self, name: str, **labels: str) -> float:
-        key = self._key(
-            self._spec(name, MetricKind.COUNTER), self._label_of(labels)
-        )
+        key = self._counter_keys[(name, *labels.items())]
         return self._counters.get(key, 0.0)
 
     def counter_total(self, name: str) -> float:
@@ -226,9 +244,7 @@ class MetricsRegistry:
         )
 
     def gauge_value(self, name: str, **labels: str) -> float:
-        key = self._key(
-            self._spec(name, MetricKind.GAUGE), self._label_of(labels)
-        )
+        key = self._gauge_keys[(name, *labels.items())]
         return self._gauges.get(key, 0.0)
 
     def histogram(self, name: str) -> "HistogramState | None":

@@ -82,6 +82,10 @@ class _Ring:
     def items(self) -> "list[Any]":
         return self._items[self._start:] + self._items[:self._start]
 
+    def last(self) -> Any:
+        """The newest item of a non-empty ring, without copying it."""
+        return self._items[self._start - 1]
+
     def __len__(self) -> int:
         return len(self._items)
 
@@ -133,23 +137,19 @@ class FlightRecorder:
         """Snapshot every live instrument at simulated time ``now``."""
         if not self.telemetry.enabled:
             return
-        if len(self._ticks) and self._ticks.items()[-1] == now:
+        if len(self._ticks) and self._ticks.last() == now:
             return  # one sample per instant, even if armed twice
         self._ticks.append(now)
+        # Straight from the registry's stores: its snapshot() sorts and
+        # renders every instrument for export, which a scrape discards.
         registry = self.telemetry.metrics
-        snapshot = registry.snapshot()
-        for key, value in snapshot["counters"].items():
-            self._point(f"counter:{key}", now, value)
-        for key, value in snapshot["gauges"].items():
-            self._point(f"gauge:{key}", now, value)
-        for name in snapshot["histograms"]:
-            state = registry.histogram(name)
-            if state is None:  # pragma: no cover - snapshot implies state
-                continue
-            vector = list(state.counts) + [
-                state.overflow, state.total, state.sum,
-            ]
-            self._point(f"hist:{name}", now, vector)
+        for key, value in registry._counters.items():
+            self._point("counter:" + key, now, value)
+        for key, value in registry._gauges.items():
+            self._point("gauge:" + key, now, value)
+        for name, state in registry._histograms.items():
+            vector = state.counts + [state.overflow, state.total, state.sum]
+            self._point("hist:" + name, now, vector)
 
     def finish(self, now: float) -> None:
         """Capture the drained end state (idempotent per instant)."""

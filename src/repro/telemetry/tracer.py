@@ -11,8 +11,7 @@ finished span to its exporters, and retains the most recently finished
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator, Protocol
+from typing import Any, Protocol
 
 from ..util.clock import ManualClock
 from ..util.errors import TelemetryError
@@ -29,8 +28,8 @@ class SpanExporter(Protocol):
 
 
 class _NullSpan:
-    """The span handed out by a disabled tracer: accepts attributes,
-    records nothing."""
+    """The span handed out by a disabled tracer, and its own ``with``
+    scope: accepts attributes, records nothing, allocates nothing."""
 
     __slots__ = ()
     name = ""
@@ -45,12 +44,53 @@ class _NullSpan:
     def set_attributes(self, attributes: "dict[str, Any]") -> None:
         pass
 
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        pass
+
 
 NULL_SPAN = _NullSpan()
 
+# Ids drawn from the generator per call.  One ``integers(size=8 * N)``
+# draw is byte-for-byte the concatenation of N ``size=8`` draws (a
+# uint8 draw consumes whole 32-bit words and 8 bytes is two of them),
+# so the pool size never shows in an exported id.
+_ID_POOL = 1024
+
+
+class _SpanScope:
+    """The ``with`` scope of one live :meth:`Tracer.span`."""
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_span")
+
+    def __init__(
+        self, tracer: "Tracer", name: str, attributes: "dict[str, Any]"
+    ) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        self._span = self._tracer.start_span(self._name, **self._attributes)
+        return self._span
+
+    def __exit__(self, exc_type: Any, *_: Any) -> None:
+        span = self._span
+        if exc_type is not None:
+            span.status = SpanStatus.ERROR
+            span.attributes["error.type"] = exc_type.__name__
+        self._tracer.end_span(span)
+
 
 class Tracer:
-    """Deterministic span factory bound to one simulated clock."""
+    """Deterministic span factory bound to one simulated clock.
+
+    ``seed`` is an integer: the tracer builds a private generator from
+    it and draws ids from that in blocks, so it can never be handed a
+    generator somebody else is also drawing from.
+    """
 
     def __init__(
         self,
@@ -62,7 +102,13 @@ class Tracer:
     ) -> None:
         self.clock = clock
         self.enabled = enabled
+        if not isinstance(seed, int):
+            raise TelemetryError(
+                "Tracer(seed=) must be an int (the id stream is private "
+                f"to the tracer), got {type(seed).__name__}"
+            )
         self._rng = make_rng(seed)
+        self._id_pool: "list[str]" = []  # reversed: pop() draws the next id
         self._exporters: "list[SpanExporter]" = list(exporters)
         self._stack: "list[Span]" = []
         self._sequence = 0
@@ -84,28 +130,28 @@ class Tracer:
 
     # -- identity ------------------------------------------------------------------
 
-    def _new_id(self) -> str:
-        return self._rng.integers(
-            0, 256, size=8, dtype="uint8"
-        ).tobytes().hex()
-
-    def _next_sequence(self) -> int:
-        self._sequence += 1
-        return self._sequence
+    def _refill(self) -> "list[str]":
+        """Slide ``_ID_POOL`` fresh ids under the ones still pooled."""
+        fresh = self._rng.integers(
+            0, 256, size=8 * _ID_POOL, dtype="uint8"
+        ).tobytes().hex(" ", 8).split(" ")
+        fresh.reverse()
+        self._id_pool[:0] = fresh
+        return self._id_pool
 
     # -- the span lifecycle --------------------------------------------------------
 
     def start_span(self, name: str, **attributes: Any) -> Span:
-        parent = self._stack[-1] if self._stack else None
-        trace_id = parent.trace_id if parent is not None else self._new_id()
+        pool = self._id_pool if len(self._id_pool) > 1 else self._refill()
+        if self._stack:
+            parent = self._stack[-1]
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        else:
+            trace_id, parent_id = pool.pop(), None
+        self._sequence += 1
         span = Span(
-            name=name,
-            trace_id=trace_id,
-            span_id=self._new_id(),
-            parent_id=parent.span_id if parent is not None else None,
-            start_s=self.clock.now(),
-            sequence=self._next_sequence(),
-            attributes=dict(attributes),
+            name, trace_id, pool.pop(), parent_id, self.clock.now(),
+            sequence=self._sequence, attributes=attributes,
         )
         self._stack.append(span)
         self._open_traces.setdefault(trace_id, []).append(span)
@@ -123,26 +169,18 @@ class Tracer:
             bucket = self._open_traces.pop(span.trace_id, [])
             self._last_trace = tuple(bucket)
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> "Iterator[Any]":
-        """Open a nested span for the duration of the block.
+    def span(
+        self, name: str, **attributes: Any
+    ) -> "_SpanScope | _NullSpan":
+        """Open a nested span for the duration of the ``with`` block.
 
         The span records failure status but never swallows, converts or
         reorders the exception — instrumentation must be invisible to
         the error-handling paths it wraps.
         """
         if not self.enabled:
-            yield NULL_SPAN
-            return
-        span = self.start_span(name, **attributes)
-        try:
-            yield span
-        except BaseException as error:  # reprolint: backstop -- record status, always re-raise unchanged
-            span.status = SpanStatus.ERROR
-            span.set_attribute("error.type", type(error).__name__)
-            raise
-        finally:
-            self.end_span(span)
+            return NULL_SPAN
+        return _SpanScope(self, name, attributes)
 
     def new_context(self) -> "tuple[str, str]":
         """Pre-allocate a ``(trace_id, span_id)`` for a root span that
@@ -156,7 +194,8 @@ class Tracer:
         with ``parent=context`` accumulate under the trace until the
         root lands.
         """
-        trace_id, span_id = self._new_id(), self._new_id()
+        pool = self._id_pool if len(self._id_pool) > 1 else self._refill()
+        trace_id, span_id = pool.pop(), pool.pop()
         self._open_traces.setdefault(trace_id, [])
         return trace_id, span_id
 
@@ -176,32 +215,29 @@ class Tracer:
         enclosing trace closed).  ``parent`` is a ``(trace_id,
         span_id)`` context, e.g. from :meth:`root_context`; ``context``
         instead makes this span the *root* carrying the pre-allocated
-        identity from :meth:`new_context`, closing that trace."""
+        identity from :meth:`new_context`, closing that trace.  The
+        span keeps ``attributes`` itself; callers hand over a dict they
+        no longer touch."""
         if not self.enabled:
             return NULL_SPAN
-        if context is not None and parent is not None:
-            raise TelemetryError(
-                "emit takes parent= or context=, not both"
-            )
+        pool = self._id_pool if len(self._id_pool) > 1 else self._refill()
         if context is not None:
+            if parent is not None:
+                raise TelemetryError(
+                    "emit takes parent= or context=, not both"
+                )
             trace_id, span_id = context
             parent_id = None
         elif parent is not None:
             trace_id, parent_id = parent
-            span_id = self._new_id()
+            span_id = pool.pop()
         else:
-            trace_id, parent_id = self._new_id(), None
-            span_id = self._new_id()
+            trace_id, parent_id = pool.pop(), None
+            span_id = pool.pop()
+        self._sequence += 1
         span = Span(
-            name=name,
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_id=parent_id,
-            start_s=start_s,
-            end_s=end_s,
-            status=status,
-            sequence=self._next_sequence(),
-            attributes=dict(attributes or {}),
+            name, trace_id, span_id, parent_id, start_s, end_s, status,
+            self._sequence, {} if attributes is None else attributes,
         )
         bucket = self._open_traces.get(trace_id)
         if bucket is not None:

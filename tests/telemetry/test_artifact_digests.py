@@ -40,11 +40,10 @@ def test_trace_jsonl(tmp_path, capsys):
 
 
 def test_stats_json_and_chaos_trace(tmp_path, capsys):
-    assert stdout_digest(
-        capsys, ["stats", "--seed", "1", "--json"]
-    ) == STATS_JSON
     path = tmp_path / "chaos-trace.jsonl"
-    main(["stats", "--seed", "1", "--telemetry", str(path)])
+    assert stdout_digest(capsys, [
+        "stats", "--seed", "1", "--json", "--telemetry", str(path),
+    ]) == STATS_JSON
     assert sha256(path.read_bytes()) == CHAOS_TRACE_JSONL
 
 

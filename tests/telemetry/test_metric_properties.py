@@ -8,11 +8,13 @@ equal, quantiles are monotone and clamped to the bucket range, and
 value a caller can emit (including values containing ``=``/``{``/``}``).
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry import HistogramState
+from repro.telemetry import HistogramState, MetricKind, MetricsRegistry
 from repro.telemetry.catalog import CATALOG
 from repro.telemetry.metrics import format_metric_key, parse_metric_key
 from repro.util.errors import TelemetryError
@@ -120,3 +122,109 @@ class TestMetricKeyRoundTrip:
         for key in ("name{server=a", "name{nolabel}"):
             with pytest.raises(TelemetryError, match="malformed"):
                 parse_metric_key(key)
+
+
+class ReferenceRegistry:
+    """The registry with no memo: every emission is validated against
+    the catalog and its flat key formatted from scratch, as shipped
+    before resolution was memoised (plus the label-keyword check)."""
+
+    def __init__(self):
+        self.counters, self.gauges, self.histograms = {}, {}, {}
+
+    @staticmethod
+    def key(name, kind, labels):
+        spec = CATALOG.get(name)
+        if spec is None or spec.kind is not kind or len(labels) > 1:
+            raise TelemetryError(name)
+        if (spec.label is None) != (not labels):
+            raise TelemetryError(name)
+        if not labels:
+            return name
+        if spec.label not in labels:
+            raise TelemetryError(name)
+        return f"{name}{{{spec.label}={labels[spec.label]!s}}}"
+
+    def count(self, name, amount, **labels):
+        key = self.key(name, MetricKind.COUNTER, labels)
+        self.counters[key] = self.counters.get(key, 0.0) + amount
+
+    def gauge_set(self, name, value, **labels):
+        self.gauges[self.key(name, MetricKind.GAUGE, labels)] = value
+
+    def gauge_add(self, name, delta, **labels):
+        key = self.key(name, MetricKind.GAUGE, labels)
+        self.gauges[key] = self.gauges.get(key, 0.0) + delta
+
+    def observe(self, name, value):
+        self.key(name, MetricKind.HISTOGRAM, {})
+        if name not in self.histograms:
+            self.histograms[name] = HistogramState(CATALOG[name].buckets)
+        self.histograms[name].observe(value)
+
+    def to_json(self):
+        return json.dumps({
+            "counters": self.counters,
+            "gauges": self.gauges,
+            "histograms": {
+                name: state.as_dict()
+                for name, state in self.histograms.items()
+            },
+        }, sort_keys=True, separators=(",", ":"))
+
+
+# Few names and few label values, so sequences revisit (and re-resolve)
+# the same series.  Four emissions in five are well-formed (the method
+# fits the kind, the keyword is the declared one); the rest pick the
+# method, a wrong or surplus keyword or a bogus name at random.  Label
+# values include non-strings whose hashes collide (1 == True == 1.0).
+NAMES = [
+    "negotiation.outcomes", "negotiation.offers.dropped",
+    "commitment.rollbacks", "service.inflight", "negotiation.attempts",
+]
+METHODS = {
+    MetricKind.COUNTER: ["count"],
+    MetricKind.GAUGE: ["gauge_set", "gauge_add"],
+    MetricKind.HISTOGRAM: ["observe"],
+}
+VALUES = st.sampled_from(["a", "1", "", 1, True, 1.0, None])
+AMOUNTS = st.floats(min_value=0.0, max_value=16.0, allow_nan=False)
+
+
+@st.composite
+def emissions(draw):
+    name = draw(st.sampled_from(NAMES))
+    spec = CATALOG[name]
+    if draw(st.integers(0, 4)):
+        method = draw(st.sampled_from(METHODS[spec.kind]))
+        labels = {} if spec.label is None else {spec.label: draw(VALUES)}
+    else:
+        name = draw(st.sampled_from(NAMES + ["no.such.metric"]))
+        method = draw(st.sampled_from(sum(METHODS.values(), [])))
+        labels = draw(st.dictionaries(
+            st.sampled_from(["status", "step", "stauts"]), VALUES,
+            max_size=2,
+        ))
+    if method == "observe":
+        labels = {}
+    return method, name, draw(AMOUNTS), labels
+
+
+class TestMemoisedResolutionIsInvisible:
+    @given(st.lists(emissions(), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_any_emission_sequence_matches_the_memoless_reference(
+        self, sequence
+    ):
+        registry, reference = MetricsRegistry(), ReferenceRegistry()
+        for method, name, value, labels in sequence:
+            outcomes = []
+            for target in (registry, reference):
+                try:
+                    getattr(target, method)(name, value, **labels)
+                    outcomes.append("ok")
+                except TelemetryError:
+                    outcomes.append("rejected")
+            assert outcomes[0] == outcomes[1], (method, name, labels)
+        assert registry.to_json() == reference.to_json()
+        assert registry.snapshot() == json.loads(reference.to_json())

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.telemetry import HistogramState, MetricsRegistry, metric_names
+from repro.telemetry import (
+    CATALOG,
+    HistogramState,
+    MetricKind,
+    MetricSpec,
+    MetricsRegistry,
+    metric_names,
+)
 from repro.util.errors import TelemetryError
 
 
@@ -32,6 +39,33 @@ class TestCatalogValidation:
             registry.count("commitment.rollbacks", server="server-a")
         with pytest.raises(TelemetryError, match="at most one label"):
             registry.count("breaker.opens", server="a", extra="b")
+
+    def test_label_keyword_must_be_the_declared_one(self, monkeypatch):
+        # A typo'd keyword used to land silently under the right series.
+        # (The shipped catalog has no labelled gauge; declare one here.)
+        monkeypatch.setitem(CATALOG, "test.depth", MetricSpec(
+            "test.depth", MetricKind.GAUGE, "items", "test", "server"
+        ))
+        registry = MetricsRegistry()
+        with pytest.raises(TelemetryError, match="labelled by 'status'"):
+            registry.count("negotiation.outcomes", stauts="SUCCEEDED")
+        with pytest.raises(TelemetryError, match="labelled by 'status'"):
+            registry.counter_value("negotiation.outcomes", stauts="SUCCEEDED")
+        with pytest.raises(TelemetryError, match="labelled by 'server'"):
+            registry.gauge_set("test.depth", 1.0, sever="server-a")
+        with pytest.raises(TelemetryError, match="labelled by 'server'"):
+            registry.gauge_add("test.depth", 1.0, sever="server-a")
+        with pytest.raises(TelemetryError, match="labelled by 'server'"):
+            registry.gauge_value("test.depth", sever="server-a")
+        empty = {"counters": {}, "gauges": {}, "histograms": {}}
+        assert registry.snapshot() == empty
+        # ... also once the right keyword has been resolved and memoised.
+        registry.count("negotiation.outcomes", status="SUCCEEDED")
+        with pytest.raises(TelemetryError, match="labelled by 'status'"):
+            registry.count("negotiation.outcomes", stauts="SUCCEEDED")
+        assert registry.snapshot()["counters"] == {
+            "negotiation.outcomes{status=SUCCEEDED}": 1.0
+        }
 
     def test_every_catalog_name_is_in_the_rep011_allow_list(self):
         assert "negotiation.outcomes" in metric_names()

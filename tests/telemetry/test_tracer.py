@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.telemetry import NULL_SPAN, InMemorySpanExporter, Telemetry, Tracer, traced
+from repro.telemetry import tracer as tracer_module
 from repro.telemetry.spans import SpanStatus
 from repro.util.clock import ManualClock
 from repro.util.errors import AdmissionError, ReproError
@@ -151,7 +152,10 @@ def reference_ids(seed, count):
 
 
 class TestIdStream:
-    IDS = 5000
+    IDS = 5000  # the pool refills at least four times on the way
+
+    def test_the_oracle_spans_several_refills(self):
+        assert self.IDS >= 3 * tracer_module._ID_POOL
 
     def drain(self, tracer, count):
         """``count`` ids through every path that draws one, interleaved."""
