@@ -6,17 +6,15 @@ fingerprint keys of :mod:`repro.perf.fingerprint` already exclude
 client identity — so N pending requests whose fingerprints agree are
 *one* negotiation repeated N times.  This package canonicalises
 pending requests into those classes (:func:`request_class_key`),
-plans each class once — one offer-space build, one classification
-pass, shared across every space-compatible class as a
-structure-of-arrays NumPy batch — and fans the class plan out to each
-member's own step-5 commitment walk (:func:`negotiate_batch`).
+plans each class once — one offer-space build, one lazily ordered
+offer list that every member replays — and fans the class plan out to
+each member's own step-5 commitment walk (:func:`negotiate_batch`).
 
 The fan-out is byte-exact with running ``QoSManager.negotiate`` per
 request in the same order: walks run in submission order against the
-same ledger states, holders come from the same counter, and the
-classification rows are bit-identical (see
-:func:`repro.core.classification.classify_arrays_batch`), so the
-per-round ``(status, offer id, attempts)`` signature cannot differ.
+same ledger states, holders come from the same counter, and every
+member sees the same offers in the same order, so the per-round
+``(status, offer id, attempts)`` signature cannot differ.
 """
 
 from .classes import BatchRequest, request_class_key

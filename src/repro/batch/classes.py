@@ -5,9 +5,9 @@ input that steps 1–4 read is structurally equal: the document (id and
 catalog version), the client's capabilities (not its identity), the
 guarantee class, the tariff tables, the mapper state, the profile's
 QoS/cost bounds, the importance profile, the classification policy,
-and the walk bounds (``max_offers``, offer mode).  The class key is
-the tuple of exactly those fingerprints — a strict superset of the
-negotiation cache's classification key, which is what makes the
+and the walk bound (``max_offers``).  The class key is the tuple of
+exactly those fingerprints — the negotiation cache's space key
+extended with every classification input, which is what makes the
 fan-out sound.
 
 Requests carrying user preferences build per-user offer spaces
@@ -48,7 +48,6 @@ class BatchRequest:
     policy: "ClassificationPolicy | None" = None
     guarantee: "GuaranteeType | None" = None
     max_offers: "int | None" = None
-    offer_mode: "str | None" = None
     tag: object = None
 
     @property
@@ -69,7 +68,7 @@ def request_class_key(
     Built from the negotiation cache's space key (document id +
     version, client capability fingerprint, guarantee, cost model,
     mapper) extended with the classification inputs (profile bounds,
-    importance, policy) and the walk bounds.  Everything identity-like
+    importance, policy) and the walk bound.  Everything identity-like
     (client id, access point, profile name, tag) is excluded by
     construction — that is the fingerprint module's contract.
     """
@@ -93,5 +92,4 @@ def request_class_key(
         importance_fingerprint(importance),
         policy.value,
         request.max_offers,
-        request.offer_mode or manager.offer_mode,
     )

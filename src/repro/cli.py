@@ -33,8 +33,6 @@ Subcommands exercising the library from a shell:
   span tree at rising load multipliers, name the top bottleneck, and
   optionally write a folded-stack flamegraph;
 * ``experiments`` — list the E-series experiment index;
-* ``bench`` — run the negotiation throughput benchmark (streaming vs
-  full sort, cache on/off) and write ``BENCH_negotiation.json``;
 * ``lint`` — run the reprolint project-invariant checks (REP001..REP011;
   ``--deep`` adds the whole-program resource-flow rules REP012..REP017
   with a content-hashed extract cache, ``--changed`` restricts the run
@@ -266,19 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument(
         "--output", default=None, metavar="PATH",
-        help="also write the JSON report to PATH "
-             "(e.g. BENCH_load.json)",
-    )
-    load.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="committed BENCH_load.json to regress against; fail when "
-             "any shared multiplier's served rate drops below the "
-             "tolerance",
-    )
-    load.add_argument(
-        "--tolerance", type=float, default=0.20, metavar="F",
-        help="tolerated fractional served-rate drop vs the baseline "
-             "(default %(default)s)",
+        help="also write the JSON report to PATH",
     )
 
     slo = sub.add_parser(
@@ -353,15 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the per-multiplier profiles as JSON")
 
     sub.add_parser("experiments", help="list the experiment index")
-
-    from .perf.bench import add_bench_arguments
-
-    bench = sub.add_parser(
-        "bench",
-        help="negotiation throughput benchmark "
-             "(streaming vs full sort, cache on/off)",
-    )
-    add_bench_arguments(bench)
 
     from .analysis.cli import add_lint_arguments, add_typecheck_arguments
 
@@ -862,18 +839,6 @@ def _cmd_load(args) -> int:
         print(f"bad --multipliers {args.multipliers!r}: expected "
               "comma-separated numbers", file=sys.stderr)
         return 2
-    # Read the baseline before the run (and before --output lands), so
-    # CI can regress a fresh sweep against the committed file even
-    # when both flags name BENCH_load.json.
-    baseline = None
-    if args.baseline is not None:
-        from .perf import load_baseline, load_throughputs
-
-        try:
-            baseline = load_throughputs(load_baseline(args.baseline))
-        except ValidationError as error:
-            print(f"bad --baseline: {error}", file=sys.stderr)
-            return 2
     try:
         spec = LoadSpec(
             arrival=ArrivalSpec(
@@ -910,25 +875,6 @@ def _cmd_load(args) -> int:
               "dishonest hints, or the sweep never reached 2x "
               "capacity)", file=sys.stderr)
         return 1
-    if baseline is not None:
-        from .perf import compare_throughputs, load_throughputs
-
-        try:
-            regressions = compare_throughputs(
-                load_throughputs(report.as_dict()), baseline,
-                tolerance=args.tolerance,
-            )
-        except ValidationError as error:
-            print(f"bad --tolerance: {error}", file=sys.stderr)
-            return 2
-        if regressions:
-            print(f"\nFAIL: served rate regressed vs {args.baseline}",
-                  file=sys.stderr)
-            for regression in regressions:
-                print(f"  {regression.render()}", file=sys.stderr)
-            return 1
-        print(f"no served-rate regression vs {args.baseline} "
-              f"(tolerance {args.tolerance:.0%})")
     return 0
 
 
@@ -1090,12 +1036,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from .perf.bench import run_bench_command
-
-    return run_bench_command(args)
-
-
 def _cmd_lint(args) -> int:
     from .analysis.cli import run_lint
 
@@ -1123,7 +1063,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         "slo": _cmd_slo,
         "profile": _cmd_profile,
         "experiments": _cmd_experiments,
-        "bench": _cmd_bench,
         "report": _cmd_report,
         "lint": _cmd_lint,
         "typecheck": _cmd_typecheck,

@@ -28,7 +28,7 @@ from ..journal import JournalRecordType
 from ..util.errors import AdaptationError
 from ..util.validation import check_non_negative
 from .classification import ClassifiedOffer
-from .negotiation import NegotiationResult, QoSManager
+from .negotiation import NegotiationPlan, NegotiationResult, QoSManager
 from .profiles import UserProfile
 from .status import NegotiationStatus
 
@@ -192,10 +192,10 @@ class AdaptationManager:
         if result.offer_space is None:
             raise AdaptationError("negotiation result carries no offer space")
 
-        # Streaming negotiations keep only the consumed prefix on the
-        # result; adaptation is the §4 consumer of "the whole set of
-        # feasible system offers", so drain the remainder now — unless
-        # the caller restricted the walk to an explicit subset.
+        # A result keeps only the prefix its walk pulled; adaptation is
+        # the §4 consumer of "the whole set of feasible system offers",
+        # so drain the remainder now — unless the caller restricted the
+        # walk to an explicit subset.
         classified = (
             candidates
             if candidates is not None
@@ -203,9 +203,17 @@ class AdaptationManager:
         )
 
         def commit(exclude: frozenset) -> NegotiationResult:
-            return self.manager._commit_best(
-                classified,
-                result.offer_space,
+            # No policy: a caller's subset need not be in classified
+            # order, so the walk defers until the list is drained.
+            plan = NegotiationPlan(
+                space=result.offer_space,
+                offers=iter(classified),
+                offers_in=sum(
+                    c.offer.offer_id not in exclude for c in classified
+                ),
+            )
+            return self.manager._commit(
+                plan,
                 profile,
                 client,
                 self.manager.guarantee,

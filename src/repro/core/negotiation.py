@@ -20,9 +20,12 @@ steps, in order:
 6. **User confirmation** — the returned :class:`Commitment` must be
    confirmed within ``choicePeriod`` or the reservation evaporates.
 
-The full classified list is kept on the result: "during the active
+Steps 3–4 produce one lazily ordered offer list; step 5 walks it in
+:func:`~repro.core.classification.walk_order`.  The result keeps the
+prefix the walk pulled plus the continuation: "during the active
 phase, if QoS violations occur the adaptation procedure makes use of
-the whole set of feasible system offers" (§4).
+the whole set of feasible system offers" (§4), drained on demand by
+:meth:`NegotiationResult.ensure_classified`.
 """
 
 from __future__ import annotations
@@ -43,14 +46,14 @@ from ..metadata.database import MetadataDatabase
 from ..network.transport import GuaranteeType, TransportSystem
 from ..telemetry import NegotiationReport, Telemetry
 from ..util.clock import ManualClock
-from ..util.errors import NegotiationError, ValidationError
+from ..util.errors import NegotiationError
 from .classification import (
     ClassificationPolicy,
     ClassifiedOffer,
     apply_offer_bonus,
     check_top_k,
-    classify_arrays,
     classify_space,
+    walk_order,
 )
 from .commitment import Commitment, ResourceCommitter
 from .cost import CostModel, default_cost_model
@@ -59,7 +62,7 @@ from .importance import ImportanceProfile, default_importance
 from .mapping import QoSMapper
 from .offers import derive_user_offer
 from .profiles import MMProfile, UserProfile
-from .status import NegotiationStatus, StaticNegotiationStatus
+from .status import NegotiationStatus
 from .stream import stream_classified
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,17 +71,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DEFAULT_RETRY_AFTER_S",
-    "OFFER_MODES",
     "NegotiationPlan",
     "NegotiationResult",
     "QoSManager",
 ]
-
-OFFER_MODES = ("full", "stream", "auto")
-"""How steps 3–5 consume the offer space: ``full`` classifies and
-sorts the whole product space (the original vectorized path);
-``stream`` walks it lazily best-first; ``auto`` streams whenever the
-scores are separable.  All three produce identical outcomes."""
 
 DEFAULT_RETRY_AFTER_S = 30.0
 """Retry-after hint on FAILEDTRYLATER when no breaker knows better —
@@ -89,10 +85,10 @@ roughly the time scale on which playing sessions end and free capacity."""
 class NegotiationResult:
     """Status + user offer + everything adaptation needs later.
 
-    For every streamed verdict — SUCCEEDED, FAILEDWITHOFFER and
+    For every step-5 verdict — SUCCEEDED, FAILEDWITHOFFER and
     FAILEDTRYLATER alike — ``classified`` holds only the prefix of the
-    classified order the commitment walk pulled from the stream (a
-    FAILEDTRYLATER walk pulled all of it); ``_rest`` keeps the
+    classified order the commitment walk pulled from the plan's offers
+    (a FAILEDTRYLATER walk pulled all of it); ``_rest`` keeps the
     unconsumed continuation.  :meth:`ensure_classified` drains it on
     demand — adaptation still gets "the whole set of feasible system
     offers" (§4), it just pays for them only when a violation occurs.
@@ -118,9 +114,8 @@ class NegotiationResult:
 
     def ensure_classified(self) -> list[ClassifiedOffer]:
         """The complete classified list, draining any unconsumed
-        stream remainder (classified order is preserved: the consumed
-        prefix and the continuation come from the same best-first
-        walk)."""
+        remainder (classified order is preserved: the consumed prefix
+        and the continuation come from the same ordered offers)."""
         if self._rest is not None:
             self.classified.extend(self._rest)
             self._rest = None
@@ -143,23 +138,23 @@ class NegotiationResult:
 class NegotiationPlan:
     """The outcome of steps 1–4, ready for a step-5 commitment walk.
 
-    Exactly one of three shapes: ``early`` set (the procedure already
-    ended in step 1 or 2), ``stream`` set (lazy best-first
-    classification; ``classified`` holds nothing yet), or ``classified``
-    populated (the eager full sort).  The concurrent service plans
-    synchronously — steps 1–4 touch no shared ledgers — and then walks
-    step 5 cooperatively, yielding between reservations.
+    Either ``early`` is set (the procedure already ended in step 1 or
+    2) or ``offers`` is: the feasible offers in classified order,
+    produced lazily — an offer is classified and materialised when the
+    walk pulls it.  ``offers_in`` is how many it will yield.  The
+    concurrent service plans synchronously — steps 1–4 touch no shared
+    ledgers — and then walks step 5 cooperatively, yielding between
+    reservations.
 
     ``policy`` is the classification policy the offers were ordered
     under (a per-call override, not necessarily the manager default);
-    the streamed walk relies on it to know when no user-satisfying
-    offer can follow.
+    the walk relies on it to know when no user-satisfying offer can
+    follow (:func:`~repro.core.classification.walk_order`).
     """
 
     early: "NegotiationResult | None" = None
     space: "OfferSpace | None" = None
-    classified: "list[ClassifiedOffer]" = field(default_factory=list)
-    stream: "Iterator[ClassifiedOffer] | None" = None
+    offers: "Iterator[ClassifiedOffer] | None" = None
     offers_in: int = 0
     policy: "ClassificationPolicy | None" = None
 
@@ -189,7 +184,6 @@ class QoSManager:
         retry_seed: int = 0,
         journal: "ReservationJournal | None" = None,
         telemetry: "Telemetry | None" = None,
-        offer_mode: str = "full",
         cache: "NegotiationCache | None" = None,
     ) -> None:
         self.database = database
@@ -199,7 +193,6 @@ class QoSManager:
         self.policy = policy
         self.guarantee = guarantee
         self.directory = directory  # ServerDirectory, for preferences
-        self.offer_mode = self._check_offer_mode(offer_mode)
         self.cache = cache
         self.telemetry = telemetry or Telemetry.disabled()
         self.committer = ResourceCommitter(
@@ -222,15 +215,6 @@ class QoSManager:
         negotiations (the journal's single-writer check depends on
         it)."""
         return f"session-{next(self._holders)}"
-
-    @staticmethod
-    def _check_offer_mode(offer_mode: str) -> str:
-        if offer_mode not in OFFER_MODES:
-            raise ValidationError(
-                f"offer_mode must be one of {OFFER_MODES}, "
-                f"got {offer_mode!r}"
-            )
-        return offer_mode
 
     # -- step 1 -----------------------------------------------------------------
 
@@ -268,11 +252,9 @@ class QoSManager:
         policy: ClassificationPolicy | None = None,
         guarantee: GuaranteeType | None = None,
         max_offers: "int | None" = None,
-        offer_mode: "str | None" = None,
     ) -> NegotiationResult:
         """Run steps 1–5 and wrap the reservation for step 6."""
         max_offers = check_top_k(max_offers, parameter="max_offers")
-        offer_mode = self._check_offer_mode(offer_mode or self.offer_mode)
         telemetry = self.telemetry
         started = self.clock.now()
         document_id = document if isinstance(document, str) else document.document_id
@@ -283,15 +265,16 @@ class QoSManager:
         ) as root:
             if isinstance(document, str):
                 document = self.database.get_document(document)
-            result = self._run_steps(
+            guarantee = guarantee or self.guarantee
+            plan = self._plan_steps(
                 document,
                 profile,
                 client,
                 policy=policy or self.policy,
-                guarantee=guarantee or self.guarantee,
+                guarantee=guarantee,
                 max_offers=max_offers,
-                offer_mode=offer_mode,
             )
+            result = self.complete(plan, profile, client, guarantee=guarantee)
             root.set_attribute("status", str(result.status))
             root.set_attribute("attempts", result.attempts)
         telemetry.count("negotiation.outcomes", status=str(result.status))
@@ -308,24 +291,6 @@ class QoSManager:
             )
         return result
 
-    def _run_steps(
-        self,
-        document: Document,
-        profile: UserProfile,
-        client: ClientMachine,
-        *,
-        policy: ClassificationPolicy,
-        guarantee: GuaranteeType,
-        max_offers: "int | None",
-        offer_mode: str = "full",
-    ) -> NegotiationResult:
-        plan = self._plan_steps(
-            document, profile, client,
-            policy=policy, guarantee=guarantee,
-            max_offers=max_offers, offer_mode=offer_mode,
-        )
-        return self.complete(plan, profile, client, guarantee=guarantee)
-
     def plan(
         self,
         document: "Document | str",
@@ -335,23 +300,17 @@ class QoSManager:
         policy: ClassificationPolicy | None = None,
         guarantee: GuaranteeType | None = None,
         max_offers: "int | None" = None,
-        offer_mode: "str | None" = None,
     ) -> NegotiationPlan:
         """Steps 1–4 only: classify without reserving anything.
 
-        This is the concurrent service's entry point — planning reads
-        the metadata database and the client's static characteristics
-        but never touches the shared server/transport ledgers, so it
-        needs no yield points.  The returned plan feeds a cooperative
-        step-5 walk (:meth:`ResourceCommitter.iter_commit` per
+        This is the concurrent service's and the batch engine's entry
+        point — planning reads the metadata database and the client's
+        static characteristics but never touches the shared
+        server/transport ledgers, so it needs no yield points.  The
+        plan's offers are ordered lazily; pulling one emits no
+        telemetry and reads no ledger, so a walk may hold them across
+        scheduler switches (:meth:`ResourceCommitter.iter_commit` per
         candidate).
-
-        ``offer_mode`` defaults to ``"full"`` (eager): a lazy stream
-        held across scheduler switches would interleave its
-        classification work unpredictably with other negotiations'
-        telemetry.  The batch engine passes ``"stream"`` explicitly for
-        spaces above the vectorization ceiling and immediately wraps
-        the stream in its own replayable buffer.
         """
         max_offers = check_top_k(max_offers, parameter="max_offers")
         if isinstance(document, str):
@@ -361,7 +320,6 @@ class QoSManager:
             policy=policy or self.policy,
             guarantee=guarantee or self.guarantee,
             max_offers=max_offers,
-            offer_mode=self._check_offer_mode(offer_mode or "full"),
         )
 
     def complete(
@@ -380,14 +338,10 @@ class QoSManager:
         modulo telemetry wrapping, and the walk order here matches the
         sequential procedure offer for offer.
         """
-        guarantee = guarantee or self.guarantee
         if plan.early is not None:
             return plan.early
-        assert plan.space is not None
-        if plan.stream is not None:
-            return self._commit_stream(plan, profile, client, guarantee)
-        return self._commit_best(
-            plan.classified, plan.space, profile, client, guarantee
+        return self._commit(
+            plan, profile, client, guarantee or self.guarantee
         )
 
     def _plan_steps(
@@ -399,7 +353,6 @@ class QoSManager:
         policy: ClassificationPolicy,
         guarantee: GuaranteeType,
         max_offers: "int | None",
-        offer_mode: str = "full",
     ) -> NegotiationPlan:
         importance = self._importance_of(profile)
         telemetry = self.telemetry
@@ -442,7 +395,6 @@ class QoSManager:
 
             # A variant filter makes the space caller-specific, so only
             # filter-free requests go through the cache.
-            space_key = None
             if self.cache is not None and variant_filter is None:
                 space_key = self.cache.space_key(
                     document_id=document.document_id,
@@ -486,88 +438,28 @@ class QoSManager:
                 offer_space=space,
             ), space=space)
 
-        # A non-trivial preference offer_bonus is per-offer, which
-        # breaks the separability the best-first stream relies on —
-        # those requests fall back to the vectorized full sort.
-        separable = preferences is None or preferences.is_trivial
-        if offer_mode in ("stream", "auto") and separable:
-            return self._plan_streaming_steps(
-                space, profile, importance,
-                policy=policy, max_offers=max_offers,
-            )
-
-        # Step 3: classification parameters (SNS + OIF per offer).
-        with telemetry.span("negotiation.step3.parameters") as sp3:
-            if self.cache is not None and space_key is not None:
-                arrays = self.cache.classification(
-                    space_key,
-                    profile,
-                    importance,
-                    policy,
-                    lambda: classify_arrays(
-                        space, profile, importance, policy=policy
-                    ),
-                )
-                classified = arrays.materialize(space, max_offers)
-                sp3.set_attribute("cached", True)
-            else:
-                classified = classify_space(
-                    space, profile, importance, policy=policy,
-                    top_k=max_offers,
-                )
-            cut = space.offer_count - len(classified)
-            sp3.set_attribute("offers_in", space.offer_count)
-            sp3.set_attribute("offers_out", len(classified))
-            sp3.set_attribute("dropped", cut)
-            if cut:
-                sp3.set_attribute("drop_reasons", {"top-k cut": cut})
-                telemetry.count(
-                    "negotiation.offers.dropped", float(cut), step="3"
-                )
-
-        # Step 4: classification of system offers (ordering policy).
-        with telemetry.span(
-            "negotiation.step4.classify", policy=policy.value
-        ) as sp4:
-            if preferences is not None and not preferences.is_trivial:
-                classified = apply_offer_bonus(
-                    classified, preferences.offer_bonus, policy=policy
-                )
-                sp4.set_attribute("offer_bonus", True)
-            sp4.set_attribute("offers_in", len(classified))
-            sp4.set_attribute("offers_out", len(classified))
-            sp4.set_attribute(
-                "satisfying",
-                sum(1 for c in classified if c.satisfies_user),
-            )
-
-        return NegotiationPlan(
-            space=space, classified=classified, offers_in=len(classified),
-            policy=policy,
+        # Steps 3–4: one lazily ordered offer list, in exactly
+        # classify_space's order.  SNS and OIF are separable across
+        # monomedia, which is what the best-first stream relies on; a
+        # non-trivial preference offer_bonus is per offer and breaks
+        # that, so those requests sort the whole space and re-rank it.
+        # Which of the two runs depends on the request alone.
+        bonus = (
+            None if preferences is None or preferences.is_trivial
+            else preferences.offer_bonus
         )
-
-    def _plan_streaming_steps(
-        self,
-        space: OfferSpace,
-        profile: UserProfile,
-        importance: ImportanceProfile,
-        *,
-        policy: ClassificationPolicy,
-        max_offers: "int | None",
-    ) -> NegotiationPlan:
-        """Steps 3–4 over the lazy best-first stream: offers are
-        classified (and materialised) only as the commitment walk
-        consumes them, in exactly the full sort's order."""
-        telemetry = self.telemetry
         total = space.offer_count
         out = total if max_offers is None else min(total, max_offers)
         with telemetry.span("negotiation.step3.parameters") as sp3:
-            stream = stream_classified(
-                space, profile, importance, policy=policy
-            )
-            if max_offers is not None:
-                stream = itertools.islice(stream, max_offers)
-            sp3.set_attribute("streaming", True)
+            offers: "Iterator[ClassifiedOffer]"
+            if bonus is None:
+                offers = stream_classified(
+                    space, profile, importance, policy=policy
+                )
+            else:
+                offers = iter(classify_space(
+                    space, profile, importance, policy=policy
+                ))
             sp3.set_attribute("offers_in", total)
             sp3.set_attribute("offers_out", out)
             sp3.set_attribute("dropped", total - out)
@@ -579,108 +471,58 @@ class QoSManager:
         with telemetry.span(
             "negotiation.step4.classify", policy=policy.value
         ) as sp4:
-            sp4.set_attribute("streaming", True)
+            if bonus is not None:
+                offers = iter(apply_offer_bonus(offers, bonus, policy=policy))
+                sp4.set_attribute("offer_bonus", True)
+            # The cut comes last, so it keeps the head of the order the
+            # walk will see.
+            if max_offers is not None:
+                offers = itertools.islice(offers, max_offers)
             sp4.set_attribute("offers_in", out)
             sp4.set_attribute("offers_out", out)
         return NegotiationPlan(
-            space=space, stream=stream, offers_in=out, policy=policy
+            space=space, offers=offers, offers_in=out, policy=policy
         )
 
-    def _commit_best(
+    def _commit(
         self,
-        classified: "list[ClassifiedOffer]",
-        space: OfferSpace,
+        plan: NegotiationPlan,
         profile: UserProfile,
         client: ClientMachine,
         guarantee: GuaranteeType,
         *,
         exclude_offer_ids: frozenset[str] = frozenset(),
     ) -> NegotiationResult:
-        """Walk the classified list in two passes (§5.2.2(c)):
-        user-satisfying offers first, then the remaining feasible ones —
-        each pass in classified order.
+        """Step 5: attempt the plan's offers in :func:`walk_order`
+        until one commits.  The result keeps what the walk pulled as
+        ``classified`` and the unpulled continuation as ``_rest``.
 
         When the committer tracks health, offers using a quarantined
         (circuit-open) server are skipped outright — the walk degrades
         gracefully to alternate-server variants instead of spending its
         retry budget against a machine known to be failing."""
+        offers, space = plan.offers, plan.space
+        assert offers is not None and space is not None
         holder = self.new_holder()
-        satisfying = [
-            c for c in classified
-            if c.satisfies_user and c.offer.offer_id not in exclude_offer_ids
-        ]
-        fallback = [
-            c for c in classified
-            if not c.satisfies_user and c.offer.offer_id not in exclude_offer_ids
-        ]
-        with self.telemetry.span(
-            "negotiation.step5.commit",
-            offers_in=len(satisfying) + len(fallback),
-            holder=holder,
-        ) as sp5:
-            chosen, commitment, attempts, skips = self._attempt_walk(
-                itertools.chain(satisfying, fallback),
-                space, profile, client, guarantee, holder,
+        pulled: list[ClassifiedOffer] = []
+        candidates = walk_order(offers, plan.policy, pulled)
+        if exclude_offer_ids:
+            candidates = (
+                c for c in candidates
+                if c.offer.offer_id not in exclude_offer_ids
             )
-            return self._step5_result(
-                sp5, chosen, commitment, attempts, skips,
-                classified=classified, space=space, profile=profile,
-                rest=None,
-            )
-
-    def _commit_stream(
-        self,
-        plan: NegotiationPlan,
-        profile: UserProfile,
-        client: ClientMachine,
-        guarantee: GuaranteeType,
-    ) -> NegotiationResult:
-        """Step 5 over the lazy stream, in the same two-pass order as
-        the eager walk: user-satisfying offers are attempted as they
-        arrive (the stream is best-first, so their relative order
-        matches the eager satisfying pass), non-satisfying ones are
-        held back until no satisfying offer can follow.  Under the
-        SNS-primary policies that is the first CONSTRAINT offer — the
-        bands below it hold nothing else — and from there the stream is
-        walked lazily; under PURE_OIF (or an unrecorded policy) only
-        the drained stream proves it.  The attempt sequence — and hence
-        the outcome — is identical to :meth:`_commit_best` over the
-        fully sorted list."""
-        stream, space = plan.stream, plan.space
-        assert stream is not None and space is not None
-        banded = plan.policy in (
-            ClassificationPolicy.SNS_PRIMARY, ClassificationPolicy.COST_GATED
-        )
-        holder = self.new_holder()
-        consumed: list[ClassifiedOffer] = []
-        deferred: list[ClassifiedOffer] = []
-
-        def candidates() -> "Iterator[ClassifiedOffer]":
-            for item in stream:
-                consumed.append(item)
-                if item.satisfies_user:
-                    yield item
-                    continue
-                deferred.append(item)
-                if banded and item.sns is StaticNegotiationStatus.CONSTRAINT:
-                    break
-            yield from deferred
-            for item in stream:  # what the break above left unpulled
-                consumed.append(item)
-                yield item
-
         with self.telemetry.span(
             "negotiation.step5.commit",
             offers_in=plan.offers_in,
             holder=holder,
         ) as sp5:
             chosen, commitment, attempts, skips = self._attempt_walk(
-                candidates(), space, profile, client, guarantee, holder
+                candidates, space, profile, client, guarantee, holder
             )
             return self._step5_result(
                 sp5, chosen, commitment, attempts, skips,
-                classified=consumed, space=space, profile=profile,
-                rest=stream,
+                classified=pulled, space=space, profile=profile,
+                rest=offers,
             )
 
     def _attempt_walk(

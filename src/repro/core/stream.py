@@ -37,8 +37,8 @@ Bands that provably hold no offer are skipped without a search.
 ``PURE_OIF`` has no bands: one search over the whole product.
 
 Streaming requires separable scores; a non-trivial preference
-``offer_bonus`` is per-offer and breaks separability, so callers fall
-back to the vectorized path (see ``QoSManager._plan_steps``).
+``offer_bonus`` is per-offer and breaks separability, so those requests
+sort the whole space instead (see ``QoSManager._plan_steps``).
 """
 
 from __future__ import annotations

@@ -1,23 +1,13 @@
-"""Negotiation throughput layer: caching, fingerprints and the bench.
+"""Negotiation throughput layer: the offer-space cache and its keys.
 
 The §4 pipeline is a pure function of (document, client, profile,
 tariffs) until step 5 touches shared resource state; this package
-exploits that purity.  :mod:`repro.perf.cache` memoises the expensive
-pure prefixes (offer spaces, classification arrays) across requests;
-:mod:`repro.perf.fingerprint` provides the value-identity keys;
-:mod:`repro.perf.bench` measures the result and writes the repo's
-benchmark trajectory point (``BENCH_negotiation.json``);
-:mod:`repro.perf.baseline` regresses a fresh report against the
-committed one, the CI bench-regression gate.
+exploits that purity.  :mod:`repro.perf.cache` memoises built offer
+spaces across requests; :mod:`repro.perf.fingerprint` provides the
+value-identity keys.  Measuring is not done here: the repo's one
+benchmark is ``benchmarks/e2e/run.py`` (``BENCHMARK.json``).
 """
 
-from .baseline import (
-    Regression,
-    bench_throughputs,
-    compare_throughputs,
-    load_baseline,
-    load_throughputs,
-)
 from .cache import (
     CacheStats,
     NegotiationCache,
@@ -35,11 +25,6 @@ from .fingerprint import (
 __all__ = [
     "CacheStats",
     "NegotiationCache",
-    "Regression",
-    "bench_throughputs",
-    "compare_throughputs",
-    "load_baseline",
-    "load_throughputs",
     "client_fingerprint",
     "cost_model_fingerprint",
     "importance_fingerprint",

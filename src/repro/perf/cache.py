@@ -1,16 +1,12 @@
-"""Fingerprint-keyed LRU caches for the negotiation hot path.
+"""Fingerprint-keyed LRU cache for the negotiation hot path.
 
-Two stores, layered the way the §4 pipeline is:
-
-* **spaces** — built :class:`~repro.core.enumeration.OfferSpace`s,
-  keyed by (document id, document version, client capability
-  fingerprint, guarantee, cost-model fingerprint, mapper fingerprint).
-  The space is pure function of those inputs, so a head-heavy request
-  mix (ROADMAP's Zipf document popularity) re-enumerates nothing.
-* **classifications** — the vectorized
-  :class:`~repro.core.classification.ClassificationArrays` (the
-  broadcast sums and the lexsort), keyed by the space key plus the
-  profile, importance and policy fingerprints.
+One store, **spaces** — built
+:class:`~repro.core.enumeration.OfferSpace`s, keyed by (document id,
+document version, client capability fingerprint, guarantee, cost-model
+fingerprint, mapper fingerprint).  The space is pure function of those
+inputs, so a head-heavy request mix (ROADMAP's Zipf document
+popularity) re-enumerates nothing.  The ordering of a space is lazy
+(:mod:`repro.core.stream`) and is not cached.
 
 Invalidation rides on :meth:`MetadataDatabase.version_of`: every
 catalog mutation bumps the document's version counter, which changes
@@ -23,8 +19,8 @@ spaces and must bypass the cache entirely — that decision is made by
 the caller (``QoSManager``), which is the only place that knows.
 
 Hits, misses and evictions are counted both on :class:`CacheStats`
-(always, for tests and the bench) and through the telemetry hub under
-``cache.hits`` / ``cache.misses`` / ``cache.evictions`` /
+(always, for tests and the benchmark) and through the telemetry hub
+under ``cache.hits`` / ``cache.misses`` / ``cache.evictions`` /
 ``cache.flushes`` with a ``store`` label.  Explicit :meth:`clear`
 flushes are deliberately *not* evictions: the SLO layer reads the
 eviction-rate series as a capacity-pressure signal, and a test or
@@ -49,21 +45,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 from ..client.machine import ClientMachine
-from ..core.classification import ClassificationArrays, ClassificationPolicy
 from ..core.cost import CostModel
 from ..core.enumeration import OfferSpace
-from ..core.importance import ImportanceProfile
 from ..core.mapping import QoSMapper
-from ..core.profiles import UserProfile
 from ..network.transport import GuaranteeType
 from ..telemetry import Telemetry
 from ..util.errors import ValidationError
 from .fingerprint import (
     client_fingerprint,
     cost_model_fingerprint,
-    importance_fingerprint,
     mapper_fingerprint,
-    profile_fingerprint,
 )
 
 __all__ = [
@@ -74,6 +65,8 @@ __all__ = [
 ]
 
 SPACES = "spaces"
+# No store has this name any more; its counters stay at 0 because
+# benchmarks/e2e/harness.py indexes them in CacheStats.as_dict().
 CLASSIFICATIONS = "classifications"
 
 HIT = "hit"
@@ -213,22 +206,18 @@ class _LRUStore:
 
 
 class NegotiationCache:
-    """The process-wide negotiation cache (spaces + classifications)."""
+    """The process-wide negotiation cache (built offer spaces)."""
 
     def __init__(
         self,
         *,
         max_spaces: int = 128,
-        max_classifications: int = 512,
         telemetry: "Telemetry | None" = None,
     ) -> None:
         self.telemetry = telemetry or Telemetry.disabled()
         self.stats = CacheStats()
         self._spaces = _LRUStore(
             SPACES, max_spaces, self.stats, self.telemetry
-        )
-        self._classifications = _LRUStore(
-            CLASSIFICATIONS, max_classifications, self.stats, self.telemetry
         )
 
     # -- keys ---------------------------------------------------------------------
@@ -264,45 +253,12 @@ class NegotiationCache:
         assert isinstance(space, OfferSpace)
         return space
 
-    @staticmethod
-    def classification_key(
-        space_key: "tuple[str, int, str, str, str, str]",
-        profile: UserProfile,
-        importance: ImportanceProfile,
-        policy: ClassificationPolicy,
-    ) -> tuple:
-        return space_key + (
-            profile_fingerprint(profile),
-            importance_fingerprint(importance),
-            policy.value,
-        )
-
-    def classification(
-        self,
-        space_key: "tuple[str, int, str, str, str, str]",
-        profile: UserProfile,
-        importance: ImportanceProfile,
-        policy: ClassificationPolicy,
-        compute: "Callable[[], ClassificationArrays]",
-    ) -> ClassificationArrays:
-        """The cached classification arrays for one (space, user) pair."""
-        key = self.classification_key(space_key, profile, importance, policy)
-        arrays = self._classifications.lookup(key, compute)
-        assert isinstance(arrays, ClassificationArrays)
-        return arrays
-
     # -- single-flight access ------------------------------------------------------
 
     @property
     def spaces(self) -> _LRUStore:
         """The spaces store, for cooperative single-flight callers."""
         return self._spaces
-
-    @property
-    def classifications(self) -> _LRUStore:
-        """The classifications store, for cooperative single-flight
-        callers."""
-        return self._classifications
 
     # -- maintenance --------------------------------------------------------------
 
@@ -313,22 +269,14 @@ class NegotiationCache:
         this reclaims their memory immediately (e.g. on document
         removal).  Returns the number of entries dropped.
         """
-        dropped = self._spaces.drop_where(lambda key: key[0] == document_id)
-        dropped += self._classifications.drop_where(
-            lambda key: key[0] == document_id
-        )
-        return dropped
+        return self._spaces.drop_where(lambda key: key[0] == document_id)
 
     def clear(self) -> None:
         self._spaces.clear()
-        self._classifications.clear()
 
     @property
     def entry_counts(self) -> dict[str, int]:
-        return {
-            SPACES: len(self._spaces),
-            CLASSIFICATIONS: len(self._classifications),
-        }
+        return {SPACES: len(self._spaces)}
 
 
 # -- the process-wide shared cache ------------------------------------------------

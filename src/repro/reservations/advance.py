@@ -24,7 +24,12 @@ from typing import Mapping
 
 from ..client.machine import ClientMachine
 from ..cmfs.server import MediaServer
-from ..core.classification import ClassifiedOffer, classify_space
+from ..core.classification import (
+    ClassificationPolicy,
+    ClassifiedOffer,
+    classify_space,
+    walk_order,
+)
 from ..core.enumeration import OfferSpace, build_offer_space
 from ..core.negotiation import NegotiationResult, QoSManager
 from ..core.offers import SystemOffer, derive_user_offer
@@ -223,8 +228,9 @@ class AdvanceNegotiator:
                 status=NegotiationStatus.FAILED_WITHOUT_OFFER,
                 offer_space=space,
             )
+        policy = ClassificationPolicy.SNS_PRIMARY
         classified = classify_space(
-            space, profile, manager._importance_of(profile)
+            space, profile, manager._importance_of(profile), policy=policy
         )
         server_aps = {
             server_id: server.access_point
@@ -232,9 +238,7 @@ class AdvanceNegotiator:
         }
 
         holder = f"advance-{next(self._plan_ids)}"
-        satisfying = [c for c in classified if c.satisfies_user]
-        fallback = [c for c in classified if not c.satisfies_user]
-        for candidate in itertools.chain(satisfying, fallback):
+        for candidate in walk_order(classified, policy):
             booked = self.planner.try_book_offer(
                 candidate.offer, space, client.access_point, server_aps,
                 start_s, end_s, holder=holder,

@@ -120,7 +120,6 @@ def build_scenario(
     retry_seed: int = 0,
     journal=None,
     telemetry_seed: "int | None" = None,
-    offer_mode: str = "full",
     use_cache: bool = False,
 ) -> Scenario:
     """Build the default deployment from ``spec``.
@@ -130,10 +129,9 @@ def build_scenario(
     the manager, the server fleet, the transport, the journal and the
     breaker, and exposed as ``Scenario.telemetry``.
 
-    ``offer_mode`` selects how steps 3–5 consume the offer space
-    (``full``/``stream``/``auto``); ``use_cache`` wires a
-    :class:`~repro.perf.NegotiationCache` into the manager.  Both are
-    pure throughput knobs: negotiation outcomes are identical.
+    ``use_cache`` wires a :class:`~repro.perf.NegotiationCache` into
+    the manager: a pure throughput knob, negotiation outcomes are
+    identical.
     """
     spec = spec or ScenarioSpec()
 
@@ -247,7 +245,6 @@ def build_scenario(
         retry_seed=retry_seed,
         journal=journal,
         telemetry=telemetry,
-        offer_mode=offer_mode,
         cache=cache,
     )
     if telemetry is not None:

@@ -15,4 +15,4 @@ def build_dotted():
 
 
 def build_aliased():
-    return PrivateCache(max_classifications=4)
+    return PrivateCache(max_spaces=4)

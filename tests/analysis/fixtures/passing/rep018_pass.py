@@ -1,5 +1,5 @@
 """REP018 fixture (clean): the process-wide accessor, the test-reset
-helper, and classmethod key access — no private construction."""
+helper, and static key access — no private construction."""
 
 from repro.perf.cache import NegotiationCache, reset_shared_cache, shared_cache
 
@@ -13,8 +13,6 @@ def isolated_run():
     return shared_cache()
 
 
-def key_helper(space_key, profile, importance, policy):
-    # Classmethod access is not a construction.
-    return NegotiationCache.classification_key(
-        space_key, profile, importance, policy
-    )
+def key_helper(**inputs):
+    # Static-method access is not a construction.
+    return NegotiationCache.space_key(**inputs)

@@ -87,10 +87,6 @@ class TestCapabilitySplits:
 
     def test_walk_bounds_split(self, manager, profile, client, base_key):
         assert make_request(manager, profile, client, max_offers=3) != base_key
-        assert (
-            make_request(manager, profile, client, offer_mode="stream")
-            != base_key
-        )
 
     def test_document_splits(self, manager, profile, client, document, base_key):
         from repro.documents import make_news_article

@@ -11,21 +11,14 @@ from dataclasses import replace
 import pytest
 
 from repro.batch import BatchRequest, negotiate_batch
-from repro.core import ProfileManager
+from repro.core import ProfileManager, QoSManager
+from repro.core.classification import ClassificationPolicy
 from repro.core.preferences import UserPreferences
 from repro.core.status import NegotiationStatus
-from repro.perf.cache import CLASSIFICATIONS, SPACES
 from repro.sim import ScenarioSpec, build_scenario
+from tests.oracle import reference_negotiate, signature
 
 SPEC = ScenarioSpec(server_count=2, client_count=3, document_count=3)
-
-
-def signature(result):
-    return (
-        result.status.name,
-        result.chosen.offer.offer_id if result.chosen else None,
-        result.attempts,
-    )
 
 
 def make_requests(scenario, profiles=("balanced", "premium"), repeat=3):
@@ -50,11 +43,15 @@ def make_requests(scenario, profiles=("balanced", "premium"), repeat=3):
     return requests
 
 
-def run_sequential(scenario, requests, release=False):
+def run_sequential(
+    scenario, requests, release=False, negotiate=QoSManager.negotiate
+):
     signatures = []
     for request in requests:
-        result = scenario.manager.negotiate(
-            request.document, request.profile, request.client
+        result = negotiate(
+            scenario.manager, request.document, request.profile,
+            request.client, policy=request.policy,
+            max_offers=request.max_offers,
         )
         signatures.append(signature(result))
         if release and result.commitment is not None:
@@ -85,18 +82,31 @@ class TestEquivalence:
             sequential, requests
         )
 
-    @pytest.mark.parametrize("offer_mode", ["full", "stream"])
-    def test_batched_equals_sequential_steady_state(self, offer_mode):
-        """Reject-after-each: every member walks pristine ledgers, the
-        bench's configuration."""
-        sequential = build_scenario(SPEC, offer_mode=offer_mode)
-        batched = build_scenario(SPEC, offer_mode=offer_mode, use_cache=True)
+    @pytest.mark.parametrize(
+        "sequential_negotiate",
+        [
+            pytest.param(reference_negotiate, id="full"),
+            pytest.param(QoSManager.negotiate, id="stream"),
+        ],
+    )
+    def test_batched_equals_sequential_steady_state(
+        self, sequential_negotiate
+    ):
+        """Reject-after-each: every member walks pristine ledgers.  The
+        sequential side is the eager full-sort reference, then the
+        manager's own best-first pipeline."""
+        sequential = build_scenario(SPEC)
+        batched = build_scenario(SPEC, use_cache=True)
         requests = make_requests(sequential)
         assert run_batched(batched, requests, release=True) == run_sequential(
-            sequential, requests, release=True
+            sequential, requests, release=True,
+            negotiate=sequential_negotiate,
         )
 
     def test_mixed_modes_and_bounds(self):
+        """Per-request classification policies and ``max_offers``
+        bounds split classes; every member still matches the
+        full-sort reference on a twin deployment."""
         sequential = build_scenario(SPEC)
         batched = build_scenario(SPEC)
         base = make_requests(sequential, repeat=2)
@@ -105,19 +115,13 @@ class TestEquivalence:
             if index % 3 == 1:
                 request = replace(request, max_offers=2)
             elif index % 3 == 2:
-                request = replace(request, offer_mode="stream")
+                request = replace(
+                    request, policy=ClassificationPolicy.PURE_OIF
+                )
             requests.append(request)
-        expected = []
-        for request in requests:
-            result = sequential.manager.negotiate(
-                request.document,
-                request.profile,
-                request.client,
-                max_offers=request.max_offers,
-                offer_mode=request.offer_mode,
-            )
-            expected.append(signature(result))
-        assert run_batched(batched, requests) == expected
+        assert run_batched(batched, requests) == run_sequential(
+            sequential, requests, negotiate=reference_negotiate
+        )
 
 
 class TestFallback:
@@ -181,49 +185,3 @@ class TestAfterEach:
         offers = {signature(result) for result in results[:4]}
         assert len(offers) == 1
         assert scenario.topology.total_reserved_bps() == 0.0
-
-
-class TestSharedClassification:
-    def test_preseed_charges_one_miss_per_class(self):
-        """Several classes over one offer space: the SoA pass classifies
-        them together, each class costs exactly the one classification
-        miss the sequential path would have charged, and the per-class
-        plan is then a pure hit."""
-        scenario = build_scenario(
-            ScenarioSpec(server_count=2, client_count=2, document_count=1),
-            use_cache=True,
-        )
-        document_id = scenario.document_ids()[0]
-        client = scenario.any_client()
-        manager = ProfileManager()
-        requests = [
-            BatchRequest(document_id, manager.get(name), client)
-            for name in ("balanced", "premium", "economy")
-            for _ in range(2)
-        ]
-        results = negotiate_batch(
-            scenario.manager,
-            requests,
-            after_each=lambda request, result: (
-                result.commitment.release()
-                if result.commitment is not None
-                else None
-            ),
-        )
-        cache = scenario.manager.cache
-        assert cache.stats.misses[SPACES] == 1
-        assert cache.stats.misses[CLASSIFICATIONS] == 3
-        # The three per-class plans all hit the preseeded rows.
-        assert cache.stats.hits[CLASSIFICATIONS] >= 3
-        assert all(
-            result.status is NegotiationStatus.SUCCEEDED
-            for result in results
-        )
-
-    def test_preseeded_outcomes_match_uncached(self):
-        cached = build_scenario(SPEC, use_cache=True)
-        plain = build_scenario(SPEC)
-        requests = make_requests(cached)
-        assert run_batched(cached, requests, release=True) == run_batched(
-            plain, requests, release=True
-        )

@@ -77,7 +77,7 @@ class TestBreakBeforeMake:
     ):
         # Excluding everything but the current offer forces revert.
         all_ids = frozenset(
-            c.offer.offer_id for c in active_result.classified
+            c.offer.offer_id for c in active_result.ensure_classified()
         )
         outcome = adaptation.adapt(
             active_result, balanced_profile, client,

@@ -5,10 +5,12 @@ import pytest
 from repro.client.machine import ClientMachine
 from repro.core.classification import (
     ClassificationPolicy,
+    ClassifiedOffer,
     classify_offer,
     classify_offers,
     classify_space,
     compute_sns,
+    walk_order,
 )
 from repro.core.cost import default_cost_model
 from repro.core.enumeration import build_offer_space
@@ -125,6 +127,49 @@ class TestPolicies:
         assert [c.offer.offer_id for c in ranked] == [
             "offer1", "offer2", "offer3", "offer4",
         ]
+
+
+class TestWalkOrder:
+    """§5.2.2(c): user-satisfying offers first, then the rest."""
+
+    @staticmethod
+    def ranked(*specs):
+        return [
+            ClassifiedOffer(
+                offer=name, sns=StaticNegotiationStatus(level), oif=0.0,
+                affordable=affordable,
+            )
+            for name, level, affordable in specs
+        ]
+
+    def test_banded_walk_defers_only_up_to_the_first_constraint(self):
+        offers = self.ranked(
+            ("a", 0, True), ("b", 1, False), ("c", 1, True),
+            ("d", 2, True), ("e", 2, True),
+        )
+        source, pulled = iter(offers), []
+        walk = walk_order(source, ClassificationPolicy.SNS_PRIMARY, pulled)
+        assert next(walk).offer == "a"
+        assert [c.offer for c in pulled] == ["a"]
+        assert next(walk).offer == "c"  # "b" is unaffordable: held back
+        assert [c.offer for c in pulled] == ["a", "b", "c"]
+        assert next(walk).offer == "b"  # "d" proved nothing better follows
+        assert [c.offer for c in pulled] == ["a", "b", "c", "d"]
+        # A caller that stops here continues from the iterator it passed.
+        assert pulled + list(source) == offers
+
+    @pytest.mark.parametrize(
+        "policy", [ClassificationPolicy.PURE_OIF, None]
+    )
+    def test_unbanded_walk_defers_until_the_input_is_drained(self, policy):
+        # Not in SNS order (PURE_OIF, or a caller's hand-picked subset):
+        # a satisfying offer may follow a CONSTRAINT one.
+        offers = self.ranked(("x", 2, True), ("y", 0, True), ("z", 1, False))
+        assert [c.offer for c in walk_order(offers, policy)] == [
+            "y", "x", "z",
+        ]
+        banded = walk_order(offers, ClassificationPolicy.SNS_PRIMARY)
+        assert [c.offer for c in banded] == ["x", "y", "z"]
 
 
 class TestVectorizedAgreement:

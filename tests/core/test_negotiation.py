@@ -1,14 +1,18 @@
 """The six-step negotiation procedure (paper §4)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.client.decoder import Decoder, DecoderBank
 from repro.client.machine import ClientMachine
-from repro.core import make_profile
+from repro.core import ProfileManager, make_profile
 from repro.core.negotiation import QoSManager
+from repro.core.preferences import UserPreferences
 from repro.core.status import NegotiationStatus, StaticNegotiationStatus
 from repro.documents.media import Codecs, ColorMode, Medium
 from repro.documents.quality import VideoQoS
+from repro.sim import build_scenario
 from repro.util.errors import NegotiationError
 
 
@@ -183,9 +187,32 @@ class TestMaxOffers:
         result = manager.negotiate(
             document.document_id, balanced_profile, client, max_offers=3
         )
-        assert len(result.classified) == 3
+        assert len(result.ensure_classified()) == 3
         assert result.succeeded  # the best offers still lead the list
         result.commitment.release()
+
+    @pytest.mark.parametrize(
+        "preferences",
+        [None, UserPreferences(server_preference={"server-a": 5.0})],
+        ids=["plain", "server-preference"],
+    )
+    def test_cut_keeps_the_head_of_the_uncut_order(self, preferences):
+        """The cut used to land before the preference re-rank: with
+        this preference the uncut ranking starts offer-33, -34, -35 and
+        the cut one started offer-33, -34, -49."""
+        scenario = build_scenario()
+        profile = replace(
+            ProfileManager().get("economy"), preferences=preferences
+        )
+
+        def ranking(max_offers):
+            plan = scenario.manager.plan(
+                "doc.news-1", profile, scenario.any_client(),
+                max_offers=max_offers,
+            )
+            return [c.offer.offer_id for c in plan.offers]
+
+        assert ranking(3) == ranking(None)[:3]
 
     def test_renegotiate_releases_previous(self, manager, document,
                                            balanced_profile, premium_profile,

@@ -1,4 +1,5 @@
-"""Best-first offer streaming ≡ full classification (exact order)."""
+"""Best-first offer streaming ≡ full classification (exact order), and
+the pipeline built on it ≡ the eager reference (``tests/oracle.py``)."""
 
 import itertools
 
@@ -6,9 +7,6 @@ import pytest
 
 from repro.client.decoder import DecoderBank
 from repro.client.machine import ClientMachine
-from repro.cmfs import MediaServer
-from repro.cmfs.admission import AdmissionController
-from repro.cmfs.disk import DiskModel
 from repro.core import QoSManager
 from repro.core.classification import ClassificationPolicy, classify_space
 from repro.core.cost import default_cost_model
@@ -18,22 +16,13 @@ from repro.core.preferences import UserPreferences
 from repro.core.status import NegotiationStatus, StaticNegotiationStatus
 from repro.core.stream import stream_classified
 from repro.documents.builder import make_news_article
-from repro.metadata import MetadataDatabase
-from repro.network import Topology, TransportSystem
+from tests.oracle import reference_negotiate, signature
 from tests.properties.strategies import (
     GRID_FLAVOURS,
-    GRID_SERVERS,
     grid_document,
+    grid_manager,
     grid_profile,
 )
-
-
-def signature(result):
-    return (
-        result.status,
-        result.chosen.offer.offer_id if result.chosen else None,
-        result.attempts,
-    )
 
 
 @pytest.fixture
@@ -92,33 +81,31 @@ class TestStreamOrder:
 
 
 class TestNegotiationModes:
-    _signature = staticmethod(signature)
+    """The lazy pipeline against the eager full-sort reference."""
 
-    @pytest.mark.parametrize("mode", ["stream", "auto"])
-    def test_same_outcome_as_full(self, manager, document, balanced_profile,
-                                  client, mode):
-        full = manager.negotiate(
-            document.document_id, balanced_profile, client, offer_mode="full"
+    def test_same_outcome_as_full(self, manager, document,
+                                       balanced_profile, client):
+        full = reference_negotiate(
+            manager, document.document_id, balanced_profile, client
         )
         full.commitment.release()
         other = manager.negotiate(
-            document.document_id, balanced_profile, client, offer_mode=mode
+            document.document_id, balanced_profile, client
         )
-        assert self._signature(other) == self._signature(full)
+        assert signature(other) == signature(full)
         other.commitment.release()
 
     def test_ensure_classified_completes_ranking(self, manager, document,
                                                  balanced_profile, client):
-        full = manager.negotiate(
-            document.document_id, balanced_profile, client, offer_mode="full"
+        full = reference_negotiate(
+            manager, document.document_id, balanced_profile, client
         )
         full.commitment.release()
         streamed = manager.negotiate(
-            document.document_id, balanced_profile, client,
-            offer_mode="stream",
+            document.document_id, balanced_profile, client
         )
-        # The stream result holds only the consumed prefix until drained.
-        assert len(streamed.classified) <= len(full.classified)
+        # The result holds only the pulled prefix until drained.
+        assert len(streamed.classified) < len(full.classified)
         drained = streamed.ensure_classified()
         assert [c.offer.offer_id for c in drained] == [
             c.offer.offer_id for c in full.classified
@@ -128,8 +115,9 @@ class TestNegotiationModes:
     def test_nontrivial_preferences_fall_back_to_full(
         self, manager, document, balanced_profile, client
     ):
-        # offer_bonus makes scores non-separable per axis; auto/stream
-        # must take the full-sort path and still agree with it.
+        # offer_bonus makes scores non-separable per axis; the plan
+        # sorts and re-ranks eagerly and must agree with the reference,
+        # offer for offer and bonus-adjusted OIF for OIF.
         from dataclasses import replace
 
         biased = replace(
@@ -138,40 +126,28 @@ class TestNegotiationModes:
                 server_preference={"server-a": 0.5}
             ),
         )
-        full = manager.negotiate(
-            document.document_id, biased, client, offer_mode="full"
+        full = reference_negotiate(
+            manager, document.document_id, biased, client
         )
         full.commitment.release()
-        auto = manager.negotiate(
-            document.document_id, biased, client, offer_mode="auto"
-        )
-        assert self._signature(auto) == self._signature(full)
-        # Fallback results are fully materialized, nothing left to drain.
-        assert len(auto.classified) == len(full.classified)
-        auto.commitment.release()
+        ranked = manager.negotiate(document.document_id, biased, client)
+        assert signature(ranked) == signature(full)
+        assert [
+            (c.offer.offer_id, c.oif) for c in ranked.ensure_classified()
+        ] == [(c.offer.offer_id, c.oif) for c in full.classified]
+        ranked.commitment.release()
 
     def test_try_later_signature_matches(self, manager, document,
                                          balanced_profile, client, topology):
         topology.link("L-client").set_congestion(1.0)
-        full = manager.negotiate(
-            document.document_id, balanced_profile, client, offer_mode="full"
+        full = reference_negotiate(
+            manager, document.document_id, balanced_profile, client
         )
         streamed = manager.negotiate(
-            document.document_id, balanced_profile, client,
-            offer_mode="stream",
+            document.document_id, balanced_profile, client
         )
         assert full.status is NegotiationStatus.FAILED_TRY_LATER
-        assert self._signature(streamed) == self._signature(full)
-
-    def test_invalid_mode_rejected(self, manager, document, balanced_profile,
-                                   client):
-        from repro.util.errors import ValidationError
-
-        with pytest.raises(ValidationError, match="offer_mode"):
-            manager.negotiate(
-                document.document_id, balanced_profile, client,
-                offer_mode="fastest",
-            )
+        assert signature(streamed) == signature(full)
 
 
 # -- band-lazy walk -----------------------------------------------------------------
@@ -188,31 +164,8 @@ def walk_manager(stream_caps, *, policy=ClassificationPolicy.SNS_PRIMARY):
     """A three-server deployment whose only limits are per-server
     stream caps; variant ``v`` of axis ``x`` sits on server
     ``(x + v) mod 3``."""
-    disk = DiskModel(
-        transfer_rate_bps=600_000_000.0, avg_seek_s=0.001,
-        rotational_latency_s=0.0005, round_s=0.5,
-    )
-    servers = {
-        server_id: MediaServer(
-            server_id,
-            disk=disk,
-            admission=AdmissionController(
-                disk=disk, buffer_bits=1e10, nic_bps=1e10, max_streams=cap
-            ),
-        )
-        for server_id, cap in zip(GRID_SERVERS, stream_caps)
-    }
-    topology = Topology()
-    for server in servers.values():
-        topology.connect(server.access_point, "backbone", 1e10)
-    topology.connect("client-net", "backbone", 1e10)
-    database = MetadataDatabase()
-    database.insert_document(grid_document([WALK_FLAVOURS] * 3))
-    return QoSManager(
-        database=database,
-        transport=TransportSystem(topology),
-        servers=servers,
-        policy=policy,
+    return grid_manager(
+        [grid_document([WALK_FLAVOURS] * 3)], stream_caps, policy=policy
     )
 
 
@@ -245,19 +198,18 @@ class TestPlanPolicy:
         # offer-19.
         profile = grid_profile(GRID_FLAVOURS[0], GRID_FLAVOURS[1], budget)
         signatures = []
-        for mode in ("full", "stream"):
+        for negotiate in (reference_negotiate, QoSManager.negotiate):
             manager = walk_manager((1, 1, 2))
             occupy(manager, "server-a")
-            result = manager.negotiate(
-                "doc.grid", profile, walk_client(),
-                policy=override, offer_mode=mode,
+            result = negotiate(
+                manager, "doc.grid", profile, walk_client(), policy=override
             )
             signatures.append(signature(result))
         assert signatures[0] == signatures[1]
         if override is ClassificationPolicy.PURE_OIF:
-            assert signatures[0][0] is (
-                NegotiationStatus.SUCCEEDED if budget == DEAREST_CENTS
-                else NegotiationStatus.FAILED_WITH_OFFER
+            assert signatures[0][0] == (
+                "SUCCEEDED" if budget == DEAREST_CENTS
+                else "FAILED_WITH_OFFER"
             )
             assert signatures[0][2] > 4  # walked past the first CONSTRAINT
 
@@ -266,16 +218,13 @@ class TestPlanPolicy:
         profile = grid_profile(
             GRID_FLAVOURS[0], GRID_FLAVOURS[1], DEAREST_CENTS
         )
-        for mode in ("full", "stream"):
-            default = manager.plan(
-                "doc.grid", profile, walk_client(), offer_mode=mode
-            )
-            assert default.policy is ClassificationPolicy.SNS_PRIMARY
-            override = manager.plan(
-                "doc.grid", profile, walk_client(), offer_mode=mode,
-                policy=ClassificationPolicy.PURE_OIF,
-            )
-            assert override.policy is ClassificationPolicy.PURE_OIF
+        default = manager.plan("doc.grid", profile, walk_client())
+        assert default.policy is ClassificationPolicy.SNS_PRIMARY
+        override = manager.plan(
+            "doc.grid", profile, walk_client(),
+            policy=ClassificationPolicy.PURE_OIF,
+        )
+        assert override.policy is ClassificationPolicy.PURE_OIF
 
     def test_batch_replay_cursors_carry_the_policy(self):
         """Three members of one PURE_OIF class share a replayable
@@ -291,27 +240,19 @@ class TestPlanPolicy:
         for manager in (batched, sequential):
             occupy(manager, "server-a")
         results = negotiate_batch(batched, [
-            BatchRequest(
-                "doc.grid", profile, walk_client(),
-                policy=policy, offer_mode="stream",
-            )
+            BatchRequest("doc.grid", profile, walk_client(), policy=policy)
         ] * 3)
         expected = [
-            signature(sequential.negotiate(
-                "doc.grid", profile, walk_client(),
-                policy=policy, offer_mode="full",
+            signature(reference_negotiate(
+                sequential, "doc.grid", profile, walk_client(), policy=policy
             ))
             for _ in range(3)
         ]
         assert [signature(r) for r in results] == expected
-        assert expected[0][0] is NegotiationStatus.SUCCEEDED
-        assert expected[1][0] is NegotiationStatus.FAILED_WITH_OFFER
-        for mode in ("full", "stream"):
-            plan = batched.plan(
-                "doc.grid", profile, walk_client(),
-                policy=policy, offer_mode=mode,
-            )
-            assert _ClassPlan(plan=plan).member_plan().policy is policy
+        assert expected[0][0] == "SUCCEEDED"
+        assert expected[1][0] == "FAILED_WITH_OFFER"
+        plan = batched.plan("doc.grid", profile, walk_client(), policy=policy)
+        assert _ClassPlan(plan).member_plan().policy is policy
 
     def test_banded_override_on_a_pure_oif_manager_walks_lazily(self):
         manager = walk_manager(
@@ -323,7 +264,7 @@ class TestPlanPolicy:
             GRID_FLAVOURS[0], GRID_FLAVOURS[1], DEAREST_CENTS
         )
         result = manager.negotiate(
-            "doc.grid", profile, walk_client(), offer_mode="stream",
+            "doc.grid", profile, walk_client(),
             policy=ClassificationPolicy.SNS_PRIMARY,
         )
         assert result.status is NegotiationStatus.FAILED_WITH_OFFER
@@ -355,9 +296,7 @@ class TestWalkMaterialisesWhatItAttempts:
             manager.committer, "try_commit", recording_try_commit
         )
         profile = grid_profile(GRID_FLAVOURS[0], GRID_FLAVOURS[1], budget)
-        result = manager.negotiate(
-            "doc.grid", profile, walk_client(), offer_mode="stream"
-        )
+        result = manager.negotiate("doc.grid", profile, walk_client())
         return manager, profile, result, materialised, attempted
 
     def test_failed_with_offer_materialises_the_attempted_offers(
@@ -394,13 +333,12 @@ class TestWalkMaterialisesWhatItAttempts:
             and c.sns is not StaticNegotiationStatus.CONSTRAINT
         ]
         assert deferred
-        # Streamed and eager walks attempt the same sequence.
+        # The lazy walk and the eager reference attempt the same
+        # sequence.
         full = walk_manager((1, 1, 3))
         occupy(full, "server-a")
         occupy(full, "server-b")
-        eager = full.negotiate(
-            "doc.grid", profile, walk_client(), offer_mode="full"
-        )
+        eager = reference_negotiate(full, "doc.grid", profile, walk_client())
         assert signature(eager) == signature(result)
 
     def test_ensure_classified_completes_any_verdict(self, monkeypatch):

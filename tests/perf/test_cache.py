@@ -9,7 +9,7 @@ from repro.documents.builder import make_news_article
 from repro.documents.media import ColorMode
 from repro.documents.quality import VideoQoS
 from repro.perf import NegotiationCache, client_fingerprint
-from repro.perf.cache import CLASSIFICATIONS, SPACES
+from repro.perf.cache import SPACES
 from repro.sim import ScenarioSpec, build_scenario
 
 
@@ -39,18 +39,25 @@ class TestCacheCounting:
     def test_first_request_misses_then_hits(self, scenario):
         cache = scenario.manager.cache
         _negotiate(scenario)
-        assert cache.stats.misses == {SPACES: 1, CLASSIFICATIONS: 1}
+        assert cache.stats.misses[SPACES] == 1
         _negotiate(scenario)
         _negotiate(scenario)
-        assert cache.stats.hits == {SPACES: 2, CLASSIFICATIONS: 2}
-        assert cache.stats.misses == {SPACES: 1, CLASSIFICATIONS: 1}
+        assert cache.stats.hits[SPACES] == 2
+        assert cache.stats.misses[SPACES] == 1
 
-    def test_profile_change_misses_classification_only(self, scenario):
+    def test_profile_change_hits_the_space(self, scenario):
         _negotiate(scenario, profile_name="balanced")
         _negotiate(scenario, profile_name="premium")
         cache = scenario.manager.cache
         assert cache.stats.hits[SPACES] == 1
-        assert cache.stats.misses[CLASSIFICATIONS] == 2
+        assert cache.stats.misses[SPACES] == 1
+
+    def test_stats_keep_the_retired_store_name(self, scenario):
+        # benchmarks/e2e/harness.py still indexes the classification
+        # store's counters; they stay present and at 0.
+        _negotiate(scenario)
+        for counters in scenario.manager.cache.stats.as_dict().values():
+            assert counters["classifications"] == 0
 
     def test_telemetry_counters_emitted(self, scenario):
         _negotiate(scenario)
@@ -58,9 +65,6 @@ class TestCacheCounting:
         metrics = scenario.telemetry.metrics
         assert metrics.counter_value("cache.misses", store=SPACES) == 1
         assert metrics.counter_value("cache.hits", store=SPACES) == 1
-        assert (
-            metrics.counter_value("cache.hits", store=CLASSIFICATIONS) == 1
-        )
 
     def test_outcome_identical_to_uncached(self, scenario):
         cold = build_scenario(ScenarioSpec(document_count=2))
@@ -88,13 +92,13 @@ class TestInvalidation:
         assert cache.stats.misses[SPACES] == 2
         assert cache.stats.hits[SPACES] == 1
 
-    def test_invalidate_document_drops_both_stores(self, scenario):
+    def test_invalidate_document_drops_the_space(self, scenario):
         document_id = scenario.document_ids()[0]
         _negotiate(scenario, document_id)
         cache = scenario.manager.cache
-        assert cache.entry_counts == {SPACES: 1, CLASSIFICATIONS: 1}
+        assert cache.entry_counts == {SPACES: 1}
         cache.invalidate_document(document_id)
-        assert cache.entry_counts == {SPACES: 0, CLASSIFICATIONS: 0}
+        assert cache.entry_counts == {SPACES: 0}
         _negotiate(scenario, document_id)
         assert cache.stats.misses[SPACES] == 2
 
@@ -135,7 +139,7 @@ class TestEviction:
         cache = NegotiationCache()
         cache.offer_space(("k",), lambda: space)
         cache.clear()
-        assert cache.entry_counts == {SPACES: 0, CLASSIFICATIONS: 0}
+        assert cache.entry_counts == {SPACES: 0}
 
 
 class TestFlushAccounting:
@@ -151,8 +155,8 @@ class TestFlushAccounting:
 
     def test_clear_counts_flushes_not_evictions(self, warm_cache):
         warm_cache.clear()
-        assert warm_cache.stats.flushes == {SPACES: 1, CLASSIFICATIONS: 1}
-        assert warm_cache.stats.evictions == {SPACES: 0, CLASSIFICATIONS: 0}
+        assert warm_cache.stats.flushes[SPACES] == 1
+        assert warm_cache.stats.evictions[SPACES] == 0
 
     def test_flush_telemetry_series_are_separate(self, scenario, warm_cache):
         warm_cache.clear()
@@ -163,7 +167,7 @@ class TestFlushAccounting:
     def test_empty_clear_counts_nothing(self, warm_cache):
         warm_cache.clear()
         warm_cache.clear()
-        assert warm_cache.stats.flushes == {SPACES: 1, CLASSIFICATIONS: 1}
+        assert warm_cache.stats.flushes[SPACES] == 1
 
 
 class TestFingerprints:
@@ -215,25 +219,5 @@ class TestFingerprints:
         if result.commitment is not None:
             result.commitment.release()
         cache = scenario.manager.cache
-        assert cache.entry_counts == {SPACES: 0, CLASSIFICATIONS: 0}
+        assert cache.entry_counts == {SPACES: 0}
 
-
-def test_bench_quick_smoke(tmp_path):
-    """`repro bench --quick --rounds 1` runs end to end, writes a valid
-    report, and finds every configuration outcome-equivalent."""
-    import json
-
-    from repro.cli import main
-
-    output = tmp_path / "BENCH_negotiation.json"
-    code = main(
-        ["bench", "--quick", "--rounds", "1", "--output", str(output)]
-    )
-    assert code == 0
-    report = json.loads(output.read_text())
-    assert report["summary"]["all_outcomes_equivalent"]
-    # Three standard quick cells plus one catalogue-scale cell.
-    assert len(report["cells"]) == 4
-    for cell in report["cells"]:
-        assert cell["equivalent"]
-        assert cell["status"] == "SUCCEEDED"

@@ -72,19 +72,20 @@ GRID_SERVERS = ("server-a", "server-b", "server-c")
 GRID_RESOLUTION = 480
 
 
-def grid_document(flavours_per_axis):
+def grid_document(flavours_per_axis, document_id="doc.grid", rotate=0):
     """A document with one video monomedia per entry of
     ``flavours_per_axis``, each holding the listed (colour, fps)
     variants; variant ``v`` of axis ``x`` sits on server
-    ``(x + v) mod 3``.  Repeated flavours are replicas: equal QoS,
-    equal cost, hence exact OIF ties."""
+    ``(x + v + rotate) mod 3``.  Repeated flavours are replicas: equal
+    QoS, equal cost, hence exact OIF ties."""
     from repro.documents.builder import DocumentBuilder, MonomediaBuilder
     from repro.documents.media import Medium
 
-    builder = DocumentBuilder("doc.grid", "grid")
+    builder = DocumentBuilder(document_id, "grid")
     for axis, flavours in enumerate(flavours_per_axis):
         mono = MonomediaBuilder(
-            f"doc.grid.m{axis + 1}", Medium.VIDEO, f"segment {axis + 1}", 30.0
+            f"{document_id}.m{axis + 1}", Medium.VIDEO,
+            f"segment {axis + 1}", 30.0,
         )
         for index, (color, frame_rate) in enumerate(flavours):
             mono.add_variant(
@@ -94,10 +95,49 @@ def grid_document(flavours_per_axis):
                     frame_rate=frame_rate,
                     resolution=GRID_RESOLUTION,
                 ),
-                GRID_SERVERS[(axis + index) % len(GRID_SERVERS)],
+                GRID_SERVERS[(axis + index + rotate) % len(GRID_SERVERS)],
             )
         builder.add(mono)
     return builder.copyright(0.25).build()
+
+
+def grid_manager(documents, stream_caps, **manager_options):
+    """A three-server deployment holding ``documents`` whose only
+    limits are the per-server stream caps."""
+    from repro.cmfs import MediaServer
+    from repro.cmfs.admission import AdmissionController
+    from repro.cmfs.disk import DiskModel
+    from repro.core import QoSManager
+    from repro.metadata import MetadataDatabase
+    from repro.network import Topology, TransportSystem
+
+    disk = DiskModel(
+        transfer_rate_bps=600_000_000.0, avg_seek_s=0.001,
+        rotational_latency_s=0.0005, round_s=0.5,
+    )
+    servers = {
+        server_id: MediaServer(
+            server_id,
+            disk=disk,
+            admission=AdmissionController(
+                disk=disk, buffer_bits=1e10, nic_bps=1e10, max_streams=cap
+            ),
+        )
+        for server_id, cap in zip(GRID_SERVERS, stream_caps)
+    }
+    topology = Topology()
+    for server in servers.values():
+        topology.connect(server.access_point, "backbone", 1e10)
+    topology.connect("client-net", "backbone", 1e10)
+    database = MetadataDatabase()
+    for document in documents:
+        database.insert_document(document)
+    return QoSManager(
+        database=database,
+        transport=TransportSystem(topology),
+        servers=servers,
+        **manager_options,
+    )
 
 
 def grid_space(flavours_per_axis):

@@ -1,11 +1,12 @@
 """The batch engine's equivalence contract, property-tested.
 
-For ANY mix of requests — documents, profiles, clients, offer modes,
-walk bounds, duplicates, singletons — ``negotiate_batch`` on one
-deployment must produce the same per-request ``(status, offer id,
-attempts)`` sequence as the plain sequential procedure on a twin
-deployment, with and without the shared cache.  This is the
-randomized version of the bench's equivalence gate.
+For ANY mix of requests — documents, profiles, clients, walk bounds,
+duplicates, singletons — ``negotiate_batch`` on one deployment must
+produce the same per-request ``(status, offer id, attempts)`` sequence
+as the eager full-sort reference (``tests/oracle.py``) run request by
+request on a twin deployment, with and without the shared cache.  This
+is the randomized version of
+``tests/integration/test_pipeline_equivalence.py``.
 """
 
 from hypothesis import given, settings
@@ -14,14 +15,14 @@ from hypothesis import strategies as st
 from repro.batch import BatchRequest, negotiate_batch
 from repro.core.profile_manager import standard_profiles
 from repro.sim import ScenarioSpec, build_scenario
+from tests.oracle import reference_negotiate, signature
 
 PROFILES = standard_profiles()
 SPEC = ScenarioSpec(server_count=2, client_count=2, document_count=2)
 
-# One request = (document index, profile index, client index, mode
-# index, max-offers index).  Indexes keep the strategy shrinkable and
-# are resolved against the concrete deployment inside the test.
-MODES = (None, "full", "stream")
+# One request = (document index, profile index, client index,
+# max-offers index).  Indexes keep the strategy shrinkable and are
+# resolved against the concrete deployment inside the test.
 MAX_OFFERS = (None, 1, 3)
 
 requests_strategy = st.lists(
@@ -29,20 +30,11 @@ requests_strategy = st.lists(
         st.integers(min_value=0, max_value=1),
         st.integers(min_value=0, max_value=len(PROFILES) - 1),
         st.integers(min_value=0, max_value=1),
-        st.integers(min_value=0, max_value=len(MODES) - 1),
         st.integers(min_value=0, max_value=len(MAX_OFFERS) - 1),
     ),
     min_size=1,
     max_size=12,
 )
-
-
-def signature(result):
-    return (
-        result.status.name,
-        result.chosen.offer.offer_id if result.chosen else None,
-        result.attempts,
-    )
 
 
 def resolve(scenario, script):
@@ -53,21 +45,20 @@ def resolve(scenario, script):
             document=documents[d],
             profile=PROFILES[p],
             client=clients[c],
-            offer_mode=MODES[m],
             max_offers=MAX_OFFERS[k],
         )
-        for d, p, c, m, k in script
+        for d, p, c, k in script
     ]
 
 
 def run_sequential(scenario, script, release):
     signatures = []
     for request in resolve(scenario, script):
-        result = scenario.manager.negotiate(
+        result = reference_negotiate(
+            scenario.manager,
             request.document,
             request.profile,
             request.client,
-            offer_mode=request.offer_mode,
             max_offers=request.max_offers,
         )
         signatures.append(signature(result))
@@ -100,8 +91,8 @@ class TestBatchedEqualsSequential:
     @given(requests_strategy, st.booleans())
     @settings(max_examples=20, deadline=None)
     def test_equivalence_with_shared_cache(self, script, release):
-        """The cached batch path — preseeded SoA classifications and
-        all — must still match the cold sequential procedure."""
+        """The cached batch path must still match the cold sequential
+        reference."""
         sequential = build_scenario(SPEC)
         batched = build_scenario(SPEC, use_cache=True)
         assert run_batched(batched, script, release) == run_sequential(

@@ -119,9 +119,10 @@ class TestStreamEquivalence:
 
 
 class TestNegotiationEquivalence:
-    """End to end: every offer_mode commits the same offer with the same
-    status and attempt count, with and without offer_bonus preferences
-    (which force the streaming path to fall back to the full sort)."""
+    """End to end: the eager full-sort reference and the manager, with
+    and without the cache, commit the same offer with the same status
+    and attempt count, with and without offer_bonus preferences (which
+    make the plan sort the whole space instead of streaming it)."""
 
     @given(
         random_profiles(),
@@ -132,8 +133,10 @@ class TestNegotiationEquivalence:
     def test_modes_agree(self, profile, biased, policy):
         from dataclasses import replace
 
+        from repro.core import QoSManager
         from repro.core.preferences import UserPreferences
         from repro.sim import ScenarioSpec, build_scenario
+        from tests.oracle import reference_negotiate, signature
 
         if biased:
             profile = replace(
@@ -143,27 +146,23 @@ class TestNegotiationEquivalence:
                 ),
             )
         signatures = []
-        for offer_mode, use_cache in (
-            ("full", False), ("stream", False), ("auto", True),
+        for negotiate, use_cache in (
+            (reference_negotiate, False),
+            (QoSManager.negotiate, False),
+            (QoSManager.negotiate, True),
         ):
             scenario = build_scenario(
                 ScenarioSpec(document_count=1),
                 policy=policy,
-                offer_mode=offer_mode,
                 use_cache=use_cache,
             )
-            result = scenario.manager.negotiate(
+            result = negotiate(
+                scenario.manager,
                 scenario.document_ids()[0],
                 profile,
                 scenario.any_client(),
             )
-            signatures.append(
-                (
-                    result.status,
-                    result.chosen.offer.offer_id if result.chosen else None,
-                    result.attempts,
-                )
-            )
+            signatures.append(signature(result))
             if result.commitment is not None:
                 result.commitment.release()
         assert signatures[0] == signatures[1] == signatures[2]

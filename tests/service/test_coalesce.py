@@ -12,6 +12,7 @@ from repro.core import ProfileManager
 from repro.core.preferences import UserPreferences
 from repro.service import NegotiationService, ServicePolicy
 from repro.sim import ScenarioSpec, build_scenario
+from tests.properties.test_property_stream_work import CandidateCounter
 
 SPEC = ScenarioSpec(server_count=2, client_count=3, document_count=2)
 
@@ -103,3 +104,46 @@ class TestCoalescing:
         metrics = scenario.telemetry.metrics
         assert metrics.counter_value("batch.coalesced", site="service") == 0
         assert all(r.result is not None for r in service.requests)
+
+
+class TestSharedStream:
+    """Coalesced members replay one lazily ordered offer list."""
+
+    MEMBERS = 4
+
+    def run(self, coalesce, members):
+        scenario = build_scenario(
+            ScenarioSpec(server_count=2, client_count=3, document_count=1)
+        )
+        service = NegotiationService(
+            scenario.manager,
+            scenario.loop,
+            policy=ServicePolicy(hold_s=5.0),
+            coalesce=coalesce,
+        )
+        submit_burst(scenario, service, members)
+        with CandidateCounter() as counter:
+            scenario.loop.run()
+        outcomes = [
+            (
+                r.label,
+                str(r.status),
+                r.result.chosen.offer.offer_id,
+                r.result.attempts,
+                r.finished_at,
+            )
+            for r in service.requests
+        ]
+        return counter.calls, outcomes
+
+    def test_same_tick_members_classify_each_offer_once(self):
+        alone, _ = self.run(True, 1)
+        shared, shared_outcomes = self.run(True, self.MEMBERS)
+        private, private_outcomes = self.run(False, self.MEMBERS)
+        assert alone > 0
+        # Every member commits the head offer: N members sharing the
+        # stream compute what one member computes, N private streams
+        # compute it N times.
+        assert shared == alone
+        assert private == self.MEMBERS * alone
+        assert shared_outcomes == private_outcomes

@@ -7,6 +7,15 @@ optimised (pooled span ids, memoised counter keys, slot-reading flight
 recorder); an optimisation must reproduce them bit for bit.  A digest
 may only be re-pinned by a PR that sets out to change the artifact and
 says so.
+
+Re-pinned once since, by the PR that folded the eager and streamed
+planning paths into one lazy pipeline: ``TRACE_JSONL``,
+``CHAOS_TRACE_JSONL`` and ``STORM_TRACE_JSONL`` moved because the
+step-4 span lost its ``satisfying`` count (a lazy ordering cannot know
+it), ``STATS_JSON`` because ``negotiation.offers.classified`` now
+observes the prefix the walk pulled, not the whole space.  Nothing else
+in them changed; ``LOAD_JSON``, ``SLO_TIMESERIES`` and
+``SLO_FLAMEGRAPH`` kept their digests.
 """
 
 import hashlib
@@ -15,13 +24,13 @@ import pytest
 
 from repro.cli import main
 
-TRACE_JSONL = "91702581765baffe001616476921e3c72f7908b582c96b2319160bcd08ef43be"
-STATS_JSON = "fefd63c9267fb51b6d0baaff64306e14afc59e0847085c84365a932c775fbbdf"
-CHAOS_TRACE_JSONL = "6c5abfb5881d22416b3b61b9d431fa5bcf4b9d5afdd33af65a25b23217bd851f"
+TRACE_JSONL = "ed05cc7b273e7c48de1e55b7e15ac00906ea037aa9b9d91f1d7680f43367a925"
+STATS_JSON = "af22543468dc3a99d97f99dc394d4595221d08e486595ab53427b7c31c39ca1a"
+CHAOS_TRACE_JSONL = "53cbad09faf9628393be30cc82635acf7b2d42b0789a384dd16c366a7b211a8e"
 LOAD_JSON = "66bb27d93cec7975b33d3e80a405c240c3111005f5183f4895dd531d24179acb"
 SLO_TIMESERIES = "2624a3440ea96981cd42c818faf10d349b60a76c2a384e7a2876a55e8d720157"
 SLO_FLAMEGRAPH = "610670a8cf85d245dd244f1dccc6386e31b66faa5d36b1154db0b38180dfc56c"
-STORM_TRACE_JSONL = "7f698d90090f571495f33ccb347752d5daa27d1cf881141cce01238fc15205ff"
+STORM_TRACE_JSONL = "deffe58a5c58b4b41d1696f9de153ace1df35df59632e08bbfdc47b9ce8c591d"
 
 
 def sha256(data: bytes) -> str:
