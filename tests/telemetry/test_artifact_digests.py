@@ -16,6 +16,13 @@ it), ``STATS_JSON`` because ``negotiation.offers.classified`` now
 observes the prefix the walk pulled, not the whole space.  Nothing else
 in them changed; ``LOAD_JSON``, ``SLO_TIMESERIES`` and
 ``SLO_FLAMEGRAPH`` kept their digests.
+
+``STDOUT`` pins what the runners and the CLI print, computed at the
+commit *before* the four scenario runners were rewritten over
+``repro.sim.run``: the three chaos plans and the seven crash points the
+``crash-recovery`` CI job replays, both storm renderings, and one
+command per remaining CLI body the rewrite touches.  Identical under
+``PYTHONHASHSEED`` 0, 1 and 12345.
 """
 
 import hashlib
@@ -31,6 +38,63 @@ LOAD_JSON = "66bb27d93cec7975b33d3e80a405c240c3111005f5183f4895dd531d24179acb"
 SLO_TIMESERIES = "2624a3440ea96981cd42c818faf10d349b60a76c2a384e7a2876a55e8d720157"
 SLO_FLAMEGRAPH = "610670a8cf85d245dd244f1dccc6386e31b66faa5d36b1154db0b38180dfc56c"
 STORM_TRACE_JSONL = "deffe58a5c58b4b41d1696f9de153ace1df35df59632e08bbfdc47b9ce8c591d"
+
+STDOUT = {
+    "chaos-acceptance": (
+        ["chaos", "--seed", "1", "--fault", "crash:server-a:2:20",
+         "--fault", "flap:L-client-1:30:15"],
+        "3f093f6e71daa7389a1e9c5d394ac5ab9b0731a8740b858711eeb9d1eb8f29da",
+    ),
+    "chaos-manager-crash": (
+        ["chaos", "--seed", "1", "--fault", "crash-manager:manager:0:-:4"],
+        "6d4b8f9b51e4f0bad2e4112d7b617457c69edde165f721e193c18cec484be981",
+    ),
+    "chaos-crash-plus-refusal": (
+        ["chaos", "--seed", "2", "--fault", "crash-manager:manager:0:-:9",
+         "--fault", "refuse:server-a:0:-:2"],
+        "9268c5f1145af3c8c1d2bab973c9f589c6b6e010640635b7b2393f15ba07e08e",
+    ),
+    **{
+        f"recover-k{k}": (
+            ["recover", "--crash-after", str(k), "--journal-describe"],
+            digest,
+        )
+        for k, digest in (
+            (1, "4ec1f18a457c44d2b43e44435041df63e50697dc4a2aba9e55f0b05607d3bdd3"),
+            (4, "b00881bfe3e6e7a74937a3db6196d13cb045895f2433d20ea055f82caf6ea5ad"),
+            (8, "33203e02ed648833b018c53c5db12d2a435b9c7797478852a25d1d59beff4c60"),
+            (14, "d7f4ae8d353cc9df8bf36b911dfa7fb6aa5a730b936824d20a55cfca644e7af7"),
+            (20, "2ed328e60d6858d27383cf7352cad8aa4fc563b114552021f90662dabf54d2f6"),
+            (22, "dfecc136f119c01009b2c0ef86452527416e26b9e796f6cba334f7abb8e54302"),
+            (30, "76b7a334ffa10aebe6bc14f3fe94bebf32323462201ed2b2387da1de23c973c7"),
+        )
+    },
+    "storm-report": (
+        ["storm", "--seed", "3", "--sessions", "60", "--late-requests", "10"],
+        "00fe5f43de37b5b4cbe9ed5bfca7b7cc7931c57bd11635fa6c288593d6a34be3",
+    ),
+    "storm-comparison-json": (
+        ["storm", "--seed", "1", "--json", "--sessions", "60",
+         "--late-requests", "10"],
+        "ec0be598a598d01baf4aea58b6d98c0372b3203be5201f0d134a6399bb80d96e",
+    ),
+    "sweep": (
+        ["sweep", "--seed", "1"],
+        "13eea0dc42861dd3358ea495216fe5b680c0aed03b7448298925bc7dac5e6f5b",
+    ),
+    "stats-workload-json": (
+        ["stats", "--mode", "workload", "--seed", "1", "--json"],
+        "726f7719a716650bc402d56027818ad0e78a1cf1f5825a0a90dd44a96e8e2842",
+    ),
+    "profile-json": (
+        ["profile", "--json", "--multipliers", "1,2", "--horizon", "30"],
+        "ec7c7e4a68fb50beca3888623d92b9255ee21c3e5ff2f935bde94fa6292a8b55",
+    ),
+    "demo": (
+        ["demo"],
+        "e92a6f9879f59b01f1e78cab23923ccf5ef0a4acd4df2b597ab59da22c07b555",
+    ),
+}
 
 
 def sha256(data: bytes) -> str:
@@ -78,3 +142,10 @@ def test_storm_trace_jsonl(tmp_path, capsys):
     path = tmp_path / "storm.jsonl"
     assert main(["storm", "--seed", "1", "--telemetry", str(path)]) == 0
     assert sha256(path.read_bytes()) == STORM_TRACE_JSONL
+
+
+@pytest.mark.parametrize("name", STDOUT)
+def test_stdout(name, capsys):
+    argv, digest = STDOUT[name]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == digest

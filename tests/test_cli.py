@@ -147,6 +147,71 @@ class TestStorm:
         assert "unknown profile" in capsys.readouterr().err
 
 
+class TestRecover:
+    def test_recover_runs_leak_free(self, capsys):
+        assert main(["recover", "--journal-describe"]) == 0
+        out = capsys.readouterr().out
+        assert "crash phase" in out
+        assert "leaks after reconciliation     | none" in out
+        assert "reservation journal" in out
+
+    def test_crash_never_reached_is_a_note_not_an_error(self, capsys):
+        assert main(["recover", "--crash-after", "30"]) == 0
+        assert "never reached" in capsys.readouterr().err
+
+    def test_unknown_profile(self, capsys):
+        assert main(["recover", "--profile", "ghost"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown profile" in captured.err
+        assert captured.out == ""
+
+    def test_bad_spec_rejected(self, capsys):
+        assert main(["recover", "--requests", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "need at least one request" in captured.err
+        assert captured.out == ""
+
+
+class TestLoadCells:
+    """``load``, ``profile`` and ``slo`` all replay load cells."""
+
+    def test_profile_names_a_bottleneck(self, capsys):
+        assert main(["profile", "--multipliers", "1", "--horizon", "30"]) == 0
+        assert "x1: top bottleneck" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["load", "profile"])
+    def test_unparsable_multipliers(self, command, capsys):
+        assert main([command, "--multipliers", "x"]) == 2
+        captured = capsys.readouterr()
+        assert "bad --multipliers 'x'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["load", "profile"])
+    def test_non_positive_multiplier(self, command, capsys):
+        assert main([command, "--multipliers", "0"]) == 2
+        captured = capsys.readouterr()
+        assert f"bad {command} run" in captured.err
+        assert captured.out == ""
+
+    def test_load_unknown_profile(self, capsys):
+        assert main(["load", "--profile", "ghost"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown profile" in captured.err
+        assert captured.out == ""
+
+    def test_slo_brownout_breaches(self, capsys):
+        assert main(["slo", "--scenario", "brownout"]) == 1
+        assert "SLO breach on the brownout scenario" in (
+            capsys.readouterr().err
+        )
+
+    def test_slo_bad_spec_rejected(self, capsys):
+        assert main(["slo", "--interval", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "bad slo run" in captured.err
+        assert captured.out == ""
+
+
 class TestReport:
     def test_report_reads_tables(self, tmp_path, capsys):
         (tmp_path / "E01.txt").write_text("TABLE ONE\n")
