@@ -33,19 +33,24 @@ Subcommands exercising the library from a shell:
   span tree at rising load multipliers, name the top bottleneck, and
   optionally write a folded-stack flamegraph;
 * ``experiments`` — list the E-series experiment index;
-* ``lint`` — run the reprolint project-invariant checks (REP001..REP011;
-  ``--deep`` adds the whole-program resource-flow rules REP012..REP017
-  with a content-hashed extract cache, ``--changed`` restricts the run
-  to the files touched in the git diff), exiting nonzero on findings;
+* ``lint`` — run the reprolint project-invariant checks (the per-file
+  rules REP001..REP011 and REP018; ``--deep`` adds the whole-program
+  resource-flow rules REP012..REP017 with a content-hashed extract
+  cache, ``--changed`` restricts the run to the files touched in the
+  git diff), exiting nonzero on findings;
 * ``typecheck`` — run the strict mypy gate over the typed core
   (skipped gracefully when mypy is not installed).
 
-Invoke as ``python -m repro <subcommand>``.
+Invoke as ``python -m repro <subcommand>``.  A run the library rejects
+(unknown profile, unknown fault target, a spec out of range) prints
+``bad <subcommand> run: …`` on stderr and exits 2 with nothing on
+stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Sequence
 
@@ -362,60 +367,120 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_jsonl(scenario, path):
-    """Wire a JSONL span exporter into a telemetry-enabled scenario;
-    returns the exporter (or None when telemetry is off / no path)."""
-    if path is None or scenario.telemetry is None:
-        return None
-    from .telemetry import JsonlSpanExporter
+class _UsageError(Exception):
+    """A flag value the CLI itself rejects; the message is complete."""
 
-    exporter = JsonlSpanExporter(path)
-    scenario.telemetry.tracer.add_exporter(exporter)
-    return exporter
+
+def _dump(document) -> str:
+    return json.dumps(document, sort_keys=True, indent=2)
+
+
+def _telemetry_seed(args, seed: int) -> "int | None":
+    """Observability is on exactly when ``--telemetry PATH`` is."""
+    return seed if args.telemetry is not None else None
+
+
+def _trace_note(artifacts, path) -> None:
+    if artifacts.exporter is not None:
+        print(f"\n[trace: {artifacts.exporter.exported} spans -> {path}]")
+
+
+def _multipliers(text: str) -> "tuple[float, ...]":
+    try:
+        return tuple(float(part) for part in text.split(",") if part)
+    except ValueError:
+        raise _UsageError(
+            f"bad --multipliers {text!r}: expected comma-separated numbers"
+        ) from None
+
+
+# Demonstration plan: crash the first server during the early
+# commitments, flap the first client's access link mid-playout.
+DEMO_FAULTS = ("crash:server-a:2:20", "flap:L-client-1:30:15")
+
+
+def _fault_plan(texts, seed: int):
+    from .faults import FaultPlan, parse_fault_spec
+    from .util.errors import ValidationError
+
+    try:
+        faults = tuple(parse_fault_spec(text) for text in texts or DEMO_FAULTS)
+    except ValidationError as error:
+        raise _UsageError(f"bad fault spec: {error}") from None
+    return FaultPlan(faults, seed=seed)
+
+
+def _run_workload(args, negotiator, *, telemetry_seed, config=None):
+    """Run the seeded ``--rate``/``--horizon`` workload through
+    ``negotiator`` on a fresh ``--servers`` deployment."""
+    from .sim import (
+        ScenarioSpec,
+        WorkloadSpec,
+        build_scenario,
+        generate_requests,
+        run_workload,
+    )
+    from .sim.run import Artifacts
+
+    scenario = build_scenario(
+        ScenarioSpec(server_count=args.servers),
+        telemetry_seed=telemetry_seed,
+    )
+    artifacts = Artifacts(scenario, trace_jsonl=args.telemetry)
+    requests = generate_requests(
+        WorkloadSpec(arrival_rate_per_s=args.rate, horizon_s=args.horizon),
+        scenario.document_ids(),
+        list(scenario.clients),
+        rng=args.seed,
+    )
+    try:
+        stats = run_workload(
+            scenario, negotiator(scenario.manager), requests, config=config
+        )
+    finally:
+        artifacts.finish()
+    return scenario, artifacts, requests, stats
 
 
 def _cmd_demo(args) -> int:
-    from .client import ClientMachine
     from .core import ProfileManager
     from .sim import ScenarioSpec, build_scenario
+    from .sim.run import Artifacts, stock_profile
     from .ui import information_window, main_window
 
+    profile = stock_profile(args.profile)
     scenario = build_scenario(
         ScenarioSpec(document_count=args.documents),
-        telemetry_seed=0 if args.telemetry is not None else None,
+        telemetry_seed=_telemetry_seed(args, 0),
     )
-    exporter = _attach_jsonl(scenario, args.telemetry)
-    profiles = ProfileManager()
-    if args.profile not in profiles:
-        print(f"unknown profile {args.profile!r}; have {profiles.names()}",
-              file=sys.stderr)
-        return 2
-    profile = profiles.get(args.profile)
+    artifacts = Artifacts(scenario, trace_jsonl=args.telemetry)
     client = scenario.any_client()
-    print(main_window(profiles))
-    result = scenario.manager.negotiate(
-        scenario.document_ids()[0], profile, client
-    )
-    print()
-    print(information_window(result))
-    if result.commitment is not None:
-        result.commitment.confirm(scenario.clock.now())
-        runtime = scenario.runtime()
-        session = runtime.start_session(
-            result, profile, client, confirm=False
+    print(main_window(ProfileManager()))
+    try:
+        result = scenario.manager.negotiate(
+            scenario.document_ids()[0], profile, client
         )
-        scenario.loop.run()
-        print(f"\nsession {session.session_id}: {session.state.value} "
-              f"(offer {result.chosen.offer.offer_id}, "
-              f"cost {result.chosen.offer.cost})")
-    if exporter is not None:
-        exporter.close()
-        print(f"\n[trace: {exporter.exported} spans -> {args.telemetry}]")
+        print()
+        print(information_window(result))
+        if result.commitment is not None:
+            result.commitment.confirm(scenario.clock.now())
+            runtime = scenario.runtime()
+            session = runtime.start_session(
+                result, profile, client, confirm=False
+            )
+            scenario.loop.run()
+            print(f"\nsession {session.session_id}: {session.state.value} "
+                  f"(offer {result.chosen.offer.offer_id}, "
+                  f"cost {result.chosen.offer.cost})")
+    finally:
+        artifacts.finish()
+    _trace_note(artifacts, args.telemetry)
     return 0
 
 
 def _cmd_windows(args) -> int:
     from .core import ProfileManager
+    from .sim.run import stock_profile
     from .ui import (
         audio_profile_window,
         cost_profile_window,
@@ -424,14 +489,9 @@ def _cmd_windows(args) -> int:
         video_profile_window,
     )
 
-    profiles = ProfileManager()
-    if args.profile not in profiles:
-        print(f"unknown profile {args.profile!r}; have {profiles.names()}",
-              file=sys.stderr)
-        return 2
-    profile = profiles.get(args.profile)
+    profile = stock_profile(args.profile)
     for window in (
-        main_window(profiles),
+        main_window(ProfileManager()),
         profile_component_window(profile),
         video_profile_window(profile),
         audio_profile_window(profile),
@@ -448,13 +508,8 @@ def _cmd_sweep(args) -> int:
         FirstFitNegotiator,
         QoSOnlyNegotiator,
         RunConfig,
-        ScenarioSpec,
         SmartNegotiator,
         StaticNegotiator,
-        WorkloadSpec,
-        build_scenario,
-        generate_requests,
-        run_workload,
     )
     from .sim.metrics import RunStats
     from .util.tables import render_table
@@ -466,21 +521,10 @@ def _cmd_sweep(args) -> int:
         "cost-only": CostOnlyNegotiator,
         "qos-only": QoSOnlyNegotiator,
     }
-    scenario = build_scenario(
-        ScenarioSpec(server_count=args.servers),
-        telemetry_seed=args.seed if args.telemetry is not None else None,
-    )
-    exporter = _attach_jsonl(scenario, args.telemetry)
-    requests = generate_requests(
-        WorkloadSpec(arrival_rate_per_s=args.rate, horizon_s=args.horizon),
-        scenario.document_ids(),
-        list(scenario.clients),
-        rng=args.seed,
-    )
-    stats = run_workload(
-        scenario,
-        by_name[args.negotiator](scenario.manager),
-        requests,
+    _scenario, artifacts, requests, stats = _run_workload(
+        args,
+        by_name[args.negotiator],
+        telemetry_seed=_telemetry_seed(args, args.seed),
         config=RunConfig(adaptation_enabled=not args.no_adaptation),
     )
     print(
@@ -495,55 +539,29 @@ def _cmd_sweep(args) -> int:
         stats.statuses.as_dict().items(), key=lambda kv: -kv[1]
     ):
         print(f"  {status:<22} {count}")
-    if exporter is not None:
-        exporter.close()
-        print(f"\n[trace: {exporter.exported} spans -> {args.telemetry}]")
+    _trace_note(artifacts, args.telemetry)
     return 0
 
 
 def _cmd_chaos(args) -> int:
-    from .core import ProfileManager
-    from .faults import FaultPlan, RetryPolicy, parse_fault_spec
+    from .faults import RetryPolicy
     from .sim import ChaosSpec, ScenarioSpec, run_chaos
-    from .util.errors import NotFoundError, SimulationError, ValidationError
 
-    if args.profile not in ProfileManager():
-        print(f"unknown profile {args.profile!r}; have "
-              f"{ProfileManager().names()}", file=sys.stderr)
-        return 2
-    if args.faults:
-        try:
-            faults = tuple(parse_fault_spec(text) for text in args.faults)
-        except ValidationError as error:
-            print(f"bad fault spec: {error}", file=sys.stderr)
-            return 2
-    else:
-        # Demonstration plan: crash the first server during the early
-        # commitments, flap the first client's access link mid-playout.
-        faults = (
-            parse_fault_spec("crash:server-a:2:20"),
-            parse_fault_spec("flap:L-client-1:30:15"),
-        )
-    plan = FaultPlan(faults, seed=args.seed)
-    try:
-        spec = ChaosSpec(
-            scenario=ScenarioSpec(server_count=args.servers),
-            plan=plan,
-            seed=args.seed,
-            requests=args.requests,
-            request_spacing_s=args.spacing,
-            profile_name=args.profile,
-            retry=RetryPolicy(max_attempts=args.max_attempts),
-            lease_ttl_s=args.lease_ttl,
-            telemetry_seed=args.seed if args.telemetry is not None else None,
-            telemetry_jsonl=args.telemetry,
-        )
-        print(plan.describe())
-        print()
-        report, _scenario = run_chaos(spec)
-    except (NotFoundError, SimulationError, ValidationError) as error:
-        print(f"bad chaos run: {error}", file=sys.stderr)
-        return 2
+    plan = _fault_plan(args.faults, args.seed)
+    report, _scenario = run_chaos(ChaosSpec(
+        scenario=ScenarioSpec(server_count=args.servers),
+        plan=plan,
+        seed=args.seed,
+        requests=args.requests,
+        request_spacing_s=args.spacing,
+        profile_name=args.profile,
+        retry=RetryPolicy(max_attempts=args.max_attempts),
+        lease_ttl_s=args.lease_ttl,
+        telemetry_seed=_telemetry_seed(args, args.seed),
+        telemetry_jsonl=args.telemetry,
+    ))
+    print(plan.describe())
+    print()
     print(report.render())
     if not report.clean_teardown:
         print("\nWARNING: reservations leaked at teardown", file=sys.stderr)
@@ -552,30 +570,19 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from .core import ProfileManager
     from .sim import CrashRecoverySpec, ScenarioSpec, run_crash_recovery
-    from .util.errors import NotFoundError, SimulationError, ValidationError
 
-    if args.profile not in ProfileManager():
-        print(f"unknown profile {args.profile!r}; have "
-              f"{ProfileManager().names()}", file=sys.stderr)
-        return 2
-    try:
-        spec = CrashRecoverySpec(
-            scenario=ScenarioSpec(server_count=args.servers),
-            seed=args.seed,
-            requests=args.requests,
-            request_spacing_s=args.spacing,
-            profile_name=args.profile,
-            crash_opportunity=args.crash_after,
-            journal_path=args.journal,
-            telemetry_seed=args.seed if args.telemetry is not None else None,
-            telemetry_jsonl=args.telemetry,
-        )
-        report, _scenario = run_crash_recovery(spec)
-    except (NotFoundError, SimulationError, ValidationError) as error:
-        print(f"bad recovery run: {error}", file=sys.stderr)
-        return 2
+    report, _scenario = run_crash_recovery(CrashRecoverySpec(
+        scenario=ScenarioSpec(server_count=args.servers),
+        seed=args.seed,
+        requests=args.requests,
+        request_spacing_s=args.spacing,
+        profile_name=args.profile,
+        crash_opportunity=args.crash_after,
+        journal_path=args.journal,
+        telemetry_seed=_telemetry_seed(args, args.seed),
+        telemetry_jsonl=args.telemetry,
+    ))
     print(report.render())
     if args.journal_describe:
         print()
@@ -590,147 +597,88 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    import json
-
-    from .core import ProfileManager
     from .sim import ScenarioSpec, build_scenario
+    from .sim.run import Artifacts, stock_profile
     from .telemetry import (
         InMemorySpanExporter,
         NegotiationReport,
         render_span_tree,
     )
-    from .util.errors import (
-        ConfirmationTimeout,
-        NotFoundError,
-        SimulationError,
-        ValidationError,
-    )
+    from .util.errors import ConfirmationTimeout
 
-    profiles = ProfileManager()
-    if args.profile not in profiles:
-        print(f"unknown profile {args.profile!r}; have {profiles.names()}",
-              file=sys.stderr)
-        return 2
-    profile = profiles.get(args.profile)
-    jsonl = None
+    profile = stock_profile(args.profile)
+    scenario = build_scenario(
+        ScenarioSpec(document_count=args.documents),
+        telemetry_seed=args.seed,
+    )
+    memory = InMemorySpanExporter()
+    scenario.telemetry.tracer.add_exporter(memory)
+    artifacts = Artifacts(scenario, trace_jsonl=args.telemetry)
     try:
-        scenario = build_scenario(
-            ScenarioSpec(document_count=args.documents),
-            telemetry_seed=args.seed,
+        result = scenario.manager.negotiate(
+            args.document or scenario.document_ids()[0],
+            profile,
+            scenario.any_client(),
         )
-        memory = InMemorySpanExporter()
-        scenario.telemetry.tracer.add_exporter(memory)
-        jsonl = _attach_jsonl(scenario, args.telemetry)
-        document_id = args.document or scenario.document_ids()[0]
-        client = scenario.any_client()
-        result = scenario.manager.negotiate(document_id, profile, client)
-    except (NotFoundError, SimulationError, ValidationError) as error:
-        if jsonl is not None:
-            jsonl.close()
-        print(f"bad trace run: {error}", file=sys.stderr)
-        return 2
-    if result.commitment is not None:
-        try:
-            result.commitment.confirm(scenario.clock.now())
-        except ConfirmationTimeout:
-            pass
-        result.commitment.release()
-    if jsonl is not None:
-        jsonl.close()
+        if result.commitment is not None:
+            try:
+                result.commitment.confirm(scenario.clock.now())
+            except ConfirmationTimeout:
+                pass
+            result.commitment.release()
+    finally:
+        artifacts.finish()
     # Rebuild the report from the exported spans so the post-negotiation
     # step-6 confirmation span is included.
     report = NegotiationReport.from_spans(memory.spans)
     if args.json:
-        print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
+        print(_dump(report.as_dict()))
         return 0
     print(render_span_tree(memory.spans))
     print()
     print(report.render())
-    if jsonl is not None:
-        print(f"\n[trace: {jsonl.exported} spans -> {args.telemetry}]")
+    _trace_note(artifacts, args.telemetry)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    import json
-
-    from .core import ProfileManager
     from .telemetry import reconcile_journal
-    from .util.errors import NotFoundError, SimulationError, ValidationError
 
-    if args.profile not in ProfileManager():
-        print(f"unknown profile {args.profile!r}; have "
-              f"{ProfileManager().names()}", file=sys.stderr)
-        return 2
+    if args.mode == "chaos":
+        from .sim import ChaosSpec, ScenarioSpec, run_chaos
 
-    try:
-        if args.mode == "chaos":
-            from .faults import FaultPlan, RetryPolicy, parse_fault_spec
-            from .sim import ChaosSpec, ScenarioSpec, run_chaos
+        report, scenario = run_chaos(ChaosSpec(
+            scenario=ScenarioSpec(server_count=args.servers),
+            plan=_fault_plan((), args.seed),
+            seed=args.seed,
+            requests=args.requests,
+            profile_name=args.profile,
+            telemetry_seed=args.seed,
+            telemetry_jsonl=args.telemetry,
+        ))
+        extra = {
+            "clean_teardown": report.clean_teardown,
+            "negotiations": report.negotiations,
+            "breaker_opens": report.breaker_opens,
+            "retries": report.retries,
+            "manager_crashes": report.manager_crashes,
+        }
+    else:
+        from .sim import SmartNegotiator
+        from .sim.run import RunReport, stock_profile
 
-            plan = FaultPlan(
-                (
-                    parse_fault_spec("crash:server-a:2:20"),
-                    parse_fault_spec("flap:L-client-1:30:15"),
-                ),
-                seed=args.seed,
-            )
-            spec = ChaosSpec(
-                scenario=ScenarioSpec(server_count=args.servers),
-                plan=plan,
-                seed=args.seed,
-                requests=args.requests,
-                profile_name=args.profile,
-                retry=RetryPolicy(),
-                telemetry_seed=args.seed,
-                telemetry_jsonl=args.telemetry,
-            )
-            chaos_report, scenario = run_chaos(spec)
-            clean = chaos_report.clean_teardown
-            extra = {
-                "clean_teardown": clean,
-                "negotiations": chaos_report.negotiations,
-                "breaker_opens": chaos_report.breaker_opens,
-                "retries": chaos_report.retries,
-                "manager_crashes": chaos_report.manager_crashes,
-            }
-        else:
-            from .sim import (
-                RunConfig,
-                ScenarioSpec,
-                SmartNegotiator,
-                WorkloadSpec,
-                build_scenario,
-                generate_requests,
-                run_workload,
-            )
-
-            scenario = build_scenario(
-                ScenarioSpec(server_count=args.servers),
-                telemetry_seed=args.seed,
-            )
-            jsonl = _attach_jsonl(scenario, args.telemetry)
-            requests = generate_requests(
-                WorkloadSpec(arrival_rate_per_s=args.rate,
-                             horizon_s=args.horizon),
-                scenario.document_ids(),
-                list(scenario.clients),
-                rng=args.seed,
-            )
-            run_workload(
-                scenario, SmartNegotiator(scenario.manager), requests,
-                config=RunConfig(),
-            )
-            if jsonl is not None:
-                jsonl.close()
-            clean = (
-                sum(s.stream_count for s in scenario.servers.values()) == 0
-                and scenario.transport.flow_count == 0
-            )
-            extra = {"clean_teardown": clean, "requests": len(requests)}
-    except (NotFoundError, SimulationError, ValidationError) as error:
-        print(f"bad stats run: {error}", file=sys.stderr)
-        return 2
+        # The generated workload brings its own profiles; the flag is
+        # still checked, as in chaos mode.
+        stock_profile(args.profile)
+        scenario, _artifacts, requests, _stats = _run_workload(
+            args, SmartNegotiator, telemetry_seed=args.seed
+        )
+        report = RunReport()
+        report.audit(scenario)
+        extra = {
+            "clean_teardown": report.clean_teardown,
+            "requests": len(requests),
+        }
 
     telemetry = scenario.telemetry
     journal = scenario.manager.committer.journal
@@ -741,14 +689,13 @@ def _cmd_stats(args) -> int:
     )
     balanced = reconciliation is None or reconciliation["balanced"]
     if args.json:
-        document = {
+        print(_dump({
             "mode": args.mode,
             "seed": args.seed,
             "run": extra,
             "metrics": telemetry.metrics.snapshot(),
             "reconciliation": reconciliation,
-        }
-        print(json.dumps(document, sort_keys=True, indent=2))
+        }))
     else:
         print(telemetry.metrics.render())
         if reconciliation is not None:
@@ -759,7 +706,7 @@ def _cmd_stats(args) -> int:
         print()
         for key, value in sorted(extra.items()):
             print(f"  {key}: {value}")
-    if not clean or not balanced:
+    if not report.clean_teardown or not balanced:
         print("\nWARNING: run leaked reservations or the journal does "
               "not reconcile", file=sys.stderr)
         return 1
@@ -767,52 +714,38 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_storm(args) -> int:
-    import json
-
-    from .core import ProfileManager
     from .sim import StormSpec, run_storm, run_storm_comparison
-    from .util.errors import NotFoundError, SimulationError, ValidationError
 
-    if args.profile not in ProfileManager():
-        print(f"unknown profile {args.profile!r}; have "
-              f"{ProfileManager().names()}", file=sys.stderr)
-        return 2
-    if args.no_backpressure and (args.compare or args.json):
-        print("--no-backpressure cannot be combined with "
-              "--compare/--json", file=sys.stderr)
-        return 2
-    try:
-        spec = StormSpec(
-            sessions=args.sessions,
-            late_requests=args.late_requests,
-            servers=args.servers,
-            severity=args.severity,
-            brownout_start_s=args.brownout_start,
-            brownout_duration_s=args.brownout_duration,
-            seed=args.seed,
-            profile_name=args.profile,
-            backpressure=not args.no_backpressure,
-            telemetry_seed=args.seed if args.telemetry is not None else None,
-            telemetry_jsonl=args.telemetry,
+    compare = args.compare or args.json
+    if args.no_backpressure and compare:
+        raise _UsageError(
+            "--no-backpressure cannot be combined with --compare/--json"
         )
-        if args.compare or args.json:
-            comparison = run_storm_comparison(spec)
-            if args.json:
-                print(json.dumps(
-                    comparison.as_dict(), sort_keys=True, indent=2
-                ))
-            else:
-                print(comparison.with_backpressure.render())
-                print()
-                print(comparison.render())
-            report = comparison.with_backpressure
+    spec = StormSpec(
+        sessions=args.sessions,
+        late_requests=args.late_requests,
+        servers=args.servers,
+        severity=args.severity,
+        brownout_start_s=args.brownout_start,
+        brownout_duration_s=args.brownout_duration,
+        seed=args.seed,
+        profile_name=args.profile,
+        backpressure=not args.no_backpressure,
+        telemetry_seed=_telemetry_seed(args, args.seed),
+        telemetry_jsonl=args.telemetry,
+    )
+    if compare:
+        comparison = run_storm_comparison(spec)
+        report = comparison.with_backpressure
+        if args.json:
+            print(_dump(comparison.as_dict()))
         else:
-            report, _scenario = run_storm(spec)
-            if not args.json:
-                print(report.render())
-    except (NotFoundError, SimulationError, ValidationError) as error:
-        print(f"bad storm run: {error}", file=sys.stderr)
-        return 2
+            print(report.render())
+            print()
+            print(comparison.render())
+    else:
+        report, _scenario = run_storm(spec)
+        print(report.render())
     if not report.survived:
         print("\nWARNING: the storm was not survived (stuck sessions, "
               "leaks, or an unbalanced journal)", file=sys.stderr)
@@ -821,47 +754,26 @@ def _cmd_storm(args) -> int:
 
 
 def _cmd_load(args) -> int:
-    import json
+    import pathlib
 
-    from .core import ProfileManager
     from .sim import ArrivalSpec, LoadSpec, run_load
-    from .util.errors import NotFoundError, SimulationError, ValidationError
 
-    if args.profile not in ProfileManager():
-        print(f"unknown profile {args.profile!r}; have "
-              f"{ProfileManager().names()}", file=sys.stderr)
-        return 2
-    try:
-        multipliers = tuple(
-            float(part) for part in args.multipliers.split(",") if part
-        )
-    except ValueError:
-        print(f"bad --multipliers {args.multipliers!r}: expected "
-              "comma-separated numbers", file=sys.stderr)
-        return 2
-    try:
-        spec = LoadSpec(
-            arrival=ArrivalSpec(
-                kind=args.arrivals,
-                rate_per_s=args.rate,
-                horizon_s=args.horizon,
-            ),
-            servers=args.servers,
-            clients=args.clients,
-            seed=args.seed,
-            scheduler_seed=args.scheduler_seed,
-            multipliers=multipliers,
-            use_gate=not args.no_gate,
-            profile_name=args.profile,
-        )
-        report = run_load(spec)
-    except (NotFoundError, SimulationError, ValidationError) as error:
-        print(f"bad load run: {error}", file=sys.stderr)
-        return 2
-    payload = json.dumps(report.as_dict(), sort_keys=True, indent=2)
+    report = run_load(LoadSpec(
+        arrival=ArrivalSpec(
+            kind=args.arrivals,
+            rate_per_s=args.rate,
+            horizon_s=args.horizon,
+        ),
+        servers=args.servers,
+        clients=args.clients,
+        seed=args.seed,
+        scheduler_seed=args.scheduler_seed,
+        multipliers=_multipliers(args.multipliers),
+        use_gate=not args.no_gate,
+        profile_name=args.profile,
+    ))
+    payload = _dump(report.as_dict())
     if args.output is not None:
-        import pathlib
-
         pathlib.Path(args.output).write_text(
             payload + "\n", encoding="utf-8"
         )
@@ -879,31 +791,24 @@ def _cmd_load(args) -> int:
 
 
 def _cmd_slo(args) -> int:
-    import json
     import pathlib
 
     from .sim import SloRunSpec, run_slo
     from .telemetry import write_flamegraph
-    from .util.errors import SimulationError, ValidationError
 
-    try:
-        spec = SloRunSpec(
-            scenario=args.scenario,
-            multiplier=args.multiplier,
-            rate_per_s=args.rate,
-            horizon_s=args.horizon,
-            seed=args.seed,
-            scheduler_seed=args.scheduler_seed,
-            telemetry_seed=args.telemetry_seed,
-            interval_s=args.interval,
-            severity=args.severity,
-            brownout_start_s=args.brownout_start,
-            brownout_duration_s=args.brownout_duration,
-        )
-        report = run_slo(spec)
-    except (SimulationError, ValidationError) as error:
-        print(f"bad slo run: {error}", file=sys.stderr)
-        return 2
+    report = run_slo(SloRunSpec(
+        scenario=args.scenario,
+        multiplier=args.multiplier,
+        rate_per_s=args.rate,
+        horizon_s=args.horizon,
+        seed=args.seed,
+        scheduler_seed=args.scheduler_seed,
+        telemetry_seed=args.telemetry_seed,
+        interval_s=args.interval,
+        severity=args.severity,
+        brownout_start_s=args.brownout_start,
+        brownout_duration_s=args.brownout_duration,
+    ))
     artifacts = []
     if args.timeseries is not None and report.recorder is not None:
         written = report.recorder.write_jsonl(args.timeseries)
@@ -913,14 +818,14 @@ def _cmd_slo(args) -> int:
             args.flamegraph, {args.scenario: report.paths}
         )
         artifacts.append(f"{lines} stacks -> {args.flamegraph}")
+    payload = _dump(report.as_dict())
     if args.report is not None:
         pathlib.Path(args.report).write_text(
-            json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
+            payload + "\n", encoding="utf-8"
         )
         artifacts.append(f"report -> {args.report}")
     if args.json:
-        print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
+        print(payload)
     else:
         print(report.slo.render())
         print()
@@ -936,50 +841,30 @@ def _cmd_slo(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    import json
-
     from .sim import ArrivalSpec, LoadSpec, run_load_cell_instrumented
     from .telemetry import (
         extract_critical_paths,
         profile_spans,
         write_flamegraph,
     )
-    from .util.errors import SimulationError, ValidationError
 
-    try:
-        multipliers = tuple(
-            float(part) for part in args.multipliers.split(",") if part
-        )
-    except ValueError:
-        print(f"bad --multipliers {args.multipliers!r}: expected "
-              "comma-separated numbers", file=sys.stderr)
-        return 2
-    try:
-        spec = LoadSpec(
-            arrival=ArrivalSpec(
-                kind="poisson",
-                rate_per_s=args.rate,
-                horizon_s=args.horizon,
-            ),
-            seed=args.seed,
-            scheduler_seed=args.scheduler_seed,
-            telemetry_seed=args.telemetry_seed,
-            multipliers=multipliers,
-        )
-    except (SimulationError, ValidationError) as error:
-        print(f"bad profile run: {error}", file=sys.stderr)
-        return 2
+    spec = LoadSpec(
+        arrival=ArrivalSpec(
+            kind="poisson",
+            rate_per_s=args.rate,
+            horizon_s=args.horizon,
+        ),
+        seed=args.seed,
+        scheduler_seed=args.scheduler_seed,
+        telemetry_seed=args.telemetry_seed,
+        multipliers=_multipliers(args.multipliers),
+    )
     sections = {}
     documents = {}
-    for multiplier in multipliers:
-        try:
-            run = run_load_cell_instrumented(
-                spec, multiplier, collect_spans=True
-            )
-        except (SimulationError, ValidationError) as error:
-            print(f"bad profile run at x{multiplier:g}: {error}",
-                  file=sys.stderr)
-            return 2
+    for multiplier in spec.multipliers:
+        run = run_load_cell_instrumented(
+            spec, multiplier, collect_spans=True
+        )
         profile = profile_spans(run.spans)
         section = f"x{multiplier:g}"
         sections[section] = extract_critical_paths(run.spans)
@@ -993,7 +878,7 @@ def _cmd_profile(args) -> int:
                       f"{profile.total_s:.3f}s)")
             print()
     if args.json:
-        print(json.dumps(documents, sort_keys=True, indent=2))
+        print(_dump(documents))
     if args.flamegraph is not None:
         lines = write_flamegraph(args.flamegraph, sections)
         if not args.json:
@@ -1049,6 +934,8 @@ def _cmd_typecheck(args) -> int:
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
+    from .util.errors import NotFoundError, SimulationError, ValidationError
+
     args = build_parser().parse_args(argv)
     handlers = {
         "demo": _cmd_demo,
@@ -1067,7 +954,14 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         "lint": _cmd_lint,
         "typecheck": _cmd_typecheck,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
+    except (NotFoundError, SimulationError, ValidationError) as error:
+        print(f"bad {args.command} run: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,7 +27,6 @@ from ..cmfs.server import MediaServer
 from ..core.classification import (
     ClassificationPolicy,
     ClassifiedOffer,
-    classify_space,
     walk_order,
 )
 from ..core.enumeration import OfferSpace, build_offer_space
@@ -174,9 +173,11 @@ class AdvancePlanner:
 class AdvanceNegotiator:
     """The §4 procedure with step 5 replaced by future bookings.
 
-    Steps 1–4 are delegated to the live :class:`QoSManager` (they are
-    time-independent); step 5 walks the classified offers booking
-    ledger windows; step 6's confirmation is the later :meth:`claim`.
+    Steps 1–4 are the live manager's :meth:`QoSManager.plan` (they are
+    time-independent, and the user's §8 preferences — security floor,
+    server weights — apply to a booking exactly as to a live request);
+    step 5 walks the plan's offers booking ledger windows; step 6's
+    confirmation is the later :meth:`claim`.
     """
 
     def __init__(self, manager: QoSManager, planner: AdvancePlanner | None = None) -> None:
@@ -210,35 +211,22 @@ class AdvanceNegotiator:
         check_positive(duration_s, "duration_s")
         end_s = start_s + duration_s
 
-        violations, local_best = manager._static_local_negotiation(
-            document, profile, client
+        plan = manager.plan(
+            document, profile, client,
+            policy=ClassificationPolicy.SNS_PRIMARY,
         )
-        if violations:
-            return NegotiationResult(
-                status=NegotiationStatus.FAILED_WITH_LOCAL_OFFER,
-                user_offer=local_best,
-                local_violations=violations,
-            )
-        space = build_offer_space(
-            document, client, manager.cost_model,
-            mapper=manager.mapper, guarantee=manager.guarantee,
-        )
-        if space.is_empty:
-            return NegotiationResult(
-                status=NegotiationStatus.FAILED_WITHOUT_OFFER,
-                offer_space=space,
-            )
-        policy = ClassificationPolicy.SNS_PRIMARY
-        classified = classify_space(
-            space, profile, manager._importance_of(profile), policy=policy
-        )
+        if plan.early is not None:
+            return plan.early
+        space = plan.space
+        assert space is not None and plan.offers is not None
         server_aps = {
             server_id: server.access_point
             for server_id, server in manager.committer.servers.items()
         }
 
         holder = f"advance-{next(self._plan_ids)}"
-        for candidate in walk_order(classified, policy):
+        pulled: "list[ClassifiedOffer]" = []
+        for candidate in walk_order(plan.offers, plan.policy, pulled):
             booked = self.planner.try_book_offer(
                 candidate.offer, space, client.access_point, server_aps,
                 start_s, end_s, holder=holder,
@@ -267,7 +255,7 @@ class AdvanceNegotiator:
             )
         return NegotiationResult(
             status=NegotiationStatus.FAILED_TRY_LATER,
-            classified=classified,
+            classified=pulled,
             offer_space=space,
         )
 

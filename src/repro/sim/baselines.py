@@ -17,8 +17,9 @@ need those alternatives as executable baselines:
 * :class:`SmartNegotiator` — the paper's procedure (thin wrapper for a
   uniform interface).
 
-All reuse the same steps 1–2 and resource-commitment machinery as the
-real manager, so measured differences come purely from offer selection.
+All plan through the real manager (:meth:`QoSManager.plan`: steps 1–4,
+the user's preferences included) and commit through its resource
+committer, so measured differences come purely from offer selection.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from __future__ import annotations
 from typing import Protocol
 
 from ..client.machine import ClientMachine
-from ..core.classification import (
-    ClassificationPolicy,
-    ClassifiedOffer,
-    classify_space,
-)
-from ..core.enumeration import build_offer_space
+from ..core.classification import ClassificationPolicy, ClassifiedOffer
 from ..core.negotiation import NegotiationResult, QoSManager
 from ..core.profiles import UserProfile
 from ..core.status import NegotiationStatus
@@ -75,8 +71,8 @@ class SmartNegotiator:
 
 
 class _ReorderingNegotiator:
-    """Shared scaffolding: run steps 1–2 and commitment like the real
-    manager, but impose a different candidate order (or truncation)."""
+    """Shared scaffolding: plan and commit like the real manager, but
+    impose a different candidate order (or truncation)."""
 
     name = "reordering"
 
@@ -89,33 +85,15 @@ class _ReorderingNegotiator:
         raise NotImplementedError
 
     def negotiate(self, document, profile, client) -> NegotiationResult:
-        manager = self.manager
-        if isinstance(document, str):
-            document = manager.database.get_document(document)
-        violations, local_best = manager._static_local_negotiation(
-            document, profile, client
-        )
-        if violations:
-            return NegotiationResult(
-                status=NegotiationStatus.FAILED_WITH_LOCAL_OFFER,
-                user_offer=local_best,
-                local_violations=violations,
-            )
-        space = build_offer_space(
-            document, client, manager.cost_model,
-            mapper=manager.mapper, guarantee=manager.guarantee,
-        )
-        if space.is_empty:
-            return NegotiationResult(
-                status=NegotiationStatus.FAILED_WITHOUT_OFFER,
-                offer_space=space,
-            )
-        classified = classify_space(
-            space, profile, manager._importance_of(profile),
+        plan = self.manager.plan(
+            document, profile, client,
             policy=ClassificationPolicy.SNS_PRIMARY,
         )
-        ordered = self._order(classified)
-        return self._commit_in_order(ordered, space, profile, client)
+        if plan.early is not None:
+            return plan.early
+        return self._commit_in_order(
+            self._order(list(plan.offers)), plan.space, profile, client
+        )
 
     def _commit_in_order(
         self, ordered, space, profile, client
@@ -126,7 +104,7 @@ class _ReorderingNegotiator:
         from ..core.offers import derive_user_offer
 
         manager = self.manager
-        holder = f"{self.name}-{id(self)}-{manager.clock.now():g}"
+        holder = manager.new_holder()
         attempts = 0
         for candidate in ordered:
             attempts += 1

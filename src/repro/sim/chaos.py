@@ -17,22 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.profile_manager import ProfileManager
-from ..core.status import NegotiationStatus
-from ..faults.health import CircuitBreaker
-from ..faults.injector import FaultInjector
-from ..faults.lease import LeaseManager
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
-from ..journal import HolderOutcome, RecoveryManager, ReservationJournal
-from ..session.supervisor import SessionSupervisor
-from ..util.errors import (
-    ConfirmationTimeout,
-    ManagerCrashError,
-    SimulationError,
-)
+from ..util.errors import ConfirmationTimeout, SimulationError
 from ..util.tables import render_table
-from .scenario import Scenario, ScenarioSpec, build_scenario
+from .run import (
+    Artifacts,
+    SessionRunReport,
+    drain,
+    inject,
+    resilient_scenario,
+    stock_profile,
+    supervise,
+)
+from .scenario import Scenario, ScenarioSpec
 
 __all__ = ["ChaosSpec", "ChaosReport", "run_chaos"]
 
@@ -67,48 +65,13 @@ class ChaosSpec:
 
 
 @dataclass(slots=True)
-class ChaosReport:
+class ChaosReport(SessionRunReport):
     """Blocking + recovery metrics of one chaos run."""
 
-    statuses: dict[str, int] = field(default_factory=dict)
-    negotiations: int = 0
-    succeeded: int = 0
-    degraded_offers: int = 0   # FAILEDWITHOFFER: alternate accepted
-    blocked: int = 0           # FAILEDTRYLATER
-    retry_after_hints: tuple[float, ...] = ()
-    commit_attempts: int = 0
-    retries: int = 0
-    breaker_skips: int = 0
-    breaker_opens: int = 0
-    adaptations: int = 0
-    failed_adaptations: int = 0
-    interruptions: int = 0
-    completed_sessions: int = 0
-    aborted_sessions: int = 0
-    leases_reaped: int = 0
-    manager_crashes: int = 0
-    recoveries: int = 0
     recovered_orphans: int = 0
     recovered_expired: int = 0
     recovered_rearmed: int = 0
-    recovered_active: int = 0
     recovered_redo: int = 0
-    supervisor_releases: int = 0
-    journal_records: int = 0
-    fault_stats: dict[str, float] = field(default_factory=dict)
-    timeline: dict[str, object] = field(default_factory=dict)
-    leaked_streams: int = 0
-    leaked_flows: int = 0
-    leaked_bps: float = 0.0
-
-    @property
-    def clean_teardown(self) -> bool:
-        """No stream, flow or link bandwidth left reserved at the end."""
-        return (
-            self.leaked_streams == 0
-            and self.leaked_flows == 0
-            and self.leaked_bps == 0.0
-        )
 
     def rows(self) -> list[tuple[str, str]]:
         rows = [
@@ -141,18 +104,8 @@ class ChaosReport:
                     ("journal records", str(self.journal_records)),
                 ]
             )
-        for name, value in sorted(self.fault_stats.items()):
-            if value:
-                rows.append((f"fault: {name}", f"{value:g}"))
-        rows.append(
-            (
-                "leaks at teardown",
-                "none"
-                if self.clean_teardown
-                else f"{self.leaked_streams} streams, {self.leaked_flows} "
-                     f"flows, {self.leaked_bps / 1e6:.1f} Mbps",
-            )
-        )
+        rows.extend(self.fault_rows())
+        rows.append(("leaks at teardown", self.leak_text()))
         if self.retry_after_hints:
             hints = ", ".join(f"{h:g}s" for h in self.retry_after_hints)
             rows.append(("retry-after hints", hints))
@@ -167,88 +120,40 @@ class ChaosReport:
 def run_chaos(spec: ChaosSpec) -> "tuple[ChaosReport, Scenario]":
     """Execute one chaos run; returns the report and the (now spent)
     scenario for further inspection."""
-    health = CircuitBreaker(
-        failure_threshold=spec.breaker_threshold,
-        recovery_time_s=spec.breaker_recovery_s,
+    profile = stock_profile(spec.profile_name)
+    scenario = resilient_scenario(spec.scenario, spec)
+    artifacts = Artifacts(
+        scenario,
+        trace_jsonl=spec.telemetry_jsonl,
+        interval_s=spec.timeseries_interval_s,
+        # The submission window plus the supervisor's patience;
+        # everything after that is drain.
+        until=(
+            scenario.loop.now
+            + spec.requests * spec.request_spacing_s
+            + spec.supervisor_timeout_s
+        ),
     )
-    journal = ReservationJournal()
-    scenario = build_scenario(
-        spec.scenario,
-        retry_policy=spec.retry,
-        health=health,
-        lease_ttl_s=spec.lease_ttl_s,
-        retry_seed=spec.seed,
-        journal=journal,
-        telemetry_seed=spec.telemetry_seed,
+    injector = inject(
+        scenario, spec.plan, attempt_timeout_s=spec.retry.attempt_timeout_s
     )
-    exporter = None
-    if spec.telemetry_jsonl is not None and scenario.telemetry is not None:
-        from ..telemetry import JsonlSpanExporter
-
-        exporter = JsonlSpanExporter(spec.telemetry_jsonl)
-        scenario.telemetry.tracer.add_exporter(exporter)
-    recorder = None
-    if scenario.telemetry is not None and scenario.telemetry.enabled:
-        from ..telemetry.timeseries import FlightRecorder
-
-        recorder = FlightRecorder(
-            scenario.telemetry, interval_s=spec.timeseries_interval_s
-        )
-        # Bound at the submission window plus the supervisor's patience
-        # — everything after that is drain, captured by finish().
-        recorder.arm(
-            scenario.loop,
-            until=(
-                scenario.loop.now
-                + spec.requests * spec.request_spacing_s
-                + spec.supervisor_timeout_s
-            ),
-        )
-    injector = FaultInjector(
-        spec.plan,
-        clock=scenario.clock,
-        attempt_timeout_s=spec.retry.attempt_timeout_s,
-    )
-    injector.install(scenario.servers, scenario.transport)
-    injector.install_journal(journal)
-    injector.arm(scenario.loop)
     runtime = scenario.runtime(monitor_period_s=spec.monitor_period_s)
-    supervisor = SessionSupervisor(
-        clock=scenario.clock,
-        runtime=runtime,
+    supervisor = supervise(
+        scenario,
+        runtime,
         heartbeat_timeout_s=spec.supervisor_timeout_s,
         period_s=spec.supervisor_period_s,
-        telemetry=scenario.telemetry,
     )
-
-    profiles = ProfileManager()
-    if spec.profile_name not in profiles:
-        raise SimulationError(
-            f"unknown profile {spec.profile_name!r}; have {profiles.names()}"
-        )
-    profile = profiles.get(spec.profile_name)
     documents = scenario.document_ids()
     clients = list(scenario.clients.values())
     report = ChaosReport()
-    hints: list[float] = []
 
     def submit(index: int) -> None:
         client = clients[index % len(clients)]
         result = scenario.manager.negotiate(
             documents[index % len(documents)], profile, client
         )
-        report.negotiations += 1
-        report.statuses[str(result.status)] = (
-            report.statuses.get(str(result.status), 0) + 1
-        )
-        if result.status is NegotiationStatus.SUCCEEDED:
-            report.succeeded += 1
-        elif result.status is NegotiationStatus.FAILED_WITH_OFFER:
-            report.degraded_offers += 1
-        elif result.status is NegotiationStatus.FAILED_TRY_LATER:
-            report.blocked += 1
-            if result.retry_after_s is not None:
-                hints.append(result.retry_after_s)
+        report.record(result)
         if not result.status.reserves_resources:
             return
         try:
@@ -256,98 +161,19 @@ def run_chaos(spec: ChaosSpec) -> "tuple[ChaosReport, Scenario]":
         except ConfirmationTimeout:
             pass  # choicePeriod elapsed; reservation already returned
 
-    committer = scenario.manager.committer
-
-    def recover() -> None:
-        """Simulated manager restart: volatile state (leases, in-flight
-        negotiations) is gone; the journal + ledgers are what survive."""
-        report.manager_crashes += 1
-        if committer.leases is not None:
-            committer.leases = LeaseManager(ttl_s=spec.lease_ttl_s)
-        recovery = RecoveryManager(
-            journal,
-            scenario.servers,
-            scenario.transport,
-            clock=scenario.clock,
-            telemetry=scenario.telemetry,
-        )
-        # Recovery itself must not be re-killed by the same injector
-        # hook mid-replay; its appends are not crash opportunities.
-        journal.crash_hook = None
-        try:
-            rec_report = recovery.replay(
-                loop=scenario.loop, supervisor=supervisor
-            )
-        finally:
-            injector.install_journal(journal)
-        report.recoveries += 1
-        report.recovered_orphans += rec_report.orphans_released
-        report.recovered_expired += rec_report.expired_released
-        report.recovered_rearmed += rec_report.rearmed
-        report.recovered_active += rec_report.active_sessions
-        report.recovered_redo += rec_report.redo_released
-        # Reconcile the runtime against the replay.  Playouts whose
-        # timeline is still active survived the crash (client + servers
-        # kept streaming): watch them by progress instead of waiting
-        # for an explicit heartbeat that the simulated client never
-        # sends.  A session the journal already closed — the crash
-        # struck mid-teardown, after RELEASED was journaled — is stale
-        # and is finalized now, or it would pin the monitor sweep
-        # forever.
-        for session in list(runtime.sessions.values()):
-            outcome = rec_report.outcomes.get(session.holder)
-            if outcome == HolderOutcome.ACTIVE:
-                supervisor.forget(session.holder)
-                supervisor.watch(session)
-            else:
-                runtime.abort_session(session)
-        supervisor.arm(scenario.loop)
-
     for index in range(spec.requests):
         scenario.loop.at(
             scenario.loop.now + index * spec.request_spacing_s,
             lambda i=index: submit(i),
             label=f"chaos-request-{index + 1}",
         )
-    while True:
-        try:
-            scenario.loop.run()
-            break
-        except ManagerCrashError:
-            recover()
+    replays = drain(scenario, runtime, supervisor)
 
-    # Final reaping pass: zombies left by releases that were swallowed
-    # while their fault window was still open are collected now.
-    committer.reap_expired(scenario.clock.now())
-
-    for session in runtime.finished:
-        report.adaptations += session.record.adaptations
-        report.failed_adaptations += session.record.failed_adaptations
-        report.interruptions += session.record.interruptions
-        if session.record.completed:
-            report.completed_sessions += 1
-        if session.record.aborted:
-            report.aborted_sessions += 1
-
-    report.retry_after_hints = tuple(hints)
-    report.supervisor_releases = supervisor.stats.sessions_released
-    report.journal_records = len(journal)
-    report.commit_attempts = committer.stats.attempts
-    report.retries = committer.stats.retries
-    report.breaker_skips = committer.stats.breaker_skips
-    report.breaker_opens = health.opens
-    report.leases_reaped = committer.stats.leases_reaped
-    report.fault_stats = injector.stats.as_dict()
-    report.leaked_streams = sum(
-        server.stream_count for server in scenario.servers.values()
-    )
-    report.leaked_flows = scenario.transport.flow_count
-    report.leaked_bps = scenario.topology.total_reserved_bps()
-    if recorder is not None:
-        recorder.finish(scenario.clock.now())
-        report.timeline = recorder.as_dict()
-        if spec.timeseries_jsonl is not None:
-            recorder.write_jsonl(spec.timeseries_jsonl)
-    if exporter is not None:
-        exporter.close()
+    report.finish(scenario, runtime, supervisor, injector, replays)
+    for replay in replays:
+        report.recovered_orphans += replay.orphans_released
+        report.recovered_expired += replay.expired_released
+        report.recovered_rearmed += replay.rearmed
+        report.recovered_redo += replay.redo_released
+    report.timeline = artifacts.finish(spec.timeseries_jsonl)
     return report, scenario

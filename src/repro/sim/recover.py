@@ -17,18 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..core.profile_manager import ProfileManager
-from ..faults.injector import FaultInjector
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
-from ..journal import (
-    HolderOutcome,
-    RecoveryManager,
-    RecoveryReport,
-    ReservationJournal,
-)
-from ..session.supervisor import SessionSupervisor
+from ..journal import RecoveryReport, ReservationJournal
 from ..util.errors import ConfirmationTimeout, ManagerCrashError, SimulationError
 from ..util.tables import render_table
+from .run import (
+    Artifacts,
+    inject,
+    readopt_sessions,
+    replay_journal,
+    reserved_now,
+    stock_profile,
+    supervise,
+)
 from .scenario import Scenario, ScenarioSpec, build_scenario
 
 __all__ = ["CrashRecoverySpec", "CrashRecoveryReport", "run_crash_recovery"]
@@ -115,6 +116,7 @@ def run_crash_recovery(
 ) -> "tuple[CrashRecoveryReport, Scenario]":
     """Run the two-phase crash/recovery scenario."""
     spec = spec or CrashRecoverySpec()
+    profile = stock_profile(spec.profile_name)
 
     if spec.journal_path is not None:
         journal = ReservationJournal.open(spec.journal_path, fsync=spec.fsync)
@@ -123,7 +125,8 @@ def run_crash_recovery(
     scenario = build_scenario(
         spec.scenario, journal=journal, telemetry_seed=spec.telemetry_seed
     )
-    plan = FaultPlan(
+    artifacts = Artifacts(scenario, trace_jsonl=spec.telemetry_jsonl)
+    injector = inject(scenario, FaultPlan(
         faults=(
             FaultSpec(
                 kind=FaultKind.MANAGER_CRASH,
@@ -132,24 +135,8 @@ def run_crash_recovery(
             ),
         ),
         seed=spec.seed,
-    )
-    exporter = None
-    if spec.telemetry_jsonl is not None and scenario.telemetry is not None:
-        from ..telemetry import JsonlSpanExporter
-
-        exporter = JsonlSpanExporter(spec.telemetry_jsonl)
-        scenario.telemetry.tracer.add_exporter(exporter)
-    injector = FaultInjector(plan, clock=scenario.clock)
-    injector.install(scenario.servers, scenario.transport)
-    injector.install_journal(journal)
+    ))
     runtime = scenario.runtime()
-
-    profiles = ProfileManager()
-    if spec.profile_name not in profiles:
-        raise SimulationError(
-            f"unknown profile {spec.profile_name!r}; have {profiles.names()}"
-        )
-    profile = profiles.get(spec.profile_name)
     documents = scenario.document_ids()
     clients = list(scenario.clients.values())
     report = CrashRecoveryReport()
@@ -199,15 +186,12 @@ def run_crash_recovery(
     except ManagerCrashError:
         report.crashed = True
         report.crash_time_s = scenario.clock.now()
-    journal.crash_hook = None
     injector.uninstall()
 
     report.journal_records = len(journal)
-    report.stranded_streams = sum(
-        server.stream_count for server in scenario.servers.values()
-    )
-    report.stranded_flows = scenario.transport.flow_count
-    report.stranded_bps = scenario.topology.total_reserved_bps()
+    (
+        report.stranded_streams, report.stranded_flows, report.stranded_bps,
+    ) = reserved_now(scenario)
 
     # Phase 2: the manager restarts.  A file-backed journal is reopened
     # from disk (the torn-tail reader runs here); the ledgers on the
@@ -219,39 +203,13 @@ def run_crash_recovery(
         # handle that died with the old process.
         scenario.manager.committer.journal = journal
         journal.telemetry = scenario.telemetry
-    supervisor = SessionSupervisor(
-        clock=scenario.clock,
-        runtime=runtime,
-        heartbeat_timeout_s=spec.supervisor_timeout_s,
-        telemetry=scenario.telemetry,
+    supervisor = supervise(
+        scenario, runtime, heartbeat_timeout_s=spec.supervisor_timeout_s
     )
-    recovery = RecoveryManager(
-        journal,
-        scenario.servers,
-        scenario.transport,
-        clock=scenario.clock,
-        telemetry=scenario.telemetry,
+    report.recovery = replay_journal(scenario, supervisor)
+    report.preserved_holders = readopt_sessions(
+        scenario, runtime, supervisor, report.recovery
     )
-    rec_report = recovery.replay(loop=scenario.loop, supervisor=supervisor)
-    report.recovery = rec_report
-
-    # Reconcile the runtime against the replay: playouts whose journal
-    # timeline is still active survive (the crash did not stop the
-    # media servers streaming) and re-register with the supervisor by
-    # making progress; a session the journal closed — e.g. the crash
-    # struck mid-teardown, after RELEASED was journaled — is stale and
-    # is finalized now, or it would pin the monitor sweep forever.
-    preserved: "list[str]" = []
-    for session in list(runtime.sessions.values()):
-        if rec_report.outcomes.get(session.holder) == HolderOutcome.ACTIVE:
-            if session.holder in supervisor.watched_holders():
-                supervisor.forget(session.holder)
-            supervisor.watch(session)
-            preserved.append(session.holder)
-        else:
-            runtime.abort_session(session)
-    report.preserved_holders = tuple(preserved)
-    supervisor.arm(scenario.loop)
 
     # Drain: re-armed deadlines expire, supervised playouts finish,
     # adopted-but-silent holders are released on heartbeat timeout.
@@ -260,6 +218,5 @@ def run_crash_recovery(
     report.journal_timeline = journal.describe()
     if spec.journal_path is not None:
         journal.close()
-    if exporter is not None:
-        exporter.close()
+    artifacts.finish()
     return report, scenario

@@ -24,6 +24,7 @@ from ..core.mapping import QoSMapper
 from ..core.negotiation import QoSManager
 from ..documents.builder import make_news_article
 from ..documents.catalog import DocumentCatalog
+from ..faults.plan import FaultKind, FaultSpec
 from ..metadata.database import MetadataDatabase
 from ..network.topology import Topology
 from ..network.transport import GuaranteeType, TransportSystem
@@ -34,7 +35,14 @@ from ..util.clock import ManualClock
 from ..util.errors import SimulationError
 from ..util.validation import check_positive
 
-__all__ = ["ScenarioSpec", "Scenario", "build_scenario"]
+__all__ = [
+    "ScenarioSpec",
+    "Scenario",
+    "build_scenario",
+    "fleet_ids",
+    "brownout_faults",
+    "storm_scale_deployment",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +78,59 @@ class ScenarioSpec:
         check_positive(self.server_access_bps, "server_access_bps")
         check_positive(self.client_access_bps, "client_access_bps")
         check_positive(self.document_duration_s, "document_duration_s")
+
+
+def fleet_ids(count: int) -> "list[str]":
+    """The fleet's naming rule: ``server-a``, ``server-b``, …"""
+    return [f"server-{chr(ord('a') + i)}" for i in range(count)]
+
+
+def brownout_faults(
+    servers: int, *, start_s: float, duration_s: float, severity: float
+) -> "tuple[FaultSpec, ...]":
+    """One ``SERVER_BROWNOUT`` window over the first ``servers``
+    machines of the fleet."""
+    return tuple(
+        FaultSpec(
+            kind=FaultKind.SERVER_BROWNOUT,
+            target_id=server_id,
+            start_s=start_s,
+            duration_s=duration_s,
+            value=severity,
+        )
+        for server_id in fleet_ids(servers)
+    )
+
+
+def storm_scale_deployment(
+    *,
+    servers: int,
+    clients: int,
+    documents: int,
+    document_duration_s: float,
+    max_streams_per_server: int,
+) -> ScenarioSpec:
+    """A deployment that holds hundreds of concurrent sessions: fat
+    links, lean two-stream articles, and a mid-2000s striped array in
+    place of the CITR-era single Barracuda, whose per-stream overhead
+    caps a server at ~40 streams."""
+    return ScenarioSpec(
+        server_count=servers,
+        client_count=clients,
+        document_count=documents,
+        backbone_bps=2_500_000_000.0,
+        server_access_bps=700_000_000.0,
+        client_access_bps=155_000_000.0,
+        document_duration_s=document_duration_s,
+        max_streams_per_server=max_streams_per_server,
+        disk=DiskModel(
+            transfer_rate_bps=600_000_000.0,
+            avg_seek_s=0.001,
+            rotational_latency_s=0.0005,
+            round_s=0.5,
+        ),
+        lean_documents=True,
+    )
 
 
 @dataclass(slots=True)
@@ -135,7 +196,7 @@ def build_scenario(
     """
     spec = spec or ScenarioSpec()
 
-    server_ids = [f"server-{chr(ord('a') + i)}" for i in range(spec.server_count)]
+    server_ids = fleet_ids(spec.server_count)
     disk = spec.disk or DiskModel()  # frozen: safe to share
     servers = {
         server_id: MediaServer(

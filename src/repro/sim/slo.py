@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..faults.plan import FaultKind, FaultSpec
 from ..telemetry.profiler import (
     CriticalPath,
     ProfileReport,
@@ -33,6 +32,7 @@ from ..telemetry.timeseries import FlightRecorder
 from ..util.errors import SimulationError
 from ..util.validation import check_fraction, check_positive
 from .load import ArrivalSpec, CellRun, LoadSpec, run_load_cell_instrumented
+from .scenario import brownout_faults
 
 __all__ = [
     "SLO_SCENARIOS",
@@ -86,18 +86,12 @@ class SloRunSpec:
         )
         if self.scenario != "brownout":
             return spec
-        deployment = spec.deployment()
-        faults = tuple(
-            FaultSpec(
-                kind=FaultKind.SERVER_BROWNOUT,
-                target_id=f"server-{chr(ord('a') + index)}",
-                start_s=self.brownout_start_s,
-                duration_s=self.brownout_duration_s,
-                value=self.severity,
-            )
-            for index in range(deployment.server_count)
-        )
-        return replace(spec, faults=faults)
+        return replace(spec, faults=brownout_faults(
+            spec.servers,
+            start_s=self.brownout_start_s,
+            duration_s=self.brownout_duration_s,
+            severity=self.severity,
+        ))
 
 
 @dataclass(slots=True)

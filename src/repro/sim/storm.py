@@ -18,28 +18,30 @@ same telemetry byte-for-byte, which is what the CI storm job diffs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
-from ..cmfs.disk import DiskModel
-from ..core.profile_manager import ProfileManager
-from ..core.status import NegotiationStatus
-from ..faults.health import CircuitBreaker
-from ..faults.injector import FaultInjector
-from ..faults.lease import LeaseManager
-from ..faults.plan import FaultKind, FaultPlan, FaultSpec
+from ..faults.plan import FaultPlan, FaultSpec
 from ..faults.retry import RetryPolicy
-from ..journal import HolderOutcome, RecoveryManager, ReservationJournal
-from ..session.supervisor import SessionSupervisor
 from ..storm import AdmissionGate, GatePolicy, StormController
 from ..telemetry.report import reconcile_journal
-from ..util.errors import (
-    ConfirmationTimeout,
-    ManagerCrashError,
-    SimulationError,
-)
+from ..util.errors import ConfirmationTimeout, SimulationError
 from ..util.tables import render_table
 from ..util.validation import check_fraction, check_positive
-from .scenario import Scenario, ScenarioSpec, build_scenario
+from .run import (
+    Artifacts,
+    SessionRunReport,
+    drain,
+    inject,
+    resilient_scenario,
+    stock_profile,
+    supervise,
+)
+from .scenario import (
+    Scenario,
+    ScenarioSpec,
+    brownout_faults,
+    storm_scale_deployment,
+)
 
 __all__ = [
     "StormSpec",
@@ -48,18 +50,6 @@ __all__ = [
     "run_storm",
     "run_storm_comparison",
 ]
-
-
-def _storm_disk() -> DiskModel:
-    """A mid-2000s striped array, not the CITR-era single Barracuda —
-    the point of the storm scenario is hundreds of concurrent streams,
-    so the per-stream overhead must not cap the fleet at ~40."""
-    return DiskModel(
-        transfer_rate_bps=600_000_000.0,
-        avg_seek_s=0.001,
-        rotational_latency_s=0.0005,
-        round_s=0.5,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,82 +108,39 @@ class StormSpec:
             raise SimulationError("brownout_start_s must be non-negative")
 
     def deployment(self) -> ScenarioSpec:
-        return ScenarioSpec(
-            server_count=self.servers,
-            client_count=self.clients,
-            document_count=self.documents,
-            backbone_bps=2_500_000_000.0,
-            server_access_bps=700_000_000.0,
-            client_access_bps=155_000_000.0,
+        return storm_scale_deployment(
+            servers=self.servers,
+            clients=self.clients,
+            documents=self.documents,
             document_duration_s=self.document_duration_s,
             max_streams_per_server=256,
-            disk=_storm_disk(),
-            lean_documents=True,
         )
 
     def plan(self) -> FaultPlan:
         """The brownout window (per target server) plus any extras."""
-        browns = tuple(
-            FaultSpec(
-                kind=FaultKind.SERVER_BROWNOUT,
-                target_id=f"server-{chr(ord('a') + i)}",
-                start_s=self.brownout_start_s,
-                duration_s=self.brownout_duration_s,
-                value=self.severity,
-            )
-            for i in range(self.target_servers)
+        browns = brownout_faults(
+            self.target_servers,
+            start_s=self.brownout_start_s,
+            duration_s=self.brownout_duration_s,
+            severity=self.severity,
         )
         return FaultPlan(faults=browns + self.extra_faults, seed=self.seed)
 
 
 @dataclass(slots=True)
-class StormReport:
+class StormReport(SessionRunReport):
     """What one storm run did, end to end."""
 
     backpressure: bool = True
-    statuses: "dict[str, int]" = field(default_factory=dict)
-    negotiations: int = 0
-    succeeded: int = 0
-    degraded_offers: int = 0
-    blocked: int = 0              # FAILEDTRYLATER delivered to the caller
-    retry_after_hints: "tuple[float, ...]" = ()
     sessions_started: int = 0
-    completed_sessions: int = 0
-    aborted_sessions: int = 0
     stuck_sessions: int = 0       # still active when the loop drained
-    adaptations: int = 0
-    failed_adaptations: int = 0
-    interruptions: int = 0
     degraded_time_s: float = 0.0
-    commit_attempts: int = 0
-    retries: int = 0
-    breaker_skips: int = 0
-    breaker_opens: int = 0
-    leases_reaped: int = 0
     gate: "dict[str, int]" = field(default_factory=dict)
     waves: "dict[str, int]" = field(default_factory=dict)
-    manager_crashes: int = 0
-    recoveries: int = 0
-    recovered_active: int = 0
-    supervisor_releases: int = 0
-    journal_records: int = 0
     journal_balanced: bool = True
     journal_open_holders: int = 0
     metrics_match: "bool | None" = None  # None = telemetry off
-    fault_stats: "dict[str, float]" = field(default_factory=dict)
-    timeline: "dict[str, object]" = field(default_factory=dict)
-    leaked_streams: int = 0
-    leaked_flows: int = 0
-    leaked_bps: float = 0.0
     duration_s: float = 0.0
-
-    @property
-    def clean_teardown(self) -> bool:
-        return (
-            self.leaked_streams == 0
-            and self.leaked_flows == 0
-            and self.leaked_bps == 0.0
-        )
 
     @property
     def survived(self) -> bool:
@@ -209,44 +156,9 @@ class StormReport:
 
     def as_dict(self) -> "dict[str, object]":
         return {
-            "backpressure": self.backpressure,
-            "statuses": dict(self.statuses),
-            "negotiations": self.negotiations,
-            "succeeded": self.succeeded,
-            "degraded_offers": self.degraded_offers,
-            "blocked": self.blocked,
-            "retry_after_hints": list(self.retry_after_hints),
-            "sessions_started": self.sessions_started,
-            "completed_sessions": self.completed_sessions,
-            "aborted_sessions": self.aborted_sessions,
-            "stuck_sessions": self.stuck_sessions,
-            "adaptations": self.adaptations,
-            "failed_adaptations": self.failed_adaptations,
-            "interruptions": self.interruptions,
-            "degraded_time_s": self.degraded_time_s,
-            "commit_attempts": self.commit_attempts,
-            "retries": self.retries,
-            "breaker_skips": self.breaker_skips,
-            "breaker_opens": self.breaker_opens,
-            "leases_reaped": self.leases_reaped,
-            "gate": dict(self.gate),
-            "waves": dict(self.waves),
-            "manager_crashes": self.manager_crashes,
-            "recoveries": self.recoveries,
-            "recovered_active": self.recovered_active,
-            "supervisor_releases": self.supervisor_releases,
-            "journal_records": self.journal_records,
-            "journal_balanced": self.journal_balanced,
-            "journal_open_holders": self.journal_open_holders,
-            "metrics_match": self.metrics_match,
-            "fault_stats": dict(self.fault_stats),
-            "timeline": dict(self.timeline),
-            "leaked_streams": self.leaked_streams,
-            "leaked_flows": self.leaked_flows,
-            "leaked_bps": self.leaked_bps,
+            **asdict(self),
             "clean_teardown": self.clean_teardown,
             "survived": self.survived,
-            "duration_s": self.duration_s,
         }
 
     def rows(self) -> "list[tuple[str, str]]":
@@ -297,16 +209,8 @@ class StormReport:
                 "journal/metrics reconciliation",
                 "match" if self.metrics_match else "MISMATCH",
             ))
-        for name, value in sorted(self.fault_stats.items()):
-            if value:
-                rows.append((f"fault: {name}", f"{value:g}"))
-        rows.append((
-            "leaks at teardown",
-            "none"
-            if self.clean_teardown
-            else f"{self.leaked_streams} streams, {self.leaked_flows} "
-                 f"flows, {self.leaked_bps / 1e6:.1f} Mbps",
-        ))
+        rows.extend(self.fault_rows())
+        rows.append(("leaks at teardown", self.leak_text()))
         if self.retry_after_hints:
             sample = ", ".join(
                 f"{h:g}s" for h in self.retry_after_hints[:6]
@@ -398,63 +302,33 @@ class StormComparison:
 def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
     """Execute one storm run; returns the report and the spent
     scenario."""
-    health = CircuitBreaker(
-        failure_threshold=spec.breaker_threshold,
-        recovery_time_s=spec.breaker_recovery_s,
-    )
-    journal = ReservationJournal()
-    scenario = build_scenario(
-        spec.deployment(),
-        retry_policy=spec.retry,
-        health=health,
-        lease_ttl_s=spec.lease_ttl_s,
-        retry_seed=spec.seed,
-        journal=journal,
-        telemetry_seed=spec.telemetry_seed,
-    )
+    profile = stock_profile(spec.profile_name)
+    scenario = resilient_scenario(spec.deployment(), spec)
     # A browned-out machine must not trivially re-admit the very load
     # it just shed — admission respects the shrunken round budget.
     for server in scenario.servers.values():
         server.degradation_limits_admission = True
-    exporter = None
-    if spec.telemetry_jsonl is not None and scenario.telemetry is not None:
-        from ..telemetry import JsonlSpanExporter
-
-        exporter = JsonlSpanExporter(spec.telemetry_jsonl)
-        scenario.telemetry.tracer.add_exporter(exporter)
-    recorder = None
-    if scenario.telemetry is not None and scenario.telemetry.enabled:
-        from ..telemetry.timeseries import FlightRecorder
-
-        recorder = FlightRecorder(
-            scenario.telemetry, interval_s=spec.timeseries_interval_s
-        )
-        # Bound the sampler at the storm's active phase (ramp + the
-        # brownout window + a recovery margin); the loop then drains
-        # and finish() captures the settled end state.
-        recorder.arm(
-            scenario.loop,
-            until=(
-                max(spec.ramp_s, spec.brownout_start_s)
-                + spec.brownout_duration_s
-                + spec.supervisor_timeout_s
-            ),
-        )
-    injector = FaultInjector(
-        spec.plan(),
-        clock=scenario.clock,
-        attempt_timeout_s=spec.retry.attempt_timeout_s,
+    artifacts = Artifacts(
+        scenario,
+        trace_jsonl=spec.telemetry_jsonl,
+        interval_s=spec.timeseries_interval_s,
+        # The storm's active phase: ramp, brownout window, and a
+        # recovery margin.
+        until=(
+            max(spec.ramp_s, spec.brownout_start_s)
+            + spec.brownout_duration_s
+            + spec.supervisor_timeout_s
+        ),
     )
-    injector.install(scenario.servers, scenario.transport)
-    injector.install_journal(journal)
-    injector.arm(scenario.loop)
+    injector = inject(
+        scenario, spec.plan(), attempt_timeout_s=spec.retry.attempt_timeout_s
+    )
     runtime = scenario.runtime(monitor_period_s=spec.monitor_period_s)
-    supervisor = SessionSupervisor(
-        clock=scenario.clock,
-        runtime=runtime,
+    supervisor = supervise(
+        scenario,
+        runtime,
         heartbeat_timeout_s=spec.supervisor_timeout_s,
         period_s=spec.supervisor_period_s,
-        telemetry=scenario.telemetry,
     )
     gate = AdmissionGate(
         scenario.loop,
@@ -473,31 +347,12 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
             seed=spec.seed,
             telemetry=scenario.telemetry,
         )
-
-    profiles = ProfileManager()
-    if spec.profile_name not in profiles:
-        raise SimulationError(
-            f"unknown profile {spec.profile_name!r}; have {profiles.names()}"
-        )
-    profile = profiles.get(spec.profile_name)
     documents = scenario.document_ids()
     clients = list(scenario.clients.values())
     report = StormReport(backpressure=spec.backpressure)
-    hints: "list[float]" = []
 
     def deliver(result, client) -> None:
-        report.negotiations += 1
-        report.statuses[str(result.status)] = (
-            report.statuses.get(str(result.status), 0) + 1
-        )
-        if result.status is NegotiationStatus.SUCCEEDED:
-            report.succeeded += 1
-        elif result.status is NegotiationStatus.FAILED_WITH_OFFER:
-            report.degraded_offers += 1
-        elif result.status is NegotiationStatus.FAILED_TRY_LATER:
-            report.blocked += 1
-            if result.retry_after_s is not None:
-                hints.append(result.retry_after_s)
+        report.record(result)
         if not result.status.reserves_resources:
             return
         try:
@@ -533,75 +388,17 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
                 lambda i=index: submit(i),
                 label=f"storm-late-request-{j + 1}",
             )
+    replays = drain(scenario, runtime, supervisor)
 
-    committer = scenario.manager.committer
-
-    def recover() -> None:
-        """Manager restart mid-storm: volatile state is gone, the
-        journal + ledgers survive (same discipline as the chaos
-        runner)."""
-        report.manager_crashes += 1
-        if committer.leases is not None:
-            committer.leases = LeaseManager(ttl_s=spec.lease_ttl_s)
-        recovery = RecoveryManager(
-            journal,
-            scenario.servers,
-            scenario.transport,
-            clock=scenario.clock,
-            telemetry=scenario.telemetry,
-        )
-        journal.crash_hook = None
-        try:
-            rec_report = recovery.replay(
-                loop=scenario.loop, supervisor=supervisor
-            )
-        finally:
-            injector.install_journal(journal)
-        report.recoveries += 1
-        report.recovered_active += rec_report.active_sessions
-        for session in list(runtime.sessions.values()):
-            outcome = rec_report.outcomes.get(session.holder)
-            if outcome == HolderOutcome.ACTIVE:
-                supervisor.forget(session.holder)
-                supervisor.watch(session)
-            else:
-                runtime.abort_session(session)
-        supervisor.arm(scenario.loop)
-
-    while True:
-        try:
-            scenario.loop.run()
-            break
-        except ManagerCrashError:
-            recover()
-
-    committer.reap_expired(scenario.clock.now())
-
+    report.finish(scenario, runtime, supervisor, injector, replays)
     for session in runtime.finished:
-        report.adaptations += session.record.adaptations
-        report.failed_adaptations += session.record.failed_adaptations
-        report.interruptions += session.record.interruptions
         report.degraded_time_s += session.record.degraded_time_s
-        if session.record.completed:
-            report.completed_sessions += 1
-        if session.record.aborted:
-            report.aborted_sessions += 1
     report.stuck_sessions = runtime.active_count
-
-    report.retry_after_hints = tuple(hints)
-    report.supervisor_releases = supervisor.stats.sessions_released
-    report.commit_attempts = committer.stats.attempts
-    report.retries = committer.stats.retries
-    report.breaker_skips = committer.stats.breaker_skips
-    report.breaker_opens = health.opens
-    report.leases_reaped = committer.stats.leases_reaped
     report.gate = gate.stats.as_dict()
     if controller is not None:
         report.waves = controller.stats.as_dict()
-    report.fault_stats = injector.stats.as_dict()
-    report.journal_records = len(journal)
     audit = reconcile_journal(
-        journal,
+        scenario.manager.committer.journal,
         scenario.telemetry.metrics if scenario.telemetry is not None else None,
     )
     report.journal_balanced = bool(audit["balanced"])
@@ -609,19 +406,8 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
     report.metrics_match = (
         bool(audit["metrics_match"]) if "metrics_match" in audit else None
     )
-    report.leaked_streams = sum(
-        server.stream_count for server in scenario.servers.values()
-    )
-    report.leaked_flows = scenario.transport.flow_count
-    report.leaked_bps = scenario.topology.total_reserved_bps()
     report.duration_s = scenario.clock.now()
-    if recorder is not None:
-        recorder.finish(scenario.clock.now())
-        report.timeline = recorder.as_dict()
-        if spec.timeseries_jsonl is not None:
-            recorder.write_jsonl(spec.timeseries_jsonl)
-    if exporter is not None:
-        exporter.close()
+    report.timeline = artifacts.finish(spec.timeseries_jsonl)
     return report, scenario
 
 

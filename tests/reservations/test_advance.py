@@ -1,7 +1,13 @@
 """Advance-booking negotiation ([Haf 96] extension)."""
 
+import importlib.util
+import pathlib
+from dataclasses import replace
+
 import pytest
 
+from repro.client import ClientMachine
+from repro.core import ProfileManager, SecurityLevel, UserPreferences
 from repro.core.status import NegotiationStatus
 from repro.reservations.advance import AdvanceBookingPlan, AdvanceNegotiator
 from repro.util.errors import ReservationError
@@ -90,6 +96,61 @@ class TestNegotiateAdvance:
             document.document_id, balanced_profile, bw, start_s=0.0
         )
         assert result.status is NegotiationStatus.FAILED_WITH_LOCAL_OFFER
+
+
+class TestPreferences:
+    """A booking honours the §8 preferences exactly as a live request
+    does, on ``examples/secure_newsroom.py``'s deployment: ``archive``
+    is CONFIDENTIAL, ``mirror`` PROTECTED, ``cdn`` PUBLIC."""
+
+    @pytest.fixture
+    def newsroom(self):
+        path = (
+            pathlib.Path(__file__).resolve().parents[2]
+            / "examples" / "secure_newsroom.py"
+        )
+        spec = importlib.util.spec_from_file_location("secure_newsroom", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        document, manager = module.build()
+        return (
+            document.document_id,
+            manager,
+            ProfileManager().get("balanced"),
+            ClientMachine("desk-7", access_point="client-net"),
+        )
+
+    def test_server_preference_ranks_the_booking(self, newsroom):
+        document_id, manager, base, client = newsroom
+        correspondent = replace(base, preferences=UserPreferences(
+            server_preference={"mirror": 25.0}
+        ))
+        live = manager.negotiate(document_id, correspondent, client)
+        live.commitment.reject(manager.clock.now())
+        booked = AdvanceNegotiator(manager).negotiate_advance(
+            document_id, correspondent, client, start_s=3600.0
+        )
+        assert live.chosen.offer.servers_used() == {"mirror"}
+        assert booked.offer.servers_used() == {"mirror"}
+
+    def test_security_floor_is_never_booked_around(self, newsroom):
+        document_id, manager, base, client = newsroom
+        editor = replace(base, preferences=UserPreferences(
+            min_security=SecurityLevel.CONFIDENTIAL
+        ))
+        advance = AdvanceNegotiator(manager)
+        # The hardened archive's ledger holds five such windows; a
+        # sixth must wait, not spill onto the PROTECTED mirror.
+        outcomes = [
+            advance.negotiate_advance(
+                document_id, editor, client, start_s=3600.0
+            )
+            for _ in range(6)
+        ]
+        for plan in outcomes[:5]:
+            assert plan.status is NegotiationStatus.SUCCEEDED
+            assert plan.offer.servers_used() == {"archive"}
+        assert outcomes[5].status is NegotiationStatus.FAILED_TRY_LATER
 
 
 class TestClaim:

@@ -116,6 +116,28 @@ class TestCommonBehaviour:
         names = [n.name for n in ALL_BASELINES(manager)]
         assert len(names) == len(set(names))
 
+    def test_holders_come_from_the_managers_counter(
+        self, manager, clock, document, balanced_profile, client
+    ):
+        # Two arrivals 1 ms apart past t = 1000 s print alike under %g;
+        # a holder built from the clock would collide in a journal.
+        negotiator = CostOnlyNegotiator(manager)
+        clock.advance(1000.001)
+        first = negotiator.negotiate(
+            document.document_id, balanced_profile, client
+        )
+        clock.advance(0.001)
+        second = negotiator.negotiate(
+            document.document_id, balanced_profile, client
+        )
+        live = manager.negotiate(document.document_id, balanced_profile, client)
+        holders = [
+            r.commitment.bundle.holder for r in (first, second, live)
+        ]
+        assert holders == ["session-1", "session-2", "session-3"]
+        for result in (first, second, live):
+            result.commitment.release()
+
 
 class TestRandomNegotiator:
     def test_reproducible_with_seed(self, manager, document, balanced_profile, client):
