@@ -107,3 +107,103 @@ class TestTaxonomy:
         )
         assert "lease-reaped" in record.describe()
         assert "session-1" in record.describe()
+
+
+# One record per type, in the payload shape its writer produces.  The
+# bytes are what a file journal holds and what a restart must read
+# back, so a faster serialiser has to reproduce them exactly.
+PINNED_LINES = [
+    (
+        JournalRecordType.INTENT,
+        {"client": "client-net"},
+        '{"crc":331921987,"holder":"session-3",'
+        '"payload":{"client":"client-net"},'
+        '"seq":1,"t":12.5,"type":"intent"}',
+    ),
+    (
+        JournalRecordType.RESERVED,
+        {
+            "offer_id": "offer-22",
+            "reserved_at": 12.5,
+            "choice_period_s": 60.0,
+            "streams": [{
+                "server_id": "server-c",
+                "stream_id": "server-c/stream-7",
+                "rate_bps": 1536000.0,
+            }],
+            "flows": [{"flow_id": "flow-9", "reserved_bps": 1536000.0}],
+        },
+        '{"crc":3194065048,"holder":"session-3",'
+        '"payload":{"choice_period_s":60.0,'
+        '"flows":[{"flow_id":"flow-9","reserved_bps":1536000.0}],'
+        '"offer_id":"offer-22","reserved_at":12.5,'
+        '"streams":[{"rate_bps":1536000.0,"server_id":"server-c",'
+        '"stream_id":"server-c/stream-7"}]},'
+        '"seq":2,"t":12.5,"type":"reserved"}',
+    ),
+    (
+        JournalRecordType.CONFIRMED,
+        {"offer_id": "offer-22"},
+        '{"crc":2676569896,"holder":"session-3",'
+        '"payload":{"offer_id":"offer-22"},'
+        '"seq":3,"t":12.5,"type":"confirmed"}',
+    ),
+    (
+        JournalRecordType.RELEASED,
+        {"reason": "commit-failed"},
+        '{"crc":39167863,"holder":"session-3",'
+        '"payload":{"reason":"commit-failed"},'
+        '"seq":4,"t":12.5,"type":"released"}',
+    ),
+    (
+        JournalRecordType.EXPIRED,
+        {"offer_id": "offer-22", "recovered": True},
+        '{"crc":4128419866,"holder":"session-3",'
+        '"payload":{"offer_id":"offer-22","recovered":true},'
+        '"seq":5,"t":12.5,"type":"expired"}',
+    ),
+    (
+        JournalRecordType.ADAPT_SWITCH,
+        {
+            "from_holder": "session-2",
+            "old_offer_id": "offer-1",
+            "new_offer_id": "offer-é",
+            "position_s": 4.0,
+        },
+        # Non-ASCII is escaped, so the line stays pure ASCII.
+        '{"crc":2156256435,"holder":"session-3",'
+        '"payload":{"from_holder":"session-2",'
+        '"new_offer_id":"offer-\\u00e9","old_offer_id":"offer-1",'
+        '"position_s":4.0},'
+        '"seq":6,"t":12.5,"type":"adapt-switch"}',
+    ),
+]
+
+
+class TestPinnedBytes:
+    def test_the_type_list_is_complete(self):
+        assert [entry[0] for entry in PINNED_LINES] == list(JournalRecordType)
+
+    @pytest.mark.parametrize(
+        "sequence,entry", list(enumerate(PINNED_LINES, start=1))
+    )
+    def test_line_bytes_and_crc(self, sequence, entry):
+        record_type, payload, line = entry
+        record = JournalRecord(
+            sequence=sequence, record_type=record_type,
+            holder="session-3", timestamp=12.5, payload=payload,
+        )
+        assert record.to_line() == line
+        assert line.isascii()
+        assert record.checksum() == json.loads(line)["crc"]
+        assert JournalRecord.from_line(line) == record
+
+    def test_empty_payload(self):
+        record = make_record(
+            record_type=JournalRecordType.INTENT, payload={}
+        )
+        assert record.to_line() == (
+            '{"crc":2721043268,"holder":"session-1","payload":{},'
+            '"seq":1,"t":12.5,"type":"intent"}'
+        )
+        assert record.checksum() == 2721043268
