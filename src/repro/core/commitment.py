@@ -60,6 +60,7 @@ T = TypeVar("T")
 __all__ = [
     "ReservationBundle",
     "CommitStats",
+    "RefusalMemo",
     "ResourceCommitter",
     "CommitmentState",
     "Commitment",
@@ -96,6 +97,59 @@ class CommitStats:
     retries: int = 0           # backoff retries performed
     breaker_skips: int = 0     # offers skipped because a server was quarantined
     leases_reaped: int = 0     # expired/zombie leases collected
+
+
+@dataclass(slots=True)
+class RefusalMemo:
+    """The admission refusals one synchronous step-5 walk has seen.
+
+    A nogood is ``(server_id, variant ids the attempt already held on
+    that server, refused variant id)``.  The synchronous walk is atomic
+    and every failed attempt rolls back all it took, so each attempt
+    starts from the same ledgers; a server's answer is a function of
+    those plus what the attempt itself holds there, and a later offer
+    that reaches a recorded call would be refused there again (one that
+    does not reach it failed earlier).  The routine that owns the walk
+    creates one and hands it to every
+    :meth:`ResourceCommitter.try_commit` of that walk; it must not
+    outlive the walk.  What may be learnt is the committer's decision
+    (see ``try_commit``), not the memo's.
+    """
+
+    nogoods: "set[tuple[str, tuple[str, ...], str]]" = field(
+        default_factory=set
+    )
+    skips: int = 0                   # offers refused from memory
+    refused_by: "str | None" = None  # the server behind the latest skip
+
+    def learn(
+        self,
+        server_id: str,
+        held: "list[StreamReservation]",
+        variant_id: str,
+    ) -> None:
+        """``server_id`` refused ``variant_id`` to an attempt holding
+        ``held`` (anywhere; only its own streams matter to it)."""
+        self.nogoods.add((
+            server_id,
+            tuple(s.variant_id for s in held if s.server_id == server_id),
+            variant_id,
+        ))
+
+    def refuses(self, offer: SystemOffer) -> bool:
+        """Would ``offer``, reserved in its own order, repeat a refused
+        call?  Counts the skip and remembers who had refused."""
+        nogoods = self.nogoods
+        held: "dict[str, tuple[str, ...]]" = {}
+        for variant in offer.variants.values():
+            server_id = variant.server_id
+            prefix = held.get(server_id, ())
+            if (server_id, prefix, variant.variant_id) in nogoods:
+                self.skips += 1
+                self.refused_by = server_id
+                return True
+            held[server_id] = prefix + (variant.variant_id,)
+        return False
 
 
 class ResourceCommitter:
@@ -217,6 +271,31 @@ class ResourceCommitter:
 
     # -- commitment ----------------------------------------------------------------
 
+    def _begin_walk(self, holder: str, client_access_point: str) -> None:
+        """Journal the walk's one ``INTENT``, unless an earlier attempt
+        of the same walk already did."""
+        journal = self.journal
+        if journal is not None and not journal.has_open_intent(holder):
+            self.journal_event(
+                JournalRecordType.INTENT,
+                holder,
+                {"client": client_access_point},
+            )
+
+    def end_walk(self, holder: str, reason: str = "commit-failed") -> None:
+        """Close a step-5 walk that ended without a bundle.
+
+        Failed attempts journal nothing (each rolled back all it took),
+        so the walk's ``INTENT`` is still open; one ``RELEASED`` closes
+        it.  A no-op when the walk never opened one (every offer was
+        breaker-skipped) or already resolved it.
+        """
+        journal = self.journal
+        if journal is not None and journal.has_open_intent(holder):
+            self.journal_event(
+                JournalRecordType.RELEASED, holder, {"reason": reason}
+            )
+
     def try_commit(
         self,
         offer: SystemOffer,
@@ -225,6 +304,7 @@ class ResourceCommitter:
         *,
         guarantee: GuaranteeType = GuaranteeType.GUARANTEED,
         holder: str = "session",
+        memo: "RefusalMemo | None" = None,
     ) -> "ReservationBundle | None":
         """Attempt to reserve every resource the offer needs.
 
@@ -232,14 +312,23 @@ class ResourceCommitter:
         failure everything already taken is rolled back and ``None`` is
         returned (step 5 then moves to the next offer).  Transient
         faults are retried per the policy before counting as failure.
+
+        The walk, not the attempt, is the journalled unit: the first
+        attempt for ``holder`` writes ``INTENT``, a failed one writes
+        nothing, and whoever owns the walk closes it — a
+        :class:`Commitment` around the bundle (``RESERVED``) or
+        :meth:`end_walk`.
+
+        ``memo`` is the walk's :class:`RefusalMemo`.  An offer that
+        would repeat an admission call the walk has already seen
+        refused fails here, before anything is journalled or taken.
         """
-        self.journal_event(
-            JournalRecordType.INTENT,
-            holder,
-            {"offer_id": offer.offer_id, "client": client_access_point},
-        )
+        if memo is not None and memo.nogoods and memo.refuses(offer):
+            return None
+        self._begin_walk(holder, client_access_point)
         streams: list[StreamReservation] = []
         flows: list[FlowReservation] = []
+        server: "MediaServer | None" = None
         try:
             for monomedia_id, variant in offer.variants.items():
                 spec = space.spec_for(variant)
@@ -265,18 +354,25 @@ class ResourceCommitter:
                     )
                 )
         except COMMIT_FAILURES as error:
-            # The journal write itself is fallible (brownout faults can
-            # fail JOURNAL_WRITE), so the rollback must not depend on it
-            # completing: whatever happens in the bookkeeping, everything
-            # already admitted is released before control leaves.
+            # Whatever happens in the bookkeeping, everything already
+            # admitted is released before control leaves.
             try:
                 self.telemetry.count("commitment.rollbacks")
                 self.telemetry.annotate(refusal=type(error).__name__)
-                self.journal_event(
-                    JournalRecordType.RELEASED,
-                    holder,
-                    {"offer_id": offer.offer_id, "reason": "commit-failed"},
-                )
+                if (
+                    memo is not None
+                    and type(error) is AdmissionError
+                    and server is not None
+                    and server.fault_hook is None
+                    and self._transport.fault_hook is None
+                    and self.health is None
+                ):
+                    # Only MediaServer.admit raises AdmissionError, and
+                    # it is worth remembering only when skipping the
+                    # calls that lead up to it cannot be observed: a
+                    # fault hook counts calls, a breaker is fed by the
+                    # successes and crashes along the way.
+                    memo.learn(server.server_id, streams, variant.variant_id)
             finally:
                 self._rollback(streams, flows)
             return None
@@ -300,9 +396,10 @@ class ResourceCommitter:
         holder: str = "session",
     ) -> "Generator[None, None, ReservationBundle | None]":
         """Cooperative :meth:`try_commit`: the same all-or-nothing
-        contract, exposed as a generator that yields control before
-        every reservation call so thousands of step-5 walks can
-        interleave on one scheduler.
+        contract and the same one-``INTENT``-per-walk journalling,
+        exposed as a generator that yields control before every
+        reservation call so thousands of step-5 walks can interleave on
+        one scheduler.
 
         Two deltas against the synchronous path, both contention
         armour:
@@ -313,19 +410,19 @@ class ResourceCommitter:
           and can never hold-and-wait against each other;
         * **abandonment** — closing the generator at a yield point (the
           service does this when a negotiation's deadline budget runs
-          out) rolls back everything taken so far and journals the
-          RELEASED record, exactly like a refusal.
+          out) rolls back everything taken so far and closes the walk
+          with ``RELEASED("abandoned")``.
+
+        There is no refusal memo here: other tasks move the ledgers
+        between yields, so a refusal seen by one attempt says nothing
+        about the next.
 
         Between the final reservation and the generator's return there
         is no yield, so the caller can wrap the bundle in a
-        :class:`Commitment` (journaling RESERVED) without another task
-        observing the open INTENT window.
+        :class:`Commitment` (journaling RESERVED) before another task
+        runs.
         """
-        self.journal_event(
-            JournalRecordType.INTENT,
-            holder,
-            {"offer_id": offer.offer_id, "client": client_access_point},
-        )
+        self._begin_walk(holder, client_access_point)
         streams: list[StreamReservation] = []
         flows: list[FlowReservation] = []
         ordered = sorted(
@@ -362,24 +459,16 @@ class ResourceCommitter:
             try:
                 self.telemetry.count("commitment.rollbacks")
                 self.telemetry.annotate(refusal=type(error).__name__)
-                self.journal_event(
-                    JournalRecordType.RELEASED,
-                    holder,
-                    {"offer_id": offer.offer_id, "reason": "commit-failed"},
-                )
             finally:
                 self._rollback(streams, flows)
             return None
         except GeneratorExit:
             # Abandoned at a yield point (deadline budget exhausted):
-            # the refusal's rollback discipline, then let close finish.
+            # the refusal's rollback discipline, the walk's closing
+            # record, then let close finish.
             try:
                 self.telemetry.count("commitment.rollbacks")
-                self.journal_event(
-                    JournalRecordType.RELEASED,
-                    holder,
-                    {"offer_id": offer.offer_id, "reason": "abandoned"},
-                )
+                self.end_walk(holder, "abandoned")
             finally:
                 self._rollback(streams, flows)
             raise

@@ -55,7 +55,7 @@ from .classification import (
     classify_space,
     walk_order,
 )
-from .commitment import Commitment, ResourceCommitter
+from .commitment import Commitment, RefusalMemo, ResourceCommitter
 from .cost import CostModel, default_cost_model
 from .enumeration import OfferSpace, build_offer_space
 from .importance import ImportanceProfile, default_importance
@@ -102,6 +102,7 @@ class NegotiationResult:
     offer_space: OfferSpace | None = None
     local_violations: dict[Medium, tuple[str, ...]] = field(default_factory=dict)
     attempts: int = 0
+    memo_skips: int = 0  # attempts the walk's refusal memo answered
     retry_after_s: "float | None" = None  # hint accompanying FAILEDTRYLATER
     report: "NegotiationReport | None" = None  # trace-derived step account
     _rest: "Iterator[ClassifiedOffer] | None" = field(
@@ -516,14 +517,18 @@ class QoSManager:
             offers_in=plan.offers_in,
             holder=holder,
         ) as sp5:
-            chosen, commitment, attempts, skips = self._attempt_walk(
-                candidates, space, profile, client, guarantee, holder
+            chosen, commitment, attempts, skips, memo_skips = (
+                self._attempt_walk(
+                    candidates, space, profile, client, guarantee, holder
+                )
             )
-            return self._step5_result(
+            result = self._step5_result(
                 sp5, chosen, commitment, attempts, skips,
                 classified=pulled, space=space, profile=profile,
                 rest=offers,
             )
+            result.memo_skips = memo_skips
+            return result
 
     def _attempt_walk(
         self,
@@ -533,12 +538,21 @@ class QoSManager:
         client: ClientMachine,
         guarantee: GuaranteeType,
         holder: str,
-    ) -> "tuple[ClassifiedOffer | None, Commitment | None, int, int]":
+    ) -> "tuple[ClassifiedOffer | None, Commitment | None, int, int, int]":
         """Try to commit candidates in the order given; stop at the
-        first success.  Returns (chosen, commitment, attempts, skips)
-        with ``chosen=None`` when every candidate was exhausted."""
+        first success.  Returns (chosen, commitment, attempts, breaker
+        skips, memo skips) with ``chosen=None`` when every candidate
+        was exhausted.
+
+        The walk is atomic — nothing else touches the ledgers between
+        its attempts — so it keeps a :class:`RefusalMemo`: an offer
+        that would repeat an admission call already refused in this
+        walk is a memo skip.  It still counts as an attempt (the
+        chosen offer's position in walk order does not move); it just
+        costs no reservation call."""
         health = self.committer.health
         telemetry = self.telemetry
+        memo = RefusalMemo()
         attempts = 0
         skips = 0
         for candidate in candidates:
@@ -564,6 +578,7 @@ class QoSManager:
                         )
                     continue
             attempts += 1
+            hits_before = memo.skips
             with telemetry.span(
                 "negotiation.step5.attempt",
                 offer_id=candidate.offer.offer_id,
@@ -575,11 +590,17 @@ class QoSManager:
                     client.access_point,
                     guarantee=guarantee,
                     holder=holder,
+                    memo=memo,
                 )
-                attempt_span.set_attribute(
-                    "outcome",
-                    "committed" if bundle is not None else "rolled-back",
-                )
+                if memo.skips != hits_before:
+                    telemetry.count("commitment.memo_skips")
+                    attempt_span.set_attribute("outcome", "memo-skip")
+                    attempt_span.set_attribute("server_id", memo.refused_by)
+                else:
+                    attempt_span.set_attribute(
+                        "outcome",
+                        "committed" if bundle is not None else "rolled-back",
+                    )
             if bundle is None:
                 telemetry.count("negotiation.offers.dropped", step="5")
                 continue
@@ -591,8 +612,9 @@ class QoSManager:
                 telemetry=telemetry,
                 trace_context=telemetry.tracer.root_context(),
             )
-            return candidate, commitment, attempts, skips
-        return None, None, attempts, skips
+            return candidate, commitment, attempts, skips, memo.skips
+        self.committer.end_walk(holder)
+        return None, None, attempts, skips, memo.skips
 
     def _step5_result(
         self,

@@ -11,17 +11,28 @@ prefix.
 The six record types map onto the paper's negotiation procedure:
 
 =============  =============================================================
-INTENT         step 5 begins for one offer: the commitment walk is about
-               to reserve server + network resources for ``holder``
+INTENT         the step-5 walk begins for this holder: from here on its
+               attempts may hold server + network resources.  One per
+               walk, however many offers the walk tries
 RESERVED       step 5 succeeded and the step-6 ``choicePeriod`` clock is
-               running; payload carries every stream/flow id + deadline
+               running; payload carries the offer, every stream/flow id
+               and the deadline
 CONFIRMED      step 6: the user confirmed within ``choicePeriod``
-RELEASED       the resources were returned (rejection, teardown, lease
-               reap, failed commit rollback, supervisor/recovery action)
+RELEASED       the holder owns nothing any more; ``reason`` says why:
+               ``commit-failed`` (the walk ran out of offers),
+               ``abandoned`` (its deadline budget ran out), ``rejected``,
+               ``teardown``, ``lease-reaped``, ``recovery-orphan``,
+               ``supervisor-timeout``
 EXPIRED        the ``choicePeriod`` ran out; resources were released
 ADAPT_SWITCH   the §4 adaptation procedure moved the session to an
                alternate offer (payload links old and new holders)
 =============  =============================================================
+
+An attempt that fails inside the walk leaves no record: it rolled back
+everything it took, and recovery classifies a holder by its *last*
+record, so a walk that died with only its ``INTENT`` written is found
+by scanning the ledgers for the holder id, however many attempts came
+before.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import enum
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from ..util.errors import JournalError
 
@@ -64,27 +75,6 @@ ACTIVE_TYPES = frozenset(
 """Record types that mean the holder's session is confirmed and playing."""
 
 
-def _canonical_body(
-    sequence: int,
-    record_type: str,
-    holder: str,
-    timestamp: float,
-    payload: Mapping[str, Any],
-) -> str:
-    """The checksummed byte-stable form of a record (everything but crc)."""
-    return json.dumps(
-        {
-            "seq": sequence,
-            "type": record_type,
-            "holder": holder,
-            "t": timestamp,
-            "payload": dict(payload),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class JournalRecord:
     """One journaled transition."""
@@ -107,38 +97,32 @@ class JournalRecord:
     def is_terminal(self) -> bool:
         return self.record_type in TERMINAL_TYPES
 
-    def checksum(self) -> int:
-        body = _canonical_body(
-            self.sequence,
-            self.record_type.value,
-            self.holder,
-            self.timestamp,
-            self.payload,
-        )
-        return zlib.crc32(body.encode("utf-8"))
-
-    def to_line(self) -> str:
-        """One JSON line, checksum included (no trailing newline)."""
-        body = _canonical_body(
-            self.sequence,
-            self.record_type.value,
-            self.holder,
-            self.timestamp,
-            self.payload,
-        )
-        crc = zlib.crc32(body.encode("utf-8"))
+    def _body(self) -> str:
+        """The checksummed byte-stable form (everything but the crc)."""
         return json.dumps(
             {
                 "seq": self.sequence,
                 "type": self.record_type.value,
                 "holder": self.holder,
                 "t": self.timestamp,
-                "payload": dict(self.payload),
-                "crc": crc,
+                "payload": self.payload,
             },
             sort_keys=True,
             separators=(",", ":"),
         )
+
+    def checksum(self) -> int:
+        return zlib.crc32(self._body().encode("utf-8"))
+
+    def to_line(self) -> str:
+        """One JSON line, checksum included (no trailing newline).
+
+        The record is serialised once: ``"crc"`` sorts before every
+        other key, so the line is the checksummed body with the crc
+        spliced in behind its opening brace.
+        """
+        body = self._body()
+        return '{"crc":%d,%s' % (zlib.crc32(body.encode("utf-8")), body[1:])
 
     @classmethod
     def from_line(cls, line: str) -> "JournalRecord":

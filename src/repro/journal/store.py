@@ -108,9 +108,9 @@ class ReservationJournal:
         self._handle: "io.BufferedWriter | None" = None
         self._closed = False
         # Single-writer discipline: holders whose latest record is an
-        # INTENT (a commitment attempt in flight).  A second INTENT for
-        # the same holder before the first resolves would interleave two
-        # attempts' records and tear the per-holder semantics recovery
+        # INTENT (a step-5 walk in flight).  A second INTENT for the
+        # same holder before the first resolves would interleave two
+        # walks' records and tear the per-holder semantics recovery
         # replays — the cooperative scheduler makes that an easy bug to
         # write, so the journal refuses it loudly.
         self._open_intents: "set[str]" = set()
@@ -190,8 +190,8 @@ class ReservationJournal:
         ):
             raise JournalError(
                 f"interleaved INTENT for holder {holder!r}: the previous "
-                "commitment attempt has not resolved (RESERVED/RELEASED) "
-                "— one holder must finish each step-5 attempt before "
+                "commitment walk has not resolved (RESERVED/RELEASED) "
+                "— one holder must finish each step-5 walk before "
                 "starting the next"
             )
         record = JournalRecord(
@@ -239,6 +239,11 @@ class ReservationJournal:
             os.fsync(self._handle.fileno())
 
     # -- reading -------------------------------------------------------------------
+
+    def has_open_intent(self, holder: str) -> bool:
+        """Is ``holder``'s latest record an ``INTENT`` — a step-5 walk
+        begun and not yet resolved by ``RESERVED``/``RELEASED``?"""
+        return holder in self._open_intents
 
     def __len__(self) -> int:
         return len(self._records)

@@ -290,6 +290,7 @@ class AdvanceNegotiator:
             guarantee=self.manager.guarantee, holder=plan.plan_id,
         )
         if bundle is None:
+            self.manager.committer.end_walk(plan.plan_id)
             return NegotiationResult(
                 status=NegotiationStatus.FAILED_TRY_LATER
             )

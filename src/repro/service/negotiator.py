@@ -479,8 +479,9 @@ class NegotiationService:
                 else:
                     yield Switch()
                 if self.loop.now >= deadline:
-                    # Budget exhausted mid-walk: abandoning the
-                    # generator rolls back and journals RELEASED.
+                    # Budget exhausted mid-attempt: abandoning the
+                    # generator rolls back and closes the walk with
+                    # RELEASED("abandoned").
                     walk.close()
                     overrun = True
                     break
@@ -514,6 +515,11 @@ class NegotiationService:
                 request.overrun = True
                 self.stats.overruns += 1
                 telemetry.count("service.deadline.overruns")
+                # Between attempts the walk's INTENT is still open; a
+                # generator closed mid-attempt has already resolved it.
+                committer.end_walk(holder, "abandoned")
+            else:
+                committer.end_walk(holder)
             return NegotiationResult(
                 status=NegotiationStatus.FAILED_TRY_LATER,
                 classified=pulled,

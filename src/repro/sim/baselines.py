@@ -133,6 +133,7 @@ class _ReorderingNegotiator:
                 offer_space=space,
                 attempts=attempts,
             )
+        manager.committer.end_walk(holder)
         return NegotiationResult(
             status=NegotiationStatus.FAILED_TRY_LATER,
             classified=list(ordered),

@@ -71,6 +71,9 @@ METRICS: "tuple[MetricSpec, ...]" = (
              "target"),
     _counter("commitment.rollbacks", "offers",
              "offer commitments rolled back after a partial reservation"),
+    _counter("commitment.memo_skips", "offers",
+             "step-5 attempts answered by the walk's refusal memo, "
+             "without a reservation call"),
     _counter("commitment.outcomes", "commitments",
              "step-6 commitment resolutions, by final state", "state"),
     # -- resilience stack -----------------------------------------------------------

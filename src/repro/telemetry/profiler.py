@@ -57,6 +57,7 @@ SYNC_SEGMENTS: "tuple[str, ...]" = tuple(
 _ATTEMPT_SEGMENT = {
     "committed": "step5.commit",
     "rolled-back": "step5.retry",
+    "memo-skip": "step5.retry",   # a refusal the walk did not re-ask for
     "abandoned": "step5.abandoned",
 }
 

@@ -59,12 +59,14 @@ class StepSummary:
 
 @dataclass(slots=True)
 class AttemptSummary:
-    """One step-5 admission attempt (or breaker skip)."""
+    """One step-5 admission attempt (or breaker / refusal-memo skip)."""
 
     offer_id: str
     servers: "tuple[str, ...]"
-    outcome: str               # committed | rolled-back | breaker-skip
+    # committed | rolled-back | breaker-skip | memo-skip
+    outcome: str
     refusal: "str | None" = None
+    refused_by: "str | None" = None  # memo-skip: the server that had said no
 
 
 @dataclass(slots=True)
@@ -94,6 +96,7 @@ class NegotiationReport:
                         servers=tuple(span.attributes.get("servers", ())),
                         outcome=str(span.attributes.get("outcome", "?")),
                         refusal=span.attributes.get("refusal"),
+                        refused_by=span.attributes.get("server_id"),
                     )
                 )
             elif span.name not in by_name:
@@ -160,6 +163,7 @@ class NegotiationReport:
                     "servers": list(a.servers),
                     "outcome": a.outcome,
                     "refusal": a.refusal,
+                    "refused_by": a.refused_by,
                 }
                 for a in self.attempts
             ],
@@ -200,6 +204,8 @@ class NegotiationReport:
                     detail += f" servers={','.join(attempt.servers)}"
                 if attempt.refusal:
                     detail += f" refusal={attempt.refusal}"
+                if attempt.refused_by:
+                    detail += f" refused_by={attempt.refused_by}"
                 lines.append(f"    {index}. {detail}")
         return "\n".join(lines)
 

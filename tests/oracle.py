@@ -4,9 +4,10 @@ Steps 3–5 the way the paper states them, with nothing lazy: classify
 and sort the whole offer space (``classify_space``), re-rank it when
 the user's preferences carry an offer bonus, keep the ``max_offers``
 best, then try the user-satisfying offers before the rest, each group
-in classified order (§5.2.2(c)).  ``QoSManager.negotiate``, the batch
-engine and the service must reach the same ``(status, offer id,
-attempts)`` on the same ledgers.
+in classified order (§5.2.2(c)), asking the servers about every one of
+them: the walk here keeps no refusal memo.  ``QoSManager.negotiate``,
+the batch engine and the service must reach the same ``(status, offer
+id, attempts)`` on the same ledgers.
 """
 
 from repro.core.classification import apply_offer_bonus, classify_space
@@ -82,6 +83,7 @@ def reference_negotiate(
                 offer_space=space,
                 attempts=attempts,
             )
+    manager.committer.end_walk(holder)
     return NegotiationResult(
         status=NegotiationStatus.FAILED_TRY_LATER,
         classified=classified,

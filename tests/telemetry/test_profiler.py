@@ -44,6 +44,15 @@ class TestExtraction:
         # 10 - 4 - 1 - 2 - 2.5 = 0.5 of unattributed scheduler time.
         assert path.segments["scheduler.other"] == 0.5
 
+    def test_a_memo_skipped_attempt_is_walk_time_not_commit_time(self):
+        spans = service_trace() + [
+            span("negotiation.step5.attempt", "t1", "s5", "s0", 9.5, 9.75,
+                 offer="o-3", outcome="memo-skip", server_id="server-a"),
+        ]
+        (path,) = extract_critical_paths(spans)
+        assert path.segments["step5.retry"] == 2.25
+        assert path.segments["step5.commit"] == 2.5
+
     def test_repeated_gate_waits_sum_without_exceeding_the_root(self):
         # An FTL re-park emits a second, disjoint gate.wait span.
         spans = service_trace() + [

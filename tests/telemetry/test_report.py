@@ -2,13 +2,23 @@
 
 import pytest
 
+from repro.client.machine import ClientMachine
 from repro.core import standard_profiles
 from repro.journal import ReservationJournal
 from repro.sim import ScenarioSpec, build_scenario
 from repro.telemetry import (
     InMemorySpanExporter,
     NegotiationReport,
+    Telemetry,
     reconcile_journal,
+)
+from repro.util.clock import ManualClock
+from tests.core.test_stream import DEAREST_CENTS, WALK_FLAVOURS, occupy
+from tests.properties.strategies import (
+    GRID_FLAVOURS,
+    grid_document,
+    grid_manager,
+    grid_profile,
 )
 
 
@@ -102,3 +112,82 @@ class TestReconcileJournal:
         assert not audit["balanced"]
         assert audit["open_holders"] == [result.commitment.bundle.holder]
         assert audit["metrics_match"]  # the counters still agree
+
+
+class TestMemoSkips:
+    """An attempt the walk's refusal memo answered stays explainable:
+    its span says so and names the server that had refused, it is still
+    a dropped offer, and its counter adds up to the results' own."""
+
+    @pytest.fixture
+    def contended(self):
+        clock = ManualClock()
+        exporter = InMemorySpanExporter()
+        telemetry = Telemetry(clock=clock, seed=5, exporters=(exporter,))
+        manager = grid_manager(
+            [grid_document([WALK_FLAVOURS] * 3)], (1, 1, 6),
+            clock=clock, telemetry=telemetry,
+        )
+        occupy(manager, "server-a")
+        occupy(manager, "server-b")
+        profile = grid_profile(
+            GRID_FLAVOURS[0], GRID_FLAVOURS[1], DEAREST_CENTS
+        )
+        client = ClientMachine("walker", access_point="client-net")
+        results = [
+            manager.negotiate("doc.grid", profile, client) for _ in range(3)
+        ]
+        return telemetry, exporter, results
+
+    def test_span_carries_the_outcome_and_the_refusing_server(
+        self, contended
+    ):
+        _, exporter, results = contended
+        attempts = [
+            s for s in exporter.spans
+            if s.name == "negotiation.step5.attempt"
+        ]
+        skipped = [
+            s for s in attempts if s.attributes["outcome"] == "memo-skip"
+        ]
+        assert len(attempts) == sum(r.attempts for r in results)
+        assert len(skipped) == sum(r.memo_skips for r in results) > 0
+        for span in skipped:
+            assert span.attributes["server_id"] in span.attributes["servers"]
+            assert "refusal" not in span.attributes   # nobody was asked
+        # The refusal the memo repeats was seen, and traced, first.
+        first = attempts.index(skipped[0])
+        assert any(
+            s.attributes.get("refusal") == "AdmissionError"
+            for s in attempts[:first]
+        )
+
+    def test_counters_reconcile_with_the_results(self, contended):
+        telemetry, _, results = contended
+        metrics = telemetry.metrics
+        skips = sum(r.memo_skips for r in results)
+        failed = sum(
+            r.attempts - (r.commitment is not None) for r in results
+        )
+        assert metrics.counter_value("commitment.memo_skips") == skips
+        # A memo skip is still an offer step 5 dropped, but nothing was
+        # taken for it, so it is not a rollback.
+        assert metrics.counter_value(
+            "negotiation.offers.dropped", step="5"
+        ) == failed
+        assert metrics.counter_value("commitment.rollbacks") == failed - skips
+
+    def test_report_lists_the_skip_and_who_had_refused(self, contended):
+        _, _, results = contended
+        report = results[0].report
+        skipped = [a for a in report.attempts if a.outcome == "memo-skip"]
+        assert len(skipped) == results[0].memo_skips > 0
+        assert all(a.refused_by and a.refusal is None for a in skipped)
+        assert report.attempts[-1].outcome == "committed"
+        assert report.attempts[-1].refused_by is None
+        assert "outcome=memo-skip" in report.render()
+        assert f"refused_by={skipped[0].refused_by}" in report.render()
+        listed = report.as_dict()["attempts"]
+        assert [a["refused_by"] for a in listed] == [
+            a.refused_by for a in report.attempts
+        ]
