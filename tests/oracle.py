@@ -1,4 +1,5 @@
-"""The eager reference the negotiation pipeline is compared against.
+"""The eager references the stack is compared against: the negotiation
+pipeline (below) and one server's admission test (at the end).
 
 Steps 3–5 the way the paper states them, with nothing lazy: classify
 and sort the whole offer space (``classify_space``), re-rank it when
@@ -90,3 +91,105 @@ def reference_negotiate(
         offer_space=space,
         attempts=len(classified),
     )
+
+
+# -- one server's admission test, re-summed from its ledger --------------------------
+#
+# The rules as ``repro.cmfs.admission``'s docstring lists them, and the
+# degraded budget and shedding order as ``MediaServer`` documents them,
+# with every total rebuilt from ``stream_rates()`` by a plain
+# left-to-right loop (never ``sum()``, which CPython >= 3.12
+# compensates).  Nothing here is kept between calls.
+
+
+def _busy_s(disk, rates):
+    transfer_s = 0.0
+    for rate in rates:
+        transfer_s = transfer_s + rate * disk.round_s / disk.transfer_rate_bps
+    return transfer_s + len(rates) * disk.overhead_s
+
+
+def _degraded_budget_s(server):
+    return server.disk.round_s * (1.0 - server.degradation)
+
+
+def reference_admission(server, new_rate_bps):
+    """The ``AdmissionDecision`` ``server`` owes one more stream of
+    ``new_rate_bps``, text included."""
+    from repro.cmfs.admission import AdmissionDecision
+
+    controller, disk = server.admission, server.disk
+    rates = list(server.stream_rates()) + [new_rate_bps]
+    if len(rates) > controller.max_streams:
+        return AdmissionDecision(
+            False, "streams", f"stream limit {controller.max_streams} reached"
+        )
+    busy = _busy_s(controller.disk, rates)
+    if controller.enforce_disk and busy > controller.disk.round_s + 1e-12:
+        return AdmissionDecision(
+            False, "disk",
+            f"round busy {busy * 1e3:.1f} ms exceeds "
+            f"{controller.disk.round_s * 1e3:.1f} ms",
+        )
+    if controller.enforce_buffer:
+        demand = 0.0
+        for rate in rates:
+            demand = demand + 2.0 * rate * controller.disk.round_s
+        if demand > controller.buffer_bits:
+            return AdmissionDecision(
+                False, "buffer",
+                f"buffer demand {demand / 8e6:.1f} MB exceeds "
+                f"{controller.buffer_bits / 8e6:.1f} MB",
+            )
+    if controller.enforce_nic:
+        aggregate = 0.0
+        for rate in rates:
+            aggregate = aggregate + rate
+        if aggregate > controller.nic_bps:
+            return AdmissionDecision(
+                False, "nic",
+                f"aggregate {aggregate / 1e6:.1f} Mbps exceeds NIC "
+                f"{controller.nic_bps / 1e6:.1f} Mbps",
+            )
+    if server.degradation_limits_admission and server.degradation > 0.0:
+        busy, budget = _busy_s(disk, rates), _degraded_budget_s(server)
+        if busy > budget + 1e-12:
+            return AdmissionDecision(
+                False, "disk",
+                f"round busy {busy * 1e3:.1f} ms exceeds degraded budget "
+                f"{budget * 1e3:.1f} ms (degradation {server.degradation:g})",
+            )
+    return AdmissionDecision(True)
+
+
+def reference_violated_holders(server):
+    """Holders shed right now: everyone on a crashed machine; on a
+    degraded one, every stream whose admission-order running round time
+    passes the shrunken budget."""
+    if server.is_crashed:
+        return frozenset(r.holder for r in server.reservations())
+    disk, budget = server.disk, _degraded_budget_s(server)
+    if server.degradation == 0.0 or (
+        _busy_s(disk, server.stream_rates()) <= budget + 1e-12
+    ):
+        return frozenset()
+    victims, running = [], 0.0
+    for reservation in sorted(server.reservations(), key=lambda r: r.sequence):
+        running += (
+            reservation.rate_bps * disk.round_s / disk.transfer_rate_bps
+            + disk.overhead_s
+        )
+        if running > budget + 1e-12:
+            victims.append(reservation.holder)
+    return frozenset(victims)
+
+
+def reference_disk_utilization(server):
+    return _busy_s(server.disk, server.stream_rates()) / server.disk.round_s
+
+
+def reference_aggregate_rate_bps(server):
+    aggregate = 0.0
+    for rate in server.stream_rates():
+        aggregate = aggregate + rate
+    return aggregate
