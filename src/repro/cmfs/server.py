@@ -6,20 +6,41 @@ machines".  The QoS manager's resource-commitment step calls
 :meth:`execute_round`; the adaptation experiments inject load spikes
 with :meth:`set_degradation` (a degraded server sheds its most recent
 streams exactly like an oversubscribed link does).
+
+Beside the ledger the server keeps its :class:`ServerLoad` — the four
+totals the admission rules read — so a question costs O(1) however
+many streams are held.  The load is exact, not approximately equal: an
+admission appends its terms (the same ``+`` a fresh pass would do
+last), and anything that removes a stream drops the load, to be rebuilt
+in ledger order by the next reader (:meth:`MediaServer._summed_ledger`).
+Nothing is ever subtracted, and no call is skipped.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from ..util.errors import AdmissionError, ReservationError, ServerCrashedError
+from ..util.errors import (
+    AdmissionError,
+    ReservationError,
+    ServerCrashedError,
+    ValidationError,
+)
 from ..util.validation import check_fraction, check_name, check_positive
-from .admission import AdmissionController, AdmissionDecision
+from .admission import (
+    EMPTY_LOAD,
+    AdmissionController,
+    AdmissionDecision,
+    ServerLoad,
+)
 from .disk import DiskModel
 from .scheduler import RoundScheduler, SchedulingPolicy
 
 __all__ = ["StreamReservation", "MediaServer"]
+
+_RATE_OF = attrgetter("rate_bps")
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,9 +69,16 @@ class MediaServer:
     ) -> None:
         self.server_id = check_name(server_id, "server_id")
         self.access_point = access_point or f"{server_id}-net"
-        self.disk = disk or DiskModel()
-        self.admission = admission or AdmissionController(disk=self.disk)
+        if disk is None:
+            disk = admission.disk if admission is not None else DiskModel()
+        self.disk = disk
+        # The ledger's totals as the admission rules read them; None
+        # when a stream has left since they were last summed.
+        self._load: ServerLoad | None = None
+        self.admission = admission or AdmissionController(disk=disk)
         self.scheduler = RoundScheduler(self.disk, scheduling)
+        # Insertion order is admission order: ``sequence`` only grows
+        # and entries are only ever appended or removed.
         self._streams: dict[str, StreamReservation] = {}
         self._sequence = itertools.count(1)
         self._degradation = 0.0
@@ -70,6 +98,35 @@ class MediaServer:
 
     # -- capacity state -----------------------------------------------------------
 
+    @property
+    def admission(self) -> AdmissionController:
+        return self._admission
+
+    @admission.setter
+    def admission(self, controller: AdmissionController) -> None:
+        """One machine, one disk: the controller's round inequality and
+        the server's degraded budget must describe the same spindle."""
+        if controller.disk != self.disk:
+            raise ValidationError(
+                f"{self.server_id}: admission controller models "
+                f"{controller.disk}, the server {self.disk}"
+            )
+        self._admission = controller
+        self._load = None  # to be re-totalled by this controller
+
+    def _summed_ledger(self) -> ServerLoad:
+        """The load rebuilt from the ledger in one pass, in ledger
+        order — what :attr:`_load` equals whenever it is known."""
+        return self._admission.extended(
+            EMPTY_LOAD, map(_RATE_OF, self._streams.values())
+        )
+
+    def _held_load(self) -> ServerLoad:
+        load = self._load
+        if load is None:
+            load = self._load = self._summed_ledger()
+        return load
+
     def stream_rates(self) -> tuple[float, ...]:
         return tuple(s.rate_bps for s in self._streams.values())
 
@@ -79,30 +136,40 @@ class MediaServer:
 
     @property
     def aggregate_rate_bps(self) -> float:
-        return sum(self.stream_rates())
+        return self._held_load().rate_bps
 
     @property
     def disk_utilization(self) -> float:
-        return self.disk.round_feasibility(self.stream_rates()).disk_utilization
+        return self._held_load().busy_s(self.disk) / self.disk.round_s
 
-    def can_admit(self, rate_bps: float) -> AdmissionDecision:
-        decision = self.admission.evaluate(self.stream_rates(), rate_bps)
+    def _degraded_budget_s(self) -> float:
+        return self.disk.round_s * (1.0 - self._degradation)
+
+    def _admission_test(
+        self, rate_bps: float
+    ) -> tuple[AdmissionDecision, ServerLoad]:
+        """The decision on one more stream, and the load that becomes
+        the server's if it is admitted."""
+        load = self._admission.extended(self._held_load(), (rate_bps,))
+        decision = self._admission.decide(load)
         if (
             decision
             and self.degradation_limits_admission
             and self._degradation > 0.0
         ):
-            rates = list(self.stream_rates()) + [rate_bps]
-            feasibility = self.disk.round_feasibility(rates)
-            budget = self.disk.round_s * (1.0 - self._degradation)
-            if feasibility.busy_s > budget + 1e-12:
-                return AdmissionDecision(
+            busy_s, budget = load.busy_s(self.disk), self._degraded_budget_s()
+            if busy_s > budget + 1e-12:
+                decision = AdmissionDecision(
                     False, "disk",
-                    f"round busy {feasibility.busy_s * 1e3:.1f} ms exceeds "
+                    f"round busy {busy_s * 1e3:.1f} ms exceeds "
                     f"degraded budget {budget * 1e3:.1f} ms "
                     f"(degradation {self._degradation:g})",
                 )
-        return decision
+        return decision, load
+
+    def can_admit(self, rate_bps: float) -> AdmissionDecision:
+        check_positive(rate_bps, "rate_bps")
+        return self._admission_test(rate_bps)[0]
 
     # -- admission / release -----------------------------------------------------------
 
@@ -116,7 +183,7 @@ class MediaServer:
             raise ServerCrashedError(f"{self.server_id} is down")
         if self.fault_hook is not None:
             self.fault_hook.before_admit(self, variant_id, rate_bps)
-        decision = self.can_admit(rate_bps)
+        decision, load = self._admission_test(rate_bps)
         if not decision:
             raise AdmissionError(
                 f"{self.server_id} rejected {variant_id!r}: "
@@ -133,6 +200,7 @@ class MediaServer:
             sequence=sequence,
         )
         self._streams[stream_id] = reservation
+        self._load = load  # appended last, exactly as a re-sum would
         self.scheduler.add_stream(stream_id, rate_bps)
         if self.telemetry is not None:
             self.telemetry.count(
@@ -154,6 +222,7 @@ class MediaServer:
             raise ReservationError(
                 f"{self.server_id}: no stream {stream_id!r}"
             )
+        self._load = None  # dropped, never subtracted from
         self.scheduler.remove_stream(stream_id)
         if self.telemetry is not None:
             self.telemetry.count(
@@ -196,6 +265,7 @@ class MediaServer:
             for stream_id in list(self._streams):
                 self._streams.pop(stream_id)
                 self.scheduler.remove_stream(stream_id)
+            self._load = None
         self._crashed = False
 
     # -- degradation / adaptation hooks ----------------------------------------------
@@ -217,16 +287,12 @@ class MediaServer:
             return frozenset(s.holder for s in self._streams.values())
         if self._degradation == 0.0:
             return frozenset()
-        rates = self.stream_rates()
-        feasibility = self.disk.round_feasibility(rates)
-        budget = self.disk.round_s * (1.0 - self._degradation)
-        if feasibility.busy_s <= budget + 1e-12:
+        budget = self._degraded_budget_s()
+        if self._held_load().busy_s(self.disk) <= budget + 1e-12:
             return frozenset()
         victims: list[str] = []
         running = 0.0
-        for reservation in sorted(
-            self._streams.values(), key=lambda r: r.sequence
-        ):
+        for reservation in self._streams.values():  # admission order
             running += (
                 reservation.rate_bps * self.disk.round_s / self.disk.transfer_rate_bps
                 + self.disk.overhead_s

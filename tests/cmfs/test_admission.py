@@ -1,5 +1,7 @@
 """Admission control: the four rules and their relaxation."""
 
+import math
+
 import pytest
 
 from repro.cmfs.admission import AdmissionController
@@ -50,6 +52,36 @@ class TestRules:
             enforce_nic=False, max_streams=10_000,
         )
         assert lax.evaluate([6e6] * 100, 6e6)
+
+
+class TestAccumulationOrder:
+    @pytest.mark.parametrize(
+        "rate, admitted", [(8e6 / 3, True), (1e7 / 7, False)]
+    )
+    def test_totals_are_taken_left_to_right(self, rate, admitted):
+        """Six equal streams whose total, added one after another,
+        lands an ulp away from the correctly rounded one — below it for
+        8/3 Mbit/s, above it for 10/7.  ``math.fsum`` gives the rounded
+        total, and so does ``sum()`` over floats since CPython 3.12
+        made it compensated (Neumaier), which is why admission adds
+        with ``+``: with the NIC limit between the two totals the
+        answer is the left-to-right one on every interpreter."""
+        left_to_right = 0.0
+        for _ in range(6):
+            left_to_right += rate
+        rounded = math.fsum([rate] * 6)
+        assert (left_to_right < rounded) == admitted
+        assert left_to_right != rounded
+        controller = AdmissionController(
+            disk=DiskModel(transfer_rate_bps=1e12, avg_seek_s=1e-6,
+                           rotational_latency_s=1e-6),
+            buffer_bits=1e12,
+            nic_bps=min(left_to_right, rounded),
+            max_streams=1000,
+        )
+        decision = controller.evaluate([rate] * 5, rate)
+        assert decision.admitted == admitted
+        assert admitted or decision.limiting_resource == "nic"
 
 
 class TestBufferDemand:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cmfs.admission import AdmissionController
+from repro.cmfs.disk import DiskModel
 from repro.cmfs.server import MediaServer
-from repro.util.errors import AdmissionError, ReservationError
+from repro.util.errors import AdmissionError, ReservationError, ValidationError
 
 
 @pytest.fixture
@@ -53,6 +55,38 @@ class TestAdmission:
         before = server.disk_utilization
         server.admit("v1", 6e6)
         assert server.disk_utilization > before
+
+
+class TestOneMachineOneDisk:
+    """The controller's round inequality and the server's degraded
+    budget, shedding order and utilisation read one disk."""
+
+    SLOW_ROUNDS = DiskModel(round_s=1.0)
+
+    def test_controller_on_another_disk_is_rejected(self):
+        with pytest.raises(ValidationError, match="server-a"):
+            MediaServer(
+                "server-a", disk=DiskModel(),
+                admission=AdmissionController(disk=self.SLOW_ROUNDS),
+            )
+
+    def test_disk_defaults_to_the_controllers(self):
+        server = MediaServer(
+            "server-a", admission=AdmissionController(disk=self.SLOW_ROUNDS)
+        )
+        assert server.disk is self.SLOW_ROUNDS
+        assert server.scheduler.disk is self.SLOW_ROUNDS
+
+    def test_admission_is_reassigned_on_an_equal_disk_only(self, server):
+        server.admit("v1", 6e6)
+        server.admit("v2", 6e6)
+        tight = AdmissionController(disk=DiskModel(), max_streams=2)
+        server.admission = tight
+        assert server.can_admit(6e6).limiting_resource == "streams"
+        with pytest.raises(ValidationError):
+            server.admission = AdmissionController(disk=self.SLOW_ROUNDS)
+        assert server.admission is tight
+        assert server.aggregate_rate_bps == 12e6
 
 
 class TestDegradation:
