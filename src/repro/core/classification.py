@@ -26,7 +26,11 @@ Two implementations are provided: a scalar one (reference semantics,
 offer objects in hand) and a vectorized one over an
 :class:`~repro.core.enumeration.OfferSpace` that classifies the whole
 product space with numpy and only materialises the offers it returns.
-They are property-tested to agree.
+They are property-tested to agree.  Both parameters are separable
+across monomedia, so the vectorized one — and the best-first stream of
+:mod:`repro.core.stream`, which yields the same order lazily — never
+scores an offer: each *variant* is scored once, by the one routine
+both share (``_axis_columns``), and offers are sums and maxima of that.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..documents.quality import MediaQoS
 from ..util.errors import OfferError, ValidationError
 from ..util.units import Money
 from .enumeration import OfferSpace
@@ -177,22 +180,38 @@ def classify_offers(
 # vectorized product-space classification
 # ---------------------------------------------------------------------------
 
-def _axis_levels(
-    presented: Sequence[MediaQoS], profile: UserProfile
-) -> np.ndarray:
-    """Per-variant SNS levels of one axis: 0 desirable / 1 acceptable /
-    2 constraint relative to the profile bounds of its medium."""
-    levels = np.empty(len(presented), dtype=np.int8)
-    for i, qos in enumerate(presented):
-        desired = profile.desired.qos_for(qos.medium)
-        worst = profile.worst.qos_for(qos.medium)
-        if desired is None or qos.satisfies(desired):
-            levels[i] = 0
-        elif worst is None or qos.satisfies(worst):
-            levels[i] = 1
-        else:
-            levels[i] = 2
-    return levels
+def _axis_columns(
+    space: OfferSpace, profile: UserProfile, importance: ImportanceProfile
+) -> "tuple[list[list[float]], Sequence[Sequence[int]], list[list[int]]]":
+    """§4 step 3 for every variant of a non-empty space, once: per
+    axis, the QoS-importance column, the cost-share column (cents) and
+    the SNS-level column — 0 desirable / 1 acceptable / 2 constraint
+    relative to the profile bounds of the axis's medium — each indexed
+    by variant.  Both orderings (:func:`classify_arrays` and the
+    best-first stream) are built on these columns and nothing else.
+
+    An axis is one monomedia, hence one medium, so its two bounds are
+    fetched once, not per variant; a medium the profile leaves out is
+    not compared (§5: the comparison skips it).
+    """
+    qos_importance = importance.qos_importance
+    desired_for, worst_for = profile.desired.qos_for, profile.worst.qos_for
+    importance_axes: "list[list[float]]" = []
+    level_axes: "list[list[int]]" = []
+    for presented in space.presented_axes:
+        importance_axes.append([qos_importance(qos) for qos in presented])
+        medium = presented[0].medium
+        desired, worst = desired_for(medium), worst_for(medium)
+        levels: "list[int]" = []
+        for qos in presented:
+            if desired is None or qos.satisfies(desired):
+                levels.append(0)
+            elif worst is None or qos.satisfies(worst):
+                levels.append(1)
+            else:
+                levels.append(2)
+        level_axes.append(levels)
+    return importance_axes, space.cents_axes, level_axes
 
 
 @dataclass(frozen=True)
@@ -252,8 +271,7 @@ def classify_arrays(
             f"ceiling of {MAX_VECTOR_OFFERS}; prune variants first"
         )
 
-    axes = [space.axis(mid) for mid in space.monomedia_ids]
-    sizes = [len(axis) for axis in axes]
+    sizes = space.sizes
     k = len(sizes)
 
     def _expand(per_axis: "list[np.ndarray]", dtype) -> np.ndarray:
@@ -265,21 +283,14 @@ def classify_arrays(
             total = total + values.reshape(shape)
         return total.reshape(-1)
 
+    importance_columns, cents_columns, level_columns = _axis_columns(
+        space, profile, importance
+    )
     importance_axes = [
-        np.array(
-            [importance.qos_importance(choice.presented) for choice in axis],
-            dtype=np.float64,
-        )
-        for axis in axes
+        np.array(column, dtype=np.float64) for column in importance_columns
     ]
-    cents_axes = [
-        np.array([choice.cost_cents for choice in axis], dtype=np.int64)
-        for axis in axes
-    ]
-    level_axes = [
-        _axis_levels([choice.presented for choice in axis], profile)
-        for axis in axes
-    ]
+    cents_axes = [np.array(column, dtype=np.int64) for column in cents_columns]
+    level_axes = [np.array(column, dtype=np.int8) for column in level_columns]
 
     qos_importance = _expand(importance_axes, np.float64)
     cents = _expand(cents_axes, np.int64) + space.copyright_cents

@@ -6,20 +6,20 @@ cartesian product of the surviving per-monomedia variant lists, each
 offer priced by the §7 cost model and annotated with its presented QoS.
 
 The product space can be large (variants^monomedia); :class:`OfferSpace`
-therefore precomputes everything *per variant* (presented QoS, flow
-spec, cost share, importance share — all separable across monomedia)
-and only materialises offers on demand.  The vectorized classification
-path in :mod:`repro.core.classification` consumes the per-axis arrays
-directly and never materialises anything.
+therefore precomputes everything *per variant* that does not depend on
+the user (presented QoS, flow spec, cost share — all separable across
+monomedia) together with the shape of the product, once, when it is
+built, and only materialises offers on demand.  Steps 3–4
+(:mod:`repro.core.classification`, :mod:`repro.core.stream`) score the
+per-axis columns directly and materialise only what they return.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 from ..client.machine import ClientMachine
 from ..documents.document import Document
@@ -80,22 +80,33 @@ class OfferSpace:
             for options in self._axes.values()
             for choice in options
         }
+        # The space never changes once built, so its shape is worked
+        # out here, once, and read by every request that plans over it
+        # (a cached space serves thousands): the axes in document
+        # order, their sizes, the mixed-radix place value of each axis
+        # in a flat index, and per axis the columns steps 3-4 score —
+        # each variant's cost share in cents and its presented QoS.
+        self.monomedia_ids: tuple[str, ...] = tuple(self._axes)
+        self.axes: tuple[tuple[VariantChoice, ...], ...] = tuple(
+            self._axes.values()
+        )
+        self.sizes: tuple[int, ...] = tuple(len(axis) for axis in self.axes)
+        self.radices: tuple[int, ...] = _suffix_products(self.sizes)
+        # Monomedia left with zero feasible variants: non-empty means
+        # FAILEDWITHOUTOFFER (§4 step 2).
+        self.empty_axes: tuple[str, ...] = tuple(
+            mid for mid, size in zip(self.monomedia_ids, self.sizes) if not size
+        )
+        self.is_empty: bool = bool(self.empty_axes) or not self.axes
+        self.offer_count: int = 0 if self.is_empty else math.prod(self.sizes)
+        self.cents_axes: tuple[tuple[int, ...], ...] = tuple(
+            tuple(choice.cost_cents for choice in axis) for axis in self.axes
+        )
+        self.presented_axes: tuple[tuple[MediaQoS, ...], ...] = tuple(
+            tuple(choice.presented for choice in axis) for axis in self.axes
+        )
 
     # -- shape -------------------------------------------------------------------
-
-    @property
-    def monomedia_ids(self) -> tuple[str, ...]:
-        return tuple(self._axes)
-
-    @property
-    def empty_axes(self) -> tuple[str, ...]:
-        """Monomedia left with zero feasible variants — non-empty means
-        FAILEDWITHOUTOFFER (§4 step 2)."""
-        return tuple(mid for mid, options in self._axes.items() if not options)
-
-    @property
-    def is_empty(self) -> bool:
-        return bool(self.empty_axes) or not self._axes
 
     def axis(self, monomedia_id: str) -> tuple[VariantChoice, ...]:
         try:
@@ -104,16 +115,7 @@ class OfferSpace:
             raise OfferError(f"no axis for monomedia {monomedia_id!r}") from None
 
     def axis_sizes(self) -> dict[str, int]:
-        return {mid: len(options) for mid, options in self._axes.items()}
-
-    @property
-    def offer_count(self) -> int:
-        if self.is_empty:
-            return 0
-        count = 1
-        for options in self._axes.values():
-            count *= len(options)
-        return count
+        return dict(zip(self.monomedia_ids, self.sizes))
 
     # -- materialisation ------------------------------------------------------------
 
@@ -137,8 +139,7 @@ class OfferSpace:
         fastest); ids are the enumeration index."""
         if self.is_empty:
             return
-        axes = list(self._axes.values())
-        for index, picked in enumerate(itertools.product(*axes), start=1):
+        for index, picked in enumerate(itertools.product(*self.axes), start=1):
             yield self._offer_from_choices(index, picked)
 
     def offer_at(self, flat_index: int) -> SystemOffer:
@@ -147,17 +148,13 @@ class OfferSpace:
         hands back indices, this turns them into offers."""
         if self.is_empty:
             raise OfferError("offer space is empty")
-        sizes = [len(options) for options in self._axes.values()]
         if not (0 <= flat_index < self.offer_count):
             raise OfferError(
                 f"flat index {flat_index} outside [0, {self.offer_count})"
             )
         picked: list[VariantChoice] = []
         remainder = flat_index
-        for options, radix in zip(
-            self._axes.values(),
-            _suffix_products(sizes),
-        ):
+        for options, radix in zip(self.axes, self.radices):
             digit, remainder = divmod(remainder, radix)
             picked.append(options[digit])
         return self._offer_from_choices(flat_index + 1, tuple(picked))
@@ -169,15 +166,6 @@ class OfferSpace:
             if max_offers is not None and len(offers) >= max_offers:
                 break
         return offers
-
-    # -- vectorized views --------------------------------------------------------------
-
-    def cost_cents_axes(self) -> list[np.ndarray]:
-        """Per-axis arrays of variant cost shares (cents)."""
-        return [
-            np.array([c.cost_cents for c in options], dtype=np.int64)
-            for options in self._axes.values()
-        ]
 
     def spec_for(self, variant: Variant) -> FlowSpec:
         """The precomputed flow spec of one feasible variant.
@@ -195,13 +183,13 @@ class OfferSpace:
             ) from None
 
 
-def _suffix_products(sizes: "list[int]") -> "list[int]":
+def _suffix_products(sizes: Sequence[int]) -> tuple[int, ...]:
     """For mixed-radix decoding: products of the sizes *after* each
     axis (last axis varies fastest in ``itertools.product``)."""
     out = [1] * len(sizes)
     for i in range(len(sizes) - 2, -1, -1):
         out[i] = out[i + 1] * sizes[i + 1]
-    return out
+    return tuple(out)
 
 
 def build_offer_space(

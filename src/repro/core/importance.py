@@ -15,14 +15,23 @@ The three computations of §5.2.2:
   QoS parameter values (per medium, scaled by the §3 media weight);
 * (b) cost importance = (importance of 1 $) × (cost of the offer);
 * (c) overall importance factor ``OIF = QoS_importance − cost_importance``.
+
+(a) runs once per variant on every request (§4 step 3) and its floats
+decide the classified order, so two things hold here.  The
+interpolation is scalar Python that performs ``np.interp``'s IEEE
+operations in ``np.interp``'s order and returns the same bits
+(``np.interp`` itself is kept as the test oracle, not called).  And
+every table entry — anchors, overrides, level maps, media weights — is
+finite, checked at construction: a NaN importance would be a NaN OIF,
+on which the offer order is undefined.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Mapping
-
-import numpy as np
 
 from ..documents.media import (
     FROZEN_FRAME_RATE,
@@ -56,6 +65,16 @@ __all__ = [
 ]
 
 
+def _finite(value: float, what: str) -> float:
+    """An importance table entry as a float.  NaN or ±inf would reach
+    the OIF, on which neither the stream's heap key nor the lexsort is
+    an order any more."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ProfileError(f"{what} must be finite, got {number!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class ScaleImportance:
     """Importance over one numeric QoS scale.
@@ -68,35 +87,51 @@ class ScaleImportance:
 
     anchors: Mapping[float, float]
     overrides: Mapping[float, float] = field(default_factory=dict)
+    # The anchors as two parallel float lists, scale values ascending:
+    # what ``value`` searches and interpolates over.
+    _xs: "list[float]" = field(init=False, repr=False, compare=False)
+    _vs: "list[float]" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.anchors) < 1:
             raise ProfileError("a scale needs at least one anchor")
-        xs = np.array(sorted(self.anchors), dtype=float)
-        vs = np.array([self.anchors[x] for x in sorted(self.anchors)], dtype=float)
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_vs", vs)
+        for x, v in self.overrides.items():
+            _finite(x, "override scale value")
+            _finite(v, f"override importance at {x!r}")
+        anchors = sorted(
+            (
+                _finite(x, "anchor scale value"),
+                _finite(v, f"anchor importance at {x!r}"),
+            )
+            for x, v in self.anchors.items()
+        )
+        object.__setattr__(self, "_xs", [x for x, _ in anchors])
+        object.__setattr__(self, "_vs", [v for _, v in anchors])
         object.__setattr__(self, "overrides", dict(self.overrides))
 
     def value(self, x: float) -> float:
-        """Importance factor of scale value ``x``."""
-        override = self.overrides.get(float(x))
-        if override is None and isinstance(x, (int, np.integer)):
-            override = self.overrides.get(int(x))
+        """Importance factor of scale value ``x`` (finite).
+
+        The steps below are ``np.interp``'s for one ``x``, operation
+        for operation — clamp outside the span, an anchor's own value
+        exactly, else ``slope * (x - x_j) + v_j`` — so the result has
+        the same bits; keep them in this order
+        (``tests/properties/test_property_scoring.py`` holds
+        ``np.interp`` up as the oracle).
+        """
+        x = float(x)
+        override = self.overrides.get(x)
         if override is not None:
             return float(override)
-        return float(np.interp(float(x), self._xs, self._vs))
-
-    def values(self, xs: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`value` for the bulk classification path."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.interp(xs, self._xs, self._vs)
-        for x, v in self.overrides.items():
-            # Tolerance-based match: scale values round-trip through
-            # float parsing/serialisation, and an override must still
-            # win when its key comes back one ulp off.
-            out[np.isclose(xs, float(x))] = v
-        return out
+        xs, vs = self._xs, self._vs
+        j = bisect_right(xs, x) - 1
+        if j < 0:
+            return vs[0]
+        x_j, v_j = xs[j], vs[j]
+        if x_j == x or j == len(xs) - 1:
+            return v_j
+        slope = (vs[j + 1] - v_j) / (xs[j + 1] - x_j)
+        return slope * (x - x_j) + v_j
 
     def with_override(self, x: float, value: float) -> "ScaleImportance":
         overrides = dict(self.overrides)
@@ -107,7 +142,7 @@ class ScaleImportance:
 def _level_map(mapping: Mapping, what: str) -> dict:
     result = {}
     for key, value in mapping.items():
-        result[key] = float(value)
+        result[key] = _finite(value, f"{what} importance of {key}")
     if not result:
         raise ProfileError(f"{what} importance map must not be empty")
     return result
@@ -137,7 +172,10 @@ class ImportanceProfile:
             self, "audio_grade", _level_map(self.audio_grade, "audio grade")
         )
         object.__setattr__(self, "language", _level_map(self.language, "language"))
-        weights = {Medium.parse(k): float(v) for k, v in self.media_weight.items()}
+        weights = {
+            Medium.parse(k): _finite(v, f"media weight of {k}")
+            for k, v in self.media_weight.items()
+        }
         for medium in Medium:
             weights.setdefault(medium, 1.0)
         object.__setattr__(self, "media_weight", weights)

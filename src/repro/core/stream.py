@@ -44,14 +44,14 @@ sort the whole space instead (see ``QoSManager._plan_steps``).
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .classification import (
     ClassificationPolicy,
     ClassifiedOffer,
-    _axis_levels,
+    _axis_columns,
 )
-from .enumeration import OfferSpace, _suffix_products
+from .enumeration import OfferSpace
 from .importance import ImportanceProfile
 from .profiles import UserProfile
 from .status import StaticNegotiationStatus
@@ -64,9 +64,9 @@ class _AxisTables(NamedTuple):
     and built once per stream, shared by every band's search."""
 
     qimp: "list[list[float]]"
-    cents: "list[list[int]]"
+    cents: "Sequence[Sequence[int]]"
     levels: "list[list[int]]"
-    radices: "list[int]"
+    radices: "Sequence[int]"
     cost_per_dollar: float
     copyright_cents: int
 
@@ -77,25 +77,21 @@ def _axis_tables(
     """The tables plus each axis's variant order by descending
     contribution, original index ascending on ties (mirrors the
     stability of the lexsort)."""
-    axes = [space.axis(mid) for mid in space.monomedia_ids]
+    qimp, cents, levels = _axis_columns(space, profile, importance)
     cpd = importance.cost_per_dollar
     tables = _AxisTables(
-        qimp=[
-            [importance.qos_importance(choice.presented) for choice in axis]
-            for axis in axes
-        ],
-        cents=[[choice.cost_cents for choice in axis] for axis in axes],
-        levels=[
-            _axis_levels([choice.presented for choice in axis], profile).tolist()
-            for axis in axes
-        ],
-        radices=_suffix_products([len(axis) for axis in axes]),
+        qimp=qimp,
+        cents=cents,
+        levels=levels,
+        radices=space.radices,
         cost_per_dollar=cpd,
         copyright_cents=space.copyright_cents,
     )
     orders: "list[list[int]]" = []
-    for qimp, cents in zip(tables.qimp, tables.cents):
-        contrib = [q - cpd * (c / 100.0) for q, c in zip(qimp, cents)]
+    for qimp_column, cents_column in zip(qimp, cents):
+        contrib = [
+            q - cpd * (c / 100.0) for q, c in zip(qimp_column, cents_column)
+        ]
         orders.append(
             sorted(range(len(contrib)), key=lambda j: (-contrib[j], j))
         )

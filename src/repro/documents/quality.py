@@ -8,13 +8,22 @@ same types makes the static-negotiation-status computation a plain
 attribute-wise ``satisfies`` check.
 
 Each class also exposes its attributes as ``(parameter name, value)``
-pairs through :meth:`qos_items`, which is what the importance machinery
-of §5.2.2 sums over.
+pairs through :meth:`qos_items`, in declaration order — what the
+profile windows of §8 and the JSON records render.  (The importance
+machinery of §5.2.2 does not go through it:
+:meth:`~repro.core.importance.ImportanceProfile.qos_importance` reads
+the attributes of each class by name.)
+
+The comparisons run once or twice per variant on every request (§4
+step 3), so they walk the parameter names the cheapest way there is:
+the five classes are ``slots=True`` dataclasses, whose ``__slots__`` is
+the tuple of field names in declaration order, resolved when the class
+is created and never per call (no ``dataclasses.fields`` reflection).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 from ..util.errors import ValidationError
@@ -42,11 +51,12 @@ class _QoSBase:
     """Shared behaviour of the per-medium QoS points."""
 
     medium: Medium  # set on each subclass
+    __slots__: tuple[str, ...]  # set by @dataclass(slots=True) on each subclass
 
     def qos_items(self) -> Iterator[tuple[str, object]]:
         """Yield ``(parameter, value)`` pairs in declaration order."""
-        for field in fields(self):  # type: ignore[arg-type]
-            yield field.name, getattr(self, field.name)
+        for name in self.__slots__:
+            yield name, getattr(self, name)
 
     def satisfies(self, requirement: "_QoSBase") -> bool:
         """True iff every parameter of ``self`` meets or exceeds the one
@@ -58,12 +68,12 @@ class _QoSBase:
                 f"cannot compare {type(self).__name__} against "
                 f"{type(requirement).__name__}"
             )
-        return all(
-            _param_satisfies(name, mine, theirs)
-            for (name, mine), (_, theirs) in zip(
-                self.qos_items(), requirement.qos_items()
-            )
-        )
+        for name in self.__slots__:
+            if not _param_satisfies(
+                getattr(self, name), getattr(requirement, name)
+            ):
+                return False
+        return True
 
     def violated_parameters(self, requirement: "_QoSBase") -> tuple[str, ...]:
         """Names of parameters where ``self`` falls below ``requirement``
@@ -76,17 +86,17 @@ class _QoSBase:
             )
         return tuple(
             name
-            for (name, mine), (_, theirs) in zip(
-                self.qos_items(), requirement.qos_items()
+            for name in self.__slots__
+            if not _param_satisfies(
+                getattr(self, name), getattr(requirement, name)
             )
-            if not _param_satisfies(name, mine, theirs)
         )
 
     def as_dict(self) -> dict:
         return {name: _plain(value) for name, value in self.qos_items()}
 
 
-def _param_satisfies(name: str, mine: object, theirs: object) -> bool:
+def _param_satisfies(mine: object, theirs: object) -> bool:
     """Per-parameter ordering.  Ordered scales (colour, grade, numeric
     rates/resolutions) compare with >=; languages are an equality match
     (an English track does not "exceed" a French request)."""

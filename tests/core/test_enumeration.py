@@ -102,9 +102,13 @@ class TestPrecomputation:
         assert choice.presented == choice.variant.qos  # full-capability client
 
     def test_cost_axes_arrays(self, space):
-        axes = space.cost_cents_axes()
+        axes = space.cents_axes
         assert len(axes) == 4
         assert all(len(a) > 0 for a in axes)
+        assert [list(a) for a in axes] == [
+            [choice.cost_cents for choice in space.axis(mid)]
+            for mid in space.monomedia_ids
+        ]
 
     def test_spec_for_colliding_variant_ids(self, client):
         # Regression: two monomedia may reuse the same variant_id.  The

@@ -1,5 +1,7 @@
 """Importance factors: interpolation, overrides, OIF composition (§5.2.2)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,14 +59,32 @@ class TestScaleImportance:
         scale = ScaleImportance(
             anchors={1.0: 1.0, 25.0: 9.0, 60.0: 10.0}, overrides={15.0: 5.0}
         )
+        # np.interp is the oracle the scalar interpolation must equal
+        # exactly; the override wins where it matches.
         xs = np.array([1, 5, 15, 25, 30, 60], dtype=float)
-        vectorized = scale.values(xs)
+        vectorized = np.interp(xs, [1.0, 25.0, 60.0], [1.0, 9.0, 10.0])
+        vectorized[xs == 15.0] = 5.0
         scalar = [scale.value(x) for x in xs]
-        assert np.allclose(vectorized, scalar)
+        assert vectorized.tolist() == scalar
 
     def test_empty_anchors_rejected(self):
         with pytest.raises(ProfileError):
             ScaleImportance(anchors={})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tables_rejected(self, bad):
+        # A NaN importance becomes a NaN OIF, on which neither the
+        # stream's heap key nor the lexsort is an order.
+        with pytest.raises(ProfileError, match="finite"):
+            ScaleImportance(anchors={1.0: 1.0, bad: 2.0})
+        with pytest.raises(ProfileError, match="finite"):
+            ScaleImportance(anchors={1.0: 1.0, 10.0: bad})
+        with pytest.raises(ProfileError, match="finite"):
+            ScaleImportance(anchors={1.0: 1.0}, overrides={bad: 2.0})
+        with pytest.raises(ProfileError, match="finite"):
+            ScaleImportance(anchors={1.0: 1.0}, overrides={5.0: bad})
+        with pytest.raises(ProfileError, match="finite"):
+            ScaleImportance(anchors={1.0: 1.0}).with_override(5, bad)
 
 
 class TestQoSImportance:
@@ -144,6 +164,23 @@ class TestEditing:
                 audio_grade={AudioGrade.CD: 1.0},
                 language={Language.NONE: 0.0},
                 media_weight={},
+            )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_factors_rejected(self, bad):
+        importance = default_importance()
+        with pytest.raises(ProfileError, match="finite"):
+            importance.with_color(ColorMode.COLOR, bad)
+        with pytest.raises(ProfileError, match="finite"):
+            importance.with_language(Language.FRENCH, bad)
+        with pytest.raises(ProfileError, match="finite"):
+            importance.with_media_weight("video", bad)
+        with pytest.raises(ProfileError, match="finite"):
+            importance.with_frame_rate_override(15, bad)
+        with pytest.raises(ProfileError, match="finite"):
+            replace(
+                importance,
+                audio_grade={**importance.audio_grade, AudioGrade.CD: bad},
             )
 
     def test_default_media_weights_filled(self):

@@ -15,7 +15,7 @@ from repro.core.profile_io import (
     save_profiles,
 )
 from repro.core.profile_manager import ProfileManager, standard_profiles
-from repro.util.errors import PersistenceError
+from repro.util.errors import PersistenceError, ProfileError
 
 
 class TestProfileRecord:
@@ -96,6 +96,27 @@ class TestManagerStore:
     def test_invalid_json(self):
         with pytest.raises(PersistenceError):
             load_profiles("{nope")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_importance_rejected(self, token):
+        """``json`` reads ``NaN`` and ``Infinity`` as floats; a store
+        carrying one must not load into a profile whose offers cannot
+        be ordered."""
+        import json
+
+        text = dump_profiles(ProfileManager())
+        assert load_profiles(text).names()  # the untouched store loads
+        envelope = json.loads(text)
+        for poison in (
+            lambda imp: imp["frame_rate"]["anchors"].update({"25.0": "@"}),
+            lambda imp: imp["resolution"]["overrides"].update({"512.0": "@"}),
+            lambda imp: imp["color"].update({"grey": "@"}),
+            lambda imp: imp["media_weight"].update({"audio": "@"}),
+        ):
+            poisoned = json.loads(json.dumps(envelope))
+            poison(poisoned["profiles"][0]["importance"])
+            with pytest.raises(ProfileError, match="finite"):
+                load_profiles(json.dumps(poisoned).replace('"@"', token))
 
     def test_restored_profiles_negotiate(
         self, manager, document, client, tmp_path

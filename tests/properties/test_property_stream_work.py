@@ -8,6 +8,7 @@ once per band search whose sub-product holds it.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core import stream
 from repro.core.classification import (
     ClassificationPolicy,
-    _axis_levels,
+    _axis_columns,
     classify_arrays,
 )
 from repro.core.importance import default_importance
@@ -62,16 +63,13 @@ def pull_bound(axes: int, n: int) -> int:
 
 def sub_product_sizes(space, profile):
     """|S_L| for L = 0, 1, 2: the offers of raw SNS level ≤ L."""
-    sizes = []
-    for band in range(BANDS):
-        size = 1
-        for mid in space.monomedia_ids:
-            levels = _axis_levels(
-                [choice.presented for choice in space.axis(mid)], profile
-            )
-            size *= int((levels <= band).sum())
-        sizes.append(size)
-    return sizes
+    _, _, level_axes = _axis_columns(space, profile, default_importance())
+    return [
+        math.prod(
+            sum(level <= band for level in levels) for levels in level_axes
+        )
+        for band in range(BANDS)
+    ]
 
 
 class TestPullWork:
