@@ -32,7 +32,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Generator,
+    Iterable,
+    Iterator,
+    Mapping,
+    TypeVar,
+)
 
 from ..client.machine import ClientMachine
 from ..cmfs.server import MediaServer
@@ -55,7 +63,12 @@ from .classification import (
     classify_space,
     walk_order,
 )
-from .commitment import Commitment, RefusalMemo, ResourceCommitter
+from .commitment import (
+    Commitment,
+    RefusalMemo,
+    ReservationBundle,
+    ResourceCommitter,
+)
 from .cost import CostModel, default_cost_model
 from .enumeration import OfferSpace, build_offer_space
 from .importance import ImportanceProfile, default_importance
@@ -74,7 +87,10 @@ __all__ = [
     "NegotiationPlan",
     "NegotiationResult",
     "QoSManager",
+    "Walk",
 ]
+
+_Park = TypeVar("_Park")
 
 DEFAULT_RETRY_AFTER_S = 30.0
 """Retry-after hint on FAILEDTRYLATER when no breaker knows better —
@@ -158,6 +174,302 @@ class NegotiationPlan:
     offers: "Iterator[ClassifiedOffer] | None" = None
     offers_in: int = 0
     policy: "ClassificationPolicy | None" = None
+
+
+class Walk:
+    """One step-5 walk (§4): try the candidates in the order given, the
+    first that reserves server *and* network wins, an exhausted list is
+    FAILEDTRYLATER.
+
+    The walk owns what every step-5 site shares: the holder, the
+    counters, the optional deadline, the per-candidate decision
+    (breaker skip → attempt → dropped-offer count), the close (the one
+    :class:`Commitment`, or :meth:`ResourceCommitter.end_walk` with its
+    reason) and the verdict.  ``pulled`` is what the caller's candidate
+    order took from the plan's offers and ``rest`` their unpulled
+    continuation; both go into the result as they stand when the walk
+    ends.
+
+    Two drivers consume it and differ only in where they yield and how
+    they emit spans.  :meth:`run` is atomic: nothing else touches the
+    ledgers between its attempts, so it calls ``try_commit`` directly
+    and keeps the walk-local :class:`RefusalMemo`.
+    :meth:`run_cooperative` parks before every reservation call of
+    ``iter_commit`` and honours ``deadline``; it has no memo, because
+    other tasks move the ledgers while it is parked.
+    """
+
+    __slots__ = (
+        "manager", "committer", "telemetry", "space", "profile",
+        "access_point", "guarantee", "holder", "pulled", "rest",
+        "deadline", "parent", "now", "memo", "attempts", "breaker_skips",
+        "switches", "overrun",
+    )
+
+    def __init__(
+        self,
+        manager: "QoSManager",
+        space: OfferSpace,
+        profile: UserProfile,
+        client: ClientMachine,
+        *,
+        pulled: "list[ClassifiedOffer]",
+        rest: "Iterator[ClassifiedOffer] | None" = None,
+        guarantee: "GuaranteeType | None" = None,
+        holder: "str | None" = None,
+        deadline: "float | None" = None,
+        telemetry: "Telemetry | None" = None,
+        parent: "tuple[str, str] | None" = None,
+    ) -> None:
+        self.manager = manager
+        self.committer = manager.committer
+        self.telemetry = telemetry or manager.telemetry
+        self.space = space
+        self.profile = profile
+        self.access_point = client.access_point
+        self.guarantee = guarantee or manager.guarantee
+        self.holder = holder or manager.new_holder()
+        self.pulled = pulled
+        self.rest = rest
+        self.deadline = deadline
+        self.parent = parent  # trace identity the cooperative spans hang under
+        self.now = manager.clock.now
+        self.memo: "RefusalMemo | None" = None
+        self.attempts = 0
+        self.breaker_skips = 0
+        self.switches = 0  # yields of the cooperative driver
+        self.overrun = False
+
+    @property
+    def memo_skips(self) -> int:
+        """Attempts the refusal memo answered (0 without one)."""
+        return self.memo.skips if self.memo is not None else 0
+
+    # -- the rules both drivers share ------------------------------------------------
+
+    def _admits(self, candidate: ClassifiedOffer) -> bool:
+        """The decision before any reservation call.  An offer using a
+        quarantined (circuit-open) server is skipped outright — the
+        walk degrades to alternate-server variants instead of spending
+        its retry budget against a machine known to be failing — and
+        counted here, once; anything else is an attempt."""
+        health = self.committer.health
+        if health is not None:
+            now = self.now()
+            if not all(
+                health.allow(server_id, now)
+                for server_id in candidate.offer.servers_used()
+            ):
+                self.committer.stats.breaker_skips += 1
+                self.breaker_skips += 1
+                self.telemetry.count("breaker.skips")
+                self.telemetry.count("negotiation.offers.dropped", step="5")
+                return False
+        self.attempts += 1
+        return True
+
+    def _overdue(self) -> bool:
+        if self.deadline is not None and self.now() >= self.deadline:
+            self.overrun = True
+        return self.overrun
+
+    def _settle(
+        self,
+        candidate: ClassifiedOffer,
+        bundle: "ReservationBundle | None",
+        trace_context: "tuple[str, str] | None" = None,
+    ) -> "NegotiationResult | None":
+        """After an attempt: a refused offer is dropped and the walk
+        goes on (``None``); a bundle ends it.  The driver must not
+        yield between the attempt's return and this call — the
+        ``RESERVED`` record lands while the ``INTENT`` window is still
+        the walk's."""
+        if bundle is None:
+            self.telemetry.count("negotiation.offers.dropped", step="5")
+            return None
+        commitment = Commitment(
+            bundle,
+            self.committer,
+            reserved_at=self.now(),
+            choice_period_s=self.profile.choice_period_s,
+            telemetry=self.telemetry,
+            trace_context=trace_context,
+        )
+        return self._verdict(candidate, commitment)
+
+    def _give_up(self) -> NegotiationResult:
+        """No candidate committed — "the whole set of the feasible
+        system offers are considered and no resources are available"
+        (§4 step 5), or the deadline budget ran out.  Failed attempts
+        journal nothing, so the walk's ``INTENT`` (if any attempt
+        opened one and no closed generator resolved it) is closed
+        here."""
+        self.committer.end_walk(
+            self.holder, "abandoned" if self.overrun else "commit-failed"
+        )
+        return self._verdict()
+
+    def _verdict(
+        self,
+        chosen: "ClassifiedOffer | None" = None,
+        commitment: "Commitment | None" = None,
+    ) -> NegotiationResult:
+        if chosen is None:
+            status = NegotiationStatus.FAILED_TRY_LATER
+        elif chosen.satisfies_user:
+            status = NegotiationStatus.SUCCEEDED
+        else:
+            status = NegotiationStatus.FAILED_WITH_OFFER
+        return NegotiationResult(
+            status=status,
+            user_offer=(
+                None if chosen is None
+                else derive_user_offer(chosen.offer, self.profile.desired.time)
+            ),
+            chosen=chosen,
+            commitment=commitment,
+            classified=self.pulled,
+            offer_space=self.space,
+            attempts=self.attempts,
+            memo_skips=self.memo_skips,
+            retry_after_s=(
+                self.manager.retry_after_hint() if chosen is None else None
+            ),
+            _rest=self.rest,
+        )
+
+    # -- the two drivers -------------------------------------------------------------
+
+    def run(
+        self, candidates: "Iterable[ClassifiedOffer]", *, offers_in: int
+    ) -> NegotiationResult:
+        """The atomic driver.  An offer that would repeat an admission
+        call already refused in this walk is a memo skip: it still
+        counts as an attempt (the chosen offer's position in walk
+        order does not move), it just costs no reservation call."""
+        telemetry = self.telemetry
+        try_commit = self.committer.try_commit
+        memo = self.memo = RefusalMemo()
+        with telemetry.span(
+            "negotiation.step5.commit",
+            offers_in=offers_in,
+            holder=self.holder,
+        ) as sp5:
+            anchor = telemetry.tracer.root_context()
+            result = None
+            for candidate in candidates:
+                offer = candidate.offer
+                # Decided before the span opens: a transition the breaker
+                # notices while answering emits its own span, which
+                # belongs to the walk, not to this attempt.
+                admitted = self._admits(candidate)
+                hits_before = memo.skips
+                with telemetry.span(
+                    "negotiation.step5.attempt",
+                    offer_id=offer.offer_id,
+                    servers=sorted(offer.servers_used()),
+                ) as attempt_span:
+                    if not admitted:
+                        attempt_span.set_attribute("outcome", "breaker-skip")
+                        continue
+                    bundle = try_commit(
+                        offer,
+                        self.space,
+                        self.access_point,
+                        guarantee=self.guarantee,
+                        holder=self.holder,
+                        memo=memo,
+                    )
+                    if memo.skips != hits_before:
+                        telemetry.count("commitment.memo_skips")
+                        attempt_span.set_attribute("outcome", "memo-skip")
+                        attempt_span.set_attribute(
+                            "server_id", memo.refused_by
+                        )
+                    else:
+                        attempt_span.set_attribute(
+                            "outcome",
+                            "committed" if bundle is not None
+                            else "rolled-back",
+                        )
+                result = self._settle(candidate, bundle, anchor)
+                if result is not None:
+                    break
+            if result is None:
+                result = self._give_up()
+            sp5.set_attribute("attempts", self.attempts)
+            sp5.set_attribute("breaker_skips", self.breaker_skips)
+            sp5.set_attribute("outcome", str(result.status))
+            if result.chosen is not None:
+                sp5.set_attribute("chosen", result.chosen.offer.offer_id)
+            return result
+
+    def run_cooperative(
+        self, candidates: "Iterable[ClassifiedOffer]", park: _Park
+    ) -> "Generator[_Park, None, NegotiationResult]":
+        """The cooperative driver: yields ``park`` — whatever the
+        caller's scheduler takes as "charge one reservation call and
+        let other tasks run" — before every reservation call.  When the
+        deadline passes while an attempt is parked the attempt's
+        generator is closed, which rolls back what it took and closes
+        the walk with ``RELEASED("abandoned")``."""
+        iter_commit = self.committer.iter_commit
+        for candidate in candidates:
+            if self._overdue():
+                break
+            started = self.now()
+            if not self._admits(candidate):
+                self._emit_attempt(candidate, started, "breaker-skip")
+                continue
+            attempt = iter_commit(
+                candidate.offer,
+                self.space,
+                self.access_point,
+                guarantee=self.guarantee,
+                holder=self.holder,
+            )
+            bundle: "ReservationBundle | None" = None
+            while True:
+                try:
+                    next(attempt)
+                except StopIteration as stop:
+                    bundle = stop.value
+                    break
+                self.switches += 1
+                yield park
+                if self._overdue():
+                    attempt.close()
+                    break
+            self._emit_attempt(
+                candidate,
+                started,
+                "committed" if bundle is not None
+                else "abandoned" if self.overrun
+                else "rolled-back",
+            )
+            if self.overrun:
+                break
+            result = self._settle(candidate, bundle)
+            if result is not None:
+                return result
+        return self._give_up()
+
+    def _emit_attempt(
+        self, candidate: ClassifiedOffer, started: float, outcome: str
+    ) -> None:
+        if not self.telemetry.enabled:
+            return
+        self.telemetry.tracer.emit(
+            "negotiation.step5.attempt",
+            start_s=started,
+            end_s=self.now(),
+            parent=self.parent,
+            attributes={
+                "offer_id": candidate.offer.offer_id,
+                "holder": self.holder,
+                "outcome": outcome,
+            },
+        )
 
 
 class QoSManager:
@@ -494,17 +806,12 @@ class QoSManager:
         *,
         exclude_offer_ids: frozenset[str] = frozenset(),
     ) -> NegotiationResult:
-        """Step 5: attempt the plan's offers in :func:`walk_order`
-        until one commits.  The result keeps what the walk pulled as
-        ``classified`` and the unpulled continuation as ``_rest``.
-
-        When the committer tracks health, offers using a quarantined
-        (circuit-open) server are skipped outright — the walk degrades
-        gracefully to alternate-server variants instead of spending its
-        retry budget against a machine known to be failing."""
+        """Step 5: one synchronous :class:`Walk` over the plan's offers
+        in :func:`walk_order`.  The result keeps what the walk pulled
+        as ``classified`` and the unpulled continuation as ``_rest``;
+        an excluded offer is pulled but never a candidate."""
         offers, space = plan.offers, plan.space
         assert offers is not None and space is not None
-        holder = self.new_holder()
         pulled: list[ClassifiedOffer] = []
         candidates = walk_order(offers, plan.policy, pulled)
         if exclude_offer_ids:
@@ -512,158 +819,10 @@ class QoSManager:
                 c for c in candidates
                 if c.offer.offer_id not in exclude_offer_ids
             )
-        with self.telemetry.span(
-            "negotiation.step5.commit",
-            offers_in=plan.offers_in,
-            holder=holder,
-        ) as sp5:
-            chosen, commitment, attempts, skips, memo_skips = (
-                self._attempt_walk(
-                    candidates, space, profile, client, guarantee, holder
-                )
-            )
-            result = self._step5_result(
-                sp5, chosen, commitment, attempts, skips,
-                classified=pulled, space=space, profile=profile,
-                rest=offers,
-            )
-            result.memo_skips = memo_skips
-            return result
-
-    def _attempt_walk(
-        self,
-        candidates: "Iterable[ClassifiedOffer]",
-        space: OfferSpace,
-        profile: UserProfile,
-        client: ClientMachine,
-        guarantee: GuaranteeType,
-        holder: str,
-    ) -> "tuple[ClassifiedOffer | None, Commitment | None, int, int, int]":
-        """Try to commit candidates in the order given; stop at the
-        first success.  Returns (chosen, commitment, attempts, breaker
-        skips, memo skips) with ``chosen=None`` when every candidate
-        was exhausted.
-
-        The walk is atomic — nothing else touches the ledgers between
-        its attempts — so it keeps a :class:`RefusalMemo`: an offer
-        that would repeat an admission call already refused in this
-        walk is a memo skip.  It still counts as an attempt (the
-        chosen offer's position in walk order does not move); it just
-        costs no reservation call."""
-        health = self.committer.health
-        telemetry = self.telemetry
-        memo = RefusalMemo()
-        attempts = 0
-        skips = 0
-        for candidate in candidates:
-            if health is not None:
-                now = self.clock.now()
-                if not all(
-                    health.allow(server_id, now)
-                    for server_id in candidate.offer.servers_used()
-                ):
-                    self.committer.stats.breaker_skips += 1
-                    skips += 1
-                    telemetry.count("breaker.skips")
-                    telemetry.count(
-                        "negotiation.offers.dropped", step="5"
-                    )
-                    with telemetry.span(
-                        "negotiation.step5.attempt",
-                        offer_id=candidate.offer.offer_id,
-                        servers=sorted(candidate.offer.servers_used()),
-                    ) as skip_span:
-                        skip_span.set_attribute(
-                            "outcome", "breaker-skip"
-                        )
-                    continue
-            attempts += 1
-            hits_before = memo.skips
-            with telemetry.span(
-                "negotiation.step5.attempt",
-                offer_id=candidate.offer.offer_id,
-                servers=sorted(candidate.offer.servers_used()),
-            ) as attempt_span:
-                bundle = self.committer.try_commit(
-                    candidate.offer,
-                    space,
-                    client.access_point,
-                    guarantee=guarantee,
-                    holder=holder,
-                    memo=memo,
-                )
-                if memo.skips != hits_before:
-                    telemetry.count("commitment.memo_skips")
-                    attempt_span.set_attribute("outcome", "memo-skip")
-                    attempt_span.set_attribute("server_id", memo.refused_by)
-                else:
-                    attempt_span.set_attribute(
-                        "outcome",
-                        "committed" if bundle is not None else "rolled-back",
-                    )
-            if bundle is None:
-                telemetry.count("negotiation.offers.dropped", step="5")
-                continue
-            commitment = Commitment(
-                bundle,
-                self.committer,
-                reserved_at=self.clock.now(),
-                choice_period_s=profile.choice_period_s,
-                telemetry=telemetry,
-                trace_context=telemetry.tracer.root_context(),
-            )
-            return candidate, commitment, attempts, skips, memo.skips
-        self.committer.end_walk(holder)
-        return None, None, attempts, skips, memo.skips
-
-    def _step5_result(
-        self,
-        sp5: Any,
-        chosen: "ClassifiedOffer | None",
-        commitment: "Commitment | None",
-        attempts: int,
-        skips: int,
-        *,
-        classified: "list[ClassifiedOffer]",
-        space: OfferSpace,
-        profile: UserProfile,
-        rest: "Iterator[ClassifiedOffer] | None",
-    ) -> NegotiationResult:
-        sp5.set_attribute("attempts", attempts)
-        sp5.set_attribute("breaker_skips", skips)
-        if chosen is not None:
-            status = (
-                NegotiationStatus.SUCCEEDED
-                if chosen.satisfies_user
-                else NegotiationStatus.FAILED_WITH_OFFER
-            )
-            sp5.set_attribute("outcome", str(status))
-            sp5.set_attribute("chosen", chosen.offer.offer_id)
-            return NegotiationResult(
-                status=status,
-                user_offer=derive_user_offer(
-                    chosen.offer, profile.desired.time
-                ),
-                chosen=chosen,
-                commitment=commitment,
-                classified=classified,
-                offer_space=space,
-                attempts=attempts,
-                _rest=rest,
-            )
-        # "If the whole set of the feasible system offers are
-        # considered and no resources are available" (§4 step 5):
-        sp5.set_attribute(
-            "outcome", str(NegotiationStatus.FAILED_TRY_LATER)
-        )
-        return NegotiationResult(
-            status=NegotiationStatus.FAILED_TRY_LATER,
-            classified=classified,
-            offer_space=space,
-            attempts=attempts,
-            retry_after_s=self.retry_after_hint(),
-            _rest=rest,
-        )
+        return Walk(
+            self, space, profile, client,
+            pulled=pulled, rest=offers, guarantee=guarantee,
+        ).run(candidates, offers_in=plan.offers_in)
 
     def retry_after_hint(self) -> float:
         """When is retrying the whole negotiation first worthwhile?  The

@@ -30,7 +30,7 @@ from ..core.classification import (
     walk_order,
 )
 from ..core.enumeration import OfferSpace, build_offer_space
-from ..core.negotiation import NegotiationResult, QoSManager
+from ..core.negotiation import NegotiationResult, QoSManager, Walk
 from ..core.offers import SystemOffer, derive_user_offer
 from ..core.profiles import UserProfile
 from ..core.status import NegotiationStatus
@@ -285,30 +285,12 @@ class AdvanceNegotiator:
         )
         self._release(plan)
         plan.claimed = True
-        bundle = self.manager.committer.try_commit(
-            plan.offer, space, client.access_point,
-            guarantee=self.manager.guarantee, holder=plan.plan_id,
-        )
-        if bundle is None:
-            self.manager.committer.end_walk(plan.plan_id)
-            return NegotiationResult(
-                status=NegotiationStatus.FAILED_TRY_LATER
-            )
-        from ..core.commitment import Commitment
-
-        commitment = Commitment(
-            bundle, self.manager.committer,
-            reserved_at=self.manager.clock.now(),
-            choice_period_s=profile.choice_period_s,
-        )
-        return NegotiationResult(
-            status=plan.status,
-            user_offer=plan.user_offer,
-            chosen=plan.classified,
-            commitment=commitment,
-            offer_space=space,
-            attempts=1,
-        )
+        # A one-offer walk under the booking's own holder id.
+        booked = [plan.classified]
+        return Walk(
+            self.manager, space, profile, client,
+            pulled=booked, holder=plan.plan_id,
+        ).run(booked, offers_in=1)
 
     def cancel(self, plan: AdvanceBookingPlan) -> None:
         if plan.claimed or plan.cancelled:

@@ -38,11 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from ..core.classification import ClassifiedOffer, walk_order
+from ..core.classification import ClassifiedOffer, check_top_k, walk_order
 from ..core.commitment import Commitment, CommitmentState
-from ..core.negotiation import NegotiationResult
-from ..core.offers import derive_user_offer
-from ..core.status import NegotiationStatus
+from ..core.negotiation import NegotiationResult, Walk
 from ..util.errors import ConfirmationTimeout
 from ..util.rng import RngLike, make_rng
 from ..util.validation import (
@@ -56,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..client.machine import ClientMachine
     from ..core.negotiation import QoSManager
     from ..core.profiles import UserProfile
+    from ..core.status import NegotiationStatus
     from ..session.engine import EventLoop
     from ..storm import AdmissionGate
     from ..telemetry import Telemetry
@@ -107,12 +106,7 @@ class ServicePolicy:
     hold_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_offers is not None and self.max_offers < 1:
-            from ..util.errors import ValidationError
-
-            raise ValidationError(
-                f"max_offers must be >= 1, got {self.max_offers}"
-            )
+        check_top_k(self.max_offers, parameter="max_offers")
         check_positive(self.deadline_budget_s, "deadline_budget_s")
         check_non_negative(self.reservation_step_s, "reservation_step_s")
         check_non_negative(self.plan_s, "plan_s")
@@ -409,10 +403,8 @@ class NegotiationService:
         becomes the delivered verdict)."""
         policy = self.policy
         manager = self.manager
-        committer = manager.committer
         telemetry = self.telemetry
         started = self.loop.now
-        deadline = started + policy.deadline_budget_s
         if policy.plan_s > 0.0:
             yield Sleep(policy.plan_s)
         else:
@@ -430,130 +422,30 @@ class NegotiationService:
         if plan.early is not None:
             return plan.early
         assert plan.offers is not None and plan.space is not None
-        offers, space = plan.offers, plan.space
-        holder = manager.new_holder()
-        health = committer.health
         pulled: "list[ClassifiedOffer]" = []
-        attempts = 0
-        skips = 0
-        switches = 0
-        overrun = False
-        chosen = None
-        bundle = None
-        for candidate in walk_order(offers, plan.policy, pulled):
-            if self.loop.now >= deadline:
-                overrun = True
-                break
-            if health is not None:
-                now = self.loop.now
-                if not all(
-                    health.allow(server_id, now)
-                    for server_id in candidate.offer.servers_used()
-                ):
-                    committer.stats.breaker_skips += 1
-                    skips += 1
-                    telemetry.count("breaker.skips")
-                    telemetry.count("negotiation.offers.dropped", step="5")
-                    continue
-            attempts += 1
-            attempt_started = self.loop.now
-            walk = committer.iter_commit(
-                candidate.offer,
-                space,
-                client.access_point,
-                guarantee=manager.guarantee,
-                holder=holder,
-            )
-            taken = None
-            while True:
-                try:
-                    next(walk)
-                except StopIteration as stop:
-                    taken = stop.value
-                    break
-                # Parked before a reservation call: charge its cost and
-                # let other tasks run in the meantime.
-                switches += 1
-                if policy.reservation_step_s > 0.0:
-                    yield Sleep(policy.reservation_step_s)
-                else:
-                    yield Switch()
-                if self.loop.now >= deadline:
-                    # Budget exhausted mid-attempt: abandoning the
-                    # generator rolls back and closes the walk with
-                    # RELEASED("abandoned").
-                    walk.close()
-                    overrun = True
-                    break
-            if telemetry.enabled:
-                telemetry.tracer.emit(
-                    "negotiation.step5.attempt",
-                    start_s=attempt_started,
-                    end_s=self.loop.now,
-                    parent=request.context,
-                    attributes={
-                        "offer_id": candidate.offer.offer_id,
-                        "holder": holder,
-                        "outcome": (
-                            "committed" if taken is not None
-                            else "abandoned" if overrun
-                            else "rolled-back"
-                        ),
-                    },
-                )
-            if overrun:
-                break
-            if taken is None:
-                telemetry.count("negotiation.offers.dropped", step="5")
-                continue
-            chosen = candidate
-            bundle = taken
-            break
-        telemetry.observe("service.walk.switches", float(switches))
-        if chosen is None or bundle is None:
-            if overrun:
-                request.overrun = True
-                self.stats.overruns += 1
-                telemetry.count("service.deadline.overruns")
-                # Between attempts the walk's INTENT is still open; a
-                # generator closed mid-attempt has already resolved it.
-                committer.end_walk(holder, "abandoned")
-            else:
-                committer.end_walk(holder)
-            return NegotiationResult(
-                status=NegotiationStatus.FAILED_TRY_LATER,
-                classified=pulled,
-                offer_space=space,
-                attempts=attempts,
-                retry_after_s=manager.retry_after_hint(),
-                _rest=offers,
-            )
-        # No yield between the walk's return and the Commitment: the
-        # RESERVED record lands while the INTENT window is still ours.
-        commitment = Commitment(
-            bundle,
-            committer,
-            reserved_at=self.loop.now,
-            choice_period_s=profile.choice_period_s,
+        walk = Walk(
+            manager, plan.space, profile, client,
+            pulled=pulled,
+            rest=plan.offers,
+            deadline=started + policy.deadline_budget_s,
             telemetry=telemetry,
+            parent=request.context,
         )
-        result = NegotiationResult(
-            status=(
-                NegotiationStatus.SUCCEEDED
-                if chosen.satisfies_user
-                else NegotiationStatus.FAILED_WITH_OFFER
-            ),
-            user_offer=derive_user_offer(
-                chosen.offer, profile.desired.time
-            ),
-            chosen=chosen,
-            commitment=commitment,
-            classified=pulled,
-            offer_space=space,
-            attempts=attempts,
-            _rest=offers,
+        # Parked before a reservation call: charge its cost and let
+        # other tasks run in the meantime.
+        result = yield from walk.run_cooperative(
+            walk_order(plan.offers, plan.policy, pulled),
+            Sleep(policy.reservation_step_s)
+            if policy.reservation_step_s > 0.0
+            else Switch(),
         )
-        self._arm_step6(request, commitment, profile)
+        telemetry.observe("service.walk.switches", float(walk.switches))
+        if walk.overrun:
+            request.overrun = True
+            self.stats.overruns += 1
+            telemetry.count("service.deadline.overruns")
+        if result.commitment is not None:
+            self._arm_step6(request, result.commitment, profile)
         return result
 
     # -- step 6: confirmation vs expiry, as tasks ----------------------------------

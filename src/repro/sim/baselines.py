@@ -28,9 +28,8 @@ from typing import Protocol
 
 from ..client.machine import ClientMachine
 from ..core.classification import ClassificationPolicy, ClassifiedOffer
-from ..core.negotiation import NegotiationResult, QoSManager
+from ..core.negotiation import NegotiationResult, QoSManager, Walk
 from ..core.profiles import UserProfile
-from ..core.status import NegotiationStatus
 from ..documents.document import Document
 
 __all__ = [
@@ -91,55 +90,13 @@ class _ReorderingNegotiator:
         )
         if plan.early is not None:
             return plan.early
-        return self._commit_in_order(
-            self._order(list(plan.offers)), plan.space, profile, client
-        )
-
-    def _commit_in_order(
-        self, ordered, space, profile, client
-    ) -> NegotiationResult:
-        """Single-pass commitment in exactly the given order (these
-        baselines have no satisfying-first refinement)."""
-        from ..core.commitment import Commitment
-        from ..core.offers import derive_user_offer
-
-        manager = self.manager
-        holder = manager.new_holder()
-        attempts = 0
-        for candidate in ordered:
-            attempts += 1
-            bundle = manager.committer.try_commit(
-                candidate.offer, space, client.access_point,
-                guarantee=manager.guarantee, holder=holder,
-            )
-            if bundle is None:
-                continue
-            commitment = Commitment(
-                bundle, manager.committer,
-                reserved_at=manager.clock.now(),
-                choice_period_s=profile.choice_period_s,
-            )
-            status = (
-                NegotiationStatus.SUCCEEDED
-                if candidate.satisfies_user
-                else NegotiationStatus.FAILED_WITH_OFFER
-            )
-            return NegotiationResult(
-                status=status,
-                user_offer=derive_user_offer(candidate.offer, profile.desired.time),
-                chosen=candidate,
-                commitment=commitment,
-                classified=list(ordered),
-                offer_space=space,
-                attempts=attempts,
-            )
-        manager.committer.end_walk(holder)
-        return NegotiationResult(
-            status=NegotiationStatus.FAILED_TRY_LATER,
-            classified=list(ordered),
-            offer_space=space,
-            attempts=attempts,
-        )
+        assert plan.offers is not None and plan.space is not None
+        # Exactly the imposed order: these baselines have no
+        # satisfying-first refinement, so the walk gets the list as is.
+        ordered = self._order(list(plan.offers))
+        return Walk(
+            self.manager, plan.space, profile, client, pulled=ordered
+        ).run(ordered, offers_in=len(ordered))
 
 
 class StaticNegotiator(_ReorderingNegotiator):

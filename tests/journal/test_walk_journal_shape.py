@@ -16,6 +16,8 @@ from repro.reservations import AdvanceNegotiator
 from repro.service import NegotiationService, ServicePolicy
 from repro.session import EventLoop
 from repro.sim.baselines import FirstFitNegotiator
+from repro.telemetry import InMemorySpanExporter, Telemetry
+from repro.util.clock import ManualClock
 from repro.util.errors import AdmissionError, JournalError
 from tests.core.test_stream import DEAREST_CENTS, WALK_FLAVOURS, occupy
 from tests.properties.strategies import (
@@ -44,6 +46,14 @@ def journalled_manager(stream_caps, full=(), **options):
     for server_id in full:
         occupy(manager, server_id)
     return manager
+
+
+def quarantine(manager, servers):
+    """Open the manager's breaker on ``servers`` (threshold 1)."""
+    for server_id in servers:
+        manager.committer.health.record_failure(
+            server_id, manager.clock.now()
+        )
 
 
 def shape(journal, holder=None):
@@ -93,8 +103,7 @@ class TestSynchronousWalk:
     def test_every_offer_breaker_skipped_leaves_no_record(self):
         breaker = CircuitBreaker(failure_threshold=1, recovery_time_s=60.0)
         manager = journalled_manager((3, 3, 3), health=breaker)
-        for server_id in GRID_SERVERS:
-            breaker.record_failure(server_id, manager.clock.now())
+        quarantine(manager, GRID_SERVERS)
         result = manager.negotiate("doc.grid", PROFILE, CLIENT)
         assert result.commitment is None and result.attempts == 0
         assert len(manager.committer.journal) == 0
@@ -250,3 +259,103 @@ class TestCooperativeWalk:
         loop.run()
         assert request.overrun and request.result.attempts == 0
         assert len(manager.committer.journal) == 0
+
+    def test_every_offer_breaker_skipped_leaves_no_record(self):
+        # The synchronous case above, through the service: skipped and
+        # counted, one span per skip under the request's trace, nothing
+        # journalled, and the hint is when the breaker reopens.
+        clock = ManualClock()
+        exporter = InMemorySpanExporter()
+        manager = journalled_manager(
+            (3, 3, 3),
+            clock=clock,
+            health=CircuitBreaker(failure_threshold=1, recovery_time_s=60.0),
+            telemetry=Telemetry(clock=clock, seed=0, exporters=(exporter,)),
+        )
+        quarantine(manager, GRID_SERVERS)
+        loop, service = self.service(manager, plan_s=0.0)
+        request = service.submit("doc.grid", PROFILE, CLIENT)
+        loop.run()
+        result = request.result
+        assert result.commitment is None and result.attempts == 0
+        assert result.retry_after_s == 60.0
+        assert manager.committer.stats.breaker_skips == 27
+        assert len(manager.committer.journal) == 0
+        skips = [
+            span for span in exporter.spans
+            if span.name == "negotiation.step5.attempt"
+        ]
+        assert len(skips) == 27
+        assert {s.attributes["outcome"] for s in skips} == {"breaker-skip"}
+        assert {(s.trace_id, s.parent_id) for s in skips} == {request.context}
+
+    def test_offers_on_a_quarantined_server_are_skipped(self):
+        manager = journalled_manager(
+            (3, 3, 3),
+            health=CircuitBreaker(failure_threshold=1, recovery_time_s=60.0),
+        )
+        quarantine(manager, ["server-a"])
+        loop, service = self.service(manager)
+        request = service.submit("doc.grid", PROFILE, CLIENT)
+        loop.run()
+        result = request.result
+        assert "server-a" not in result.chosen.offer.servers_used()
+        assert result.attempts == 1
+        skipped = [
+            c for c in result.classified
+            if "server-a" in c.offer.servers_used()
+        ]
+        assert manager.committer.stats.breaker_skips == len(skipped) > 0
+        assert shape(manager.committer.journal)[:2] == [
+            (INTENT, None), (RESERVED, None),
+        ]
+
+
+QUIET_CASES = {
+    # name: (stream caps, servers filled beforehand, servers quarantined)
+    "first-attempt": ((3, 3, 3), (), ()),
+    "deep": ((1, 1, 3), GRID_SERVERS[:2], ()),
+    "exhausted": ((1, 1, 1), GRID_SERVERS, ()),
+    "breaker-open": ((3, 3, 3), (), ("server-a",)),
+    "all-quarantined": ((3, 3, 3), (), GRID_SERVERS),
+}
+
+
+@pytest.mark.parametrize("case", QUIET_CASES)
+def test_a_quiet_service_walks_like_negotiate(case):
+    """One lone request, no gate, free reservation calls: nothing
+    interleaves, so the cooperative driver and the synchronous one are
+    the same walk and must reach the same verdict the same way."""
+    stream_caps, full, open_on = QUIET_CASES[case]
+
+    def deployment():
+        manager = journalled_manager(
+            stream_caps, full=full,
+            health=CircuitBreaker(failure_threshold=1, recovery_time_s=60.0),
+        )
+        quarantine(manager, open_on)
+        return manager
+
+    def outcome(manager, result):
+        return (
+            result.status,
+            result.chosen.offer.offer_id if result.chosen else None,
+            result.attempts,
+            manager.committer.stats.breaker_skips,
+            result.retry_after_s,
+            shape(manager.committer.journal)[:2],
+        )
+
+    synchronous = deployment()
+    expected = outcome(
+        synchronous, synchronous.negotiate("doc.grid", PROFILE, CLIENT)
+    )
+    cooperative = deployment()
+    loop = EventLoop(cooperative.clock)
+    service = NegotiationService(
+        cooperative, loop,
+        policy=ServicePolicy(plan_s=0.0, reservation_step_s=0.0, hold_s=1.0),
+    )
+    request = service.submit("doc.grid", PROFILE, CLIENT)
+    loop.run()
+    assert outcome(cooperative, request.result) == expected

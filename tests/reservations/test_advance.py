@@ -7,9 +7,16 @@ from dataclasses import replace
 import pytest
 
 from repro.client import ClientMachine
-from repro.core import ProfileManager, SecurityLevel, UserPreferences
+from repro.core import (
+    ProfileManager,
+    QoSManager,
+    SecurityLevel,
+    UserPreferences,
+)
+from repro.core.negotiation import DEFAULT_RETRY_AFTER_S
 from repro.core.status import NegotiationStatus
 from repro.reservations.advance import AdvanceBookingPlan, AdvanceNegotiator
+from repro.telemetry import Telemetry
 from repro.util.errors import ReservationError
 
 
@@ -185,6 +192,34 @@ class TestClaim:
         topology.link("L-client").set_congestion(1.0)
         result = advance.claim(plan, balanced_profile, client)
         assert result.status is NegotiationStatus.FAILED_TRY_LATER
+        # A step-5 verdict like any other: the one attempt is counted,
+        # the space and a retry hint come with it.
+        assert result.attempts == 1
+        assert result.classified == [plan.classified]
+        assert result.offer_space is not None
+        assert result.retry_after_s == DEFAULT_RETRY_AFTER_S
+
+    def test_claimed_commitment_reports_to_the_managers_telemetry(
+        self, database, transport, servers, clock, document,
+        balanced_profile, client,
+    ):
+        telemetry = Telemetry(clock=clock, seed=0)
+        manager = QoSManager(
+            database=database, transport=transport, servers=servers,
+            clock=clock, telemetry=telemetry,
+        )
+        advance = AdvanceNegotiator(manager)
+        plan = advance.negotiate_advance(
+            document.document_id, balanced_profile, client, start_s=0.0
+        )
+        result = advance.claim(plan, balanced_profile, client)
+        assert (result.status, result.chosen) == (plan.status, plan.classified)
+        assert result.user_offer == plan.user_offer
+        result.commitment.confirm(clock.now())
+        assert telemetry.metrics.counter_value(
+            "commitment.outcomes", state="confirmed"
+        ) == 1
+        result.commitment.release()
 
     def test_cancel_idempotent(self, advance, document, balanced_profile, client):
         plan = advance.negotiate_advance(

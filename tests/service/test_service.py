@@ -15,6 +15,7 @@ from repro.service import NegotiationService, ServicePolicy
 from repro.sim import ScenarioSpec, build_scenario
 from repro.storm import AdmissionGate, GatePolicy
 from repro.telemetry.report import reconcile_journal
+from repro.util.errors import ValidationError
 
 SPEC = ScenarioSpec(server_count=2, client_count=3, document_count=2)
 
@@ -121,6 +122,14 @@ class TestDeterminism:
             scenario.loop.run()
             assert service.unfinished() == []
             assert_leak_free(scenario, journal)
+
+
+class TestPolicy:
+    @pytest.mark.parametrize("max_offers", [0, -3])
+    def test_max_offers_below_one_is_rejected(self, max_offers):
+        # The same rule, through the same check, as negotiate(max_offers=).
+        with pytest.raises(ValidationError, match="max_offers"):
+            ServicePolicy(max_offers=max_offers)
 
 
 class TestDeadlineBudget:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import QoSManager
+from repro.core.negotiation import DEFAULT_RETRY_AFTER_S
 from repro.core.status import NegotiationStatus
 from repro.sim.baselines import (
     ALL_BASELINES,
@@ -11,6 +13,7 @@ from repro.sim.baselines import (
     SmartNegotiator,
     StaticNegotiator,
 )
+from repro.telemetry import Telemetry
 
 
 class TestSmartNegotiator:
@@ -44,6 +47,8 @@ class TestStaticNegotiator:
             document.document_id, balanced_profile, client
         )
         assert result.status is NegotiationStatus.FAILED_TRY_LATER
+        assert result.attempts == 1 and result.offer_space is not None
+        assert result.retry_after_s == DEFAULT_RETRY_AFTER_S
 
     def test_smart_survives_same_squeeze(
         self, manager, document, balanced_profile, client, topology
@@ -137,6 +142,25 @@ class TestCommonBehaviour:
         assert holders == ["session-1", "session-2", "session-3"]
         for result in (first, second, live):
             result.commitment.release()
+
+
+    def test_commitments_report_to_the_managers_telemetry(
+        self, database, transport, servers, clock, document,
+        balanced_profile, client,
+    ):
+        telemetry = Telemetry(clock=clock, seed=0)
+        manager = QoSManager(
+            database=database, transport=transport, servers=servers,
+            clock=clock, telemetry=telemetry,
+        )
+        result = CostOnlyNegotiator(manager).negotiate(
+            document.document_id, balanced_profile, client
+        )
+        result.commitment.confirm(clock.now())
+        assert telemetry.metrics.counter_value(
+            "commitment.outcomes", state="confirmed"
+        ) == 1
+        result.commitment.release()
 
 
 class TestRandomNegotiator:
