@@ -5,8 +5,7 @@ infrastructure: the batch engine preseeds it, the service coalesces
 through it, and the ``cache.*`` hit-rate telemetry assumes every
 negotiation funnels through one instance.  A privately constructed
 cache silently forks that world — requests stop sharing offer spaces
-and classifications, the single-flight protocol degenerates to
-per-instance, and the hit-rate series undercounts.
+and the hit-rate series undercounts.
 
 The rule flags every ``NegotiationCache(...)`` construction outside its
 defining module.  Callers should obtain the process-wide instance from

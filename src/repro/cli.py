@@ -50,11 +50,12 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "build_spec"]
 
 EXPERIMENT_INDEX = [
     ("E1", "Sec 5.2.1 static negotiation status", "benchmarks/test_e01_sns_example.py"),
@@ -88,14 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_telemetry_argument(command: argparse.ArgumentParser) -> None:
         command.add_argument(
-            "--telemetry", default=None, metavar="PATH",
+            "--telemetry", dest="telemetry_jsonl", default=None,
+            metavar="PATH",
             help="write the run's trace spans to PATH as JSONL",
         )
 
     demo = sub.add_parser("demo", help="negotiate one article end to end")
     demo.add_argument("--profile", default="balanced",
                       help="stock profile name (default: balanced)")
-    demo.add_argument("--documents", type=int, default=3,
+    demo.add_argument("--documents", type=int, dest="document_count",
+                      default=3,
                       help="catalogue size of the built-in deployment")
     add_telemetry_argument(demo)
 
@@ -106,13 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--negotiator", default="smart",
                        choices=["smart", "static", "first-fit", "cost-only",
                                 "qos-only"])
-    sweep.add_argument("--rate", type=float, default=0.1,
-                       help="arrival rate, requests/s")
-    sweep.add_argument("--horizon", type=float, default=900.0,
-                       help="workload horizon, seconds")
+    sweep.add_argument("--rate", type=float, dest="arrival_rate_per_s",
+                       default=0.1, help="arrival rate, requests/s")
+    sweep.add_argument("--horizon", type=float, dest="horizon_s",
+                       default=900.0, help="workload horizon, seconds")
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--servers", type=int, default=2)
-    sweep.add_argument("--no-adaptation", action="store_true")
+    sweep.add_argument("--servers", type=int, dest="server_count", default=2)
+    sweep.add_argument("--no-adaptation", action="store_false",
+                       dest="adaptation_enabled")
     add_telemetry_argument(sweep)
 
     chaos = sub.add_parser(
@@ -129,11 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--seed", type=int, default=1)
     chaos.add_argument("--requests", type=int, default=4)
-    chaos.add_argument("--servers", type=int, default=3)
-    chaos.add_argument("--spacing", type=float, default=5.0,
-                       help="request inter-arrival time, seconds")
-    chaos.add_argument("--profile", default="balanced")
-    chaos.add_argument("--lease-ttl", type=float, default=120.0)
+    chaos.add_argument("--servers", type=int, dest="server_count", default=3)
+    chaos.add_argument("--spacing", type=float, dest="request_spacing_s",
+                       default=5.0, help="request inter-arrival time, seconds")
+    chaos.add_argument("--profile", dest="profile_name", default="balanced")
+    chaos.add_argument("--lease-ttl", type=float, dest="lease_ttl_s",
+                       default=120.0)
     chaos.add_argument("--max-attempts", type=int, default=3,
                        help="retry attempts per reservation call")
     add_telemetry_argument(chaos)
@@ -144,17 +149,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recover.add_argument("--seed", type=int, default=1)
     recover.add_argument("--requests", type=int, default=3)
-    recover.add_argument("--servers", type=int, default=3)
-    recover.add_argument("--spacing", type=float, default=5.0,
+    recover.add_argument("--servers", type=int, dest="server_count",
+                         default=3)
+    recover.add_argument("--spacing", type=float, dest="request_spacing_s",
+                         default=5.0,
                          help="request inter-arrival time, seconds")
-    recover.add_argument("--profile", default="balanced")
+    recover.add_argument("--profile", dest="profile_name", default="balanced")
     recover.add_argument(
-        "--crash-after", type=int, default=4, metavar="K",
+        "--crash-after", type=int, dest="crash_opportunity", default=4,
+        metavar="K",
         help="die at the K-th crash opportunity (journal append or "
              "admission call; default 4)",
     )
     recover.add_argument(
-        "--journal", default=None, metavar="PATH",
+        "--journal", default=None, metavar="PATH", dest="journal_path",
         help="file-backed journal path (default: in-memory); the restart "
              "reopens it from disk through the torn-tail reader",
     )
@@ -169,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=7,
                        help="telemetry seed (trace/span ids; default 7)")
     trace.add_argument("--profile", default="balanced")
-    trace.add_argument("--documents", type=int, default=3)
+    trace.add_argument("--documents", type=int, dest="document_count",
+                       default=3)
     trace.add_argument("--document", default=None,
                        help="document id (default: the first in the catalogue)")
     trace.add_argument("--json", action="store_true",
@@ -185,12 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--seed", type=int, default=1)
     stats.add_argument("--requests", type=int, default=4,
                        help="chaos-mode request count")
-    stats.add_argument("--servers", type=int, default=3)
-    stats.add_argument("--rate", type=float, default=0.1,
+    stats.add_argument("--servers", type=int, dest="server_count", default=3)
+    stats.add_argument("--rate", type=float, dest="arrival_rate_per_s",
+                       default=0.1,
                        help="workload-mode arrival rate, requests/s")
-    stats.add_argument("--horizon", type=float, default=300.0,
-                       help="workload-mode horizon, seconds")
-    stats.add_argument("--profile", default="balanced")
+    stats.add_argument("--horizon", type=float, dest="horizon_s",
+                       default=300.0, help="workload-mode horizon, seconds")
+    stats.add_argument("--profile", dest="profile_name", default="balanced")
     stats.add_argument("--json", action="store_true",
                        help="emit one canonical JSON document")
     add_telemetry_argument(stats)
@@ -207,14 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     storm.add_argument("--severity", type=float, default=0.4,
                        help="fraction of capacity lost (default 0.4)")
     storm.add_argument("--brownout-start", type=float, default=90.0,
-                       metavar="S", help="brownout onset, seconds")
+                       dest="brownout_start_s", metavar="S",
+                       help="brownout onset, seconds")
     storm.add_argument("--brownout-duration", type=float, default=90.0,
-                       metavar="S", help="brownout length, seconds")
+                       dest="brownout_duration_s", metavar="S",
+                       help="brownout length, seconds")
     storm.add_argument("--servers", type=int, default=3)
     storm.add_argument("--seed", type=int, default=1)
-    storm.add_argument("--profile", default="balanced")
+    storm.add_argument("--profile", dest="profile_name", default="balanced")
     storm.add_argument(
-        "--no-backpressure", action="store_true",
+        "--no-backpressure", action="store_false", dest="backpressure",
         help="run the bare deployment only (the thundering-herd "
              "baseline)",
     )
@@ -236,16 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
              "and audit the overload behaviour",
     )
     load.add_argument(
-        "--arrivals", default="poisson",
+        "--arrivals", default="poisson", dest="kind",
         choices=("poisson", "diurnal", "flash"),
         help="arrival process (default poisson)",
     )
-    load.add_argument("--rate", type=float, default=1.0, metavar="R",
-                      help="base arrival rate, negotiations/s "
-                           "(default 1.0)")
-    load.add_argument("--horizon", type=float, default=120.0,
-                      metavar="S", help="arrival window, seconds "
-                                        "(default 120)")
+    load.add_argument("--rate", type=float, dest="rate_per_s", default=1.0,
+                      metavar="R", help="base arrival rate, negotiations/s "
+                                        "(default 1.0)")
+    load.add_argument("--horizon", type=float, dest="horizon_s",
+                      default=120.0, metavar="S",
+                      help="arrival window, seconds (default 120)")
     load.add_argument(
         "--multipliers", default="0.5,1,2,4,8", metavar="M,M,...",
         help="comma-separated offered-load multipliers swept over the "
@@ -257,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="arrivals + user behaviour seed")
     load.add_argument("--scheduler-seed", type=int, default=0,
                       help="cooperative-scheduler interleaving seed")
-    load.add_argument("--profile", default="balanced")
+    load.add_argument("--profile", dest="profile_name", default="balanced")
     load.add_argument(
-        "--no-gate", action="store_true",
+        "--no-gate", action="store_false", dest="use_gate",
         help="bypass the admission gate (every arrival starts a "
              "negotiation task immediately)",
     )
@@ -286,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slo.add_argument("--multiplier", type=float, default=1.0,
                      help="offered-load multiplier (default 1.0)")
-    slo.add_argument("--rate", type=float, default=1.0, metavar="R",
-                     help="base arrival rate, negotiations/s")
-    slo.add_argument("--horizon", type=float, default=120.0, metavar="S",
+    slo.add_argument("--rate", type=float, dest="rate_per_s", default=1.0,
+                     metavar="R", help="base arrival rate, negotiations/s")
+    slo.add_argument("--horizon", type=float, dest="horizon_s",
+                     default=120.0, metavar="S",
                      help="arrival window, seconds (default 120)")
     slo.add_argument("--seed", type=int, default=1,
                      help="arrivals + user behaviour seed")
@@ -296,15 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cooperative-scheduler interleaving seed")
     slo.add_argument("--telemetry-seed", type=int, default=7,
                      help="trace/span id seed (default 7)")
-    slo.add_argument("--interval", type=float, default=1.0, metavar="S",
+    slo.add_argument("--interval", type=float, dest="interval_s",
+                     default=1.0, metavar="S",
                      help="flight-recorder scrape interval, simulated "
                           "seconds (default 1)")
     slo.add_argument("--severity", type=float, default=0.85,
                      help="brownout capacity loss fraction (default 0.85)")
     slo.add_argument("--brownout-start", type=float, default=30.0,
-                     metavar="S", help="brownout onset, seconds")
+                     dest="brownout_start_s", metavar="S",
+                     help="brownout onset, seconds")
     slo.add_argument("--brownout-duration", type=float, default=60.0,
-                     metavar="S", help="brownout length, seconds")
+                     dest="brownout_duration_s", metavar="S",
+                     help="brownout length, seconds")
     slo.add_argument("--timeseries", default=None, metavar="PATH",
                      help="write the flight-recorder time series to "
                           "PATH as canonical JSONL")
@@ -326,10 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated offered-load multipliers "
              "(default 0.5,1,2,4)",
     )
-    profile.add_argument("--rate", type=float, default=1.0, metavar="R",
+    profile.add_argument("--rate", type=float, dest="rate_per_s",
+                         default=1.0, metavar="R",
                          help="base arrival rate, negotiations/s")
     profile.add_argument("--horizon", type=float, default=120.0,
-                         metavar="S",
+                         dest="horizon_s", metavar="S",
                          help="arrival window, seconds (default 120)")
     profile.add_argument("--seed", type=int, default=1,
                          help="arrivals + user behaviour seed")
@@ -377,7 +394,7 @@ def _dump(document) -> str:
 
 def _telemetry_seed(args, seed: int) -> "int | None":
     """Observability is on exactly when ``--telemetry PATH`` is."""
-    return seed if args.telemetry is not None else None
+    return seed if args.telemetry_jsonl is not None else None
 
 
 def _trace_note(artifacts, path) -> None:
@@ -410,6 +427,61 @@ def _fault_plan(texts, seed: int):
     return FaultPlan(faults, seed=seed)
 
 
+def _fill(cls, args, **derived):
+    """``cls`` built from the flags: a field is fed by the flag whose
+    ``dest`` is its name, a nested spec is filled the same way, and
+    ``derived`` carries what no single flag holds.  Anything else keeps
+    the spec's default."""
+    flags = vars(args)
+    values = dict(derived)
+    for field in dataclasses.fields(cls):
+        if not field.init or field.name in values:
+            continue
+        if field.name in flags:
+            values[field.name] = flags[field.name]
+        elif dataclasses.is_dataclass(field.default_factory):
+            values[field.name] = _fill(field.default_factory, args)
+    return cls(**values)
+
+
+def build_spec(args):
+    """The run spec of a parsed ``chaos``, ``stats``, ``recover``,
+    ``storm``, ``load``, ``profile`` or ``slo`` command line."""
+    from .sim import (
+        ChaosSpec,
+        CrashRecoverySpec,
+        LoadSpec,
+        SloRunSpec,
+        StormSpec,
+    )
+
+    def traced():
+        return _telemetry_seed(args, args.seed)
+
+    def multipliers():
+        return _multipliers(args.multipliers)
+
+    # command -> (its spec, the fields that no single flag carries)
+    spec, derived = {
+        "chaos": (ChaosSpec, {
+            "plan": lambda: _fault_plan(args.faults, args.seed),
+            "telemetry_seed": traced,
+        }),
+        "stats": (ChaosSpec, {
+            "plan": lambda: _fault_plan((), args.seed),
+            "telemetry_seed": lambda: args.seed,
+        }),
+        "recover": (CrashRecoverySpec, {"telemetry_seed": traced}),
+        "storm": (StormSpec, {"telemetry_seed": traced}),
+        "load": (LoadSpec, {"multipliers": multipliers}),
+        "profile": (LoadSpec, {"multipliers": multipliers}),
+        "slo": (SloRunSpec, {}),
+    }[args.command]
+    return _fill(
+        spec, args, **{name: value() for name, value in derived.items()}
+    )
+
+
 def _run_workload(args, negotiator, *, telemetry_seed, config=None):
     """Run the seeded ``--rate``/``--horizon`` workload through
     ``negotiator`` on a fresh ``--servers`` deployment."""
@@ -423,12 +495,11 @@ def _run_workload(args, negotiator, *, telemetry_seed, config=None):
     from .sim.run import Artifacts
 
     scenario = build_scenario(
-        ScenarioSpec(server_count=args.servers),
-        telemetry_seed=telemetry_seed,
+        _fill(ScenarioSpec, args), telemetry_seed=telemetry_seed
     )
-    artifacts = Artifacts(scenario, trace_jsonl=args.telemetry)
+    artifacts = Artifacts(scenario, trace_jsonl=args.telemetry_jsonl)
     requests = generate_requests(
-        WorkloadSpec(arrival_rate_per_s=args.rate, horizon_s=args.horizon),
+        _fill(WorkloadSpec, args),
         scenario.document_ids(),
         list(scenario.clients),
         rng=args.seed,
@@ -450,10 +521,9 @@ def _cmd_demo(args) -> int:
 
     profile = stock_profile(args.profile)
     scenario = build_scenario(
-        ScenarioSpec(document_count=args.documents),
-        telemetry_seed=_telemetry_seed(args, 0),
+        _fill(ScenarioSpec, args), telemetry_seed=_telemetry_seed(args, 0)
     )
-    artifacts = Artifacts(scenario, trace_jsonl=args.telemetry)
+    artifacts = Artifacts(scenario, trace_jsonl=args.telemetry_jsonl)
     client = scenario.any_client()
     print(main_window(ProfileManager()))
     try:
@@ -474,7 +544,7 @@ def _cmd_demo(args) -> int:
                   f"cost {result.chosen.offer.cost})")
     finally:
         artifacts.finish()
-    _trace_note(artifacts, args.telemetry)
+    _trace_note(artifacts, args.telemetry_jsonl)
     return 0
 
 
@@ -525,7 +595,7 @@ def _cmd_sweep(args) -> int:
         args,
         by_name[args.negotiator],
         telemetry_seed=_telemetry_seed(args, args.seed),
-        config=RunConfig(adaptation_enabled=not args.no_adaptation),
+        config=_fill(RunConfig, args),
     )
     print(
         render_table(
@@ -539,28 +609,16 @@ def _cmd_sweep(args) -> int:
         stats.statuses.as_dict().items(), key=lambda kv: -kv[1]
     ):
         print(f"  {status:<22} {count}")
-    _trace_note(artifacts, args.telemetry)
+    _trace_note(artifacts, args.telemetry_jsonl)
     return 0
 
 
 def _cmd_chaos(args) -> int:
-    from .faults import RetryPolicy
-    from .sim import ChaosSpec, ScenarioSpec, run_chaos
+    from .sim import run_chaos
 
-    plan = _fault_plan(args.faults, args.seed)
-    report, _scenario = run_chaos(ChaosSpec(
-        scenario=ScenarioSpec(server_count=args.servers),
-        plan=plan,
-        seed=args.seed,
-        requests=args.requests,
-        request_spacing_s=args.spacing,
-        profile_name=args.profile,
-        retry=RetryPolicy(max_attempts=args.max_attempts),
-        lease_ttl_s=args.lease_ttl,
-        telemetry_seed=_telemetry_seed(args, args.seed),
-        telemetry_jsonl=args.telemetry,
-    ))
-    print(plan.describe())
+    spec = build_spec(args)
+    report, _scenario = run_chaos(spec)
+    print(spec.plan.describe())
     print()
     print(report.render())
     if not report.clean_teardown:
@@ -570,19 +628,9 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from .sim import CrashRecoverySpec, ScenarioSpec, run_crash_recovery
+    from .sim import run_crash_recovery
 
-    report, _scenario = run_crash_recovery(CrashRecoverySpec(
-        scenario=ScenarioSpec(server_count=args.servers),
-        seed=args.seed,
-        requests=args.requests,
-        request_spacing_s=args.spacing,
-        profile_name=args.profile,
-        crash_opportunity=args.crash_after,
-        journal_path=args.journal,
-        telemetry_seed=_telemetry_seed(args, args.seed),
-        telemetry_jsonl=args.telemetry,
-    ))
+    report, _scenario = run_crash_recovery(build_spec(args))
     print(report.render())
     if args.journal_describe:
         print()
@@ -608,12 +656,11 @@ def _cmd_trace(args) -> int:
 
     profile = stock_profile(args.profile)
     scenario = build_scenario(
-        ScenarioSpec(document_count=args.documents),
-        telemetry_seed=args.seed,
+        _fill(ScenarioSpec, args), telemetry_seed=args.seed
     )
     memory = InMemorySpanExporter()
     scenario.telemetry.tracer.add_exporter(memory)
-    artifacts = Artifacts(scenario, trace_jsonl=args.telemetry)
+    artifacts = Artifacts(scenario, trace_jsonl=args.telemetry_jsonl)
     try:
         result = scenario.manager.negotiate(
             args.document or scenario.document_ids()[0],
@@ -637,7 +684,7 @@ def _cmd_trace(args) -> int:
     print(render_span_tree(memory.spans))
     print()
     print(report.render())
-    _trace_note(artifacts, args.telemetry)
+    _trace_note(artifacts, args.telemetry_jsonl)
     return 0
 
 
@@ -645,17 +692,9 @@ def _cmd_stats(args) -> int:
     from .telemetry import reconcile_journal
 
     if args.mode == "chaos":
-        from .sim import ChaosSpec, ScenarioSpec, run_chaos
+        from .sim import run_chaos
 
-        report, scenario = run_chaos(ChaosSpec(
-            scenario=ScenarioSpec(server_count=args.servers),
-            plan=_fault_plan((), args.seed),
-            seed=args.seed,
-            requests=args.requests,
-            profile_name=args.profile,
-            telemetry_seed=args.seed,
-            telemetry_jsonl=args.telemetry,
-        ))
+        report, scenario = run_chaos(build_spec(args))
         extra = {
             "clean_teardown": report.clean_teardown,
             "negotiations": report.negotiations,
@@ -669,7 +708,7 @@ def _cmd_stats(args) -> int:
 
         # The generated workload brings its own profiles; the flag is
         # still checked, as in chaos mode.
-        stock_profile(args.profile)
+        stock_profile(args.profile_name)
         scenario, _artifacts, requests, _stats = _run_workload(
             args, SmartNegotiator, telemetry_seed=args.seed
         )
@@ -714,26 +753,14 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_storm(args) -> int:
-    from .sim import StormSpec, run_storm, run_storm_comparison
+    from .sim import run_storm, run_storm_comparison
 
     compare = args.compare or args.json
-    if args.no_backpressure and compare:
+    if compare and not args.backpressure:
         raise _UsageError(
             "--no-backpressure cannot be combined with --compare/--json"
         )
-    spec = StormSpec(
-        sessions=args.sessions,
-        late_requests=args.late_requests,
-        servers=args.servers,
-        severity=args.severity,
-        brownout_start_s=args.brownout_start,
-        brownout_duration_s=args.brownout_duration,
-        seed=args.seed,
-        profile_name=args.profile,
-        backpressure=not args.no_backpressure,
-        telemetry_seed=_telemetry_seed(args, args.seed),
-        telemetry_jsonl=args.telemetry,
-    )
+    spec = build_spec(args)
     if compare:
         comparison = run_storm_comparison(spec)
         report = comparison.with_backpressure
@@ -756,22 +783,9 @@ def _cmd_storm(args) -> int:
 def _cmd_load(args) -> int:
     import pathlib
 
-    from .sim import ArrivalSpec, LoadSpec, run_load
+    from .sim import run_load
 
-    report = run_load(LoadSpec(
-        arrival=ArrivalSpec(
-            kind=args.arrivals,
-            rate_per_s=args.rate,
-            horizon_s=args.horizon,
-        ),
-        servers=args.servers,
-        clients=args.clients,
-        seed=args.seed,
-        scheduler_seed=args.scheduler_seed,
-        multipliers=_multipliers(args.multipliers),
-        use_gate=not args.no_gate,
-        profile_name=args.profile,
-    ))
+    report = run_load(build_spec(args))
     payload = _dump(report.as_dict())
     if args.output is not None:
         pathlib.Path(args.output).write_text(
@@ -793,22 +807,10 @@ def _cmd_load(args) -> int:
 def _cmd_slo(args) -> int:
     import pathlib
 
-    from .sim import SloRunSpec, run_slo
+    from .sim import run_slo
     from .telemetry import write_flamegraph
 
-    report = run_slo(SloRunSpec(
-        scenario=args.scenario,
-        multiplier=args.multiplier,
-        rate_per_s=args.rate,
-        horizon_s=args.horizon,
-        seed=args.seed,
-        scheduler_seed=args.scheduler_seed,
-        telemetry_seed=args.telemetry_seed,
-        interval_s=args.interval,
-        severity=args.severity,
-        brownout_start_s=args.brownout_start,
-        brownout_duration_s=args.brownout_duration,
-    ))
+    report = run_slo(build_spec(args))
     artifacts = []
     if args.timeseries is not None and report.recorder is not None:
         written = report.recorder.write_jsonl(args.timeseries)
@@ -841,24 +843,14 @@ def _cmd_slo(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .sim import ArrivalSpec, LoadSpec, run_load_cell_instrumented
+    from .sim import run_load_cell_instrumented
     from .telemetry import (
         extract_critical_paths,
         profile_spans,
         write_flamegraph,
     )
 
-    spec = LoadSpec(
-        arrival=ArrivalSpec(
-            kind="poisson",
-            rate_per_s=args.rate,
-            horizon_s=args.horizon,
-        ),
-        seed=args.seed,
-        scheduler_seed=args.scheduler_seed,
-        telemetry_seed=args.telemetry_seed,
-        multipliers=_multipliers(args.multipliers),
-    )
+    spec = build_spec(args)
     sections = {}
     documents = {}
     for multiplier in spec.multipliers:

@@ -26,13 +26,6 @@ flushes are deliberately *not* evictions: the SLO layer reads the
 eviction-rate series as a capacity-pressure signal, and a test or
 shutdown flush would pollute it.
 
-Concurrent misses of one key are **single-flight**: the first task to
-miss becomes the owner and computes; cooperative tasks that arrive
-while the owner is suspended mid-compute observe the in-flight marker
-via :meth:`_LRUStore.begin`, yield, and re-poll until the owner
-publishes — so N simultaneous requests for one cold hot-document key
-cost exactly one miss and one build.
-
 The process-wide instance lives behind :func:`shared_cache`; reprolint
 REP018 flags any private ``NegotiationCache(...)`` constructed outside
 this module so cross-client reuse is the default, not an accident.
@@ -68,10 +61,6 @@ SPACES = "spaces"
 # No store has this name any more; its counters stay at 0 because
 # benchmarks/e2e/harness.py indexes them in CacheStats.as_dict().
 CLASSIFICATIONS = "classifications"
-
-HIT = "hit"
-OWNER = "owner"
-WAIT = "wait"
 
 
 @dataclass
@@ -120,65 +109,28 @@ class _LRUStore:
         self._stats = stats
         self._telemetry = telemetry
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._inflight: set[Hashable] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    # -- single-flight protocol ----------------------------------------------------
-
-    def begin(self, key: Hashable) -> "tuple[str, object | None]":
-        """Open a single-flight lookup: ``(state, value)``.
-
-        ``HIT`` carries the cached value.  ``OWNER`` means the caller
-        must compute and then call :meth:`complete` (or :meth:`abandon`
-        on failure) — the miss is counted here, exactly once per
-        flight.  ``WAIT`` means another task owns the in-flight
-        computation; cooperative callers yield and call ``begin``
-        again.
-        """
+    def lookup(self, key: Hashable, compute: "Callable[[], object]") -> object:
+        """Get or build.  A hit refreshes the entry; a miss is counted,
+        then built and stored, evicting the eldest entry past the
+        bound.  A ``compute`` that raises leaves no entry behind."""
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             self._stats.hits[self.name] += 1
             self._telemetry.count("cache.hits", store=self.name)
-            return HIT, entry
-        if key in self._inflight:
-            return WAIT, None
-        self._inflight.add(key)
+            return entry
         self._stats.misses[self.name] += 1
         self._telemetry.count("cache.misses", store=self.name)
-        return OWNER, None
-
-    def complete(self, key: Hashable, value: object) -> object:
-        """Publish an owner's computed value and close the flight."""
-        self._inflight.discard(key)
+        value = compute()
         self._entries[key] = value
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self._evicted(1)
         return value
-
-    def abandon(self, key: Hashable) -> None:
-        """Close a flight without publishing (owner's compute failed);
-        the next ``begin`` promotes a waiter to owner."""
-        self._inflight.discard(key)
-
-    def lookup(self, key: Hashable, compute: "Callable[[], object]") -> object:
-        state, entry = self.begin(key)
-        if state == HIT:
-            return entry
-        if state == WAIT:
-            # A suspended cooperative task owns this key.  A synchronous
-            # caller cannot yield, so it computes for itself without
-            # touching the counters or the store — the owner publishes.
-            return compute()
-        try:
-            value = compute()
-        except BaseException:  # reprolint: backstop -- abandon the in-flight marker on any failure, then re-raise
-            self.abandon(key)
-            raise
-        return self.complete(key, value)
 
     def drop_where(self, predicate: "Callable[[Hashable], bool]") -> int:
         doomed = [key for key in self._entries if predicate(key)]
@@ -252,13 +204,6 @@ class NegotiationCache:
         space = self._spaces.lookup(key, build)
         assert isinstance(space, OfferSpace)
         return space
-
-    # -- single-flight access ------------------------------------------------------
-
-    @property
-    def spaces(self) -> _LRUStore:
-        """The spaces store, for cooperative single-flight callers."""
-        return self._spaces
 
     # -- maintenance --------------------------------------------------------------
 

@@ -22,6 +22,8 @@ from ..faults.retry import RetryPolicy
 from ..util.errors import ConfirmationTimeout, SimulationError
 from ..util.tables import render_table
 from .run import (
+    SUPERVISOR_TIMEOUT_S,
+    TIMESERIES_INTERVAL_S,
     Artifacts,
     SessionRunReport,
     drain,
@@ -33,6 +35,11 @@ from .run import (
 from .scenario import Scenario, ScenarioSpec
 
 __all__ = ["ChaosSpec", "ChaosReport", "run_chaos"]
+
+# A chaos run holds a handful of sessions, so it can afford to sweep
+# often: the QoS monitor every second, the supervisor every five.
+MONITOR_PERIOD_S = 1.0
+SUPERVISOR_PERIOD_S = 5.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,16 +53,9 @@ class ChaosSpec:
     request_spacing_s: float = 5.0
     profile_name: str = "balanced"
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_threshold: int = 3
-    breaker_recovery_s: float = 30.0
     lease_ttl_s: float = 120.0
-    monitor_period_s: float = 1.0
-    supervisor_timeout_s: float = 60.0
-    supervisor_period_s: float = 5.0
     telemetry_seed: "int | None" = None  # None = observability off
     telemetry_jsonl: "str | None" = None  # trace JSONL output path
-    timeseries_jsonl: "str | None" = None  # flight-recorder output path
-    timeseries_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.requests < 1:
@@ -121,29 +121,30 @@ def run_chaos(spec: ChaosSpec) -> "tuple[ChaosReport, Scenario]":
     """Execute one chaos run; returns the report and the (now spent)
     scenario for further inspection."""
     profile = stock_profile(spec.profile_name)
-    scenario = resilient_scenario(spec.scenario, spec)
+    scenario = resilient_scenario(
+        spec.scenario,
+        retry=spec.retry,
+        lease_ttl_s=spec.lease_ttl_s,
+        seed=spec.seed,
+        telemetry_seed=spec.telemetry_seed,
+    )
     artifacts = Artifacts(
         scenario,
         trace_jsonl=spec.telemetry_jsonl,
-        interval_s=spec.timeseries_interval_s,
+        interval_s=TIMESERIES_INTERVAL_S,
         # The submission window plus the supervisor's patience;
         # everything after that is drain.
         until=(
             scenario.loop.now
             + spec.requests * spec.request_spacing_s
-            + spec.supervisor_timeout_s
+            + SUPERVISOR_TIMEOUT_S
         ),
     )
     injector = inject(
         scenario, spec.plan, attempt_timeout_s=spec.retry.attempt_timeout_s
     )
-    runtime = scenario.runtime(monitor_period_s=spec.monitor_period_s)
-    supervisor = supervise(
-        scenario,
-        runtime,
-        heartbeat_timeout_s=spec.supervisor_timeout_s,
-        period_s=spec.supervisor_period_s,
-    )
+    runtime = scenario.runtime(monitor_period_s=MONITOR_PERIOD_S)
+    supervisor = supervise(scenario, runtime, period_s=SUPERVISOR_PERIOD_S)
     documents = scenario.document_ids()
     clients = list(scenario.clients.values())
     report = ChaosReport()
@@ -175,5 +176,5 @@ def run_chaos(spec: ChaosSpec) -> "tuple[ChaosReport, Scenario]":
         report.recovered_expired += replay.expired_released
         report.recovered_rearmed += replay.rearmed
         report.recovered_redo += replay.redo_released
-    report.timeline = artifacts.finish(spec.timeseries_jsonl)
+    report.timeline = artifacts.finish()
     return report, scenario

@@ -32,8 +32,6 @@ class RunConfig:
     """Execution knobs for one workload run."""
 
     adaptation_enabled: bool = True
-    monitor_period_s: float = 1.0
-    transition_overhead_s: float = 2.0
     confirm_delay_s: float = 0.0
     user_accepts: "Callable[[NegotiationResult], bool] | None" = None
     session_duration_s: "float | None" = None
@@ -61,8 +59,6 @@ def run_workload(
     runtime = SessionRuntime(
         scenario.manager,
         loop,
-        monitor_period_s=config.monitor_period_s,
-        transition_overhead_s=config.transition_overhead_s,
         adaptation_enabled=config.adaptation_enabled,
     )
     if injector is not None:

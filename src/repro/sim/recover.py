@@ -46,14 +46,14 @@ class CrashRecoverySpec:
     profile_name: str = "balanced"
     crash_opportunity: int = 4
     journal_path: "str | Path | None" = None
-    fsync: bool = False
-    supervisor_timeout_s: float = 60.0
     telemetry_seed: "int | None" = None  # None = observability off
     telemetry_jsonl: "str | None" = None  # trace JSONL output path
 
     def __post_init__(self) -> None:
         if self.requests < 1:
             raise SimulationError("need at least one request")
+        if self.request_spacing_s < 0:
+            raise SimulationError("request_spacing_s must be non-negative")
         if self.crash_opportunity < 1:
             raise SimulationError("crash_opportunity must be >= 1")
 
@@ -119,7 +119,7 @@ def run_crash_recovery(
     profile = stock_profile(spec.profile_name)
 
     if spec.journal_path is not None:
-        journal = ReservationJournal.open(spec.journal_path, fsync=spec.fsync)
+        journal = ReservationJournal.open(spec.journal_path)
     else:
         journal = ReservationJournal()
     scenario = build_scenario(
@@ -198,14 +198,12 @@ def run_crash_recovery(
     # servers and in the network are whatever the crash left behind.
     if spec.journal_path is not None:
         journal.close()
-        journal = ReservationJournal.open(spec.journal_path, fsync=spec.fsync)
+        journal = ReservationJournal.open(spec.journal_path)
         # The restarted manager journals to the reopened file, not the
         # handle that died with the old process.
         scenario.manager.committer.journal = journal
         journal.telemetry = scenario.telemetry
-    supervisor = supervise(
-        scenario, runtime, heartbeat_timeout_s=spec.supervisor_timeout_s
-    )
+    supervisor = supervise(scenario, runtime)
     report.recovery = replay_journal(scenario, supervisor)
     report.preserved_holders = readopt_sessions(
         scenario, runtime, supervisor, report.recovery

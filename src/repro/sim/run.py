@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..cmfs.disk import DiskModel
 from ..core.profile_manager import ProfileManager
 from ..core.profiles import UserProfile
 from ..core.status import NegotiationStatus
@@ -22,6 +23,7 @@ from ..faults.health import CircuitBreaker
 from ..faults.injector import FaultInjector
 from ..faults.lease import LeaseManager
 from ..faults.plan import FaultPlan
+from ..faults.retry import RetryPolicy
 from ..journal import (
     HolderOutcome,
     RecoveryManager,
@@ -36,7 +38,10 @@ from ..util.errors import ManagerCrashError, SimulationError
 from .scenario import Scenario, ScenarioSpec, build_scenario
 
 __all__ = [
+    "SUPERVISOR_TIMEOUT_S",
+    "TIMESERIES_INTERVAL_S",
     "stock_profile",
+    "storm_scale_deployment",
     "resilient_scenario",
     "supervise",
     "Artifacts",
@@ -61,38 +66,80 @@ def stock_profile(name: str) -> UserProfile:
     return profiles.get(name)
 
 
-def resilient_scenario(deployment: ScenarioSpec, spec) -> Scenario:
-    """Build ``deployment`` with the full resilience stack: retry
-    policy, circuit breaker, leases and an in-memory journal, read from
-    the knobs :class:`~repro.sim.chaos.ChaosSpec` and
-    :class:`~repro.sim.storm.StormSpec` share (``retry``,
-    ``breaker_threshold``, ``breaker_recovery_s``, ``lease_ttl_s``,
-    ``seed``, ``telemetry_seed``).  The breaker and the journal are
-    reachable as ``scenario.manager.committer.health`` / ``.journal``."""
-    return build_scenario(
-        deployment,
-        retry_policy=spec.retry,
-        health=CircuitBreaker(
-            failure_threshold=spec.breaker_threshold,
-            recovery_time_s=spec.breaker_recovery_s,
+def storm_scale_deployment(
+    *,
+    servers: int,
+    clients: int,
+    documents: int,
+    document_duration_s: float,
+    max_streams_per_server: int,
+) -> ScenarioSpec:
+    """A deployment that holds hundreds of concurrent sessions: fat
+    links, lean two-stream articles, and a mid-2000s striped array in
+    place of the CITR-era single Barracuda, whose per-stream overhead
+    caps a server at ~40 streams."""
+    return ScenarioSpec(
+        server_count=servers,
+        client_count=clients,
+        document_count=documents,
+        backbone_bps=2_500_000_000.0,
+        server_access_bps=700_000_000.0,
+        client_access_bps=155_000_000.0,
+        document_duration_s=document_duration_s,
+        max_streams_per_server=max_streams_per_server,
+        disk=DiskModel(
+            transfer_rate_bps=600_000_000.0,
+            avg_seek_s=0.001,
+            rotational_latency_s=0.0005,
+            round_s=0.5,
         ),
-        lease_ttl_s=spec.lease_ttl_s,
-        retry_seed=spec.seed,
-        journal=ReservationJournal(),
-        telemetry_seed=spec.telemetry_seed,
+        lean_documents=True,
     )
 
 
+def resilient_scenario(
+    deployment: ScenarioSpec,
+    *,
+    retry: RetryPolicy,
+    lease_ttl_s: float,
+    seed: int,
+    telemetry_seed: "int | None",
+) -> Scenario:
+    """Build ``deployment`` with the full resilience stack: ``retry``,
+    a circuit breaker (3 consecutive failures open it for 30 s, the
+    breaker's own defaults), leases of ``lease_ttl_s`` and an in-memory
+    journal.  The breaker and the journal are reachable as
+    ``scenario.manager.committer.health`` / ``.journal``."""
+    return build_scenario(
+        deployment,
+        retry_policy=retry,
+        health=CircuitBreaker(),
+        lease_ttl_s=lease_ttl_s,
+        retry_seed=seed,
+        journal=ReservationJournal(),
+        telemetry_seed=telemetry_seed,
+    )
+
+
+# How long a supervised run (chaos, storm, recover) waits for a silent
+# holder's heartbeat before releasing it, and how often the chaos and
+# storm runs sample their flight recorder.
+SUPERVISOR_TIMEOUT_S = 60.0
+TIMESERIES_INTERVAL_S = 1.0
+
+
 def supervise(
-    scenario: Scenario, runtime: SessionRuntime, **heartbeat
+    scenario: Scenario, runtime: SessionRuntime, **sweep
 ) -> SessionSupervisor:
     """A heartbeat supervisor over ``runtime`` on the scenario's clock
-    and telemetry hub (``heartbeat_timeout_s`` / ``period_s``)."""
+    and telemetry hub, patient for ``SUPERVISOR_TIMEOUT_S`` (``sweep``:
+    its ``period_s``)."""
     return SessionSupervisor(
         clock=scenario.clock,
         runtime=runtime,
         telemetry=scenario.telemetry,
-        **heartbeat,
+        heartbeat_timeout_s=SUPERVISOR_TIMEOUT_S,
+        **sweep,
     )
 
 
@@ -128,17 +175,13 @@ class Artifacts:
             self.recorder = FlightRecorder(telemetry, interval_s=interval_s)
             self.recorder.arm(scenario.loop, until=until)
 
-    def finish(
-        self, timeseries_jsonl: "str | None" = None
-    ) -> "dict[str, object]":
+    def finish(self) -> "dict[str, object]":
         """Take the final sample and close the trace file; returns the
         recorded timeline (``{}`` when nothing was recorded)."""
         timeline: "dict[str, object]" = {}
         if self.recorder is not None:
             self.recorder.finish(self._clock.now())
             timeline = self.recorder.as_dict()
-            if timeseries_jsonl is not None:
-                self.recorder.write_jsonl(timeseries_jsonl)
         if self.exporter is not None:
             self.exporter.close()
         return timeline

@@ -41,7 +41,6 @@ __all__ = [
     "build_scenario",
     "fleet_ids",
     "brownout_faults",
-    "storm_scale_deployment",
 ]
 
 
@@ -57,8 +56,6 @@ class ScenarioSpec:
     client_access_bps: float = 100_000_000.0  # shared client access net
     document_duration_s: float = 120.0
     max_streams_per_server: int = 64
-    replicate_audio: bool = True
-    replicate_stills: bool = False
     multi_domain: bool = False
     metro_transit_quota_bps: "float | None" = None
     # Storm-scale knobs: a custom disk model for the whole fleet (None
@@ -99,37 +96,6 @@ def brownout_faults(
             value=severity,
         )
         for server_id in fleet_ids(servers)
-    )
-
-
-def storm_scale_deployment(
-    *,
-    servers: int,
-    clients: int,
-    documents: int,
-    document_duration_s: float,
-    max_streams_per_server: int,
-) -> ScenarioSpec:
-    """A deployment that holds hundreds of concurrent sessions: fat
-    links, lean two-stream articles, and a mid-2000s striped array in
-    place of the CITR-era single Barracuda, whose per-stream overhead
-    caps a server at ~40 streams."""
-    return ScenarioSpec(
-        server_count=servers,
-        client_count=clients,
-        document_count=documents,
-        backbone_bps=2_500_000_000.0,
-        server_access_bps=700_000_000.0,
-        client_access_bps=155_000_000.0,
-        document_duration_s=document_duration_s,
-        max_streams_per_server=max_streams_per_server,
-        disk=DiskModel(
-            transfer_rate_bps=600_000_000.0,
-            avg_seek_s=0.001,
-            rotational_latency_s=0.0005,
-            round_s=0.5,
-        ),
-        lean_documents=True,
     )
 
 
@@ -230,16 +196,14 @@ def build_scenario(
     catalog = DocumentCatalog()
     for i in range(spec.document_count):
         video_servers = [server_ids[(i + j) % len(server_ids)] for j in range(2)]
-        audio_servers = (
-            server_ids if spec.replicate_audio else [server_ids[i % len(server_ids)]]
-        )
         catalog.add(
             make_news_article(
                 f"doc.news-{i + 1}",
                 title=f"news article {i + 1}",
                 duration_s=spec.document_duration_s,
                 video_servers=video_servers,
-                audio_servers=list(audio_servers)[:2],
+                # Audio is replicated on the fleet's first two machines.
+                audio_servers=server_ids[:2],
                 still_server=server_ids[i % len(server_ids)],
                 include_image=not spec.lean_documents,
                 include_text=not spec.lean_documents,

@@ -28,20 +28,18 @@ from ..util.errors import ConfirmationTimeout, SimulationError
 from ..util.tables import render_table
 from ..util.validation import check_fraction, check_positive
 from .run import (
+    SUPERVISOR_TIMEOUT_S,
+    TIMESERIES_INTERVAL_S,
     Artifacts,
     SessionRunReport,
     drain,
     inject,
     resilient_scenario,
     stock_profile,
+    storm_scale_deployment,
     supervise,
 )
-from .scenario import (
-    Scenario,
-    ScenarioSpec,
-    brownout_faults,
-    storm_scale_deployment,
-)
+from .scenario import Scenario, ScenarioSpec, brownout_faults
 
 __all__ = [
     "StormSpec",
@@ -51,6 +49,22 @@ __all__ = [
     "run_storm_comparison",
 ]
 
+# The storm's deployment and traffic shape: 24 clients cycle over 8
+# five-minute articles on servers that admit up to 256 streams each,
+# and the initial arrivals are spread over the first minute.
+CLIENTS = 24
+DOCUMENTS = 8
+DOCUMENT_DURATION_S = 300.0
+MAX_STREAMS_PER_SERVER = 256
+RAMP_S = 60.0
+GATE = GatePolicy(rate_per_s=6.0, burst=24, queue_limit=96, retry_limit=4)
+# The resilience stack under it.  With hundreds of sessions the sweeps
+# run at half the chaos runner's frequency.
+RETRY = RetryPolicy()
+LEASE_TTL_S = 120.0
+MONITOR_PERIOD_S = 2.0
+SUPERVISOR_PERIOD_S = 10.0
+
 
 @dataclass(frozen=True, slots=True)
 class StormSpec:
@@ -59,41 +73,24 @@ class StormSpec:
     sessions: int = 200
     late_requests: int = 40       # arrivals during the brownout itself
     servers: int = 3
-    clients: int = 24
-    documents: int = 8
-    document_duration_s: float = 300.0
-    ramp_s: float = 60.0          # initial arrivals spread over [0, ramp_s]
     brownout_start_s: float = 90.0
     brownout_duration_s: float = 90.0
     severity: float = 0.4         # fraction of capacity lost
     target_servers: int = 1       # how many servers brown out
     seed: int = 1
     backpressure: bool = True     # False = bare deployment (the baseline)
-    gate: GatePolicy = field(default_factory=lambda: GatePolicy(
-        rate_per_s=6.0, burst=24, queue_limit=96, retry_limit=4,
-    ))
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_threshold: int = 3
-    breaker_recovery_s: float = 30.0
-    lease_ttl_s: float = 120.0
-    monitor_period_s: float = 2.0
-    supervisor_timeout_s: float = 60.0
-    supervisor_period_s: float = 10.0
-    wave_delay_s: float = 0.5
-    max_class_candidates: int = 4
-    retry_budget: int = 8
     profile_name: str = "balanced"
     extra_faults: "tuple[FaultSpec, ...]" = ()
     telemetry_seed: "int | None" = None   # None = observability off
     telemetry_jsonl: "str | None" = None  # trace JSONL output path
-    timeseries_jsonl: "str | None" = None  # flight-recorder output path
-    timeseries_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.sessions < 1:
             raise SimulationError("need at least one session")
         if self.late_requests < 0:
             raise SimulationError("late_requests must be non-negative")
+        if self.servers < 1:
+            raise SimulationError("need at least one server")
         if self.target_servers < 1 or self.target_servers > self.servers:
             raise SimulationError(
                 f"target_servers must be in 1..{self.servers}, "
@@ -102,7 +99,6 @@ class StormSpec:
         check_fraction(self.severity, "severity")
         if self.severity == 0.0:
             raise SimulationError("severity 0 is not a storm")
-        check_positive(self.ramp_s, "ramp_s")
         check_positive(self.brownout_duration_s, "brownout_duration_s")
         if self.brownout_start_s < 0:
             raise SimulationError("brownout_start_s must be non-negative")
@@ -110,10 +106,10 @@ class StormSpec:
     def deployment(self) -> ScenarioSpec:
         return storm_scale_deployment(
             servers=self.servers,
-            clients=self.clients,
-            documents=self.documents,
-            document_duration_s=self.document_duration_s,
-            max_streams_per_server=256,
+            clients=CLIENTS,
+            documents=DOCUMENTS,
+            document_duration_s=DOCUMENT_DURATION_S,
+            max_streams_per_server=MAX_STREAMS_PER_SERVER,
         )
 
     def plan(self) -> FaultPlan:
@@ -303,7 +299,13 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
     """Execute one storm run; returns the report and the spent
     scenario."""
     profile = stock_profile(spec.profile_name)
-    scenario = resilient_scenario(spec.deployment(), spec)
+    scenario = resilient_scenario(
+        spec.deployment(),
+        retry=RETRY,
+        lease_ttl_s=LEASE_TTL_S,
+        seed=spec.seed,
+        telemetry_seed=spec.telemetry_seed,
+    )
     # A browned-out machine must not trivially re-admit the very load
     # it just shed — admission respects the shrunken round budget.
     for server in scenario.servers.values():
@@ -311,28 +313,23 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
     artifacts = Artifacts(
         scenario,
         trace_jsonl=spec.telemetry_jsonl,
-        interval_s=spec.timeseries_interval_s,
+        interval_s=TIMESERIES_INTERVAL_S,
         # The storm's active phase: ramp, brownout window, and a
         # recovery margin.
         until=(
-            max(spec.ramp_s, spec.brownout_start_s)
+            max(RAMP_S, spec.brownout_start_s)
             + spec.brownout_duration_s
-            + spec.supervisor_timeout_s
+            + SUPERVISOR_TIMEOUT_S
         ),
     )
     injector = inject(
-        scenario, spec.plan(), attempt_timeout_s=spec.retry.attempt_timeout_s
+        scenario, spec.plan(), attempt_timeout_s=RETRY.attempt_timeout_s
     )
-    runtime = scenario.runtime(monitor_period_s=spec.monitor_period_s)
-    supervisor = supervise(
-        scenario,
-        runtime,
-        heartbeat_timeout_s=spec.supervisor_timeout_s,
-        period_s=spec.supervisor_period_s,
-    )
+    runtime = scenario.runtime(monitor_period_s=MONITOR_PERIOD_S)
+    supervisor = supervise(scenario, runtime, period_s=SUPERVISOR_PERIOD_S)
     gate = AdmissionGate(
         scenario.loop,
-        policy=spec.gate,
+        policy=GATE,
         seed=spec.seed,
         telemetry=scenario.telemetry,
         enabled=spec.backpressure,
@@ -340,12 +337,7 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
     controller: "StormController | None" = None
     if spec.backpressure:
         controller = StormController(
-            runtime,
-            wave_delay_s=spec.wave_delay_s,
-            max_class_candidates=spec.max_class_candidates,
-            retry_budget=spec.retry_budget,
-            seed=spec.seed,
-            telemetry=scenario.telemetry,
+            runtime, seed=spec.seed, telemetry=scenario.telemetry
         )
     documents = scenario.document_ids()
     clients = list(scenario.clients.values())
@@ -370,7 +362,7 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
             lambda result, c=client: deliver(result, c),
         )
 
-    spacing = spec.ramp_s / spec.sessions
+    spacing = RAMP_S / spec.sessions
     for index in range(spec.sessions):
         scenario.loop.at(
             index * spacing,
@@ -407,7 +399,7 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
         bool(audit["metrics_match"]) if "metrics_match" in audit else None
     )
     report.duration_s = scenario.clock.now()
-    report.timeline = artifacts.finish(spec.timeseries_jsonl)
+    report.timeline = artifacts.finish()
     return report, scenario
 
 

@@ -39,9 +39,15 @@ def crash_at(opportunity):
 
 def playing_deployment(spec=ChaosSpec()):
     """A resilient deployment with one confirmed session playing."""
-    scenario = resilient_scenario(spec.scenario, spec)
+    scenario = resilient_scenario(
+        spec.scenario,
+        retry=spec.retry,
+        lease_ttl_s=spec.lease_ttl_s,
+        seed=spec.seed,
+        telemetry_seed=spec.telemetry_seed,
+    )
     runtime = scenario.runtime()
-    supervisor = supervise(scenario, runtime, heartbeat_timeout_s=60.0)
+    supervisor = supervise(scenario, runtime)
     profile, client = stock_profile("balanced"), scenario.any_client()
     result = scenario.manager.negotiate(
         scenario.document_ids()[0], profile, client
@@ -81,12 +87,12 @@ class TestArtifacts:
         )
         assert artifacts.exporter is None and artifacts.recorder is None
         assert scenario.loop.pending == 0
-        assert artifacts.finish(str(tmp_path / "series.jsonl")) == {}
+        assert artifacts.finish() == {}
         assert list(tmp_path.iterdir()) == []
 
     def test_records_and_exports_with_telemetry(self, tmp_path):
         scenario = build_scenario(telemetry_seed=7)
-        trace, series = tmp_path / "trace.jsonl", tmp_path / "series.jsonl"
+        trace = tmp_path / "trace.jsonl"
         artifacts = Artifacts(
             scenario, trace_jsonl=str(trace), interval_s=1.0, until=3.0
         )
@@ -96,12 +102,11 @@ class TestArtifacts:
             scenario.any_client(),
         ).commitment.release()
         scenario.loop.run()
-        timeline = artifacts.finish(str(series))
+        timeline = artifacts.finish()
         assert timeline == artifacts.recorder.as_dict() != {}
         assert artifacts.exporter.exported == len(
             trace.read_text().splitlines()
         ) > 0
-        assert series.read_text()
 
 
 class TestManagerRestart:

@@ -2,7 +2,23 @@
 
 import pytest
 
-from repro.cli import EXPERIMENT_INDEX, build_parser, main
+from repro.cli import (
+    DEMO_FAULTS,
+    EXPERIMENT_INDEX,
+    build_parser,
+    build_spec,
+    main,
+)
+from repro.faults import FaultPlan, RetryPolicy, parse_fault_spec
+from repro.sim import (
+    ArrivalSpec,
+    ChaosSpec,
+    CrashRecoverySpec,
+    LoadSpec,
+    ScenarioSpec,
+    SloRunSpec,
+    StormSpec,
+)
 
 
 class TestParser:
@@ -19,7 +35,7 @@ class TestParser:
             ["sweep", "--negotiator", "static", "--rate", "0.3", "--seed", "9"]
         )
         assert args.negotiator == "static"
-        assert args.rate == 0.3
+        assert args.arrival_rate_per_s == 0.3
         assert args.seed == 9
 
     def test_unknown_negotiator_rejected(self):
@@ -41,6 +57,185 @@ class TestParser:
             "crash:server-a:5:10", "flap:L-client-1:20:5"
         ]
         assert args.seed == 7
+
+
+def demo_plan(seed):
+    return FaultPlan(
+        tuple(parse_fault_spec(text) for text in DEMO_FAULTS), seed=seed
+    )
+
+
+class TestEveryFlagReachesItsSpec:
+    """``build_spec`` feeds a field from the flag whose ``dest`` is the
+    field's name, so a renamed field or ``dest`` would silently fall
+    back to the spec's default.  Per command: every flag at a
+    non-default value gives the spec a caller would have built by
+    keyword, every flag is either parsed here or only shapes the
+    output, and no flags at all gives the spec's own defaults."""
+
+    # command -> (flags at non-default values, the spec they must build)
+    CASES = {
+        "chaos": (
+            "--fault crash:server-b:5:10 --seed 9 --requests 7 --servers 2 "
+            "--spacing 2.5 --profile economy --lease-ttl 45 "
+            "--max-attempts 5 --telemetry t.jsonl",
+            lambda: ChaosSpec(
+                scenario=ScenarioSpec(server_count=2),
+                plan=FaultPlan(
+                    (parse_fault_spec("crash:server-b:5:10"),), seed=9
+                ),
+                seed=9,
+                requests=7,
+                request_spacing_s=2.5,
+                profile_name="economy",
+                retry=RetryPolicy(max_attempts=5),
+                lease_ttl_s=45.0,
+                telemetry_seed=9,
+                telemetry_jsonl="t.jsonl",
+            ),
+        ),
+        "stats": (
+            "--seed 9 --requests 7 --servers 2 --profile economy "
+            "--telemetry t.jsonl",
+            lambda: ChaosSpec(
+                scenario=ScenarioSpec(server_count=2),
+                plan=demo_plan(9),
+                seed=9,
+                requests=7,
+                profile_name="economy",
+                telemetry_seed=9,
+                telemetry_jsonl="t.jsonl",
+            ),
+        ),
+        "recover": (
+            "--seed 9 --requests 7 --servers 2 --spacing 2.5 "
+            "--profile economy --crash-after 6 --journal j.wal "
+            "--telemetry t.jsonl",
+            lambda: CrashRecoverySpec(
+                scenario=ScenarioSpec(server_count=2),
+                seed=9,
+                requests=7,
+                request_spacing_s=2.5,
+                profile_name="economy",
+                crash_opportunity=6,
+                journal_path="j.wal",
+                telemetry_seed=9,
+                telemetry_jsonl="t.jsonl",
+            ),
+        ),
+        "storm": (
+            "--sessions 60 --late-requests 12 --severity 0.7 "
+            "--brownout-start 50 --brownout-duration 30 --servers 4 "
+            "--seed 9 --profile economy --no-backpressure "
+            "--telemetry t.jsonl",
+            lambda: StormSpec(
+                sessions=60,
+                late_requests=12,
+                severity=0.7,
+                brownout_start_s=50.0,
+                brownout_duration_s=30.0,
+                servers=4,
+                seed=9,
+                profile_name="economy",
+                backpressure=False,
+                telemetry_seed=9,
+                telemetry_jsonl="t.jsonl",
+            ),
+        ),
+        "load": (
+            "--arrivals flash --rate 2.5 --horizon 45 --multipliers 1,3 "
+            "--servers 4 --clients 5 --seed 9 --scheduler-seed 4 "
+            "--profile economy --no-gate",
+            lambda: LoadSpec(
+                arrival=ArrivalSpec(
+                    kind="flash", rate_per_s=2.5, horizon_s=45.0
+                ),
+                multipliers=(1.0, 3.0),
+                servers=4,
+                clients=5,
+                seed=9,
+                scheduler_seed=4,
+                profile_name="economy",
+                use_gate=False,
+            ),
+        ),
+        "profile": (
+            "--rate 2.5 --horizon 45 --multipliers 1,3 --seed 9 "
+            "--scheduler-seed 4 --telemetry-seed 3",
+            lambda: LoadSpec(
+                arrival=ArrivalSpec(rate_per_s=2.5, horizon_s=45.0),
+                multipliers=(1.0, 3.0),
+                seed=9,
+                scheduler_seed=4,
+                telemetry_seed=3,
+            ),
+        ),
+        "slo": (
+            "--scenario brownout --multiplier 2 --rate 2.5 --horizon 45 "
+            "--seed 9 --scheduler-seed 4 --telemetry-seed 3 "
+            "--interval 0.5 --severity 0.5 --brownout-start 10 "
+            "--brownout-duration 20",
+            lambda: SloRunSpec(
+                scenario="brownout",
+                multiplier=2.0,
+                rate_per_s=2.5,
+                horizon_s=45.0,
+                seed=9,
+                scheduler_seed=4,
+                telemetry_seed=3,
+                interval_s=0.5,
+                severity=0.5,
+                brownout_start_s=10.0,
+                brownout_duration_s=20.0,
+            ),
+        ),
+    }
+    # Flags that pick what is printed or written, not what is run.
+    OUTPUT_ONLY = {
+        "--help", "--json", "--output", "--compare", "--journal-describe",
+        "--timeseries", "--flamegraph", "--report",
+        # `stats --mode workload` runs no spec; its flags feed
+        # `WorkloadSpec`, which `test_sweep_options` covers.
+        "--mode", "--rate", "--horizon",
+    }
+    DEFAULTS = {
+        "chaos": lambda: ChaosSpec(plan=demo_plan(1)),
+        "stats": lambda: ChaosSpec(plan=demo_plan(1), telemetry_seed=1),
+        "recover": CrashRecoverySpec,
+        "storm": StormSpec,
+        "load": LoadSpec,
+        "profile": lambda: LoadSpec(
+            telemetry_seed=7, multipliers=(0.5, 1.0, 2.0, 4.0)
+        ),
+        "slo": SloRunSpec,
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_every_flag_lands_in_its_field(self, command):
+        flags, expected = self.CASES[command]
+        args = build_parser().parse_args([command, *flags.split()])
+        assert build_spec(args) == expected()
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_no_flag_is_left_out(self, command):
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        offered = {
+            option
+            for action in subcommands[command]._actions
+            for option in action.option_strings
+            if option.startswith("--")
+        }
+        parsed = {
+            word for word in self.CASES[command][0].split()
+            if word.startswith("--")
+        }
+        assert offered - parsed <= self.OUTPUT_ONLY
+        assert parsed <= offered
+
+    @pytest.mark.parametrize("command", sorted(DEFAULTS))
+    def test_no_flags_is_the_specs_own_defaults(self, command):
+        spec = build_spec(build_parser().parse_args([command]))
+        assert spec == self.DEFAULTS[command]()
 
 
 class TestCommands:
@@ -116,7 +311,7 @@ class TestStorm:
         args = build_parser().parse_args(["storm"])
         assert args.sessions == 200
         assert args.severity == pytest.approx(0.4)
-        assert not args.no_backpressure
+        assert args.backpressure
         assert not args.compare
 
     def test_small_storm_runs_clean(self, capsys):
@@ -141,6 +336,12 @@ class TestStorm:
     def test_bad_severity_rejected(self, capsys):
         assert main(["storm", "--severity", "0"]) == 2
         assert "bad storm run" in capsys.readouterr().err
+
+    def test_zero_servers_names_the_flag_passed(self, capsys):
+        assert main(["storm", "--servers", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "bad storm run: need at least one server\n"
+        assert captured.out == ""
 
     def test_unknown_profile(self, capsys):
         assert main(["storm", "--profile", "ghost"]) == 2
@@ -169,6 +370,14 @@ class TestRecover:
         assert main(["recover", "--requests", "0"]) == 2
         captured = capsys.readouterr()
         assert "need at least one request" in captured.err
+        assert captured.out == ""
+
+    def test_negative_spacing_rejected(self, capsys):
+        assert main(["recover", "--spacing", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "bad recover run: request_spacing_s must be non-negative\n"
+        )
         assert captured.out == ""
 
 
