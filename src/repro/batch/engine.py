@@ -113,15 +113,18 @@ def negotiate_batch(
     groups: "dict[tuple, _ClassGroup]" = {}
     # Class keys fingerprint profile, cost-model and mapper state;
     # recomputing them for every member of a hot class costs a sizable
-    # fraction of a commitment walk.  Profiles and clients are frozen,
-    # and ``requests`` keeps every referenced object alive for the
-    # duration of this call, so identity-keyed memoisation is sound.
+    # fraction of a commitment walk.  ``requests`` keeps every
+    # referenced object alive for the duration of this call, so
+    # identity-keyed memoisation is sound for what cannot change:
+    # profiles and clients are frozen, but a client's decoder bank is
+    # not, so its mutation counter joins the key.
     key_memo: "dict[tuple, tuple | None]" = {}
     for request in requests:
         memo_key = (
             request.document_id,
             id(request.profile),
             id(request.client),
+            request.client.decoders.version,
             request.policy,
             request.guarantee,
             request.max_offers,

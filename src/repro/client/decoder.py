@@ -107,17 +107,28 @@ class ScalableDecoder(Decoder):
 
 
 class DecoderBank:
-    """The set of decoders installed on one client machine."""
+    """The decoders installed on one client machine, in install order
+    (``decoder_for`` answers with the first that fits)."""
 
     def __init__(self, decoders: "tuple[Decoder, ...] | list[Decoder]" = ()) -> None:
         self._decoders: list[Decoder] = []
+        # Monotonic mutation counter, bumped by every ``install``: a
+        # digest of the bank stamped with it is current while the stamp
+        # matches (``MetadataDatabase.version_of`` is the model).
+        self._version = 0
         for decoder in decoders:
             self.install(decoder)
+
+    @property
+    def version(self) -> int:
+        """The bank's mutation counter."""
+        return self._version
 
     def install(self, decoder: Decoder) -> None:
         if not isinstance(decoder, Decoder):
             raise DecoderError(f"not a Decoder: {decoder!r}")
         self._decoders.append(decoder)
+        self._version += 1
 
     def __len__(self) -> int:
         return len(self._decoders)

@@ -58,6 +58,12 @@ class ClientMachine:
     access_point: str = "client-net"
     interface_bps: float = 10_000_000.0  # 10 Mbps Ethernet of the era
     decoders: DecoderBank = field(default_factory=standard_decoders)
+    # (decoders.version, capability digest), written by
+    # ``repro.perf.fingerprint.client_fingerprint``: the digest is
+    # current while the bank's version matches its stamp.
+    _fingerprint: "tuple[int, str] | None" = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         check_name(self.client_id, "client_id")

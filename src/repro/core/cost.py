@@ -77,7 +77,7 @@ class CostTable:
                 "cost must be non-decreasing in throughput class"
             )
         self._classes = tuple(ordered)
-        self._ceilings = ceilings
+        self._ceilings = tuple(ceilings)
 
     @property
     def classes(self) -> tuple[ThroughputClass, ...]:
@@ -165,6 +165,12 @@ class CostModel:
     network: CostTable
     server: CostTable
     best_effort_discount: float = 0.5  # fraction knocked off the tariff
+    # The tariff digest, written once by
+    # ``repro.perf.fingerprint.cost_model_fingerprint``.  The model is
+    # frozen and its tables hold tuples, so it never goes stale.
+    _fingerprint: "str | None" = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         check_fraction(self.best_effort_discount, "best_effort_discount")

@@ -8,6 +8,12 @@ inputs, so a head-heavy request mix (ROADMAP's Zipf document
 popularity) re-enumerates nothing.  The ordering of a space is lazy
 (:mod:`repro.core.stream`) and is not cached.
 
+Building a key is a lookup, not a hash, for the parts that do not
+change between requests: the client and cost-model fingerprints are
+memoised on their objects (:mod:`repro.perf.fingerprint`), the client's
+stamped with its ``DecoderBank.version``.  Only the mapper is re-hashed
+per request.
+
 Invalidation rides on :meth:`MetadataDatabase.version_of`: every
 catalog mutation bumps the document's version counter, which changes
 the key, so stale entries simply stop being reachable and age out of

@@ -11,6 +11,16 @@ entries no matter where they were built.
 Only state that can change the offer space or the classification
 arrays enters a fingerprint; presentation details (client id, access
 point, profile name) deliberately do not.
+
+The client and tariff fingerprints are computed once per object
+version, not once per request: each is memoised on its object (a
+private ``_fingerprint`` field, excluded from repr, equality and hash).
+A ``ClientMachine``'s only mutable part is its ``DecoderBank``, so the
+client memo is stamped with ``DecoderBank.version`` and recomputed when
+``install`` moves it; a ``CostModel`` is frozen over tuple-only tables
+and its memo never goes stale.  The mapper, profile and importance
+fingerprints stay per call: a mapper subclass may carry unfrozen state,
+and an ``ImportanceProfile`` holds plain dicts.
 """
 
 from __future__ import annotations
@@ -42,11 +52,17 @@ def client_fingerprint(client: ClientMachine) -> str:
     """Capability fingerprint: everything step 1/2 reads off the
     machine.  The client id and access point are identity, not
     capability, and are excluded — a thousand identical workstations
-    share one offer space."""
-    decoders = sorted(
-        f"{type(decoder).__name__}:{decoder!r}" for decoder in client.decoders
-    )
-    return digest(
+    share one offer space.
+
+    Decoders enter in install order: ``DecoderBank.decoder_for``
+    presents a variant through the *first* decoder that fits, so the
+    same decoders installed in another order can present another QoS.
+    """
+    version = client.decoders.version
+    memo = client._fingerprint
+    if memo is not None and memo[0] == version:
+        return memo[1]
+    fingerprint = digest(
         repr(
             (
                 client.screen_width,
@@ -55,24 +71,33 @@ def client_fingerprint(client: ClientMachine) -> str:
                 client.max_frame_rate,
                 client.audio_output,
                 client.interface_bps,
-                tuple(decoders),
+                tuple(
+                    f"{type(decoder).__name__}:{decoder!r}"
+                    for decoder in client.decoders
+                ),
             )
         )
     )
+    object.__setattr__(client, "_fingerprint", (version, fingerprint))
+    return fingerprint
 
 
 def cost_model_fingerprint(model: CostModel) -> str:
     """Tariff fingerprint: both cost tables plus the discount.  Table
     rows are frozen dataclasses with value-stable reprs."""
-    return digest(
-        repr(
-            (
-                model.network.classes,
-                model.server.classes,
-                model.best_effort_discount,
+    fingerprint = model._fingerprint
+    if fingerprint is None:
+        fingerprint = digest(
+            repr(
+                (
+                    model.network.classes,
+                    model.server.classes,
+                    model.best_effort_discount,
+                )
             )
         )
-    )
+        object.__setattr__(model, "_fingerprint", fingerprint)
+    return fingerprint
 
 
 def mapper_fingerprint(mapper: QoSMapper) -> str:

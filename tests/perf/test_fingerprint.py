@@ -1,4 +1,4 @@
-"""Mapper fingerprints: the subclass-collision regression.
+"""Fingerprint collision regressions.
 
 ``mapper_fingerprint`` used to key on the declared state alone, so a
 ``QoSMapper`` subclass adding mapping state without overriding
@@ -7,12 +7,29 @@ configured instances of itself) — two mappers that compute different
 flow specs shared cache entries.  The fix keys on the full class
 identity plus ``fingerprint_state()``, with a repr fallback for
 subclasses that forgot the override.
+
+``client_fingerprint`` used to sort the decoders, but a decoder bank
+presents a variant through the *first* installed decoder that fits, so
+two clients holding the same decoders in another order shared one
+cached space while presenting different QoS.  Decoders now enter in
+install order.
 """
 
 from dataclasses import dataclass
 
+import pytest
+
+from repro.client.decoder import Decoder, DecoderBank, ScalableDecoder
+from repro.client.machine import ClientMachine
+from repro.core.enumeration import build_offer_space
 from repro.core.mapping import QoSMapper
-from repro.perf.fingerprint import mapper_fingerprint
+from repro.core.negotiation import QoSManager
+from repro.documents import make_news_article
+from repro.documents.media import Codecs
+from repro.metadata import MetadataDatabase
+from repro.perf import reset_shared_cache, shared_cache
+from repro.perf.cache import SPACES
+from repro.perf.fingerprint import client_fingerprint, mapper_fingerprint
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,3 +100,63 @@ class TestMapperCollisions:
         assert mapper_fingerprint(QoSMapper()) != mapper_fingerprint(
             QoSMapper(rate_scale=1.1)
         )
+
+
+class TestDecoderInstallOrder:
+    """A 15 f/s scalable MPEG-2 decoder installed before a full one
+    down-scales the 25 f/s variants; installed after it, it is never
+    reached."""
+
+    @pytest.fixture
+    def document(self):
+        return make_news_article(
+            "doc.order",
+            video_codecs=(Codecs.MPEG2,),
+            include_image=False,
+            include_text=False,
+        )
+
+    @pytest.fixture
+    def manager(self, document, transport, servers, clock):
+        database = MetadataDatabase()
+        database.insert_document(document)
+        reset_shared_cache()
+        yield QoSManager(
+            database=database,
+            transport=transport,
+            servers=servers,
+            clock=clock,
+            cache=shared_cache(),
+        )
+        reset_shared_cache()
+
+    @staticmethod
+    def _client(client_id, *video_decoders):
+        return ClientMachine(
+            client_id,
+            decoders=DecoderBank(
+                (*video_decoders, Decoder(Codecs.MPEG_AUDIO))
+            ),
+        )
+
+    def test_reordered_decoders_get_their_own_space(
+        self, manager, document, balanced_profile
+    ):
+        capped = ScalableDecoder(Codecs.MPEG2, max_frame_rate=15)
+        full = Decoder(Codecs.MPEG2)
+        scaling = self._client("scaling", capped, full)
+        direct = self._client("direct", full, capped)
+        document_id = document.document_id
+
+        first = manager.negotiate(document_id, balanced_profile, scaling)
+        first.commitment.release()
+        space = manager.plan(document_id, balanced_profile, direct).space
+
+        assert manager.cache.stats.misses[SPACES] == 2
+        uncached = build_offer_space(document, direct, manager.cost_model)
+        assert space.presented_axes == uncached.presented_axes
+        video = space.presented_axes[
+            space.monomedia_ids.index(f"{document_id}.video")
+        ]
+        assert {qos.frame_rate for qos in video} == {15, 25}
+        assert client_fingerprint(scaling) != client_fingerprint(direct)
