@@ -1,5 +1,6 @@
 """The eager references the stack is compared against: the negotiation
-pipeline (below) and one server's admission test (at the end).
+pipeline (below), one server's admission test and one topology's
+routing and shedding (at the end).
 
 Steps 3–5 the way the paper states them, with nothing lazy: classify
 and sort the whole offer space (``classify_space``), re-rank it when
@@ -193,3 +194,78 @@ def reference_aggregate_rate_bps(server):
     for rate in server.stream_rates():
         aggregate = aggregate + rate
     return aggregate
+
+
+# -- one topology's routes and shed flows, from scratch --------------------------------
+#
+# Routing as ``repro.network.routing`` documents it, with no route memo:
+# a fresh Dijkstra over the graph in which a link is present only if it
+# can still take the rate.  Shedding as ``Link.violated_holders``
+# documents it, with every link's ledger re-sorted by reservation id.
+
+
+def reference_unconstrained_for(topology, rate_bps):
+    return all(link.can_reserve(rate_bps) for link in topology.links())
+
+
+def reference_route_nodes(topology, source, target, rate_bps):
+    """The node path ``find_route`` owes, or None where it must raise."""
+    import networkx as nx
+
+    if not (topology.has_node(source) and topology.has_node(target)):
+        return None
+    if source == target:
+        return (source,)
+
+    def weight(a, b, data):
+        link = data["link"]
+        return link.cost_weight if link.can_reserve(rate_bps) else None
+
+    try:
+        return tuple(
+            nx.shortest_path(topology.graph, source, target, weight=weight)
+        )
+    except nx.NetworkXNoPath:
+        return None
+
+
+def reference_probe(topology, source, target, spec, guarantee):
+    """The node path ``TransportSystem.probe`` owes, or None: the fresh
+    route, kept only if its folded delay, jitter and loss meet the
+    spec's bounds."""
+    nodes = reference_route_nodes(
+        topology, source, target, guarantee.billable_rate(spec)
+    )
+    if nodes is None:
+        return None
+    delay = jitter = loss = 0.0
+    for a, b in zip(nodes, nodes[1:]):
+        qos = topology.link_between(a, b).qos
+        delay = delay + qos.delay_s
+        jitter = jitter + qos.jitter_s
+        loss = 1.0 - (1.0 - loss) * (1.0 - qos.loss_rate)
+    if (
+        delay <= spec.max_delay_s
+        and jitter <= spec.max_jitter_s
+        and loss <= spec.max_loss_rate
+    ):
+        return nodes
+    return None
+
+
+def reference_violated_flows(transport):
+    """Flows shed right now, in ledger order: on every oversubscribed
+    link, each holder whose running rate in reservation-id order passes
+    the shrunken capacity."""
+    victims = set()
+    for link in transport.topology.links():
+        if not link.oversubscribed:
+            continue
+        budget, running = link.effective_capacity_bps, 0.0
+        for reservation in sorted(
+            link.reservations(), key=lambda r: r.reservation_id
+        ):
+            running += reservation.bit_rate
+            if running > budget + 1e-9:
+                victims.add(reservation.holder)
+    return tuple(flow for flow in transport.flows() if flow.flow_id in victims)
