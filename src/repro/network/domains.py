@@ -236,6 +236,7 @@ class HierarchicalTransport(TransportSystem):
             guarantee=guarantee,
             route=route,
             link_reservations=tuple(all_reservations),
+            holder=holder,
         )
         self._flows[flow_id] = flow
         self._segments[flow_id] = done

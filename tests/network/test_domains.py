@@ -138,6 +138,18 @@ class TestHierarchicalReserve:
         transport.release(flow)
         assert transport.total_messages - after_setup == 2 * segment_count
 
+    def test_holder_is_kept_for_the_recovery_scan(self, transport, world):
+        """Crash recovery finds a multi-domain flow by its holder and
+        gives back its link bandwidth and transit quota."""
+        topo, _ = world
+        flow = transport.reserve("srv", "cli", SPEC, holder="session-7")
+        assert flow.holder == "session-7"
+        assert transport.flows_for_holder("session-7") == (flow,)
+        for leaked in transport.flows_for_holder("session-7"):
+            transport.release(leaked)
+        assert topo.total_reserved_bps() == 0.0
+        assert transport.agents["metro"].transit_reserved_bps == 0.0
+
     def test_violated_flows_inherited(self, transport, world):
         topo, _ = world
         flow = transport.reserve("srv", "cli", SPEC)
