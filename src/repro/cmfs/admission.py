@@ -53,6 +53,11 @@ class AdmissionDecision:
         return self.admitted
 
 
+# Every admitted stream gets the same answer; the class is frozen, so
+# one instance serves them all.
+_ADMITTED = AdmissionDecision(True)
+
+
 class ServerLoad(NamedTuple):
     """What the admission rules read of a set of admitted streams,
     totalled in ledger order."""
@@ -140,7 +145,7 @@ class AdmissionController:
                 f"{self.nic_bps / 1e6:.1f} Mbps",
             )
 
-        return AdmissionDecision(True)
+        return _ADMITTED
 
     def evaluate(
         self,

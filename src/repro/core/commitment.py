@@ -224,50 +224,69 @@ class ResourceCommitter:
     # -- resilient call wrappers ---------------------------------------------------
 
     def _run_resilient(
-        self, fn: "Callable[[], T]", *, server_id: "str | None" = None
+        self,
+        fn: "Callable[..., T]",
+        *args: Any,
+        server_id: "str | None" = None,
+        **kwargs: Any,
     ) -> T:
-        """Execute one reservation call under the retry policy, feeding
-        attempt outcomes into the health tracker."""
-        now = self._clock.now
-        health = self.health
-        telemetry = self.telemetry
-        target = server_id if server_id is not None else "network"
+        """Execute one reservation call, ``fn(*args, **kwargs)``, under
+        the retry policy, feeding attempt outcomes into the health
+        tracker.
 
-        def on_retry(attempt: int, error: BaseException, delay: float) -> None:
-            self.stats.retries += 1
-            self.stats.attempts += 1
-            telemetry.count("admission.retries", target=target)
-            telemetry.count("admission.attempts", target=target)
-            if health is not None and server_id is not None:
-                health.record_failure(server_id, now())
-
+        Every step-5 call passes through here, so the path with no
+        retry policy and no breaker builds nothing: the retry hook and
+        the thunk exist only under a policy, the clock is read only for
+        a breaker.
+        """
+        count = self.telemetry.count
+        target = "network" if server_id is None else server_id
         self.stats.attempts += 1
-        telemetry.count("admission.attempts", target=target)
+        count("admission.attempts", target=target)
         try:
             if self.retry_policy is None:
-                result = fn()
+                result = fn(*args, **kwargs)
             else:
                 result = execute_with_retry(
-                    fn,
+                    lambda: fn(*args, **kwargs),
                     self.retry_policy,
                     rng=self._retry_rng,
-                    on_retry=on_retry,
+                    on_retry=self._on_retry(count, target, server_id),
                 )
         except ReproError as error:
             # Narrow by design (REP003): every fault the injector or the
             # substrate raises is a ReproError; anything else is a bug
             # that must surface unrecorded.
-            telemetry.count("admission.refusals", target=target)
+            count("admission.refusals", target=target)
             if (
-                health is not None
+                self.health is not None
                 and server_id is not None
                 and is_retryable(error)
             ):
-                health.record_failure(server_id, now())
+                self.health.record_failure(server_id, self._clock.now())
             raise
-        if health is not None and server_id is not None:
-            health.record_success(server_id, now())
+        if self.health is not None and server_id is not None:
+            self.health.record_success(server_id, self._clock.now())
         return result
+
+    def _on_retry(
+        self,
+        count: "Callable[..., None]",
+        target: str,
+        server_id: "str | None",
+    ) -> "Callable[[int, BaseException, float], None]":
+        """The retry policy's report of one retried call: one more
+        attempt, and a failure on the server's breaker record."""
+
+        def on_retry(attempt: int, error: BaseException, delay: float) -> None:
+            self.stats.retries += 1
+            self.stats.attempts += 1
+            count("admission.retries", target=target)
+            count("admission.attempts", target=target)
+            if self.health is not None and server_id is not None:
+                self.health.record_failure(server_id, self._clock.now())
+
+        return on_retry
 
     # -- commitment ----------------------------------------------------------------
 
@@ -329,30 +348,20 @@ class ResourceCommitter:
         streams: list[StreamReservation] = []
         flows: list[FlowReservation] = []
         server: "MediaServer | None" = None
+        run, reserve = self._run_resilient, self._transport.reserve
         try:
-            for monomedia_id, variant in offer.variants.items():
+            for variant in offer.variants.values():
                 spec = space.spec_for(variant)
                 server = self.server(variant.server_id)
-                rate = guarantee.billable_rate(spec)
-                streams.append(
-                    self._run_resilient(
-                        lambda s=server, v=variant, r=rate: s.admit(
-                            v.variant_id, r, holder=holder
-                        ),
-                        server_id=server.server_id,
-                    )
-                )
-                flows.append(
-                    self._run_resilient(
-                        lambda s=server, sp=spec: self._transport.reserve(
-                            s.access_point,
-                            client_access_point,
-                            sp,
-                            guarantee=guarantee,
-                            holder=holder,
-                        )
-                    )
-                )
+                streams.append(run(
+                    server.admit, variant.variant_id,
+                    guarantee.billable_rate(spec), holder=holder,
+                    server_id=server.server_id,
+                ))
+                flows.append(run(
+                    reserve, server.access_point, client_access_point, spec,
+                    guarantee=guarantee, holder=holder,
+                ))
         except COMMIT_FAILURES as error:
             # Whatever happens in the bookkeeping, everything already
             # admitted is released before control leaves.
@@ -429,32 +438,22 @@ class ResourceCommitter:
             offer.variants.items(),
             key=lambda item: (item[1].server_id, item[0]),
         )
+        run, reserve = self._run_resilient, self._transport.reserve
         try:
-            for monomedia_id, variant in ordered:
+            for _monomedia_id, variant in ordered:
                 spec = space.spec_for(variant)
                 server = self.server(variant.server_id)
-                rate = guarantee.billable_rate(spec)
                 yield
-                streams.append(
-                    self._run_resilient(
-                        lambda s=server, v=variant, r=rate: s.admit(
-                            v.variant_id, r, holder=holder
-                        ),
-                        server_id=server.server_id,
-                    )
-                )
+                streams.append(run(
+                    server.admit, variant.variant_id,
+                    guarantee.billable_rate(spec), holder=holder,
+                    server_id=server.server_id,
+                ))
                 yield
-                flows.append(
-                    self._run_resilient(
-                        lambda s=server, sp=spec: self._transport.reserve(
-                            s.access_point,
-                            client_access_point,
-                            sp,
-                            guarantee=guarantee,
-                            holder=holder,
-                        )
-                    )
-                )
+                flows.append(run(
+                    reserve, server.access_point, client_access_point, spec,
+                    guarantee=guarantee, holder=holder,
+                ))
         except COMMIT_FAILURES as error:
             try:
                 self.telemetry.count("commitment.rollbacks")
@@ -613,9 +612,12 @@ class Commitment:
         self.choice_period_s = check_positive(
             float(choice_period_s), "choice_period_s"
         )
+        # The payload is built only for a journal that will write it;
+        # the transition itself is journalled (a no-op without one) on
+        # every path, ahead of the state it records.
         self._journal_transition(
             JournalRecordType.RESERVED,
-            {
+            None if committer.journal is None else {
                 "offer_id": bundle.offer.offer_id,
                 "reserved_at": self.reserved_at,
                 "choice_period_s": self.choice_period_s,

@@ -19,14 +19,7 @@ from typing import Mapping
 
 from ..documents.media import Language, Medium
 from ..documents.monomedia import Variant
-from ..documents.quality import (
-    AudioQoS,
-    GraphicQoS,
-    ImageQoS,
-    MediaQoS,
-    TextQoS,
-    VideoQoS,
-)
+from ..documents.quality import MediaQoS
 from ..util.errors import OfferError
 from ..util.units import Money
 from .profiles import MMProfile, TimeProfile
@@ -125,28 +118,33 @@ class SystemOffer:
 def _merge_worst(a: MediaQoS, b: MediaQoS) -> MediaQoS:
     """Component-wise worst of two same-medium QoS points (used when a
     document carries several monomedia of one medium and the user offer
-    must summarise them in a single per-medium slot)."""
+    must summarise them in a single per-medium slot).
+
+    Ordered parameters take the minimum; a language survives only when
+    both agree, else it is ``Language.NONE``.  When one operand already
+    is that worst point it is returned as is, so a new point is built
+    (and validated) only when each operand is worse somewhere.
+    """
     if type(a) is not type(b):
         raise OfferError(
             f"cannot merge {type(a).__name__} with {type(b).__name__}"
         )
-    if isinstance(a, VideoQoS):
-        return VideoQoS(
-            color=min(a.color, b.color),
-            frame_rate=min(a.frame_rate, b.frame_rate),
-            resolution=min(a.resolution, b.resolution),
-        )
-    if isinstance(a, AudioQoS):
-        language = a.language if a.language == b.language else Language.NONE
-        return AudioQoS(grade=min(a.grade, b.grade), language=language)
-    if isinstance(a, (ImageQoS, GraphicQoS)):
-        return type(a)(
-            color=min(a.color, b.color), resolution=min(a.resolution, b.resolution)
-        )
-    if isinstance(a, TextQoS):
-        language = a.language if a.language == b.language else Language.NONE
-        return TextQoS(language=language)
-    raise OfferError(f"unmergeable QoS type {type(a).__name__}")  # pragma: no cover
+    worst: dict[str, object] = {}
+    a_is_worst = b_is_worst = True
+    for name in a.__slots__:
+        mine, theirs = getattr(a, name), getattr(b, name)
+        if isinstance(mine, Language):
+            value = mine if mine == theirs else Language.NONE
+        else:
+            value = theirs if theirs < mine else mine
+        worst[name] = value
+        a_is_worst = a_is_worst and value == mine
+        b_is_worst = b_is_worst and value == theirs
+    if a_is_worst:
+        return a
+    if b_is_worst:
+        return b
+    return type(a)(**worst)
 
 
 def derive_user_offer(

@@ -175,9 +175,9 @@ class Link:
         budget = self.effective_capacity_bps
         victims: list[str] = []
         running = 0.0
-        for reservation in sorted(
-            self._reservations.values(), key=lambda r: r.reservation_id
-        ):
+        # Ids come from one global monotone counter and the ledger only
+        # appends and pops, so its order already is reservation-id order.
+        for reservation in self._reservations.values():
             running += reservation.bit_rate
             if running > budget + 1e-9:
                 victims.append(reservation.holder)

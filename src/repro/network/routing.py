@@ -66,25 +66,25 @@ def find_route(
     Raises :class:`NoRouteError` when the endpoints are unknown,
     disconnected, or every connecting path lacks residual bandwidth.
     """
-    if not topology.has_node(source):
-        raise NoRouteError(f"unknown node {source!r}")
-    if not topology.has_node(target):
-        raise NoRouteError(f"unknown node {target!r}")
-    if source == target:
-        return Route(nodes=(source,), links=(), qos=PathQoS.identity())
-
     # Link cost weights are static, so when no link is bandwidth-
     # constrained the search graph below is exactly the full graph and
     # the answer depends only on (source, target).  That is the hot
     # case — commitment walks mostly run far from saturation — and the
     # topology memoises it; any constrained link falls through to the
-    # full search.
+    # full search.  A memoised pair names two known, distinct nodes
+    # (nodes are never removed), so a hit needs no endpoint checks.
     unconstrained = topology.unconstrained_for(required_bps)
     if unconstrained:
         cached = topology.cached_route(source, target)
         if cached is not None:
             assert isinstance(cached, Route)
             return cached
+    if not topology.has_node(source):
+        raise NoRouteError(f"unknown node {source!r}")
+    if not topology.has_node(target):
+        raise NoRouteError(f"unknown node {target!r}")
+    if source == target:
+        return Route(nodes=(source,), links=(), qos=PathQoS.identity())
 
     def weight(a: str, b: str, data: dict) -> "float | None":
         link: Link = data["link"]

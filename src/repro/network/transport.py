@@ -95,14 +95,28 @@ class TransportSystem:
         Checks both residual bandwidth and the flow's delay/jitter/loss
         bounds against the route's accumulated QoS.
         """
-        rate = guarantee.billable_rate(spec)
+        return self._feasible_route(
+            source, target, spec, guarantee.billable_rate(spec)
+        )
+
+    def _feasible_route(
+        self, source: str, target: str, spec: FlowSpec, rate: float
+    ) -> "Route | None":
+        """:meth:`probe` at a rate already billed: the three tests of
+        ``route.qos.satisfies(spec.qos_bound)``, read off the spec
+        without building its bound."""
         try:
             route = find_route(self._topology, source, target, rate)
         except NoRouteError:
             return None
-        if not route.qos.satisfies(spec.qos_bound):
-            return None
-        return route
+        qos = route.qos
+        if (
+            qos.delay_s <= spec.max_delay_s
+            and qos.jitter_s <= spec.max_jitter_s
+            and qos.loss_rate <= spec.max_loss_rate
+        ):
+            return route
+        return None
 
     def flow(self, flow_id: str) -> FlowReservation:
         try:
@@ -145,13 +159,13 @@ class TransportSystem:
         :class:`CapacityError` propagates (step 5 then tries the next
         system offer).
         """
-        route = self.probe(source, target, spec, guarantee)
+        rate = guarantee.billable_rate(spec)
+        route = self._feasible_route(source, target, spec, rate)
         if route is None:
             raise CapacityError(
                 f"no feasible route {source!r} -> {target!r} for "
-                f"{guarantee.billable_rate(spec):.0f} bps"
+                f"{rate:.0f} bps"
             )
-        rate = guarantee.billable_rate(spec)
         flow_id = f"flow-{next(self._flow_ids)}"
         taken: list[LinkReservation] = []
         try:

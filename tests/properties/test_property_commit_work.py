@@ -1,0 +1,327 @@
+"""What a successful step 5 costs, counted — no clock is read.
+
+For every monomedia the paper's step 5 asks one server to admit a
+stream and the transport system to reserve one flow.  A counting
+wrapper around each routine the committer could reach holds the
+successful path to exactly that, with no retry policy and no breaker:
+
+* the retry combinator is never entered;
+* no ``PathQoS`` is built once the route is memoised (the spec's
+  bounds are read, not wrapped);
+* ``find_route`` runs once per flow;
+* an admitted stream allocates no ``AdmissionDecision``.
+
+The user offer is held to an always-constructing reference, and the
+resilient configuration — a retry policy, a circuit breaker, an armed
+telemetry hub and a fault hook — to counts pinned from a scripted fault
+plan: its stats, counters and breaker records are call for call what
+they were before the wrapper stopped building closures.
+"""
+
+from collections import Counter
+from contextlib import contextmanager
+from types import SimpleNamespace
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.commitment as commitment
+import repro.network.transport as transport_module
+from repro.client.machine import ClientMachine
+from repro.cmfs.admission import AdmissionDecision
+from repro.core.enumeration import build_offer_space
+from repro.core.offers import derive_user_offer
+from repro.core.profiles import MMProfile, TimeProfile
+from repro.documents.media import AudioGrade, ColorMode, Language
+from repro.documents.quality import AudioQoS, GraphicQoS, VideoQoS
+from repro.faults.health import CircuitBreaker
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.faults.retry import RetryPolicy
+from repro.network.qosparams import PathQoS
+from repro.telemetry import Telemetry
+from repro.util.clock import ManualClock
+from repro.util.units import Money
+
+from .strategies import (
+    GRID_FLAVOURS,
+    any_qos,
+    audio_qos,
+    color_modes,
+    grid_document,
+    grid_manager,
+    money,
+    resolutions,
+    video_qos,
+)
+
+N = 10  # the catalogue documents of the shared-profile benchmark
+
+
+@contextmanager
+def counted(owner, name):
+    """Calls of ``owner.name``, passed through to the original."""
+    calls = Counter()
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    with mock.patch.object(owner, name, counting):
+        yield calls
+
+
+def grid_walk(monomedia, **manager_options):
+    manager = grid_manager(
+        [grid_document([GRID_FLAVOURS[:2]] * monomedia)],
+        stream_caps=(64, 64, 64), **manager_options,
+    )
+    client = ClientMachine("walker", access_point="client-net")
+    space = build_offer_space(
+        manager.database.get_document("doc.grid"), client,
+        manager.cost_model, mapper=manager.mapper,
+        guarantee=manager.guarantee,
+    )
+    return manager, space
+
+
+def commit(manager, space, index=0, holder="holder-1"):
+    return manager.committer.try_commit(
+        space.offer_at(index), space, "client-net",
+        guarantee=manager.guarantee, holder=holder,
+    )
+
+
+class TestSuccessfulCommitWork:
+    @pytest.fixture
+    def warm(self):
+        """A deployment whose routes are memoised: one commit has run
+        and been given back."""
+        manager, space = grid_walk(N)
+        manager.committer.release(commit(manager, space, holder="warm-up"))
+        return manager, space
+
+    def test_no_retry_machinery_without_a_policy(self, warm):
+        manager, space = warm
+        with counted(commitment, "execute_with_retry") as calls:
+            bundle = commit(manager, space)
+        assert bundle is not None and len(bundle.flows) == N
+        assert not calls
+
+    def test_the_spec_bounds_are_read_not_built(self, warm):
+        manager, space = warm
+        with counted(PathQoS, "__init__") as calls:
+            bundle = commit(manager, space)
+        assert bundle is not None
+        assert not calls
+
+    def test_one_route_lookup_per_flow(self, warm):
+        manager, space = warm
+        with counted(transport_module, "find_route") as calls:
+            bundle = commit(manager, space)
+        assert len(bundle.flows) == N
+        assert calls == {"find_route": N}
+
+    def test_an_admitted_stream_allocates_no_decision(self, warm):
+        manager, space = warm
+        with counted(AdmissionDecision, "__init__") as calls:
+            bundle = commit(manager, space)
+        assert len(bundle.streams) == N
+        assert not calls
+
+    def test_only_a_refusal_allocates_a_decision(self):
+        manager, space = grid_walk(2)
+        for server in manager.committer.servers.values():
+            server.admission = type(server.admission)(
+                disk=server.disk, max_streams=1
+            )
+        with counted(AdmissionDecision, "__init__") as calls:
+            commit(manager, space, index=0)
+            assert commit(manager, space, index=0, holder="holder-2") is None
+        assert calls == {"__init__": 1}
+
+
+# -- the user offer against an always-constructing reference --------------------------
+
+
+def constructing_merge(a, b):
+    """The component-wise worst of two points, always built anew."""
+    values = {}
+    for name in a.__slots__:
+        mine, theirs = getattr(a, name), getattr(b, name)
+        if isinstance(mine, Language):
+            values[name] = mine if mine == theirs else Language.NONE
+        else:
+            values[name] = min(mine, theirs)
+    return type(a)(**values)
+
+
+def reference_user_offer(offer):
+    per_medium = {}
+    for qos in offer.presented.values():
+        existing = per_medium.get(qos.medium)
+        per_medium[qos.medium] = (
+            qos if existing is None else constructing_merge(existing, qos)
+        )
+    return MMProfile(
+        cost=offer.cost, time=TimeProfile(),
+        **{medium.value: qos for medium, qos in per_medium.items()},
+    )
+
+
+def offer_of(points, cost=Money(100)):
+    """What ``derive_user_offer`` reads of a system offer."""
+    return SimpleNamespace(
+        presented={f"m{n}": qos for n, qos in enumerate(points)}, cost=cost,
+    )
+
+
+# Few distinct values, so ties and dominated points are common.
+narrow_video = st.builds(
+    VideoQoS,
+    color=st.sampled_from([ColorMode.GREY, ColorMode.COLOR]),
+    frame_rate=st.sampled_from([10, 25]),
+    resolution=st.sampled_from([240, 480]),
+)
+audio_languages = st.builds(
+    AudioQoS,
+    grade=st.sampled_from([AudioGrade.TELEPHONE, AudioGrade.CD]),
+    language=st.sampled_from([Language.NONE, Language.ENGLISH, Language.FRENCH]),
+)
+graphic_qos = st.builds(GraphicQoS, color=color_modes, resolution=resolutions)
+POINTS = st.lists(
+    st.one_of(
+        any_qos, graphic_qos, narrow_video, audio_languages, video_qos,
+        audio_qos,
+    ),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=POINTS, cost=money)
+def test_user_offer_equals_an_always_constructing_reference(points, cost):
+    offer = offer_of(points, cost)
+    assert derive_user_offer(offer) == reference_user_offer(offer)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    others=st.lists(narrow_video, max_size=9), place=st.integers(min_value=0),
+)
+def test_a_point_that_is_already_the_worst_is_handed_back(others, place):
+    """The motivating case — many videos, one of them the minimum: once
+    the running merge reaches the minimum nothing more is built, and a
+    minimum that comes first is itself the slot."""
+    floor = VideoQoS(ColorMode.GREY, 10, 240)
+    points = list(others)
+    points.insert(place % (len(points) + 1), floor)
+    with counted(VideoQoS, "__post_init__") as built:
+        derived = derive_user_offer(offer_of(points))
+    reached = points.index(floor)
+    assert derived.video == floor
+    assert built["__post_init__"] <= max(reached - 1, 0)
+    if reached == 0:
+        assert derived.video is points[0]
+
+
+# -- the resilient configuration, pinned ---------------------------------------------
+
+
+def scripted_run():
+    """Thirty commits of a three-monomedia document with a retry policy
+    and a breaker armed, under transient refusals, slow admissions,
+    lost releases and a crash, with the telemetry hub counting."""
+    clock = ManualClock()
+    telemetry = Telemetry(clock=clock, seed=0)
+    breaker = CircuitBreaker(failure_threshold=2, recovery_time_s=4.0)
+    manager, space = grid_walk(
+        3, clock=clock, telemetry=telemetry, health=breaker, retry_seed=7,
+        retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.2),
+    )
+    plan = FaultPlan(
+        (
+            FaultSpec(FaultKind.TRANSIENT_REFUSAL, "server-a", value=5),
+            FaultSpec(
+                FaultKind.SLOW_ADMISSION, "server-b", start_s=3.0,
+                duration_s=10.0, value=2.0, probability=0.5,
+            ),
+            FaultSpec(
+                FaultKind.LOST_RELEASE, "transport", start_s=8.0,
+                duration_s=4.0, probability=0.5,
+            ),
+        ),
+        seed=3,
+    )
+    servers = manager.committer.servers
+    FaultInjector(plan, clock=clock).install(
+        servers, manager.committer.transport
+    )
+    outcomes = []
+    for step in range(30):
+        if step == 12:
+            servers["server-c"].crash()
+        if step == 18:
+            servers["server-c"].restart()
+        bundle = commit(
+            manager, space, index=step % space.offer_count,
+            holder=f"holder-{step}",
+        )
+        outcomes.append(bundle is not None)
+        if bundle is not None:
+            manager.committer.release(bundle)
+        clock.advance(1.0)
+    committer = manager.committer
+    return {
+        "outcomes": "".join("+" if ok else "-" for ok in outcomes),
+        "stats": (
+            committer.stats.attempts, committer.stats.retries,
+            committer.stats.breaker_skips,
+        ),
+        "counters": {
+            key: value
+            for key, value in telemetry.metrics.snapshot()["counters"].items()
+            if key.startswith(("admission.", "commitment."))
+        },
+        "breaker": {
+            server_id: (
+                record.state.value, record.consecutive_failures,
+                record.successes, record.failures, record.opened_at,
+            )
+            for server_id, record in sorted(breaker._health.items())
+        },
+        "opens": breaker.opens,
+    }
+
+
+# Taken from the wrapper that built a closure and a lambda per call.
+PINNED = {
+    "outcomes": "-++++-++++++-+---+++++++++++++",
+    "stats": (183, 21, 0),
+    "counters": {
+        "admission.attempts{target=network}": 78.0,
+        "admission.attempts{target=server-a}": 33.0,
+        "admission.attempts{target=server-b}": 37.0,
+        "admission.attempts{target=server-c}": 35.0,
+        "admission.refusals{target=server-a}": 1.0,
+        "admission.refusals{target=server-b}": 1.0,
+        "admission.refusals{target=server-c}": 4.0,
+        "admission.retries{target=server-a}": 4.0,
+        "admission.retries{target=server-b}": 9.0,
+        "admission.retries{target=server-c}": 8.0,
+        "commitment.rollbacks": 6.0,
+    },
+    "breaker": {
+        "server-a": ("closed", 0, 28, 5, None),
+        "server-b": ("closed", 0, 27, 10, None),
+        "server-c": ("closed", 0, 23, 12, None),
+    },
+    "opens": 5,
+}
+
+
+def test_resilient_calls_are_counted_as_they_were():
+    assert scripted_run() == PINNED
