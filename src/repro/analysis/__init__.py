@@ -1,61 +1,48 @@
 """reprolint — project-invariant static analysis for the repro codebase.
 
 The paper's negotiation procedure is only reproducible if its machinery
-obeys a handful of structural invariants: step-5 commitment must pair
-every ``reserve`` with a ``release``/rollback path, the simulation must
-replay identically from a seed (no wall clock, no unseeded randomness),
-and failures must flow through the :mod:`repro.util.errors` taxonomy.
-This package enforces those invariants mechanically:
+obeys a handful of structural invariants: step 5 reserves all or
+nothing, every commitment transition is journalled before it takes
+effect, the simulation replays identically from a seed (no wall clock,
+no unseeded randomness), and failures flow through the
+:mod:`repro.util.errors` taxonomy.  This package enforces them
+mechanically:
 
-* a rule registry (:mod:`repro.analysis.registry`) with one module per
-  rule under :mod:`repro.analysis.rules` (REP001..REP011);
-* a per-file visitor pipeline (:mod:`repro.analysis.engine`) producing
-  precise ``file:line`` findings with rule ids and fix hints;
-* a whole-program tier behind ``--deep`` (REP012..REP017): per-module
-  extraction (:mod:`repro.analysis.extract`), a project call graph with
+* one rule registry (:mod:`repro.analysis.registry`) holding the
+  per-file rules under :mod:`repro.analysis.rules` and the
+  whole-program rules in :mod:`repro.analysis.deeprules`;
+* one engine (:mod:`repro.analysis.engine`) that parses each file once,
+  runs the per-file rules, distils the files into extracts
+  (:mod:`repro.analysis.extract`), builds the project call graph with
   Tarjan SCCs (:mod:`repro.analysis.callgraph`), bottom-up function
-  summaries (:mod:`repro.analysis.summaries`), per-function CFGs with
-  exception edges (:mod:`repro.analysis.cfg`), leak/journal dataflow
-  (:mod:`repro.analysis.dataflow`) and the interprocedural rules
-  themselves (:mod:`repro.analysis.deeprules`), orchestrated by
-  :class:`repro.analysis.deep.DeepLintEngine` with a content-hashed
-  per-module extract cache;
+  summaries (:mod:`repro.analysis.summaries`) and per-function CFGs with
+  exception edges (:mod:`repro.analysis.cfg`), runs the leak/journal
+  dataflow (:mod:`repro.analysis.dataflow`) behind the whole-program
+  rules, and reports precise ``file:line`` findings with fix hints;
+* inline ``# reprolint: disable=REPnnn -- reason`` and
+  ``# reprolint: backstop -- reason`` pragmas for sanctioned cases;
 * text/JSON reporters (:mod:`repro.analysis.report`);
-* an allowlist/baseline file (:mod:`repro.analysis.baseline`) for
-  sanctioned exceptions, plus inline ``# reprolint: disable=REPnnn``
-  pragmas;
 * a CLI entry point: ``python -m repro lint [paths]`` (nonzero exit on
-  findings; ``--deep`` adds the whole-program rules, ``--changed``
-  restricts to the git diff) and ``python -m repro typecheck`` (strict
-  mypy gate over the typed core, skipped gracefully when mypy is not
-  installed).
+  findings) and ``python -m repro typecheck`` (strict mypy gate over the
+  typed core, skipped gracefully when mypy is not installed).
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline, BaselineEntry
 from .context import ModuleContext
-from .deep import DeepLintEngine, DeepLintReport
 from .engine import LintEngine, LintReport, iter_python_files
 from .findings import Finding
-from .gitdiff import changed_python_files
-from .registry import ProjectRule, Rule, all_deep_rules, all_rules, get_rule
+from .registry import ProjectRule, Rule, all_rules, get_rule
 from .report import render_json, render_text
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "DeepLintEngine",
-    "DeepLintReport",
     "Finding",
     "LintEngine",
     "LintReport",
     "ModuleContext",
     "ProjectRule",
     "Rule",
-    "all_deep_rules",
     "all_rules",
-    "changed_python_files",
     "get_rule",
     "iter_python_files",
     "render_json",

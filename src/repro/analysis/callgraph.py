@@ -17,7 +17,6 @@ guessed at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .extract import CallEvent, FuncExtract, ModuleExtract
@@ -63,21 +62,6 @@ class Project:
             cached = CallClassifier(self, self.summaries())  # type: ignore[arg-type]
             self.analysis_cache["classifier"] = cached
         return cached
-
-    def source_line(self, path: str, line: int) -> str:
-        """Read one source line (cached per file) for finding text."""
-        lines_by_path = self.analysis_cache.setdefault("source_lines", {})
-        lines = lines_by_path.get(path)  # type: ignore[union-attr]
-        if lines is None:
-            try:
-                text = Path(path).read_text(encoding="utf-8")
-            except OSError:
-                text = ""
-            lines = text.splitlines()
-            lines_by_path[path] = lines  # type: ignore[index]
-        if 1 <= line <= len(lines):
-            return lines[line - 1]
-        return ""
 
     def module_named(self, name: str) -> "ModuleExtract | None":
         for extract in self.modules.values():

@@ -1,10 +1,11 @@
 """CLI plumbing for ``python -m repro lint`` and ``... typecheck``.
 
-``lint`` runs the reprolint engine and exits nonzero on any unbaselined
-finding; ``typecheck`` runs the strict mypy gate over the typed core
-(:mod:`repro.core`, :mod:`repro.faults`, :mod:`repro.analysis`) and is
-skipped gracefully — exit 0 with a notice — when mypy is not installed,
-so the in-repo toolchain never hard-depends on it (CI installs it).
+``lint`` runs every reprolint rule, per-file and whole-program, in one
+pass and exits nonzero on any finding an inline pragma does not
+sanction; ``typecheck`` runs the strict mypy gate over the packages
+``[tool.mypy]`` lists in ``pyproject.toml`` and is skipped gracefully —
+exit 0 with a notice — when mypy is not installed, so the in-repo
+toolchain never hard-depends on it (CI installs it).
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from pathlib import Path
 from typing import Sequence
 
 from ..util.errors import ValidationError
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
-from .deep import DEFAULT_CACHE_DIR, DeepLintEngine
 from .engine import LintEngine
-from .gitdiff import changed_python_files
-from .registry import all_deep_rules, all_rules, deep_rule_ids
+from .registry import ProjectRule, all_rules
 from .report import render_json, render_text
 
 __all__ = [
@@ -29,10 +27,7 @@ __all__ = [
     "add_typecheck_arguments",
     "run_lint",
     "run_typecheck",
-    "TYPED_CORE_PACKAGES",
 ]
-
-TYPED_CORE_PACKAGES = ("repro.core", "repro.faults", "repro.analysis")
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -42,20 +37,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format", choices=["text", "json"], default="text", dest="fmt",
-    )
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE_NAME,
-        help=f"baseline file of sanctioned findings "
-             f"(default: {DEFAULT_BASELINE_NAME}; missing file = empty)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0 "
-             "(justifications must then be filled in by hand)",
     )
     parser.add_argument(
         "--select", action="append", default=[], metavar="REPnnn",
@@ -72,29 +53,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-hints", action="store_true", help="omit fix hints from output",
     )
-    parser.add_argument(
-        "--deep", action="store_true",
-        help="run the whole-program rules (REP012+) over the project call "
-             "graph in addition to the per-file rules",
-    )
-    parser.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
-        help=f"per-module extract cache for --deep "
-             f"(default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the --deep extract cache for this run",
-    )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="lint only Python files changed vs --diff-base (plus "
-             "untracked files) instead of the given paths",
-    )
-    parser.add_argument(
-        "--diff-base", default="HEAD", metavar="REV",
-        help="revision --changed diffs against (default: HEAD)",
-    )
 
 
 def _split_rule_ids(values: Sequence[str]) -> list[str]:
@@ -110,74 +68,22 @@ def _split_rule_ids(values: Sequence[str]) -> list[str]:
 def run_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         for rule in all_rules():
-            print(f"{rule.rule_id}  {rule.name}: {rule.summary}")
-        for deep in all_deep_rules():
-            print(f"{deep.rule_id}  {deep.name}: {deep.summary} [--deep]")
+            scope = " [whole program]" if isinstance(rule, ProjectRule) else ""
+            print(f"{rule.rule_id}  {rule.name}: {rule.summary}{scope}")
         return 0
     try:
-        paths: "Sequence[str | Path]" = args.paths
-        if args.changed:
-            paths = changed_python_files(args.diff_base)
-            if not paths:
-                print("lint: no Python files changed vs "
-                      f"{args.diff_base}; nothing to check")
-                return 0
-        baseline = (
-            Baseline()
-            if args.no_baseline or args.update_baseline
-            else Baseline.load(args.baseline)
+        engine = LintEngine(
+            select=_split_rule_ids(args.select) or None,
+            ignore=_split_rule_ids(args.ignore) or None,
         )
-        select = _split_rule_ids(args.select)
-        ignore = _split_rule_ids(args.ignore)
-        engine: "LintEngine | DeepLintEngine"
-        if args.deep:
-            engine = DeepLintEngine(
-                select=select or None,
-                ignore=ignore or None,
-                baseline=baseline,
-                cache_dir=None if args.no_cache else args.cache_dir,
-            )
-        else:
-            asked_deep = sorted(
-                (set(select) | set(ignore)) & deep_rule_ids()
-            )
-            if asked_deep:
-                raise ValidationError(
-                    f"{', '.join(asked_deep)}: whole-program rule"
-                    f"{'s need' if len(asked_deep) != 1 else ' needs'} the "
-                    "project call graph; rerun with --deep"
-                )
-            engine = LintEngine(
-                select=select or None,
-                ignore=ignore or None,
-                baseline=baseline,
-            )
-        report = engine.run(paths)
+        report = engine.run(args.paths)
     except ValidationError as error:
         print(f"lint: {error}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        merged = Baseline.from_findings(report.findings)
-        previous = Baseline.load(args.baseline)
-        for fingerprint, entry in merged.entries.items():
-            kept = previous.entries.get(fingerprint)
-            if kept is not None and kept.justification.strip():
-                merged.entries[fingerprint] = kept
-        merged.dump(args.baseline)
-        print(
-            f"wrote {len(merged.entries)} entr"
-            f"{'y' if len(merged.entries) == 1 else 'ies'} to {args.baseline}"
-        )
-        return 0
     if args.fmt == "json":
         print(render_json(report))
     else:
         print(render_text(report, show_hints=not args.no_hints))
-        if args.deep:
-            print(
-                f"deep: {report.cold_files} cold, {report.warm_files} warm "
-                f"(cache {'off' if args.no_cache else args.cache_dir})"
-            )
     return report.exit_code()
 
 
@@ -186,8 +92,9 @@ def run_lint(args: argparse.Namespace) -> int:
 
 def add_typecheck_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "packages", nargs="*", default=list(TYPED_CORE_PACKAGES),
-        help=f"packages to check (default: {' '.join(TYPED_CORE_PACKAGES)})",
+        "packages", nargs="*",
+        help="packages to check (default: [tool.mypy] packages in "
+             "pyproject.toml)",
     )
     parser.add_argument(
         "--require-mypy", action="store_true",

@@ -115,7 +115,7 @@ def scope_extents(tree: ast.Module) -> "list[tuple[int, int, str]]":
 
     Used by finding fingerprints: the enclosing scope's qualified name
     anchors a finding to its *code context*, so identical source lines
-    in two different functions baseline independently while edits
+    in two different functions fingerprint differently while edits
     elsewhere in the file keep the fingerprint stable.
     """
     extents: "list[tuple[int, int, str]]" = []

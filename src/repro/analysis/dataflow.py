@@ -21,7 +21,7 @@ exception unwinds (REP013).
 definitely happened on *every* path from entry"; merges intersect.  A
 ``.state = CommitmentState...`` flip where the fact is false is a
 crash-window: a failure at that instant leaves a state transition no
-recovery scan can replay.  Unlike REP010's syntactic adjacency check,
+recovery scan can replay.  Unlike a syntactic same-function check,
 this follows the actual paths — including exception edges, where the
 raising statement's own journal call must not be credited.
 """

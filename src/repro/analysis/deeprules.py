@@ -1,4 +1,4 @@
-"""Whole-program rules (REP012–REP017), run under ``lint --deep``.
+"""Whole-program rules (REP012–REP017).
 
 These rules see a resolved :class:`~repro.analysis.callgraph.Project`
 — every function's CFG, the call graph, and the bottom-up resource
@@ -8,10 +8,10 @@ through the call graph:
 
 ========  ======================================================
 REP012    a reservation acquired here is never released/confirmed
-          on some normal path (interprocedural REP002)
+          on some normal path
 REP013    a reservation leaks when an exception unwinds
 REP014    a commitment state flip is not dominated by a journal
-          write on every path (dataflow REP010)
+          write on every path
 REP015    module-level mutable state is mutated on a negotiation
           path (breaks concurrent sessions)
 REP016    a blocking call is reachable from an async function or a
@@ -27,14 +27,13 @@ patterns that would make that unsound.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .callgraph import Project
 from .dataflow import CallClassifier, leak_sites, unjournaled_flips
 from .extract import ACQUIRE_ATTRS, FuncExtract, ModuleExtract
 from .findings import Finding
-from .registry import deep_rule
+from .registry import make_finding, project_rule
 
 __all__ = ["LEDGER_SEAMS", "NEGOTIATION_ROOT_MODULES"]
 
@@ -77,38 +76,6 @@ def _module_is(extract: ModuleExtract, dotted: str) -> bool:
     return extract.path.replace("\\", "/").endswith(suffix)
 
 
-def _in_package(extract: ModuleExtract, segments: "tuple[str, ...]") -> bool:
-    dotted = ".".join(segments)
-    if extract.module == dotted or extract.module.startswith(dotted + "."):
-        return True
-    parts = Path(extract.path).parts
-    n = len(segments)
-    return any(
-        parts[i : i + n] == segments for i in range(len(parts) - n + 1)
-    )
-
-
-def _finding(
-    project: Project,
-    extract: ModuleExtract,
-    rule_id: str,
-    line: int,
-    col: int,
-    message: str,
-    hint: str,
-) -> Finding:
-    return Finding(
-        rule_id=rule_id,
-        path=extract.path,
-        line=line,
-        column=col,
-        message=message,
-        hint=hint,
-        source_line=project.source_line(extract.path, line),
-        context=extract.scope_at(line),
-    )
-
-
 def _functions_with_modules(
     project: Project,
 ) -> "Iterator[tuple[FuncExtract, ModuleExtract]]":
@@ -138,17 +105,12 @@ def _leak_results(
     return cached  # type: ignore[return-value]
 
 
-_REP012_HINT = (
-    "release (or confirm/journal-compensate) the reservation on every "
-    "path out of the function, or return it so the caller owns it"
-)
-
-
-@deep_rule(
+@project_rule(
     "REP012",
     "interprocedural-leak",
     "a reservation acquired here may never be released on a normal path",
-    _REP012_HINT,
+    "release (or confirm/journal-compensate) the reservation on every "
+    "path out of the function, or return it so the caller owns it",
 )
 def check_rep012(project: Project) -> "Iterable[Finding]":
     leaks = _leak_results(project)
@@ -156,25 +118,19 @@ def check_rep012(project: Project) -> "Iterable[Finding]":
         exit_leaks, _raise_leaks = leaks[func.ref]
         for var, line, col in exit_leaks:
             label = "the acquisition" if var.startswith("%") else f"{var!r}"
-            yield _finding(
-                project, extract, "REP012", line, col,
+            yield make_finding(
+                extract.ctx, "REP012", line, col,
                 f"reservation bound to {label} in {func.qualname} can reach "
                 "a normal return without being released or confirmed",
-                _REP012_HINT,
             )
 
 
-_REP013_HINT = (
-    "wrap the acquisition in try/except (or finally) and release what "
-    "was already admitted before letting the exception escape"
-)
-
-
-@deep_rule(
+@project_rule(
     "REP013",
     "exception-path-leak",
     "a reservation leaks when an exception unwinds past its owner",
-    _REP013_HINT,
+    "wrap the acquisition in try/except (or finally) and release what "
+    "was already admitted before letting the exception escape",
 )
 def check_rep013(project: Project) -> "Iterable[Finding]":
     leaks = _leak_results(project)
@@ -182,31 +138,25 @@ def check_rep013(project: Project) -> "Iterable[Finding]":
         _exit_leaks, raise_leaks = leaks[func.ref]
         for var, line, col in raise_leaks:
             label = "the acquisition" if var.startswith("%") else f"{var!r}"
-            yield _finding(
-                project, extract, "REP013", line, col,
+            yield make_finding(
+                extract.ctx, "REP013", line, col,
                 f"reservation bound to {label} in {func.qualname} is still "
                 "held when an exception unwinds out of the function",
-                _REP013_HINT,
             )
 
 
 def _journal_scope(extract: ModuleExtract) -> bool:
-    return _in_package(extract, ("repro", "session")) or _module_is(
+    return extract.ctx.in_package("repro", "session") or _module_is(
         extract, "repro.core.commitment"
     )
 
 
-_REP014_HINT = (
-    "write the journal record before assigning the new state so a crash "
-    "between the two is replayable; see DESIGN.md on write-ahead intent"
-)
-
-
-@deep_rule(
+@project_rule(
     "REP014",
     "unjournaled-flip-flow",
     "a commitment state flip is not journal-dominated on every path",
-    _REP014_HINT,
+    "write the journal record before assigning the new state so a crash "
+    "between the two is replayable; see DESIGN.md on write-ahead intent",
 )
 def check_rep014(project: Project) -> "Iterable[Finding]":
     classifier = project.classifier()
@@ -215,11 +165,10 @@ def check_rep014(project: Project) -> "Iterable[Finding]":
         if not _journal_scope(extract):
             continue
         for flip in unjournaled_flips(func, classifier):
-            yield _finding(
-                project, extract, "REP014", flip.line, flip.col,
+            yield make_finding(
+                extract.ctx, "REP014", flip.line, flip.col,
                 f"state transition in {func.qualname} is reachable without "
                 "a journal write having happened on every path leading here",
-                _REP014_HINT,
             )
 
 
@@ -227,22 +176,17 @@ def _negotiation_root(extract: ModuleExtract) -> bool:
     return any(
         _module_is(extract, module) for module in NEGOTIATION_ROOT_MODULES
     ) or any(
-        _in_package(extract, segments)
+        extract.ctx.in_package(*segments)
         for segments in NEGOTIATION_ROOT_PACKAGES
     )
 
 
-_REP015_HINT = (
-    "move the state onto a session/server object (or behind an explicit "
-    "registry with ownership) so concurrent negotiations cannot race on it"
-)
-
-
-@deep_rule(
+@project_rule(
     "REP015",
     "negotiation-global-state",
     "module-level mutable state is mutated on a negotiation path",
-    _REP015_HINT,
+    "move the state onto a session/server object (or behind an explicit "
+    "registry with ownership) so concurrent negotiations cannot race on it",
 )
 def check_rep015(project: Project) -> "Iterable[Finding]":
     roots = [
@@ -256,28 +200,22 @@ def check_rep015(project: Project) -> "Iterable[Finding]":
             continue
         for event in func.events():
             if isinstance(event, dict) and event.get("op") == "gmut":
-                yield _finding(
-                    project, extract, "REP015", event["line"], event["col"],
+                yield make_finding(
+                    extract.ctx, "REP015", event["line"], event["col"],
                     f"{func.qualname} mutates module-level mutable "
                     f"{event['name']!r} on a path reachable from "
                     "negotiation entry points",
-                    _REP015_HINT,
                 )
 
 
-_REP016_HINT = (
-    "move the blocking call off the event loop (executor/thread) or use "
-    "an async equivalent; sleeping or fsyncing inline stalls every "
-    "in-flight negotiation"
-)
-
-
-@deep_rule(
+@project_rule(
     "REP016",
     "blocking-in-event-loop",
     "a blocking call is reachable from an async (event-loop) function "
     "or a cooperative-scheduler task",
-    _REP016_HINT,
+    "move the blocking call off the event loop (executor/thread) or use "
+    "an async equivalent; sleeping or fsyncing inline stalls every "
+    "in-flight negotiation",
 )
 def check_rep016(project: Project) -> "Iterable[Finding]":
     async_roots = {
@@ -289,7 +227,7 @@ def check_rep016(project: Project) -> "Iterable[Finding]":
         if extract is None:
             continue
         if any(
-            _in_package(extract, segments)
+            extract.ctx.in_package(*segments)
             for segments in COOPERATIVE_ROOT_PACKAGES
         ):
             coop_roots.add(func.ref)
@@ -319,26 +257,20 @@ def check_rep016(project: Project) -> "Iterable[Finding]":
                     if ref == root
                     else f"via {func.qualname}"
                 )
-                yield _finding(
-                    project, extract, "REP016", event.line, event.col,
+                yield make_finding(
+                    extract.ctx, "REP016", event.line, event.col,
                     f"blocking call {event.name}() is reachable from "
                     f"{root_kind} {root_names[root]} {via}",
-                    _REP016_HINT,
                 )
 
 
-_REP017_HINT = (
-    "route the mutation through the ledger's owner (server/transport "
-    "release paths or the commitment/recovery seams) instead of poking "
-    "its internal table"
-)
-
-
-@deep_rule(
+@project_rule(
     "REP017",
     "foreign-ledger-mutation",
     "a reservation ledger is mutated outside its owning seam",
-    _REP017_HINT,
+    "route the mutation through the ledger's owner (server/transport "
+    "release paths or the commitment/recovery seams) instead of poking "
+    "its internal table",
 )
 def check_rep017(project: Project) -> "Iterable[Finding]":
     for func, extract in _functions_with_modules(project):
@@ -346,10 +278,9 @@ def check_rep017(project: Project) -> "Iterable[Finding]":
             continue
         for event in func.events():
             if isinstance(event, dict) and event.get("op") == "ledger":
-                yield _finding(
-                    project, extract, "REP017", event["line"], event["col"],
+                yield make_finding(
+                    extract.ctx, "REP017", event["line"], event["col"],
                     f"{func.qualname} mutates reservation ledger "
                     f"{event['attr']!r} of {event['recv']!r} from outside "
                     "the owning manager/committer seams",
-                    _REP017_HINT,
                 )

@@ -1,9 +1,17 @@
-"""The lint engine: file collection, rule pipeline, filtering.
+"""The lint engine: file collection, one pass over every rule, filtering.
 
-One :class:`ModuleContext` is built per file (one parse), every selected
-rule runs over it, and the resulting findings are filtered through the
-inline pragmas and the baseline.  Files that fail to parse are reported
-as engine errors rather than aborting the run.
+One :class:`ModuleContext` is built per file (one parse).  Every
+selected per-file rule runs over it; the contexts are then distilled
+into module extracts, assembled into a
+:class:`~repro.analysis.callgraph.Project`, and every selected
+whole-program rule runs over that.  Findings of both kinds are filtered
+through the inline pragmas of the context they point into.  Files that
+fail to parse are reported as engine errors rather than aborting the
+run.
+
+The whole-program rules see only the files they are given: linting a
+subset builds a call graph of that subset, so a leak whose acquiring
+helper lives in an unlinted module goes unseen.  Lint the whole tree.
 """
 
 from __future__ import annotations
@@ -13,10 +21,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from ..util.errors import ValidationError
-from .baseline import Baseline
+from .callgraph import build_project
 from .context import ModuleContext
+from .extract import extract_module
 from .findings import Finding
-from .registry import Rule, all_rules
+from .registry import ProjectRule, Rule, all_rules
 
 __all__ = ["LintEngine", "LintReport", "iter_python_files"]
 
@@ -58,31 +67,27 @@ class LintReport:
 
     findings: "list[Finding]" = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
     files_checked: int = 0
     errors: "list[str]" = field(default_factory=list)
-    unjustified_baseline: "list[str]" = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not self.findings and not self.errors and not self.unjustified_baseline
+        return not self.findings and not self.errors
 
     def exit_code(self) -> int:
         return 0 if self.clean else 1
 
 
 class LintEngine:
-    """Run a set of rules over a set of files."""
+    """Run the per-file and whole-program rules over a set of files."""
 
     def __init__(
         self,
         *,
-        rules: "Sequence[Rule] | None" = None,
         select: "Sequence[str] | None" = None,
         ignore: "Sequence[str] | None" = None,
-        baseline: "Baseline | None" = None,
     ) -> None:
-        available = list(rules) if rules is not None else all_rules()
+        available = all_rules()
         known = {r.rule_id for r in available}
         for rule_id in list(select or []) + list(ignore or []):
             if rule_id not in known:
@@ -93,47 +98,46 @@ class LintEngine:
         if ignore:
             dropped = set(ignore)
             available = [r for r in available if r.rule_id not in dropped]
-        self.rules = available
-        self.baseline = baseline if baseline is not None else Baseline()
+        self.file_rules = [r for r in available if isinstance(r, Rule)]
+        self.project_rules = [r for r in available if isinstance(r, ProjectRule)]
 
-    # -- single file ---------------------------------------------------------------
+    # -- raw findings (no pragma filtering) ------------------------------------------
 
-    def check_context(self, ctx: ModuleContext) -> "list[Finding]":
-        """Raw findings for one parsed file (no baseline filtering)."""
+    def check_contexts(self, contexts: "Sequence[ModuleContext]") -> "list[Finding]":
+        """Every selected rule over these parsed files, as one project."""
         findings: list[Finding] = []
-        for rule in self.rules:
-            findings.extend(rule.run(ctx))
+        for ctx in contexts:
+            for file_rule in self.file_rules:
+                findings.extend(file_rule.run(ctx))
+        if self.project_rules:
+            project = build_project(extract_module(ctx) for ctx in contexts)
+            for project_rule in self.project_rules:
+                findings.extend(project_rule.run(project))
         return sorted(findings, key=Finding.sort_key)
 
     def check_source(
         self, source: str, *, path: str = "<string>", module: "str | None" = None
     ) -> "list[Finding]":
-        return self.check_context(
-            ModuleContext.from_source(source, path=path, module=module)
+        return self.check_contexts(
+            [ModuleContext.from_source(source, path=path, module=module)]
         )
 
     # -- full run ------------------------------------------------------------------
 
     def run(self, paths: "Sequence[Path | str]") -> LintReport:
         report = LintReport()
+        contexts: dict[str, ModuleContext] = {}
         for path in iter_python_files(paths):
             try:
                 ctx = ModuleContext.from_path(path)
             except (ValidationError, OSError, UnicodeDecodeError) as error:
                 report.errors.append(str(error))
                 continue
-            report.files_checked += 1
-            for finding in self.check_context(ctx):
-                if ctx.suppressed(finding.rule_id, finding.line):
-                    report.suppressed += 1
-                elif self.baseline.match(finding) is not None:
-                    report.baselined += 1
-                else:
-                    report.findings.append(finding)
-        report.findings.sort(key=Finding.sort_key)
-        report.unjustified_baseline = [
-            f"{entry.path}: baseline entry {entry.fingerprint} ({entry.rule_id}) "
-            "has no justification"
-            for entry in self.baseline.unjustified()
-        ]
+            contexts[ctx.path] = ctx
+        report.files_checked = len(contexts)
+        for finding in self.check_contexts(list(contexts.values())):
+            if contexts[finding.path].suppressed(finding.rule_id, finding.line):
+                report.suppressed += 1
+            else:
+                report.findings.append(finding)
         return report

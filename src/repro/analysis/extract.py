@@ -1,12 +1,10 @@
-"""Per-module extraction: the cacheable IR the deep analyses run on.
+"""Per-module extraction: the IR the whole-program rules run on.
 
-``lint --deep`` must be incremental: re-linting after editing one file
-should re-parse *that* file only.  Everything the whole-program passes
-need from a module is therefore distilled into a JSON-serialisable
-:class:`ModuleExtract` — functions with their statement-level CFGs and
-*resource events*, the import map, class/method tables, module-level
-mutable globals, and the pragma/suppression tables — keyed by content
-hash in the summary cache (:mod:`repro.analysis.deep`).
+Everything the whole-program passes need from a module is distilled
+into a :class:`ModuleExtract` — functions with their statement-level
+CFGs and *resource events*, the import map, class/method tables and
+module-level mutable globals — next to the :class:`ModuleContext` it
+came from.
 
 Event vocabulary (one ordered list per CFG node):
 
@@ -36,7 +34,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .cfg import ENTRY, EXIT, RAISE, Cfg, build_cfg
+from .cfg import build_cfg
 from .context import ModuleContext
 
 __all__ = [
@@ -109,23 +107,6 @@ class CallEvent:
     managed: bool = False   # bound by `with ... as v` (released by __exit__)
     blocking: bool = False  # resolves to a known blocking primitive
 
-    def to_dict(self) -> "dict[str, Any]":
-        return {
-            "op": "call", "name": self.name, "attr": self.attr,
-            "recv": self.recv, "bound": self.bound, "args": list(self.args),
-            "line": self.line, "col": self.col, "ret": self.ret,
-            "managed": self.managed, "blocking": self.blocking,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: "dict[str, Any]") -> "CallEvent":
-        return cls(
-            name=raw["name"], attr=raw["attr"], recv=raw["recv"],
-            bound=raw["bound"], args=tuple(raw["args"]), line=raw["line"],
-            col=raw["col"], ret=raw["ret"], managed=raw["managed"],
-            blocking=raw["blocking"],
-        )
-
 
 Event = "dict[str, Any] | CallEvent"
 
@@ -159,136 +140,29 @@ class FuncExtract:
             if isinstance(event, CallEvent):
                 yield event
 
-    def to_dict(self) -> "dict[str, Any]":
-        return {
-            "qualname": self.qualname, "module": self.module,
-            "path": self.path, "line": self.line, "col": self.col,
-            "is_async": self.is_async, "cls": self.cls,
-            "params": list(self.params),
-            "nodes": {
-                str(node_id): {
-                    "line": node["line"],
-                    "events": [
-                        e.to_dict() if isinstance(e, CallEvent) else e
-                        for e in node["events"]
-                    ],
-                    "succ": [list(edge) for edge in node["succ"]],
-                }
-                for node_id, node in self.nodes.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, raw: "dict[str, Any]") -> "FuncExtract":
-        nodes: "dict[int, dict[str, Any]]" = {}
-        for key, node in raw["nodes"].items():
-            nodes[int(key)] = {
-                "line": node["line"],
-                "events": [
-                    CallEvent.from_dict(e) if e.get("op") == "call" else e
-                    for e in node["events"]
-                ],
-                "succ": [(int(t), k) for t, k in node["succ"]],
-            }
-        return cls(
-            qualname=raw["qualname"], module=raw["module"], path=raw["path"],
-            line=raw["line"], col=raw["col"], is_async=raw["is_async"],
-            cls=raw["cls"], params=tuple(raw["params"]), nodes=nodes,
-        )
-
 
 @dataclass(slots=True)
 class ModuleExtract:
-    """Everything the deep passes need from one file."""
+    """Everything the whole-program passes need from one file.
 
-    module: str
-    path: str
+    Keeps the parsed :class:`ModuleContext` it was distilled from, so
+    whole-program findings take their source text, enclosing scope and
+    pragma suppression from the same place per-file findings do.
+    """
+
+    ctx: ModuleContext
     functions: "dict[str, FuncExtract]" = field(default_factory=dict)
     classes: "dict[str, dict[str, Any]]" = field(default_factory=dict)
     imports: "dict[str, str]" = field(default_factory=dict)
     mutable_globals: "dict[str, int]" = field(default_factory=dict)
-    pragmas: "dict[int, dict[str, Any]]" = field(default_factory=dict)
-    suppression_extents: "list[tuple[int, int]]" = field(default_factory=list)
-    scopes: "list[tuple[int, int, str]]" = field(default_factory=list)
 
-    def suppressed(self, rule_id: str, line: int) -> bool:
-        """Pragma suppression without re-parsing (mirrors ModuleContext)."""
-        if self._pragma_disables(rule_id, line):
-            return True
-        for start, end in self.suppression_extents:
-            if start <= line <= end:
-                if any(
-                    self._pragma_disables(rule_id, pragma_line)
-                    for pragma_line in range(start, end + 1)
-                    if pragma_line in self.pragmas
-                ):
-                    return True
-        return False
+    @property
+    def module(self) -> str:
+        return self.ctx.module
 
-    def _pragma_disables(self, rule_id: str, line: int) -> bool:
-        pragma = self.pragmas.get(line)
-        if pragma is None or pragma.get("kind") != "disable":
-            return False
-        rules = pragma.get("rules") or frozenset()
-        return not rules or rule_id in rules
-
-    def scope_at(self, line: int) -> str:
-        best = ""
-        best_span = None
-        for start, end, qualname in self.scopes:
-            if start <= line <= end:
-                span = end - start
-                if best_span is None or span <= best_span:
-                    best, best_span = qualname, span
-        return best
-
-    def to_dict(self) -> "dict[str, Any]":
-        return {
-            "module": self.module,
-            "path": self.path,
-            "functions": {
-                name: fn.to_dict() for name, fn in self.functions.items()
-            },
-            "classes": self.classes,
-            "imports": self.imports,
-            "mutable_globals": self.mutable_globals,
-            "pragmas": {
-                str(line): {
-                    "kind": p["kind"],
-                    "rules": sorted(p["rules"]),
-                    "reason": p["reason"],
-                }
-                for line, p in self.pragmas.items()
-            },
-            "suppression_extents": [list(e) for e in self.suppression_extents],
-            "scopes": [list(s) for s in self.scopes],
-        }
-
-    @classmethod
-    def from_dict(cls, raw: "dict[str, Any]") -> "ModuleExtract":
-        return cls(
-            module=raw["module"],
-            path=raw["path"],
-            functions={
-                name: FuncExtract.from_dict(fn)
-                for name, fn in raw["functions"].items()
-            },
-            classes=raw["classes"],
-            imports=raw["imports"],
-            mutable_globals=raw["mutable_globals"],
-            pragmas={
-                int(line): {
-                    "kind": p["kind"],
-                    "rules": frozenset(p["rules"]),
-                    "reason": p["reason"],
-                }
-                for line, p in raw["pragmas"].items()
-            },
-            suppression_extents=[
-                (int(a), int(b)) for a, b in raw["suppression_extents"]
-            ],
-            scopes=[(int(a), int(b), str(q)) for a, b, q in raw["scopes"]],
-        )
+    @property
+    def path(self) -> str:
+        return self.ctx.path
 
 
 # -- expression/event emission ---------------------------------------------------
@@ -899,19 +773,13 @@ def _class_table(tree: ast.Module) -> "dict[str, dict[str, Any]]":
 
 
 def extract_module(ctx: ModuleContext) -> ModuleExtract:
-    """Distil one parsed module into its cacheable extract."""
+    """Distil one parsed module into its extract."""
     scan = _ModuleScan(ctx)
     extract = ModuleExtract(
-        module=ctx.module,
-        path=ctx.path,
-        imports=dict(scan.imports),
-        mutable_globals=dict(scan.mutable_globals),
+        ctx=ctx,
+        imports=scan.imports,
+        mutable_globals=scan.mutable_globals,
         classes=_class_table(ctx.tree),
-        pragmas={
-            line: dict(pragma) for line, pragma in ctx.pragmas.items()
-        },
-        suppression_extents=list(ctx.suppression_extents()),
-        scopes=list(ctx.scopes()),
     )
     for qualname, cls, node in _function_defs(ctx.tree):
         extract.functions[qualname] = _extract_function(

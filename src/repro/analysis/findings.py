@@ -2,12 +2,11 @@
 
 A finding pins a rule violation to a ``file:line`` location, carries the
 human-facing message and fix hint, and exposes a *fingerprint* — a
-stable hash of (rule id, file name, code-context hash) used by the
-baseline so sanctioned findings survive unrelated edits that only move
+stable hash of (rule id, file name, code-context hash) that the JSON
+report carries so a finding can be tracked across edits that only move
 line numbers.  The code context is the offending source text anchored
 to the qualified name of its enclosing function/class, so two identical
-lines in different functions baseline independently, while inserting or
-editing code *above* a sanctioned finding never invalidates its entry.
+lines in different functions get different fingerprints.
 """
 
 from __future__ import annotations
@@ -42,28 +41,18 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
+        """Stable identity of the finding.
 
-        Deliberately excludes the line *number* (entries must survive
-        edits elsewhere in the file) but includes the code-context hash
-        — enclosing scope qualname plus stripped source text — so the
-        baseline entry dies with the code it sanctioned and never
-        cross-matches an identical line in a different function.
+        Deliberately excludes the line *number* (it must survive edits
+        elsewhere in the file) but includes the code-context hash —
+        enclosing scope qualname plus stripped source text — so it never
+        matches an identical line in a different function.
         """
         return _digest(
             self.rule_id,
             self._basename,
             _digest(self.context, self.source_line.strip()),
         )
-
-    @property
-    def legacy_fingerprint(self) -> str:
-        """Pre-context fingerprint (rule, basename, source text only).
-
-        Kept so baselines written before the code-context hash existed
-        keep matching; the baseline tries this after :attr:`fingerprint`.
-        """
-        return _digest(self.rule_id, self._basename, self.source_line.strip())
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.column, self.rule_id)
@@ -80,17 +69,3 @@ class Finding:
             "context": self.context,
             "fingerprint": self.fingerprint,
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, object]) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output (cache replay)."""
-        return cls(
-            rule_id=str(raw["rule"]),
-            path=str(raw["path"]),
-            line=int(raw["line"]),  # type: ignore[arg-type]
-            column=int(raw["column"]),  # type: ignore[arg-type]
-            message=str(raw["message"]),
-            hint=str(raw.get("hint", "")),
-            source_line=str(raw.get("source_line", "")),
-            context=str(raw.get("context", "")),
-        )

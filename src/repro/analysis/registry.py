@@ -5,16 +5,17 @@ registered under a stable id via the :func:`rule` decorator.  The
 decorator records the rule's summary and fix hint so reporters and
 ``lint --list-rules`` render them without importing anything else.
 
-*Deep* rules (REP012+) see the whole program at once: they are
+Whole-program rules (REP012+) see the project at once: they are
 ``(Project) -> Iterable[Finding]`` functions registered via
-:func:`deep_rule` and run only under ``lint --deep`` (they need the
-project-wide call graph and resource summaries, not one file's AST).
+:func:`project_rule`, because they need the project-wide call graph and
+resource summaries, not one file's AST.  Both kinds share one id space
+and one registry, and :func:`all_rules` returns them together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..util.errors import ValidationError
 
@@ -27,20 +28,19 @@ __all__ = [
     "Rule",
     "ProjectRule",
     "rule",
-    "deep_rule",
+    "project_rule",
     "all_rules",
-    "all_deep_rules",
     "get_rule",
     "make_finding",
 ]
 
 CheckFn = Callable[["ModuleContext"], Iterable["Finding"]]
-DeepCheckFn = Callable[["Project"], Iterable["Finding"]]
+ProjectCheckFn = Callable[["Project"], Iterable["Finding"]]
 
 
 @dataclass(frozen=True, slots=True)
 class Rule:
-    """One registered invariant check."""
+    """One registered per-file invariant check."""
 
     rule_id: str
     name: str
@@ -54,47 +54,44 @@ class Rule:
 
 @dataclass(frozen=True, slots=True)
 class ProjectRule:
-    """One registered whole-program invariant check (``lint --deep``)."""
+    """One registered whole-program invariant check."""
 
     rule_id: str
     name: str
     summary: str
     hint: str
-    check: DeepCheckFn
+    check: ProjectCheckFn
 
     def run(self, project: "Project") -> "list[Finding]":
         return list(self.check(project))
 
 
-_REGISTRY: "dict[str, Rule]" = {}
-_DEEP_REGISTRY: "dict[str, ProjectRule]" = {}
+_REGISTRY: "dict[str, Rule | ProjectRule]" = {}
+
+
+def _register(entry: "Rule | ProjectRule") -> None:
+    if entry.rule_id in _REGISTRY:
+        raise ValidationError(f"duplicate rule id {entry.rule_id!r}")
+    _REGISTRY[entry.rule_id] = entry
 
 
 def rule(rule_id: str, name: str, summary: str, hint: str) -> "Callable[[CheckFn], CheckFn]":
-    """Register ``check`` under ``rule_id``; returns it unchanged."""
+    """Register a per-file ``check`` under ``rule_id``; returns it unchanged."""
 
     def decorate(check: CheckFn) -> CheckFn:
-        if rule_id in _REGISTRY or rule_id in _DEEP_REGISTRY:
-            raise ValidationError(f"duplicate rule id {rule_id!r}")
-        _REGISTRY[rule_id] = Rule(
-            rule_id=rule_id, name=name, summary=summary, hint=hint, check=check
-        )
+        _register(Rule(rule_id, name, summary, hint, check))
         return check
 
     return decorate
 
 
-def deep_rule(
+def project_rule(
     rule_id: str, name: str, summary: str, hint: str
-) -> "Callable[[DeepCheckFn], DeepCheckFn]":
-    """Register a whole-program rule under ``rule_id``."""
+) -> "Callable[[ProjectCheckFn], ProjectCheckFn]":
+    """Register a whole-program ``check`` under ``rule_id``."""
 
-    def decorate(check: DeepCheckFn) -> DeepCheckFn:
-        if rule_id in _REGISTRY or rule_id in _DEEP_REGISTRY:
-            raise ValidationError(f"duplicate rule id {rule_id!r}")
-        _DEEP_REGISTRY[rule_id] = ProjectRule(
-            rule_id=rule_id, name=name, summary=summary, hint=hint, check=check
-        )
+    def decorate(check: ProjectCheckFn) -> ProjectCheckFn:
+        _register(ProjectRule(rule_id, name, summary, hint, check))
         return check
 
     return decorate
@@ -104,26 +101,15 @@ def _ensure_loaded() -> None:
     from . import deeprules, rules  # noqa: F401  (importing registers the built-ins)
 
 
-def all_rules() -> "list[Rule]":
+def all_rules() -> "list[Rule | ProjectRule]":
+    """Every registered rule, per-file and whole-program, by id."""
     _ensure_loaded()
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
 
 
-def all_deep_rules() -> "list[ProjectRule]":
-    _ensure_loaded()
-    return [_DEEP_REGISTRY[rule_id] for rule_id in sorted(_DEEP_REGISTRY)]
-
-
-def deep_rule_ids() -> "frozenset[str]":
-    _ensure_loaded()
-    return frozenset(_DEEP_REGISTRY)
-
-
 def get_rule(rule_id: str) -> "Rule | ProjectRule":
     _ensure_loaded()
-    found: "Rule | ProjectRule | None" = _REGISTRY.get(
-        rule_id
-    ) or _DEEP_REGISTRY.get(rule_id)
+    found = _REGISTRY.get(rule_id)
     if found is None:
         raise ValidationError(f"unknown rule id {rule_id!r}")
     return found
@@ -139,17 +125,13 @@ def make_finding(
     """Build a finding for ``rule_id``, pulling hint + source text."""
     from .findings import Finding
 
-    _ensure_loaded()
-    registered = _REGISTRY.get(rule_id)
-    if registered is None:
-        registered = _DEEP_REGISTRY.get(rule_id)
     return Finding(
         rule_id=rule_id,
         path=ctx.path,
         line=line,
         column=column,
         message=message,
-        hint=registered.hint if registered is not None else "",
+        hint=get_rule(rule_id).hint,
         source_line=ctx.line_text(line),
         context=ctx.scope_at(line),
     )

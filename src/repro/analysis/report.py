@@ -22,20 +22,13 @@ def render_text(report: "LintReport", *, show_hints: bool = True) -> str:
             lines.append(f"    hint: {finding.hint}")
     for error in report.errors:
         lines.append(f"error: {error}")
-    for warning in report.unjustified_baseline:
-        lines.append(f"baseline: {warning}")
     count = len(report.findings)
     summary = (
         f"{count} finding{'s' if count != 1 else ''} "
         f"in {report.files_checked} file{'s' if report.files_checked != 1 else ''}"
     )
-    extras = []
     if report.suppressed:
-        extras.append(f"{report.suppressed} suppressed inline")
-    if report.baselined:
-        extras.append(f"{report.baselined} baselined")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({report.suppressed} suppressed inline)"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -44,14 +37,8 @@ def render_json(report: "LintReport") -> str:
     payload = {
         "findings": [finding.to_dict() for finding in report.findings],
         "errors": list(report.errors),
-        "unjustified_baseline": list(report.unjustified_baseline),
         "files_checked": report.files_checked,
         "suppressed": report.suppressed,
-        "baselined": report.baselined,
         "clean": report.clean,
     }
-    cold = getattr(report, "cold_files", None)
-    if cold is not None:  # deep runs also report cache effectiveness
-        payload["cold_files"] = cold
-        payload["warm_files"] = getattr(report, "warm_files", 0)
     return json.dumps(payload, indent=2)

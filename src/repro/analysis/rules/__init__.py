@@ -5,15 +5,12 @@ module ships exactly one rule:
 
 ========  ==========================================================
 REP001    determinism: no wall clock / sleep / unseeded randomness
-REP002    reserve/release pairing on the step-5 commitment path
 REP003    error-taxonomy discipline (no bare/broad except, repro errors)
 REP004    no exact float equality on QoS/cost values
 REP005    no mutable default arguments
 REP006    no late-binding loop-variable capture in callbacks
 REP007    paper-constant drift (literals duplicating named anchors)
 REP008    offer immutability (Offer dataclasses must be frozen)
-REP009    typed core: full annotations in core/faults/analysis
-REP010    journaled transition: no unlogged commitment state flips
 REP011    no naked timing; metric names registered in the catalog
 REP018    shared negotiation cache: construct via shared_cache()
 ========  ==========================================================
@@ -21,8 +18,8 @@ REP018    shared negotiation cache: construct via shared_cache()
 The whole-program rules (REP012..REP017 — interprocedural leak paths,
 exception-path leaks, journal-before-flip dataflow, module-global
 mutation, blocking calls reachable from async code, foreign ledger
-writes) live in :mod:`repro.analysis.deeprules` and only run under
-``python -m repro lint --deep``.
+writes) live in :mod:`repro.analysis.deeprules`; ``python -m repro
+lint`` runs both kinds in the same pass.
 """
 
 from __future__ import annotations
@@ -34,12 +31,9 @@ from . import (  # noqa: F401  (imports register the rules)
     determinism,
     floats,
     immutability,
-    journaled,
     naked_timing,
-    pairing,
     sharedcache,
     taxonomy,
-    typedcore,
 )
 
 __all__ = [
@@ -49,10 +43,7 @@ __all__ = [
     "determinism",
     "floats",
     "immutability",
-    "journaled",
     "naked_timing",
-    "pairing",
     "sharedcache",
     "taxonomy",
-    "typedcore",
 ]

@@ -34,10 +34,8 @@ Subcommands exercising the library from a shell:
   optionally write a folded-stack flamegraph;
 * ``experiments`` — list the E-series experiment index;
 * ``lint`` — run the reprolint project-invariant checks (the per-file
-  rules REP001..REP011 and REP018; ``--deep`` adds the whole-program
-  resource-flow rules REP012..REP017 with a content-hashed extract
-  cache, ``--changed`` restricts the run to the files touched in the
-  git diff), exiting nonzero on findings;
+  rules and the whole-program resource-flow rules, in one pass over
+  the given paths), exiting nonzero on findings;
 * ``typecheck`` — run the strict mypy gate over the typed core
   (skipped gracefully when mypy is not installed).
 

@@ -4,10 +4,12 @@
 site carries the still-held stream to the function's exceptional exit.
 """
 
+from repro.util.errors import ValidationError
+
 
 def validate(spec):
     if spec.rate <= 0:
-        raise ValueError("unusable rate")
+        raise ValidationError("unusable rate")
 
 
 def run(server, spec):

@@ -1,1 +1,1 @@
-"""Fixture package: a cross-module reservation leak only --deep can see."""
+"""Fixture package: a cross-module reservation leak only the whole-program rules can see."""

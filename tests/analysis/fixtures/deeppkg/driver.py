@@ -1,10 +1,8 @@
 """Forgets to release what the pool admitted.
 
-Invisible to per-file REP002: the acquiring call below is a bare name
-(no ``.admit`` attribute syntax in this file), and the pool primitive
-itself is an exempt single-acquisition leaf.  Only the whole-program
-engine, which knows ``pool.admit`` returns an acquisition, can tell the
-driver leaks it.
+The acquiring call below is a bare name (no ``.admit`` attribute
+syntax in this file); only the call graph, which knows ``pool.admit``
+returns an acquisition, can tell the driver leaks it.
 """
 
 from .pool import admit

@@ -1,4 +1,4 @@
-"""REP002 fixture: acquisitions with no rollback path."""
+"""REP013 fixture: a failing admit/reserve unwinds past held streams."""
 
 
 def commit_all(servers, transport, spec):

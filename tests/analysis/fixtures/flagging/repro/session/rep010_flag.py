@@ -1,4 +1,4 @@
-"""REP010 fixture: commitment state flips that bypass the journal."""
+"""REP014 fixture: commitment state flips that bypass the journal."""
 
 
 class CommitmentState:

@@ -1,4 +1,4 @@
-"""REP002 fixture (clean): acquisitions rolled back on failure."""
+"""REP013 fixture (clean): acquisitions rolled back on failure."""
 
 from repro.util.errors import CapacityError
 

@@ -5,6 +5,6 @@ def decorate(fn: object) -> object:
     return fn
 
 
-@decorate  # reprolint: disable=REP009 -- fixture: decorated header
-def untyped(a, b):
+@decorate  # reprolint: disable=REP005 -- fixture: decorated header
+def collect(a, seen=[]):
     return a

@@ -1,4 +1,4 @@
-"""REP010 fixture (clean): journaled flips, and exempt session state."""
+"""REP014 fixture (clean): journaled flips, and exempt session state."""
 
 
 class CommitmentState:

@@ -1,19 +1,12 @@
-"""CLI behaviour of ``lint --deep``, the extract cache, and ``--changed``."""
+"""CLI behaviour of the whole-program rules under ``python -m repro lint``."""
 
-import json
 import pathlib
-import shutil
 
 import pytest
 
-import repro.analysis.gitdiff as gitdiff
-from repro.analysis.gitdiff import changed_python_files
 from repro.cli import main
-from repro.util.errors import ValidationError
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-
-FLAGGING_SNIPPET = "import time\n\n\ndef now():\n    return time.time()\n"
 
 
 class TestDeepFlag:
@@ -21,172 +14,29 @@ class TestDeepFlag:
         code = main([
             "lint", str(FIXTURES / "deep" / "flagging"),
             str(FIXTURES / "deeppkg"),
-            "--deep", "--no-cache", "--no-baseline",
         ])
         out = capsys.readouterr().out
         assert code == 1
         for rule_id in (
             "REP012", "REP013", "REP014", "REP015", "REP016", "REP017",
         ):
-            assert rule_id in out, f"{rule_id} missing from --deep output"
-        assert "deep:" in out and "cache off" in out
-
-    def test_deep_rule_selection_without_deep_is_a_usage_error(self, capsys):
-        code = main([
-            "lint", str(FIXTURES / "deeppkg"), "--select", "REP012",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "REP012" in err and "--deep" in err
+            assert rule_id in out, f"{rule_id} missing from lint output"
 
     def test_list_rules_marks_the_whole_program_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "REP012" in out and "REP017" in out
-        assert "[--deep]" in out
+        assert "[whole program]" in out
 
-    def test_json_payload_carries_cache_counters(self, tmp_path, capsys):
-        code = main([
-            "lint", str(FIXTURES / "deeppkg"), "--deep", "--no-baseline",
-            "--cache-dir", str(tmp_path / "cache"), "--format", "json",
-        ])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cold_files"] == 3
-        assert payload["warm_files"] == 0
-
-
-class TestDeepCache:
-    def test_second_run_is_fully_warm_and_agrees_with_cold(
-        self, tmp_path, capsys
-    ):
-        cache = tmp_path / "cache"
-        argv = [
-            "lint", str(FIXTURES / "deeppkg"), "--deep", "--no-baseline",
-            "--cache-dir", str(cache), "--format", "json",
-        ]
-        main(argv)
-        cold = json.loads(capsys.readouterr().out)
-        main(argv)
-        warm = json.loads(capsys.readouterr().out)
-        assert cold["cold_files"] == 3 and cold["warm_files"] == 0
-        assert warm["cold_files"] == 0 and warm["warm_files"] == 3
-        assert warm["findings"] == cold["findings"]
-
-    def test_editing_a_file_invalidates_only_its_entry(
-        self, tmp_path, capsys
-    ):
-        tree = tmp_path / "deeppkg"
-        shutil.copytree(FIXTURES / "deeppkg", tree)
-        cache = tmp_path / "cache"
-        argv = [
-            "lint", str(tree), "--deep", "--no-baseline",
-            "--cache-dir", str(cache), "--format", "json",
-        ]
-        main(argv)
-        capsys.readouterr()
-        driver = tree / "driver.py"
-        driver.write_text(driver.read_text() + "\n# touched\n")
-        main(argv)
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cold_files"] == 1
-        assert payload["warm_files"] == 2
-
-    def test_corrupt_cache_entry_falls_back_to_a_cold_pass(
-        self, tmp_path, capsys
-    ):
-        cache = tmp_path / "cache"
-        argv = [
-            "lint", str(FIXTURES / "deeppkg"), "--deep", "--no-baseline",
-            "--cache-dir", str(cache), "--format", "json",
-        ]
-        main(argv)
-        capsys.readouterr()
-        for entry in cache.glob("*.json"):
-            entry.write_text("{not json")
-        main(argv)
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cold_files"] == 3
-        assert payload["warm_files"] == 0
-
-
-class TestChangedFlag:
-    @staticmethod
-    def _fake_git(diff_lines, untracked_lines):
-        def fake(args, cwd=None):
-            if args[0] == "diff":
-                return list(diff_lines)
-            return list(untracked_lines)
-
-        return fake
-
-    def test_changed_limits_lint_to_the_diffed_files(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        (tmp_path / "wall.py").write_text(FLAGGING_SNIPPET)
-        (tmp_path / "other.py").write_text(FLAGGING_SNIPPET)
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(
-            gitdiff, "_git_lines", self._fake_git(["wall.py"], [])
-        )
-        code = main(["lint", "--changed", "--no-baseline"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "wall.py" in out
-        assert "other.py" not in out
-
-    def test_changed_includes_untracked_files(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        (tmp_path / "fresh.py").write_text(FLAGGING_SNIPPET)
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(
-            gitdiff, "_git_lines", self._fake_git([], ["fresh.py"])
-        )
-        assert main(["lint", "--changed", "--no-baseline"]) == 1
-        assert "fresh.py" in capsys.readouterr().out
-
-    def test_no_changes_is_a_clean_exit(self, monkeypatch, capsys):
-        monkeypatch.setattr(gitdiff, "_git_lines", self._fake_git([], []))
-        assert main(["lint", "--changed", "--no-baseline"]) == 0
-        assert "nothing to check" in capsys.readouterr().out
-
-    def test_changed_composes_with_deep(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        source = (FIXTURES / "deep/flagging/rep012_flag.py").read_text()
-        (tmp_path / "leak.py").write_text(source)
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(
-            gitdiff, "_git_lines", self._fake_git(["leak.py"], [])
-        )
-        code = main([
-            "lint", "--changed", "--deep", "--no-cache", "--no-baseline",
-            "--select", "REP012",
-        ])
-        assert code == 1
-        assert "REP012" in capsys.readouterr().out
-
-
-class TestChangedFileSelection:
-    def test_filters_to_existing_python_files(self, tmp_path, monkeypatch):
-        (tmp_path / "kept.py").write_text("x = 1\n")
-        monkeypatch.setattr(
-            gitdiff,
-            "_git_lines",
-            lambda args, cwd=None: (
-                ["kept.py", "kept.py", "notes.md", "deleted.py"]
-                if args[0] == "diff"
-                else []
-            ),
-        )
-        files = changed_python_files(root=tmp_path)
-        assert [f.name for f in files] == ["kept.py"]
-
-    def test_git_failure_surfaces_as_validation_error(self, monkeypatch):
-        def boom(args, cwd=None):
-            raise ValidationError("git diff: exit 128")
-
-        monkeypatch.setattr(gitdiff, "_git_lines", boom)
-        with pytest.raises(ValidationError):
-            changed_python_files()
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--deep", "--changed", "--diff-base", "--cache-dir", "--no-cache",
+            "--baseline", "--no-baseline", "--update-baseline",
+        ],
+    )
+    def test_removed_modes_are_rejected_by_argparse(self, flag, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["lint", str(FIXTURES / "deeppkg"), flag])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

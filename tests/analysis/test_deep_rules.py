@@ -1,77 +1,35 @@
-"""Every whole-program rule has a flagging and a passing fixture.
+"""Whole-program rule behaviour beyond the fixture table.
 
-Mirrors ``test_rules.py`` for the REP012+ rules, plus the headline
-demonstration: a cross-function leak that the per-file REP002 rule
-provably cannot see but the interprocedural engine reports.
+The REP012+ fixture pairs live in ``test_rules.py`` with every other
+rule's; this module holds the headline demonstrations: leaks whose
+acquisition and drop sit in different modules, cooperative-task roots,
+and pragma suppression of a whole-program finding.
 """
 
 import pathlib
 
-import pytest
-
 from repro.analysis import LintEngine
-from repro.analysis.deep import DeepLintEngine
-from repro.analysis.registry import all_deep_rules, deep_rule_ids
+from repro.analysis.registry import ProjectRule, all_rules
+from tests.analysis.test_rules import RULE_FIXTURES
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
-DEEP_RULE_FIXTURES = {
-    "REP012": (
-        "deep/flagging/rep012_flag.py",
-        "deep/passing/rep012_pass.py",
-    ),
-    "REP013": (
-        "deep/flagging/rep013_flag.py",
-        "deep/passing/rep013_pass.py",
-    ),
-    "REP014": (
-        "deep/flagging/repro/session/rep014_flag.py",
-        "deep/passing/repro/session/rep014_pass.py",
-    ),
-    "REP015": (
-        "deep/flagging/repro/session/rep015_flag.py",
-        "deep/passing/repro/session/rep015_pass.py",
-    ),
-    "REP016": (
-        "deep/flagging/rep016_flag.py",
-        "deep/passing/rep016_pass.py",
-    ),
-    "REP017": (
-        "deep/flagging/rep017_flag.py",
-        "deep/passing/repro/journal/recovery.py",
-    ),
-}
-
 
 def deep_findings_for(rule_id, fixture):
-    engine = DeepLintEngine(select=[rule_id], cache_dir=None)
-    return engine.run([FIXTURES / fixture]).findings
+    return LintEngine(select=[rule_id]).run([FIXTURES / fixture]).findings
 
 
 class TestDeepFixturePairs:
     def test_every_deep_rule_has_a_fixture_pair(self):
-        assert sorted(DEEP_RULE_FIXTURES) == [
-            r.rule_id for r in all_deep_rules()
-        ]
-
-    @pytest.mark.parametrize("rule_id", sorted(DEEP_RULE_FIXTURES))
-    def test_flagging_fixture_flags(self, rule_id):
-        flag, _ = DEEP_RULE_FIXTURES[rule_id]
-        findings = deep_findings_for(rule_id, flag)
-        assert findings, f"{flag} produced no {rule_id} findings"
-        assert all(f.rule_id == rule_id for f in findings)
-        assert all(f.line > 0 and f.hint for f in findings)
-
-    @pytest.mark.parametrize("rule_id", sorted(DEEP_RULE_FIXTURES))
-    def test_passing_fixture_is_clean(self, rule_id):
-        _, ok = DEEP_RULE_FIXTURES[rule_id]
-        assert deep_findings_for(rule_id, ok) == []
+        deep_ids = [r.rule_id for r in all_rules() if isinstance(r, ProjectRule)]
+        assert deep_ids
+        for rule_id in deep_ids:
+            flag, ok = RULE_FIXTURES[rule_id][0]
+            assert flag.startswith("deep/flagging/"), rule_id
+            assert ok.startswith("deep/passing/"), rule_id
 
     def test_passing_tree_is_clean_under_every_deep_rule(self):
-        engine = DeepLintEngine(
-            select=sorted(deep_rule_ids()), cache_dir=None
-        )
-        report = engine.run([FIXTURES / "deep" / "passing"])
+        report = LintEngine().run([FIXTURES / "deep" / "passing"])
         assert report.findings == []
         assert report.errors == []
 
@@ -94,15 +52,10 @@ class TestCooperativeRoots:
 
 
 class TestCrossFunctionLeak:
-    """The deeppkg fixture: REP002 misses it, REP012 catches it."""
-
-    def test_per_file_pairing_rule_provably_misses_the_leak(self):
-        report = LintEngine(select=["REP002"]).run([FIXTURES / "deeppkg"])
-        assert report.findings == []
+    """The deeppkg fixture: the acquire is in pool.py, the drop in driver.py."""
 
     def test_interprocedural_engine_reports_it(self):
-        engine = DeepLintEngine(select=["REP012"], cache_dir=None)
-        report = engine.run([FIXTURES / "deeppkg"])
+        report = LintEngine().run([FIXTURES / "deeppkg"])
         assert [f.rule_id for f in report.findings] == ["REP012"]
         (finding,) = report.findings
         assert finding.path.endswith("driver.py")
@@ -110,7 +63,7 @@ class TestCrossFunctionLeak:
         assert finding.context == "run_session"
 
     def test_whole_program_findings_carry_fingerprint_context(self):
-        engine = DeepLintEngine(select=["REP012"], cache_dir=None)
+        engine = LintEngine(select=["REP012"])
         (finding,) = engine.run([FIXTURES / "deeppkg"]).findings
         assert finding.source_line.strip().startswith("stream =")
         assert finding.fingerprint
@@ -125,25 +78,17 @@ class TestDeepSuppression:
         )
         target = tmp_path / "suppressed.py"
         target.write_text(source)
-        engine = DeepLintEngine(select=["REP012"], cache_dir=None)
-        report = engine.run([target])
+        report = LintEngine(select=["REP012"]).run([target])
         assert report.findings == []
         assert report.suppressed == 1
 
-    def test_baseline_matches_deep_findings(self, tmp_path):
-        from repro.analysis import Baseline
 
-        target = tmp_path / "leak.py"
-        target.write_text(
-            (FIXTURES / "deep/flagging/rep012_flag.py").read_text()
-        )
-        first = DeepLintEngine(select=["REP012"], cache_dir=None).run(
-            [target]
-        )
-        baseline = Baseline.from_findings(first.findings)
-        engine = DeepLintEngine(
-            select=["REP012"], baseline=baseline, cache_dir=None
-        )
-        report = engine.run([target])
-        assert report.findings == []
-        assert report.baselined == 1
+class TestSplitPackage:
+    """The splitpkg fixture: one lint pass over both modules."""
+
+    def test_one_pass_reports_the_drop_at_the_call_site_only(self):
+        report = LintEngine().run([FIXTURES / "splitpkg"])
+        assert [(f.rule_id, pathlib.Path(f.path).name, f.line)
+                for f in report.findings] == [("REP012", "driver.py", 7)]
+        assert "open_stream" in report.findings[0].source_line
+        assert report.files_checked == 3

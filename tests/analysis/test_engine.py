@@ -1,4 +1,4 @@
-"""Engine mechanics: pragmas, baseline, reporters, file collection."""
+"""Engine mechanics: pragmas, fingerprints, reporters, file collection."""
 
 import json
 import pathlib
@@ -6,7 +6,6 @@ import pathlib
 import pytest
 
 from repro.analysis import (
-    Baseline,
     LintEngine,
     ModuleContext,
     iter_python_files,
@@ -42,65 +41,6 @@ class TestSuppression:
         assert [f.rule_id for f in report.findings] == ["REP001"]
 
 
-class TestBaseline:
-    def _one_finding(self, tmp_path):
-        path = tmp_path / "wall.py"
-        path.write_text(FLAGGING_SNIPPET)
-        report = LintEngine(select=["REP001"]).run([path])
-        assert len(report.findings) == 1
-        return path, report.findings[0]
-
-    def test_baselined_finding_is_filtered(self, tmp_path):
-        path, finding = self._one_finding(tmp_path)
-        baseline = Baseline.from_findings([finding])
-        for entry in baseline.entries.values():
-            baseline.entries[entry.fingerprint] = type(entry)(
-                rule_id=entry.rule_id,
-                fingerprint=entry.fingerprint,
-                path=entry.path,
-                justification="legacy wall-clock call, tracked in #42",
-            )
-        report = LintEngine(select=["REP001"], baseline=baseline).run([path])
-        assert report.findings == []
-        assert report.baselined == 1
-        assert report.clean
-
-    def test_unjustified_entry_makes_the_run_dirty(self, tmp_path):
-        path, finding = self._one_finding(tmp_path)
-        baseline = Baseline.from_findings([finding])
-        report = LintEngine(select=["REP001"], baseline=baseline).run([path])
-        assert report.findings == []
-        assert report.unjustified_baseline
-        assert not report.clean
-
-    def test_fingerprint_survives_line_moves(self, tmp_path):
-        _, finding = self._one_finding(tmp_path)
-        moved = tmp_path / "wall.py"
-        moved.write_text("# a new leading comment\n" + FLAGGING_SNIPPET)
-        report = LintEngine(select=["REP001"]).run([moved])
-        assert report.findings[0].line != finding.line
-        assert report.findings[0].fingerprint == finding.fingerprint
-
-    def test_round_trips_through_disk(self, tmp_path):
-        _, finding = self._one_finding(tmp_path)
-        baseline = Baseline.from_findings([finding])
-        target = tmp_path / ".reprolint.json"
-        baseline.dump(target)
-        loaded = Baseline.load(target)
-        assert set(loaded.entries) == set(baseline.entries)
-        assert loaded.match(finding) is not None
-
-    def test_missing_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "absent.json")
-        assert baseline.entries == {}
-
-    def test_malformed_file_is_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ValidationError):
-            Baseline.load(bad)
-
-
 class TestContextFingerprints:
     def test_identical_lines_in_different_functions_differ(self, tmp_path):
         path = tmp_path / "wall.py"
@@ -120,26 +60,14 @@ class TestContextFingerprints:
         fingerprints = {f.fingerprint for f in report.findings}
         assert len(fingerprints) == 2  # context qualname splits them
 
-    def test_pre_context_baseline_entries_keep_matching(self, tmp_path):
-        from repro.analysis.baseline import BaselineEntry
-
+    def test_fingerprint_survives_line_moves(self, tmp_path):
         path = tmp_path / "wall.py"
         path.write_text(FLAGGING_SNIPPET)
         (finding,) = LintEngine(select=["REP001"]).run([path]).findings
-        legacy = Baseline(
-            entries={
-                finding.legacy_fingerprint: BaselineEntry(
-                    rule_id="REP001",
-                    fingerprint=finding.legacy_fingerprint,
-                    path=finding.path,
-                    justification="entry written before context hashing",
-                )
-            }
-        )
-        assert legacy.match(finding) is not None
-        report = LintEngine(select=["REP001"], baseline=legacy).run([path])
-        assert report.findings == []
-        assert report.baselined == 1
+        path.write_text("# a new leading comment\n" + FLAGGING_SNIPPET)
+        (moved,) = LintEngine(select=["REP001"]).run([path]).findings
+        assert moved.line != finding.line
+        assert moved.fingerprint == finding.fingerprint
 
 
 class TestReporters:

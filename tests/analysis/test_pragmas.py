@@ -36,19 +36,19 @@ class TestSuppressionExtents:
 
     def test_decorator_pragma_covers_the_def_line(self):
         ctx = ModuleContext.from_source(
-            "@decorate  # reprolint: disable=REP009\n"
-            "def untyped(a, b):\n"
+            "@decorate  # reprolint: disable=REP005\n"
+            "def collect(a, seen=[]):\n"
             "    return a\n"
         )
-        assert ctx.suppressed("REP009", 2)
+        assert ctx.suppressed("REP005", 2)
 
     def test_def_line_pragma_covers_the_decorator_line(self):
         ctx = ModuleContext.from_source(
             "@decorate\n"
-            "def untyped(a, b):  # reprolint: disable=REP009\n"
+            "def collect(a, seen=[]):  # reprolint: disable=REP005\n"
             "    return a\n"
         )
-        assert ctx.suppressed("REP009", 1)
+        assert ctx.suppressed("REP005", 1)
 
     def test_header_pragma_never_covers_the_body(self):
         ctx = ModuleContext.from_source(
