@@ -1,6 +1,6 @@
 """The eager references the stack is compared against: the negotiation
-pipeline (below), one server's admission test and one topology's
-routing and shedding (at the end).
+pipeline (below), one server's admission test, one topology's routing
+and shedding, and the event loop's firing order (at the end).
 
 Steps 3–5 the way the paper states them, with nothing lazy: classify
 and sort the whole offer space (``classify_space``), re-rank it when
@@ -269,3 +269,83 @@ def reference_violated_flows(transport):
             if running > budget + 1e-9:
                 victims.add(reservation.holder)
     return tuple(flow for flow in transport.flows() if flow.flow_id in victims)
+
+
+# -- the event loop's firing order, from a plain list ---------------------------------
+#
+# ``repro.session.engine.EventLoop`` as its docstring states it: every
+# event fires at its time, events at equal times fire in the order they
+# were scheduled, cancelled events never fire.  The reference keeps its
+# events in a list and, for each firing, stable-sorts what is left.
+
+
+class ReferenceEvent:
+    def __init__(self, time, index, callback):
+        self.time = time
+        self.index = index
+        self.callback = callback
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+def reference_firing_order(events):
+    """``events`` in the order a loop owes them: a stable sort on
+    ``(time, schedule index)``, cancelled events dropped."""
+    return [
+        event
+        for event in sorted(events, key=lambda e: (e.time, e.index))
+        if not event.cancelled
+    ]
+
+
+class ReferenceEventLoop:
+    """``EventLoop``'s scheduling surface over a list and
+    :func:`reference_firing_order`; no heap, no sequence counter."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._events = []
+        self._scheduled = 0
+
+    @property
+    def pending(self):
+        return len(reference_firing_order(self._events))
+
+    def at(self, time, callback):
+        event = ReferenceEvent(float(time), self._scheduled, callback)
+        self._scheduled += 1
+        self._events.append(event)
+        return event
+
+    def after(self, delay, callback):
+        return self.at(self.now + delay, callback)
+
+    def every(self, period, callback, *, until):
+        def tick():
+            callback()
+            if self.now + period <= until + 1e-12:
+                self.at(self.now + period, tick)
+
+        if self.now + period <= until + 1e-12:
+            self.at(self.now + period, tick)
+
+    def _fire_head(self, horizon):
+        order = reference_firing_order(self._events)
+        if not order or order[0].time > horizon + 1e-12:
+            return False
+        head = order[0]
+        self._events.remove(head)
+        self.now = head.time
+        head.callback()
+        return True
+
+    def run_until(self, time):
+        while self._fire_head(time):
+            pass
+        self.now = max(self.now, time)
+
+    def run(self):
+        while self._fire_head(float("inf")):
+            pass
