@@ -187,9 +187,16 @@ class CooperativeScheduler:
         pump first, so a storm-style catch-and-recover driver can
         resume the survivors."""
         self._pump_armed = False
-        while self._ready:
-            index = int(self._rng.integers(0, len(self._ready)))
-            task = self._ready.pop(index)
+        ready = self._ready
+        while ready:
+            # A draw over one task is 0 and leaves the generator where
+            # it was (pinned by tests/service/test_scheduler.py), so
+            # skipping it changes no interleaving.
+            task = (
+                ready.pop(int(self._rng.integers(0, len(ready))))
+                if len(ready) > 1
+                else ready.pop()
+            )
             try:
                 self._step(task)
             except BaseException:  # reprolint: backstop -- re-arm the pump for survivors, always re-raise unchanged

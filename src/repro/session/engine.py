@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 from typing import Callable
 
 from ..util.clock import ManualClock
@@ -24,15 +24,25 @@ from ..util.validation import check_non_negative
 __all__ = ["ScheduledEvent", "EventLoop"]
 
 
-@dataclass(order=True)
 class ScheduledEvent:
-    """One pending callback.  Ordering: (time, sequence)."""
+    """One pending callback.  Not orderable: the loop's heap holds
+    ``(time, sequence, event)`` entries, and ``(time, sequence)`` is
+    unique per entry, so the heap never compares two events."""
 
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "sequence", "callback", "label", "cancelled")
+
+    def __init__(
+        self,
+        time: float,
+        sequence: int,
+        callback: Callable[[], None],
+        label: str = "",
+    ) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -43,7 +53,7 @@ class EventLoop:
 
     def __init__(self, clock: ManualClock | None = None) -> None:
         self.clock = clock or ManualClock()
-        self._queue: list[ScheduledEvent] = []
+        self._queue: "list[tuple[float, int, ScheduledEvent]]" = []
         self._sequence = itertools.count()
         self._processed = 0
 
@@ -53,7 +63,7 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     @property
     def processed(self) -> int:
@@ -63,17 +73,16 @@ class EventLoop:
 
     def at(self, time: float, callback: Callable[[], None], *, label: str = "") -> ScheduledEvent:
         """Schedule ``callback`` at absolute ``time``."""
+        time = float(time)
+        if not math.isfinite(time):
+            raise SessionError(f"cannot schedule at non-finite t={time}")
         if time < self.now - 1e-12:
             raise SessionError(
                 f"cannot schedule at t={time:g}s in the past (now {self.now:g}s)"
             )
-        event = ScheduledEvent(
-            time=float(time),
-            sequence=next(self._sequence),
-            callback=callback,
-            label=label,
-        )
-        heapq.heappush(self._queue, event)
+        sequence = next(self._sequence)
+        event = ScheduledEvent(time, sequence, callback, label)
+        heapq.heappush(self._queue, (time, sequence, event))
         return event
 
     def after(self, delay: float, callback: Callable[[], None], *, label: str = "") -> ScheduledEvent:
@@ -91,8 +100,10 @@ class EventLoop:
     ) -> None:
         """Schedule ``callback`` periodically, starting one period from
         now, optionally stopping at ``until``."""
-        if period <= 0:
-            raise SessionError(f"period must be positive, got {period}")
+        if not (math.isfinite(period) and period > 0):
+            raise SessionError(
+                f"period must be positive and finite, got {period}"
+            )
 
         def tick() -> None:
             callback()
@@ -109,10 +120,10 @@ class EventLoop:
     def step(self) -> bool:
         """Fire the next event; False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self.clock.advance_to(event.time)
+            self.clock.advance_to(time)
             event.callback()
             self._processed += 1
             return True
@@ -121,12 +132,13 @@ class EventLoop:
     def run_until(self, time: float) -> None:
         """Fire every event up to and including ``time``, then advance
         the clock to exactly ``time``."""
-        while self._queue:
-            head = self._queue[0]
+        queue = self._queue
+        while queue:
+            head_time, _, head = queue[0]
             if head.cancelled:
-                heapq.heappop(self._queue)
+                heapq.heappop(queue)
                 continue
-            if head.time > time + 1e-12:
+            if head_time > time + 1e-12:
                 break
             self.step()
         if time > self.now:

@@ -11,6 +11,7 @@ from repro.service import (
 from repro.session import EventLoop
 from repro.util.clock import ManualClock
 from repro.util.errors import SessionError, ValidationError
+from repro.util.rng import make_rng
 
 
 @pytest.fixture
@@ -75,6 +76,19 @@ class TestDeterminism:
             # 3 tasks x (2 yields + 1 final append)
             assert len(trace) == 9
             assert {trace.count(n) for n in "abc"} == {3}
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_a_one_task_draw_moves_no_state(self, seed):
+        # The pump skips the draw when one task is ready.  That is exact
+        # only while a draw over [0, 1) returns 0 and consumes nothing:
+        # a NumPy that breaks this must fail here, not silently move
+        # every interleaving.
+        drawn, fresh = make_rng(seed), make_rng(seed)
+        assert [int(drawn.integers(0, 1)) for _ in range(1000)] == [0] * 1000
+        assert drawn.integers(0, 1 << 30, size=8).tolist() == (
+            fresh.integers(0, 1 << 30, size=8).tolist()
+        )
+        assert drawn.integers(0, 3) == fresh.integers(0, 3)
 
 
 class TestSleepAndSwitch:

@@ -47,6 +47,14 @@ class TestScheduling:
         with pytest.raises(SessionError):
             loop.at(4.0, lambda: None)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, loop, time):
+        # A NaN time compares False with everything, so it used to slip
+        # past the past-time check and fire wherever the heap put it.
+        with pytest.raises(SessionError, match="non-finite"):
+            loop.at(time, lambda: None)
+        assert loop.pending == 0
+
     def test_events_can_schedule_events(self, loop):
         fired = []
 
@@ -107,6 +115,12 @@ class TestPeriodic:
     def test_zero_period_rejected(self, loop):
         with pytest.raises(SessionError):
             loop.every(0.0, lambda: None)
+
+    @pytest.mark.parametrize("period", [float("nan"), float("inf")])
+    def test_non_finite_period_rejected(self, loop, period):
+        with pytest.raises(SessionError, match="finite"):
+            loop.every(period, lambda: None)
+        assert loop.pending == 0
 
 
 class TestRunUntilWithCancellation:
