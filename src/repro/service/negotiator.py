@@ -213,9 +213,12 @@ class NegotiationService:
         # valid only at the tick it was computed (cleared on advance).
         # Planning is pure, so sharing the plan cannot change any walk;
         # it only removes the N−1 redundant plan computations when a
-        # burst of equivalent requests lands between two yields.
+        # burst of equivalent requests lands between two yields.  The
+        # tick's first plan is held unkeyed (``_held``) until a second
+        # plan lands on the same tick.
         self._plan_memo: "dict[tuple, object]" = {}
         self._plan_tick: "float | None" = None
+        self._held: "tuple | None" = None
 
     # -- submission ----------------------------------------------------------------
 
@@ -350,8 +353,13 @@ class NegotiationService:
         byte-exact with ``coalesce=False``; only the redundant
         classification work disappears.  Unbatchable requests (user
         preferences) always plan privately.
+
+        Class keys are paid for only when a second plan lands on the
+        tick: the first is held with a stamp of the two inputs of its
+        key that can move between plans (the document's version and the
+        client's decoder bank; profiles and clients are otherwise
+        frozen), and is keyed then, or dropped if the stamp moved.
         """
-        from ..batch.classes import BatchRequest, request_class_key
         from ..batch.engine import _ClassPlan
 
         manager = self.manager
@@ -362,31 +370,63 @@ class NegotiationService:
                 document_id, profile, client, max_offers=max_offers
             )
 
-        if not self.coalesce:
+        if not self.coalesce or profile.preferences is not None:
             return plan_fresh()
-        key = request_class_key(
-            manager,
-            BatchRequest(
-                document=document_id,
-                profile=profile,
-                client=client,
-                max_offers=max_offers,
-            ),
-        )
-        if key is None:
-            return plan_fresh()
+        memo = self._plan_memo
         now = self.loop.now
         if self._plan_tick != now:
             self._plan_tick = now
-            self._plan_memo.clear()
-        shared = self._plan_memo.get(key)
+            memo.clear()
+            shared = _ClassPlan(plan_fresh())
+            self._held = (
+                shared, document_id, profile, client,
+                self._stamp(document_id, client),
+            )
+            return shared.member_plan()
+        if self._held is not None:
+            held, held_document, held_profile, held_client, held_stamp = (
+                self._held
+            )
+            self._held = None
+            if self._stamp(held_document, held_client) == held_stamp:
+                memo[
+                    self._class_key(held_document, held_profile, held_client)
+                ] = held
+        key = self._class_key(document_id, profile, client)
+        shared = memo.get(key)
         if shared is None:
             shared = _ClassPlan(plan_fresh())
-            self._plan_memo[key] = shared
+            memo[key] = shared
         else:
             self.telemetry.count("batch.coalesced", site="service")
         assert isinstance(shared, _ClassPlan)
         return shared.member_plan()
+
+    def _stamp(self, document_id: str, client: "ClientMachine") -> tuple:
+        return (
+            self.manager.database.version_of(document_id),
+            client.decoders.version,
+        )
+
+    def _class_key(
+        self,
+        document_id: str,
+        profile: "UserProfile",
+        client: "ClientMachine",
+    ) -> tuple:
+        from ..batch.classes import BatchRequest, request_class_key
+
+        key = request_class_key(
+            self.manager,
+            BatchRequest(
+                document=document_id,
+                profile=profile,
+                client=client,
+                max_offers=self.policy.max_offers,
+            ),
+        )
+        assert key is not None  # preference requests never get here
+        return key
 
     # -- the cooperative procedure -------------------------------------------------
 

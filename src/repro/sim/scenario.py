@@ -28,6 +28,7 @@ from ..faults.plan import FaultKind, FaultSpec
 from ..metadata.database import MetadataDatabase
 from ..network.topology import Topology
 from ..network.transport import GuaranteeType, TransportSystem
+from ..perf.cache import NegotiationCache
 from ..session.engine import EventLoop
 from ..session.runtime import SessionRuntime
 from ..telemetry import Telemetry, observe_breaker
@@ -147,7 +148,6 @@ def build_scenario(
     retry_seed: int = 0,
     journal=None,
     telemetry_seed: "int | None" = None,
-    use_cache: bool = False,
 ) -> Scenario:
     """Build the default deployment from ``spec``.
 
@@ -156,9 +156,10 @@ def build_scenario(
     the manager, the server fleet, the transport, the journal and the
     breaker, and exposed as ``Scenario.telemetry``.
 
-    ``use_cache`` wires a :class:`~repro.perf.NegotiationCache` into
-    the manager: a pure throughput knob, negotiation outcomes are
-    identical.
+    The manager always plans through a :class:`~repro.perf.NegotiationCache`
+    of its own: a pure throughput device, negotiation outcomes are
+    identical without it (set ``scenario.manager.cache = None`` for an
+    uncached oracle).
     """
     spec = spec or ScenarioSpec()
 
@@ -247,14 +248,10 @@ def build_scenario(
         transport = HierarchicalTransport(topology, dmap)
     else:
         transport = TransportSystem(topology)
-    cache = None
-    if use_cache:
-        from ..perf.cache import NegotiationCache
-
-        # Deliberately private, not shared_cache(): every scenario is a
-        # hermetic deployment whose cache counters must start cold, and
-        # its telemetry hub is scenario-scoped.
-        cache = NegotiationCache(telemetry=telemetry)  # reprolint: disable=REP018 -- hermetic per-scenario cache with scenario-scoped telemetry
+    # Deliberately private, not shared_cache(): every scenario is a
+    # hermetic deployment whose cache counters must start cold, and its
+    # telemetry hub is scenario-scoped.
+    cache = NegotiationCache(telemetry=telemetry)  # reprolint: disable=REP018 -- hermetic per-scenario cache with scenario-scoped telemetry
     manager = QoSManager(
         database=database,
         transport=transport,

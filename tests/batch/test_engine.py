@@ -16,7 +16,7 @@ from repro.core.classification import ClassificationPolicy
 from repro.core.preferences import UserPreferences
 from repro.core.status import NegotiationStatus
 from repro.sim import ScenarioSpec, build_scenario
-from tests.oracle import reference_negotiate, signature
+from tests.oracle import reference_negotiate, signature, uncached
 
 SPEC = ScenarioSpec(server_count=2, client_count=3, document_count=3)
 
@@ -71,12 +71,14 @@ def run_batched(scenario, requests, release=False):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("use_cache", [False, True])
-    def test_batched_equals_sequential_accumulating(self, use_cache):
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_batched_equals_sequential_accumulating(self, cached):
         """No releases: reservations pile up, later walks see scarcer
         ledgers, and the batched walk must see exactly the same ones."""
-        sequential = build_scenario(SPEC)
-        batched = build_scenario(SPEC, use_cache=use_cache)
+        sequential = uncached(build_scenario(SPEC))
+        batched = build_scenario(SPEC)
+        if not cached:
+            uncached(batched)
         requests = make_requests(sequential)
         assert run_batched(batched, requests) == run_sequential(
             sequential, requests
@@ -95,8 +97,8 @@ class TestEquivalence:
         """Reject-after-each: every member walks pristine ledgers.  The
         sequential side is the eager full-sort reference, then the
         manager's own best-first pipeline."""
-        sequential = build_scenario(SPEC)
-        batched = build_scenario(SPEC, use_cache=True)
+        sequential = uncached(build_scenario(SPEC))
+        batched = build_scenario(SPEC)
         requests = make_requests(sequential)
         assert run_batched(batched, requests, release=True) == run_sequential(
             sequential, requests, release=True,

@@ -19,6 +19,13 @@ from repro.core.negotiation import NegotiationResult
 from repro.core.status import NegotiationStatus
 
 
+def uncached(scenario):
+    """``scenario`` with its manager planning every space afresh: the
+    oracle arm the cached deployments are compared against."""
+    scenario.manager.cache = None
+    return scenario
+
+
 def signature(result):
     return (
         result.status.name,

@@ -18,7 +18,6 @@ def scenario():
     return build_scenario(
         ScenarioSpec(document_count=2),
         telemetry_seed=0,
-        use_cache=True,
     )
 
 
@@ -196,9 +195,7 @@ class TestFingerprints:
             UserPreferences,
         )
 
-        scenario = build_scenario(
-            ScenarioSpec(document_count=1), use_cache=True
-        )
+        scenario = build_scenario(ScenarioSpec(document_count=1))
         scenario.manager.directory = ServerDirectory(
             {
                 server_id: ServerAttributes(

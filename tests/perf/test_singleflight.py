@@ -97,7 +97,6 @@ class TestServiceBurst:
         scenario = build_scenario(
             ScenarioSpec(server_count=2, client_count=3, document_count=1),
             telemetry_seed=0,
-            use_cache=True,
         )
         service = NegotiationService(
             scenario.manager,

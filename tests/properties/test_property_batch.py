@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.batch import BatchRequest, negotiate_batch
 from repro.core.profile_manager import standard_profiles
 from repro.sim import ScenarioSpec, build_scenario
-from tests.oracle import reference_negotiate, signature
+from tests.oracle import reference_negotiate, signature, uncached
 
 PROFILES = standard_profiles()
 SPEC = ScenarioSpec(server_count=2, client_count=2, document_count=2)
@@ -82,8 +82,8 @@ class TestBatchedEqualsSequential:
     @given(requests_strategy, st.booleans())
     @settings(max_examples=20, deadline=None)
     def test_equivalence_without_cache(self, script, release):
-        sequential = build_scenario(SPEC)
-        batched = build_scenario(SPEC)
+        sequential = uncached(build_scenario(SPEC))
+        batched = uncached(build_scenario(SPEC))
         assert run_batched(batched, script, release) == run_sequential(
             sequential, script, release
         )
@@ -93,8 +93,8 @@ class TestBatchedEqualsSequential:
     def test_equivalence_with_shared_cache(self, script, release):
         """The cached batch path must still match the cold sequential
         reference."""
-        sequential = build_scenario(SPEC)
-        batched = build_scenario(SPEC, use_cache=True)
+        sequential = uncached(build_scenario(SPEC))
+        batched = build_scenario(SPEC)
         assert run_batched(batched, script, release) == run_sequential(
             sequential, script, release
         )
@@ -104,8 +104,8 @@ class TestBatchedEqualsSequential:
     def test_batching_is_idempotent_across_twins(self, script):
         """Two identical batched deployments agree with each other —
         the engine has no hidden per-process state."""
-        first = build_scenario(SPEC, use_cache=True)
-        second = build_scenario(SPEC, use_cache=True)
+        first = build_scenario(SPEC)
+        second = build_scenario(SPEC)
         assert run_batched(first, script, True) == run_batched(
             second, script, True
         )

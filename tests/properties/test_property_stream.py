@@ -136,7 +136,7 @@ class TestNegotiationEquivalence:
         from repro.core import QoSManager
         from repro.core.preferences import UserPreferences
         from repro.sim import ScenarioSpec, build_scenario
-        from tests.oracle import reference_negotiate, signature
+        from tests.oracle import reference_negotiate, signature, uncached
 
         if biased:
             profile = replace(
@@ -146,16 +146,16 @@ class TestNegotiationEquivalence:
                 ),
             )
         signatures = []
-        for negotiate, use_cache in (
+        for negotiate, cached in (
             (reference_negotiate, False),
             (QoSManager.negotiate, False),
             (QoSManager.negotiate, True),
         ):
             scenario = build_scenario(
-                ScenarioSpec(document_count=1),
-                policy=policy,
-                use_cache=use_cache,
+                ScenarioSpec(document_count=1), policy=policy
             )
+            if not cached:
+                uncached(scenario)
             result = negotiate(
                 scenario.manager,
                 scenario.document_ids()[0],

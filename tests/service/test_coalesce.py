@@ -4,10 +4,15 @@ A burst of capability-equivalent requests landing between two scheduler
 ticks shares one steps-1–4 plan.  Sharing must be invisible in the
 outcomes — byte-identical traces with ``coalesce=False`` — and visible
 only in the work: ``batch.coalesced`` counts and fewer plan builds.
+A class key is computed only for a tick that holds a second plan, so
+a service whose plans never share a tick keys nothing.
 """
 
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
+import repro.batch.classes
 from repro.core import ProfileManager
 from repro.core.preferences import UserPreferences
 from repro.service import NegotiationService, ServicePolicy
@@ -44,6 +49,22 @@ def submit_burst(scenario, service, count, profile=None, spacing_s=0.0):
             ),
             label=f"submit-{index}",
         )
+
+
+@contextmanager
+def counted_class_keys():
+    """``request_class_key`` calls, counted in ``calls[0]``."""
+    calls = [0]
+    request_class_key = repro.batch.classes.request_class_key
+
+    def counting(manager, request):
+        calls[0] += 1
+        return request_class_key(manager, request)
+
+    with mock.patch.object(
+        repro.batch.classes, "request_class_key", counting
+    ):
+        yield calls
 
 
 def outcome_trace(coalesce, scheduler_seed=0, spacing_s=0.0):
@@ -104,6 +125,55 @@ class TestCoalescing:
         metrics = scenario.telemetry.metrics
         assert metrics.counter_value("batch.coalesced", site="service") == 0
         assert all(r.result is not None for r in service.requests)
+
+
+class TestLazyKey:
+    """Class keys counted, not timed."""
+
+    def test_a_plan_alone_on_its_tick_is_never_keyed(self):
+        scenario, service = build_service(True)
+        submit_burst(scenario, service, 4, spacing_s=10.0)
+        with counted_class_keys() as calls:
+            scenario.loop.run()
+        assert all(r.result is not None for r in service.requests)
+        assert calls[0] == 0
+
+    def test_a_shared_tick_keys_every_plan_once(self):
+        scenario, service = build_service(True, telemetry_seed=0)
+        submit_burst(scenario, service, 6, spacing_s=0.0)
+        with counted_class_keys() as calls:
+            scenario.loop.run()
+        metrics = scenario.telemetry.metrics
+        assert metrics.counter_value("batch.coalesced", site="service") == 4
+        # The held first plan is keyed when the second lands, then each
+        # plan after it: six keys for six plans, never more.
+        assert calls[0] == 6
+
+    def plan_twice(self, between=None):
+        scenario, service = build_service(True, telemetry_seed=0)
+        profile = ProfileManager().get("balanced")
+        document = scenario.document_ids()[0]
+        first, second = list(scenario.clients.values())[:2]
+        with counted_class_keys() as calls:
+            service._plan_coalesced(document, profile, first)
+            if between is not None:
+                between(scenario, document)
+            service._plan_coalesced(document, profile, second)
+        shared = scenario.telemetry.metrics.counter_value(
+            "batch.coalesced", site="service"
+        )
+        return shared, calls[0]
+
+    def test_same_tick_twins_share(self):
+        assert self.plan_twice() == (1, 2)
+
+    def test_a_document_version_bump_between_them_shares_nothing(self):
+        def bump(scenario, document):
+            variant = next(scenario.catalog.get(document).iter_variants())
+            scenario.database.remove_variant(variant.variant_id)
+
+        # The held plan is dropped unkeyed; only the second is keyed.
+        assert self.plan_twice(bump) == (0, 1)
 
 
 class TestSharedStream:

@@ -52,6 +52,23 @@ diffing the parent's artifact against the change's:
 The other eighteen — ``TRACE_JSONL``, both SLO artifacts, the three
 chaos plans, all seven ``recover --crash-after K`` outputs, both storm
 renderings, ``sweep``, ``profile`` and ``demo`` — kept their digests.
+
+Re-pinned a third time by the PR that made every scenario plan through
+a private ``NegotiationCache``.  Six digests moved, each by one class
+of difference ("cache counters only"), with every verdict, span count
+and other number equal:
+
+* ``TRACE_JSONL``, ``CHAOS_TRACE_JSONL`` and ``STORM_TRACE_JSONL`` —
+  ``cached: true`` on ``negotiation.step2.filter`` spans (1 of 8, 4 of
+  3115 and 439 of 12,944 spans), nothing else; no span added or lost.
+* ``STATS_JSON`` — one new counter row, ``cache.misses{store=spaces}``.
+* ``stats-workload-json`` — two new counter rows,
+  ``cache.hits{store=spaces}`` and ``cache.misses{store=spaces}``.
+* ``SLO_TIMESERIES`` — the same two counters as two new series (35
+  series, was 33); the other 33 series are equal point for point.
+
+``LOAD_JSON``, ``SLO_FLAMEGRAPH`` and every other ``STDOUT`` pin kept
+their digests.
 """
 
 import hashlib
@@ -60,13 +77,13 @@ import pytest
 
 from repro.cli import main
 
-TRACE_JSONL = "ed05cc7b273e7c48de1e55b7e15ac00906ea037aa9b9d91f1d7680f43367a925"
-STATS_JSON = "8f5c6ddcfb256954b369eeac49b24b796edcd3b5551c8470bdbc4449257ad50c"
-CHAOS_TRACE_JSONL = "515f3aab502c2a41e57a83b4c4b858b43987658e3128ea04f6dd5f36a083aee2"
+TRACE_JSONL = "191bc7e4efc97d9df8d78c24abf981cec66bc7093249369f8e809797f065c888"
+STATS_JSON = "712188e250acf4682edb89c3fb7388125e2e7f7404302d01a18970c5316814c7"
+CHAOS_TRACE_JSONL = "c1dd9352a5e0a768cb97446efa4117b0bc2ac8abea5dff0a8cb332f462eb4276"
 LOAD_JSON = "99e5042f633b432e01eb8d174a5f7287e585fb7cbf0917e740f98f33d8370eb5"
-SLO_TIMESERIES = "2624a3440ea96981cd42c818faf10d349b60a76c2a384e7a2876a55e8d720157"
+SLO_TIMESERIES = "a9d4f2934532c65177c4c96d35c7ac20ae49f64164185b8adf2a5d8506d780ef"
 SLO_FLAMEGRAPH = "610670a8cf85d245dd244f1dccc6386e31b66faa5d36b1154db0b38180dfc56c"
-STORM_TRACE_JSONL = "1062b20cba0a5adc5dce3ca706442f2981cde0b2d24dbc8dc5ae58a1ab292e08"
+STORM_TRACE_JSONL = "bbb229466f6952d32e81628eefb534c27c708307f1f67b3dd5bef3672cd12d27"
 
 STDOUT = {
     "chaos-acceptance": (
@@ -113,7 +130,7 @@ STDOUT = {
     ),
     "stats-workload-json": (
         ["stats", "--mode", "workload", "--seed", "1", "--json"],
-        "1daf754845db8263feb729df67a883d9d352eaf2bcd05d346db4bb05ee88ebaa",
+        "2a5ab0018d5790b290c1a2d1720b1bf9d7e1d4c08499566eedee409ebbe8cb23",
     ),
     "profile-json": (
         ["profile", "--json", "--multipliers", "1,2", "--horizon", "30"],
