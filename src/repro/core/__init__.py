@@ -10,7 +10,6 @@ from .classification import (
     MAX_VECTOR_OFFERS,
     ClassificationPolicy,
     ClassifiedOffer,
-    apply_offer_bonus,
     classify_offer,
     classify_offers,
     classify_space,

@@ -22,15 +22,21 @@ the default.  Two additional policies are provided:
   "at first we consider only the offers which satisfy the cost and the
   QoS requested by the user" as a status rather than a scan order.
 
-Two implementations are provided: a scalar one (reference semantics,
-offer objects in hand) and a vectorized one over an
-:class:`~repro.core.enumeration.OfferSpace` that classifies the whole
-product space with numpy and only materialises the offers it returns.
-They are property-tested to agree.  Both parameters are separable
-across monomedia, so the vectorized one — and the best-first stream of
-:mod:`repro.core.stream`, which yields the same order lazily — never
-scores an offer: each *variant* is scored once, by the one routine
-both share (``_axis_columns``), and offers are sums and maxima of that.
+The production path is the best-first stream of
+:mod:`repro.core.stream`, which yields the classified order lazily and
+orders every request.  Two eager routines here are its references: a
+scalar one (:func:`classify_offers`, offer objects in hand) and a
+vectorized one over an :class:`~repro.core.enumeration.OfferSpace`
+(:func:`classify_space`) that classifies the whole product space with
+numpy and only materialises the offers it returns.  The three are
+property-tested to agree.  Both parameters are separable across
+monomedia, so neither the vectorized routine nor the stream ever scores
+an offer: each *variant* is scored once, by the one routine both share
+(``_axis_columns``), and offers are sums and maxima of that.  Server
+preference weights are one more per-variant term of that score.  Every
+request is ordered by ``(SNS, −OIF, flat index)``; the scalar
+reference adds the summed weights after its OIF, so it agrees up to
+float rounding on exact ties.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from ..util.units import Money
 from .enumeration import OfferSpace
 from .importance import ImportanceProfile
 from .offers import SystemOffer
+from .preferences import UserPreferences
 from .profiles import MMProfile, UserProfile
 from .status import StaticNegotiationStatus
 
@@ -59,7 +66,6 @@ __all__ = [
     "classify_offers",
     "classify_arrays",
     "classify_space",
-    "apply_offer_bonus",
     "walk_order",
     "MAX_VECTOR_OFFERS",
 ]
@@ -121,12 +127,15 @@ def classify_offer(
     *,
     policy: ClassificationPolicy = ClassificationPolicy.SNS_PRIMARY,
 ) -> ClassifiedOffer:
-    """Classification parameters of a single offer."""
+    """Classification parameters of a single offer; server preference
+    weights add the offer's bonus to its OIF."""
     sns = compute_sns(offer, profile)
     affordable = offer.cost_within(profile.max_cost)
     if policy is ClassificationPolicy.COST_GATED and not affordable:
         sns = StaticNegotiationStatus.CONSTRAINT
     oif = importance.overall_importance(list(offer.qos_points()), offer.cost)
+    if isinstance(profile.preferences, UserPreferences):
+        oif += profile.preferences.offer_bonus(offer)
     return ClassifiedOffer(offer=offer, sns=sns, oif=oif, affordable=affordable)
 
 
@@ -190,16 +199,31 @@ def _axis_columns(
     by variant.  Both orderings (:func:`classify_arrays` and the
     best-first stream) are built on these columns and nothing else.
 
+    A server preference weight is added to the variant's QoS
+    importance, so an offer's OIF carries its variants' summed weights;
+    only a request that carries weights pays for them.
+
     An axis is one monomedia, hence one medium, so its two bounds are
     fetched once, not per variant; a medium the profile leaves out is
     not compared (§5: the comparison skips it).
     """
     qos_importance = importance.qos_importance
     desired_for, worst_for = profile.desired.qos_for, profile.worst.qos_for
+    preferences = profile.preferences
+    weights = (
+        preferences.server_preference
+        if isinstance(preferences, UserPreferences) else None
+    )
     importance_axes: "list[list[float]]" = []
     level_axes: "list[list[int]]" = []
-    for presented in space.presented_axes:
-        importance_axes.append([qos_importance(qos) for qos in presented])
+    for axis, presented in zip(space.axes, space.presented_axes):
+        column = [qos_importance(qos) for qos in presented]
+        if weights:
+            column = [
+                value + weights.get(choice.variant.server_id, 0.0)
+                for value, choice in zip(column, axis)
+            ]
+        importance_axes.append(column)
         medium = presented[0].medium
         desired, worst = desired_for(medium), worst_for(medium)
         levels: "list[int]" = []
@@ -340,33 +364,6 @@ def classify_space(
         return []
     arrays = classify_arrays(space, profile, importance, policy=policy)
     return arrays.materialize(space, top_k)
-
-
-def apply_offer_bonus(
-    classified: "Iterable[ClassifiedOffer]",
-    bonus: "Callable[[SystemOffer], float]",
-    *,
-    policy: ClassificationPolicy = ClassificationPolicy.SNS_PRIMARY,
-) -> "list[ClassifiedOffer]":
-    """Re-rank with an additive OIF adjustment per offer.
-
-    ``bonus`` maps a :class:`SystemOffer` to a float (e.g. the server
-    preference bonus of :mod:`repro.core.preferences`).  SNS and
-    affordability are untouched — preference refines the ordering, it
-    does not redefine satisfaction.  The sort is stable, so zero-bonus
-    inputs come back unchanged.
-    """
-    adjusted = [
-        ClassifiedOffer(
-            offer=c.offer,
-            sns=c.sns,
-            oif=c.oif + float(bonus(c.offer)),
-            affordable=c.affordable,
-        )
-        for c in classified
-    ]
-    adjusted.sort(key=_sort_key(policy))
-    return adjusted
 
 
 def walk_order(

@@ -58,9 +58,7 @@ from ..util.errors import NegotiationError
 from .classification import (
     ClassificationPolicy,
     ClassifiedOffer,
-    apply_offer_bonus,
     check_top_k,
-    classify_space,
     walk_order,
 )
 from .commitment import (
@@ -751,28 +749,15 @@ class QoSManager:
                 offer_space=space,
             ), space=space)
 
-        # Steps 3–4: one lazily ordered offer list, in exactly
-        # classify_space's order.  SNS and OIF are separable across
-        # monomedia, which is what the best-first stream relies on; a
-        # non-trivial preference offer_bonus is per offer and breaks
-        # that, so those requests sort the whole space and re-rank it.
-        # Which of the two runs depends on the request alone.
-        bonus = (
-            None if preferences is None or preferences.is_trivial
-            else preferences.offer_bonus
-        )
+        # Steps 3–4: one lazily ordered offer list for every request
+        # (server weights are a per-variant score term, see
+        # classification._axis_columns).
         total = space.offer_count
         out = total if max_offers is None else min(total, max_offers)
         with telemetry.span("negotiation.step3.parameters") as sp3:
-            offers: "Iterator[ClassifiedOffer]"
-            if bonus is None:
-                offers = stream_classified(
-                    space, profile, importance, policy=policy
-                )
-            else:
-                offers = iter(classify_space(
-                    space, profile, importance, policy=policy
-                ))
+            offers: "Iterator[ClassifiedOffer]" = stream_classified(
+                space, profile, importance, policy=policy
+            )
             sp3.set_attribute("offers_in", total)
             sp3.set_attribute("offers_out", out)
             sp3.set_attribute("dropped", total - out)
@@ -784,9 +769,6 @@ class QoSManager:
         with telemetry.span(
             "negotiation.step4.classify", policy=policy.value
         ) as sp4:
-            if bonus is not None:
-                offers = iter(apply_offer_bonus(offers, bonus, policy=policy))
-                sp4.set_attribute("offer_bonus", True)
             # The cut comes last, so it keeps the head of the order the
             # walk will see.
             if max_offers is not None:

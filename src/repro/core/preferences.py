@@ -11,15 +11,18 @@ Two mechanisms realise that sentence:
   :class:`SecurityLevel` in the :class:`ServerDirectory`; variants
   hosted below the user's ``min_security`` are filtered out during step
   2, exactly like an undecodable codec;
-* **server preference weights** — an additive OIF bonus per variant
+* **server preference weights** — an additive OIF term per variant
   hosted on a preferred server (negative values express distrust), so
   preference participates in the §5 classification without touching the
-  QoS/cost semantics.
+  QoS/cost semantics.  Steps 3–4 add each variant's weight to its QoS
+  importance (``classification._axis_columns``); a weight must be
+  finite, since a NaN would leave the offer order undefined.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -97,20 +100,16 @@ class UserPreferences:
     min_security: SecurityLevel = SecurityLevel.PUBLIC
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "server_preference",
-            {str(k): float(v) for k, v in self.server_preference.items()},
-        )
+        weights = {str(k): float(v) for k, v in self.server_preference.items()}
+        for server_id, weight in weights.items():
+            if not math.isfinite(weight):
+                raise ProfileError(
+                    f"server preference of {server_id!r} must be finite, "
+                    f"got {weight!r}"
+                )
+        object.__setattr__(self, "server_preference", weights)
         object.__setattr__(
             self, "min_security", SecurityLevel.parse(self.min_security)
-        )
-
-    @property
-    def is_trivial(self) -> bool:
-        return (
-            not self.server_preference
-            and self.min_security is SecurityLevel.PUBLIC
         )
 
     # -- step-2 filtering ---------------------------------------------------------

@@ -35,10 +35,6 @@ the concatenated bands are the lexsort order, and a band's first offer
 costs what that band's sub-product search pops, not the catalogue.
 Bands that provably hold no offer are skipped without a search.
 ``PURE_OIF`` has no bands: one search over the whole product.
-
-Streaming requires separable scores; a non-trivial preference
-``offer_bonus`` is per-offer and breaks separability, so those requests
-sort the whole space instead (see ``QoSManager._plan_steps``).
 """
 
 from __future__ import annotations

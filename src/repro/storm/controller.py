@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 
 from ..core.classification import ClassifiedOffer
 from ..util.rng import RngLike, make_rng
-from ..util.validation import check_at_least, check_fraction, check_positive
 from ..session.playout import PlayoutSession, SessionState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,6 +45,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["StormControllerStats", "StormController"]
 
 _TERMINAL = (SessionState.COMPLETED, SessionState.ABORTED)
+
+WAVE_DELAY_S = 0.5
+"""How long violations buffer after the first one before the wave runs."""
+MAX_CLASS_CANDIDATES = 4
+"""Length of a capability class's fast-path candidate list."""
+RETRY_BUDGET = 8
+"""Hint-driven retries a session without resources gets."""
+JITTER = 0.2
+"""Fraction by which cooldowns and retry delays are spread."""
 
 
 @dataclass(slots=True)
@@ -86,10 +94,6 @@ class StormController:
         self,
         runtime: "SessionRuntime",
         *,
-        wave_delay_s: float = 0.5,
-        max_class_candidates: int = 4,
-        retry_budget: int = 8,
-        jitter: float = 0.2,
         seed: RngLike = 0,
         telemetry: "Telemetry | None" = None,
     ) -> None:
@@ -98,30 +102,12 @@ class StormController:
         self.runtime = runtime
         self.loop = runtime.loop
         self.telemetry = telemetry
-        self.wave_delay_s = check_positive(wave_delay_s, "wave_delay_s")
-        self.max_class_candidates = int(
-            check_at_least(
-                max_class_candidates, 1, "max_class_candidates", integer=True
-            )
-        )
-        self.retry_budget = int(
-            check_at_least(retry_budget, 0, "retry_budget", integer=True)
-        )
-        self.jitter = check_fraction(jitter, "jitter")
         self.stats = StormControllerStats()
         self._rng = make_rng(seed)
         self._pending: "dict[str, None]" = {}  # ordered session-id set
         self._wave_scheduled = False
         self._cooldown_until: "dict[str, float]" = {}
         self._lost_retries_left: "dict[str, int]" = {}
-        # Cross-wave class-plan memo: the fast-path candidate list of a
-        # capability class depends only on the representative's (stable)
-        # classified list, its current offer, and which servers are
-        # degraded — so storms that hit the same classes wave after
-        # wave rediscover nothing.  Any change in the degraded set
-        # invalidates wholesale.
-        self._class_plan_memo: "dict[tuple, list[ClassifiedOffer]]" = {}
-        self._memo_degraded: "frozenset[str] | None" = None
         # Take over the runtime's violation handling.
         runtime.adaptation_enabled = False
         runtime.on_violation = self.on_violation
@@ -134,7 +120,7 @@ class StormController:
         if not self._wave_scheduled:
             self._wave_scheduled = True
             self.loop.after(
-                self.wave_delay_s, self._run_wave, label="storm:wave"
+                WAVE_DELAY_S, self._run_wave, label="storm:wave"
             )
 
     # -- the wave ------------------------------------------------------------------
@@ -202,19 +188,6 @@ class StormController:
         The representative's exclusions are per-session, so they are
         filtered later, per member — this list is class-wide."""
         degraded = self._degraded_servers()
-        if degraded != self._memo_degraded:
-            self._class_plan_memo.clear()
-            self._memo_degraded = degraded
-        space = representative.result.offer_space
-        memo_key = (
-            space.document.document_id if space is not None else "?",
-            representative.current_offer_id,
-            representative.session_id,
-        )
-        cached = self._class_plan_memo.get(memo_key)
-        if cached is not None:
-            self.telemetry.count("batch.coalesced", site="storm")
-            return cached
         classified = representative.result.ensure_classified()
         current_id = representative.current_offer_id
         healthy: "list[ClassifiedOffer]" = []
@@ -226,9 +199,7 @@ class StormController:
                 tainted.append(candidate)
             else:
                 healthy.append(candidate)
-        picked = (healthy + tainted)[: self.max_class_candidates]
-        self._class_plan_memo[memo_key] = picked
-        return picked
+        return (healthy + tainted)[:MAX_CLASS_CANDIDATES]
 
     def _degraded_servers(self) -> "frozenset[str]":
         servers = self.runtime.manager.committer.servers
@@ -285,7 +256,7 @@ class StormController:
         sweep only re-buffers *violated* sessions, and a holder with no
         reservations left never shows up in the monitor scan again."""
         left = self._lost_retries_left.setdefault(
-            session.session_id, self.retry_budget
+            session.session_id, RETRY_BUDGET
         )
         if left <= 0:
             return
@@ -316,9 +287,7 @@ class StormController:
             self._schedule_lost_retry(session, now)
 
     def _jittered(self, delay_s: float) -> float:
-        if self.jitter <= 0.0:
-            return delay_s
-        spread = self.jitter * float(self._rng.uniform(-1.0, 1.0))
+        spread = JITTER * float(self._rng.uniform(-1.0, 1.0))
         return max(delay_s * (1.0 + spread), 0.0)
 
     def __repr__(self) -> str:

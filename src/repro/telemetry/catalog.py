@@ -150,8 +150,8 @@ METRICS: "tuple[MetricSpec, ...]" = (
              "engine and fanned out to every member"),
     _counter("batch.coalesced", "requests",
              "negotiation requests that reused an equivalence-class "
-             "plan instead of replanning, by site (batch/service/"
-             "storm)", "site"),
+             "plan instead of replanning, by site (batch/service)",
+             "site"),
     # -- substrate ledgers ----------------------------------------------------------
     _counter("server.streams.reserved", "streams",
              "stream admissions granted, by server", "server"),

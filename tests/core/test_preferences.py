@@ -4,7 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.classification import apply_offer_bonus, classify_offers
+from repro.core.classification import (
+    ClassificationPolicy,
+    classify_offers,
+    classify_space,
+)
 from repro.core.importance import default_importance
 from repro.core.negotiation import QoSManager
 from repro.core.preferences import (
@@ -14,8 +18,11 @@ from repro.core.preferences import (
     UserPreferences,
 )
 from repro.core.status import NegotiationStatus
-from repro.paperdata import section_5_offers, section_521_profile
+from repro.core.stream import stream_classified
+from repro.documents.media import ColorMode
+from repro.paperdata import section_5_offers
 from repro.util.errors import NegotiationError, ProfileError
+from tests.properties.strategies import grid_profile, grid_space, weighted
 
 
 class TestSecurityLevel:
@@ -44,10 +51,12 @@ class TestServerDirectory:
 
 
 class TestUserPreferences:
-    def test_trivial(self):
-        assert UserPreferences().is_trivial
-        assert not UserPreferences(server_preference={"s": 1.0}).is_trivial
-        assert not UserPreferences(min_security="protected").is_trivial
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        # A weight is a term of the OIF: a NaN one would reach the
+        # stream's heap key, on which the offer order is undefined.
+        with pytest.raises(ProfileError, match="finite"):
+            UserPreferences(server_preference={"server-a": 1.0, "server-b": bad})
 
     def test_variant_filter(self):
         directory = ServerDirectory(
@@ -69,42 +78,66 @@ class TestUserPreferences:
         assert prefs.offer_bonus(offer) == 2.5
 
 
-class TestApplyOfferBonus:
-    def test_zero_bonus_is_identity(self):
-        profile = section_521_profile()
-        ranked = classify_offers(
-            section_5_offers(), profile, default_importance()
+DESIRED = (ColorMode.COLOR, 25)
+WORST = (ColorMode.COLOR, 15)
+GREY = (ColorMode.GREY, 10)
+
+
+def orders(space, profile, policy=ClassificationPolicy.SNS_PRIMARY):
+    """The offer ids in the order of the stream and of both eager
+    references."""
+    importance = default_importance()
+    return [
+        [c.offer.offer_id for c in ranked]
+        for ranked in (
+            stream_classified(space, profile, importance, policy=policy),
+            classify_space(space, profile, importance, policy=policy),
+            classify_offers(
+                space.materialize(), profile, importance, policy=policy
+            ),
         )
-        again = apply_offer_bonus(ranked, lambda offer: 0.0)
-        assert [c.offer.offer_id for c in again] == [
-            c.offer.offer_id for c in ranked
+    ]
+
+
+class TestApplyOfferBonus:
+    """Server weights are a per-variant term of the OIF: every ordering
+    applies the offer's summed bonus, and SNS and affordability stay
+    what the QoS and the cost say."""
+
+    def test_zero_bonus_is_identity(self):
+        # Variant v of the grid's one axis sits on server v mod 3.
+        space = grid_space([[DESIRED, WORST, GREY, DESIRED]])
+        profile = grid_profile(DESIRED, WORST, 10_000)
+        zero = weighted(profile, {"server-a": 0.0, "server-c": 0.0})
+        importance = default_importance()
+        assert [
+            (c.offer.offer_id, c.oif)
+            for c in stream_classified(space, zero, importance)
+        ] == [
+            (c.offer.offer_id, c.oif)
+            for c in classify_space(space, profile, importance)
         ]
 
     def test_bonus_reorders_within_sns_class(self):
-        profile = section_521_profile()
-        importance = default_importance()
-        ranked = classify_offers(section_5_offers(), profile, importance)
-        constraints = [c for c in ranked if int(c.sns) == 2]
-        worst = constraints[-1].offer.offer_id
-        boosted = apply_offer_bonus(
-            ranked,
-            lambda offer: 1000.0 if offer.offer_id == worst else 0.0,
-        )
-        boosted_constraints = [c for c in boosted if int(c.sns) == 2]
-        assert boosted_constraints[0].offer.offer_id == worst
+        # Three replicas on servers a, b, c: an exact tie that
+        # enumeration order breaks, until server-c carries a weight.
+        space = grid_space([[DESIRED, DESIRED, DESIRED]])
+        profile = grid_profile(DESIRED, WORST, 10_000)
+        assert orders(space, profile)[0] == ["offer-1", "offer-2", "offer-3"]
+        for order in orders(space, weighted(profile, {"server-c": 0.5})):
+            assert order == ["offer-3", "offer-1", "offer-2"]
 
     def test_bonus_does_not_cross_sns_boundary(self):
-        profile = section_521_profile()
-        ranked = classify_offers(
-            section_5_offers(), profile, default_importance()
+        # The GREY variant on server-b is a CONSTRAINT: a huge weight
+        # on server-b leads only where there are no SNS bands.
+        space = grid_space([[DESIRED, GREY]])
+        profile = weighted(
+            grid_profile(DESIRED, WORST, 10_000), {"server-b": 10_000.0}
         )
-        # offer4 is the only ACCEPTABLE; a huge bonus on a CONSTRAINT
-        # offer must not put it above offer4 under SNS_PRIMARY.
-        boosted = apply_offer_bonus(
-            ranked,
-            lambda offer: 10_000.0 if offer.offer_id == "offer1" else 0.0,
-        )
-        assert boosted[0].offer.offer_id == "offer4"
+        for order in orders(space, profile):
+            assert order == ["offer-1", "offer-2"]
+        for order in orders(space, profile, ClassificationPolicy.PURE_OIF):
+            assert order == ["offer-2", "offer-1"]
 
 
 class TestNegotiationIntegration:

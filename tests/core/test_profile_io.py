@@ -118,6 +118,20 @@ class TestManagerStore:
             with pytest.raises(ProfileError, match="finite"):
                 load_profiles(json.dumps(poisoned).replace('"@"', token))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_server_preference_rejected(self, token):
+        """A server weight is a term of the OIF: a store carrying a
+        non-finite one must not load either."""
+        base = standard_profiles()[0]
+        store = ProfileManager(profiles=[replace(
+            base,
+            preferences=UserPreferences(server_preference={"mirror": 0.125}),
+        )])
+        text = dump_profiles(store)
+        assert load_profiles(text).names() == (base.name,)
+        with pytest.raises(ProfileError, match="finite"):
+            load_profiles(text.replace("0.125", token))
+
     def test_restored_profiles_negotiate(
         self, manager, document, client, tmp_path
     ):

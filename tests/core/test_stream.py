@@ -112,12 +112,12 @@ class TestNegotiationModes:
         ]
         streamed.commitment.release()
 
-    def test_nontrivial_preferences_fall_back_to_full(
+    def test_weighted_preferences_stream_like_the_reference(
         self, manager, document, balanced_profile, client
     ):
-        # offer_bonus makes scores non-separable per axis; the plan
-        # sorts and re-ranks eagerly and must agree with the reference,
-        # offer for offer and bonus-adjusted OIF for OIF.
+        # A server weight is one more per-variant score term, so a
+        # weighted request streams like any other and agrees with the
+        # eager reference offer for offer and weighted OIF for OIF.
         from dataclasses import replace
 
         biased = replace(

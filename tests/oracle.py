@@ -3,16 +3,16 @@ pipeline (below), one server's admission test, one topology's routing
 and shedding, and the event loop's firing order (at the end).
 
 Steps 3–5 the way the paper states them, with nothing lazy: classify
-and sort the whole offer space (``classify_space``), re-rank it when
-the user's preferences carry an offer bonus, keep the ``max_offers``
-best, then try the user-satisfying offers before the rest, each group
-in classified order (§5.2.2(c)), asking the servers about every one of
-them: the walk here keeps no refusal memo.  ``QoSManager.negotiate``,
+and sort the whole offer space (``classify_space``, server weights
+included), keep the ``max_offers`` best, then try the user-satisfying
+offers before the rest, each group in classified order (§5.2.2(c)),
+asking the servers about every one of them: the walk here keeps no
+refusal memo.  ``QoSManager.negotiate``,
 the batch engine and the service must reach the same ``(status, offer
 id, attempts)`` on the same ledgers.
 """
 
-from repro.core.classification import apply_offer_bonus, classify_space
+from repro.core.classification import classify_space
 from repro.core.commitment import Commitment
 from repro.core.enumeration import build_offer_space
 from repro.core.negotiation import NegotiationResult
@@ -58,12 +58,7 @@ def reference_negotiate(
     )
     classified = classify_space(
         space, profile, manager._importance_of(profile), policy=policy
-    )
-    if preferences is not None and not preferences.is_trivial:
-        classified = apply_offer_bonus(
-            classified, preferences.offer_bonus, policy=policy
-        )
-    classified = classified[:max_offers]
+    )[:max_offers]
     if not classified:
         return NegotiationResult(
             status=NegotiationStatus.FAILED_WITHOUT_OFFER, offer_space=space

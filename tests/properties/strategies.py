@@ -59,6 +59,37 @@ def video_variants(draw, monomedia_id: str = "m.v", index: int | None = None):
     )
 
 
+# -- server preference weights -------------------------------------------------------
+
+# Halves and wholes add exactly, so offers whose variants sit on
+# different servers can tie exactly; tenths and quarters exercise the
+# rounding of the left-to-right sum.
+SERVER_WEIGHTS = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, -1.0])
+
+
+@st.composite
+def server_weights(draw):
+    """A weight for one to three of ``server-a`` .. ``server-c``."""
+    servers = draw(st.sets(
+        st.sampled_from(["server-a", "server-b", "server-c"]), min_size=1
+    ))
+    return {server: draw(SERVER_WEIGHTS) for server in sorted(servers)}
+
+
+def weighted(profile, weights):
+    """``profile`` carrying ``weights`` as its server preference
+    (``profile`` itself when ``weights`` is None)."""
+    from dataclasses import replace
+
+    from repro.core.preferences import UserPreferences
+
+    if weights is None:
+        return profile
+    return replace(
+        profile, preferences=UserPreferences(server_preference=weights)
+    )
+
+
 # -- banded offer spaces (stream band-laziness suites) ------------------------------
 
 GRID_FLAVOURS = (

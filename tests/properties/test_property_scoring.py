@@ -319,6 +319,7 @@ def one_sided(profile, *, desired: bool, worst: bool):
         desired=profile.desired if desired else blank,
         worst=profile.worst if worst else blank,
         max_cost=profile.max_cost,
+        preferences=None,
     )
 
 

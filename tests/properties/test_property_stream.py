@@ -3,14 +3,21 @@
 The heap-based stream must reproduce ``classify_space``'s order *exactly*
 — same offer ids, same SNS levels, bit-identical OIF values — for every
 policy, on arbitrary documents and profiles, ties included.  This is
-what lets steps 3–5 consume the stream in place of the full sort.
+what lets steps 3–5 consume the stream in place of the full sort, for
+every request: server preference weights are one more per-variant term
+of the score, so weighted profiles stream too.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.client.machine import ClientMachine
-from repro.core.classification import ClassificationPolicy, classify_space
+from repro.core.classification import (
+    ClassificationPolicy,
+    classify_offer,
+    classify_space,
+)
 from repro.core.cost import default_cost_model
 from repro.core.enumeration import build_offer_space
 from repro.core.importance import default_importance
@@ -18,7 +25,7 @@ from repro.core.stream import stream_classified
 from repro.documents.document import Document
 from repro.documents.monomedia import Monomedia
 
-from .strategies import banded_cases, video_variants
+from .strategies import banded_cases, server_weights, video_variants, weighted
 
 
 @st.composite
@@ -57,14 +64,24 @@ def random_profiles():
     return base()
 
 
+def assert_weights_scored(streamed, profile, importance):
+    """Each OIF carries the offer's summed server weights: the scalar
+    reference adds them after its own OIF."""
+    for s in streamed:
+        reference = classify_offer(s.offer, profile, importance)
+        assert s.oif == pytest.approx(reference.oif, abs=1e-9)
+
+
 class TestStreamEquivalence:
     @given(
         random_spaces(),
         random_profiles(),
+        st.one_of(st.none(), server_weights()),
         st.sampled_from(list(ClassificationPolicy)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_stream_matches_full_sort(self, space, profile, policy):
+    def test_stream_matches_full_sort(self, space, profile, weights, policy):
+        profile = weighted(profile, weights)
         importance = default_importance()
         streamed = list(
             stream_classified(space, profile, importance, policy=policy)
@@ -76,18 +93,22 @@ class TestStreamEquivalence:
             assert s.sns is f.sns
             assert s.affordable == f.affordable
             assert s.oif == f.oif  # bit-identical, not approx
+        assert_weights_scored(streamed, profile, importance)
 
     @given(
         st.sampled_from(["empty", "single", "any"]).flatmap(banded_cases),
+        st.one_of(st.none(), server_weights()),
         st.sampled_from(list(ClassificationPolicy)),
     )
     @settings(max_examples=90, deadline=None)
-    def test_banded_stream_matches_full_sort(self, case, policy):
+    def test_banded_stream_matches_full_sort(self, case, weights, policy):
         """Band by band: an empty or one-offer DESIRABLE band, budgets
         that make a whole band (or part of one) unaffordable, replica
-        ties — the per-band searches still concatenate to the lexsort
-        order, float for float."""
+        ties, server weights that break or keep them — the per-band
+        searches still concatenate to the lexsort order, float for
+        float."""
         space, profile = case
+        profile = weighted(profile, weights)
         importance = default_importance()
         streamed = list(
             stream_classified(space, profile, importance, policy=policy)
@@ -96,6 +117,7 @@ class TestStreamEquivalence:
         assert [
             (s.offer.offer_id, s.sns, s.affordable, s.oif) for s in streamed
         ] == [(f.offer.offer_id, f.sns, f.affordable, f.oif) for f in full]
+        assert_weights_scored(streamed, profile, importance)
 
     @given(random_spaces(), random_profiles())
     @settings(max_examples=30, deadline=None)
@@ -121,30 +143,20 @@ class TestStreamEquivalence:
 class TestNegotiationEquivalence:
     """End to end: the eager full-sort reference and the manager, with
     and without the cache, commit the same offer with the same status
-    and attempt count, with and without offer_bonus preferences (which
-    make the plan sort the whole space instead of streaming it)."""
+    and attempt count, with and without server preference weights."""
 
     @given(
         random_profiles(),
-        st.booleans(),
+        st.one_of(st.none(), server_weights()),
         st.sampled_from(list(ClassificationPolicy)),
     )
     @settings(max_examples=25, deadline=None)
-    def test_modes_agree(self, profile, biased, policy):
-        from dataclasses import replace
-
+    def test_modes_agree(self, profile, weights, policy):
         from repro.core import QoSManager
-        from repro.core.preferences import UserPreferences
         from repro.sim import ScenarioSpec, build_scenario
         from tests.oracle import reference_negotiate, signature, uncached
 
-        if biased:
-            profile = replace(
-                profile,
-                preferences=UserPreferences(
-                    server_preference={"server-a": 0.25}
-                ),
-            )
+        profile = weighted(profile, weights)
         signatures = []
         for negotiate, cached in (
             (reference_negotiate, False),

@@ -1,4 +1,5 @@
-"""Vectorized classification ≡ scalar reference on random offer spaces."""
+"""Vectorized classification ≡ scalar reference on random offer spaces,
+with and without server preference weights."""
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from repro.documents.media import ColorMode
 from repro.documents.monomedia import Monomedia
 from repro.documents.quality import VideoQoS
 
-from .strategies import video_variants
+from .strategies import banded_cases, server_weights, video_variants, weighted
 
 
 @st.composite
@@ -92,3 +93,58 @@ class TestVectorizedEquivalence:
             assert v.sns == s.sns
             assert v.oif == pytest.approx(s.oif, abs=1e-9)
             assert v.affordable == s.affordable
+
+
+@st.composite
+def weighted_cases(draw):
+    """``(space, profile)`` with server weights: a random space, or a
+    grid whose replicas tie exactly before and after weighting."""
+    if draw(st.booleans()):
+        space, profile = draw(random_spaces()), draw(random_profiles())
+    else:
+        space, profile = draw(banded_cases())
+    return space, weighted(profile, draw(server_weights()))
+
+
+def tie_groups(ranked, banded):
+    """Runs of offers the order cannot tell apart: the same SNS (under
+    the banded policies) and OIFs within 1e-9 of their neighbour."""
+    groups = []
+    for item in ranked:
+        if groups:
+            last = groups[-1][-1]
+            if abs(item.oif - last.oif) <= 1e-9 and (
+                not banded or item.sns is last.sns
+            ):
+                groups[-1].append(item)
+                continue
+        groups.append([item])
+    return groups
+
+
+class TestWeightedEquivalence:
+    @given(weighted_cases(), st.sampled_from(list(ClassificationPolicy)))
+    @settings(max_examples=40, deadline=None)
+    def test_vectorized_matches_scalar_modulo_ties(self, case, policy):
+        """The vectorized OIF sums (QoS importance + weight) per axis,
+        the scalar one adds the offer's summed weights last, so the two
+        orders agree position by position except inside a run of offers
+        whose OIFs agree within 1e-9, which is compared as a set."""
+        space, profile = case
+        importance = default_importance()
+        vectorized = classify_space(space, profile, importance, policy=policy)
+        scalar = classify_offers(
+            space.materialize(), profile, importance, policy=policy
+        )
+        assert len(vectorized) == len(scalar)
+        at = 0
+        banded = policy is not ClassificationPolicy.PURE_OIF
+        for group in tie_groups(vectorized, banded):
+            peers = scalar[at : at + len(group)]
+            at += len(group)
+            expected = {v.offer.variant_ids: v for v in group}
+            assert {s.offer.variant_ids for s in peers} == set(expected)
+            for s in peers:
+                v = expected[s.offer.variant_ids]
+                assert (s.sns, s.affordable) == (v.sns, v.affordable)
+                assert s.oif == pytest.approx(v.oif, abs=1e-9)

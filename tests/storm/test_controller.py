@@ -6,7 +6,6 @@ import pytest
 
 from repro.session.runtime import SessionRuntime
 from repro.storm import StormController
-from repro.util.errors import ValidationError
 
 
 @pytest.fixture
@@ -36,20 +35,10 @@ class TestAttachment:
         assert not runtime.adaptation_enabled
         assert runtime.on_violation == controller.on_violation
 
-    def test_invalid_parameters(self, runtime):
-        with pytest.raises(ValidationError):
-            StormController(runtime, wave_delay_s=0.0)
-        with pytest.raises(ValidationError):
-            StormController(runtime, max_class_candidates=0)
-        with pytest.raises(ValidationError):
-            StormController(runtime, retry_budget=-1)
-        with pytest.raises(ValidationError):
-            StormController(runtime, jitter=2.0)
-
 
 class TestWaveBuffering:
     def test_burst_schedules_one_wave(self, runtime, loop):
-        controller = StormController(runtime, wave_delay_s=0.5, seed=1)
+        controller = StormController(runtime, seed=1)
         for i in range(5):
             controller.on_violation(
                 SimpleNamespace(session_id=f"session-{i}")
@@ -110,43 +99,8 @@ def stub_candidate(offer_id, servers=()):
     )
 
 
-class TestClassPlanMemo:
-    """The cross-wave class-plan memo: a storm that hits the same class
-    wave after wave rediscovers nothing, and any change in the degraded
-    set invalidates the memo wholesale."""
-
-    def classified_session(self, calls, offer_ids=("offer-1", "offer-2", "offer-3")):
-        session = stub_session("s1", "doc.a", "offer-1")
-        candidates = [stub_candidate(offer_id) for offer_id in offer_ids]
-
-        def ensure_classified():
-            calls.append("classify")
-            return candidates
-
-        session.result.ensure_classified = ensure_classified
-        return session
-
-    def test_second_wave_reuses_the_candidate_list(self, runtime):
-        controller = StormController(runtime, seed=1)
-        calls = []
-        session = self.classified_session(calls)
-        first = controller._class_candidates(session)
-        second = controller._class_candidates(session)
-        assert second is first
-        assert calls == ["classify"]
-        # The current offer is never its own alternate.
-        assert [c.offer.offer_id for c in first] == ["offer-2", "offer-3"]
-
-    def test_degraded_set_change_invalidates(self, runtime, manager):
-        controller = StormController(runtime, seed=1)
-        calls = []
-        session = self.classified_session(calls)
-        controller._class_candidates(session)
-        next(iter(manager.committer.servers.values())).set_degradation(0.5)
-        controller._class_candidates(session)
-        # The healthy/tainted split depends on the degraded set, so the
-        # memo must not survive it.
-        assert calls == ["classify", "classify"]
+class TestClassCandidates:
+    """The fast-path candidate list of one capability class."""
 
     def test_degraded_servers_sort_behind_healthy(self, runtime, manager):
         controller = StormController(runtime, seed=1)
@@ -155,8 +109,8 @@ class TestClassPlanMemo:
         session = stub_session("s1", "doc.a", "offer-0")
         tainted = stub_candidate("offer-1", servers={degraded_id})
         healthy = stub_candidate("offer-2")
-        session.result.ensure_classified = lambda: [tainted, healthy]
+        current = stub_candidate("offer-0")
+        session.result.ensure_classified = lambda: [current, tainted, healthy]
         picked = controller._class_candidates(session)
+        # The current offer is never its own alternate.
         assert [c.offer.offer_id for c in picked] == ["offer-2", "offer-1"]
-        # And the reordered list is what later waves replay.
-        assert controller._class_candidates(session) is picked
