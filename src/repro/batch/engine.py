@@ -7,9 +7,9 @@ per member — but the pure prefix (steps 1–4) runs once per equivalence
 class instead of once per request:
 
 * classes are keyed by :func:`~repro.batch.classes.request_class_key`;
-* a class's lazily ordered offers are wrapped in a replayable buffer,
-  so every member sees them from the beginning while classification
-  work is still done at most once per offer.
+* every member walks the class plan's memoised order from its first
+  offer (:func:`~repro.core.stream.shared_order`), so the shared prefix
+  is classified at most once per offer.
 
 ``after_each`` runs after each member's walk, before the next member
 touches the ledgers — a caller that rejects commitments there replays
@@ -18,11 +18,13 @@ the sequential run's exact resource states.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from ..core.classification import ClassifiedOffer
 from ..core.negotiation import NegotiationPlan, NegotiationResult, QoSManager
+from ..core.profiles import UserProfile
+from ..core.stream import SharedOrder, shared_order
 from .classes import BatchRequest, request_class_key
 
 __all__ = ["negotiate_batch"]
@@ -30,56 +32,27 @@ __all__ = ["negotiate_batch"]
 AfterEach = Callable[[BatchRequest, NegotiationResult], None]
 
 
-class _ReplayableStream:
-    """A plan's lazily ordered offers, replayable by every member.
-
-    Items already pulled are buffered; each :meth:`iter` replays the
-    buffer then extends it from the base stream, so member *k*'s view
-    is identical to a fresh stream's prefix while each offer is
-    classified at most once across the whole class.
-    """
-
-    def __init__(self, base: "Iterator[ClassifiedOffer]") -> None:
-        self._base = base
-        self._buffer: "list[ClassifiedOffer]" = []
-
-    def iter(self) -> "Iterator[ClassifiedOffer]":
-        i = 0
-        while True:
-            if i < len(self._buffer):
-                item = self._buffer[i]
-            else:
-                try:
-                    item = next(self._base)
-                except StopIteration:
-                    return
-                self._buffer.append(item)
-            yield item
-            i += 1
-
-
 @dataclass
 class _ClassPlan:
     """One equivalence class's shared steps-1–4 outcome."""
 
     plan: NegotiationPlan
+    profile: UserProfile
     members_walked: int = 0
-    _shared: "_ReplayableStream | None" = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        offers = self.plan.offers
-        self._shared = (
-            _ReplayableStream(offers) if offers is not None else None
-        )
+    _order: "SharedOrder | None" = field(default=None, init=False, repr=False)
+    _handed_out: bool = field(default=False, init=False, repr=False)
 
     def member_plan(self) -> NegotiationPlan:
         """A per-member view of the class plan.
 
         Early results are cloned (results are mutable records the
-        caller owns); the offers get a fresh replay cursor.
+        caller owns).  The first member walks the plan's own offers;
+        each later one replays the same order from the space's memo
+        (:mod:`repro.core.stream`), looked up once, when the second
+        member arrives.
         """
         plan = self.plan
-        if self._shared is None:
+        if plan.offers is None:
             assert plan.early is not None
             early = replace(
                 plan.early,
@@ -87,7 +60,21 @@ class _ClassPlan:
                 local_violations=dict(plan.early.local_violations),
             )
             return NegotiationPlan(early=early, space=plan.space)
-        return replace(plan, offers=self._shared.iter())
+        if not self._handed_out:
+            self._handed_out = True
+            return plan
+        if self._order is None:
+            assert plan.space is not None and plan.policy is not None
+            self._order = shared_order(
+                plan.space,
+                self.profile,
+                QoSManager._importance_of(self.profile),
+                policy=plan.policy,
+            )
+        return replace(
+            plan,
+            offers=itertools.islice(self._order.cursor(), plan.offers_in),
+        )
 
 
 @dataclass
@@ -154,7 +141,7 @@ def negotiate_batch(
             guarantee=request.guarantee,
             max_offers=request.max_offers,
         )
-        plans[key] = _ClassPlan(plan)
+        plans[key] = _ClassPlan(plan, request.profile)
         telemetry.count("batch.plans")
         telemetry.observe("batch.class_size", float(group.size))
 

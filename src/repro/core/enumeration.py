@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..client.machine import ClientMachine
 from ..documents.document import Document
@@ -105,6 +105,9 @@ class OfferSpace:
         self.presented_axes: tuple[tuple[MediaQoS, ...], ...] = tuple(
             tuple(choice.presented for choice in axis) for axis in self.axes
         )
+        # The classified orders requested over this space, keyed by
+        # what selects them; kept and bounded by repro.core.stream.
+        self.order_memo: dict[tuple, Any] = {}
 
     # -- shape -------------------------------------------------------------------
 

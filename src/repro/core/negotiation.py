@@ -749,9 +749,9 @@ class QoSManager:
                 offer_space=space,
             ), space=space)
 
-        # Steps 3–4: one lazily ordered offer list for every request
-        # (server weights are a per-variant score term, see
-        # classification._axis_columns).
+        # Steps 3–4: a cursor over the space's memoised order for this
+        # request's score columns (server weights are a per-variant
+        # score term, see classification._axis_columns).
         total = space.offer_count
         out = total if max_offers is None else min(total, max_offers)
         with telemetry.span("negotiation.step3.parameters") as sp3:

@@ -35,11 +35,32 @@ the concatenated bands are the lexsort order, and a band's first offer
 costs what that band's sub-product search pops, not the catalogue.
 Bands that provably hold no offer are skipped without a search.
 ``PURE_OIF`` has no bands: one search over the whole product.
+
+**Shared orders.**  A cached space serves many requests, and most of
+them read the same score columns, so each :class:`OfferSpace` keeps a
+memo of the orders requested over it (``order_memo``).  The key is
+every value the search reads beyond the space itself: the policy, the
+clamped budget, the cost per dollar and the per-axis QoS-importance and
+level columns.  The budget enters only through which offers are
+affordable, so it is clamped to ``[cheapest − 1, dearest]`` over the
+whole product: a ceiling above the dearest offer selects the same order
+as one at it.  ``-0.0`` and ``0.0`` are one key, which is exact because
+every OIF sum starts at ``+0.0``.  A request gets a cursor over the
+memo's :class:`SharedOrder`: it replays the offers an earlier request
+already pulled and extends the shared list from the one frontier
+search only past them.  Both bounds are module constants:
+a space keeps :data:`ORDER_MEMO_SIZE` orders, the oldest evicted, and
+an order shares its first :data:`SHARED_PREFIX` offers; past them the
+first cursor takes over the shared search and any later one continues
+on a private search that skips the shared prefix.  The memo lives and
+dies with its space: a document mutation gives a new space, and
+``variant_filter`` requests build private ones.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Iterator, NamedTuple, Sequence
 
 from .classification import (
@@ -52,12 +73,18 @@ from .importance import ImportanceProfile
 from .profiles import UserProfile
 from .status import StaticNegotiationStatus
 
-__all__ = ["stream_classified"]
+__all__ = ["SharedOrder", "shared_order", "stream_classified"]
+
+ORDER_MEMO_SIZE = 8
+"""Classified orders one offer space keeps; the oldest is evicted."""
+
+SHARED_PREFIX = 256
+"""Offers of one order kept for every cursor to replay."""
 
 
 class _AxisTables(NamedTuple):
-    """Per-axis score tables, indexed ``[axis][original variant index]``
-    and built once per stream, shared by every band's search."""
+    """Per-axis score tables, indexed ``[axis][original variant index]``,
+    and the clamped budget: everything one order's search reads."""
 
     qimp: "list[list[float]]"
     cents: "Sequence[Sequence[int]]"
@@ -65,33 +92,49 @@ class _AxisTables(NamedTuple):
     radices: "Sequence[int]"
     cost_per_dollar: float
     copyright_cents: int
+    budget: int
 
 
 def _axis_tables(
     space: OfferSpace, profile: UserProfile, importance: ImportanceProfile
-) -> "tuple[_AxisTables, list[list[int]]]":
-    """The tables plus each axis's variant order by descending
-    contribution, original index ascending on ties (mirrors the
-    stability of the lexsort)."""
+) -> "tuple[_AxisTables, tuple]":
+    """One request's tables plus the memo key of the order they select
+    under a policy: the values the tables take from the request, with
+    the budget clamped to ``[cheapest − 1, dearest]``, which decides
+    every affordability test the search makes."""
     qimp, cents, levels = _axis_columns(space, profile, importance)
     cpd = importance.cost_per_dollar
+    copyright_cents = space.copyright_cents
+    budget = min(
+        max(profile.max_cost.cents, copyright_cents + sum(map(min, cents)) - 1),
+        copyright_cents + sum(map(max, cents)),
+    )
     tables = _AxisTables(
         qimp=qimp,
         cents=cents,
         levels=levels,
         radices=space.radices,
         cost_per_dollar=cpd,
-        copyright_cents=space.copyright_cents,
+        copyright_cents=copyright_cents,
+        budget=budget,
     )
+    key = (budget, cpd, tuple(map(tuple, qimp)), tuple(map(tuple, levels)))
+    return tables, key
+
+
+def _contribution_orders(tables: _AxisTables) -> "list[list[int]]":
+    """Each axis's variant order by descending contribution, original
+    index ascending on ties (mirrors the stability of the lexsort)."""
+    cpd = tables.cost_per_dollar
     orders: "list[list[int]]" = []
-    for qimp_column, cents_column in zip(qimp, cents):
+    for qimp_column, cents_column in zip(tables.qimp, tables.cents):
         contrib = [
             q - cpd * (c / 100.0) for q, c in zip(qimp_column, cents_column)
         ]
         orders.append(
             sorted(range(len(contrib)), key=lambda j: (-contrib[j], j))
         )
-    return tables, orders
+    return orders
 
 
 _Entry = tuple[float, int, int, int, bool, tuple[int, ...]]
@@ -111,7 +154,7 @@ def _candidate(
     the same offer.  The raw level is the max of the per-axis levels,
     before any cost demotion.
     """
-    qimp, cents, levels, radices, cpd, total_cents = tables
+    qimp, cents, levels, radices, cpd, total_cents, _ = tables
     qos = 0.0
     flat = 0
     raw = 0
@@ -163,23 +206,13 @@ def _oif_descending(
         heapq.heappush(heap, entry[:4] + (True, pos))
 
 
-def stream_classified(
-    space: OfferSpace,
-    profile: UserProfile,
-    importance: ImportanceProfile,
-    *,
-    policy: ClassificationPolicy = ClassificationPolicy.SNS_PRIMARY,
-) -> Iterator[ClassifiedOffer]:
-    """Yield the offer space's classified offers lazily, best first, in
-    exactly the order ``classify_space`` would return them.
-
-    Offers are materialised one at a time as they are yielded; nothing
-    is buffered beyond the running band's frontier.
-    """
-    if space.is_empty:
-        return
-    tables, full_orders = _axis_tables(space, profile, importance)
-    budget = profile.max_cost.cents
+def _search(
+    tables: _AxisTables, policy: ClassificationPolicy
+) -> Iterator[tuple[int, int, float, bool]]:
+    """Yield ``(flat_index, level, oif, affordable)`` for every offer,
+    in exactly the order ``classify_space`` would return them."""
+    full_orders = _contribution_orders(tables)
+    budget = tables.budget
     cost_gated = policy is ClassificationPolicy.COST_GATED
     pure_oif = policy is ClassificationPolicy.PURE_OIF
 
@@ -214,8 +247,8 @@ def stream_classified(
                 [row[j] for j in order]
                 for row, order in zip(tables.cents, orders)
             ]
-            cheapest = space.copyright_cents + sum(map(min, costs))
-            dearest = space.copyright_cents + sum(map(max, costs))
+            cheapest = tables.copyright_cents + sum(map(min, costs))
+            dearest = tables.copyright_cents + sum(map(max, costs))
             outcomes = []
             if cheapest <= budget:
                 outcomes.append(True)
@@ -231,9 +264,115 @@ def stream_classified(
             affordable = total_cents <= budget
             level = final_level(raw, affordable)
             if pure_oif or level == band:
-                yield ClassifiedOffer(
-                    offer=space.offer_at(flat),
-                    sns=StaticNegotiationStatus(level),
-                    oif=oif,
-                    affordable=affordable,
-                )
+                yield flat, level, oif, affordable
+
+
+def _materialise(
+    space: OfferSpace, found: "Iterator[tuple[int, int, float, bool]]"
+) -> Iterator[ClassifiedOffer]:
+    """The classified offers of a search's ``(flat, level, oif,
+    affordable)`` rows, each materialised as it is pulled."""
+    for flat, level, oif, affordable in found:
+        yield ClassifiedOffer(
+            offer=space.offer_at(flat),
+            sns=StaticNegotiationStatus(level),
+            oif=oif,
+            affordable=affordable,
+        )
+
+
+class SharedOrder:
+    """One memoised order: the offers pulled so far, at most
+    :data:`SHARED_PREFIX` of them, and the search that extends them."""
+
+    __slots__ = ("offers", "_space", "_tables", "_policy", "_source", "_end")
+
+    def __init__(
+        self,
+        space: OfferSpace,
+        tables: _AxisTables,
+        policy: ClassificationPolicy,
+    ) -> None:
+        self.offers: "list[ClassifiedOffer]" = []
+        self._space = space
+        self._tables = tables
+        self._policy = policy
+        self._source: "Iterator[ClassifiedOffer] | None" = _materialise(
+            space, _search(tables, policy)
+        )
+        self._end = min(space.offer_count, SHARED_PREFIX)
+
+    def cursor(self) -> Iterator[ClassifiedOffer]:
+        """The order from its first offer: the shared offers, extended
+        from the shared search as this cursor reaches the end of them,
+        then what lies past the shared list."""
+        offers = self.offers
+        at = 0
+        while at < len(offers) or self._extend():
+            yield offers[at]
+            at += 1
+        yield from self._beyond()
+
+    def _extend(self) -> bool:
+        """Append the search's next offer; False once the shared list
+        is full."""
+        offers = self.offers
+        if len(offers) == self._end:
+            return False
+        assert self._source is not None
+        offers.append(next(self._source))
+        if len(offers) == self._space.offer_count:
+            self._source = None
+        return True
+
+    def _beyond(self) -> Iterator[ClassifiedOffer]:
+        """The offers past the full shared list, for one cursor: the
+        shared search itself for the first to ask, a private search
+        that skips the shared offers for any later one."""
+        source, self._source = self._source, None
+        if source is not None:
+            return source
+        shared = len(self.offers)
+        if shared == self._space.offer_count:
+            return iter(())
+        rows = _search(self._tables, self._policy)
+        return _materialise(self._space, itertools.islice(rows, shared, None))
+
+
+def shared_order(
+    space: OfferSpace,
+    profile: UserProfile,
+    importance: ImportanceProfile,
+    *,
+    policy: ClassificationPolicy = ClassificationPolicy.SNS_PRIMARY,
+) -> SharedOrder:
+    """The memoised order one request selects over a non-empty space,
+    made on a miss."""
+    tables, key = _axis_tables(space, profile, importance)
+    key = (policy, key)
+    memo = space.order_memo
+    order: "SharedOrder | None" = memo.get(key)
+    if order is None:
+        if len(memo) >= ORDER_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        order = memo[key] = SharedOrder(space, tables, policy)
+    return order
+
+
+def stream_classified(
+    space: OfferSpace,
+    profile: UserProfile,
+    importance: ImportanceProfile,
+    *,
+    policy: ClassificationPolicy = ClassificationPolicy.SNS_PRIMARY,
+) -> Iterator[ClassifiedOffer]:
+    """Yield the offer space's classified offers lazily, best first, in
+    exactly the order ``classify_space`` would return them.
+
+    A cursor over the request's :func:`shared_order`: offers are
+    materialised when the first cursor of their order pulls them, and
+    replayed to every later one.
+    """
+    if space.is_empty:
+        return iter(())
+    return shared_order(space, profile, importance, policy=policy).cursor()

@@ -5,8 +5,9 @@ One store, **spaces** — built
 document version, client capability fingerprint, guarantee, cost-model
 fingerprint, mapper fingerprint).  The space is pure function of those
 inputs, so a head-heavy request mix (ROADMAP's Zipf document
-popularity) re-enumerates nothing.  The ordering of a space is lazy
-(:mod:`repro.core.stream`) and is not cached.
+popularity) re-enumerates nothing.  The classified orders over a space
+are memoised on the space itself (:mod:`repro.core.stream`), so they
+live and die with its entry here.
 
 Building a key is a lookup, not a hash, for the parts that do not
 change between requests: the client and cost-model fingerprints are

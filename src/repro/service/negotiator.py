@@ -377,7 +377,7 @@ class NegotiationService:
         if self._plan_tick != now:
             self._plan_tick = now
             memo.clear()
-            shared = _ClassPlan(plan_fresh())
+            shared = _ClassPlan(plan_fresh(), profile)
             self._held = (
                 shared, document_id, profile, client,
                 self._stamp(document_id, client),
@@ -395,7 +395,7 @@ class NegotiationService:
         key = self._class_key(document_id, profile, client)
         shared = memo.get(key)
         if shared is None:
-            shared = _ClassPlan(plan_fresh())
+            shared = _ClassPlan(plan_fresh(), profile)
             memo[key] = shared
         else:
             self.telemetry.count("batch.coalesced", site="service")

@@ -227,8 +227,8 @@ class TestPlanPolicy:
         assert override.policy is ClassificationPolicy.PURE_OIF
 
     def test_batch_replay_cursors_carry_the_policy(self):
-        """Three members of one PURE_OIF class share a replayable
-        stream; each member's walk must still know it is unbanded."""
+        """Three members of one PURE_OIF class replay one memoised
+        order; each member's walk must still know it is unbanded."""
         from repro.batch import BatchRequest, negotiate_batch
         from repro.batch.engine import _ClassPlan
 
@@ -252,7 +252,7 @@ class TestPlanPolicy:
         assert expected[0][0] == "SUCCEEDED"
         assert expected[1][0] == "FAILED_WITH_OFFER"
         plan = batched.plan("doc.grid", profile, walk_client(), policy=policy)
-        assert _ClassPlan(plan).member_plan().policy is policy
+        assert _ClassPlan(plan, profile).member_plan().policy is policy
 
     def test_banded_override_on_a_pure_oif_manager_walks_lazily(self):
         manager = walk_manager(

@@ -4,29 +4,39 @@ A counting wrapper around the frontier's candidate function measures
 the work a pull costs.  Band laziness promises that the first *n*
 offers cost O((axes + 1) · (n + bands)) candidates whatever the size of
 the product space, and that a full drain computes a candidate at most
-once per band search whose sub-product holds it.
+once per band search whose sub-product holds it.  The order memo
+promises that a repeated request costs nothing for the prefix an
+earlier one pulled: no candidate and no ``offer_at``.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.client.machine import ClientMachine
 from repro.core import stream
 from repro.core.classification import (
     ClassificationPolicy,
     _axis_columns,
     classify_arrays,
 )
+from repro.core.enumeration import OfferSpace
 from repro.core.importance import default_importance
+from repro.core.negotiation import NegotiationStatus
 from repro.core.stream import stream_classified
+from repro.perf.cache import NegotiationCache
+from repro.util.units import Money
 
 from .strategies import (
     GRID_FLAVOURS,
     banded_cases,
+    grid_document,
+    grid_manager,
     grid_profile,
     grid_space,
     offer_cost_bounds,
@@ -52,6 +62,26 @@ class CandidateCounter:
 
     def __exit__(self, *exc):
         stream._candidate = self._inner
+
+
+class OfferAtCounter:
+    """Counts calls of ``OfferSpace.offer_at`` while installed."""
+
+    def __init__(self):
+        self.calls = 0
+        self._inner = OfferSpace.offer_at
+
+    def __call__(self, space, flat):
+        self.calls += 1
+        return self._inner(space, flat)
+
+    def __enter__(self):
+        # A function, so that it binds like the method it replaces.
+        OfferSpace.offer_at = lambda space, flat: self(space, flat)
+        return self
+
+    def __exit__(self, *exc):
+        OfferSpace.offer_at = self._inner
 
 
 def pull_bound(axes: int, n: int) -> int:
@@ -184,3 +214,99 @@ class TestCatalogueScale:
         assert not any(c.affordable for c in pulled)
         # One search only: its seed plus ``axes`` children per pop.
         assert calls <= 1 + self.AXES * 5
+
+
+def with_budget(profile, cents):
+    """``profile`` with both cost bounds set to ``cents``."""
+    return dataclasses.replace(
+        profile,
+        desired=dataclasses.replace(profile.desired, cost=Money(cents)),
+        worst=dataclasses.replace(profile.worst, cost=Money(cents)),
+    )
+
+
+def pull(space, profile, policy, n):
+    return list(itertools.islice(
+        stream_classified(space, profile, default_importance(), policy=policy),
+        n,
+    ))
+
+
+class TestMemoWork:
+    """What a second request over the same space costs."""
+
+    @given(
+        st.sampled_from(["empty", "single", "any"]).flatmap(banded_cases),
+        st.sampled_from(list(ClassificationPolicy)),
+        st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_a_repeated_request_replays_its_prefix(self, case, policy, n):
+        space, profile = case
+        first = pull(space, profile, policy, n)
+        with CandidateCounter() as candidates, OfferAtCounter() as offers:
+            again = pull(space, profile, policy, n)
+        assert again == first
+        assert (candidates.calls, offers.calls) == (0, 0)
+
+    @given(
+        st.sampled_from(["empty", "single", "any"]).flatmap(
+            lambda shape: banded_cases(shape, budgets=("all",))
+        ),
+        st.sampled_from(list(ClassificationPolicy)),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=10_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_a_ceiling_above_the_dearest_offer_is_a_hit(
+        self, case, policy, n, above
+    ):
+        space, profile = case
+        _, dearest = offer_cost_bounds(space)
+        first = pull(space, profile, policy, n)
+        with CandidateCounter() as candidates, OfferAtCounter() as offers:
+            again = pull(space, with_budget(profile, dearest + above), policy, n)
+        assert again == first
+        assert (candidates.calls, offers.calls) == (0, 0)
+        assert len(space.order_memo) == 1
+
+    @given(
+        st.sampled_from(["empty", "single", "any"]).flatmap(
+            lambda shape: banded_cases(shape, budgets=("all",))
+        ),
+        st.sampled_from(list(ClassificationPolicy)),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_a_ceiling_between_cheapest_and_dearest_is_a_miss(
+        self, case, policy, data
+    ):
+        space, profile = case
+        cheapest, dearest = offer_cost_bounds(space)
+        assume(dearest - cheapest >= 2)
+        budget = data.draw(
+            st.integers(min_value=cheapest + 1, max_value=dearest - 1)
+        )
+        pull(space, profile, policy, 1)
+        with CandidateCounter() as candidates:
+            pull(space, with_budget(profile, budget), policy, 1)
+        assert candidates.calls > 0
+        assert len(space.order_memo) == 2
+
+    def test_a_repeated_negotiation_over_a_cached_space(self):
+        """Through the manager: the second negotiation finds the space
+        in the cache and its order in the space's memo, and walks the
+        same prefix without computing a candidate or an offer."""
+        document = grid_document([GRID_FLAVOURS[:4]] * 4)
+        manager = grid_manager([document], (8, 8, 8), cache=NegotiationCache())
+        client = ClientMachine("grid-client", access_point="client-net")
+        _, dearest = offer_cost_bounds(grid_space([GRID_FLAVOURS[:4]] * 4))
+        profile = grid_profile(GRID_FLAVOURS[1], GRID_FLAVOURS[4], dearest)
+        cold = manager.negotiate(document.document_id, profile, client)
+        assert cold.status is NegotiationStatus.SUCCEEDED
+        cold.commitment.reject(manager.clock.now())
+        with CandidateCounter() as candidates, OfferAtCounter() as offers:
+            warm = manager.negotiate(document.document_id, profile, client)
+        assert warm.chosen.offer.offer_id == cold.chosen.offer.offer_id
+        assert warm.attempts == cold.attempts
+        assert (candidates.calls, offers.calls) == (0, 0)
