@@ -15,19 +15,15 @@ from repro.client.machine import ClientMachine
 from repro.core import QoSManager, standard_profiles
 from repro.cmfs import MediaServer
 from repro.documents import make_news_article
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.metadata import MetadataDatabase
 from repro.network import Topology, TransportSystem
-from repro.session import (
-    CongestionEpisode,
-    EventLoop,
-    ScriptedInjector,
-    SessionRuntime,
-)
+from repro.session import EventLoop, SessionRuntime
 from repro.util.clock import ManualClock
 from repro.util.tables import render_table
 
-EPISODE = CongestionEpisode("link", "L-a", start_s=10.0, duration_s=30.0,
-                            severity=0.97)
+EPISODE = FaultSpec(FaultKind.LINK_FLAP, "L-a", start_s=10.0,
+                    duration_s=30.0, value=0.97)
 
 
 def run_session(adaptation_enabled: bool):
@@ -56,7 +52,7 @@ def run_session(adaptation_enabled: bool):
     result = manager.negotiate(document.document_id, profile, client)
     assert result.succeeded
     session = runtime.start_session(result, profile, client)
-    ScriptedInjector(topology, servers, [EPISODE]).arm(loop)
+    FaultInjector(FaultPlan((EPISODE,))).install(servers, transport).arm(loop)
     loop.run()
     assert transport.flow_count == 0
     return session
@@ -130,10 +126,11 @@ def test_e09_transition_overhead_sweep(benchmark, publish):
             server.server_id: server
             for server in (MediaServer("server-a"), MediaServer("server-b"))
         }
+        transport = TransportSystem(topology)
         clock = ManualClock()
         manager = QoSManager(
             database=database,
-            transport=TransportSystem(topology),
+            transport=transport,
             servers=servers,
             clock=clock,
         )
@@ -145,7 +142,9 @@ def test_e09_transition_overhead_sweep(benchmark, publish):
         client = ClientMachine("alice", access_point="client-net")
         result = manager.negotiate(document.document_id, profile, client)
         session = runtime.start_session(result, profile, client)
-        ScriptedInjector(topology, servers, [EPISODE]).arm(loop)
+        FaultInjector(FaultPlan((EPISODE,))).install(
+            servers, transport
+        ).arm(loop)
         loop.run()
         return session, loop.now
 

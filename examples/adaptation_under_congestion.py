@@ -17,14 +17,10 @@ from repro import QoSManager, standard_profiles
 from repro.client import ClientMachine
 from repro.cmfs import MediaServer
 from repro.documents import make_news_article
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.metadata import MetadataDatabase
 from repro.network import Topology, TransportSystem
-from repro.session import (
-    CongestionEpisode,
-    EventLoop,
-    ScriptedInjector,
-    SessionRuntime,
-)
+from repro.session import EventLoop, SessionRuntime
 from repro.util.clock import ManualClock
 
 
@@ -53,13 +49,13 @@ def build(adaptation_enabled: bool):
             f"hits {v.session_id}"
         ),
     )
-    return document, manager, loop, runtime, topology, servers
+    return document, manager, loop, runtime, transport, servers
 
 
 def run(adaptation_enabled: bool) -> None:
     label = "WITH adaptation" if adaptation_enabled else "WITHOUT adaptation"
     print(f"--- {label} ---")
-    document, manager, loop, runtime, topology, servers = build(
+    document, manager, loop, runtime, transport, servers = build(
         adaptation_enabled
     )
     profile = standard_profiles()[1]  # balanced
@@ -70,12 +66,11 @@ def run(adaptation_enabled: bool) -> None:
           f"{sorted(result.chosen.offer.servers_used())}")
     session = runtime.start_session(result, profile, client)
 
-    injector = ScriptedInjector(
-        topology, servers,
-        [CongestionEpisode("link", "L-a", start_s=10.0, duration_s=30.0,
-                           severity=0.97)],
+    plan = FaultPlan(
+        (FaultSpec(FaultKind.LINK_FLAP, "L-a", start_s=10.0, duration_s=30.0,
+                   value=0.97),)
     )
-    injector.arm(loop)
+    FaultInjector(plan).install(servers, transport).arm(loop)
     loop.run()
 
     record = session.record

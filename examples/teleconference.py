@@ -26,14 +26,10 @@ from repro.documents import (
     MonomediaBuilder,
     VideoQoS,
 )
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.metadata import MetadataDatabase
 from repro.network import Topology, TransportSystem
-from repro.session import (
-    CongestionEpisode,
-    EventLoop,
-    ScriptedInjector,
-    SessionRuntime,
-)
+from repro.session import EventLoop, SessionRuntime
 from repro.util.clock import ManualClock
 
 SITES = ("montreal", "ottawa", "vancouver")
@@ -83,10 +79,11 @@ def main() -> None:
         topology.connect(
             server.access_point, "backbone", 155e6, link_id=f"L-{site}"
         )
+    transport = TransportSystem(topology)
     clock = ManualClock()
     manager = QoSManager(
         database=database,
-        transport=TransportSystem(topology),
+        transport=transport,
         servers=servers,
         clock=clock,
     )
@@ -125,10 +122,10 @@ def main() -> None:
         sessions[site] = runtime.start_session(result, profile, viewer)
 
     # Minute 3: the backbone link to Vancouver's MCU browns out for 90 s.
-    ScriptedInjector(
-        topology, servers,
-        [CongestionEpisode("link", "L-vancouver", 180.0, 90.0, 0.999)],
-    ).arm(loop)
+    plan = FaultPlan(
+        (FaultSpec(FaultKind.LINK_FLAP, "L-vancouver", 180.0, 90.0, 0.999),)
+    )
+    FaultInjector(plan).install(servers, transport).arm(loop)
     loop.run()
 
     print("\ncall ended; per-leg record:")
@@ -138,7 +135,7 @@ def main() -> None:
               f"adaptations={record.adaptations} "
               f"interruption={record.total_interruption_s:.1f}s "
               f"degraded={record.degraded_time_s:.1f}s")
-    assert manager.committer.transport.flow_count == 0
+    assert transport.flow_count == 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ REP006    no late-binding loop-variable capture in callbacks
 REP007    paper-constant drift (literals duplicating named anchors)
 REP008    offer immutability (Offer dataclasses must be frozen)
 REP011    no naked timing; metric names registered in the catalog
-REP018    shared negotiation cache: construct via shared_cache()
 ========  ==========================================================
 
 The whole-program rules (REP012..REP017 — interprocedural leak paths,
@@ -32,7 +31,6 @@ from . import (  # noqa: F401  (imports register the rules)
     floats,
     immutability,
     naked_timing,
-    sharedcache,
     taxonomy,
 )
 
@@ -44,6 +42,5 @@ __all__ = [
     "floats",
     "immutability",
     "naked_timing",
-    "sharedcache",
     "taxonomy",
 ]

@@ -3,10 +3,13 @@ deployment.
 
 Two delivery mechanisms:
 
-* **Timed state faults** (server crash/restart, link flap/heal) are
-  scheduled on the event loop by :meth:`FaultInjector.arm`, exactly like
-  the congestion injector — the component's own state changes, so the
-  monitor and routing see the failure without any hook.
+* **Timed state faults** (server crash/restart, server brownout/heal,
+  link flap/heal) are
+  scheduled on the event loop by :meth:`FaultInjector.arm` — the
+  component's own state changes, so the monitor and routing see the
+  failure without any hook.  Brownouts and flaps are also how the
+  adaptation runs congest a server or a link; overlapping windows on one
+  target compose by max severity.
 * **Call-level faults** (slow admission, transient refusal, lost
   release) fire inside individual admit/release calls through the thin
   ``fault_hook`` attribute on :class:`~repro.cmfs.server.MediaServer`
@@ -20,7 +23,7 @@ generator in call order, so a chaos run is exactly reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from ..util.clock import ManualClock
@@ -61,20 +64,7 @@ class FaultStats:
     injected_latency_s: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "link_flaps": self.link_flaps,
-            "link_heals": self.link_heals,
-            "brownouts": self.brownouts,
-            "brownout_heals": self.brownout_heals,
-            "transient_refusals": self.transient_refusals,
-            "slow_admissions": self.slow_admissions,
-            "timeouts": self.timeouts,
-            "lost_releases": self.lost_releases,
-            "manager_crashes": self.manager_crashes,
-            "injected_latency_s": self.injected_latency_s,
-        }
+        return asdict(self)
 
 
 class FaultInjector:
@@ -112,6 +102,8 @@ class FaultInjector:
         # already fired (a process dies once per spec).
         self._crash_opportunities: dict[int, int] = {}
         self._crashed_specs: set[int] = set()
+        # Severities of the open brownout / flap windows per server or link.
+        self._open_levels: dict[object, list[float]] = {}
         self._armed = False
 
     # -- installation --------------------------------------------------------------
@@ -161,7 +153,9 @@ class FaultInjector:
             self._journal.crash_hook = None
 
     def arm(self, loop: "EventLoop") -> None:
-        """Schedule the timed state faults (crashes, flaps) on ``loop``."""
+        """Schedule the timed state faults (crashes, brownouts, flaps) on
+        ``loop``.  Overlapping brownouts on one server, or flaps on one
+        link, compose by max severity."""
         if self._armed:
             raise SimulationError("fault injector already armed")
         self._armed = True
@@ -189,7 +183,7 @@ class FaultInjector:
             if spec.end_s is not None:
                 loop.at(
                     spec.end_s,
-                    lambda s=server: self._brownout_heal(s),
+                    lambda s=server, sev=severity: self._brownout_heal(s, sev),
                     label=f"fault:brownout-heal:{spec.target_id}",
                 )
         for spec in self.plan.for_kind(FaultKind.LINK_FLAP):
@@ -203,7 +197,7 @@ class FaultInjector:
             if spec.end_s is not None:
                 loop.at(
                     spec.end_s,
-                    lambda l=link: self._heal(l),
+                    lambda l=link, sev=severity: self._heal(l, sev),
                     label=f"fault:heal:{spec.target_id}",
                 )
 
@@ -233,20 +227,36 @@ class FaultInjector:
         server.restart()
         self.stats.restarts += 1
 
+    # Brownouts and flaps set a level, not a toggle: per server or link
+    # the level is the largest severity over the windows open at that
+    # moment, or 0 when none is.  A weaker window that opens later never
+    # lowers a stronger one, and a heal only clears what no other open
+    # window still covers.
+
+    def _open_window(self, target: object, severity: float) -> float:
+        levels = self._open_levels.setdefault(target, [])
+        levels.append(severity)
+        return max(levels)
+
+    def _close_window(self, target: object, severity: float) -> float:
+        levels = self._open_levels[target]
+        levels.remove(severity)
+        return max(levels, default=0.0)
+
     def _brownout(self, server: "MediaServer", severity: float) -> None:
-        server.set_degradation(severity)
+        server.set_degradation(self._open_window(server, severity))
         self.stats.brownouts += 1
 
-    def _brownout_heal(self, server: "MediaServer") -> None:
-        server.set_degradation(0.0)
+    def _brownout_heal(self, server: "MediaServer", severity: float) -> None:
+        server.set_degradation(self._close_window(server, severity))
         self.stats.brownout_heals += 1
 
     def _flap(self, link: "Link", severity: float) -> None:
-        link.set_congestion(severity)
+        link.set_congestion(self._open_window(link, severity))
         self.stats.link_flaps += 1
 
-    def _heal(self, link: "Link") -> None:
-        link.restore()
+    def _heal(self, link: "Link", severity: float) -> None:
+        link.set_congestion(self._close_window(link, severity))
         self.stats.link_heals += 1
 
     # -- call-level fault matching -------------------------------------------------

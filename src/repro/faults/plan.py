@@ -44,7 +44,8 @@ class FaultKind(enum.Enum):
 
     LINK_FLAP = "link-flap"
     """The link loses ``value`` of its capacity for the window (1.0 =
-    fully down), then heals."""
+    fully down), then heals.  Overlapping flaps on one link, like
+    overlapping brownouts on one server, compose by max severity."""
 
     SERVER_BROWNOUT = "server-brownout"
     """The server loses ``value`` of its deliverable capacity for the
@@ -101,8 +102,8 @@ class FaultSpec:
 
     ``value`` is kind-specific: injected latency in seconds for
     SLOW_ADMISSION, severity fraction for LINK_FLAP (default 1.0 = full
-    outage), refusal count for TRANSIENT_REFUSAL (``None`` = every call
-    in the window).  ``probability`` gates call-level faults with a
+    outage) and SERVER_BROWNOUT (default 0.5), refusal count for
+    TRANSIENT_REFUSAL (``None`` = every call in the window).  ``probability`` gates call-level faults with a
     seeded draw (1.0 = always fire).
     """
 

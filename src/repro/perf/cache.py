@@ -33,15 +33,15 @@ flushes are deliberately *not* evictions: the SLO layer reads the
 eviction-rate series as a capacity-pressure signal, and a test or
 shutdown flush would pollute it.
 
-The process-wide instance lives behind :func:`shared_cache`; reprolint
-REP018 flags any private ``NegotiationCache(...)`` constructed outside
-this module so cross-client reuse is the default, not an accident.
+A process-wide instance lives behind :func:`shared_cache` for callers
+that want reuse across deployments; every ``build_scenario`` deployment
+plans through a private instance of its own.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Hashable
 
 from ..client.machine import ClientMachine
@@ -88,12 +88,7 @@ class CacheStats:
     )
 
     def as_dict(self) -> dict[str, dict[str, int]]:
-        return {
-            "hits": dict(self.hits),
-            "misses": dict(self.misses),
-            "evictions": dict(self.evictions),
-            "flushes": dict(self.flushes),
-        }
+        return asdict(self)
 
 
 class _LRUStore:
@@ -233,11 +228,9 @@ class NegotiationCache:
 
 # -- the process-wide shared cache ------------------------------------------------
 #
-# One cache per process is the point of fingerprint keys: they already
-# exclude client identity, so every manager/service/storm instance can
-# (and should) share entries.  ``shared_cache()`` is the sanctioned
-# accessor — reprolint REP018 flags ``NegotiationCache(...)`` calls
-# anywhere else, so private caches must justify themselves.
+# Fingerprint keys exclude client identity, so any number of managers
+# can share one cache's entries.  ``shared_cache()`` hands out one such
+# instance per process; scenarios build their own instead.
 
 _shared: "NegotiationCache | None" = None
 

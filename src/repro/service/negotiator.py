@@ -35,7 +35,7 @@ the delivered verdicts, with monotone ``retry_after_s`` hints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..core.classification import ClassifiedOffer, check_top_k, walk_order
@@ -130,15 +130,7 @@ class ServiceStats:
     releases: int = 0
 
     def as_dict(self) -> "dict[str, int]":
-        return {
-            "submitted": self.submitted,
-            "delivered": self.delivered,
-            "overruns": self.overruns,
-            "confirmations": self.confirmations,
-            "rejections": self.rejections,
-            "expiries": self.expiries,
-            "releases": self.releases,
-        }
+        return asdict(self)
 
 
 @dataclass(slots=True)

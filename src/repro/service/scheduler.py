@@ -26,7 +26,7 @@ its :class:`TaskHandle` (and the optional ``on_done`` callback).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Union
 
 from ..util.errors import SessionError
@@ -100,13 +100,7 @@ class SchedulerStats:
     sleeps: int = 0
 
     def as_dict(self) -> "dict[str, int]":
-        return {
-            "spawned": self.spawned,
-            "completed": self.completed,
-            "failed": self.failed,
-            "switches": self.switches,
-            "sleeps": self.sleeps,
-        }
+        return asdict(self)
 
 
 @dataclass(slots=True)

@@ -1,4 +1,4 @@
-"""Playout sessions: event loop, monitoring, violations, adaptation loop."""
+"""Playout sessions: event loop, monitoring, adaptation loop."""
 
 from .datapath import DataPathReport, StreamDemand, simulate_rounds
 from .engine import EventLoop, ScheduledEvent
@@ -6,7 +6,6 @@ from .monitor import JitterCompensator, QoSMonitor, Violation
 from .playout import PlayoutSession, SessionRecord, SessionState
 from .runtime import SessionRuntime
 from .supervisor import SessionSupervisor, SupervisedEntry, SupervisorStats
-from .violations import CongestionEpisode, RandomInjector, ScriptedInjector
 
 __all__ = [
     "DataPathReport",
@@ -24,7 +23,4 @@ __all__ = [
     "SessionSupervisor",
     "SupervisedEntry",
     "SupervisorStats",
-    "CongestionEpisode",
-    "RandomInjector",
-    "ScriptedInjector",
 ]

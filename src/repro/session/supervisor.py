@@ -27,7 +27,7 @@ Two kinds of watch:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..util.clock import ManualClock
@@ -69,14 +69,7 @@ class SupervisorStats:
     sessions_released: int = 0
 
     def as_dict(self) -> "dict[str, int]":
-        return {
-            "heartbeats": self.heartbeats,
-            "adopted": self.adopted,
-            "stalls_detected": self.stalls_detected,
-            "dead_sessions": self.dead_sessions,
-            "adaptations_driven": self.adaptations_driven,
-            "sessions_released": self.sessions_released,
-        }
+        return asdict(self)
 
 
 class SessionSupervisor:

@@ -43,7 +43,6 @@ def run_workload(
     requests: Sequence[Request],
     *,
     config: RunConfig | None = None,
-    injector=None,
 ) -> RunStats:
     """Run ``requests`` against ``scenario`` using ``negotiator``.
 
@@ -61,9 +60,6 @@ def run_workload(
         loop,
         adaptation_enabled=config.adaptation_enabled,
     )
-    if injector is not None:
-        injector.arm(loop)
-
     base_t = loop.now  # arrivals are relative to the run start
 
     def sample_utilization() -> None:

@@ -248,10 +248,9 @@ def build_scenario(
         transport = HierarchicalTransport(topology, dmap)
     else:
         transport = TransportSystem(topology)
-    # Deliberately private, not shared_cache(): every scenario is a
-    # hermetic deployment whose cache counters must start cold, and its
-    # telemetry hub is scenario-scoped.
-    cache = NegotiationCache(telemetry=telemetry)  # reprolint: disable=REP018 -- hermetic per-scenario cache with scenario-scoped telemetry
+    # Private, not shared_cache(): every scenario is a hermetic
+    # deployment whose cache counters start cold on its own telemetry hub.
+    cache = NegotiationCache(telemetry=telemetry)
     manager = QoSManager(
         database=database,
         transport=transport,

@@ -30,7 +30,7 @@ that per-session reflex with a **wave** discipline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from ..core.classification import ClassifiedOffer
@@ -70,16 +70,7 @@ class StormControllerStats:
     lost_recovered: int = 0
 
     def as_dict(self) -> "dict[str, int]":
-        return {
-            "waves": self.waves,
-            "sessions_processed": self.sessions_processed,
-            "inplace_switches": self.inplace_switches,
-            "fallback_switches": self.fallback_switches,
-            "failed_downgrades": self.failed_downgrades,
-            "cooldown_skips": self.cooldown_skips,
-            "lost_retries": self.lost_retries,
-            "lost_recovered": self.lost_recovered,
-        }
+        return asdict(self)
 
 
 class StormController:

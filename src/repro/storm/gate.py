@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..core.negotiation import NegotiationResult
@@ -98,16 +98,7 @@ class GateStats:
     max_queue_depth: int = 0
 
     def as_dict(self) -> "dict[str, int]":
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "queued": self.queued,
-            "shed": self.shed,
-            "redispatched": self.redispatched,
-            "requeued_try_later": self.requeued_try_later,
-            "delivered": self.delivered,
-            "max_queue_depth": self.max_queue_depth,
-        }
+        return asdict(self)
 
 
 class TokenBucket:

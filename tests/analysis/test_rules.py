@@ -53,7 +53,6 @@ RULE_FIXTURES = {
     "REP017": [
         ("deep/flagging/rep017_flag.py", "deep/passing/repro/journal/recovery.py"),
     ],
-    "REP018": [("flagging/rep018_flag.py", "passing/rep018_pass.py")],
 }
 
 FIXTURE_PAIRS = [

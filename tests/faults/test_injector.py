@@ -11,6 +11,7 @@ from repro.faults import (
 from repro.network.qosparams import FlowSpec
 from repro.util.errors import (
     FaultTimeoutError,
+    NotFoundError,
     ServerCrashedError,
     SimulationError,
     TransientFaultError,
@@ -229,6 +230,98 @@ class TestTimedFaults:
         injector = make_injector(plan, servers, transport, clock)
         with pytest.raises(SimulationError):
             injector.arm(loop)
+
+
+def flap(link_id, start_s, duration_s, severity):
+    return FaultSpec(FaultKind.LINK_FLAP, link_id, start_s, duration_s, severity)
+
+
+def brownout(server_id, start_s, duration_s, severity):
+    return FaultSpec(
+        FaultKind.SERVER_BROWNOUT, server_id, start_s, duration_s, severity
+    )
+
+
+class TestCongestionWindows:
+    """Brownouts and flaps as the adaptation runs' congestion episodes."""
+
+    def test_applies_and_clears(self, servers, transport, topology, clock, loop):
+        injector = make_injector(
+            FaultPlan((flap("L-a", 5.0, 10.0, 0.8),)),
+            servers, transport, clock,
+        )
+        injector.arm(loop)
+        loop.run_until(6.0)
+        assert topology.link("L-a").congestion == pytest.approx(0.8)
+        loop.run_until(16.0)
+        assert topology.link("L-a").congestion == 0.0
+        assert injector.stats.link_flaps == 1
+        assert injector.stats.link_heals == 1
+
+    def test_server_episodes(self, servers, transport, clock, loop):
+        injector = make_injector(
+            FaultPlan((brownout("server-a", 1.0, 2.0, 0.6),)),
+            servers, transport, clock,
+        )
+        injector.arm(loop)
+        loop.run_until(1.5)
+        assert servers["server-a"].degradation == pytest.approx(0.6)
+        loop.run()
+        assert servers["server-a"].degradation == 0.0
+        assert injector.stats.brownouts == 1
+        assert injector.stats.brownout_heals == 1
+
+    def test_overlapping_episodes_compose_by_max(
+        self, servers, transport, topology, clock, loop
+    ):
+        plan = FaultPlan(
+            (flap("L-a", 0.0, 10.0, 0.5), flap("L-a", 2.0, 4.0, 0.9))
+        )
+        make_injector(plan, servers, transport, clock).arm(loop)
+        loop.run_until(3.0)
+        assert topology.link("L-a").congestion == pytest.approx(0.9)
+        loop.run_until(7.0)
+        # The inner window closed; the outer one is still open.
+        assert topology.link("L-a").congestion == pytest.approx(0.5)
+        loop.run()
+        assert topology.link("L-a").congestion == 0.0
+
+    def test_later_weaker_window_keeps_the_stronger_level(
+        self, servers, transport, topology, clock, loop
+    ):
+        """[10, 30] s at 0.9 and [20, 40] s at 0.6 on one server and on
+        one link: the later, weaker window must not lower the level, and
+        the first heal must not clear the window still open."""
+        plan = FaultPlan(
+            (
+                brownout("server-a", 10.0, 20.0, 0.9),
+                brownout("server-a", 20.0, 20.0, 0.6),
+                flap("L-a", 10.0, 20.0, 0.9),
+                flap("L-a", 20.0, 20.0, 0.6),
+            )
+        )
+        injector = make_injector(plan, servers, transport, clock)
+        injector.arm(loop)
+        server, link = servers["server-a"], topology.link("L-a")
+        readings = []
+        for t in (15.0, 25.0, 35.0, 45.0):
+            loop.run_until(t)
+            readings.append((server.degradation, link.congestion))
+        assert readings == [(0.9, 0.9), (0.9, 0.9), (0.6, 0.6), (0.0, 0.0)]
+        stats = injector.stats
+        assert (stats.brownouts, stats.brownout_heals) == (2, 2)
+        assert (stats.link_flaps, stats.link_heals) == (2, 2)
+
+    def test_unknown_target_rejected(self, servers, transport, clock, loop):
+        for spec, error in (
+            (brownout("server-zz", 1.0, 2.0, 0.6), SimulationError),
+            (flap("L-zz", 1.0, 2.0, 0.6), NotFoundError),
+        ):
+            injector = make_injector(
+                FaultPlan((spec,)), servers, transport, clock
+            )
+            with pytest.raises(error):
+                injector.arm(loop)
 
 
 class TestInstallation:

@@ -5,8 +5,8 @@ import pytest
 
 from repro.client.machine import ClientMachine
 from repro.core.status import NegotiationStatus
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.session.playout import SessionState
-from repro.session.violations import CongestionEpisode, ScriptedInjector
 from repro.sim.scenario import ScenarioSpec, build_scenario
 from repro.ui.windows import information_window
 
@@ -55,13 +55,13 @@ class TestFullLifecycle:
         )
         session = runtime.start_session(result, balanced_profile, client)
         # Congest the link of every server the session currently uses.
-        episodes = [
-            CongestionEpisode("link", f"L-{server_id}", 10.0, 40.0, 0.98)
+        plan = FaultPlan(tuple(
+            FaultSpec(FaultKind.LINK_FLAP, f"L-{server_id}", 10.0, 40.0, 0.98)
             for server_id in result.chosen.offer.servers_used()
-        ]
-        ScriptedInjector(scenario.topology, scenario.servers, episodes).arm(
-            scenario.loop
-        )
+        ))
+        FaultInjector(plan).install(
+            scenario.servers, scenario.transport
+        ).arm(scenario.loop)
         scenario.loop.run()
         assert session.state is SessionState.COMPLETED
         assert session.record.adaptations >= 1

@@ -2,15 +2,23 @@
 
 import pytest
 
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.session.playout import SessionState
 from repro.session.runtime import SessionRuntime
-from repro.session.violations import CongestionEpisode, ScriptedInjector
+
+
+def arm(loop, servers, transport, *specs):
+    """Arm ``specs`` as one fault plan on ``loop``."""
+    FaultInjector(FaultPlan(specs)).install(servers, transport).arm(loop)
+
+
+CLIENT_OUTAGE = FaultSpec(FaultKind.LINK_FLAP, "L-client", 10.0, 30.0, 1.0)
 
 
 class TestResourceLossRecovery:
     def test_session_regains_resources_after_total_outage(
         self, manager, loop, document, balanced_profile, client,
-        topology, servers, transport,
+        servers, transport,
     ):
         """The client access link dies completely (no alternate path
         exists), the session loses its guarantees, the link heals, and
@@ -18,11 +26,7 @@ class TestResourceLossRecovery:
         runtime = SessionRuntime(manager, loop)
         result = manager.negotiate(document.document_id, balanced_profile, client)
         session = runtime.start_session(result, balanced_profile, client)
-        injector = ScriptedInjector(
-            topology, servers,
-            [CongestionEpisode("link", "L-client", 10.0, 30.0, 1.0)],
-        )
-        injector.arm(loop)
+        arm(loop, servers, transport, CLIENT_OUTAGE)
 
         # Run until mid-outage: resources are gone.
         loop.run_until(20.0)
@@ -40,15 +44,12 @@ class TestResourceLossRecovery:
 
     def test_total_outage_without_adaptation_stays_degraded(
         self, manager, loop, document, balanced_profile, client,
-        topology, servers,
+        servers, transport,
     ):
         runtime = SessionRuntime(manager, loop, adaptation_enabled=False)
         result = manager.negotiate(document.document_id, balanced_profile, client)
         session = runtime.start_session(result, balanced_profile, client)
-        ScriptedInjector(
-            topology, servers,
-            [CongestionEpisode("link", "L-client", 10.0, 30.0, 1.0)],
-        ).arm(loop)
+        arm(loop, servers, transport, CLIENT_OUTAGE)
         loop.run()
         assert session.state is SessionState.COMPLETED
         # Without adaptation the violation simply rides out the episode.
@@ -58,15 +59,18 @@ class TestResourceLossRecovery:
 
 class TestServerOutage:
     def test_server_degradation_triggers_switch_to_other_server(
-        self, manager, loop, document, balanced_profile, client, servers
+        self, manager, loop, document, balanced_profile, client, servers,
+        transport,
     ):
         runtime = SessionRuntime(manager, loop)
         result = manager.negotiate(document.document_id, balanced_profile, client)
         session = runtime.start_session(result, balanced_profile, client)
         used = result.chosen.offer.servers_used()
         victim = next(iter(used))
-        loop.at(10.0, lambda: servers[victim].set_degradation(1.0))
-        loop.at(60.0, lambda: servers[victim].set_degradation(0.0))
+        arm(
+            loop, servers, transport,
+            FaultSpec(FaultKind.SERVER_BROWNOUT, victim, 10.0, 50.0, 1.0),
+        )
         loop.run()
         assert session.state is SessionState.COMPLETED
         assert session.record.adaptations >= 1

@@ -2,11 +2,17 @@
 
 import pytest
 
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.session.engine import EventLoop
 from repro.session.playout import SessionState
 from repro.session.runtime import SessionRuntime
-from repro.session.violations import CongestionEpisode, ScriptedInjector
 from repro.util.errors import SessionError
+
+
+def congest(loop, servers, transport, link_id, start_s, duration_s, severity):
+    """Arm one congestion window on ``link_id``."""
+    spec = FaultSpec(FaultKind.LINK_FLAP, link_id, start_s, duration_s, severity)
+    FaultInjector(FaultPlan((spec,))).install(servers, transport).arm(loop)
 
 
 @pytest.fixture
@@ -60,15 +66,11 @@ class TestLifecycle:
 class TestAdaptationLoop:
     def test_congestion_triggers_switch(
         self, runtime, negotiated, balanced_profile, client, loop,
-        topology, servers,
+        transport, servers,
     ):
         session = runtime.start_session(negotiated, balanced_profile, client)
         first_offer = session.current_offer_id
-        injector = ScriptedInjector(
-            topology, servers,
-            [CongestionEpisode("link", "L-a", 10.0, 30.0, 0.97)],
-        )
-        injector.arm(loop)
+        congest(loop, servers, transport, "L-a", 10.0, 30.0, 0.97)
         loop.run()
         assert session.state is SessionState.COMPLETED
         assert session.record.adaptations >= 1
@@ -76,13 +78,9 @@ class TestAdaptationLoop:
 
     def test_interruption_extends_session(self, runtime, negotiated,
                                           balanced_profile, client, loop,
-                                          topology, servers):
+                                          transport, servers):
         session = runtime.start_session(negotiated, balanced_profile, client)
-        injector = ScriptedInjector(
-            topology, servers,
-            [CongestionEpisode("link", "L-a", 10.0, 30.0, 0.97)],
-        )
-        injector.arm(loop)
+        congest(loop, servers, transport, "L-a", 10.0, 30.0, 0.97)
         loop.run()
         if session.record.adaptations:
             # completion happens later than the nominal duration
@@ -90,46 +88,34 @@ class TestAdaptationLoop:
 
     def test_adaptation_disabled_marks_degraded(
         self, manager, loop, negotiated, balanced_profile, client,
-        topology, servers,
+        transport, servers,
     ):
         runtime = SessionRuntime(manager, loop, adaptation_enabled=False)
         session = runtime.start_session(negotiated, balanced_profile, client)
-        injector = ScriptedInjector(
-            topology, servers,
-            [CongestionEpisode("link", "L-a", 10.0, 30.0, 0.97)],
-        )
-        injector.arm(loop)
+        congest(loop, servers, transport, "L-a", 10.0, 30.0, 0.97)
         loop.run()
         assert session.record.adaptations == 0
         assert session.record.degraded_time_s > 0
 
     def test_degradation_clears_when_congestion_heals(
         self, manager, loop, negotiated, balanced_profile, client,
-        topology, servers,
+        transport, servers,
     ):
         runtime = SessionRuntime(manager, loop, adaptation_enabled=False)
         session = runtime.start_session(negotiated, balanced_profile, client)
-        injector = ScriptedInjector(
-            topology, servers,
-            [CongestionEpisode("link", "L-a", 10.0, 20.0, 0.97)],
-        )
-        injector.arm(loop)
+        congest(loop, servers, transport, "L-a", 10.0, 20.0, 0.97)
         loop.run()
         # ~20 s congested (plus detection lag), far below full duration.
         assert 15.0 <= session.record.degraded_time_s <= 30.0
 
     def test_violation_callback(self, manager, loop, negotiated,
-                                balanced_profile, client, topology, servers):
+                                balanced_profile, client, transport, servers):
         seen = []
         runtime = SessionRuntime(
             manager, loop, on_violation=seen.append,
         )
         runtime.start_session(negotiated, balanced_profile, client)
-        injector = ScriptedInjector(
-            topology, servers,
-            [CongestionEpisode("link", "L-a", 5.0, 10.0, 0.99)],
-        )
-        injector.arm(loop)
+        congest(loop, servers, transport, "L-a", 5.0, 10.0, 0.99)
         loop.run()
         assert seen and seen[0].component == "L-a"
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.status import NegotiationStatus
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.sim.baselines import SmartNegotiator, StaticNegotiator
 from repro.sim.experiment import RunConfig, run_workload
 from repro.sim.scenario import ScenarioSpec, build_scenario
@@ -137,17 +138,17 @@ class TestRunConfigOptions:
         assert stats.blocking_probability <= 0.2
 
     def test_injector_integration(self):
-        from repro.session.violations import CongestionEpisode, ScriptedInjector
-
         scenario = small_scenario()
-        injector = ScriptedInjector(
-            scenario.topology, scenario.servers,
-            [CongestionEpisode("link", "L-server-a", 100.0, 50.0, 1.0)],
+        plan = FaultPlan(
+            (FaultSpec(FaultKind.LINK_FLAP, "L-server-a", 100.0, 50.0, 1.0),)
         )
-        stats = run_workload(
+        injector = FaultInjector(plan).install(
+            scenario.servers, scenario.transport
+        )
+        injector.arm(scenario.loop)
+        run_workload(
             scenario, SmartNegotiator(scenario.manager),
             requests_for(scenario, rate=0.05, horizon=400.0),
-            injector=injector,
         )
-        assert injector.applied and injector.cleared
+        assert injector.stats.link_flaps == injector.stats.link_heals == 1
         assert scenario.transport.flow_count == 0
