@@ -69,9 +69,6 @@ class Project:
                 return extract
         return None
 
-    def function_at(self, module: str, qualname: str) -> "FuncExtract | None":
-        return self.functions.get(f"{module}::{qualname}")
-
     def iter_functions(self) -> "Iterator[FuncExtract]":
         for ref in sorted(self.functions):
             yield self.functions[ref]

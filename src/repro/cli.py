@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import pathlib
 import sys
 from typing import Sequence
 
@@ -390,6 +391,24 @@ def _dump(document) -> str:
     return json.dumps(document, sort_keys=True, indent=2)
 
 
+def _emit(args, document, render, path=None) -> None:
+    """A command's output: ``document`` as JSON under ``--json``, else
+    the text ``render()`` returns.  With a ``path`` the JSON is also
+    written there, before ``render`` runs."""
+    payload = _dump(document) if args.json or path is not None else None
+    if path is not None:
+        pathlib.Path(path).write_text(payload + "\n", encoding="utf-8")
+    print(payload if args.json else render())
+
+
+def _verdict(ok: bool, warning: str) -> int:
+    """Exit 0 on a passing run; else warn on stderr and exit 1."""
+    if ok:
+        return 0
+    print(f"\nWARNING: {warning}", file=sys.stderr)
+    return 1
+
+
 def _telemetry_seed(args, seed: int) -> "int | None":
     """Observability is on exactly when ``--telemetry PATH`` is."""
     return seed if args.telemetry_jsonl is not None else None
@@ -619,10 +638,9 @@ def _cmd_chaos(args) -> int:
     print(spec.plan.describe())
     print()
     print(report.render())
-    if not report.clean_teardown:
-        print("\nWARNING: reservations leaked at teardown", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(
+        report.clean_teardown, "reservations leaked at teardown"
+    )
 
 
 def _cmd_recover(args) -> int:
@@ -636,10 +654,10 @@ def _cmd_recover(args) -> int:
     if not report.crashed:
         print("\nNOTE: the crash opportunity was never reached; try a "
               "smaller --crash-after", file=sys.stderr)
-    if report.recovery is not None and not report.recovery.leak_free:
-        print("\nWARNING: capacity leaked through recovery", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(
+        report.recovery is None or report.recovery.leak_free,
+        "capacity leaked through recovery",
+    )
 
 
 def _cmd_trace(args) -> int:
@@ -725,29 +743,30 @@ def _cmd_stats(args) -> int:
         else None
     )
     balanced = reconciliation is None or reconciliation["balanced"]
-    if args.json:
-        print(_dump({
-            "mode": args.mode,
-            "seed": args.seed,
-            "run": extra,
-            "metrics": telemetry.metrics.snapshot(),
-            "reconciliation": reconciliation,
-        }))
-    else:
-        print(telemetry.metrics.render())
+
+    def render() -> str:
+        lines = [telemetry.metrics.render()]
         if reconciliation is not None:
-            print()
-            print("journal reconciliation:")
-            for key, value in sorted(reconciliation.items()):
-                print(f"  {key}: {value}")
-        print()
-        for key, value in sorted(extra.items()):
-            print(f"  {key}: {value}")
-    if not report.clean_teardown or not balanced:
-        print("\nWARNING: run leaked reservations or the journal does "
-              "not reconcile", file=sys.stderr)
-        return 1
-    return 0
+            lines += ["", "journal reconciliation:"]
+            lines += [
+                f"  {key}: {value}"
+                for key, value in sorted(reconciliation.items())
+            ]
+        lines.append("")
+        lines += [f"  {key}: {value}" for key, value in sorted(extra.items())]
+        return "\n".join(lines)
+
+    _emit(args, {
+        "mode": args.mode,
+        "seed": args.seed,
+        "run": extra,
+        "metrics": telemetry.metrics.snapshot(),
+        "reconciliation": reconciliation,
+    }, render)
+    return _verdict(
+        report.clean_teardown and balanced,
+        "run leaked reservations or the journal does not reconcile",
+    )
 
 
 def _cmd_storm(args) -> int:
@@ -762,49 +781,34 @@ def _cmd_storm(args) -> int:
     if compare:
         comparison = run_storm_comparison(spec)
         report = comparison.with_backpressure
-        if args.json:
-            print(_dump(comparison.as_dict()))
-        else:
-            print(report.render())
-            print()
-            print(comparison.render())
+        _emit(
+            args, comparison.as_dict(),
+            lambda: f"{report.render()}\n\n{comparison.render()}",
+        )
     else:
         report, _scenario = run_storm(spec)
         print(report.render())
-    if not report.survived:
-        print("\nWARNING: the storm was not survived (stuck sessions, "
-              "leaks, or an unbalanced journal)", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(
+        report.survived,
+        "the storm was not survived (stuck sessions, leaks, or an "
+        "unbalanced journal)",
+    )
 
 
 def _cmd_load(args) -> int:
-    import pathlib
-
     from .sim import run_load
 
     report = run_load(build_spec(args))
-    payload = _dump(report.as_dict())
-    if args.output is not None:
-        pathlib.Path(args.output).write_text(
-            payload + "\n", encoding="utf-8"
-        )
-    if args.json:
-        print(payload)
-    else:
-        print(report.render())
-    if not report.graceful_at_2x:
-        print("\nWARNING: the service did not degrade gracefully at "
-              "2x saturation (starved clients, leaked reservations, "
-              "dishonest hints, or the sweep never reached 2x "
-              "capacity)", file=sys.stderr)
-        return 1
-    return 0
+    _emit(args, report.as_dict(), report.render, args.output)
+    return _verdict(
+        report.graceful_at_2x,
+        "the service did not degrade gracefully at 2x saturation "
+        "(starved clients, leaked reservations, dishonest hints, or the "
+        "sweep never reached 2x capacity)",
+    )
 
 
 def _cmd_slo(args) -> int:
-    import pathlib
-
     from .sim import run_slo
     from .telemetry import write_flamegraph
 
@@ -818,26 +822,21 @@ def _cmd_slo(args) -> int:
             args.flamegraph, {args.scenario: report.paths}
         )
         artifacts.append(f"{lines} stacks -> {args.flamegraph}")
-    payload = _dump(report.as_dict())
     if args.report is not None:
-        pathlib.Path(args.report).write_text(
-            payload + "\n", encoding="utf-8"
-        )
         artifacts.append(f"report -> {args.report}")
-    if args.json:
-        print(payload)
-    else:
-        print(report.slo.render())
-        print()
-        print(report.profile.render())
-        for note in artifacts:
-            print(f"[{note}]")
-    if report.breached:
-        print(f"\nWARNING: SLO breach on the {args.scenario} scenario "
-              "(burn-rate page or exhausted error budget)",
-              file=sys.stderr)
-        return 1
-    return 0
+    _emit(
+        args, report.as_dict(),
+        lambda: "\n".join(
+            [report.slo.render(), "", report.profile.render()]
+            + [f"[{note}]" for note in artifacts]
+        ),
+        args.report,
+    )
+    return _verdict(
+        not report.breached,
+        f"SLO breach on the {args.scenario} scenario (burn-rate page or "
+        "exhausted error budget)",
+    )
 
 
 def _cmd_profile(args) -> int:
@@ -890,8 +889,6 @@ def _cmd_experiments(_args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import pathlib
-
     out_dir = pathlib.Path(args.out_dir)
     if not out_dir.is_dir():
         print(

@@ -80,9 +80,6 @@ class RoundScheduler:
     def stream_count(self) -> int:
         return len(self._streams)
 
-    def stream_ids(self) -> tuple[str, ...]:
-        return tuple(self._streams)
-
     def rates(self) -> tuple[float, ...]:
         return tuple(s.rate_bps for s in self._streams.values())
 

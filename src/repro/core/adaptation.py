@@ -68,10 +68,6 @@ class AdaptationOutcome:
     reverted: bool = False
     resources_lost: bool = False
 
-    @property
-    def new_offer(self) -> "ClassifiedOffer | None":
-        return self.new_result.chosen if self.new_result else None
-
 
 class AdaptationManager:
     """Drives offer switching for sessions in difficulty."""

@@ -385,15 +385,7 @@ class ResourceCommitter:
             finally:
                 self._rollback(streams, flows)
             return None
-        bundle = ReservationBundle(
-            offer=offer,
-            streams=tuple(streams),
-            flows=tuple(flows),
-            holder=holder,
-        )
-        if self.leases is not None:
-            self.leases.grant(holder, bundle, self._clock.now())
-        return bundle
+        return self._granted(offer, streams, flows, holder)
 
     def iter_commit(
         self,
@@ -471,6 +463,17 @@ class ResourceCommitter:
             finally:
                 self._rollback(streams, flows)
             raise
+        return self._granted(offer, streams, flows, holder)
+
+    def _granted(
+        self,
+        offer: SystemOffer,
+        streams: "list[StreamReservation]",
+        flows: "list[FlowReservation]",
+        holder: str,
+    ) -> ReservationBundle:
+        """The bundle of an attempt that took everything, its lease
+        granted when the committer keeps leases."""
         bundle = ReservationBundle(
             offer=offer,
             streams=tuple(streams),
@@ -484,7 +487,7 @@ class ResourceCommitter:
     def release(self, bundle: ReservationBundle) -> None:
         self._rollback(list(bundle.streams), list(bundle.flows))
         if self.leases is not None:
-            if self._leftovers(bundle):
+            if self.still_held(bundle):
                 # A release was swallowed (lost-release fault): keep the
                 # lease as a zombie so the reaper retries later.
                 self.leases.mark_zombie(bundle.holder)
@@ -526,8 +529,10 @@ class ResourceCommitter:
             holder, self._clock.now() if now is None else now
         )
 
-    def _leftovers(self, bundle: ReservationBundle) -> bool:
-        """Does any of the bundle's resources still exist after release?"""
+    def still_held(self, bundle: ReservationBundle) -> bool:
+        """Does any of the bundle's streams or flows still exist?  After
+        a release, yes means a release was swallowed; for a live
+        session, no means its reservation vanished underneath it."""
         return any(
             self._servers[s.server_id].has_stream(s.stream_id)
             for s in bundle.streams
@@ -555,7 +560,7 @@ class ResourceCommitter:
                  "reason": "lease-reaped"},
             )
             self._rollback(list(lease.bundle.streams), list(lease.bundle.flows))
-            if not self._leftovers(lease.bundle):
+            if not self.still_held(lease.bundle):
                 self.leases.collect(lease)
                 reaped += 1
         self.stats.leases_reaped += reaped

@@ -8,9 +8,11 @@ policy), and a refusal anywhere rolls back the whole flow.
 
 This module adds domains on top of the flat substrate without touching
 the QoS manager: :class:`HierarchicalTransport` is a drop-in
-:class:`~repro.network.transport.TransportSystem` whose ``reserve``
-routes each segment through its :class:`DomainAgent`.  Observable
-additions over the flat system:
+:class:`~repro.network.transport.TransportSystem` that keeps its one
+reserve / release path and overrides two hooks of it: the feasible
+route must also pass every charged domain's quota, and the links are
+held and given back segment by segment through each domain's
+:class:`DomainAgent`.  Observable additions over the flat system:
 
 * per-domain **transit quotas** — an upper bound on the aggregate
   bandwidth of flows crossing the domain (admission can now fail for
@@ -24,8 +26,8 @@ Gateway links (endpoints in different domains) are charged to the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 from ..util.errors import CapacityError, NetworkError, ReservationError
 from ..util.validation import check_name, check_positive
@@ -33,7 +35,7 @@ from .link import Link, LinkReservation
 from .qosparams import FlowSpec
 from .routing import Route
 from .topology import Topology
-from .transport import FlowReservation, GuaranteeType, TransportSystem
+from .transport import FlowReservation, TransportSystem
 
 __all__ = ["Domain", "DomainMap", "DomainAgent", "HierarchicalTransport"]
 
@@ -163,7 +165,6 @@ class HierarchicalTransport(TransportSystem):
             domain.name: DomainAgent(domain)
             for domain in domain_map.domains()
         }
-        self._segments: dict[str, list[tuple[DomainAgent, list, list, float]]] = {}
 
     # -- helpers -----------------------------------------------------------------
 
@@ -189,69 +190,42 @@ class HierarchicalTransport(TransportSystem):
     def total_messages(self) -> int:
         return sum(agent.messages for agent in self.agents.values())
 
-    # -- TransportSystem interface ------------------------------------------------------
+    # -- TransportSystem hooks -----------------------------------------------------------
 
-    def probe(self, source, target, spec, guarantee=GuaranteeType.GUARANTEED):
-        route = super().probe(source, target, spec, guarantee)
+    def _feasible_route(
+        self, source: str, target: str, spec: FlowSpec, rate: float
+    ) -> "Route | None":
+        """The flat feasible route, kept only if every domain it
+        charges can admit ``rate`` under its transit quota."""
+        route = super()._feasible_route(source, target, spec, rate)
         if route is None:
             return None
-        rate = guarantee.billable_rate(spec)
         for agent, _links in self._split_route(route):
             if not agent.can_admit(rate):
                 return None
         return route
 
-    def reserve(
-        self,
-        source: str,
-        target: str,
-        spec: FlowSpec,
-        *,
-        guarantee: GuaranteeType = GuaranteeType.GUARANTEED,
-        holder: str = "anonymous",
-    ) -> FlowReservation:
-        route = self.probe(source, target, spec, guarantee)
-        if route is None:
-            raise CapacityError(
-                f"no feasible multi-domain route {source!r} -> {target!r}"
-            )
-        rate = guarantee.billable_rate(spec)
-        flow_id = f"flow-{next(self._flow_ids)}"
-        done: list[tuple[DomainAgent, list, list, float]] = []
-        all_reservations: list[LinkReservation] = []
+    def _hold(
+        self, route: Route, rate: float, flow_id: str
+    ) -> tuple[LinkReservation, ...]:
+        """Reserve the route segment by segment through each domain's
+        agent; a refusal anywhere releases the segments already held."""
+        done: list[tuple[DomainAgent, list[Link], list[LinkReservation]]] = []
         try:
             for agent, links in self._split_route(route):
-                reservations = agent.reserve_segment(links, rate, holder=flow_id)
-                done.append((agent, links, reservations, rate))
-                all_reservations.extend(reservations)
+                done.append(
+                    (agent, links, agent.reserve_segment(links, rate, flow_id))
+                )
         except CapacityError:
-            for agent, links, reservations, seg_rate in done:
-                agent.release_segment(links, reservations, seg_rate)
+            for agent, links, reservations in done:
+                agent.release_segment(links, reservations, rate)
             raise
-        flow = FlowReservation(
-            flow_id=flow_id,
-            source=source,
-            target=target,
-            spec=spec,
-            guarantee=guarantee,
-            route=route,
-            link_reservations=tuple(all_reservations),
-            holder=holder,
-        )
-        self._flows[flow_id] = flow
-        self._segments[flow_id] = done
-        if self.telemetry is not None:
-            self.telemetry.count("network.flows.reserved")
-        return flow
+        return tuple(r for _, _, reservations in done for r in reservations)
 
-    def release(self, flow: "FlowReservation | str") -> None:
-        flow_id = flow.flow_id if isinstance(flow, FlowReservation) else flow
-        if self._release_intercepted(flow_id):
-            return
-        record = self._flows.pop(flow_id, None)
-        if record is None:
-            raise ReservationError(f"no flow {flow_id!r}")
-        for agent, links, reservations, rate in self._segments.pop(flow_id, []):
-            agent.release_segment(links, reservations, rate)
-        if self.telemetry is not None:
-            self.telemetry.count("network.flows.released")
+    def _give_back(self, flow: FlowReservation) -> None:
+        """Tear the flow down segment by segment through the agents."""
+        held = iter(flow.link_reservations)
+        for agent, links in self._split_route(flow.route):
+            agent.release_segment(
+                links, [next(held) for _ in links], flow.reserved_bps
+            )

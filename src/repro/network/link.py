@@ -155,10 +155,6 @@ class Link:
         self.set_congestion(0.0)
 
     @property
-    def is_down(self) -> bool:
-        return self._congestion >= 1.0
-
-    @property
     def congestion(self) -> float:
         return self._congestion
 

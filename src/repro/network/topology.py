@@ -9,7 +9,7 @@ reverse control traffic is negligible.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import networkx as nx
 
@@ -106,9 +106,6 @@ class Topology:
         if not self._graph.has_node(node_id):
             raise NotFoundError(f"no node {node_id!r}")
         return tuple(self._graph.neighbors(node_id))
-
-    def iter_links(self) -> Iterator[Link]:
-        return iter(self._links.values())
 
     # -- route memoisation ---------------------------------------------------------
 

@@ -104,7 +104,9 @@ class TransportSystem:
     ) -> "Route | None":
         """:meth:`probe` at a rate already billed: the three tests of
         ``route.qos.satisfies(spec.qos_bound)``, read off the spec
-        without building its bound."""
+        without building its bound.  Both :meth:`probe` and
+        :meth:`reserve` ask here, so a subclass that narrows it (a
+        domain's transit quota) narrows both."""
         try:
             route = find_route(self._topology, source, target, rate)
         except NoRouteError:
@@ -167,14 +169,6 @@ class TransportSystem:
                 f"{rate:.0f} bps"
             )
         flow_id = f"flow-{next(self._flow_ids)}"
-        taken: list[LinkReservation] = []
-        try:
-            for link in route.links:
-                taken.append(link.reserve(rate, holder=flow_id))
-        except CapacityError:
-            for link, reservation in zip(route.links, taken):
-                link.release(reservation)
-            raise
         flow = FlowReservation(
             flow_id=flow_id,
             source=source,
@@ -182,7 +176,7 @@ class TransportSystem:
             spec=spec,
             guarantee=guarantee,
             route=route,
-            link_reservations=tuple(taken),
+            link_reservations=self._hold(route, rate, flow_id),
             holder=holder,
         )
         self._flows[flow_id] = flow
@@ -197,12 +191,30 @@ class TransportSystem:
         record = self._flows.pop(flow_id, None)
         if record is None:
             raise ReservationError(f"no flow {flow_id!r}")
-        for link, reservation in zip(
-            record.route.links, record.link_reservations
-        ):
-            link.release(reservation)
+        self._give_back(record)
         if self.telemetry is not None:
             self.telemetry.count("network.flows.released")
+
+    def _hold(
+        self, route: Route, rate: float, flow_id: str
+    ) -> tuple[LinkReservation, ...]:
+        """Take ``rate`` on every link of ``route`` for ``flow_id``, all
+        or none: on a refusal the links already taken are given back
+        and :class:`CapacityError` propagates."""
+        taken: list[LinkReservation] = []
+        try:
+            for link in route.links:
+                taken.append(link.reserve(rate, holder=flow_id))
+        except CapacityError:
+            for link, reservation in zip(route.links, taken):
+                link.release(reservation)
+            raise
+        return tuple(taken)
+
+    def _give_back(self, flow: FlowReservation) -> None:
+        """Return what :meth:`_hold` took for ``flow``."""
+        for link, reservation in zip(flow.route.links, flow.link_reservations):
+            link.release(reservation)
 
     def _release_intercepted(self, flow_id: str) -> bool:
         """Lost-release fault: the flow stays reserved (leaked) until the

@@ -143,10 +143,6 @@ class CooperativeScheduler:
         self._ready: "list[_Running]" = []
         self._pump_armed = False
 
-    @property
-    def ready_count(self) -> int:
-        return len(self._ready)
-
     def spawn(
         self,
         name: str,

@@ -105,8 +105,10 @@ class QoSMonitor:
                 )
 
         # Server pass: stream reservations carry the session holder tag.
+        # Sorted: a set of strings iterates in hash order, which would
+        # make the order of adaptations depend on PYTHONHASHSEED.
         for server in self._servers.values():
-            for holder in server.violated_holders():
+            for holder in sorted(server.violated_holders()):
                 session = by_holder.get(holder)
                 if session is None:
                     continue

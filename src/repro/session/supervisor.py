@@ -239,19 +239,9 @@ class SessionSupervisor:
         commitment = session.result.commitment
         if commitment is None:
             return False
-        committer = self.runtime.manager.committer
         bundle = commitment.bundle
-        servers = committer.servers
-        streams_alive = any(
-            servers[s.server_id].has_stream(s.stream_id)
-            for s in bundle.streams
-            if s.server_id in servers
-        )
-        flows_alive = any(
-            committer.transport.has_flow(f.flow_id) for f in bundle.flows
-        )
         return bool(bundle.streams or bundle.flows) and not (
-            streams_alive or flows_alive
+            self.runtime.manager.committer.still_held(bundle)
         )
 
     def _release_or_adapt(

@@ -146,21 +146,20 @@ class TokenBucket:
 class _Pending:
     """One request parked in the retry queue.
 
-    Exactly one of ``attempt`` (synchronous negotiation) or ``start``
-    (deferred: the concurrent service spawns a task and calls back with
-    the verdict) is set.  ``last_hint_s`` remembers the largest
-    manager/breaker ``retry_after_s`` seen on earlier FAILEDTRYLATER
-    verdicts, so a later shed surfaces the *max* of the gate's own
-    estimate and the known-closed window — hints stay monotone no
-    matter which path delivers last.
+    ``start`` runs the negotiation when the gate dispatches the request
+    and calls back with its verdict; a synchronous attempt is wrapped
+    as a start that calls back at once.  ``last_hint_s`` remembers the
+    largest manager/breaker ``retry_after_s`` seen on earlier
+    FAILEDTRYLATER verdicts, so a later shed surfaces the *max* of the
+    gate's own estimate and the known-closed window — hints stay
+    monotone no matter which path delivers last.
     """
 
     label: str
-    attempt: "Attempt | None"
+    start: Start
     deliver: Deliver
     submitted_at: float
     retries_left: int
-    start: "Start | None" = None
     last_hint_s: "float | None" = None
     parked_at: float = 0.0
     """When the request last entered the gate's control (submission,
@@ -218,22 +217,7 @@ class AdmissionGate:
         gate dispatches the request); ``deliver`` receives the terminal
         :class:`NegotiationResult` — possibly a synthetic shed verdict.
         """
-        self.stats.submitted += 1
-        pending = _Pending(
-            label=label,
-            attempt=attempt,
-            deliver=deliver,
-            submitted_at=self.loop.now,
-            retries_left=self.policy.retry_limit,
-            parked_at=self.loop.now,
-        )
-        if not self.enabled:
-            # Passthrough: the thundering herd, measured for comparison.
-            self.stats.admitted += 1
-            self._decision("admitted")
-            self._finish(pending, pending.attempt())
-            return
-        self._dispatch_or_park(pending)
+        self._enter(label, lambda done: done(attempt()), deliver)
 
     def submit_deferred(
         self, label: str, start: Start, deliver: Deliver
@@ -247,24 +231,28 @@ class AdmissionGate:
         requeue/shed policy to that verdict as it does to synchronous
         attempts.
         """
+        self._enter(label, start, deliver)
+
+    # -- dispatch machinery --------------------------------------------------------
+
+    def _enter(self, label: str, start: Start, deliver: Deliver) -> None:
+        """Both public entries: admit, park or shed one request."""
         self.stats.submitted += 1
         pending = _Pending(
             label=label,
-            attempt=None,
+            start=start,
             deliver=deliver,
             submitted_at=self.loop.now,
             retries_left=self.policy.retry_limit,
-            start=start,
             parked_at=self.loop.now,
         )
         if not self.enabled:
+            # Passthrough: the thundering herd, measured for comparison.
             self.stats.admitted += 1
             self._decision("admitted")
             start(lambda result: self._finish(pending, result))
             return
         self._dispatch_or_park(pending)
-
-    # -- dispatch machinery --------------------------------------------------------
 
     def _dispatch_or_park(self, pending: _Pending) -> None:
         now = self.loop.now
@@ -283,13 +271,7 @@ class AdmissionGate:
         self.telemetry.observe(
             "storm.gate.wait_s", self.loop.now - pending.parked_at
         )
-        if pending.start is not None:
-            pending.start(
-                lambda result: self._on_result(pending, result)
-            )
-            return
-        assert pending.attempt is not None
-        self._on_result(pending, pending.attempt())
+        pending.start(lambda result: self._on_result(pending, result))
 
     def _on_result(
         self, pending: _Pending, result: NegotiationResult

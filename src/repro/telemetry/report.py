@@ -133,10 +133,6 @@ class NegotiationReport:
             )
         return report
 
-    @property
-    def total_dropped(self) -> int:
-        return sum(step.dropped for step in self.steps)
-
     def as_dict(self) -> "dict[str, Any]":
         return {
             "trace_id": self.trace_id,

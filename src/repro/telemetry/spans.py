@@ -49,10 +49,6 @@ class Span:
             return 0.0
         return self.end_s - self.start_s
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent_id is None
-
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
 

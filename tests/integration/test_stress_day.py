@@ -5,6 +5,11 @@ monitoring, automatic adaptation, random link/server congestion
 episodes — then the books must balance exactly.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -66,8 +71,8 @@ def draw_congestion(scenario, seed):
         )
 
 
-@pytest.fixture(scope="module")
-def stats_and_scenario():
+def run_stress_day():
+    """The seeded day: ``(stats, scenario, episodes, requests offered)``."""
     scenario = build_scenario(
         ScenarioSpec(server_count=3, client_count=3, document_count=6)
     )
@@ -93,6 +98,11 @@ def stats_and_scenario():
         config=RunConfig(adaptation_enabled=True),
     )
     return stats, scenario, episodes, len(requests)
+
+
+@pytest.fixture(scope="module")
+def stats_and_scenario():
+    return run_stress_day()
 
 
 class TestStressDay:
@@ -133,3 +143,29 @@ class TestStressDay:
     def test_revenue_consistent_with_served(self, stats_and_scenario):
         stats, _, _, _ = stats_and_scenario
         assert (stats.revenue.cents > 0) == (stats.statuses.served > 0)
+
+
+def test_adaptations_do_not_follow_string_hashing():
+    """Two processes with different ``PYTHONHASHSEED`` values adapt the
+    same sessions in the same order: the monitor must not walk a set of
+    holder strings in hash order."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    code = (
+        "from tests.integration.test_stress_day import run_stress_day\n"
+        "stats = run_stress_day()[0]\n"
+        "print(stats.adaptations, stats.failed_adaptations,"
+        " stats.attempts_total, stats.statuses.as_dict())\n"
+    )
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(root / "src"), env.get("PYTHONPATH")))
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        outputs.append(completed.stdout)
+    assert outputs[0] == outputs[1]

@@ -133,7 +133,7 @@ class TestHierarchicalReserve:
         flow = transport.reserve("srv", "cli", SPEC)
         after_setup = transport.total_messages
         # Two messages (request + confirm) per domain segment.
-        segment_count = len(transport._segments[flow.flow_id])
+        segment_count = len(transport.domains_on_route(flow.route))
         assert after_setup - before == 2 * segment_count
         transport.release(flow)
         assert transport.total_messages - after_setup == 2 * segment_count
