@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, TypeVar
 
 from ..cmfs.server import MediaServer, StreamReservation
 from ..faults.health import CircuitBreaker
 from ..faults.lease import LeaseManager
 from ..faults.retry import RetryPolicy, execute_with_retry, is_retryable
-from ..journal import JournalRecordType, ReservationJournal
+from ..journal import JournalRecord, JournalRecordType, ReservationJournal
 from ..network.transport import (
     FlowReservation,
     GuaranteeType,
@@ -55,6 +55,9 @@ from ..util.validation import check_non_negative, check_positive
 from .enumeration import OfferSpace
 from .offers import SystemOffer
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..session.engine import EventLoop
+
 T = TypeVar("T")
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
     "ResourceCommitter",
     "CommitmentState",
     "Commitment",
+    "EXPIRY_MARGIN_S",
 ]
 
 # Everything that legitimately ends one offer's commitment attempt and
@@ -83,7 +87,7 @@ COMMIT_FAILURES = (
 class ReservationBundle:
     """Everything held for one committed system offer."""
 
-    offer: SystemOffer
+    offer_id: str
     streams: tuple[StreamReservation, ...]
     flows: tuple[FlowReservation, ...]
     holder: str
@@ -475,7 +479,7 @@ class ResourceCommitter:
         """The bundle of an attempt that took everything, its lease
         granted when the committer keeps leases."""
         bundle = ReservationBundle(
-            offer=offer,
+            offer_id=offer.offer_id,
             streams=tuple(streams),
             flows=tuple(flows),
             holder=holder,
@@ -529,15 +533,23 @@ class ResourceCommitter:
             holder, self._clock.now() if now is None else now
         )
 
+    def held(self, bundle: ReservationBundle) -> "tuple[int, int]":
+        """How many of the bundle's streams and flows still exist."""
+        servers = self._servers
+        return (
+            sum(
+                1 for s in bundle.streams
+                if s.server_id in servers
+                and servers[s.server_id].has_stream(s.stream_id)
+            ),
+            sum(1 for f in bundle.flows if self._transport.has_flow(f.flow_id)),
+        )
+
     def still_held(self, bundle: ReservationBundle) -> bool:
         """Does any of the bundle's streams or flows still exist?  After
         a release, yes means a release was swallowed; for a live
         session, no means its reservation vanished underneath it."""
-        return any(
-            self._servers[s.server_id].has_stream(s.stream_id)
-            for s in bundle.streams
-            if s.server_id in self._servers
-        ) or any(self._transport.has_flow(f.flow_id) for f in bundle.flows)
+        return self.held(bundle) != (0, 0)
 
     def reap_expired(self, now: "float | None" = None) -> int:
         """Release the bundles of expired or zombie leases.
@@ -556,7 +568,7 @@ class ResourceCommitter:
             self.journal_event(
                 JournalRecordType.RELEASED,
                 lease.bundle.holder,
-                {"offer_id": lease.bundle.offer.offer_id,
+                {"offer_id": lease.bundle.offer_id,
                  "reason": "lease-reaped"},
             )
             self._rollback(list(lease.bundle.streams), list(lease.bundle.flows))
@@ -573,6 +585,64 @@ class ResourceCommitter:
                 attributes={"reaped": reaped},
             )
         return reaped
+
+    # -- restart -------------------------------------------------------------------
+
+    def rebuild(
+        self, holder: str, reserved: "Mapping[str, Any] | None" = None
+    ) -> ReservationBundle:
+        """Everything the ledgers hold under ``holder``: first what its
+        ``RESERVED`` payload ``reserved`` names, in that order, then the
+        rest (what a walk that died before ``RESERVED`` had taken, or a
+        rollback a fault hook swallowed).  Resources already gone are
+        left out, so releasing the bundle asks the ledgers about
+        nothing they lack."""
+        streams = {
+            (s.server_id, s.stream_id): s
+            for server in self._servers.values()
+            for s in server.streams_for_holder(holder)
+        }
+        flows = {f.flow_id: f for f in self._transport.flows_for_holder(holder)}
+        payload = reserved or {}
+        named_streams = [
+            streams.pop((str(e["server_id"]), str(e["stream_id"])), None)
+            for e in payload.get("streams", ())
+        ]
+        named_flows = [
+            flows.pop(str(e["flow_id"]), None) for e in payload.get("flows", ())
+        ]
+        return ReservationBundle(
+            offer_id=str(payload.get("offer_id", "")),
+            streams=tuple(
+                s for s in [*named_streams, *streams.values()] if s is not None
+            ),
+            flows=tuple(
+                f for f in [*named_flows, *flows.values()] if f is not None
+            ),
+            holder=holder,
+        )
+
+    def resume(self, reserved: JournalRecord) -> "Commitment":
+        """Step 6 after a manager restart: the :class:`Commitment` that
+        ``reserved`` (a ``RESERVED`` record) opened, around what the
+        ledgers still hold of it.  It journals no second ``RESERVED``,
+        and its later records carry ``"recovered": true``."""
+        payload = reserved.payload
+        return Commitment(
+            self.rebuild(reserved.holder, payload),
+            self,
+            reserved_at=float(payload.get("reserved_at", reserved.timestamp)),
+            choice_period_s=float(payload["choice_period_s"]),
+            telemetry=self.telemetry,
+            recovered=True,
+        )
+
+
+EXPIRY_MARGIN_S = 1e-3
+"""How long after the choicePeriod deadline the watchdog fires.  Expiry
+is strict (``now > deadline``), so the watchdog must land past the
+deadline tick; one millisecond keeps the wake deterministic while
+leaving a confirm *on* the tick its honest last chance."""
 
 
 class CommitmentState(enum.Enum):
@@ -593,7 +663,16 @@ class Commitment:
     concurrently with an explicit user release or rejection must never
     raise nor double-release — the bundle is returned exactly once, and
     every later teardown call is a no-op.
+
+    A ``recovered`` commitment is one :meth:`ResourceCommitter.resume`
+    rebuilt from its ``RESERVED`` record after a manager restart: it
+    journals no ``RESERVED`` of its own and marks every record it
+    writes ``"recovered": true``.
     """
+
+    # Born pending: a live commitment journals its RESERVED record in
+    # __init__, a recovered one was rebuilt from that record.
+    state: CommitmentState = CommitmentState.PENDING
 
     def __init__(
         self,
@@ -604,8 +683,10 @@ class Commitment:
         choice_period_s: float,
         telemetry: "Telemetry | None" = None,
         trace_context: "tuple[str, str] | None" = None,
+        recovered: bool = False,
     ) -> None:
         self.bundle = bundle
+        self.recovered = recovered
         self._committer = committer
         self._telemetry = telemetry or Telemetry.disabled()
         self._trace_context = trace_context
@@ -617,13 +698,16 @@ class Commitment:
         self.choice_period_s = check_positive(
             float(choice_period_s), "choice_period_s"
         )
+        self._bundle_released = False
+        if recovered:
+            return  # its RESERVED is the record it was rebuilt from
         # The payload is built only for a journal that will write it;
         # the transition itself is journalled (a no-op without one) on
         # every path, ahead of the state it records.
         self._journal_transition(
             JournalRecordType.RESERVED,
             None if committer.journal is None else {
-                "offer_id": bundle.offer.offer_id,
+                "offer_id": bundle.offer_id,
                 "reserved_at": self.reserved_at,
                 "choice_period_s": self.choice_period_s,
                 "streams": [
@@ -640,16 +724,28 @@ class Commitment:
                 ],
             },
         )
-        self.state = CommitmentState.PENDING
-        self._bundle_released = False
-
-    @property
-    def offer(self) -> SystemOffer:
-        return self.bundle.offer
 
     @property
     def deadline(self) -> float:
         return self.reserved_at + self.choice_period_s
+
+    def watch(self, loop: "EventLoop") -> None:
+        """Arm the ``choicePeriod`` watchdog: :meth:`expire_check` at
+        ``deadline + EXPIRY_MARGIN_S``."""
+        clock = self._committer.clock
+        loop.at(
+            self.deadline + EXPIRY_MARGIN_S,
+            lambda: self.expire_check(clock.now()),
+            label=f"choice-period:{self.bundle.holder}",
+        )
+
+    def _payload(self, **fields: Any) -> "dict[str, Any]":
+        """A transition's payload: the offer id, ``fields`` and, on a
+        recovered commitment, the ``recovered`` marker."""
+        payload: "dict[str, Any]" = {"offer_id": self.bundle.offer_id, **fields}
+        if self.recovered:
+            payload["recovered"] = True
+        return payload
 
     def _journal_transition(
         self,
@@ -729,7 +825,7 @@ class Commitment:
         if self.state is CommitmentState.PENDING and now > self.deadline:
             self._journal_and_flip(
                 JournalRecordType.EXPIRED,
-                {"offer_id": self.bundle.offer.offer_id},
+                self._payload(),
                 CommitmentState.EXPIRED,
             )
             self._emit_step6("expired", now)
@@ -751,7 +847,7 @@ class Commitment:
             )
         self._journal_and_flip(
             JournalRecordType.CONFIRMED,
-            {"offer_id": self.bundle.offer.offer_id},
+            self._payload(),
             CommitmentState.CONFIRMED,
         )
         self._emit_step6("confirmed", now)
@@ -772,7 +868,7 @@ class Commitment:
             )
         self._journal_and_flip(
             JournalRecordType.RELEASED,
-            {"offer_id": self.bundle.offer.offer_id, "reason": "rejected"},
+            self._payload(reason="rejected"),
             CommitmentState.REJECTED,
         )
         self._emit_step6("rejected", now)
@@ -795,7 +891,7 @@ class Commitment:
             return
         self._journal_and_flip(
             JournalRecordType.RELEASED,
-            {"offer_id": self.bundle.offer.offer_id, "reason": "teardown"},
+            self._payload(reason="teardown"),
             CommitmentState.RELEASED,
         )
         self._telemetry.count("commitment.outcomes", state="released")

@@ -19,7 +19,6 @@ from .records import (
 )
 from .recovery import (
     HolderOutcome,
-    RecoveredCommitment,
     RecoveryManager,
     RecoveryReport,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ReservationJournal",
     "read_journal_bytes",
     "RecoveryManager",
-    "RecoveredCommitment",
     "RecoveryReport",
     "HolderOutcome",
 ]

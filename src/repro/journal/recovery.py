@@ -10,10 +10,10 @@ two.  Each holder's record timeline classifies it:
   mid-commit.  Whatever partial resources the holder's walk acquired
   are found by ledger scan and released (compensation).
 * **awaiting confirmation** — ``RESERVED`` without a terminal record:
-  step 6 was in flight.  If the ``choicePeriod`` deadline already
-  passed during the outage the resources are released and ``EXPIRED``
-  is journaled; otherwise the remaining period is re-armed on the
-  shared clock as a :class:`RecoveredCommitment`.
+  step 6 was in flight.  The holder's :class:`~repro.core.commitment.Commitment`
+  is resumed from the record; if the ``choicePeriod`` deadline already
+  passed during the outage it expires now, otherwise its watchdog is
+  re-armed on the shared clock.
 * **confirmed and playing** — last record ``CONFIRMED`` or
   ``ADAPT_SWITCH``: the session's resources are preserved and the
   holder is handed to the session supervisor for heartbeat watch.
@@ -29,16 +29,16 @@ holder — releases nothing twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..util.clock import ManualClock
-from ..util.errors import RecoveryError, ReservationError
 from ..util.tables import render_table
 from .records import ACTIVE_TYPES, JournalRecord, JournalRecordType
 from .store import ReservationJournal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cmfs.server import MediaServer
+    from ..core.commitment import Commitment, ReservationBundle
     from ..network.transport import TransportSystem
     from ..session.engine import EventLoop
     from ..session.supervisor import SessionSupervisor
@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "HolderOutcome",
-    "RecoveredCommitment",
     "RecoveryReport",
     "RecoveryManager",
 ]
@@ -61,57 +60,6 @@ class HolderOutcome:
     ACTIVE = "active"
     REDO_RELEASED = "redo-released"
     CLEAN = "clean"
-
-
-@dataclass(slots=True)
-class RecoveredCommitment:
-    """A step-6 commitment rebuilt from its ``RESERVED`` record.
-
-    The original :class:`~repro.core.commitment.Commitment` object died
-    with the manager; this carries exactly what step 6 needs — the
-    deadline and the resource ids — re-armed on the shared clock."""
-
-    holder: str
-    offer_id: str
-    reserved_at: float
-    choice_period_s: float
-    streams: "tuple[tuple[str, str], ...]"  # (server_id, stream_id)
-    flows: "tuple[str, ...]"
-    _manager: "RecoveryManager"
-    confirmed: bool = False
-    expired: bool = False
-
-    @property
-    def deadline(self) -> float:
-        return self.reserved_at + self.choice_period_s
-
-    def remaining(self, now: float) -> float:
-        return max(self.deadline - now, 0.0)
-
-    def confirm(self, now: float) -> None:
-        """The user (re)confirmed within the surviving choice period."""
-        if self.expired:
-            raise RecoveryError(
-                f"recovered commitment {self.holder} already expired"
-            )
-        if self.confirmed:
-            return
-        self._manager.journal_event(
-            JournalRecordType.CONFIRMED,
-            self.holder,
-            {"offer_id": self.offer_id, "recovered": True},
-            timestamp=now,
-        )
-        self.confirmed = True
-
-    def expire_check(self, now: float) -> bool:
-        """Release the reservation iff the re-armed deadline passed."""
-        if self.confirmed or self.expired:
-            return self.expired
-        if now <= self.deadline:
-            return False
-        self._manager.expire_recovered(self, now)
-        return True
 
 
 @dataclass(slots=True)
@@ -132,7 +80,7 @@ class RecoveryReport:
     leaked_flows: int = 0
     leaked_bps: float = 0.0
     outcomes: "dict[str, str]" = field(default_factory=dict)
-    pending: "dict[str, RecoveredCommitment]" = field(default_factory=dict)
+    pending: "dict[str, Commitment]" = field(default_factory=dict)
 
     @property
     def leak_free(self) -> bool:
@@ -169,7 +117,11 @@ class RecoveryReport:
 
 
 class RecoveryManager:
-    """Replays the reservation journal after a manager crash."""
+    """Replays the reservation journal after a manager crash.
+
+    Every record it appends and every release it makes goes through one
+    :class:`~repro.core.commitment.ResourceCommitter` over the surviving
+    ledgers, so step 6 has one implementation, live or recovered."""
 
     def __init__(
         self,
@@ -180,106 +132,24 @@ class RecoveryManager:
         clock: "ManualClock | None" = None,
         telemetry: "Telemetry | None" = None,
     ) -> None:
+        # Imported here: repro.core imports this package.
+        from ..core.commitment import ResourceCommitter
+
         self.journal = journal
-        self._servers = dict(servers)
-        self._transport = transport
-        self._clock = clock or ManualClock()
-        if telemetry is None:
-            from ..telemetry import Telemetry as _Telemetry
-
-            telemetry = _Telemetry.disabled()
-        self.telemetry = telemetry
-
-    # -- journal + ledger primitives -----------------------------------------------
-
-    def journal_event(
-        self,
-        record_type: JournalRecordType,
-        holder: str,
-        payload: "Mapping[str, Any] | None" = None,
-        *,
-        timestamp: "float | None" = None,
-    ) -> JournalRecord:
-        return self.journal.append(
-            record_type,
-            holder,
-            payload,
-            timestamp=self._clock.now() if timestamp is None else timestamp,
+        self.committer = ResourceCommitter(
+            transport, servers, clock=clock, journal=journal,
+            telemetry=telemetry,
         )
+        self.telemetry = self.committer.telemetry
 
-    def expire_recovered(
-        self, commitment: RecoveredCommitment, now: float
-    ) -> "tuple[int, int]":
-        """Journal ``EXPIRED`` (append-before-apply) then release the
-        commitment's resources; idempotent via the ``expired`` flag."""
-        if commitment.expired:
-            return 0, 0
-        self.journal_event(
-            JournalRecordType.EXPIRED,
-            commitment.holder,
-            {"offer_id": commitment.offer_id, "recovered": True},
-            timestamp=now,
-        )
-        commitment.expired = True
-        return self.release_resources(commitment.streams, commitment.flows)
-
-    def release_resources(
-        self,
-        streams: "tuple[tuple[str, str], ...]",
-        flows: "tuple[str, ...]",
-    ) -> "tuple[int, int]":
-        """Best-effort release by resource id; returns (streams, flows)
-        actually freed.  Already-gone resources are not an error — the
-        whole point of the replay is that it may repeat work."""
-        freed_streams = 0
-        freed_flows = 0
-        for flow_id in flows:
-            if not self._transport.has_flow(flow_id):
-                continue
-            try:
-                self._transport.release(flow_id)
-                freed_flows += 1
-            except ReservationError:
-                pass  # released concurrently; nothing leaked
-        for server_id, stream_id in streams:
-            server = self._servers.get(server_id)
-            if server is None or not server.has_stream(stream_id):
-                continue
-            try:
-                server.release(stream_id)
-                freed_streams += 1
-            except ReservationError:
-                pass
-        return freed_streams, freed_flows
-
-    def _scan_holder(
-        self, holder: str
-    ) -> "tuple[tuple[tuple[str, str], ...], tuple[str, ...]]":
-        """Ledger scan: every stream/flow currently held by ``holder``
-        (the compensation path for crashes mid-commit, where only the
-        INTENT record exists)."""
-        streams = tuple(
-            (server_id, stream.stream_id)
-            for server_id, server in self._servers.items()
-            for stream in server.streams_for_holder(holder)
-        )
-        flows = tuple(
-            flow.flow_id for flow in self._transport.flows_for_holder(holder)
-        )
-        return streams, flows
-
-    @staticmethod
-    def _reserved_resources(
-        record: JournalRecord,
-    ) -> "tuple[tuple[tuple[str, str], ...], tuple[str, ...]]":
-        streams = tuple(
-            (str(entry["server_id"]), str(entry["stream_id"]))
-            for entry in record.payload.get("streams", ())
-        )
-        flows = tuple(
-            str(entry["flow_id"]) for entry in record.payload.get("flows", ())
-        )
-        return streams, flows
+    def _count_freed(
+        self, bundle: "ReservationBundle", report: RecoveryReport
+    ) -> None:
+        """Count what of a released ``bundle`` is gone: a release a
+        fault hook swallowed frees nothing."""
+        streams, flows = self.committer.held(bundle)
+        report.streams_released += len(bundle.streams) - streams
+        report.flows_released += len(bundle.flows) - flows
 
     # -- the replay ----------------------------------------------------------------
 
@@ -292,7 +162,7 @@ class RecoveryManager:
         """Classify every holder, redo/compensate releases, re-arm
         pending deadlines, hand confirmed sessions to ``supervisor``,
         and audit the ledgers for leaks."""
-        now = self._clock.now()
+        now = self.committer.clock.now()
         report = RecoveryReport(
             torn_records_dropped=self.journal.torn_records_dropped
         )
@@ -345,23 +215,18 @@ class RecoveryManager:
                 holder, reserved, now, report, supervisor=supervisor
             )
         if last.record_type is JournalRecordType.RESERVED:
-            return self._rearm_or_expire(
-                holder, last, now, report, loop=loop
-            )
+            return self._rearm_or_expire(last, now, report, loop=loop)
         # INTENT only: the crash hit inside the step-5 walk.  Journal
         # the compensation first (append-before-apply), then sweep the
         # ledgers for whatever the walk had already taken.
-        self.journal_event(
-            JournalRecordType.RELEASED,
-            holder,
-            {"reason": "recovery-orphan"},
-            timestamp=now,
+        committer = self.committer
+        committer.journal_event(
+            JournalRecordType.RELEASED, holder, {"reason": "recovery-orphan"}
         )
-        streams, flows = self._scan_holder(holder)
-        freed_streams, freed_flows = self.release_resources(streams, flows)
+        bundle = committer.rebuild(holder)
+        committer.release(bundle)
+        self._count_freed(bundle, report)
         report.orphans_released += 1
-        report.streams_released += freed_streams
-        report.flows_released += freed_flows
         return HolderOutcome.ORPHAN_RELEASED
 
     def _redo_terminal(
@@ -370,62 +235,34 @@ class RecoveryManager:
         reserved: "JournalRecord | None",
         report: RecoveryReport,
     ) -> str:
-        streams: "tuple[tuple[str, str], ...]" = ()
-        flows: "tuple[str, ...]" = ()
-        if reserved is not None:
-            streams, flows = self._reserved_resources(reserved)
-        scan_streams, scan_flows = self._scan_holder(holder)
-        freed_streams, freed_flows = self.release_resources(
-            streams + scan_streams, flows + scan_flows
+        bundle = self.committer.rebuild(
+            holder, None if reserved is None else reserved.payload
         )
-        if freed_streams or freed_flows:
-            report.redo_released += 1
-            report.streams_released += freed_streams
-            report.flows_released += freed_flows
-            return HolderOutcome.REDO_RELEASED
-        report.clean += 1
-        return HolderOutcome.CLEAN
+        if not (bundle.streams or bundle.flows):
+            report.clean += 1
+            return HolderOutcome.CLEAN
+        self.committer.release(bundle)
+        self._count_freed(bundle, report)
+        report.redo_released += 1
+        return HolderOutcome.REDO_RELEASED
 
     def _rearm_or_expire(
         self,
-        holder: str,
         reserved: JournalRecord,
         now: float,
         report: RecoveryReport,
         *,
         loop: "EventLoop | None",
     ) -> str:
-        streams, flows = self._reserved_resources(reserved)
-        commitment = RecoveredCommitment(
-            holder=holder,
-            offer_id=str(reserved.payload.get("offer_id", "")),
-            reserved_at=float(reserved.payload.get("reserved_at", reserved.timestamp)),
-            choice_period_s=float(reserved.payload.get("choice_period_s", 0.0)),
-            streams=streams,
-            flows=flows,
-            _manager=self,
-        )
-        if now > commitment.deadline:
-            freed_streams, freed_flows = self.expire_recovered(commitment, now)
+        commitment = self.committer.resume(reserved)
+        if commitment.expire_check(now):
+            self._count_freed(commitment.bundle, report)
             report.expired_released += 1
-            report.streams_released += freed_streams
-            report.flows_released += freed_flows
             return HolderOutcome.EXPIRED_RELEASED
         report.rearmed += 1
-        report.pending[holder] = commitment
-
-        def timer_fired(c: RecoveredCommitment = commitment) -> None:
-            # The §8 choicePeriod timer itself: firing *at* the deadline
-            # is expiry (expire_check's strict > is for polling paths).
-            if not c.confirmed and not c.expired:
-                self.expire_recovered(c, self._clock.now())
-
+        report.pending[reserved.holder] = commitment
         if loop is not None:
-            loop.at(
-                commitment.deadline,
-                timer_fired,
-                label=f"recovery-choice-period:{holder}",
-            )
+            commitment.watch(loop)
         return HolderOutcome.REARMED
 
     def _hand_to_supervisor(
@@ -439,20 +276,17 @@ class RecoveryManager:
     ) -> str:
         report.active_sessions += 1
         if supervisor is not None:
-            streams: "tuple[tuple[str, str], ...]" = ()
-            flows: "tuple[str, ...]" = ()
-            if reserved is not None:
-                streams, flows = self._reserved_resources(reserved)
+            committer = self.committer
+            payload = None if reserved is None else reserved.payload
 
-            def release(when: float, s: "tuple[tuple[str, str], ...]" = streams,
-                        f: "tuple[str, ...]" = flows, h: str = holder) -> None:
-                self.journal_event(
-                    JournalRecordType.RELEASED,
-                    h,
+            def release(_when: float) -> None:
+                # The supervisor sweeps on the shared clock, which is
+                # what the committer stamps the record with.
+                committer.journal_event(
+                    JournalRecordType.RELEASED, holder,
                     {"reason": "supervisor-timeout"},
-                    timestamp=when,
                 )
-                self.release_resources(s, f)
+                committer.release(committer.rebuild(holder, payload))
 
             supervisor.adopt(holder, release, now=now)
         return HolderOutcome.ACTIVE
@@ -467,12 +301,12 @@ class RecoveryManager:
             for holder, outcome in report.outcomes.items()
             if outcome in (HolderOutcome.ACTIVE, HolderOutcome.REARMED)
         }
-        for server in self._servers.values():
+        for server in self.committer.servers.values():
             for stream in server.reservations():
                 if stream.holder not in live:
                     report.leaked_streams += 1
                     report.leaked_bps += stream.rate_bps
-        for flow in self._transport.flows():
+        for flow in self.committer.transport.flows():
             if flow.holder not in live:
                 report.leaked_flows += 1
                 report.leaked_bps += flow.reserved_bps

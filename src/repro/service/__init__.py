@@ -7,7 +7,6 @@ yield-point map, deadlock-avoidance ordering).
 """
 
 from .negotiator import (
-    EXPIRY_MARGIN_S,
     NegotiationService,
     ServicePolicy,
     ServiceRequest,
@@ -25,7 +24,6 @@ from .scheduler import (
 )
 
 __all__ = [
-    "EXPIRY_MARGIN_S",
     "NegotiationService",
     "ServicePolicy",
     "ServiceRequest",

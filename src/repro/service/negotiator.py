@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..core.classification import ClassifiedOffer, check_top_k, walk_order
-from ..core.commitment import Commitment, CommitmentState
+from ..core.commitment import EXPIRY_MARGIN_S, Commitment, CommitmentState
 from ..core.negotiation import NegotiationResult, Walk
 from ..util.errors import ConfirmationTimeout
 from ..util.rng import RngLike, make_rng
@@ -60,18 +60,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..telemetry import Telemetry
 
 __all__ = [
-    "EXPIRY_MARGIN_S",
     "ServicePolicy",
     "ServiceStats",
     "ServiceRequest",
     "NegotiationService",
 ]
-
-EXPIRY_MARGIN_S = 1e-3
-"""How long after the choicePeriod deadline the watchdog fires.  Expiry
-is strict (``now > deadline``), so the watchdog must land past the
-deadline tick; one millisecond keeps the wake deterministic while
-leaving a confirm *on* the tick its honest last chance."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -160,11 +160,7 @@ def run_crash_recovery(
             # Leave the last negotiation awaiting user confirmation —
             # when the crash lands after it, its choicePeriod must
             # survive and be re-armed.  The §8 timer still runs.
-            scenario.loop.at(
-                commitment.deadline + 1e-3,
-                lambda c=commitment: c.expire_check(scenario.clock.now()),
-                label=f"choice-period:{commitment.bundle.holder}",
-            )
+            commitment.watch(scenario.loop)
             return
         try:
             runtime.start_session(result, profile, client)

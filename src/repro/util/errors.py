@@ -36,7 +36,6 @@ __all__ = [
     "LeaseError",
     "ManagerCrashError",
     "JournalError",
-    "RecoveryError",
     "NegotiationError",
     "ProfileError",
     "OfferError",
@@ -182,11 +181,6 @@ class JournalError(ReproError):
     """The write-ahead reservation journal is corrupt or was misused
     (non-monotonic sequence numbers, checksum mismatch away from the
     tail, appends after close)."""
-
-
-class RecoveryError(ReproError):
-    """The crash-recovery replay could not reconcile the journal with
-    the live resource ledgers."""
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Resource commitment and user confirmation (§4 steps 5–6)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cmfs.server import StreamReservation
@@ -7,7 +9,6 @@ from repro.core.classification import classify_space
 from repro.core.commitment import (
     Commitment,
     CommitmentState,
-    ReservationBundle,
     ResourceCommitter,
 )
 from repro.core.cost import default_cost_model
@@ -123,11 +124,8 @@ class TestRollback:
         bundle = committer.try_commit(
             best_offer, space, client.access_point, holder="s1"
         )
-        haunted = ReservationBundle(
-            offer=bundle.offer,
-            streams=(self._ghost_stream(), *bundle.streams),
-            flows=bundle.flows,
-            holder=bundle.holder,
+        haunted = replace(
+            bundle, streams=(self._ghost_stream(), *bundle.streams)
         )
         committer.release(haunted)  # no raise
         assert transport.flow_count == 0

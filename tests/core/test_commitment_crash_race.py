@@ -192,11 +192,8 @@ class TestSchedulerInterleavedExpiryRace:
 
     def run_race(self, scheduler_seed, confirm_offset_s):
         from repro.core import ProfileManager
-        from repro.service import (
-            EXPIRY_MARGIN_S,
-            NegotiationService,
-            ServicePolicy,
-        )
+        from repro.core.commitment import EXPIRY_MARGIN_S
+        from repro.service import NegotiationService, ServicePolicy
         from repro.sim import ScenarioSpec, build_scenario
 
         journal = ReservationJournal()
@@ -259,7 +256,7 @@ class TestSchedulerInterleavedExpiryRace:
     def test_confirm_at_the_deadline_beats_the_watchdog(
         self, scheduler_seed
     ):
-        from repro.service import EXPIRY_MARGIN_S
+        from repro.core.commitment import EXPIRY_MARGIN_S
 
         # Think time = the choice period exactly: confirm() runs at the
         # deadline (still valid — expiry is strictly after), a full

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.classification import classify_space
-from repro.core.commitment import Commitment, ResourceCommitter
+from repro.core.commitment import (
+    EXPIRY_MARGIN_S,
+    Commitment,
+    ResourceCommitter,
+)
 from repro.core.cost import default_cost_model
 from repro.core.enumeration import build_offer_space
 from repro.core.importance import default_importance
@@ -15,7 +19,7 @@ from repro.journal import (
 )
 from repro.network.qosparams import FlowSpec
 from repro.session import EventLoop, SessionSupervisor
-from repro.util.errors import RecoveryError
+from repro.util.errors import ConfirmationTimeout, ReservationError
 
 FLOW = FlowSpec(
     max_bit_rate=2e6,
@@ -49,6 +53,18 @@ def reserved_payload(stream, flow, *, reserved_at, choice_period_s=60.0):
         ],
         "flows": [{"flow_id": flow.flow_id, "reserved_bps": flow.reserved_bps}],
     }
+
+
+def journal_reserved(journal, stream, flow, *, holder="s1"):
+    """The journal of a walk that reserved at t=0 and then lost its
+    manager: INTENT + RESERVED, nothing after."""
+    journal.append(JournalRecordType.INTENT, holder, timestamp=0.0)
+    journal.append(
+        JournalRecordType.RESERVED,
+        holder,
+        reserved_payload(stream, flow, reserved_at=0.0),
+        timestamp=0.0,
+    )
 
 
 def total_reserved(servers, transport):
@@ -124,15 +140,39 @@ class TestReservedHolders:
         assert report.outcomes == {"s1": HolderOutcome.REARMED}
         assert report.leak_free  # a re-armed holder is live, not a leak
         commitment = report.pending["s1"]
-        assert commitment.remaining(clock.now()) == pytest.approx(50.0)
+        assert commitment.deadline - clock.now() == pytest.approx(50.0)
         assert total_reserved(servers, transport) == (1, 1)
 
-        loop.run()  # the re-armed choicePeriod timer fires at t=60
+        loop.run()  # the re-armed watchdog fires just past t=60
 
-        assert clock.now() == pytest.approx(60.0)
+        assert clock.now() == 60.0 + EXPIRY_MARGIN_S
         assert total_reserved(servers, transport) == (0, 0)
-        assert journal.last_for("s1").record_type is JournalRecordType.EXPIRED
-        assert journal.last_for("s1").payload["recovered"] is True
+        expired = journal.last_for("s1")
+        assert expired.record_type is JournalRecordType.EXPIRED
+        assert expired.timestamp == 60.0 + EXPIRY_MARGIN_S
+        assert expired.payload["recovered"] is True
+
+    def test_confirm_on_the_deadline_tick_is_accepted(
+        self, recovery, servers, transport, clock
+    ):
+        # Expiry is strictly after the deadline, for a resumed
+        # commitment as for a live one: the tick itself still confirms.
+        journal, manager = recovery
+        stream, flow = take_resources(servers, transport, "s1")
+        journal_reserved(journal, stream, flow)
+        clock.advance(10.0)
+        loop = EventLoop(clock)
+        report = manager.replay(loop=loop)
+        commitment = report.pending["s1"]
+        loop.at(60.0, lambda: commitment.confirm(clock.now()))
+
+        loop.run()
+
+        assert total_reserved(servers, transport) == (1, 1)
+        last = journal.last_for("s1")
+        assert last.record_type is JournalRecordType.CONFIRMED
+        assert last.timestamp == 60.0
+        assert last.payload == {"offer_id": "offer-1", "recovered": True}
 
     def test_rearmed_commitment_can_still_confirm(
         self, recovery, servers, transport, clock
@@ -152,7 +192,8 @@ class TestReservedHolders:
         commitment = report.pending["s1"]
 
         commitment.confirm(clock.now())
-        commitment.confirm(clock.now())  # idempotent
+        with pytest.raises(ReservationError):  # as for a live commitment
+            commitment.confirm(clock.now())
         loop.run()  # the timer still fires, but must be a no-op now
 
         assert total_reserved(servers, transport) == (1, 1)
@@ -177,9 +218,74 @@ class TestReservedHolders:
         clock.advance(100.0)
 
         assert commitment.expire_check(clock.now()) is True
-        with pytest.raises(RecoveryError):
+        with pytest.raises(ConfirmationTimeout):
             commitment.confirm(clock.now())
         assert total_reserved(servers, transport) == (0, 0)
+
+    def test_late_confirm_on_a_resumed_commitment_times_out(
+        self, recovery, servers, transport, clock
+    ):
+        # No watchdog ran: the confirm itself finds the deadline passed,
+        # expires the commitment and refuses, as a live one does.
+        journal, manager = recovery
+        stream, flow = take_resources(servers, transport, "s1")
+        journal_reserved(journal, stream, flow)
+        clock.advance(10.0)
+        commitment = manager.replay(loop=EventLoop(clock)).pending["s1"]
+        clock.advance(100.0)
+
+        with pytest.raises(ConfirmationTimeout):
+            commitment.confirm(clock.now())
+
+        types = [r.record_type for r in journal.records_for("s1")]
+        assert types.count(JournalRecordType.EXPIRED) == 1
+        assert JournalRecordType.CONFIRMED not in types
+        assert journal.last_for("s1").record_type is JournalRecordType.EXPIRED
+        assert total_reserved(servers, transport) == (0, 0)
+
+    def test_expiry_also_frees_what_the_payload_does_not_name(
+        self, recovery, servers, transport, clock
+    ):
+        # A rollback a fault hook swallowed earlier in the walk left a
+        # second stream under the holder; the resumed commitment is
+        # everything the ledgers hold for it, so expiry frees both.
+        journal, manager = recovery
+        stream, flow = take_resources(servers, transport, "s1")
+        servers["server-a"].admit("m.v.v2", 1e6, holder="s1")
+        journal_reserved(journal, stream, flow)
+        clock.advance(120.0)
+
+        report = manager.replay()
+
+        assert report.outcomes == {"s1": HolderOutcome.EXPIRED_RELEASED}
+        assert total_reserved(servers, transport) == (0, 0)
+        assert (report.streams_released, report.flows_released) == (2, 1)
+        assert report.leak_free
+
+    def test_a_swallowed_release_is_not_counted_as_freed(
+        self, recovery, servers, transport, clock
+    ):
+        class SwallowFirstStreamRelease:
+            swallowed = 0
+
+            def intercept_stream_release(self, server, stream_id):
+                self.swallowed += 1
+                return self.swallowed == 1
+
+        journal, manager = recovery
+        stream, flow = take_resources(servers, transport, "s1")
+        journal_reserved(journal, stream, flow)
+        servers["server-a"].fault_hook = SwallowFirstStreamRelease()
+        clock.advance(120.0)
+
+        report = manager.replay()
+
+        assert report.outcomes == {"s1": HolderOutcome.EXPIRED_RELEASED}
+        assert total_reserved(servers, transport) == (1, 0)
+        assert report.streams_released == 0
+        assert report.flows_released == 1
+        assert report.leaked_streams == 1
+        assert report.leaked_flows == 0
 
 
 class TestConfirmedHolders:

@@ -69,6 +69,16 @@ and other number equal:
 
 ``LOAD_JSON``, ``SLO_FLAMEGRAPH`` and every other ``STDOUT`` pin kept
 their digests.
+
+Re-pinned a fourth time, ``recover-k20`` alone, by the PR that gave
+crash recovery the live step-6 state machine: a re-armed holder's
+``choicePeriod`` watchdog now fires at ``deadline + EXPIRY_MARGIN_S``,
+as a live one does, so its one journal line ``#9 t=70s expired
+session-3`` reads ``t=70.001s``.  Nothing else in any pin moved.  The
+same PR pinned ``recover-k6`` and ``recover-k13``, the other two crash
+points of ``recover --crash-after 1..40`` that re-arm a holder, from
+the change itself (their parent read ``t=60s`` and ``t=65s`` where they
+now read ``t=60.001s`` and ``t=65.001s``).
 """
 
 import hashlib
@@ -108,9 +118,11 @@ STDOUT = {
         for k, digest in (
             (1, "4ec1f18a457c44d2b43e44435041df63e50697dc4a2aba9e55f0b05607d3bdd3"),
             (4, "b00881bfe3e6e7a74937a3db6196d13cb045895f2433d20ea055f82caf6ea5ad"),
+            (6, "a273a1ccd8559f233907bfdc4e0b5f5cb855363e1f82ae64b4b6f66d93520ef0"),
             (8, "33203e02ed648833b018c53c5db12d2a435b9c7797478852a25d1d59beff4c60"),
+            (13, "5ec60048b05f6a3efe02b1ac1c8157441beeb304026cb19a0283cb50c5f31676"),
             (14, "d7f4ae8d353cc9df8bf36b911dfa7fb6aa5a730b936824d20a55cfca644e7af7"),
-            (20, "2ed328e60d6858d27383cf7352cad8aa4fc563b114552021f90662dabf54d2f6"),
+            (20, "c1a3762b001a322b5df26dd7787b26a7862de340234b85b8d42441d2508e3444"),
             (22, "dfecc136f119c01009b2c0ef86452527416e26b9e796f6cba334f7abb8e54302"),
             (30, "76b7a334ffa10aebe6bc14f3fe94bebf32323462201ed2b2387da1de23c973c7"),
         )
