@@ -197,7 +197,9 @@ def _axis_columns(
     the SNS-level column — 0 desirable / 1 acceptable / 2 constraint
     relative to the profile bounds of the axis's medium — each indexed
     by variant.  Both orderings (:func:`classify_arrays` and the
-    best-first stream) are built on these columns and nothing else.
+    best-first stream) are built on these columns and nothing else;
+    the stream keeps them on the space, once per distinct importance
+    tables, QoS bounds and server weights (``OfferSpace.columns_memo``).
 
     A server preference weight is added to the variant's QoS
     importance, so an offer's OIF carries its variants' summed weights;

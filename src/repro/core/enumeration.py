@@ -105,8 +105,19 @@ class OfferSpace:
         self.presented_axes: tuple[tuple[MediaQoS, ...], ...] = tuple(
             tuple(choice.presented for choice in axis) for axis in self.axes
         )
-        # The classified orders requested over this space, keyed by
-        # what selects them; kept and bounded by repro.core.stream.
+        # The cheapest and the dearest offer's total cents (steps 3-4
+        # clamp a budget into [cheapest - 1, dearest]).
+        self.cost_span: tuple[int, int] = (
+            (self.copyright_cents, self.copyright_cents) if self.is_empty
+            else (
+                self.copyright_cents + sum(map(min, self.cents_axes)),
+                self.copyright_cents + sum(map(max, self.cents_axes)),
+            )
+        )
+        # The score columns and the classified orders requested over
+        # this space, each keyed by what selects it; kept and bounded
+        # by repro.core.stream.
+        self.columns_memo: dict[tuple, Any] = {}
         self.order_memo: dict[tuple, Any] = {}
 
     # -- shape -------------------------------------------------------------------

@@ -24,14 +24,23 @@ operations in ``np.interp``'s order and returns the same bits
 every table entry — anchors, overrides, level maps, media weights — is
 finite, checked at construction: a NaN importance would be a NaN OIF,
 on which the offer order is undefined.
+
+The tables are read-only (:class:`~repro.util.readonly.ReadOnlyDict`,
+whose repr is a plain dict's), and each profile carries
+``tables_key``: the bits of every entry (a) reads, packed once at
+construction.  Two profiles with equal keys score every QoS point to
+the same bits, which is what lets an offer space keep its score
+columns across requests (:mod:`repro.core.stream`).
 """
 
 from __future__ import annotations
 
+import enum
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Any, Mapping
 
 from ..documents.media import (
     FROZEN_FRAME_RATE,
@@ -54,6 +63,7 @@ from ..documents.quality import (
     VideoQoS,
 )
 from ..util.errors import ProfileError
+from ..util.readonly import ReadOnlyDict
 from ..util.units import Money
 from ..util.validation import check_non_negative
 
@@ -73,6 +83,17 @@ def _finite(value: float, what: str) -> float:
     if not math.isfinite(number):
         raise ProfileError(f"{what} must be finite, got {number!r}")
     return number
+
+
+_MISSING = math.nan
+"""A table entry the key records as absent: never a legal value, since
+every entry is finite."""
+
+
+_LEVEL_MEMBERS: "tuple[tuple[enum.Enum, ...], ...]" = (
+    tuple(ColorMode), tuple(AudioGrade), tuple(Language), tuple(Medium)
+)
+"""The members each level table is keyed by, in enum order."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +128,8 @@ class ScaleImportance:
         )
         object.__setattr__(self, "_xs", [x for x, _ in anchors])
         object.__setattr__(self, "_vs", [v for _, v in anchors])
-        object.__setattr__(self, "overrides", dict(self.overrides))
+        object.__setattr__(self, "anchors", ReadOnlyDict(self.anchors))
+        object.__setattr__(self, "overrides", ReadOnlyDict(self.overrides))
 
     def value(self, x: float) -> float:
         """Importance factor of scale value ``x`` (finite).
@@ -139,13 +161,26 @@ class ScaleImportance:
         return replace(self, overrides=overrides)
 
 
-def _level_map(mapping: Mapping, what: str) -> dict:
+def _scale_numbers(scale: ScaleImportance) -> "list[float]":
+    """Every number ``scale.value`` reads, self-delimiting: the anchor
+    and override counts, the anchors, then the overrides by scale
+    value."""
+    overrides = sorted(
+        (float(x), float(v)) for x, v in scale.overrides.items()
+    )
+    return (
+        [len(scale._xs), len(overrides), *scale._xs, *scale._vs]
+        + [number for pair in overrides for number in pair]
+    )
+
+
+def _level_map(mapping: Mapping, what: str) -> ReadOnlyDict:
     result = {}
     for key, value in mapping.items():
         result[key] = _finite(value, f"{what} importance of {key}")
     if not result:
         raise ProfileError(f"{what} importance map must not be empty")
-    return result
+    return ReadOnlyDict(result)
 
 
 @dataclass(frozen=True)
@@ -165,6 +200,16 @@ class ImportanceProfile:
     language: Mapping[Language, float]
     media_weight: Mapping[Medium, float]
     cost_per_dollar: float = 0.0
+    # Every bit ``qos_importance`` reads: the level tables in enum order
+    # (an absent level as NaN), then the two scales' key numbers; the
+    # cost term is not in it.
+    tables_key: bytes = field(init=False, repr=False, compare=False)
+    # The importance digest, written once by
+    # ``repro.perf.fingerprint.importance_fingerprint``.  Every table is
+    # read-only, so it never goes stale.
+    _fingerprint: "str | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "color", _level_map(self.color, "color"))
@@ -178,11 +223,26 @@ class ImportanceProfile:
         }
         for medium in Medium:
             weights.setdefault(medium, 1.0)
-        object.__setattr__(self, "media_weight", weights)
+        object.__setattr__(self, "media_weight", ReadOnlyDict(weights))
         check_non_negative(self.cost_per_dollar, "cost_per_dollar")
         missing = [mode for mode in ColorMode if mode not in self.color]
         if missing:
             raise ProfileError(f"color importance missing levels: {missing}")
+        tables: "tuple[Mapping[Any, float], ...]" = (
+            self.color, self.audio_grade, self.language, self.media_weight
+        )
+        numbers = [
+            table.get(member, _MISSING)
+            for table, members in zip(tables, _LEVEL_MEMBERS)
+            for member in members
+        ]
+        numbers += _scale_numbers(self.frame_rate)
+        numbers += _scale_numbers(self.resolution)
+        # Packed as IEEE doubles, so ``-0.0`` and ``0.0`` differ, as they
+        # can in a score.
+        object.__setattr__(
+            self, "tables_key", struct.pack(f"<{len(numbers)}d", *numbers)
+        )
 
     # -- §5.2.2 (a): QoS importance ------------------------------------------------
 

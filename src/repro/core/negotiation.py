@@ -94,6 +94,10 @@ DEFAULT_RETRY_AFTER_S = 30.0
 """Retry-after hint on FAILEDTRYLATER when no breaker knows better —
 roughly the time scale on which playing sessions end and free capacity."""
 
+_DEFAULT_IMPORTANCE = default_importance()
+"""The importance of every profile that carries none: one read-only
+instance, so such requests share its key and its fingerprint."""
+
 
 @dataclass(slots=True)
 class NegotiationResult:
@@ -863,7 +867,7 @@ class QoSManager:
     def _importance_of(profile: UserProfile) -> ImportanceProfile:
         importance = profile.importance
         if importance is None:
-            return default_importance()
+            return _DEFAULT_IMPORTANCE
         if not isinstance(importance, ImportanceProfile):
             raise NegotiationError(
                 f"profile {profile.name!r} carries an invalid importance "

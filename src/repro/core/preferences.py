@@ -16,7 +16,10 @@ Two mechanisms realise that sentence:
   preference participates in the §5 classification without touching the
   QoS/cost semantics.  Steps 3–4 add each variant's weight to its QoS
   importance (``classification._axis_columns``); a weight must be
-  finite, since a NaN would leave the offer order undefined.
+  finite, since a NaN would leave the offer order undefined.  The
+  weights are read-only and keyed once at construction
+  (``weights_key``), so an offer space can keep the score columns they
+  select (:mod:`repro.core.stream`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Callable, Mapping
 
 from ..documents.monomedia import Variant
 from ..util.errors import ProfileError
+from ..util.readonly import ReadOnlyDict
 from .offers import SystemOffer
 
 __all__ = [
@@ -98,6 +102,12 @@ class UserPreferences:
 
     server_preference: Mapping[str, float] = field(default_factory=dict)
     min_security: SecurityLevel = SecurityLevel.PUBLIC
+    # The weights by server id, each as ``float.hex`` so that ``-0.0``
+    # and ``0.0`` differ; None when there are none, which scores like
+    # no preferences at all.
+    weights_key: "tuple[tuple[str, str], ...] | None" = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         weights = {str(k): float(v) for k, v in self.server_preference.items()}
@@ -107,7 +117,11 @@ class UserPreferences:
                     f"server preference of {server_id!r} must be finite, "
                     f"got {weight!r}"
                 )
-        object.__setattr__(self, "server_preference", weights)
+        object.__setattr__(self, "server_preference", ReadOnlyDict(weights))
+        object.__setattr__(self, "weights_key", tuple(
+            (server_id, weights[server_id].hex())
+            for server_id in sorted(weights)
+        ) or None)
         object.__setattr__(
             self, "min_security", SecurityLevel.parse(self.min_security)
         )

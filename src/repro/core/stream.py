@@ -37,32 +37,43 @@ Bands that provably hold no offer are skipped without a search.
 ``PURE_OIF`` has no bands: one search over the whole product.
 
 **Shared orders.**  A cached space serves many requests, and most of
-them read the same score columns, so each :class:`OfferSpace` keeps a
-memo of the orders requested over it (``order_memo``).  The key is
-every value the search reads beyond the space itself: the policy, the
-clamped budget, the cost per dollar and the per-axis QoS-importance and
-level columns.  The budget enters only through which offers are
-affordable, so it is clamped to ``[cheapest − 1, dearest]`` over the
-whole product: a ceiling above the dearest offer selects the same order
-as one at it.  ``-0.0`` and ``0.0`` are one key, which is exact because
-every OIF sum starts at ``+0.0``.  A request gets a cursor over the
-memo's :class:`SharedOrder`: it replays the offers an earlier request
-already pulled and extends the shared list from the one frontier
-search only past them.  Both bounds are module constants:
-a space keeps :data:`ORDER_MEMO_SIZE` orders, the oldest evicted, and
-an order shares its first :data:`SHARED_PREFIX` offers; past them the
-first cursor takes over the shared search and any later one continues
-on a private search that skips the shared prefix.  The memo lives and
-dies with its space: a document mutation gives a new space, and
-``variant_filter`` requests build private ones.
+them read the same score columns, so each :class:`OfferSpace` keeps
+two memos.  ``columns_memo`` holds the per-axis QoS-importance and
+level columns ``_axis_columns`` scored, keyed by exactly what it reads:
+the importance tables (``ImportanceProfile.tables_key``), the desired
+and worst QoS bound of each medium and the server weights
+(``UserPreferences.weights_key``) — not the cost ceiling, the time
+bounds or the name, so requests that differ only in those score the
+space once.  Both keys hold floats as their bits, so a ``-0.0`` entry
+never finds a ``0.0`` entry's columns; the tables they are built from
+are read-only, so they never go stale.  ``order_memo`` holds the orders
+requested over the space.  Its key is every value the search reads
+beyond the space itself: the policy, the clamped budget, the cost per
+dollar and the two columns, compared by value.  The budget enters only
+through which offers are affordable, so it is clamped to
+``[cheapest − 1, dearest]`` (``OfferSpace.cost_span``): a ceiling above
+the dearest offer selects the same order as one at it.  ``-0.0`` and
+``0.0`` are one order key, which is exact because every OIF sum starts
+at ``+0.0``.  A request gets a cursor over the memo's
+:class:`SharedOrder`: it replays the offers an earlier request already
+pulled and extends the shared list from the one frontier search only
+past them.  The bounds are module constants: a space keeps
+:data:`ORDER_MEMO_SIZE` column sets and as many orders, the oldest
+evicted, and an order shares its first :data:`SHARED_PREFIX` offers;
+past them the first cursor takes over the shared search and any later
+one continues on a private search that skips the shared prefix.  The
+memos live and die with their space: a document mutation gives a new
+space, and ``variant_filter`` requests build private ones.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
+from ..documents.media import Medium
 from .classification import (
     ClassificationPolicy,
     ClassifiedOffer,
@@ -70,13 +81,15 @@ from .classification import (
 )
 from .enumeration import OfferSpace
 from .importance import ImportanceProfile
+from .preferences import UserPreferences
 from .profiles import UserProfile
 from .status import StaticNegotiationStatus
 
 __all__ = ["SharedOrder", "shared_order", "stream_classified"]
 
 ORDER_MEMO_SIZE = 8
-"""Classified orders one offer space keeps; the oldest is evicted."""
+"""Classified orders, and score column sets, one offer space keeps; the
+oldest is evicted."""
 
 SHARED_PREFIX = 256
 """Offers of one order kept for every cursor to replay."""
@@ -86,40 +99,73 @@ class _AxisTables(NamedTuple):
     """Per-axis score tables, indexed ``[axis][original variant index]``,
     and the clamped budget: everything one order's search reads."""
 
-    qimp: "list[list[float]]"
+    qimp: "tuple[tuple[float, ...], ...]"
     cents: "Sequence[Sequence[int]]"
-    levels: "list[list[int]]"
+    levels: "tuple[tuple[int, ...], ...]"
     radices: "Sequence[int]"
     cost_per_dollar: float
     copyright_cents: int
     budget: int
 
 
-def _axis_tables(
+_bounds = attrgetter(*(medium.value for medium in Medium))
+"""An MM profile's QoS bound of every medium, in enum order."""
+
+
+def _columns(
     space: OfferSpace, profile: UserProfile, importance: ImportanceProfile
-) -> "tuple[_AxisTables, tuple]":
-    """One request's tables plus the memo key of the order they select
-    under a policy: the values the tables take from the request, with
+) -> "tuple[tuple[tuple[float, ...], ...], tuple[tuple[int, ...], ...]]":
+    """The request's QoS-importance and level columns, scored by
+    ``_axis_columns`` once per distinct (importance tables, QoS bounds,
+    server weights) on the space and kept in ``space.columns_memo``."""
+    preferences = profile.preferences
+    key = (
+        importance.tables_key,
+        _bounds(profile.desired),
+        _bounds(profile.worst),
+        preferences.weights_key
+        if isinstance(preferences, UserPreferences) else None,
+    )
+    memo = space.columns_memo
+    columns = memo.get(key)
+    if columns is None:
+        qimp, _, levels = _axis_columns(space, profile, importance)
+        if len(memo) >= ORDER_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        columns = memo[key] = (
+            tuple(map(tuple, qimp)), tuple(map(tuple, levels))
+        )
+    return columns
+
+
+def _order_key(
+    space: OfferSpace,
+    profile: UserProfile,
+    importance: ImportanceProfile,
+    policy: ClassificationPolicy,
+) -> tuple:
+    """The memo key of the order one request selects: ``(policy,
+    budget, cost per dollar, QoS-importance columns, level columns)``,
     the budget clamped to ``[cheapest − 1, dearest]``, which decides
     every affordability test the search makes."""
-    qimp, cents, levels = _axis_columns(space, profile, importance)
-    cpd = importance.cost_per_dollar
-    copyright_cents = space.copyright_cents
-    budget = min(
-        max(profile.max_cost.cents, copyright_cents + sum(map(min, cents)) - 1),
-        copyright_cents + sum(map(max, cents)),
-    )
-    tables = _AxisTables(
+    qimp, levels = _columns(space, profile, importance)
+    cheapest, dearest = space.cost_span
+    budget = min(max(profile.max_cost.cents, cheapest - 1), dearest)
+    return policy, budget, importance.cost_per_dollar, qimp, levels
+
+
+def _axis_tables(space: OfferSpace, key: tuple) -> _AxisTables:
+    """The tables the search of the order under ``key`` reads."""
+    _, budget, cpd, qimp, levels = key
+    return _AxisTables(
         qimp=qimp,
-        cents=cents,
+        cents=space.cents_axes,
         levels=levels,
         radices=space.radices,
         cost_per_dollar=cpd,
-        copyright_cents=copyright_cents,
+        copyright_cents=space.copyright_cents,
         budget=budget,
     )
-    key = (budget, cpd, tuple(map(tuple, qimp)), tuple(map(tuple, levels)))
-    return tables, key
 
 
 def _contribution_orders(tables: _AxisTables) -> "list[list[int]]":
@@ -348,14 +394,15 @@ def shared_order(
 ) -> SharedOrder:
     """The memoised order one request selects over a non-empty space,
     made on a miss."""
-    tables, key = _axis_tables(space, profile, importance)
-    key = (policy, key)
+    key = _order_key(space, profile, importance, policy)
     memo = space.order_memo
     order: "SharedOrder | None" = memo.get(key)
     if order is None:
         if len(memo) >= ORDER_MEMO_SIZE:
             del memo[next(iter(memo))]
-        order = memo[key] = SharedOrder(space, tables, policy)
+        order = memo[key] = SharedOrder(
+            space, _axis_tables(space, key), policy
+        )
     return order
 
 

@@ -12,15 +12,15 @@ Only state that can change the offer space or the classification
 arrays enters a fingerprint; presentation details (client id, access
 point, profile name) deliberately do not.
 
-The client and tariff fingerprints are computed once per object
-version, not once per request: each is memoised on its object (a
-private ``_fingerprint`` field, excluded from repr, equality and hash).
-A ``ClientMachine``'s only mutable part is its ``DecoderBank``, so the
-client memo is stamped with ``DecoderBank.version`` and recomputed when
-``install`` moves it; a ``CostModel`` is frozen over tuple-only tables
-and its memo never goes stale.  The mapper, profile and importance
-fingerprints stay per call: a mapper subclass may carry unfrozen state,
-and an ``ImportanceProfile`` holds plain dicts.
+The client, tariff and importance fingerprints are computed once per
+object version, not once per request: each is memoised on its object
+(a private ``_fingerprint`` field, excluded from repr, equality and
+hash).  A ``ClientMachine``'s only mutable part is its ``DecoderBank``,
+so the client memo is stamped with ``DecoderBank.version`` and
+recomputed when ``install`` moves it; a ``CostModel`` is frozen over
+tuple-only tables and an ``ImportanceProfile`` over read-only ones, so
+their memos never go stale.  The mapper and profile fingerprints stay
+per call; a mapper subclass may carry unfrozen state.
 """
 
 from __future__ import annotations
@@ -132,4 +132,8 @@ def profile_fingerprint(profile: UserProfile) -> str:
 def importance_fingerprint(importance: ImportanceProfile) -> str:
     """Importance-profile fingerprint; frozen dataclass reprs render
     all anchor/override/weight tables."""
-    return digest(repr(importance))
+    fingerprint = importance._fingerprint
+    if fingerprint is None:
+        fingerprint = digest(repr(importance))
+        object.__setattr__(importance, "_fingerprint", fingerprint)
+    return fingerprint

@@ -17,6 +17,7 @@ from .errors import (
     OfferError,
     PersistenceError,
     ProfileError,
+    ReadOnlyError,
     ReproError,
     ReservationError,
     ServerError,

@@ -12,6 +12,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ValidationError",
+    "ReadOnlyError",
     "UnitError",
     "DocumentError",
     "UnknownMediumError",
@@ -53,6 +54,10 @@ class ReproError(Exception):
 
 class ValidationError(ReproError, ValueError):
     """A value object was constructed with out-of-range or inconsistent data."""
+
+
+class ReadOnlyError(ReproError, TypeError):
+    """A read-only table of a value object was changed in place."""
 
 
 class UnitError(ValidationError):

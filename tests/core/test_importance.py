@@ -187,3 +187,116 @@ class TestEditing:
         importance = default_importance()
         for medium in Medium:
             assert importance.media_weight[medium] == 1.0
+
+
+DEFAULT_REPR = (
+    "ImportanceProfile(color={<ColorMode.SUPER_COLOR: 3>: 10.0, "
+    "<ColorMode.COLOR: 2>: 8.0, <ColorMode.GREY: 1>: 4.0, "
+    "<ColorMode.BLACK_AND_WHITE: 0>: 1.0}, "
+    "frame_rate=ScaleImportance(anchors={1.0: 1.0, 25.0: 8.0, 60.0: 10.0}, "
+    "overrides={}), "
+    "resolution=ScaleImportance(anchors={10.0: 1.0, 720.0: 8.0, "
+    "1920.0: 10.0}, overrides={}), "
+    "audio_grade={<AudioGrade.CD: 2>: 8.0, <AudioGrade.RADIO: 1>: 5.0, "
+    "<AudioGrade.TELEPHONE: 0>: 2.0}, "
+    "language={<Language.ENGLISH: 'en'>: 1.0, <Language.FRENCH: 'fr'>: 1.0, "
+    "<Language.GERMAN: 'de'>: 1.0, <Language.SPANISH: 'es'>: 1.0, "
+    "<Language.NONE: '--'>: 0.0}, "
+    "media_weight={<Medium.VIDEO: 'video'>: 1.0, <Medium.AUDIO: 'audio'>: 1.0, "
+    "<Medium.IMAGE: 'image'>: 1.0, <Medium.TEXT: 'text'>: 1.0, "
+    "<Medium.GRAPHIC: 'graphic'>: 1.0}, cost_per_dollar=1.0)"
+)
+
+
+def tables_of(importance):
+    return {
+        "color": importance.color,
+        "audio_grade": importance.audio_grade,
+        "language": importance.language,
+        "media_weight": importance.media_weight,
+        "frame_rate.anchors": importance.frame_rate.anchors,
+        "frame_rate.overrides": importance.frame_rate.overrides,
+        "resolution.anchors": importance.resolution.anchors,
+        "resolution.overrides": importance.resolution.overrides,
+    }
+
+
+class TestReadOnlyTables:
+    """The tables feed a key taken once at construction, so none of
+    them can change afterwards; everything else sees plain dicts."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(tables_of(paper_example_importance()))
+    )
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda table, key: table.__setitem__(key, 3.0),
+            lambda table, key: table.__delitem__(key),
+            lambda table, key: table.update({key: 3.0}),
+            lambda table, key: table.pop(key),
+            lambda table, key: table.setdefault(key, 3.0),
+            lambda table, key: table.clear(),
+            lambda table, key: table.popitem(),
+        ],
+        ids=["assign", "del", "update", "pop", "setdefault", "clear", "popitem"],
+    )
+    def test_every_table_refuses_changes(self, name, change):
+        importance = paper_example_importance()
+        table = tables_of(importance)[name]
+        before = dict(table)
+        key = next(iter(table), 15.0)
+        with pytest.raises(TypeError, match="read-only"):
+            change(table, key)
+        assert table == before
+
+    def test_repr_is_a_plain_dicts(self):
+        """Reprs feed ``importance_fingerprint`` and every batch class
+        key, so they keep their bytes: no ``mappingproxy(...)``."""
+        from repro.perf.fingerprint import importance_fingerprint
+
+        assert repr(default_importance()) == DEFAULT_REPR
+        assert "mappingproxy" not in repr(paper_example_importance())
+        assert importance_fingerprint(default_importance()) == "6495892865053065"
+        assert importance_fingerprint(paper_example_importance()) == (
+            "419ebdb2104c702e"
+        )
+
+    def test_editors_and_equality_unchanged(self):
+        base = default_importance()
+        edited = (
+            base.with_color(ColorMode.GREY, 5.0)
+            .with_language(Language.FRENCH, 3.0)
+            .with_media_weight("audio", 2.0)
+            .with_frame_rate_override(15, 5.0)
+            .with_resolution_override(480, 6.0)
+        )
+        assert edited.color[ColorMode.GREY] == 5.0
+        assert edited.language[Language.FRENCH] == 3.0
+        assert edited.media_weight[Medium.AUDIO] == 2.0
+        assert edited.frame_rate.overrides == {15.0: 5.0}
+        assert edited.resolution.overrides == {480.0: 6.0}
+        assert base.color[ColorMode.GREY] == 4.0  # original untouched
+        assert base == default_importance()
+        assert edited != base
+        assert base.color == dict(base.color)
+        assert replace(base, color=dict(base.color)) == base
+
+    def test_tables_key_is_content_not_identity(self):
+        """Equal tables give equal keys whatever object holds them; the
+        key separates ``-0.0`` from ``0.0`` and leaves the cost term
+        out."""
+        base = default_importance()
+        assert default_importance() is not base
+        assert default_importance().tables_key == base.tables_key
+        assert base.with_cost_per_dollar(9.0).tables_key == base.tables_key
+        zero = base.with_media_weight("video", 0.0)
+        assert base.with_media_weight("video", -0.0).tables_key != (
+            zero.tables_key
+        )
+        assert base.with_frame_rate_override(15, 5.0).tables_key != (
+            base.tables_key
+        )
+        assert base.with_frame_rate_override(15, 5.0).tables_key != (
+            base.with_resolution_override(15, 5.0).tables_key
+        )

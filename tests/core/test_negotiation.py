@@ -171,6 +171,30 @@ class TestProfileInteraction:
         assert result.succeeded
         result.commitment.release()
 
+    def test_requests_without_importance_share_one(
+        self, manager, document, client, balanced_profile, monkeypatch
+    ):
+        """Every profile without importance scores with one read-only
+        instance, not a fresh ``default_importance()`` per request."""
+        from repro.core import negotiation
+
+        seen = []
+        inner = negotiation.stream_classified
+
+        def recording(space, profile, importance, **kwargs):
+            seen.append(importance)
+            return inner(space, profile, importance, **kwargs)
+
+        monkeypatch.setattr(negotiation, "stream_classified", recording)
+        for name in ("bare-1", "bare-2"):
+            bare = replace(balanced_profile, name=name, importance=None)
+            result = manager.negotiate(document.document_id, bare, client)
+            assert result.succeeded
+            result.commitment.release()
+        assert len(seen) == 2
+        assert seen[0] is seen[1]
+        assert seen[0] == negotiation.default_importance()
+
 
 class TestResultSummary:
     def test_summary_mentions_status(self, manager, document, balanced_profile, client):

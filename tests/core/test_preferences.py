@@ -58,6 +58,33 @@ class TestUserPreferences:
         with pytest.raises(ProfileError, match="finite"):
             UserPreferences(server_preference={"server-a": 1.0, "server-b": bad})
 
+    def test_weights_are_read_only(self):
+        prefs = UserPreferences(server_preference={"server-a": 1.0})
+        with pytest.raises(TypeError, match="read-only"):
+            prefs.server_preference["server-a"] = 2.0
+        with pytest.raises(TypeError, match="read-only"):
+            prefs.server_preference.update({"server-b": 2.0})
+        assert prefs.server_preference == {"server-a": 1.0}
+        assert repr(prefs) == (
+            "UserPreferences(server_preference={'server-a': 1.0}, "
+            "min_security=<SecurityLevel.PUBLIC: 0>)"
+        )
+
+    def test_weights_key(self):
+        """Content, in server order, with ``-0.0`` apart from ``0.0``;
+        no weights key like no preferences."""
+        assert UserPreferences().weights_key is None
+        assert UserPreferences(
+            server_preference={"b": 1.0, "a": 0.5}
+        ).weights_key == UserPreferences(
+            server_preference={"a": 0.5, "b": 1}
+        ).weights_key
+        assert UserPreferences(
+            server_preference={"a": -0.0}
+        ).weights_key != UserPreferences(
+            server_preference={"a": 0.0}
+        ).weights_key
+
     def test_variant_filter(self):
         directory = ServerDirectory(
             {"server-a": ServerAttributes(security=SecurityLevel.PROTECTED)}

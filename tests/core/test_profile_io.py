@@ -51,6 +51,29 @@ class TestProfileRecord:
         }
         assert restored.preferences.min_security is SecurityLevel.PROTECTED
 
+    def test_records_keep_their_bytes(self):
+        """Read-only tables render to the same JSON as plain dicts did:
+        the stock profiles, plus paper importance and server weights."""
+        import hashlib
+        import json
+
+        profiles = list(standard_profiles())
+        profiles.append(replace(
+            profiles[0],
+            name="weighted",
+            importance=paper_example_importance(),
+            preferences=UserPreferences(
+                server_preference={"mirror": 0.125, "cdn": -0.0}
+            ),
+        ))
+        text = json.dumps(
+            [profile_to_record(profile) for profile in profiles],
+            sort_keys=True,
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e6a8aa084a7bf33454b7d40908b76682354893fcd13daccd52f8b8c0f8eccff3"
+        )
+
     def test_media_weights_roundtrip(self):
         audio_first = next(
             p for p in standard_profiles() if p.name == "audio-first"

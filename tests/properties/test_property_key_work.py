@@ -2,7 +2,8 @@
 
 The space key fingerprints the client and the tariff once per object
 version: ``ClientMachine`` memoises its capability digest stamped with
-``DecoderBank.version``, ``CostModel`` its tariff digest.  These
+``DecoderBank.version``, ``CostModel`` its tariff digest; a batch class
+key's ``ImportanceProfile`` memoises its digest the same way.  These
 properties hold the memo to a fresh computation on a rebuilt object,
 hold ``install`` to a cache miss and a space equal to an uncached
 build, and count the ``digest`` calls a run of negotiations makes.
@@ -27,11 +28,16 @@ from repro.core.cost import (
     default_cost_model,
 )
 from repro.core.enumeration import build_offer_space
+from repro.core.importance import default_importance
 from repro.documents.builder import make_news_article
 from repro.documents.media import Codecs, ColorMode
 from repro.perf import fingerprint
 from repro.perf.cache import SPACES, NegotiationCache
-from repro.perf.fingerprint import client_fingerprint, cost_model_fingerprint
+from repro.perf.fingerprint import (
+    client_fingerprint,
+    cost_model_fingerprint,
+    importance_fingerprint,
+)
 
 from .strategies import grid_manager
 
@@ -126,6 +132,34 @@ class TestMemoIsFresh:
         )
 
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([
+                    "with_cost_per_dollar", "with_frame_rate_override",
+                    "with_resolution_override",
+                ]),
+                st.integers(min_value=1, max_value=60),
+                st.sampled_from([0.0, -0.0, 0.5, 3.0]),
+            ),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_importance_memo_equals_a_fresh_computation(self, edits):
+        importance = default_importance()
+        for name, x, value in edits:
+            editor = getattr(importance, name)
+            importance = (
+                editor(value) if name == "with_cost_per_dollar"
+                else editor(x, value)
+            )
+        first = importance_fingerprint(importance)
+        assert importance._fingerprint == first
+        assert importance_fingerprint(importance) == first
+        assert first == fingerprint.digest(repr(importance))
+
+
 class TestInstallMisses:
     DOCUMENT = make_news_article(
         "doc.key-work", video_codecs=VIDEO_CODECS, include_image=False
@@ -211,3 +245,11 @@ class TestDigestWork:
             cost_model_fingerprint=2,
             mapper_fingerprint=2 * self.N,
         )
+
+    def test_one_importance_digest_per_object(self, monkeypatch):
+        importance = default_importance()
+        calls = DigestCalls(monkeypatch)
+        for _ in range(self.N):
+            importance_fingerprint(importance)
+        importance_fingerprint(default_importance())
+        assert calls.by_caller == Counter(importance_fingerprint=2)

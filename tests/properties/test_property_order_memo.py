@@ -13,12 +13,15 @@ at cheapest − 1, cheapest, midway, dearest and dearest + 1, so the
 clamp is exercised at both edges; two importance tables yield ``-0.0``
 and ``0.0`` columns that share one key.  The memo is driven past its
 entry bound, and the shared prefix is patched down so that cursors
-walk past it.
+walk past it.  The score columns each order is built from are
+memoised too, under the importance tables, the QoS bounds and the
+server weights; they must equal a fresh ``_axis_columns`` bit for bit.
 """
 
 import copy
 import math
 import struct
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -31,14 +34,21 @@ from repro.core.classification import (
     _axis_columns,
     classify_space,
 )
-from repro.core.importance import default_importance
+from repro.core.importance import (
+    ImportanceProfile,
+    ScaleImportance,
+    default_importance,
+)
 from repro.core.stream import stream_classified
+from repro.documents.media import AudioGrade, ColorMode, Language
 
 from .strategies import (
     GRID_FLAVOURS,
+    GRID_RESOLUTION,
     grid_profile,
     grid_space,
     offer_cost_bounds,
+    server_weights,
     weighted,
 )
 
@@ -98,8 +108,9 @@ def inputs(space, spec):
 
 
 def fresh_rows(space, profile, importance, policy):
-    """A memo-less stream: the same space with an empty memo."""
+    """A memo-less stream: the same space with empty memos."""
     clone = copy.copy(space)
+    clone.columns_memo = {}
     clone.order_memo = {}
     return [
         row(c)
@@ -287,3 +298,171 @@ class TestBounds:
                 space, *inputs(space, spec)
             )
         assert len(space.order_memo) == 1
+
+
+# -- the columns memo ----------------------------------------------------------
+
+
+def signed_zero_importance(sign):
+    """Every table entry a zero of one sign: with ``sign`` −1 each QoS
+    column is ``-0.0``, with +1 it is ``0.0``."""
+    zero = math.copysign(0.0, sign)
+    return ImportanceProfile(
+        color={mode: zero for mode in ColorMode},
+        frame_rate=ScaleImportance(anchors={1.0: -0.0}),
+        resolution=ScaleImportance(anchors={10.0: -0.0}),
+        audio_grade={grade: zero for grade in AudioGrade},
+        language={language: zero for language in Language},
+        media_weight={},
+    )
+
+
+TABLE_BUILDERS = (
+    default_importance,
+    lambda: default_importance().with_cost_per_dollar(2.0),
+    lambda: default_importance().with_frame_rate_override(15, 5.0),
+    lambda: default_importance().with_frame_rate_override(25, -0.0),
+    lambda: default_importance().with_resolution_override(
+        GRID_RESOLUTION, 3.0
+    ),
+    lambda: default_importance().with_media_weight("video", 0.0),
+    lambda: default_importance().with_media_weight("video", -0.0),
+    lambda: default_importance()
+    .with_media_weight("video", -0.0)
+    .with_color(ColorMode.GREY, -0.0),
+    lambda: signed_zero_importance(1.0),
+    lambda: signed_zero_importance(-1.0),
+)
+"""Fresh objects on every call, so equal content never shares identity;
+zero entries of both signs, overrides on both scales, and one table
+that differs from the default only in its cost term."""
+
+COLUMN_WEIGHTS = (None, {}, {"server-a": 0.0}, {"server-a": -0.0})
+CEILINGS = (0, 500, 5_000, 90_000)
+NAMES = ("grid", "renamed")
+
+
+def hex_columns(qimp, levels):
+    return (
+        [[value.hex() for value in column] for column in qimp],
+        [list(column) for column in levels],
+    )
+
+
+@st.composite
+def column_pools(draw):
+    """A base column request and up to eleven neighbours, each differing
+    from the base in one of bounds, table, weights, ceiling or name.  A
+    request is ``(bounds, table builder, weights, ceiling, name)``; the
+    weights choices add one drawn ``server_weights()`` map."""
+    choices = (
+        BOUNDS,
+        TABLE_BUILDERS,
+        COLUMN_WEIGHTS + (draw(server_weights()),),
+        CEILINGS,
+        NAMES,
+    )
+    base = [draw(st.sampled_from(options)) for options in choices]
+    pool = [tuple(base)]
+    for _ in range(draw(st.integers(min_value=1, max_value=11))):
+        spec = list(base)
+        component = draw(st.integers(min_value=0, max_value=len(choices) - 1))
+        spec[component] = draw(st.sampled_from(choices[component]))
+        pool.append(tuple(spec))
+    return pool
+
+
+def column_request(spec):
+    """Fresh profile and importance objects for one pool entry."""
+    (desired, worst), builder, weights, cents, name = spec
+    profile = replace(
+        weighted(grid_profile(desired, worst, cents), weights), name=name
+    )
+    return profile, builder()
+
+
+class TestColumnsMemo:
+    """``stream._columns`` hands every request the columns a fresh
+    ``_axis_columns`` scores for it, bit for bit, whatever the requests
+    before it left in the memo."""
+
+    @given(
+        spaces,
+        column_pools(),
+        st.lists(st.integers(min_value=0, max_value=11), max_size=24),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_memoised_columns_are_fresh_columns(self, space, pool, picks):
+        for pick in picks:
+            profile, importance = column_request(pool[pick % len(pool)])
+            qimp, levels = stream._columns(space, profile, importance)
+            fresh_qimp, _, fresh_levels = _axis_columns(
+                space, profile, importance
+            )
+            assert hex_columns(qimp, levels) == hex_columns(
+                fresh_qimp, fresh_levels
+            )
+            assert len(space.columns_memo) <= stream.ORDER_MEMO_SIZE
+
+    def test_every_pair_of_tables_and_weights(self):
+        """Every ordered pair of (table, weights) requests, the second
+        made right after the first on a space whose memo holds only
+        the first: the second gets its own columns."""
+        space = grid_space([GRID_FLAVOURS[:3], GRID_FLAVOURS[1:]])
+        requests = [
+            (BOUNDS[0], builder, weights, 500, "grid")
+            for builder in TABLE_BUILDERS
+            for weights in COLUMN_WEIGHTS + ({"server-b": 0.25},)
+        ]
+        for first in requests:
+            for second in requests:
+                space.columns_memo.clear()
+                stream._columns(space, *column_request(first))
+                profile, importance = column_request(second)
+                qimp, levels = stream._columns(space, profile, importance)
+                fresh = _axis_columns(space, profile, importance)
+                assert hex_columns(qimp, levels) == hex_columns(
+                    fresh[0], fresh[2]
+                )
+
+    def test_signed_zero_tables_keep_their_signs(self):
+        """Two tables whose columns differ only in the sign of zero,
+        with no server weights or a ``0.0`` / ``-0.0`` weight on
+        ``server-a``: six keys and three sets of bits — all ``0.0``, all
+        ``-0.0``, and ``-0.0`` on ``server-a`` only (``-0.0 + 0.0`` is
+        ``0.0``) — each request getting its own."""
+        space = grid_space([GRID_FLAVOURS[:3], GRID_FLAVOURS[1:]])
+        seen = set()
+        for sign in (1.0, -1.0):
+            for weights in (None, {"server-a": 0.0}, {"server-a": -0.0}):
+                profile = weighted(
+                    grid_profile(GRID_FLAVOURS[1], GRID_FLAVOURS[4], 500),
+                    weights,
+                )
+                importance = signed_zero_importance(sign)
+                qimp, levels = stream._columns(space, profile, importance)
+                fresh = _axis_columns(space, profile, importance)
+                assert hex_columns(qimp, levels) == hex_columns(
+                    fresh[0], fresh[2]
+                )
+                seen.add(str(hex_columns(qimp, levels)))
+        assert len(seen) == 3
+        assert len(space.columns_memo) == 6
+
+    def test_ceiling_and_name_share_one_scoring(self):
+        """Profiles that differ only in cost ceiling or name, each with
+        a fresh equal-content importance, get the one memoised set."""
+        space = grid_space([GRID_FLAVOURS[:4], GRID_FLAVOURS[1:]])
+        base = grid_profile(GRID_FLAVOURS[1], GRID_FLAVOURS[4], 500)
+        variants = [
+            base,
+            grid_profile(GRID_FLAVOURS[1], GRID_FLAVOURS[4], 90_000),
+            replace(base, name="renamed"),
+            grid_profile(GRID_FLAVOURS[1], GRID_FLAVOURS[4], 0),
+        ]
+        first = stream._columns(space, base, default_importance())
+        for profile in variants:
+            assert stream._columns(
+                space, profile, default_importance()
+            ) is first
+        assert len(space.columns_memo) == 1

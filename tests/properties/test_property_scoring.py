@@ -37,7 +37,7 @@ from repro.core.importance import (
 )
 from repro.core.offers import SystemOffer
 from repro.core.profiles import MMProfile
-from repro.core.stream import _axis_tables, stream_classified
+from repro.core.stream import _axis_tables, _order_key, stream_classified
 from repro.documents.builder import make_news_article
 from repro.documents.media import AudioGrade, ColorMode, Language
 from repro.documents.quality import (
@@ -269,7 +269,12 @@ def assert_columns_match(space, profile, importance):
     (left-to-right importance sum, one cost subtraction, max of levels,
     the two cost demotions)."""
     qimp, cents, levels = reference_columns(space, profile, importance)
-    tables, _ = _axis_tables(space, profile, importance)
+    tables = _axis_tables(
+        space,
+        _order_key(
+            space, profile, importance, ClassificationPolicy.SNS_PRIMARY
+        ),
+    )
     assert [list(map(bits, column)) for column in tables.qimp] == [
         list(map(bits, column)) for column in qimp
     ]

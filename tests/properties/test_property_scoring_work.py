@@ -1,13 +1,16 @@
 """What scoring costs, counted — no clock is read.
 
-Steps 3–4 score each variant once per request.  Counting wrappers hold
-that to its arithmetic: over A axes with V variants in total, a first
-offer costs V importance evaluations, at most 2·V bound comparisons and
-at most 2·A bound fetches — and no reflection over dataclass fields, no
+Steps 3–4 score each variant once per distinct request on a space.
+Counting wrappers hold that to its arithmetic: over A axes with V
+variants in total, a first offer costs V importance evaluations, at
+most 2·V bound comparisons and at most 2·A bound fetches; a later
+request with equal importance tables, QoS bounds and server weights
+costs none of them — and no reflection over dataclass fields, no
 ``np.interp`` call and no recomputation of the space's shape.
 """
 
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.client.machine import ClientMachine
-from repro.core import enumeration, importance, standard_profiles
+from repro.core import enumeration, importance, standard_profiles, stream
 from repro.core.classification import ClassificationPolicy
 from repro.core.cost import default_cost_model
 from repro.core.enumeration import build_offer_space
@@ -26,6 +29,7 @@ from repro.core.stream import stream_classified
 from repro.documents import quality
 from repro.documents.builder import make_news_article
 from repro.perf.cache import SPACES, NegotiationCache
+from repro.util.units import Money
 
 from .strategies import (
     GRID_FLAVOURS,
@@ -118,6 +122,68 @@ class TestFirstOfferWork:
         )
         assert (scored, fetched) == (24, 12)
         assert compared <= 48
+
+
+class TestRepeatRequestWork:
+    """A space scores once per distinct (importance tables, QoS bounds,
+    server weights): a later request that differs only in what the
+    columns do not read costs no scoring at all."""
+
+    @given(
+        st.sampled_from(["empty", "single", "any"]).flatmap(banded_cases),
+        st.sampled_from(list(ClassificationPolicy)),
+        st.integers(min_value=-1, max_value=1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_second_request_costs_no_scoring(self, case, policy, shift):
+        space, profile = case
+        axes = len(space.monomedia_ids)
+        variants = sum(space.axis_sizes().values())
+        scored, compared, fetched = first_offer_counts(
+            space, profile, default_importance(), policy
+        )
+        assert scored == variants
+        assert compared <= 2 * variants
+        assert fetched <= 2 * axes
+
+        cents = profile.max_cost.cents + 1 + shift * 250
+        if cents < 0:
+            cents = profile.max_cost.cents + 1
+        repeat = replace(
+            profile,
+            name="repeat",
+            desired=profile.desired.with_cost(Money(cents)),
+            worst=profile.worst.with_cost(Money(cents)),
+        )
+        assert repeat.max_cost != profile.max_cost
+        fresh = default_importance()
+        assert fresh == profile.importance and fresh is not profile.importance
+        assert first_offer_counts(space, repeat, fresh, policy) == (0, 0, 0)
+
+    def test_the_memo_keeps_its_bound(self):
+        """Twelve distinct tables on one space: the memo holds the
+        newest ``ORDER_MEMO_SIZE``; the newest is still scored once, the
+        oldest again."""
+        space = grid_space([GRID_FLAVOURS[:4]] * 3)
+        _, dearest = offer_cost_bounds(space)
+        profile = grid_profile(GRID_FLAVOURS[1], GRID_FLAVOURS[4], dearest)
+        policy = ClassificationPolicy.SNS_PRIMARY
+
+        def table(index):
+            return default_importance().with_media_weight(
+                "video", 1.0 + index
+            )
+
+        for index in range(12):
+            assert first_offer_counts(space, profile, table(index), policy)[
+                0
+            ] == 12
+            assert len(space.columns_memo) == min(
+                index + 1, stream.ORDER_MEMO_SIZE
+            )
+        assert first_offer_counts(space, profile, table(11), policy)[0] == 0
+        assert first_offer_counts(space, profile, table(0), policy)[0] == 12
+        assert len(space.columns_memo) == stream.ORDER_MEMO_SIZE
 
 
 def forbidden(name):
