@@ -304,8 +304,8 @@ class TestBounds:
 
 
 def signed_zero_importance(sign):
-    """Every table entry a zero of one sign: with ``sign`` −1 each QoS
-    column is ``-0.0``, with +1 it is ``0.0``."""
+    """Level entries a zero of ``sign``, both scales ``-0.0``: with
+    ``sign`` −1 each QoS column is ``-0.0``, with +1 it is ``0.0``."""
     zero = math.copysign(0.0, sign)
     return ImportanceProfile(
         color={mode: zero for mode in ColorMode},
