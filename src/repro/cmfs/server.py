@@ -11,9 +11,15 @@ Beside the ledger the server keeps its :class:`ServerLoad` — the four
 totals the admission rules read — so a question costs O(1) however
 many streams are held.  The load is exact, not approximately equal: an
 admission appends its terms (the same ``+`` a fresh pass would do
-last), and anything that removes a stream drops the load, to be rebuilt
-in ledger order by the next reader (:meth:`MediaServer._summed_ledger`).
-Nothing is ever subtracted, and no call is skipped.
+last) and pushes the load it replaced onto an undo stack.  Releasing
+the ledger's newest stream while the load is known pops that stack —
+the popped load is what a re-sum of the shorter ledger gives, because
+it was that ledger's load — so a refused step-5 attempt, which gives
+back what it took in the order it took it, costs no rebuild on a server
+where it held one stream.  Any other removal drops the load and the
+stack, to be rebuilt in ledger order by the next reader
+(:meth:`MediaServer._summed_ledger`).  Nothing is ever subtracted, and
+no call is skipped.
 """
 
 from __future__ import annotations
@@ -75,6 +81,9 @@ class MediaServer:
         # The ledger's totals as the admission rules read them; None
         # when a stream has left since they were last summed.
         self._load: ServerLoad | None = None
+        # While the load is known: for each stream admitted since it was
+        # last summed, oldest first, the load before that admission.
+        self._undo: list[ServerLoad] = []
         self.admission = admission or AdmissionController(disk=disk)
         self.scheduler = RoundScheduler(self.disk, scheduling)
         # Insertion order is admission order: ``sequence`` only grows
@@ -112,7 +121,7 @@ class MediaServer:
                 f"{controller.disk}, the server {self.disk}"
             )
         self._admission = controller
-        self._load = None  # to be re-totalled by this controller
+        self._drop_load()  # to be re-totalled by this controller
 
     def _summed_ledger(self) -> ServerLoad:
         """The load rebuilt from the ledger in one pass, in ledger
@@ -120,6 +129,11 @@ class MediaServer:
         return self._admission.extended(
             EMPTY_LOAD, map(_RATE_OF, self._streams.values())
         )
+
+    def _drop_load(self) -> None:
+        """Forget the load and its undo stack; the next reader re-sums."""
+        self._load = None
+        self._undo.clear()
 
     def _held_load(self) -> ServerLoad:
         load = self._load
@@ -146,11 +160,11 @@ class MediaServer:
         return self.disk.round_s * (1.0 - self._degradation)
 
     def _admission_test(
-        self, rate_bps: float
+        self, held: ServerLoad, rate_bps: float
     ) -> tuple[AdmissionDecision, ServerLoad]:
-        """The decision on one more stream, and the load that becomes
-        the server's if it is admitted."""
-        load = self._admission.extended(self._held_load(), (rate_bps,))
+        """The decision on one more stream beside ``held``, and the load
+        that becomes the server's if it is admitted."""
+        load = self._admission.extended(held, (rate_bps,))
         decision = self._admission.decide(load)
         if (
             decision
@@ -169,7 +183,7 @@ class MediaServer:
 
     def can_admit(self, rate_bps: float) -> AdmissionDecision:
         check_positive(rate_bps, "rate_bps")
-        return self._admission_test(rate_bps)[0]
+        return self._admission_test(self._held_load(), rate_bps)[0]
 
     # -- admission / release -----------------------------------------------------------
 
@@ -183,7 +197,8 @@ class MediaServer:
             raise ServerCrashedError(f"{self.server_id} is down")
         if self.fault_hook is not None:
             self.fault_hook.before_admit(self, variant_id, rate_bps)
-        decision, load = self._admission_test(rate_bps)
+        held = self._held_load()
+        decision, load = self._admission_test(held, rate_bps)
         if not decision:
             raise AdmissionError(
                 f"{self.server_id} rejected {variant_id!r}: "
@@ -200,6 +215,7 @@ class MediaServer:
             sequence=sequence,
         )
         self._streams[stream_id] = reservation
+        self._undo.append(held)
         self._load = load  # appended last, exactly as a re-sum would
         self.scheduler.add_stream(stream_id, rate_bps)
         if self.telemetry is not None:
@@ -218,11 +234,18 @@ class MediaServer:
             self, stream_id
         ):
             return  # lost release: the ledger leaks until the lease reaper runs
-        if self._streams.pop(stream_id, None) is None:
+        streams = self._streams
+        if stream_id not in streams:
             raise ReservationError(
                 f"{self.server_id}: no stream {stream_id!r}"
             )
-        self._load = None  # dropped, never subtracted from
+        undo = self._undo
+        if undo and stream_id == next(reversed(streams)):
+            self._load = undo.pop()  # the shorter ledger's load
+        else:
+            self._load = None  # dropped, never subtracted from
+            undo.clear()
+        del streams[stream_id]
         self.scheduler.remove_stream(stream_id)
         if self.telemetry is not None:
             self.telemetry.count(
@@ -265,7 +288,7 @@ class MediaServer:
             for stream_id in list(self._streams):
                 self._streams.pop(stream_id)
                 self.scheduler.remove_stream(stream_id)
-            self._load = None
+            self._drop_load()
         self._crashed = False
 
     # -- degradation / adaptation hooks ----------------------------------------------

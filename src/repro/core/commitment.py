@@ -30,7 +30,12 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, TypeVar
 from ..cmfs.server import MediaServer, StreamReservation
 from ..faults.health import CircuitBreaker
 from ..faults.lease import LeaseManager
-from ..faults.retry import RetryPolicy, execute_with_retry, is_retryable
+from ..faults.retry import (
+    RETRYABLE_ERRORS,
+    RetryPolicy,
+    execute_with_retry,
+    is_retryable,
+)
 from ..journal import JournalRecord, JournalRecordType, ReservationJournal
 from ..network.transport import (
     FlowReservation,
@@ -238,24 +243,29 @@ class ResourceCommitter:
         the retry policy, feeding attempt outcomes into the health
         tracker.
 
-        Every step-5 call passes through here, so the path with no
-        retry policy and no breaker builds nothing: the retry hook and
-        the thunk exist only under a policy, the clock is read only for
-        a breaker.
+        Every step-5 call passes through here, so a call that does not
+        fail retryably builds nothing: the first call is made directly,
+        and only a retryable failure under a policy hands it to the
+        policy's loop, with the retry hook and the thunk built then.
+        The clock is read only for a breaker.
         """
         count = self.telemetry.count
         target = "network" if server_id is None else server_id
         self.stats.attempts += 1
         count("admission.attempts", target=target)
         try:
-            if self.retry_policy is None:
+            try:
                 result = fn(*args, **kwargs)
-            else:
+            except RETRYABLE_ERRORS as failed:
+                policy = self.retry_policy
+                if policy is None:
+                    raise
                 result = execute_with_retry(
                     lambda: fn(*args, **kwargs),
-                    self.retry_policy,
+                    policy,
                     rng=self._retry_rng,
                     on_retry=self._on_retry(count, target, server_id),
+                    failed=failed,
                 )
         except ReproError as error:
             # Narrow by design (REP003): every fault the injector or the

@@ -52,7 +52,7 @@ from ..faults.retry import RetryPolicy
 from ..journal import ReservationJournal
 from ..metadata.database import MetadataDatabase
 from ..network.transport import GuaranteeType, TransportSystem
-from ..telemetry import NegotiationReport, Telemetry
+from ..telemetry import NULL_SPAN, NegotiationReport, Telemetry
 from ..util.clock import ManualClock
 from ..util.errors import NegotiationError
 from .classification import (
@@ -254,13 +254,18 @@ class Walk:
         quarantined (circuit-open) server is skipped outright — the
         walk degrades to alternate-server variants instead of spending
         its retry budget against a machine known to be failing — and
-        counted here, once; anything else is an attempt."""
+        counted here, once; anything else is an attempt.
+
+        The servers are asked in the order the offer first uses them
+        and the first refusal ends the asking, so which due breaker
+        turns half-open here never follows string hashing (``allow``
+        answers a server asked twice in one instant the same way)."""
         health = self.committer.health
         if health is not None:
             now = self.now()
             if not all(
-                health.allow(server_id, now)
-                for server_id in candidate.offer.servers_used()
+                health.allow(variant.server_id, now)
+                for variant in candidate.offer.variants.values()
             ):
                 self.committer.stats.breaker_skips += 1
                 self.breaker_skips += 1
@@ -350,6 +355,7 @@ class Walk:
         counts as an attempt (the chosen offer's position in walk
         order does not move), it just costs no reservation call."""
         telemetry = self.telemetry
+        tracer = telemetry.tracer
         try_commit = self.committer.try_commit
         memo = self.memo = RefusalMemo()
         with telemetry.span(
@@ -366,10 +372,15 @@ class Walk:
                 # belongs to the walk, not to this attempt.
                 admitted = self._admits(candidate)
                 hits_before = memo.skips
-                with telemetry.span(
-                    "negotiation.step5.attempt",
-                    offer_id=offer.offer_id,
-                    servers=sorted(offer.servers_used()),
+                # The span's attributes are worked out only for a
+                # tracer that records them.
+                with (
+                    tracer.span(
+                        "negotiation.step5.attempt",
+                        offer_id=offer.offer_id,
+                        servers=sorted(offer.servers_used()),
+                    )
+                    if tracer.enabled else NULL_SPAN
                 ) as attempt_span:
                     if not admitted:
                         attempt_span.set_attribute("outcome", "breaker-skip")

@@ -83,7 +83,10 @@ class CircuitBreaker:
             self.on_transition(server_id, old, new, now)
 
     def _record(self, server_id: str) -> ServerHealth:
-        return self._health.setdefault(server_id, ServerHealth())
+        record = self._health.get(server_id)
+        if record is None:
+            record = self._health[server_id] = ServerHealth()
+        return record
 
     def health(self, server_id: str) -> ServerHealth:
         return self._record(server_id)

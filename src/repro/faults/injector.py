@@ -19,12 +19,17 @@ Two delivery mechanisms:
 
 Everything stochastic (per-call probabilities) draws from one seeded
 generator in call order, so a chaos run is exactly reproducible.
+
+The injector indexes its plan by kind once, at construction: a hook
+visits only the specs of its own kind, in plan order, and a hook whose
+kind the plan lacks returns at once.  A congestion run whose plan holds
+only timed brownouts or flaps pays one lookup per admit or release.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..util.clock import ManualClock
 from ..util.errors import (
@@ -89,6 +94,13 @@ class FaultInjector:
         self.attempt_timeout_s = float(attempt_timeout_s)
         self.stats = FaultStats()
         self._rng = make_rng(plan.seed)
+        # Each kind's specs with their plan indices, in plan order.
+        by_kind: dict[FaultKind, list[tuple[int, FaultSpec]]] = {}
+        for index, spec in enumerate(plan.faults):
+            by_kind.setdefault(spec.kind, []).append((index, spec))
+        self._by_kind: dict[FaultKind, tuple[tuple[int, FaultSpec], ...]] = {
+            kind: tuple(specs) for kind, specs in by_kind.items()
+        }
         # Remaining firing budget per spec index (None = unlimited).
         self._budget: dict[int, "int | None"] = {
             i: (int(spec.value) if spec.kind is FaultKind.TRANSIENT_REFUSAL
@@ -275,15 +287,17 @@ class FaultInjector:
 
     def _matching(
         self, kind: FaultKind, target_id: str
-    ) -> "Iterator[tuple[int, FaultSpec]]":
+    ) -> "Iterable[tuple[int, FaultSpec]]":
+        """The specs of ``kind`` aimed at ``target_id`` (or ``*``) whose
+        window is open now, in plan order."""
+        specs = self._by_kind.get(kind)
+        if specs is None:
+            return ()
         now = self.clock.now()
-        for index, spec in enumerate(self.plan.faults):
-            if spec.kind is not kind:
-                continue
-            if spec.target_id not in (target_id, "*"):
-                continue
-            if spec.active_at(now):
-                yield index, spec
+        return (
+            (index, spec) for index, spec in specs
+            if spec.target_id in (target_id, "*") and spec.active_at(now)
+        )
 
     # -- hook interface (called by MediaServer / TransportSystem) ------------------
 

@@ -113,6 +113,7 @@ def execute_with_retry(
     sleep: "Callable[[float], None] | None" = None,
     on_retry: "Callable[[int, BaseException, float], None] | None" = None,
     retryable: "Callable[[BaseException], bool]" = is_retryable,
+    failed: "Exception | None" = None,
 ) -> T:
     """Call ``fn`` under ``policy``; return its result or re-raise.
 
@@ -120,25 +121,34 @@ def execute_with_retry(
     the backoff deadline run out, and reports each retry through
     ``on_retry(attempt, error, delay_s)``.  The final error propagates
     unchanged, so callers' except clauses keep working.
+
+    ``failed`` is the error of a first call the caller already made
+    itself: the loop starts at the decision on that failure, so a
+    caller whose first call usually succeeds builds nothing for the
+    retry until it has to.
     """
     rng = make_rng(rng)
     elapsed = 0.0
     attempt = 1
+    error = failed
     while True:
-        try:
-            return fn()
-        # A generic combinator must catch broadly: callers may pass a
-        # custom ``retryable`` predicate approving error types outside
-        # the repro taxonomy.  Non-retryables are re-raised unchanged.
-        except Exception as error:  # reprolint: backstop -- custom retryable predicates may approve non-repro errors
-            if not retryable(error) or attempt >= policy.max_attempts:
-                raise
-            delay = policy.backoff_delay(attempt, rng)
-            if elapsed + delay > policy.deadline_s + 1e-12:
-                raise
-            elapsed += delay
-            if on_retry is not None:
-                on_retry(attempt, error, delay)
-            if sleep is not None:
-                sleep(delay)
-            attempt += 1
+        if error is None:
+            try:
+                return fn()
+            # A generic combinator must catch broadly: callers may pass a
+            # custom ``retryable`` predicate approving error types outside
+            # the repro taxonomy.  Non-retryables are re-raised unchanged.
+            except Exception as raised:  # reprolint: backstop -- custom retryable predicates may approve non-repro errors
+                error = raised
+        if not retryable(error) or attempt >= policy.max_attempts:
+            raise error
+        delay = policy.backoff_delay(attempt, rng)
+        if elapsed + delay > policy.deadline_s + 1e-12:
+            raise error
+        elapsed += delay
+        if on_retry is not None:
+            on_retry(attempt, error, delay)
+        if sleep is not None:
+            sleep(delay)
+        attempt += 1
+        error = None

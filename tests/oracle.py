@@ -1,6 +1,7 @@
 """The eager references the stack is compared against: the negotiation
 pipeline (below), one server's admission test, one topology's routing
-and shedding, and the event loop's firing order (at the end).
+and shedding, the fault injector's spec matching, and the event loop's
+firing order (at the end).
 
 Steps 3–5 the way the paper states them, with nothing lazy: classify
 and sort the whole offer space (``classify_space``, server weights
@@ -17,6 +18,7 @@ from repro.core.commitment import Commitment
 from repro.core.enumeration import build_offer_space
 from repro.core.negotiation import NegotiationResult
 from repro.core.status import NegotiationStatus
+from repro.faults.injector import FaultInjector
 
 
 def uncached(scenario):
@@ -271,6 +273,27 @@ def reference_violated_flows(transport):
             if running > budget + 1e-9:
                 victims.add(reservation.holder)
     return tuple(flow for flow in transport.flows() if flow.flow_id in victims)
+
+
+# -- the fault injector's spec matching, by a scan of the whole plan -------------------
+#
+# ``FaultInjector`` indexes its plan by kind; the reference visits every
+# spec of the plan on every hook call and keeps those of the asked kind,
+# aimed at the target or at ``*``, whose window is open.
+
+
+class FullScanInjector(FaultInjector):
+    """A :class:`FaultInjector` whose hooks match by scanning the plan."""
+
+    def _matching(self, kind, target_id):
+        now = self.clock.now()
+        for index, spec in enumerate(self.plan.faults):
+            if spec.kind is not kind:
+                continue
+            if spec.target_id not in (target_id, "*"):
+                continue
+            if spec.active_at(now):
+                yield index, spec
 
 
 # -- the event loop's firing order, from a plain list ---------------------------------

@@ -2,8 +2,9 @@
 reference.
 
 A hypothesis state machine drives one :class:`MediaServer` through
-admissions, releases in arbitrary order, a release swallowed by a fault
-hook, crashes, restarts that keep or wipe the ledger, brownouts and the
+admissions, releases in arbitrary order and of the newest stream (which
+the server answers from an undo stack, not a re-sum), a release
+swallowed by a fault hook, crashes, restarts that keep or wipe the ledger, brownouts and the
 ``degradation_limits_admission`` switch.  After every step whatever the
 server answers — the whole :class:`AdmissionDecision` for a handful of
 probe rates, the shed holders, utilisation, aggregate rate, stream
@@ -142,6 +143,16 @@ class AdmissionLedgerMachine(RuleBasedStateMachine):
     @rule(index=st.integers(min_value=0))
     def release(self, index):
         victim = self._held(index)
+        self.server.release(victim)
+        assert not self.server.has_stream(victim.stream_id)
+
+    @precondition(lambda self: self.server.stream_count)
+    @rule()
+    def release_latest(self):
+        """The newest stream leaves: what a refused attempt's rollback
+        does on each server it touched once, answered from the load
+        kept before that stream's admission."""
+        victim = self.server.reservations()[-1]
         self.server.release(victim)
         assert not self.server.has_stream(victim.stream_id)
 

@@ -11,6 +11,10 @@ successful path to exactly that, with no retry policy and no breaker:
 * ``find_route`` runs once per flow;
 * an admitted stream allocates no ``AdmissionDecision``.
 
+Under a retry policy the first call is still made directly: a success
+or an admission refusal never enters the policy's backoff loop, and a
+transient fault enters it once.
+
 The user offer is held to an always-constructing reference, and the
 resilient configuration — a retry policy, a circuit breaker, an armed
 telemetry hub and a fault hook — to counts pinned from a scripted fault
@@ -142,6 +146,55 @@ class TestSuccessfulCommitWork:
             commit(manager, space, index=0)
             assert commit(manager, space, index=0, holder="holder-2") is None
         assert calls == {"__init__": 1}
+
+
+class TestRetryWork:
+    """Under a retry policy the first call is made directly: the
+    policy's backoff loop, its hook and its thunk are built only after
+    a retryable failure."""
+
+    POLICY = RetryPolicy(max_attempts=3, base_delay_s=0.2)
+
+    @contextmanager
+    def retry_machinery(self):
+        """Entries into the backoff loop and retry hooks built, read
+        once the block is left."""
+        calls = Counter()
+        with counted(commitment, "execute_with_retry") as loops, counted(
+            commitment.ResourceCommitter, "_on_retry"
+        ) as hooks:
+            yield calls
+            calls.update(loops + hooks)
+
+    def test_a_success_enters_no_loop(self):
+        manager, space = grid_walk(N, retry_policy=self.POLICY)
+        with self.retry_machinery() as calls:
+            bundle = commit(manager, space)
+        assert bundle is not None and len(bundle.streams) == N
+        assert not calls and manager.committer.stats.retries == 0
+
+    def test_an_admission_refusal_enters_no_loop(self):
+        manager, space = grid_walk(2, retry_policy=self.POLICY)
+        for server in manager.committer.servers.values():
+            server.admission = type(server.admission)(
+                disk=server.disk, max_streams=1
+            )
+        commit(manager, space)
+        with self.retry_machinery() as calls:
+            assert commit(manager, space, holder="holder-2") is None
+        assert not calls and manager.committer.stats.retries == 0
+
+    def test_a_transient_fault_enters_the_loop_once(self):
+        manager, space = grid_walk(N, retry_policy=self.POLICY)
+        FaultInjector(
+            FaultPlan((FaultSpec(FaultKind.TRANSIENT_REFUSAL, "*", value=1),))
+        ).install(manager.committer.servers, manager.committer.transport)
+        with self.retry_machinery() as calls:
+            bundle = commit(manager, space)
+        assert bundle is not None and len(bundle.streams) == N
+        assert calls == {"execute_with_retry": 1, "_on_retry": 1}
+        assert manager.committer.stats.retries == 1
+        assert manager.committer.stats.attempts == 2 * N + 1
 
 
 # -- the user offer against an always-constructing reference --------------------------
