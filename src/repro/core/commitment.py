@@ -488,14 +488,18 @@ class ResourceCommitter:
     ) -> ReservationBundle:
         """The bundle of an attempt that took everything, its lease
         granted when the committer keeps leases."""
-        bundle = ReservationBundle(
-            offer_id=offer.offer_id,
-            streams=tuple(streams),
-            flows=tuple(flows),
-            holder=holder,
+        return self._leased(
+            ReservationBundle(
+                offer_id=offer.offer_id,
+                streams=tuple(streams),
+                flows=tuple(flows),
+                holder=holder,
+            )
         )
+
+    def _leased(self, bundle: ReservationBundle) -> ReservationBundle:
         if self.leases is not None:
-            self.leases.grant(holder, bundle, self._clock.now())
+            self.leases.grant(bundle.holder, bundle, self._clock.now())
         return bundle
 
     def release(self, bundle: ReservationBundle) -> None:
@@ -635,11 +639,13 @@ class ResourceCommitter:
     def resume(self, reserved: JournalRecord) -> "Commitment":
         """Step 6 after a manager restart: the :class:`Commitment` that
         ``reserved`` (a ``RESERVED`` record) opened, around what the
-        ledgers still hold of it.  It journals no second ``RESERVED``,
-        and its later records carry ``"recovered": true``."""
+        ledgers still hold of it, leased from now when the committer
+        keeps leases, so a release swallowed at its expiry is reaped.
+        It journals no second ``RESERVED``, and its later records carry
+        ``"recovered": true``."""
         payload = reserved.payload
         return Commitment(
-            self.rebuild(reserved.holder, payload),
+            self._leased(self.rebuild(reserved.holder, payload)),
             self,
             reserved_at=float(payload.get("reserved_at", reserved.timestamp)),
             choice_period_s=float(payload["choice_period_s"]),

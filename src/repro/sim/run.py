@@ -219,8 +219,6 @@ def replay_journal(
     """
     committer = scenario.manager.committer
     journal = committer.journal
-    if committer.leases is not None:
-        committer.leases = LeaseManager(ttl_s=committer.leases.ttl_s)
     recovery = RecoveryManager(
         journal,
         scenario.servers,
@@ -228,6 +226,12 @@ def replay_journal(
         clock=scenario.clock,
         telemetry=scenario.telemetry,
     )
+    if committer.leases is not None:
+        # One fresh table for both committers: a commitment recovery
+        # resumes is leased in it, so the manager's reaper collects it.
+        committer.leases = recovery.committer.leases = LeaseManager(
+            ttl_s=committer.leases.ttl_s
+        )
     crash_hook, journal.crash_hook = journal.crash_hook, None
     try:
         return recovery.replay(loop=scenario.loop, supervisor=supervisor)

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.journal import JournalRecordType, RecoveryManager
+from repro.journal import (
+    HolderOutcome,
+    JournalRecordType,
+    RecoveryManager,
+    ReservationJournal,
+)
 from repro.sim import (
     ChaosSpec,
     CrashRecoverySpec,
@@ -174,3 +179,39 @@ class TestManagerRestart:
         replay_journal(scenario, supervisor)
         assert len(committer.leases) == 0
         assert committer.leases.ttl_s == 45.0
+
+    def test_a_resumed_commitment_is_leased_in_the_restarted_table(self):
+        # A pending commitment survives the restart; its expiry release
+        # is swallowed, and the restarted manager's reaper collects it.
+        scenario = build_scenario(
+            journal=ReservationJournal(), lease_ttl_s=30.0
+        )
+        result = scenario.manager.negotiate(
+            scenario.document_ids()[0],
+            stock_profile("balanced"),
+            scenario.any_client(),
+        )
+        holder = result.commitment.bundle.holder
+        replay = replay_journal(
+            scenario, supervise(scenario, scenario.runtime())
+        )
+        assert replay.outcomes[holder] == HolderOutcome.REARMED
+        committer = scenario.manager.committer
+        assert holder in committer.leases
+
+        class SwallowRelease:
+            def intercept_stream_release(self, server, stream_id):
+                return True
+
+        servers = [scenario.servers[sid] for sid in sorted(
+            {s.server_id for s in result.commitment.bundle.streams}
+        )]
+        for server in servers:
+            server.fault_hook = SwallowRelease()
+        scenario.loop.run()
+        for server in servers:
+            server.fault_hook = None
+        assert committer.reap_expired(scenario.clock.now() + 1e6) == 1
+        assert holder not in committer.leases
+        assert sum(s.stream_count for s in scenario.servers.values()) == 0
+        assert scenario.transport.flow_count == 0
