@@ -1,12 +1,15 @@
-"""Project-wide symbol table and call graph.
+"""Project-wide symbol table, call graph and function summaries.
 
 Builds the whole-program view the deep rules run over: every function's
 :class:`~repro.analysis.extract.FuncExtract` keyed by its project-unique
 ``module::qualname`` ref, call-site resolution (bare names, imports,
 ``self.``/``cls.`` dispatch through base classes, class instantiation →
-``__init__``), the caller/callee adjacency, and Tarjan SCCs in
-bottom-up order so summaries can be computed with one fixpoint pass per
-strongly-connected component.
+``__init__``), the callee adjacency, Tarjan SCCs in bottom-up order,
+and the per-function summaries computed over them.
+
+Every call site is resolved exactly once, here: its
+:class:`~repro.analysis.extract.CallEvent` keeps the resolved ref in
+``target``, and every later pass reads that instead of resolving again.
 
 Resolution is deliberately *static and conservative*: a call through a
 local variable of unknown type stays unresolved and is handled by the
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .extract import CallEvent, FuncExtract, ModuleExtract
+from .summaries import FuncSummary, compute_summaries
 
 __all__ = ["Project", "build_project"]
 
@@ -32,42 +36,16 @@ class Project:
     modules: "dict[str, ModuleExtract]" = field(default_factory=dict)
     # "module::qualname" -> function extract
     functions: "dict[str, FuncExtract]" = field(default_factory=dict)
+    # dotted module name -> the first module extract of that name
+    _by_module: "dict[str, ModuleExtract]" = field(default_factory=dict)
     # absolute dotted name ("repro.core.offers.rank") -> ref
     _by_dotted: "dict[str, str]" = field(default_factory=dict)
     # absolute dotted class name -> (module, class name)
     _classes: "dict[str, tuple[str, str]]" = field(default_factory=dict)
     # ref -> sorted resolved callee refs
     callees: "dict[str, list[str]]" = field(default_factory=dict)
-    # ref -> sorted caller refs
-    callers: "dict[str, list[str]]" = field(default_factory=dict)
-    # scratch space for memoized per-run analyses (summaries, leak sets)
-    analysis_cache: "dict[str, object]" = field(default_factory=dict)
-
-    def summaries(self) -> "dict[str, object]":
-        """Per-function resource summaries, computed once per project."""
-        cached = self.analysis_cache.get("summaries")
-        if cached is None:
-            from .summaries import compute_summaries
-
-            cached = compute_summaries(self)
-            self.analysis_cache["summaries"] = cached
-        return cached  # type: ignore[return-value]
-
-    def classifier(self) -> "object":
-        """Shared call classifier over this project's summaries."""
-        cached = self.analysis_cache.get("classifier")
-        if cached is None:
-            from .dataflow import CallClassifier
-
-            cached = CallClassifier(self, self.summaries())  # type: ignore[arg-type]
-            self.analysis_cache["classifier"] = cached
-        return cached
-
-    def module_named(self, name: str) -> "ModuleExtract | None":
-        for extract in self.modules.values():
-            if extract.module == name:
-                return extract
-        return None
+    # ref -> resource summary (filled once the call graph is resolved)
+    summaries: "dict[str, FuncSummary]" = field(default_factory=dict)
 
     def iter_functions(self) -> "Iterator[FuncExtract]":
         for ref in sorted(self.functions):
@@ -85,8 +63,7 @@ class Project:
             if len(parts) != 2 or caller.cls is None:
                 return None
             return self._resolve_method(caller.module, caller.cls, parts[1])
-        module = self._module_of(caller)
-        dotted = self._absolute(module, name)
+        dotted = self._absolute(self.modules[caller.path], name)
         if dotted is None:
             return None
         ref = self._by_dotted.get(dotted)
@@ -98,18 +75,8 @@ class Project:
             return self._resolve_method(cls_home[0], cls_home[1], "__init__")
         return None
 
-    def _module_of(self, func: FuncExtract) -> "ModuleExtract | None":
-        extract = self.modules.get(func.path)
-        if extract is not None:
-            return extract
-        return self.module_named(func.module)
-
-    def _absolute(
-        self, module: "ModuleExtract | None", name: str
-    ) -> "str | None":
+    def _absolute(self, module: ModuleExtract, name: str) -> "str | None":
         parts = name.split(".")
-        if module is None:
-            return None
         target = module.imports.get(parts[0])
         if target is not None:
             return ".".join([target] + parts[1:])
@@ -124,15 +91,16 @@ class Project:
     ) -> "str | None":
         if _depth > 8:  # cyclic/deep inheritance backstop
             return None
-        extract = self.module_named(module)
+        extract = self._by_module.get(module)
         if extract is None:
             return None
         info = extract.classes.get(cls)
         if info is None:
             return None
-        if method in info["methods"]:
+        bases, methods = info
+        if method in methods:
             return f"{module}::{cls}.{method}"
-        for base in info["bases"]:
+        for base in bases:
             dotted = self._absolute(extract, base)
             home = self._classes.get(dotted) if dotted else None
             if home is not None:
@@ -212,10 +180,12 @@ class Project:
 
 
 def build_project(extracts: "Iterable[ModuleExtract]") -> Project:
-    """Assemble the symbol table and call graph from module extracts."""
+    """Assemble the symbol table, resolve every call site once, and
+    summarise every function over the resulting call graph."""
     project = Project()
     for extract in extracts:
         project.modules[extract.path] = extract
+        project._by_module.setdefault(extract.module, extract)
         for func in extract.functions.values():
             project.functions[func.ref] = func
             project._by_dotted[f"{extract.module}.{func.qualname}"] = func.ref
@@ -224,13 +194,9 @@ def build_project(extracts: "Iterable[ModuleExtract]") -> Project:
     for ref, func in project.functions.items():
         resolved: "set[str]" = set()
         for event in func.call_events():
-            target = project.resolve_call(func, event)
-            if target is not None and target != ref:
-                resolved.add(target)
+            event.target = project.resolve_call(func, event)
+            if event.target is not None and event.target != ref:
+                resolved.add(event.target)
         project.callees[ref] = sorted(resolved)
-    for ref, targets in project.callees.items():
-        for target in targets:
-            project.callers.setdefault(target, []).append(ref)
-    for ref in project.callers:
-        project.callers[ref].sort()
+    project.summaries = compute_summaries(project)
     return project

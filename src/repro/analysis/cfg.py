@@ -6,7 +6,9 @@ function, including the ways an exception takes?"  This module turns one
 function body into a statement-level CFG:
 
 * one node per simple statement (plus the branch heads of compound
-  statements), each carrying the 1-based source line range it covers;
+  statements), each carrying the statement it runs and, once
+  :mod:`repro.analysis.extract` has filled them in, that statement's
+  events;
 * three virtual nodes — ``ENTRY``, ``EXIT`` (normal return / fallthrough)
   and ``RAISE`` (exceptional exit) — so analyses can ask for the state
   at each kind of function exit separately;
@@ -26,7 +28,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .extract import Event
 
 __all__ = [
     "ENTRY",
@@ -36,7 +41,6 @@ __all__ = [
     "EXC",
     "LOOP_EXIT",
     "CfgNode",
-    "Cfg",
     "build_cfg",
     "statement_may_raise",
 ]
@@ -61,16 +65,19 @@ def _call_leaf(node: ast.Call) -> str:
     return ""
 
 
-def statement_may_raise(stmt: ast.stmt) -> bool:
-    """Can executing this statement transfer control to a handler?
+def statement_may_raise(node: "ast.AST | None") -> bool:
+    """Can executing this statement (or expression) transfer control to
+    a handler?
 
     Conservative: raises, asserts, and any call that is not a pure
     teardown marker may raise.  Nested function/lambda bodies do not
     execute at definition time and are skipped.
     """
-    if isinstance(stmt, (ast.Raise, ast.Assert)):
+    if isinstance(node, (ast.Raise, ast.Assert)):
         return True
-    for sub in _walk_executed(stmt):
+    if node is None:
+        return False
+    for sub in _walk_executed(node):
         if isinstance(sub, ast.Call):
             leaf = _call_leaf(sub).lower()
             if not any(marker in leaf for marker in _NO_RAISE_MARKERS):
@@ -97,43 +104,17 @@ def _walk_executed(node: ast.AST) -> Iterator[ast.AST]:
 
 @dataclass(slots=True)
 class CfgNode:
-    """One CFG node: a simple statement or a virtual entry/exit."""
+    """One CFG node: a statement (or handler head) or a virtual node."""
 
     node_id: int
-    stmt: "ast.stmt | None" = None
-    line: int = 0
+    stmt: "ast.AST | None" = None
     succ: "list[tuple[int, str]]" = field(default_factory=list)
+    events: "list[Event]" = field(default_factory=list)
 
     def link(self, target: int, kind: str = NORMAL) -> None:
         edge = (target, kind)
         if edge not in self.succ:
             self.succ.append(edge)
-
-
-@dataclass(slots=True)
-class Cfg:
-    """The statement-level CFG of one function body."""
-
-    nodes: "dict[int, CfgNode]" = field(default_factory=dict)
-
-    def node(self, node_id: int) -> CfgNode:
-        return self.nodes[node_id]
-
-    def successors(self, node_id: int) -> "list[tuple[int, str]]":
-        return self.nodes[node_id].succ
-
-    def statement_nodes(self) -> "list[CfgNode]":
-        return [
-            n for n in self.nodes.values() if n.stmt is not None
-        ]
-
-    def predecessors(self, node_id: int) -> "list[tuple[int, str]]":
-        return [
-            (n.node_id, kind)
-            for n in self.nodes.values()
-            for (target, kind) in n.succ
-            if target == node_id
-        ]
 
 
 @dataclass(slots=True)
@@ -147,31 +128,27 @@ class _Frame:
 
 class _Builder:
     def __init__(self) -> None:
-        self.cfg = Cfg()
-        self._next_id = RAISE + 1
-        for node_id in (ENTRY, EXIT, RAISE):
-            self.cfg.nodes[node_id] = CfgNode(node_id=node_id)
+        # Ids ascend in insertion order, so iterating the dict visits
+        # the nodes by id.
+        self.nodes = {
+            node_id: CfgNode(node_id=node_id) for node_id in (ENTRY, EXIT, RAISE)
+        }
 
-    def _new(self, stmt: "ast.stmt | None") -> CfgNode:
-        node = CfgNode(
-            node_id=self._next_id,
-            stmt=stmt,
-            line=getattr(stmt, "lineno", 0) if stmt is not None else 0,
-        )
-        self._next_id += 1
-        self.cfg.nodes[node.node_id] = node
+    def _new(self, stmt: "ast.AST | None") -> CfgNode:
+        node = CfgNode(node_id=len(self.nodes), stmt=stmt)
+        self.nodes[node.node_id] = node
         return node
 
     def _link_all(self, sources: Iterable[int], target: int, kind: str = NORMAL) -> None:
         for source in sources:
-            self.cfg.nodes[source].link(target, kind)
+            self.nodes[source].link(target, kind)
 
     # -- statement sequences --------------------------------------------------------
 
-    def build(self, body: "list[ast.stmt]") -> Cfg:
+    def build(self, body: "list[ast.stmt]") -> "dict[int, CfgNode]":
         tails = self._sequence(body, [ENTRY], _Frame(exc_targets=(RAISE,)))
         self._link_all(tails, EXIT)
-        return self.cfg
+        return self.nodes
 
     def _sequence(
         self, stmts: "list[ast.stmt]", entries: "list[int]", frame: _Frame
@@ -186,7 +163,7 @@ class _Builder:
     def _statement(
         self, stmt: ast.stmt, entries: "list[int]", frame: _Frame
     ) -> "list[int]":
-        if isinstance(stmt, (ast.If,)):
+        if isinstance(stmt, ast.If):
             return self._if(stmt, entries, frame)
         if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
             return self._loop(stmt, entries, frame)
@@ -234,13 +211,11 @@ class _Builder:
     def _if(self, stmt: ast.If, entries: "list[int]", frame: _Frame) -> "list[int]":
         head = self._new(stmt)
         self._link_all(entries, head.node_id)
-        if statement_may_raise_expr(stmt.test):
+        if statement_may_raise(stmt.test):
             for target in frame.exc_targets:
                 head.link(target, EXC)
         then_tails = self._sequence(stmt.body, [head.node_id], frame)
         else_tails = self._sequence(stmt.orelse, [head.node_id], frame)
-        if not stmt.orelse:
-            else_tails = [head.node_id]
         return then_tails + else_tails
 
     def _loop(
@@ -252,11 +227,10 @@ class _Builder:
         head = self._new(stmt)
         self._link_all(entries, head.node_id)
         test = stmt.test if isinstance(stmt, ast.While) else stmt.iter
-        if statement_may_raise_expr(test):
+        if statement_may_raise(test):
             for target in frame.exc_targets:
                 head.link(target, EXC)
         join = self._new(None)  # loop exit join point
-        join.line = getattr(stmt, "lineno", 0)
         inner = _Frame(
             exc_targets=frame.exc_targets,
             break_target=join.node_id,
@@ -270,15 +244,14 @@ class _Builder:
         # treat `for r in held: release(r)` as settling the container.
         exit_kind = NORMAL if isinstance(stmt, ast.While) else LOOP_EXIT
         head.link(join.node_id, exit_kind)
-        else_tails = self._sequence(stmt.orelse, [join.node_id], frame)
-        return else_tails if stmt.orelse else [join.node_id]
+        return self._sequence(stmt.orelse, [join.node_id], frame)
 
     def _with(
         self, stmt: "ast.With | ast.AsyncWith", entries: "list[int]", frame: _Frame
     ) -> "list[int]":
         head = self._new(stmt)
         self._link_all(entries, head.node_id)
-        if any(statement_may_raise_expr(item.context_expr) for item in stmt.items):
+        if any(statement_may_raise(item.context_expr) for item in stmt.items):
             for target in frame.exc_targets:
                 head.link(target, EXC)
         # The context manager's __exit__ runs on both regimes; for the
@@ -290,8 +263,7 @@ class _Builder:
         handler_heads: "list[int]" = []
         handler_nodes: "list[CfgNode]" = []
         for handler in stmt.handlers:
-            node = self._new(handler)  # type: ignore[arg-type]
-            node.line = handler.lineno
+            node = self._new(handler)
             handler_nodes.append(node)
             handler_heads.append(node.node_id)
 
@@ -300,7 +272,6 @@ class _Builder:
         # is in flight; after it, the exception propagates outward.
         if has_finally:
             exc_finally_entry = self._new(None)
-            exc_finally_entry.line = stmt.finalbody[0].lineno
             exc_finally_tails = self._sequence(
                 stmt.finalbody, [exc_finally_entry.node_id], frame
             )
@@ -312,10 +283,8 @@ class _Builder:
             # still take the per-statement EXC edges added above.
             for target in frame.exc_targets:
                 self._link_all(exc_finally_tails, target, NORMAL)
-            body_exc_targets: "tuple[int, ...]" = (
-                tuple(handler_heads) + (exc_finally_entry.node_id,)
-                if handler_heads
-                else (exc_finally_entry.node_id,)
+            body_exc_targets = tuple(handler_heads) + (
+                exc_finally_entry.node_id,
             )
             handler_exc_targets: "tuple[int, ...]" = (exc_finally_entry.node_id,)
         else:
@@ -330,11 +299,7 @@ class _Builder:
             continue_target=frame.continue_target,
         )
         body_tails = self._sequence(stmt.body, entries, body_frame)
-        else_tails = (
-            self._sequence(stmt.orelse, body_tails, body_frame)
-            if stmt.orelse
-            else body_tails
-        )
+        else_tails = self._sequence(stmt.orelse, body_tails, body_frame)
 
         handler_frame = _Frame(
             exc_targets=handler_exc_targets,
@@ -349,22 +314,12 @@ class _Builder:
         exits = else_tails + handler_tails
         if has_finally:
             # Normal copy of the finally suite.
-            normal_tails = self._sequence(stmt.finalbody, exits, frame)
-            return normal_tails
+            return self._sequence(stmt.finalbody, exits, frame)
         return exits
 
 
-def statement_may_raise_expr(expr: "ast.expr | None") -> bool:
-    if expr is None:
-        return False
-    for sub in _walk_executed(expr):
-        if isinstance(sub, ast.Call):
-            leaf = _call_leaf(sub).lower()
-            if not any(marker in leaf for marker in _NO_RAISE_MARKERS):
-                return True
-    return False
-
-
-def build_cfg(func: "ast.FunctionDef | ast.AsyncFunctionDef") -> Cfg:
-    """Build the statement-level CFG of one function definition."""
+def build_cfg(
+    func: "ast.FunctionDef | ast.AsyncFunctionDef",
+) -> "dict[int, CfgNode]":
+    """The statement-level CFG of one function definition, by node id."""
     return _Builder().build(func.body)

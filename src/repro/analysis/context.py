@@ -28,6 +28,7 @@ from ..util.errors import ValidationError
 
 __all__ = [
     "ModuleContext",
+    "Scope",
     "parse_pragmas",
     "pragma_extents",
     "scope_extents",
@@ -110,17 +111,29 @@ def _is_compound(node: ast.stmt) -> bool:
     )
 
 
-def scope_extents(tree: ast.Module) -> "list[tuple[int, int, str]]":
-    """``(start, end, qualname)`` for every def/class, innermost-last.
+@dataclass(frozen=True, slots=True)
+class Scope:
+    """One def or class: its lines, qualified name and node."""
 
-    Used by finding fingerprints: the enclosing scope's qualified name
-    anchors a finding to its *code context*, so identical source lines
-    in two different functions fingerprint differently while edits
-    elsewhere in the file keep the fingerprint stable.
+    start: int  # first decorator line, else the def/class line
+    end: int
+    qualname: str
+    node: "ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef"
+    cls: "str | None"  # the class whose body it sits in, if any
+
+
+def scope_extents(tree: ast.Module) -> "list[Scope]":
+    """Every def/class in the module, outer before inner.
+
+    Finding fingerprints use the extents: the enclosing scope's
+    qualified name anchors a finding to its *code context*, so
+    identical source lines in two different functions fingerprint
+    differently while edits elsewhere in the file keep the fingerprint
+    stable.  The whole-program extraction reads the defs.
     """
-    extents: "list[tuple[int, int, str]]" = []
+    scopes: "list[Scope]" = []
 
-    def visit(node: ast.AST, prefix: str) -> None:
+    def visit(node: ast.AST, prefix: str, cls: "str | None") -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -130,13 +143,14 @@ def scope_extents(tree: ast.Module) -> "list[tuple[int, int, str]]":
                     [child.lineno] + [d.lineno for d in child.decorator_list]
                 )
                 end = getattr(child, "end_lineno", None) or child.lineno
-                extents.append((start, end, qualname))
-                visit(child, qualname)
+                scopes.append(Scope(start, end, qualname, child, cls))
+                inner = child.name if isinstance(child, ast.ClassDef) else None
+                visit(child, qualname, inner)
             else:
-                visit(child, prefix)
+                visit(child, prefix, cls)
 
-    visit(tree, "")
-    return extents
+    visit(tree, "", None)
+    return scopes
 
 
 def _module_name(path: Path) -> str:
@@ -167,7 +181,7 @@ class ModuleContext:
     lines: "list[str]" = field(default_factory=list)
     pragmas: "dict[int, dict[str, object]]" = field(default_factory=dict)
     _extents: "list[tuple[int, int]] | None" = field(default=None, repr=False)
-    _scopes: "list[tuple[int, int, str]] | None" = field(default=None, repr=False)
+    _scopes: "list[Scope] | None" = field(default=None, repr=False)
 
     @classmethod
     def from_source(
@@ -210,7 +224,7 @@ class ModuleContext:
             self._extents = pragma_extents(self.tree)
         return self._extents
 
-    def scopes(self) -> "list[tuple[int, int, str]]":
+    def scopes(self) -> "list[Scope]":
         if self._scopes is None:
             self._scopes = scope_extents(self.tree)
         return self._scopes
@@ -219,11 +233,11 @@ class ModuleContext:
         """Qualified name of the innermost def/class enclosing ``line``."""
         best = ""
         best_span = None
-        for start, end, qualname in self.scopes():
-            if start <= line <= end:
-                span = end - start
+        for scope in self.scopes():
+            if scope.start <= line <= scope.end:
+                span = scope.end - scope.start
                 if best_span is None or span <= best_span:
-                    best, best_span = qualname, span
+                    best, best_span = scope.qualname, span
         return best
 
     def suppressed(self, rule_id: str, line: int) -> bool:

@@ -28,80 +28,67 @@ raising statement's own journal call must not be credited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeAlias
 
-from .callgraph import Project
 from .cfg import ENTRY, EXC, EXIT, LOOP_EXIT, RAISE
-from .extract import CallEvent, FuncExtract
+from .extract import (
+    AssignEvent,
+    CallEvent,
+    EscapeEvent,
+    Event,
+    FlipEvent,
+    FuncExtract,
+    RaiseEvent,
+)
 from .summaries import (
     FuncSummary,
+    callee_summary,
     is_acquire_marker,
     is_journal_marker,
     is_release_marker,
 )
 
-__all__ = ["Site", "CallClassifier", "leak_sites", "unjournaled_flips"]
+__all__ = ["Site", "leak_sites", "unjournaled_flips"]
 
-Site = "tuple[str, int, int]"  # (var, line, col) of the acquisition
+Site: TypeAlias = "tuple[str, int, int]"  # (var, line, col) of the acquisition
+Summaries: TypeAlias = "dict[str, FuncSummary]"
 
 
-class CallClassifier:
-    """Classifies call events using the project call graph + summaries."""
+def _acquiring(summaries: Summaries, event: CallEvent) -> bool:
+    return (
+        is_acquire_marker(event)
+        or callee_summary(summaries, event).returns_acquisition
+    )
 
-    def __init__(
-        self, project: Project, summaries: "dict[str, FuncSummary]"
-    ) -> None:
-        self._project = project
-        self._summaries = summaries
 
-    def _callee(self, func: FuncExtract, event: CallEvent) -> "FuncSummary | None":
-        ref = self._project.resolve_call(func, event)
-        if ref is None:
-            return None
-        return self._summaries.get(ref)
+def _releasing(summaries: Summaries, event: CallEvent) -> bool:
+    return is_release_marker(event) or callee_summary(summaries, event).releases_args
 
-    def acquiring(self, func: FuncExtract, event: CallEvent) -> bool:
-        if is_acquire_marker(event):
-            return True
-        callee = self._callee(func, event)
-        return callee is not None and callee.returns_acquisition
 
-    def releasing(self, func: FuncExtract, event: CallEvent) -> bool:
-        if is_release_marker(event):
-            return True
-        callee = self._callee(func, event)
-        return callee is not None and callee.releases_args
+def _journaling(summaries: Summaries, event: CallEvent) -> bool:
+    return is_journal_marker(event) or callee_summary(summaries, event).journals
 
-    def journaling(self, func: FuncExtract, event: CallEvent) -> bool:
-        if is_journal_marker(event):
-            return True
-        callee = self._callee(func, event)
-        return callee is not None and callee.journals
 
-    def risky(self, func: FuncExtract, events: "list") -> bool:
-        """Can this statement *realistically* raise?
+def _risky(summaries: Summaries, events: "list[Event]") -> bool:
+    """Can this statement *realistically* raise?
 
-        The CFG is maximally conservative (every call gets an exception
-        edge) so that handler reachability is never missed; the dataflow
-        only lets state actually *flow* down exception edges from
-        statements that can demonstrably throw — an explicit
-        raise/assert, an acquisition attempt (admission control refuses
-        by raising), or a call resolving to a function that transitively
-        contains a raise.  Without this gate, every ``tuple()`` and
-        telemetry call becomes a phantom leak path and REP013 drowns in
-        noise.
-        """
-        for event in events:
-            if isinstance(event, CallEvent):
-                if is_acquire_marker(event):
-                    return True
-                callee = self._callee(func, event)
-                if callee is not None and callee.raises:
-                    return True
-            elif event.get("op") == "raise":
+    The CFG is maximally conservative (every call gets an exception
+    edge) so that handler reachability is never missed; the dataflow
+    only lets state actually *flow* down exception edges from
+    statements that can demonstrably throw — an explicit
+    raise/assert, an acquisition attempt (admission control refuses
+    by raising), or a call resolving to a function that transitively
+    contains a raise.  Without this gate, every ``tuple()`` and
+    telemetry call becomes a phantom leak path and REP013 drowns in
+    noise.
+    """
+    for event in events:
+        if isinstance(event, CallEvent):
+            if is_acquire_marker(event) or callee_summary(summaries, event).raises:
                 return True
-        return False
+        elif isinstance(event, RaiseEvent):
+            return True
+    return False
 
 
 # -- may-held leak analysis ------------------------------------------------------
@@ -140,14 +127,11 @@ def _copy_sites(
 
 
 def _leak_step(
-    state: "frozenset[Site]",
-    func: FuncExtract,
-    events: "list",
-    classifier: CallClassifier,
+    state: "frozenset[Site]", events: "list[Event]", summaries: Summaries
 ) -> "frozenset[Site]":
     for event in events:
         if isinstance(event, CallEvent):
-            if classifier.releasing(func, event):
+            if _releasing(summaries, event):
                 for arg in event.args:
                     state = _site_kill(state, arg)
                 if event.recv is not None and "." not in event.recv:
@@ -166,98 +150,81 @@ def _leak_step(
                     for arg in held_args:
                         state = _site_kill(state, arg)
             if (
-                classifier.acquiring(func, event)
+                _acquiring(summaries, event)
                 and event.bound is not None
                 and not event.managed
             ):
                 state = _var_kill(state, event.bound)  # rebind drops old site
                 state = state | {(event.bound, event.line, event.col)}
-        else:
-            op = event.get("op")
-            if op == "assign":
-                target = event["target"]
-                held_sources = [
-                    s
-                    for s in event["sources"]
-                    if any(site[0] == s for site in state)
-                ]
-                state = _var_kill(state, target)
-                if held_sources:
-                    if event.get("loop"):
-                        # Iterating a held container: the site follows
-                        # the loop target exclusively, so releasing the
-                        # target in the body settles the container.
-                        moved = {
-                            (line, col)
-                            for var, line, col in state
-                            if var in held_sources
-                        }
-                        state = frozenset(
-                            site
-                            for site in state
-                            if (site[1], site[2]) not in moved
-                        ) | {(target, line, col) for line, col in moved}
-                    else:
-                        state = _copy_sites(state, held_sources, target)
-            elif op in ("store", "return"):
-                # Escaping into an object/the caller transfers ownership.
-                for var in event["vars"]:
-                    state = _site_kill(state, var)
+        elif isinstance(event, AssignEvent):
+            target = event.target
+            held_sources = [
+                s for s in event.sources if any(site[0] == s for site in state)
+            ]
+            state = _var_kill(state, target)
+            if held_sources:
+                if event.loop:
+                    # Iterating a held container: the site follows the
+                    # loop target exclusively, so releasing the target
+                    # in the body settles the container.
+                    moved = {
+                        (line, col)
+                        for var, line, col in state
+                        if var in held_sources
+                    }
+                    state = frozenset(
+                        site
+                        for site in state
+                        if (site[1], site[2]) not in moved
+                    ) | {(target, line, col) for line, col in moved}
+                else:
+                    state = _copy_sites(state, held_sources, target)
+        elif isinstance(event, EscapeEvent):
+            # Escaping into an object/the caller transfers ownership.
+            for var in event.names:
+                state = _site_kill(state, var)
     return state
 
 
 def _forward(
     func: FuncExtract,
-    step: "Callable[[frozenset, list], frozenset]",
-    merge: "Callable[[list], frozenset]",
-    entry_state: "frozenset",
-    exc_gate: "Callable[[list], bool] | None" = None,
+    step: "Callable[[frozenset, list[Event]], frozenset]",
+    merge: "Callable[[list[frozenset]], frozenset]",
+    entry_state: frozenset,
+    summaries: Summaries,
 ) -> "dict[int, frozenset]":
     """Generic forward worklist; returns the fixpoint in-state per node.
 
     Exception-edge contributions use the *pre-statement* state, and flow
-    only from nodes ``exc_gate`` accepts (default: all of them).
+    only from statements that can realistically raise (:func:`_risky`).
     """
     in_state: "dict[int, frozenset]" = {ENTRY: entry_state}
-    preds: "dict[int, list[tuple[int, str]]]" = {}
-    for node_id, node in func.nodes.items():
-        for succ_id, kind in node["succ"]:
-            preds.setdefault(succ_id, []).append((node_id, kind))
-
     out_cache: "dict[int, frozenset]" = {}
     worklist = [ENTRY]
     while worklist:
         node_id = worklist.pop()
-        node = func.nodes.get(node_id)
-        if node is None:
-            continue
-        current = in_state.get(node_id)
-        if current is None:
-            continue
-        new_out = step(current, node["events"])
+        node = func.nodes[node_id]
+        current = in_state[node_id]
+        new_out = step(current, node.events)
         if out_cache.get(node_id) == new_out and node_id in out_cache:
             continue
         out_cache[node_id] = new_out
-        for succ_id, kind in node["succ"]:
+        for succ_id, kind in node.succ:
             if kind == EXC:
-                if exc_gate is not None and not exc_gate(node["events"]):
+                if not _risky(summaries, node.events):
                     continue
                 contribution = current
             elif kind == LOOP_EXIT:
                 # Past the loop, the target no longer names an element.
                 contribution = new_out
-                for event in node["events"]:
-                    if (
-                        isinstance(event, dict)
-                        and event.get("op") == "assign"
-                        and event.get("loop")
-                    ):
+                for event in node.events:
+                    if isinstance(event, AssignEvent) and event.loop:
                         contribution = frozenset(
                             site
                             for site in contribution
                             if not (
                                 isinstance(site, tuple)
-                                and site[0] == event["target"]
+                                and site[0] == event.target
                             )
                         )
             else:
@@ -273,7 +240,7 @@ def _forward(
 
 
 def leak_sites(
-    func: FuncExtract, classifier: CallClassifier
+    func: FuncExtract, summaries: Summaries
 ) -> "tuple[list[Site], list[Site]]":
     """``(exit_leaks, raise_leaks)`` — acquisition sites still held.
 
@@ -281,19 +248,16 @@ def leak_sites(
     ``raise_leaks`` are held only on the exceptional exit (REP013).
     """
 
-    def step(state: "frozenset", events: "list") -> "frozenset":
-        return _leak_step(state, func, events, classifier)
+    def step(state: frozenset, events: "list[Event]") -> frozenset:
+        return _leak_step(state, events, summaries)
 
-    def merge(states: "list[frozenset]") -> "frozenset":
-        merged: "frozenset" = frozenset()
+    def merge(states: "list[frozenset]") -> frozenset:
+        merged: frozenset = frozenset()
         for state in states:
             merged |= state
         return merged
 
-    in_state = _forward(
-        func, step, merge, frozenset(),
-        exc_gate=lambda events: classifier.risky(func, events),
-    )
+    in_state = _forward(func, step, merge, frozenset(), summaries)
     at_exit = in_state.get(EXIT, frozenset())
     at_raise = in_state.get(RAISE, frozenset())
 
@@ -327,46 +291,34 @@ _TOP = frozenset({"journaled"})  # lattice top: definitely journaled
 _BOT: "frozenset[str]" = frozenset()  # not (yet) journaled on some path
 
 
-@dataclass(slots=True)
-class FlipSite:
-    line: int
-    col: int
-
-
 def unjournaled_flips(
-    func: FuncExtract, classifier: CallClassifier
-) -> "list[FlipSite]":
+    func: FuncExtract, summaries: Summaries
+) -> "list[FlipEvent]":
     """Flip sites not dominated by a journal write on every path."""
 
-    def step(state: "frozenset", events: "list") -> "frozenset":
+    def step(state: frozenset, events: "list[Event]") -> frozenset:
         for event in events:
-            if isinstance(event, CallEvent) and classifier.journaling(
-                func, event
-            ):
+            if isinstance(event, CallEvent) and _journaling(summaries, event):
                 state = _TOP
         return state
 
-    def merge(states: "list[frozenset]") -> "frozenset":
+    def merge(states: "list[frozenset]") -> frozenset:
         merged = _TOP
         for state in states:
             merged &= state
         return merged
 
-    in_state = _forward(
-        func, step, merge, _BOT,
-        exc_gate=lambda events: classifier.risky(func, events),
-    )
+    in_state = _forward(func, step, merge, _BOT, summaries)
 
-    flips: "list[FlipSite]" = []
-    for node_id in sorted(func.nodes):
-        node = func.nodes[node_id]
+    flips: "list[FlipEvent]" = []
+    for node_id, node in func.nodes.items():
         if node_id not in in_state:
             continue  # unreachable
         state = in_state[node_id]
-        for event in node["events"]:
+        for event in node.events:
             if isinstance(event, CallEvent):
-                if classifier.journaling(func, event):
+                if _journaling(summaries, event):
                     state = _TOP
-            elif event.get("op") == "flip" and state != _TOP:
-                flips.append(FlipSite(line=event["line"], col=event["col"]))
+            elif isinstance(event, FlipEvent) and state != _TOP:
+                flips.append(event)
     return flips

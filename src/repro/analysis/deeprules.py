@@ -30,8 +30,14 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .callgraph import Project
-from .dataflow import CallClassifier, leak_sites, unjournaled_flips
-from .extract import ACQUIRE_ATTRS, FuncExtract, ModuleExtract
+from .dataflow import Site, leak_sites, unjournaled_flips
+from .extract import (
+    ACQUIRE_ATTRS,
+    FuncExtract,
+    GlobalMutationEvent,
+    LedgerMutationEvent,
+    ModuleExtract,
+)
 from .findings import Finding
 from .registry import make_finding, project_rule
 
@@ -80,29 +86,21 @@ def _functions_with_modules(
     project: Project,
 ) -> "Iterator[tuple[FuncExtract, ModuleExtract]]":
     for func in project.iter_functions():
-        extract = project.modules.get(func.path)
-        if extract is not None:
-            yield func, extract
+        yield func, project.modules[func.path]
 
 
-def _leak_results(
+def _leaks(
     project: Project,
-) -> "dict[str, tuple[list, list]]":
-    """Memoized leak analysis shared by REP012 and REP013."""
-    cached = project.analysis_cache.get("leaks")
-    if cached is None:
-        classifier = project.classifier()
-        assert isinstance(classifier, CallClassifier)
-        cached = {}
-        for func in project.iter_functions():
-            # Acquire primitives themselves hand the obligation to their
-            # caller; only the call sites above them are checked.
-            if func.qualname.split(".")[-1] in ACQUIRE_ATTRS:
-                cached[func.ref] = ([], [])
-                continue
-            cached[func.ref] = leak_sites(func, classifier)
-        project.analysis_cache["leaks"] = cached
-    return cached  # type: ignore[return-value]
+) -> "Iterator[tuple[FuncExtract, ModuleExtract, list[Site], list[Site]]]":
+    """Each function's ``(exit_leaks, raise_leaks)``, for REP012/REP013.
+
+    Acquire primitives themselves hand the obligation to their caller;
+    only the call sites above them are checked.
+    """
+    for func, extract in _functions_with_modules(project):
+        if func.qualname.split(".")[-1] not in ACQUIRE_ATTRS:
+            exit_leaks, raise_leaks = leak_sites(func, project.summaries)
+            yield func, extract, exit_leaks, raise_leaks
 
 
 @project_rule(
@@ -113,9 +111,7 @@ def _leak_results(
     "path out of the function, or return it so the caller owns it",
 )
 def check_rep012(project: Project) -> "Iterable[Finding]":
-    leaks = _leak_results(project)
-    for func, extract in _functions_with_modules(project):
-        exit_leaks, _raise_leaks = leaks[func.ref]
+    for func, extract, exit_leaks, _raise_leaks in _leaks(project):
         for var, line, col in exit_leaks:
             label = "the acquisition" if var.startswith("%") else f"{var!r}"
             yield make_finding(
@@ -133,9 +129,7 @@ def check_rep012(project: Project) -> "Iterable[Finding]":
     "was already admitted before letting the exception escape",
 )
 def check_rep013(project: Project) -> "Iterable[Finding]":
-    leaks = _leak_results(project)
-    for func, extract in _functions_with_modules(project):
-        _exit_leaks, raise_leaks = leaks[func.ref]
+    for func, extract, _exit_leaks, raise_leaks in _leaks(project):
         for var, line, col in raise_leaks:
             label = "the acquisition" if var.startswith("%") else f"{var!r}"
             yield make_finding(
@@ -159,12 +153,10 @@ def _journal_scope(extract: ModuleExtract) -> bool:
     "between the two is replayable; see DESIGN.md on write-ahead intent",
 )
 def check_rep014(project: Project) -> "Iterable[Finding]":
-    classifier = project.classifier()
-    assert isinstance(classifier, CallClassifier)
     for func, extract in _functions_with_modules(project):
         if not _journal_scope(extract):
             continue
-        for flip in unjournaled_flips(func, classifier):
+        for flip in unjournaled_flips(func, project.summaries):
             yield make_finding(
                 extract.ctx, "REP014", flip.line, flip.col,
                 f"state transition in {func.qualname} is reachable without "
@@ -199,11 +191,11 @@ def check_rep015(project: Project) -> "Iterable[Finding]":
         if func.ref not in reachable:
             continue
         for event in func.events():
-            if isinstance(event, dict) and event.get("op") == "gmut":
+            if isinstance(event, GlobalMutationEvent):
                 yield make_finding(
-                    extract.ctx, "REP015", event["line"], event["col"],
+                    extract.ctx, "REP015", event.line, event.col,
                     f"{func.qualname} mutates module-level mutable "
-                    f"{event['name']!r} on a path reachable from "
+                    f"{event.name!r} on a path reachable from "
                     "negotiation entry points",
                 )
 
@@ -221,16 +213,14 @@ def check_rep016(project: Project) -> "Iterable[Finding]":
     async_roots = {
         func.ref for func in project.iter_functions() if func.is_async
     }
-    coop_roots: "set[str]" = set()
-    for func in project.iter_functions():
-        extract = project.modules.get(func.path)
-        if extract is None:
-            continue
+    coop_roots = {
+        func.ref
+        for func, extract in _functions_with_modules(project)
         if any(
             extract.ctx.in_package(*segments)
             for segments in COOPERATIVE_ROOT_PACKAGES
-        ):
-            coop_roots.add(func.ref)
+        )
+    }
     roots = async_roots | coop_roots
     if not roots:
         return
@@ -242,9 +232,7 @@ def check_rep016(project: Project) -> "Iterable[Finding]":
         )
         for ref in sorted(project.reachable_from([root])):
             func = project.functions[ref]
-            extract = project.modules.get(func.path)
-            if extract is None:
-                continue
+            extract = project.modules[func.path]
             for event in func.call_events():
                 if not event.blocking:
                     continue
@@ -277,10 +265,10 @@ def check_rep017(project: Project) -> "Iterable[Finding]":
         if any(_module_is(extract, seam) for seam in LEDGER_SEAMS):
             continue
         for event in func.events():
-            if isinstance(event, dict) and event.get("op") == "ledger":
+            if isinstance(event, LedgerMutationEvent):
                 yield make_finding(
-                    extract.ctx, "REP017", event["line"], event["col"],
+                    extract.ctx, "REP017", event.line, event.col,
                     f"{func.qualname} mutates reservation ledger "
-                    f"{event['attr']!r} of {event['recv']!r} from outside "
+                    f"{event.attr!r} of {event.recv!r} from outside "
                     "the owning manager/committer seams",
                 )

@@ -2,25 +2,31 @@
 
 Everything the whole-program passes need from a module is distilled
 into a :class:`ModuleExtract` — functions with their statement-level
-CFGs and *resource events*, the import map, class/method tables and
-module-level mutable globals — next to the :class:`ModuleContext` it
-came from.
+CFGs, the import map and the class table — next to the
+:class:`ModuleContext` it came from.  Each CFG node
+(:class:`~repro.analysis.cfg.CfgNode`) carries the ordered *events* of
+its statement, one typed record per effect:
 
-Event vocabulary (one ordered list per CFG node):
-
-========  =======================================================
-call      a call site: dotted name, receiver, result binding, the
-          symbolic argument names, whether it sits in a ``return``,
-          whether it is a ``with``-managed acquisition, and whether
-          the resolved target is a known blocking primitive
-assign    ``x = y`` aliasing (taint propagation between locals)
-store     names escaping into an attribute/subscript (ownership
-          leaves the function)
-return    names flowing out through ``return``/``yield``
-flip      a ``.state = CommitmentState...`` transition (REP014)
-gmut      mutation of a module-level mutable global (REP015)
-ledger    mutation of another object's reservation ledger (REP017)
-========  =======================================================
+=======================  ==============================================
+``CallEvent``            a call site: dotted name, receiver, result
+                         binding, the symbolic argument names, whether
+                         it sits in a ``return``, whether it is a
+                         ``with``-managed acquisition, whether it is a
+                         known blocking primitive, and the project
+                         function it resolves to (set once, by
+                         :func:`~repro.analysis.callgraph.build_project`)
+``AssignEvent``          ``x = y`` aliasing (taint propagation between
+                         locals); ``loop`` marks a ``for`` target
+``EscapeEvent``          names leaving the function: stored into an
+                         attribute/subscript, or ``returned``
+``RaiseEvent``           an explicit ``raise`` or ``assert``
+``FlipEvent``            a ``.state = CommitmentState...`` transition
+                         (REP014)
+``GlobalMutationEvent``  mutation of a module-level mutable global
+                         (REP015)
+``LedgerMutationEvent``  mutation of another object's reservation
+                         ledger (REP017)
+=======================  ==============================================
 
 Symbolic values are local variable names plus ``%N`` temporaries for
 intermediate call results, so acquisitions flowing through containers
@@ -32,13 +38,21 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable, TypeAlias
 
-from .cfg import build_cfg
+from .astutil import dotted_name
+from .cfg import CfgNode, build_cfg
 from .context import ModuleContext
 
 __all__ = [
     "CallEvent",
+    "AssignEvent",
+    "EscapeEvent",
+    "RaiseEvent",
+    "FlipEvent",
+    "GlobalMutationEvent",
+    "LedgerMutationEvent",
+    "Event",
     "FuncExtract",
     "ModuleExtract",
     "extract_module",
@@ -106,25 +120,80 @@ class CallEvent:
     ret: bool = False       # value flows out through return/yield
     managed: bool = False   # bound by `with ... as v` (released by __exit__)
     blocking: bool = False  # resolves to a known blocking primitive
+    target: "str | None" = None  # resolved project function ref, if any
 
 
-Event = "dict[str, Any] | CallEvent"
+@dataclass(slots=True)
+class AssignEvent:
+    """``target`` now aliases whatever ``sources`` hold."""
+
+    target: str
+    sources: "list[str]"
+    loop: bool = False  # a for-loop target: it *moves* held sites
+
+
+@dataclass(slots=True)
+class EscapeEvent:
+    """Names whose ownership leaves the function."""
+
+    names: "list[str]"
+    returned: bool = False  # through return/yield, not into a store
+
+
+@dataclass(slots=True)
+class RaiseEvent:
+    """An explicit ``raise`` (or ``assert``, a conditional raise)."""
+
+
+@dataclass(slots=True)
+class FlipEvent:
+    """A ``.state = CommitmentState...`` assignment."""
+
+    line: int
+    col: int
+
+
+@dataclass(slots=True)
+class GlobalMutationEvent:
+    """A mutation of module-level mutable global ``name``."""
+
+    name: str
+    line: int
+    col: int
+
+
+@dataclass(slots=True)
+class LedgerMutationEvent:
+    """A mutation of ledger ``attr`` on the foreign object ``recv``."""
+
+    attr: str
+    recv: str
+    line: int
+    col: int
+
+
+Event: TypeAlias = (
+    CallEvent
+    | AssignEvent
+    | EscapeEvent
+    | RaiseEvent
+    | FlipEvent
+    | GlobalMutationEvent
+    | LedgerMutationEvent
+)
 
 
 @dataclass(slots=True)
 class FuncExtract:
-    """One function's analysable shape."""
+    """One function's analysable shape: its CFG, events on each node."""
 
     qualname: str            # module-relative ("ResourceCommitter.try_commit")
     module: str
     path: str
-    line: int
-    col: int
     is_async: bool
     cls: "str | None"
     params: "tuple[str, ...]"
-    # node id -> {"line": int, "events": [Event], "succ": [(id, kind)]}
-    nodes: "dict[int, dict[str, Any]]" = field(default_factory=dict)
+    nodes: "dict[int, CfgNode]"  # ids ascend in construction order
 
     @property
     def ref(self) -> str:
@@ -132,8 +201,8 @@ class FuncExtract:
         return f"{self.module}::{self.qualname}"
 
     def events(self) -> "Iterable[Event]":
-        for node_id in sorted(self.nodes):
-            yield from self.nodes[node_id]["events"]
+        for node in self.nodes.values():
+            yield from node.events
 
     def call_events(self) -> "Iterable[CallEvent]":
         for event in self.events():
@@ -152,9 +221,11 @@ class ModuleExtract:
 
     ctx: ModuleContext
     functions: "dict[str, FuncExtract]" = field(default_factory=dict)
-    classes: "dict[str, dict[str, Any]]" = field(default_factory=dict)
+    # class name -> (base dotted names, method names)
+    classes: "dict[str, tuple[list[str], list[str]]]" = field(
+        default_factory=dict
+    )
     imports: "dict[str, str]" = field(default_factory=dict)
-    mutable_globals: "dict[str, int]" = field(default_factory=dict)
 
     @property
     def module(self) -> str:
@@ -166,17 +237,6 @@ class ModuleExtract:
 
 
 # -- expression/event emission ---------------------------------------------------
-
-
-def _dotted_text(node: ast.expr) -> "str | None":
-    parts: "list[str]" = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _loaded_names(node: ast.AST) -> "list[str]":
@@ -203,7 +263,7 @@ class _EventEmitter:
     def __init__(self, module: "_ModuleScan") -> None:
         self._module = module
         self._tmp = 0
-        self.events: "list[Any]" = []
+        self.events: "list[Event]" = []
 
     def _new_tmp(self) -> str:
         self._tmp += 1
@@ -223,7 +283,7 @@ class _EventEmitter:
             return self._emit_call(expr, ret=ret)
         if isinstance(expr, ast.Attribute):
             self.emit_expr(expr.value, ret=ret)
-            return _dotted_text(expr)
+            return dotted_name(expr)
         if isinstance(expr, ast.Lambda):
             # Acquisition thunks (`lambda: server.admit(...)`) run inside
             # resilient-call helpers; attribute their calls to this site.
@@ -258,12 +318,12 @@ class _EventEmitter:
     def _emit_call(self, call: ast.Call, *, ret: bool = False) -> str:
         recv: "str | None" = None
         if isinstance(call.func, ast.Attribute):
-            recv = _dotted_text(call.func.value)
+            recv = dotted_name(call.func.value)
             attr = call.func.attr
             # Emit receiver-side calls (`foo().bar()` chains).
             if recv is None:
                 self.emit_expr(call.func.value)
-            name = _dotted_text(call.func) or f"?.{attr}"
+            name = dotted_name(call.func) or f"?.{attr}"
         elif isinstance(call.func, ast.Name):
             attr = call.func.id
             name = call.func.id
@@ -285,7 +345,7 @@ class _EventEmitter:
                 args.append(sym)
                 if isinstance(kw.value, ast.Lambda):
                     thunk_syms.append(sym)
-        bound: "str | None" = self._new_tmp()
+        bound = self._new_tmp()
         if (
             attr in _CONTAINER_TRANSFER
             and recv is not None
@@ -306,12 +366,9 @@ class _EventEmitter:
         self.events.append(event)
         # A lambda thunk's value is returned by the resilient-call helper
         # invoking it, so ownership flows thunk-result -> call-result.
-        if bound is not None:
-            for thunk_sym in thunk_syms:
-                self.events.append(
-                    {"op": "assign", "target": bound, "sources": [thunk_sym]}
-                )
-        return bound if bound is not None else "?"
+        for thunk_sym in thunk_syms:
+            self.events.append(AssignEvent(bound, [thunk_sym]))
+        return bound
 
     # -- statements ----------------------------------------------------------------
 
@@ -331,17 +388,11 @@ class _EventEmitter:
                     event = self.events[index]
                     if isinstance(event, CallEvent) and event.bound == value:
                         if not any(
-                            isinstance(later, dict)
-                            and later.get("op") == "assign"
-                            and later.get("target") == value
+                            isinstance(later, AssignEvent)
+                            and later.target == value
                             for later in self.events[index + 1 :]
                         ):
-                            self.events[index] = CallEvent(
-                                name=event.name, attr=event.attr,
-                                recv=event.recv, bound=None, args=event.args,
-                                line=event.line, col=event.col, ret=event.ret,
-                                managed=event.managed, blocking=event.blocking,
-                            )
+                            event.bound = None
                         break
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             self._emit_assign(stmt)
@@ -353,18 +404,18 @@ class _EventEmitter:
             names = _loaded_names(stmt.value) if stmt.value is not None else []
             if sym is not None and sym.startswith("%"):
                 names.append(sym)
-            self.events.append({"op": "return", "vars": names})
+            self.events.append(EscapeEvent(names, returned=True))
         elif isinstance(stmt, ast.Raise):
             self.emit_expr(stmt.exc)
             self.emit_expr(stmt.cause)
-            self.events.append({"op": "raise"})
+            self.events.append(RaiseEvent())
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 self._emit_target_effects(target, [])
         elif isinstance(stmt, ast.Assert):
             self.emit_expr(stmt.test)
             self.emit_expr(stmt.msg)
-            self.events.append({"op": "raise"})  # assert = conditional raise
+            self.events.append(RaiseEvent())
         elif isinstance(stmt, (ast.Global, ast.Nonlocal)):
             pass
         else:
@@ -390,21 +441,14 @@ class _EventEmitter:
                     else:
                         sources = value_names or ([sym] if sym else [])
                         self.events.append(
-                            {
-                                "op": "assign",
-                                "target": element.id,
-                                "sources": [s for s in sources if s],
-                            }
+                            AssignEvent(element.id, [s for s in sources if s])
                         )
                     if element.id in self._module.func_global_decls:
                         if element.id in self._module.mutable_globals:
                             self.events.append(
-                                {
-                                    "op": "gmut",
-                                    "name": element.id,
-                                    "line": stmt.lineno,
-                                    "col": stmt.col_offset,
-                                }
+                                GlobalMutationEvent(
+                                    element.id, stmt.lineno, stmt.col_offset
+                                )
                             )
                 else:
                     self._emit_target_effects(
@@ -417,35 +461,19 @@ class _EventEmitter:
                 and target.attr == "state"
                 and _mentions_state_enum(value)
             ):
-                self.events.append(
-                    {
-                        "op": "flip",
-                        "line": stmt.lineno,
-                        "col": stmt.col_offset,
-                    }
-                )
+                self.events.append(FlipEvent(stmt.lineno, stmt.col_offset))
 
     def _rebind_last_call(self, tmp: str, var: str) -> None:
         rebound = False
-        for index in range(len(self.events) - 1, -1, -1):
-            event = self.events[index]
+        for event in reversed(self.events):
             if isinstance(event, CallEvent) and event.bound == tmp:
-                self.events[index] = CallEvent(
-                    name=event.name, attr=event.attr, recv=event.recv,
-                    bound=var, args=event.args, line=event.line,
-                    col=event.col, ret=event.ret, managed=event.managed,
-                    blocking=event.blocking,
-                )
+                event.bound = var
                 rebound = True
-            elif (
-                isinstance(event, dict)
-                and event.get("op") == "assign"
-                and event.get("target") == tmp
-            ):
-                event["target"] = var
+            elif isinstance(event, AssignEvent) and event.target == tmp:
+                event.target = var
                 rebound = True
         if not rebound:
-            self.events.append({"op": "assign", "target": var, "sources": [tmp]})
+            self.events.append(AssignEvent(var, [tmp]))
 
     def _flatten_target(self, target: ast.expr) -> "list[ast.expr]":
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -463,42 +491,27 @@ class _EventEmitter:
         """Stores into attributes/subscripts: escapes + ledger/global hits."""
         line = getattr(target, "lineno", 0)
         col = getattr(target, "col_offset", 0)
+        node = target
         if isinstance(target, ast.Subscript):
             self.emit_expr(target.slice)
-            root = target.value
-            dotted = _dotted_text(root)
-            if isinstance(root, ast.Name):
-                if root.id in self._module.mutable_globals:
-                    self.events.append(
-                        {"op": "gmut", "name": root.id, "line": line, "col": col}
-                    )
-            elif isinstance(root, ast.Attribute) and root.attr in LEDGER_ATTRS:
-                owner = _dotted_text(root.value)
-                if owner not in ("self", "cls"):
-                    self.events.append(
-                        {
-                            "op": "ledger", "attr": root.attr,
-                            "recv": owner or "?", "line": line, "col": col,
-                        }
-                    )
-        elif isinstance(target, ast.Attribute):
-            if target.attr in LEDGER_ATTRS:
-                owner = _dotted_text(target.value)
-                if owner not in ("self", "cls"):
-                    self.events.append(
-                        {
-                            "op": "ledger", "attr": target.attr,
-                            "recv": owner or "?", "line": line, "col": col,
-                        }
-                    )
+            node = target.value
+            if (
+                isinstance(node, ast.Name)
+                and node.id in self._module.mutable_globals
+            ):
+                self.events.append(GlobalMutationEvent(node.id, line, col))
+        if isinstance(node, ast.Attribute) and node.attr in LEDGER_ATTRS:
+            owner = dotted_name(node.value)
+            if owner not in ("self", "cls"):
+                self.events.append(
+                    LedgerMutationEvent(node.attr, owner or "?", line, col)
+                )
         if escaping:
-            self.events.append(
-                {"op": "store", "vars": [s for s in escaping if s]}
-            )
+            self.events.append(EscapeEvent([s for s in escaping if s]))
 
     def mark_mutating_method_effects(self) -> None:
         """Post-pass: receiver mutations on globals and foreign ledgers."""
-        extra: "list[tuple[int, dict[str, Any]]]" = []
+        extra: "list[tuple[int, Event]]" = []
         for index, event in enumerate(self.events):
             if not isinstance(event, CallEvent):
                 continue
@@ -507,13 +520,7 @@ class _EventEmitter:
             recv = event.recv
             if "." not in recv and recv in self._module.mutable_globals:
                 extra.append(
-                    (
-                        index,
-                        {
-                            "op": "gmut", "name": recv,
-                            "line": event.line, "col": event.col,
-                        },
-                    )
+                    (index, GlobalMutationEvent(recv, event.line, event.col))
                 )
                 continue
             parts = recv.split(".")
@@ -523,11 +530,9 @@ class _EventEmitter:
                     extra.append(
                         (
                             index,
-                            {
-                                "op": "ledger", "attr": parts[-1],
-                                "recv": owner, "line": event.line,
-                                "col": event.col,
-                            },
+                            LedgerMutationEvent(
+                                parts[-1], owner, event.line, event.col
+                            ),
                         )
                     )
         for offset, (index, event) in enumerate(extra):
@@ -606,7 +611,7 @@ class _ModuleScan:
         ):
             return True
         if isinstance(value, ast.Call):
-            name = _dotted_text(value.func)
+            name = dotted_name(value.func)
             if name is not None and name.split(".")[-1] in _MUTABLE_FACTORIES:
                 return True
         return False
@@ -629,26 +634,6 @@ class _ModuleScan:
         return ".".join([target] + parts[1:])
 
 
-def _function_defs(
-    tree: ast.Module,
-) -> "list[tuple[str, str | None, ast.FunctionDef | ast.AsyncFunctionDef]]":
-    """(qualname, enclosing class, node) for every def, depth-first."""
-    found: "list[tuple[str, str | None, ast.FunctionDef | ast.AsyncFunctionDef]]" = []
-
-    def visit(node: ast.AST, prefix: str, cls: "str | None") -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}.{child.name}" if prefix else child.name
-                found.append((qualname, cls, child))
-                visit(child, qualname, None)
-            elif isinstance(child, ast.ClassDef):
-                qualname = f"{prefix}.{child.name}" if prefix else child.name
-                visit(child, qualname, child.name)
-
-    visit(tree, "", None)
-    return found
-
-
 def _extract_function(
     qualname: str,
     cls: "str | None",
@@ -656,8 +641,10 @@ def _extract_function(
     scan: _ModuleScan,
     ctx: ModuleContext,
 ) -> FuncExtract:
-    cfg = build_cfg(node)
+    nodes = build_cfg(node)
     scan.func_global_decls = _global_decls(node)
+    for cfg_node in nodes.values():
+        cfg_node.events = _node_events(cfg_node.stmt, scan)
     params = tuple(
         arg.arg
         for arg in (
@@ -666,24 +653,15 @@ def _extract_function(
             + list(node.args.kwonlyargs)
         )
     )
-    extract = FuncExtract(
+    return FuncExtract(
         qualname=qualname,
         module=ctx.module,
         path=ctx.path,
-        line=node.lineno,
-        col=node.col_offset,
         is_async=isinstance(node, ast.AsyncFunctionDef),
         cls=cls,
         params=params,
+        nodes=nodes,
     )
-    for cfg_node in cfg.nodes.values():
-        events = _node_events(cfg_node.stmt, scan)
-        extract.nodes[cfg_node.node_id] = {
-            "line": cfg_node.line,
-            "events": events,
-            "succ": list(cfg_node.succ),
-        }
-    return extract
 
 
 def _global_decls(node: ast.AST) -> "set[str]":
@@ -694,13 +672,9 @@ def _global_decls(node: ast.AST) -> "set[str]":
     return names
 
 
-def _node_events(stmt: "ast.stmt | None", scan: _ModuleScan) -> "list[Any]":
-    if stmt is None:
-        return []
+def _node_events(stmt: "ast.AST | None", scan: _ModuleScan) -> "list[Event]":
     emitter = _EventEmitter(scan)
-    if isinstance(stmt, ast.If):
-        emitter.emit_expr(stmt.test)
-    elif isinstance(stmt, ast.While):
+    if isinstance(stmt, (ast.If, ast.While)):
         emitter.emit_expr(stmt.test)
     elif isinstance(stmt, (ast.For, ast.AsyncFor)):
         emitter.emit_expr(stmt.iter)
@@ -712,12 +686,7 @@ def _node_events(stmt: "ast.stmt | None", scan: _ModuleScan) -> "list[Any]":
                 # retires the target), so a release loop settles its
                 # container exactly.
                 emitter.events.append(
-                    {
-                        "op": "assign",
-                        "target": sub.id,
-                        "sources": iter_names,
-                        "loop": True,
-                    }
+                    AssignEvent(sub.id, iter_names, loop=True)
                 )
     elif isinstance(stmt, (ast.With, ast.AsyncWith)):
         for item in stmt.items:
@@ -728,39 +697,35 @@ def _node_events(stmt: "ast.stmt | None", scan: _ModuleScan) -> "list[Any]":
                 and sym is not None
             ):
                 emitter._rebind_last_call(sym, item.optional_vars.id)
-                for index in range(len(emitter.events) - 1, -1, -1):
-                    event = emitter.events[index]
+                for event in reversed(emitter.events):
                     if (
                         isinstance(event, CallEvent)
                         and event.bound == item.optional_vars.id
                     ):
-                        emitter.events[index] = CallEvent(
-                            name=event.name, attr=event.attr, recv=event.recv,
-                            bound=event.bound, args=event.args,
-                            line=event.line, col=event.col, ret=event.ret,
-                            managed=True, blocking=event.blocking,
-                        )
+                        event.managed = True
                         break
-    elif isinstance(stmt, ast.Try):
-        return []
-    elif isinstance(stmt, ast.ExceptHandler):  # type: ignore[unreachable]
-        return []
-    elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return []
-    else:
+    elif isinstance(stmt, ast.stmt) and not isinstance(
+        stmt, (ast.Try, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    ):
         emitter.emit_stmt(stmt)
+    else:
+        # Virtual nodes, try and handler heads, and nested definitions
+        # (analysed as functions of their own) carry no events.
+        return []
     emitter.mark_mutating_method_effects()
     return emitter.events
 
 
-def _class_table(tree: ast.Module) -> "dict[str, dict[str, Any]]":
-    classes: "dict[str, dict[str, Any]]" = {}
+def _class_table(
+    tree: ast.Module,
+) -> "dict[str, tuple[list[str], list[str]]]":
+    classes: "dict[str, tuple[list[str], list[str]]]" = {}
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
         bases = [
             name
-            for name in (_dotted_text(base) for base in node.bases)
+            for name in (dotted_name(base) for base in node.bases)
             if name is not None
         ]
         methods = [
@@ -768,7 +733,7 @@ def _class_table(tree: ast.Module) -> "dict[str, dict[str, Any]]":
             for child in node.body
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
-        classes[node.name] = {"bases": bases, "methods": methods}
+        classes[node.name] = (bases, methods)
     return classes
 
 
@@ -776,13 +741,11 @@ def extract_module(ctx: ModuleContext) -> ModuleExtract:
     """Distil one parsed module into its extract."""
     scan = _ModuleScan(ctx)
     extract = ModuleExtract(
-        ctx=ctx,
-        imports=scan.imports,
-        mutable_globals=scan.mutable_globals,
-        classes=_class_table(ctx.tree),
+        ctx=ctx, imports=scan.imports, classes=_class_table(ctx.tree)
     )
-    for qualname, cls, node in _function_defs(ctx.tree):
-        extract.functions[qualname] = _extract_function(
-            qualname, cls, node, scan, ctx
-        )
+    for scope in ctx.scopes():
+        if not isinstance(scope.node, ast.ClassDef):
+            extract.functions[scope.qualname] = _extract_function(
+                scope.qualname, scope.cls, scope.node, scan, ctx
+            )
     return extract

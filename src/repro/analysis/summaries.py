@@ -3,14 +3,14 @@
 A summary answers, for one function, the questions the interprocedural
 passes ask at its call sites:
 
-* does it *acquire* reservations (``admit``/``reserve``/``acquire``)?
-* does a value it returns carry an acquisition (so the caller inherits
-  the release obligation)?
+* does a value it returns carry an acquisition
+  (``admit``/``reserve``/``acquire``), so the caller inherits the
+  release obligation?
 * does it *release* resources passed in as arguments?
 * does it write a journal record?
-* can it block the thread (sleep, fsync, file I/O, subprocess)?
+* can it raise (an explicit ``raise``/``assert``)?
 
-``releases_args``, ``journals`` and ``blocking`` are transitive — they
+``releases_args``, ``journals`` and ``raises`` are transitive — they
 propagate callee→caller with a fixpoint per strongly-connected
 component, so mutual recursion converges.  ``returns_acquisition`` is
 deliberately *local only* (one hop): it is seeded purely from marker
@@ -19,23 +19,33 @@ Propagating it transitively would tag every negotiation driver and
 simulation harness as a resource source and flood REP012 with findings
 about code that merely coordinates; the function that actually talks to
 the server carries the obligation, and its direct callers are checked.
+
+Callees are read from each call event's ``target``, which
+:func:`~repro.analysis.callgraph.build_project` resolved once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .callgraph import Project
 from .extract import (
     ACQUIRE_ATTRS,
     JOURNAL_MARKER,
     RELEASE_MARKERS,
+    AssignEvent,
     CallEvent,
+    EscapeEvent,
     FuncExtract,
+    RaiseEvent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .callgraph import Project
 
 __all__ = [
     "FuncSummary",
+    "callee_summary",
     "compute_summaries",
     "is_acquire_marker",
     "is_release_marker",
@@ -60,20 +70,30 @@ def is_journal_marker(event: CallEvent) -> bool:
 class FuncSummary:
     """What one function does with resources, from its caller's seat."""
 
-    ref: str
-    acquires: bool = False
     returns_acquisition: bool = False
-    releases_args: bool = False
     journals: bool = False
-    blocking: bool = False
-    blocking_site: str = ""  # "path:line callname" of the blocking primitive
-    flips: bool = False
     # contains an explicit raise/assert (transitively): calls to such
     # functions are the "risky" statements whose exception edges the
     # dataflow passes actually follow
     raises: bool = False
-    # params that may be released (by name); releases_args is its bool
+    # params that may be released (by name)
     released_params: "set[str]" = field(default_factory=set)
+
+    @property
+    def releases_args(self) -> bool:
+        return bool(self.released_params)
+
+
+_UNRESOLVED = FuncSummary()  # what a call the project cannot resolve does
+
+
+def callee_summary(
+    summaries: "dict[str, FuncSummary]", event: CallEvent
+) -> FuncSummary:
+    """The summary of the function ``event`` calls (all-false if none)."""
+    if event.target is None:
+        return _UNRESOLVED
+    return summaries.get(event.target, _UNRESOLVED)
 
 
 def _alias_closure(func: FuncExtract) -> "dict[str, set[str]]":
@@ -103,27 +123,26 @@ def _alias_closure(func: FuncExtract) -> "dict[str, set[str]]":
                 if incoming - alias.setdefault(event.bound, set()):
                     alias[event.bound] |= incoming
                     changed = True
-            elif event.get("op") == "assign":
+            elif isinstance(event, AssignEvent):
                 incoming = set()
-                for source in event["sources"]:
+                for source in event.sources:
                     incoming |= roots(source)
-                target = event["target"]
-                if incoming - alias.setdefault(target, set()):
-                    alias[target] |= incoming
+                if incoming - alias.setdefault(event.target, set()):
+                    alias[event.target] |= incoming
                     changed = True
     return alias
 
 
-def _local_summary(func: FuncExtract) -> FuncSummary:
-    summary = FuncSummary(ref=func.ref)
-    alias = _alias_closure(func)
+def _local_summary(
+    func: FuncExtract, alias: "dict[str, set[str]]"
+) -> FuncSummary:
+    summary = FuncSummary()
     tainted: "set[str]" = set()
     returns: "set[str]" = set()
 
     for event in func.events():
         if isinstance(event, CallEvent):
             if is_acquire_marker(event):
-                summary.acquires = True
                 if event.ret:
                     summary.returns_acquisition = True
                 if event.bound is not None:
@@ -135,18 +154,10 @@ def _local_summary(func: FuncExtract) -> FuncSummary:
                     summary.released_params |= alias.get(event.recv, set())
             if is_journal_marker(event):
                 summary.journals = True
-            if event.blocking:
-                summary.blocking = True
-                if not summary.blocking_site:
-                    summary.blocking_site = (
-                        f"{func.path}:{event.line} {event.name}"
-                    )
-        elif event.get("op") == "flip":
-            summary.flips = True
-        elif event.get("op") == "raise":
+        elif isinstance(event, RaiseEvent):
             summary.raises = True
-        elif event.get("op") == "return":
-            returns.update(event["vars"])
+        elif isinstance(event, EscapeEvent) and event.returned:
+            returns.update(event.names)
 
     # Propagate acquisition taint through assigns/bound calls to returns.
     changed = True
@@ -162,46 +173,38 @@ def _local_summary(func: FuncExtract) -> FuncSummary:
                 ):
                     tainted.add(event.bound)
                     changed = True
-            elif event.get("op") == "assign":
-                target = event["target"]
-                if target not in tainted and any(
-                    source in tainted for source in event["sources"]
+            elif isinstance(event, AssignEvent):
+                if event.target not in tainted and any(
+                    source in tainted for source in event.sources
                 ):
-                    tainted.add(target)
+                    tainted.add(event.target)
                     changed = True
     if returns & tainted:
         summary.returns_acquisition = True
-    summary.releases_args = bool(summary.released_params)
     return summary
 
 
 def compute_summaries(project: Project) -> "dict[str, FuncSummary]":
     """Local seeds, then one fixpoint per SCC in bottom-up order."""
+    aliases = {
+        ref: _alias_closure(func) for ref, func in project.functions.items()
+    }
     summaries = {
-        ref: _local_summary(func) for ref, func in project.functions.items()
+        ref: _local_summary(func, aliases[ref])
+        for ref, func in project.functions.items()
     }
 
     def propagate(ref: str) -> bool:
-        func = project.functions[ref]
         summary = summaries[ref]
-        alias = _alias_closure(func)
+        alias = aliases[ref]
         changed = False
-        for event in func.call_events():
-            target = project.resolve_call(func, event)
-            if target is None:
-                continue
-            callee = summaries.get(target)
-            if callee is None:
-                continue
+        for event in project.functions[ref].call_events():
+            callee = callee_summary(summaries, event)
             if callee.journals and not summary.journals:
                 summary.journals = True
                 changed = True
             if callee.raises and not summary.raises:
                 summary.raises = True
-                changed = True
-            if callee.blocking and not summary.blocking:
-                summary.blocking = True
-                summary.blocking_site = callee.blocking_site
                 changed = True
             if callee.releases_args:
                 for arg in event.args:
@@ -209,9 +212,6 @@ def compute_summaries(project: Project) -> "dict[str, FuncSummary]":
                     if released:
                         summary.released_params |= released
                         changed = True
-        if summary.released_params and not summary.releases_args:
-            summary.releases_args = True
-            changed = True
         return changed
 
     for component in project.sccs_bottom_up():

@@ -1,6 +1,13 @@
 """Project assembly: symbol table, call resolution, SCC ordering."""
 
+import pathlib
+
+from repro.analysis import LintEngine, ModuleContext, iter_python_files
+from repro.analysis.callgraph import Project, build_project
+from repro.analysis.extract import extract_module
 from tests.analysis.projutil import project_from
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 class TestResolution:
@@ -132,3 +139,31 @@ class TestGraphQueries:
         )
         sccs = [set(scc) for scc in project.sccs_bottom_up()]
         assert {"mod::even", "mod::odd"} in sccs
+
+
+class TestResolveOnce:
+    def test_every_call_site_is_resolved_once_per_run(self, monkeypatch):
+        # Summaries and the dataflow rules read CallEvent.target; only
+        # build_project may ask Project.resolve_call.
+        resolved = []
+        resolve = Project.resolve_call
+
+        def counting(self, caller, event):
+            resolved.append((caller.ref, event.line, event.col))
+            return resolve(self, caller, event)
+
+        monkeypatch.setattr(Project, "resolve_call", counting)
+        contexts = [
+            ModuleContext.from_path(path)
+            for path in iter_python_files([FIXTURES])
+        ]
+        project = build_project(extract_module(ctx) for ctx in contexts)
+        for rule in LintEngine().project_rules:
+            rule.run(project)
+        sites = [
+            (func.ref, event.line, event.col)
+            for func in project.functions.values()
+            for event in func.call_events()
+        ]
+        assert sites
+        assert sorted(resolved) == sorted(sites)

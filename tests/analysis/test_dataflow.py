@@ -7,7 +7,7 @@ from tests.analysis.projutil import project_from
 def leaks_of(sources, ref):
     project = project_from(sources)
     func = project.functions[ref]
-    return leak_sites(func, project.classifier())
+    return leak_sites(func, project.summaries)
 
 
 class TestExitLeaks:
@@ -232,10 +232,10 @@ class TestUnjournaledFlips:
     def test_branch_that_skips_the_journal_is_flagged(self):
         project = project_from({"mod": self.FLAGGING})
         func = project.functions["mod::Commitment.commit"]
-        flips = unjournaled_flips(func, project.classifier())
+        flips = unjournaled_flips(func, project.summaries)
         assert [flip.line for flip in flips] == [8]
 
     def test_dominating_journal_write_is_clean(self):
         project = project_from({"mod": self.PASSING})
         func = project.functions["mod::Commitment.commit"]
-        assert unjournaled_flips(func, project.classifier()) == []
+        assert unjournaled_flips(func, project.summaries) == []

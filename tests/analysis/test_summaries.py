@@ -1,11 +1,23 @@
-"""Per-function summaries: seeds, alias closure, SCC propagation."""
+"""Per-function summaries: seeds, alias closure, SCC propagation.
 
+Whether a function can block is not a summary: REP016 reads each call
+site's ``blocking`` flag and walks the call graph, so the blocking
+cases below are checked through its findings.
+"""
+
+from repro.analysis import LintEngine
 from tests.analysis.projutil import project_from
 
 
 def summaries_of(sources):
     project = project_from(sources)
-    return project, project.summaries()
+    return project, project.summaries
+
+
+def rep016_findings(source):
+    return LintEngine(select=["REP016"]).check_source(
+        source, path="mod.py", module="mod"
+    )
 
 
 class TestLocalSeeds:
@@ -13,9 +25,7 @@ class TestLocalSeeds:
         _, summaries = summaries_of(
             {"mod": "def grab(server, spec):\n    return server.admit(spec)\n"}
         )
-        summary = summaries["mod::grab"]
-        assert summary.acquires
-        assert summary.returns_acquisition
+        assert summaries["mod::grab"].returns_acquisition
 
     def test_acquisition_consumed_locally_does_not_return_it(self):
         _, summaries = summaries_of(
@@ -28,9 +38,7 @@ class TestLocalSeeds:
                 )
             }
         )
-        summary = summaries["mod::use"]
-        assert summary.acquires
-        assert not summary.returns_acquisition
+        assert not summaries["mod::use"].returns_acquisition
 
     def test_release_through_an_alias_frees_the_parameter(self):
         _, summaries = summaries_of(
@@ -59,12 +67,16 @@ class TestLocalSeeds:
         assert summaries["mod::check"].raises
 
     def test_blocking_primitive_is_detected_with_its_site(self):
-        _, summaries = summaries_of(
-            {"mod": "import os\n\ndef sync(fd):\n    os.fsync(fd)\n"}
+        (finding,) = rep016_findings(
+            "import os\n"
+            "\n"
+            "async def sync(fd):\n"
+            "    os.fsync(fd)\n"
         )
-        summary = summaries["mod::sync"]
-        assert summary.blocking
-        assert "os.fsync" in summary.blocking_site
+        assert (finding.line, finding.column) == (4, 4)
+        assert finding.message == (
+            "blocking call os.fsync() is reachable from async sync directly"
+        )
 
 
 class TestTransitivePropagation:
@@ -105,22 +117,22 @@ class TestTransitivePropagation:
         assert summaries["mod::top"].raises
 
     def test_blocking_propagates_with_the_original_site(self):
-        _, summaries = summaries_of(
-            {
-                "mod": (
-                    "import time\n"
-                    "\n"
-                    "def nap(delay):\n"
-                    "    time.sleep(delay)\n"
-                    "\n"
-                    "def caller(delay):\n"
-                    "    nap(delay)\n"
-                )
-            }
+        (finding,) = rep016_findings(
+            "import time\n"
+            "\n"
+            "def nap(delay):\n"
+            "    time.sleep(delay)\n"
+            "\n"
+            "def caller(delay):\n"
+            "    nap(delay)\n"
+            "\n"
+            "async def drive(delay):\n"
+            "    caller(delay)\n"
         )
-        summary = summaries["mod::caller"]
-        assert summary.blocking
-        assert "time.sleep" in summary.blocking_site
+        assert (finding.line, finding.column) == (4, 4)
+        assert finding.message == (
+            "blocking call time.sleep() is reachable from async drive via nap"
+        )
 
     def test_returns_acquisition_is_deliberately_local_only(self):
         # Propagating it transitively would tag every coordinator as a
