@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .extract import CallEvent, FuncExtract, ModuleExtract
+from .extract import CallEvent, FuncExtract, ModuleExtract, imported_name
 from .summaries import FuncSummary, compute_summaries
 
 __all__ = ["Project", "build_project"]
@@ -76,10 +76,9 @@ class Project:
         return None
 
     def _absolute(self, module: ModuleExtract, name: str) -> "str | None":
-        parts = name.split(".")
-        target = module.imports.get(parts[0])
-        if target is not None:
-            return ".".join([target] + parts[1:])
+        imported = imported_name(module.imports, name)
+        if imported is not None:
+            return imported
         # Same-module function/class (including nested qualnames).
         local = f"{module.module}.{name}"
         if local in self._by_dotted or local in self._classes:

@@ -131,7 +131,8 @@ class _Builder:
         # Ids ascend in insertion order, so iterating the dict visits
         # the nodes by id.
         self.nodes = {
-            node_id: CfgNode(node_id=node_id) for node_id in (ENTRY, EXIT, RAISE)
+            node_id: CfgNode(node_id=node_id)
+            for node_id in (ENTRY, EXIT, RAISE)
         }
 
     def _new(self, stmt: "ast.AST | None") -> CfgNode:

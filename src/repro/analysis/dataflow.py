@@ -62,11 +62,16 @@ def _acquiring(summaries: Summaries, event: CallEvent) -> bool:
 
 
 def _releasing(summaries: Summaries, event: CallEvent) -> bool:
-    return is_release_marker(event) or callee_summary(summaries, event).releases_args
+    return (
+        is_release_marker(event)
+        or callee_summary(summaries, event).releases_args
+    )
 
 
 def _journaling(summaries: Summaries, event: CallEvent) -> bool:
-    return is_journal_marker(event) or callee_summary(summaries, event).journals
+    return (
+        is_journal_marker(event) or callee_summary(summaries, event).journals
+    )
 
 
 def _risky(summaries: Summaries, events: "list[Event]") -> bool:
@@ -84,7 +89,10 @@ def _risky(summaries: Summaries, events: "list[Event]") -> bool:
     """
     for event in events:
         if isinstance(event, CallEvent):
-            if is_acquire_marker(event) or callee_summary(summaries, event).raises:
+            if (
+                is_acquire_marker(event)
+                or callee_summary(summaries, event).raises
+            ):
                 return True
         elif isinstance(event, RaiseEvent):
             return True

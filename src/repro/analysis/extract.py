@@ -56,6 +56,7 @@ __all__ = [
     "FuncExtract",
     "ModuleExtract",
     "extract_module",
+    "imported_name",
     "ACQUIRE_ATTRS",
     "RELEASE_MARKERS",
     "JOURNAL_MARKER",
@@ -617,21 +618,20 @@ class _ModuleScan:
         return False
 
     def is_blocking(self, name: str, attr: str) -> bool:
-        resolved = self.resolve_external(name)
+        resolved = imported_name(self.imports, name) or name
         if resolved in _BLOCKING_DOTTED:
             return True
         if resolved == "open" or name == "open":
             return True
         return attr in _BLOCKING_ATTRS
 
-    def resolve_external(self, name: str) -> str:
-        """Absolute dotted name through the import map (best effort)."""
-        parts = name.split(".")
-        root = parts[0]
-        target = self.imports.get(root)
-        if target is None:
-            return name
-        return ".".join([target] + parts[1:])
+
+def imported_name(imports: "dict[str, str]", name: str) -> "str | None":
+    """Dotted ``name`` made absolute through an import map, or ``None``
+    when its first part is not an imported name."""
+    root, dot, rest = name.partition(".")
+    target = imports.get(root)
+    return None if target is None else target + dot + rest
 
 
 def _extract_function(
