@@ -20,7 +20,7 @@ guessed at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .extract import CallEvent, FuncExtract, ModuleExtract, imported_name
 from .summaries import FuncSummary, compute_summaries
@@ -46,10 +46,6 @@ class Project:
     callees: "dict[str, list[str]]" = field(default_factory=dict)
     # ref -> resource summary (filled once the call graph is resolved)
     summaries: "dict[str, FuncSummary]" = field(default_factory=dict)
-
-    def iter_functions(self) -> "Iterator[FuncExtract]":
-        for ref in sorted(self.functions):
-            yield self.functions[ref]
 
     # -- resolution ------------------------------------------------------------
 

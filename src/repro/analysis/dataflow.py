@@ -54,20 +54,6 @@ Site: TypeAlias = "tuple[str, int, int]"  # (var, line, col) of the acquisition
 Summaries: TypeAlias = "dict[str, FuncSummary]"
 
 
-def _acquiring(summaries: Summaries, event: CallEvent) -> bool:
-    return (
-        is_acquire_marker(event)
-        or callee_summary(summaries, event).returns_acquisition
-    )
-
-
-def _releasing(summaries: Summaries, event: CallEvent) -> bool:
-    return (
-        is_release_marker(event)
-        or callee_summary(summaries, event).releases_args
-    )
-
-
 def _journaling(summaries: Summaries, event: CallEvent) -> bool:
     return (
         is_journal_marker(event) or callee_summary(summaries, event).journals
@@ -139,7 +125,8 @@ def _leak_step(
 ) -> "frozenset[Site]":
     for event in events:
         if isinstance(event, CallEvent):
-            if _releasing(summaries, event):
+            callee = callee_summary(summaries, event)
+            if is_release_marker(event) or callee.releases_args:
                 for arg in event.args:
                     state = _site_kill(state, arg)
                 if event.recv is not None and "." not in event.recv:
@@ -158,7 +145,7 @@ def _leak_step(
                     for arg in held_args:
                         state = _site_kill(state, arg)
             if (
-                _acquiring(summaries, event)
+                (is_acquire_marker(event) or callee.returns_acquisition)
                 and event.bound is not None
                 and not event.managed
             ):

@@ -85,7 +85,8 @@ def _module_is(extract: ModuleExtract, dotted: str) -> bool:
 def _functions_with_modules(
     project: Project,
 ) -> "Iterator[tuple[FuncExtract, ModuleExtract]]":
-    for func in project.iter_functions():
+    for ref in sorted(project.functions):
+        func = project.functions[ref]
         yield func, project.modules[func.path]
 
 
@@ -211,7 +212,7 @@ def check_rep015(project: Project) -> "Iterable[Finding]":
 )
 def check_rep016(project: Project) -> "Iterable[Finding]":
     async_roots = {
-        func.ref for func in project.iter_functions() if func.is_async
+        ref for ref, func in project.functions.items() if func.is_async
     }
     coop_roots = {
         func.ref
