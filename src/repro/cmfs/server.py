@@ -16,17 +16,18 @@ the ledger's newest stream while the load is known pops that stack —
 the popped load is what a re-sum of the shorter ledger gives, because
 it was that ledger's load — so a refused step-5 attempt, which gives
 back what it took in the order it took it, costs no rebuild on a server
-where it held one stream.  Any other removal drops the load and the
-stack, to be rebuilt in ledger order by the next reader
-(:meth:`MediaServer._summed_ledger`).  Nothing is ever subtracted, and
-no call is skipped.
+where it held one stream.  Releasing the last stream sets the load to
+:data:`EMPTY_LOAD`, which is what a re-sum of the empty ledger gives.
+Any other removal drops the load and the stack, to be rebuilt in ledger
+order by the next reader (:meth:`MediaServer._summed_ledger`).  Nothing
+is ever subtracted, and no call is skipped.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from ..util.errors import (
     AdmissionError,
@@ -49,9 +50,10 @@ __all__ = ["StreamReservation", "MediaServer"]
 _RATE_OF = attrgetter("rate_bps")
 
 
-@dataclass(frozen=True, slots=True)
-class StreamReservation:
-    """One admitted stream's hold on the server."""
+class StreamReservation(NamedTuple):
+    """One admitted stream's hold on the server: an immutable record
+    built with one tuple allocation, compared and hashed field by
+    field."""
 
     stream_id: str
     server_id: str
@@ -207,12 +209,7 @@ class MediaServer:
         sequence = next(self._sequence)
         stream_id = f"{self.server_id}/stream-{sequence}"
         reservation = StreamReservation(
-            stream_id=stream_id,
-            server_id=self.server_id,
-            variant_id=variant_id,
-            rate_bps=rate_bps,
-            holder=holder,
-            sequence=sequence,
+            stream_id, self.server_id, variant_id, rate_bps, holder, sequence
         )
         self._streams[stream_id] = reservation
         self._undo.append(held)
@@ -240,7 +237,10 @@ class MediaServer:
                 f"{self.server_id}: no stream {stream_id!r}"
             )
         undo = self._undo
-        if undo and stream_id == next(reversed(streams)):
+        if len(streams) == 1:
+            self._load = EMPTY_LOAD  # what a re-sum of no streams gives
+            undo.clear()
+        elif undo and stream_id == next(reversed(streams)):
             self._load = undo.pop()  # the shorter ledger's load
         else:
             self._load = None  # dropped, never subtracted from

@@ -114,11 +114,12 @@ class OfferSpace:
                 self.copyright_cents + sum(map(max, self.cents_axes)),
             )
         )
-        # The score columns and the classified orders requested over
-        # this space, each keyed by what selects it; kept and bounded
-        # by repro.core.stream.
+        # The score columns, the classified orders and the user offers
+        # requested over this space, each keyed by what selects it;
+        # kept and bounded by repro.core.stream.
         self.columns_memo: dict[tuple, Any] = {}
         self.order_memo: dict[tuple, Any] = {}
+        self.user_offers: dict[tuple, Any] = {}
 
     # -- shape -------------------------------------------------------------------
 

@@ -71,10 +71,9 @@ from .cost import CostModel, default_cost_model
 from .enumeration import OfferSpace, build_offer_space
 from .importance import ImportanceProfile, default_importance
 from .mapping import QoSMapper
-from .offers import derive_user_offer
 from .profiles import MMProfile, UserProfile
 from .status import NegotiationStatus
-from .stream import stream_classified
+from .stream import stream_classified, user_offer_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..perf.cache import NegotiationCache
@@ -331,7 +330,9 @@ class Walk:
             status=status,
             user_offer=(
                 None if chosen is None
-                else derive_user_offer(chosen.offer, self.profile.desired.time)
+                else user_offer_for(
+                    self.space, chosen.offer, self.profile.desired.time
+                )
             ),
             chosen=chosen,
             commitment=commitment,

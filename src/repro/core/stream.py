@@ -61,9 +61,19 @@ past them.  The bounds are module constants: a space keeps
 :data:`ORDER_MEMO_SIZE` column sets and as many orders, the oldest
 evicted, and an order shares its first :data:`SHARED_PREFIX` offers;
 past them the first cursor takes over the shared search and any later
-one continues on a private search that skips the shared prefix.  The
-memos live and die with their space: a document mutation gives a new
-space, and ``variant_filter`` requests build private ones.
+one continues on a private search that skips the shared prefix.
+
+Step 6 shows the user the offer step 5 got, and that user offer is a
+pure function of the system offer and the requested time bounds.
+Since every request over one order is handed the same offers, the
+space keeps a third memo, ``user_offers``, keyed by ``(offer id,
+desired time profile)`` and bounded and evicted like the other two:
+:func:`user_offer_for` answers from it and fills it on a miss with
+:func:`~repro.core.offers.derive_user_offer`, which stays the
+definition.  An offer id names one product index of its space, so the
+key selects one system offer.  The memos live and die with their
+space: a document mutation gives a new space, and ``variant_filter``
+requests build private ones.
 """
 
 from __future__ import annotations
@@ -81,15 +91,16 @@ from .classification import (
 )
 from .enumeration import OfferSpace
 from .importance import ImportanceProfile
+from .offers import SystemOffer, derive_user_offer
 from .preferences import UserPreferences
-from .profiles import UserProfile
+from .profiles import MMProfile, TimeProfile, UserProfile
 from .status import StaticNegotiationStatus
 
-__all__ = ["SharedOrder", "shared_order", "stream_classified"]
+__all__ = ["SharedOrder", "shared_order", "stream_classified", "user_offer_for"]
 
 ORDER_MEMO_SIZE = 8
-"""Classified orders, and score column sets, one offer space keeps; the
-oldest is evicted."""
+"""Classified orders, score column sets and user offers one offer space
+keeps, of each; the oldest is evicted."""
 
 SHARED_PREFIX = 256
 """Offers of one order kept for every cursor to replay."""
@@ -423,3 +434,19 @@ def stream_classified(
     if space.is_empty:
         return iter(())
     return shared_order(space, profile, importance, policy=policy).cursor()
+
+
+def user_offer_for(
+    space: OfferSpace, offer: SystemOffer, time: TimeProfile
+) -> MMProfile:
+    """The user offer of one system offer of ``space`` under the
+    requested ``time`` bounds: ``derive_user_offer(offer, time)``, made
+    once per key and kept in ``space.user_offers``."""
+    key = (offer.offer_id, time)
+    memo = space.user_offers
+    derived: "MMProfile | None" = memo.get(key)
+    if derived is None:
+        if len(memo) >= ORDER_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        derived = memo[key] = derive_user_offer(offer, time)
+    return derived

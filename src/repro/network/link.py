@@ -11,7 +11,7 @@ procedure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..util.errors import CapacityError, ReservationError
 from ..util.validation import check_fraction, check_non_negative, check_positive
@@ -22,9 +22,9 @@ __all__ = ["LinkReservation", "Link"]
 _reservation_ids = itertools.count(1)
 
 
-@dataclass(frozen=True, slots=True)
-class LinkReservation:
-    """One flow's hold on one link."""
+class LinkReservation(NamedTuple):
+    """One flow's hold on one link: an immutable record built with one
+    tuple allocation, compared and hashed field by field."""
 
     reservation_id: int
     link_id: str
@@ -106,13 +106,11 @@ class Link:
                 f"link {self.link_id}: requested {bit_rate:.0f} bps, "
                 f"available {self.available_bps:.0f} bps"
             )
+        reservation_id = next(_reservation_ids)
         reservation = LinkReservation(
-            reservation_id=next(_reservation_ids),
-            link_id=self.link_id,
-            bit_rate=bit_rate,
-            holder=holder,
+            reservation_id, self.link_id, bit_rate, holder
         )
-        self._reservations[reservation.reservation_id] = reservation
+        self._reservations[reservation_id] = reservation
         self._reserved_bps += bit_rate
         return reservation
 

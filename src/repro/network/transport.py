@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..util.errors import CapacityError, NoRouteError, ReservationError
 from .link import LinkReservation
@@ -48,9 +48,9 @@ class GuaranteeType(enum.Enum):
         return spec.avg_bit_rate
 
 
-@dataclass(frozen=True, slots=True)
-class FlowReservation:
-    """A committed end-to-end flow."""
+class FlowReservation(NamedTuple):
+    """A committed end-to-end flow: an immutable record built with one
+    tuple allocation, compared and hashed field by field."""
 
     flow_id: str
     source: str
@@ -170,14 +170,8 @@ class TransportSystem:
             )
         flow_id = f"flow-{next(self._flow_ids)}"
         flow = FlowReservation(
-            flow_id=flow_id,
-            source=source,
-            target=target,
-            spec=spec,
-            guarantee=guarantee,
-            route=route,
-            link_reservations=self._hold(route, rate, flow_id),
-            holder=holder,
+            flow_id, source, target, spec, guarantee, route,
+            self._hold(route, rate, flow_id), holder,
         )
         self._flows[flow_id] = flow
         if self.telemetry is not None:

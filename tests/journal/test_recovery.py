@@ -1,4 +1,7 @@
-"""Journal replay: every holder classification, idempotence, reaping."""
+"""Journal replay: every holder classification, idempotence, reaping,
+and the restart that refuses a damaged journal."""
+
+import re
 
 import pytest
 
@@ -19,7 +22,12 @@ from repro.journal import (
 )
 from repro.network.qosparams import FlowSpec
 from repro.session import EventLoop, SessionSupervisor
-from repro.util.errors import ConfirmationTimeout, ReservationError
+from repro.sim.recover import CrashRecoverySpec, run_crash_recovery
+from repro.util.errors import (
+    ConfirmationTimeout,
+    JournalError,
+    ReservationError,
+)
 
 FLOW = FlowSpec(
     max_bit_rate=2e6,
@@ -472,3 +480,49 @@ class TestReaperInterplay:
         # The commitment object itself still tears down idempotently.
         commitment.release()
         assert total_reserved(servers, transport) == (0, 0)
+
+
+class TestDamagedJournalRefusesTheRestart:
+    """A record before the tail that fails its checksum is corruption,
+    not a torn write: the restarted manager's reopen raises before any
+    replay starts, and the file is left exactly as found — nothing
+    truncated, nothing appended."""
+
+    def test_a_bad_middle_record_stops_the_restart(self, tmp_path, monkeypatch):
+        path = tmp_path / "journal.jsonl"
+        reopen = ReservationJournal.open.__func__
+        damaged = []
+
+        def reopen_damaged(cls, file_path, **options):
+            if path.exists() and not damaged:  # the restart's reopen
+                lines = path.read_bytes().splitlines(keepends=True)
+                assert len(lines) >= 3
+                middle = len(lines) // 2
+                lines[middle] = re.sub(
+                    rb'^\{"crc":(\d+),',
+                    lambda m: b'{"crc":%d,' % (int(m.group(1)) ^ 1),
+                    lines[middle],
+                )
+                damaged.append(b"".join(lines))
+                path.write_bytes(damaged[0])
+            return reopen(cls, file_path, **options)
+
+        built = []
+        construct = RecoveryManager.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            ReservationJournal, "open", classmethod(reopen_damaged)
+        )
+        monkeypatch.setattr(RecoveryManager, "__init__", counted_init)
+        with pytest.raises(JournalError, match="checksum mismatch"):
+            run_crash_recovery(
+                CrashRecoverySpec(journal_path=path, crash_opportunity=8)
+            )
+        assert damaged, "the run never reached its restart"
+        assert not built
+        assert path.read_bytes() == damaged[0]
+

@@ -16,14 +16,19 @@ or an admission refusal never enters the policy's backoff loop, and a
 transient fault enters it once.
 
 The user offer is held to an always-constructing reference, and the
-resilient configuration — a retry policy, a circuit breaker, an armed
-telemetry hub and a fault hook — to counts pinned from a scripted fault
-plan: its stats, counters and breaker records are call for call what
-they were before the wrapper stopped building closures.
+one a verdict carries — read from the space's ``user_offers`` memo — to
+a fresh ``derive_user_offer`` over repeated requests, within the memo's
+bound.  The resilient configuration — a retry policy, a circuit
+breaker, an armed telemetry hub and a fault hook — is held to counts
+pinned from a scripted fault plan: its stats, counters and breaker
+records are call for call what they were before the wrapper stopped
+building closures.
 """
 
+import itertools
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -38,6 +43,8 @@ from repro.cmfs.admission import AdmissionDecision
 from repro.core.enumeration import build_offer_space
 from repro.core.offers import derive_user_offer
 from repro.core.profiles import MMProfile, TimeProfile
+from repro.core.status import NegotiationStatus
+from repro.core.stream import ORDER_MEMO_SIZE
 from repro.documents.media import AudioGrade, ColorMode, Language
 from repro.documents.quality import AudioQoS, GraphicQoS, VideoQoS
 from repro.faults.health import CircuitBreaker
@@ -45,6 +52,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.network.qosparams import PathQoS
+from repro.perf.cache import NegotiationCache
 from repro.telemetry import Telemetry
 from repro.util.clock import ManualClock
 from repro.util.units import Money
@@ -56,6 +64,7 @@ from .strategies import (
     color_modes,
     grid_document,
     grid_manager,
+    grid_profile,
     money,
     resolutions,
     video_qos,
@@ -279,6 +288,124 @@ def test_a_point_that_is_already_the_worst_is_handed_back(others, place):
     assert built["__post_init__"] <= max(reached - 1, 0)
     if reached == 0:
         assert derived.video is points[0]
+
+
+# -- the user offer of a verdict, memoised ------------------------------------------
+
+TIMES = (
+    TimeProfile(),
+    TimeProfile(delivery_deadline_s=5.0, choice_period_s=20.0),
+    TimeProfile(delivery_deadline_s=90.0, choice_period_s=120.0),
+)
+RICH, POOR = 10_000, 1  # every offer affordable / none: FAILEDWITHOFFER
+
+
+def memo_deployment():
+    """Nine offers over two monomedia on three servers of six streams
+    each, planned through one cache: every request shares one space
+    and its memoised orders."""
+    manager = grid_manager(
+        [grid_document([GRID_FLAVOURS[:3]] * 2)], stream_caps=(6, 6, 6),
+        cache=NegotiationCache(),
+    )
+    return manager, ClientMachine("walker", access_point="client-net")
+
+
+def timed_request(manager, client, time, budget_cents):
+    base = grid_profile(GRID_FLAVOURS[0], GRID_FLAVOURS[2], budget_cents)
+    profile = replace(base, desired=replace(base.desired, time=time))
+    return profile, manager.negotiate("doc.grid", profile, client)
+
+
+def check_user_offer(profile, result, spaces):
+    """The verdict's user offer is the definition's, and the memo that
+    served it is the one shared space's, within its bound."""
+    spaces.add(id(result.offer_space))
+    assert len(spaces) == 1
+    assert len(result.offer_space.user_offers) <= ORDER_MEMO_SIZE
+    if result.chosen is None:
+        assert result.user_offer is None
+        return
+    assert result.user_offer == derive_user_offer(
+        result.chosen.offer, profile.desired.time
+    )
+    assert result.user_offer.time == profile.desired.time
+
+
+REQUESTS = st.lists(
+    st.tuples(
+        st.sampled_from(TIMES), st.sampled_from([RICH, POOR]), st.booleans(),
+    ),
+    min_size=1, max_size=24,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests=REQUESTS)
+def test_a_verdicts_user_offer_is_the_definitions(requests):
+    """Repeated requests over one memoised order, under three time
+    profiles; a kept commitment fills the servers, so later walks may
+    choose later offers."""
+    manager, client = memo_deployment()
+    spaces = set()
+    for time, budget, keep in requests:
+        profile, result = timed_request(manager, client, time, budget)
+        check_user_offer(profile, result, spaces)
+        if result.commitment is not None and not keep:
+            result.commitment.reject(manager.clock.now())
+
+
+def test_the_memo_hits_evicts_and_stays_the_definition():
+    """A scripted run that reaches every case: a hit hands back the
+    very profile the miss made, a FAILEDWITHOFFER verdict is served
+    like a SUCCEEDED one, distinct time profiles of one offer are
+    distinct entries, and more keys than the bound evict the oldest
+    first."""
+    manager, client = memo_deployment()
+    spaces = set()
+    statuses = Counter()
+    model = {}  # the memo's keys in the order they were made
+
+    def verdict(time, budget):
+        profile, result = timed_request(manager, client, time, budget)
+        check_user_offer(profile, result, spaces)
+        statuses[result.status] += 1
+        if result.chosen is not None:
+            key = (result.chosen.offer.offer_id, time)
+            if key not in model:
+                if len(model) >= ORDER_MEMO_SIZE:
+                    del model[next(iter(model))]
+                model[key] = None
+        assert list(result.offer_space.user_offers) == list(model)
+        return result
+
+    seen = []
+    for time, budget in itertools.product(TIMES, (RICH, POOR)):
+        seen.append(verdict(time, budget))
+        seen[-1].commitment.reject(manager.clock.now())
+    # Nothing was kept: each time profile's two verdicts chose one
+    # offer (from two orders, the budgets differ), and the second was
+    # served from the memo.
+    assert [r.status for r in seen[:2]] == [
+        NegotiationStatus.SUCCEEDED, NegotiationStatus.FAILED_WITH_OFFER,
+    ]
+    for first, second in zip(seen[::2], seen[1::2]):
+        assert first.chosen.offer.offer_id == second.chosen.offer.offer_id
+        assert first.user_offer is second.user_offer
+    assert len(model) == len(TIMES)
+    # More time profiles of that offer than the memo keeps: the
+    # oldest entries go first.
+    for deadline in range(1, ORDER_MEMO_SIZE + 1):
+        late = TimeProfile(delivery_deadline_s=float(deadline))
+        verdict(late, RICH).commitment.reject(manager.clock.now())
+    assert len(model) == ORDER_MEMO_SIZE
+    assert not any(("offer-1", time) in model for time in TIMES)
+    # Keep every commitment: once the first offer's servers are full
+    # the walk chooses a later offer, a new entry per time profile.
+    for step in range(3 * len(TIMES)):
+        verdict(TIMES[step % len(TIMES)], RICH)
+    assert statuses[NegotiationStatus.FAILED_WITH_OFFER] == len(TIMES)
+    assert {offer_id for offer_id, _ in model} == {"offer-1", "offer-8"}
 
 
 # -- the resilient configuration, pinned ---------------------------------------------
