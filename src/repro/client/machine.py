@@ -80,6 +80,17 @@ class ClientMachine:
     def check_local(self, requirement: MediaQoS) -> LocalCheckResult:
         """Check one requested QoS point against machine characteristics
         and derive the best locally supportable QoS."""
+        violations = self.local_violations(requirement)
+        return LocalCheckResult(
+            supported=not violations,
+            local_best=self.local_best(requirement),
+            violations=violations,
+        )
+
+    def local_violations(self, requirement: MediaQoS) -> tuple[str, ...]:
+        """The parameters of ``requirement`` this machine cannot present
+        (empty when it is supported): step 1's test, without the local
+        offer that only a failure returns."""
         if isinstance(requirement, VideoQoS):
             violations = []
             if requirement.color > self.screen_color:
@@ -88,41 +99,36 @@ class ClientMachine:
                 violations.append("frame_rate")
             if requirement.resolution > self.screen_width:
                 violations.append("resolution")
-            local_best = VideoQoS(
-                color=min(requirement.color, self.screen_color),
-                frame_rate=min(requirement.frame_rate, self.max_frame_rate),
-                resolution=min(requirement.resolution, self.screen_width),
-            )
-            return LocalCheckResult(
-                supported=not violations,
-                local_best=local_best,
-                violations=tuple(violations),
-            )
+            return tuple(violations)
         if isinstance(requirement, (ImageQoS, GraphicQoS)):
             violations = []
             if requirement.color > self.screen_color:
                 violations.append("color")
             if requirement.resolution > self.screen_width:
                 violations.append("resolution")
-            local_best = type(requirement)(
+            return tuple(violations)
+        if isinstance(requirement, AudioQoS):
+            return () if self.audio_output else ("audio_output",)
+        if isinstance(requirement, TextQoS):
+            return ()
+        raise ClientError(f"unsupported QoS point {requirement!r}")
+
+    def local_best(self, requirement: MediaQoS) -> MediaQoS:
+        """The closest QoS to ``requirement`` this machine can present:
+        the local offer's entry for that medium."""
+        if isinstance(requirement, VideoQoS):
+            return VideoQoS(
+                color=min(requirement.color, self.screen_color),
+                frame_rate=min(requirement.frame_rate, self.max_frame_rate),
+                resolution=min(requirement.resolution, self.screen_width),
+            )
+        if isinstance(requirement, (ImageQoS, GraphicQoS)):
+            return type(requirement)(
                 color=min(requirement.color, self.screen_color),
                 resolution=min(requirement.resolution, self.screen_width),
             )
-            return LocalCheckResult(
-                supported=not violations,
-                local_best=local_best,
-                violations=tuple(violations),
-            )
-        if isinstance(requirement, AudioQoS):
-            if not self.audio_output:
-                return LocalCheckResult(
-                    supported=False,
-                    local_best=requirement,
-                    violations=("audio_output",),
-                )
-            return LocalCheckResult(supported=True, local_best=requirement)
-        if isinstance(requirement, TextQoS):
-            return LocalCheckResult(supported=True, local_best=requirement)
+        if isinstance(requirement, (AudioQoS, TextQoS)):
+            return requirement
         raise ClientError(f"unsupported QoS point {requirement!r}")
 
     def fits_layout(self, width: int, height: int) -> bool:

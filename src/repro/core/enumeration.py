@@ -28,6 +28,7 @@ from ..documents.quality import MediaQoS
 from ..network.qosparams import FlowSpec
 from ..network.transport import GuaranteeType
 from ..util.errors import OfferError
+from ..util.readonly import ReadOnlyDict
 from ..util.units import Money
 from .cost import CostModel
 from .mapping import QoSMapper
@@ -113,6 +114,15 @@ class OfferSpace:
                 self.copyright_cents + sum(map(min, self.cents_axes)),
                 self.copyright_cents + sum(map(max, self.cents_axes)),
             )
+        )
+        # Step 2's account of the space: variants kept and dropped,
+        # and the drops per monomedia (sorted, non-zero only).
+        self.kept_variants: int = sum(self.sizes)
+        self.dropped_variants: int = sum(map(len, self.rejected.values()))
+        self.drop_reasons: ReadOnlyDict = ReadOnlyDict(
+            (monomedia_id, len(variants))
+            for monomedia_id, variants in sorted(self.rejected.items())
+            if variants
         )
         # The score columns, the classified orders and the user offers
         # requested over this space, each keyed by what selects it;

@@ -547,24 +547,30 @@ class QoSManager:
 
     def _static_local_negotiation(
         self, document: Document, profile: UserProfile, client: ClientMachine
-    ) -> "tuple[dict[Medium, tuple[str, ...]], MMProfile]":
+    ) -> "tuple[dict[Medium, tuple[str, ...]], MMProfile | None]":
         """Check client characteristics against the desired QoS; return
-        (violations, best locally supportable MM profile)."""
+        (violations, best locally supportable MM profile).  The local
+        offer is built only when there are violations: only
+        FAILEDWITHLOCALOFFER returns it, so a supported request gets
+        ``None``."""
         violations: dict[Medium, tuple[str, ...]] = {}
-        local_best: dict[str, MediaQoS] = {}
-        for medium, requirement in profile.desired.qos_points():
-            result = client.check_local(requirement)
-            if not result.supported:
-                violations[medium] = result.violations
-            local_best[medium.value] = result.local_best
+        desired = profile.desired
+        for medium, requirement in desired.qos_points():
+            bad = client.local_violations(requirement)
+            if bad:
+                violations[medium] = bad
         if document.sync.spatial is not None:
             width, height = document.sync.spatial.bounding_box()
             if not client.fits_layout(width, height):
                 violations.setdefault(Medium.VIDEO, ("layout",))
+        if not violations:
+            return violations, None
+        local_best: dict[str, MediaQoS] = {
+            medium.value: client.local_best(requirement)
+            for medium, requirement in desired.qos_points()
+        }
         best_profile = MMProfile(
-            cost=profile.desired.cost,
-            time=profile.desired.time,
-            **local_best,
+            cost=desired.cost, time=desired.time, **local_best
         )
         return violations, best_profile
 
@@ -735,22 +741,12 @@ class QoSManager:
                 sp2.set_attribute("cached", True)
             else:
                 space = build()
-            kept = sum(space.axis_sizes().values())
-            dropped = sum(len(v) for v in space.rejected.values())
+            kept, dropped = space.kept_variants, space.dropped_variants
             sp2.set_attribute("offers_in", kept + dropped)
             sp2.set_attribute("offers_out", kept)
             sp2.set_attribute("dropped", dropped)
             if dropped:
-                sp2.set_attribute(
-                    "drop_reasons",
-                    {
-                        monomedia: len(variants)
-                        for monomedia, variants in sorted(
-                            space.rejected.items()
-                        )
-                        if variants
-                    },
-                )
+                sp2.set_attribute("drop_reasons", space.drop_reasons)
             sp2.set_attribute("offer_count", space.offer_count)
             telemetry.count(
                 "negotiation.offers.enumerated", float(kept + dropped)

@@ -32,6 +32,13 @@ from ..util.validation import check_name, check_positive
 
 __all__ = ["TimeProfile", "MMProfile", "UserProfile"]
 
+_MEDIA_FIELDS: tuple[tuple[Medium, str, type], ...] = tuple(
+    (medium, medium.value, qos_class_for(medium)) for medium in Medium
+)
+"""``(medium, field name, QoS class)`` per :class:`MMProfile` media
+field, in enum order: built once, so walking a profile's media reads no
+``Enum.value`` and looks up no class."""
+
 
 @dataclass(frozen=True, slots=True)
 class TimeProfile:
@@ -65,14 +72,12 @@ class MMProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cost", dollars(self.cost))
-        for medium in Medium:
-            value = getattr(self, medium.value)
-            if value is not None and not isinstance(
-                value, qos_class_for(medium)
-            ):
+        for _, name, qos_class in _MEDIA_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, qos_class):
                 raise ProfileError(
-                    f"{medium.value} entry must be "
-                    f"{qos_class_for(medium).__name__}, got {type(value).__name__}"
+                    f"{name} entry must be "
+                    f"{qos_class.__name__}, got {type(value).__name__}"
                 )
         if self.cost.cents < 0:
             raise ProfileError(f"cost must be non-negative, got {self.cost}")
@@ -83,13 +88,16 @@ class MMProfile:
         return getattr(self, Medium.parse(medium).value)
 
     def media_present(self) -> tuple[Medium, ...]:
-        return tuple(
-            medium for medium in Medium if getattr(self, medium.value) is not None
-        )
+        return tuple([
+            medium for medium, name, _ in _MEDIA_FIELDS
+            if getattr(self, name) is not None
+        ])
 
     def qos_points(self) -> Iterator[tuple[Medium, MediaQoS]]:
-        for medium in self.media_present():
-            yield medium, getattr(self, medium.value)
+        for medium, name, _ in _MEDIA_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                yield medium, value
 
     def with_qos(self, qos: MediaQoS) -> "MMProfile":
         """Copy with one medium's QoS replaced."""
@@ -104,8 +112,11 @@ class MMProfile:
         """True iff ``offered`` meets or exceeds this profile's QoS for
         every medium this profile constrains.  Cost is deliberately not
         part of this test — §5.2.1 computes SNS from QoS alone."""
-        for medium, bound in self.qos_points():
-            offer_qos = offered.qos_for(medium)
+        for _, name, _ in _MEDIA_FIELDS:
+            bound = getattr(self, name)
+            if bound is None:
+                continue
+            offer_qos = getattr(offered, name)
             if offer_qos is None or not offer_qos.satisfies(bound):
                 return False
         return True
@@ -114,8 +125,11 @@ class MMProfile:
         """Per-medium violated parameter names (the red constraint
         buttons of the §8 profile-component window)."""
         violations: dict[Medium, tuple[str, ...]] = {}
-        for medium, bound in self.qos_points():
-            offer_qos = offered.qos_for(medium)
+        for medium, name, _ in _MEDIA_FIELDS:
+            bound = getattr(self, name)
+            if bound is None:
+                continue
+            offer_qos = getattr(offered, name)
             if offer_qos is None:
                 violations[medium] = ("missing",)
             else:

@@ -72,14 +72,19 @@ class EventLoop:
     # -- scheduling -------------------------------------------------------------
 
     def at(self, time: float, callback: Callable[[], None], *, label: str = "") -> ScheduledEvent:
-        """Schedule ``callback`` at absolute ``time``."""
+        """Schedule ``callback`` at absolute ``time``.  A time up to
+        1e-12 s before now (float round-off) fires at now, as if it had
+        been scheduled there: the clock never moves backwards."""
         time = float(time)
         if not math.isfinite(time):
             raise SessionError(f"cannot schedule at non-finite t={time}")
-        if time < self.now - 1e-12:
-            raise SessionError(
-                f"cannot schedule at t={time:g}s in the past (now {self.now:g}s)"
-            )
+        now = self.clock.now()
+        if time < now:
+            if time < now - 1e-12:
+                raise SessionError(
+                    f"cannot schedule at t={time:g}s in the past (now {now:g}s)"
+                )
+            time = now
         sequence = next(self._sequence)
         event = ScheduledEvent(time, sequence, callback, label)
         heapq.heappush(self._queue, (time, sequence, event))

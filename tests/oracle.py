@@ -339,7 +339,9 @@ class ReferenceEventLoop:
         return len(reference_firing_order(self._events))
 
     def at(self, time, callback):
-        event = ReferenceEvent(float(time), self._scheduled, callback)
+        # A time a round-off below now fires at now, as EventLoop.at says.
+        time = max(float(time), self.now)
+        event = ReferenceEvent(time, self._scheduled, callback)
         self._scheduled += 1
         self._events.append(event)
         return event

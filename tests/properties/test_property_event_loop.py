@@ -20,14 +20,15 @@ from repro.session.engine import EventLoop
 from ..oracle import ReferenceEventLoop
 
 # A coarse grid of exact binary fractions, so ties are common and no
-# sum ever rounds.
-OFFSETS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+# sum ever rounds, plus one round-off below now, which fires at now.
+DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+OFFSETS = st.sampled_from([-1e-13, 0.0, 0.25, 0.5, 1.0, 2.0])
 PERIODS = st.sampled_from([0.25, 0.5, 1.0])
 CHILDREN = st.lists(OFFSETS, max_size=3)
 
 OPS = st.one_of(
     st.tuples(st.just("at"), OFFSETS, CHILDREN),
-    st.tuples(st.just("after"), OFFSETS, CHILDREN),
+    st.tuples(st.just("after"), DELAYS, CHILDREN),
     st.tuples(st.just("every"), PERIODS, st.sampled_from([0.0, 0.5, 1.0, 3.0])),
     st.tuples(st.just("cancel"), st.integers(0, 50)),
     st.tuples(st.just("run_until"), OFFSETS),
@@ -80,6 +81,7 @@ def play(loop, script):
 @given(st.lists(OPS, max_size=25))
 @example([("at", 0.0, [0.0, 0.0]), ("at", 0.0, [0.0]), ("run_until", 0.0)])
 @example([("every", 0.5, 1.0), ("at", 0.5, [0.0]), ("cancel", 0), ("run",)])
+@example([("at", 0.25, [-1e-13, 0.0]), ("at", 0.25, []), ("run",)])
 def test_firing_order_matches_the_reference(script):
     loop = EventLoop()
     observed = play(loop, script)

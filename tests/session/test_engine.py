@@ -47,6 +47,18 @@ class TestScheduling:
         with pytest.raises(SessionError):
             loop.at(4.0, lambda: None)
 
+    def test_round_off_below_now_fires_at_now(self):
+        # Within the 1e-12 tolerance, but below the clock: it used to be
+        # accepted and then refused by advance_to when it fired.
+        loop = EventLoop(ManualClock(5.0))
+        fired = []
+        loop.at(5.0, lambda: fired.append(("first", loop.now)))
+        event = loop.at(5.0 - 1e-13, lambda: fired.append(("late", loop.now)))
+        loop.at(5.0, lambda: fired.append(("third", loop.now)))
+        loop.run()
+        assert event.time == 5.0
+        assert fired == [("first", 5.0), ("late", 5.0), ("third", 5.0)]
+
     @pytest.mark.parametrize("time", [float("nan"), float("inf")])
     def test_non_finite_time_rejected(self, loop, time):
         # A NaN time compares False with everything, so it used to slip
