@@ -752,7 +752,6 @@ class Commitment:
         loop.at(
             self.deadline + EXPIRY_MARGIN_S,
             lambda: self.expire_check(clock.now()),
-            label=f"choice-period:{self.bundle.holder}",
         )
 
     def _payload(self, **fields: Any) -> "dict[str, Any]":

@@ -176,13 +176,11 @@ class FaultInjector:
             loop.at(
                 spec.start_s,
                 lambda s=server: self._crash(s),
-                label=f"fault:crash:{spec.target_id}",
             )
             if spec.end_s is not None:
                 loop.at(
                     spec.end_s,
                     lambda s=server: self._restart(s),
-                    label=f"fault:restart:{spec.target_id}",
                 )
         for spec in self.plan.for_kind(FaultKind.SERVER_BROWNOUT):
             server = self._server(spec.target_id)
@@ -190,13 +188,11 @@ class FaultInjector:
             loop.at(
                 spec.start_s,
                 lambda s=server, sev=severity: self._brownout(s, sev),
-                label=f"fault:brownout:{spec.target_id}",
             )
             if spec.end_s is not None:
                 loop.at(
                     spec.end_s,
                     lambda s=server, sev=severity: self._brownout_heal(s, sev),
-                    label=f"fault:brownout-heal:{spec.target_id}",
                 )
         for spec in self.plan.for_kind(FaultKind.LINK_FLAP):
             link = self._link(spec.target_id)
@@ -204,13 +200,11 @@ class FaultInjector:
             loop.at(
                 spec.start_s,
                 lambda l=link, sev=severity: self._flap(l, sev),
-                label=f"fault:flap:{spec.target_id}",
             )
             if spec.end_s is not None:
                 loop.at(
                     spec.end_s,
                     lambda l=link, sev=severity: self._heal(l, sev),
-                    label=f"fault:heal:{spec.target_id}",
                 )
 
     def _server(self, server_id: str) -> "MediaServer":

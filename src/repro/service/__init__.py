@@ -19,8 +19,6 @@ from .scheduler import (
     Sleep,
     Switch,
     Task,
-    TaskHandle,
-    TaskState,
 )
 
 __all__ = [
@@ -34,6 +32,4 @@ __all__ = [
     "Sleep",
     "Switch",
     "Task",
-    "TaskHandle",
-    "TaskState",
 ]

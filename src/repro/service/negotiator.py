@@ -48,7 +48,7 @@ from ..util.validation import (
     check_non_negative,
     check_positive,
 )
-from .scheduler import CooperativeScheduler, Sleep, Switch, Task, TaskHandle
+from .scheduler import CooperativeScheduler, Sleep, Switch, Task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..client.machine import ClientMachine
@@ -144,7 +144,6 @@ class ServiceRequest:
     rejected: bool = False
     expired: bool = False
     released: bool = False
-    task: "TaskHandle | None" = None
 
     @property
     def verdict_wait_s(self) -> "float | None":
@@ -263,13 +262,13 @@ class NegotiationService:
         client: "ClientMachine",
         done: "Callable[[NegotiationResult], None]",
     ) -> None:
-        def finished(handle: TaskHandle) -> None:
+        def finished(result: NegotiationResult) -> None:
             # The gate may re-park the request on an FTL verdict; the
             # next dispatch's gate.wait span starts here, not at
             # submission, so park intervals stay disjoint and their sum
             # never exceeds the root span.
             request.reparked_at = self.loop.now
-            done(handle.result)
+            done(result)
 
         request.started_at = self.loop.now
         if request.context is not None and self.gate is not None:
@@ -287,7 +286,7 @@ class NegotiationService:
                 parent=request.context,
                 attributes={"label": request.label},
             )
-        request.task = self.scheduler.spawn(
+        self.scheduler.spawn(
             f"negotiation:{request.label}",
             self._negotiation_task(request, document_id, profile, client),
             on_done=finished,

@@ -19,14 +19,13 @@ Threads cannot give that; this module does, with plain generators:
   which is what makes journal append-before-apply windows tractable to
   reason about (see DESIGN.md §13 for the yield-point map).
 
-Tasks compose with ``yield from``; a task's ``return`` value lands on
-its :class:`TaskHandle` (and the optional ``on_done`` callback).
+Tasks compose with ``yield from``; a task's ``return`` value goes to
+the optional ``on_done`` callback.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Generator, Union
 
 from ..util.errors import SessionError
@@ -42,8 +41,6 @@ __all__ = [
     "Switch",
     "Op",
     "Task",
-    "TaskState",
-    "TaskHandle",
     "SchedulerStats",
     "CooperativeScheduler",
 ]
@@ -69,26 +66,6 @@ Op = Union[Sleep, Switch]
 Task = Generator[Op, None, Any]
 
 
-class TaskState(enum.Enum):
-    RUNNING = "running"   # spawned, not yet finished
-    DONE = "done"         # returned normally
-    FAILED = "failed"     # raised; the error propagated to the loop
-
-
-@dataclass(slots=True)
-class TaskHandle:
-    """The caller's view of one spawned task."""
-
-    name: str
-    state: TaskState = TaskState.RUNNING
-    result: Any = None
-    error: "BaseException | None" = None
-
-    @property
-    def finished(self) -> bool:
-        return self.state is not TaskState.RUNNING
-
-
 @dataclass(slots=True)
 class SchedulerStats:
     """What the scheduler did, for reports and determinism checks."""
@@ -103,13 +80,9 @@ class SchedulerStats:
         return asdict(self)
 
 
-@dataclass(slots=True)
-class _Running:
-    """Internal pairing of a handle with its generator."""
-
-    handle: TaskHandle
-    gen: Task
-    on_done: "Callable[[TaskHandle], None] | None" = None
+# One ready task: its name (for error messages), its generator and the
+# callback that receives its return value.
+_Ready = tuple[str, Task, Callable[[Any], None] | None]
 
 
 class CooperativeScheduler:
@@ -140,7 +113,10 @@ class CooperativeScheduler:
         self.telemetry = telemetry
         self.stats = SchedulerStats()
         self._rng = make_rng(seed)
-        self._ready: "list[_Running]" = []
+        self._ready: "list[_Ready]" = []
+        # Set while a pump is pending or draining, cleared only once the
+        # ready set is empty: a Switch inside a pump schedules no second
+        # pump, so there is one pump event per drain.
         self._pump_armed = False
 
     def spawn(
@@ -148,35 +124,33 @@ class CooperativeScheduler:
         name: str,
         gen: Task,
         *,
-        on_done: "Callable[[TaskHandle], None] | None" = None,
-    ) -> TaskHandle:
+        on_done: "Callable[[Any], None] | None" = None,
+    ) -> None:
         """Register a task; its first step runs from the next pump (so
         same-time spawns interleave under the seed like any other ready
-        set)."""
+        set).  ``on_done`` receives the task's return value."""
         if not hasattr(gen, "send"):
             raise SessionError(
                 f"task {name!r} must be a generator, got "
                 f"{type(gen).__name__}"
             )
-        handle = TaskHandle(name=name)
         self.stats.spawned += 1
-        self._make_ready(_Running(handle=handle, gen=gen, on_done=on_done))
-        return handle
+        self._make_ready((name, gen, on_done))
 
     # -- machinery -----------------------------------------------------------------
 
-    def _make_ready(self, task: _Running) -> None:
+    def _make_ready(self, task: _Ready) -> None:
         self._ready.append(task)
         if not self._pump_armed:
             self._pump_armed = True
-            self.loop.at(self.loop.now, self._pump, label="scheduler:pump")
+            self.loop.at(self.loop.now, self._pump)
 
     def _pump(self) -> None:
         """Drain the ready set, resuming in seeded order.  A task that
-        raises leaves the remaining ready set intact and re-arms the
-        pump first, so a storm-style catch-and-recover driver can
+        switches inside the pump is resumed by this same drain.  A task
+        that raises leaves the remaining ready set intact and re-arms
+        the pump first, so a storm-style catch-and-recover driver can
         resume the survivors."""
-        self._pump_armed = False
         ready = self._ready
         while ready:
             # A draw over one task is 0 and leaves the generator where
@@ -190,31 +164,27 @@ class CooperativeScheduler:
             try:
                 self._step(task)
             except BaseException:  # reprolint: backstop -- re-arm the pump for survivors, always re-raise unchanged
-                if self._ready and not self._pump_armed:
-                    self._pump_armed = True
-                    self.loop.at(
-                        self.loop.now, self._pump, label="scheduler:pump"
-                    )
+                if ready:
+                    self.loop.at(self.loop.now, self._pump)
+                else:
+                    self._pump_armed = False
                 raise
+        self._pump_armed = False
 
-    def _step(self, task: _Running) -> None:
-        handle = task.handle
+    def _step(self, task: _Ready) -> None:
+        name, gen, on_done = task
         try:
-            op = task.gen.send(None)
+            op = gen.send(None)
         except StopIteration as stop:
-            handle.state = TaskState.DONE
-            handle.result = stop.value
             self.stats.completed += 1
             self.telemetry.count("service.tasks", outcome="completed")
-            if task.on_done is not None:
-                task.on_done(handle)
+            if on_done is not None:
+                on_done(stop.value)
             return
-        except BaseException as error:  # reprolint: backstop -- mark the handle, always re-raise unchanged
-            # Mark the handle, then let the error reach the loop's
+        except BaseException:  # reprolint: backstop -- count the failure, always re-raise unchanged
+            # Count the failure, then let the error reach the loop's
             # caller — a ManagerCrashError must hit the recovery loop,
             # not vanish into a status field.
-            handle.state = TaskState.FAILED
-            handle.error = error
             self.stats.failed += 1
             self.telemetry.count("service.tasks", outcome="failed")
             raise
@@ -223,15 +193,10 @@ class CooperativeScheduler:
             self._make_ready(task)
         elif isinstance(op, Sleep):
             self.stats.sleeps += 1
-            self.loop.after(
-                op.delay_s,
-                lambda t=task: self._make_ready(t),
-                label=f"scheduler:wake:{handle.name}",
-            )
+            self.loop.after(op.delay_s, lambda: self._make_ready(task))
         else:
             raise SessionError(
-                f"task {handle.name!r} yielded {op!r}; "
-                "expected Sleep or Switch"
+                f"task {name!r} yielded {op!r}; expected Sleep or Switch"
             )
 
     def __repr__(self) -> str:

@@ -1,7 +1,7 @@
 """Playout sessions: event loop, monitoring, adaptation loop."""
 
 from .datapath import DataPathReport, StreamDemand, simulate_rounds
-from .engine import EventLoop, ScheduledEvent
+from .engine import EventLoop
 from .monitor import JitterCompensator, QoSMonitor, Violation
 from .playout import PlayoutSession, SessionRecord, SessionState
 from .runtime import SessionRuntime
@@ -12,7 +12,6 @@ __all__ = [
     "StreamDemand",
     "simulate_rounds",
     "EventLoop",
-    "ScheduledEvent",
     "JitterCompensator",
     "QoSMonitor",
     "Violation",

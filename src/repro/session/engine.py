@@ -21,41 +21,18 @@ from ..util.clock import ManualClock
 from ..util.errors import SessionError
 from ..util.validation import check_non_negative
 
-__all__ = ["ScheduledEvent", "EventLoop"]
-
-
-class ScheduledEvent:
-    """One pending callback.  Not orderable: the loop's heap holds
-    ``(time, sequence, event)`` entries, and ``(time, sequence)`` is
-    unique per entry, so the heap never compares two events."""
-
-    __slots__ = ("time", "sequence", "callback", "label", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        sequence: int,
-        callback: Callable[[], None],
-        label: str = "",
-    ) -> None:
-        self.time = time
-        self.sequence = sequence
-        self.callback = callback
-        self.label = label
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
+__all__ = ["EventLoop"]
 
 
 class EventLoop:
-    """A heap-based event loop over a manual clock."""
+    """A heap-based event loop over a manual clock.  The heap holds
+    ``(time, sequence, callback)`` entries; ``(time, sequence)`` is
+    unique per entry, so the heap never compares two callbacks."""
 
     def __init__(self, clock: ManualClock | None = None) -> None:
         self.clock = clock or ManualClock()
-        self._queue: "list[tuple[float, int, ScheduledEvent]]" = []
+        self._queue: "list[tuple[float, int, Callable[[], None]]]" = []
         self._sequence = itertools.count()
-        self._processed = 0
 
     @property
     def now(self) -> float:
@@ -63,15 +40,11 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        return sum(1 for _, _, event in self._queue if not event.cancelled)
-
-    @property
-    def processed(self) -> int:
-        return self._processed
+        return len(self._queue)
 
     # -- scheduling -------------------------------------------------------------
 
-    def at(self, time: float, callback: Callable[[], None], *, label: str = "") -> ScheduledEvent:
+    def at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute ``time``.  A time up to
         1e-12 s before now (float round-off) fires at now, as if it had
         been scheduled there: the clock never moves backwards."""
@@ -85,22 +58,18 @@ class EventLoop:
                     f"cannot schedule at t={time:g}s in the past (now {now:g}s)"
                 )
             time = now
-        sequence = next(self._sequence)
-        event = ScheduledEvent(time, sequence, callback, label)
-        heapq.heappush(self._queue, (time, sequence, event))
-        return event
+        heapq.heappush(self._queue, (time, next(self._sequence), callback))
 
-    def after(self, delay: float, callback: Callable[[], None], *, label: str = "") -> ScheduledEvent:
+    def after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` ``delay`` seconds from now."""
         check_non_negative(delay, "delay")
-        return self.at(self.now + delay, callback, label=label)
+        self.at(self.now + delay, callback)
 
     def every(
         self,
         period: float,
         callback: Callable[[], None],
         *,
-        label: str = "",
         until: "float | None" = None,
     ) -> None:
         """Schedule ``callback`` periodically, starting one period from
@@ -114,37 +83,28 @@ class EventLoop:
             callback()
             next_time = self.now + period
             if until is None or next_time <= until + 1e-12:
-                self.at(next_time, tick, label=label)
+                self.at(next_time, tick)
 
         first = self.now + period
         if until is None or first <= until + 1e-12:
-            self.at(first, tick, label=label)
+            self.at(first, tick)
 
     # -- execution -----------------------------------------------------------------
 
     def step(self) -> bool:
         """Fire the next event; False when the queue is empty."""
-        while self._queue:
-            time, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(time)
-            event.callback()
-            self._processed += 1
-            return True
-        return False
+        if not self._queue:
+            return False
+        time, _, callback = heapq.heappop(self._queue)
+        self.clock.advance_to(time)
+        callback()
+        return True
 
     def run_until(self, time: float) -> None:
         """Fire every event up to and including ``time``, then advance
         the clock to exactly ``time``."""
         queue = self._queue
-        while queue:
-            head_time, _, head = queue[0]
-            if head.cancelled:
-                heapq.heappop(queue)
-                continue
-            if head_time > time + 1e-12:
-                break
+        while queue and queue[0][0] <= time + 1e-12:
             self.step()
         if time > self.now:
             self.clock.advance_to(time)

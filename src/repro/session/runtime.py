@@ -107,7 +107,6 @@ class SessionRuntime:
         self.loop.after(
             max(remaining, 1e-3),
             lambda: self._maybe_complete(session),
-            label=f"complete:{session.session_id}",
         )
 
     def _maybe_complete(self, session: PlayoutSession) -> None:
@@ -149,13 +148,19 @@ class SessionRuntime:
         self._monitoring_armed = True
 
         def sweep() -> None:
-            self.sweep_once()
-            if self.sessions:
-                self.loop.after(self.monitor_period_s, sweep, label="monitor")
-            else:
-                self._monitoring_armed = False
+            # Re-arm even when the pass raises: a manager crash inside
+            # the sweep (a journal append during adaptation) must not
+            # leave the flag set with no sweep pending, or monitoring
+            # stays off after the manager restarts.
+            try:
+                self.sweep_once()
+            finally:
+                if self.sessions:
+                    self.loop.after(self.monitor_period_s, sweep)
+                else:
+                    self._monitoring_armed = False
 
-        self.loop.after(self.monitor_period_s, sweep, label="monitor")
+        self.loop.after(self.monitor_period_s, sweep)
 
     def sweep_once(self) -> list[Violation]:
         """One monitoring pass: renew leases, reap leaks, detect

@@ -183,11 +183,11 @@ class SessionSupervisor:
         def sweep() -> None:
             self.check(self._clock.now())
             if self._entries:
-                loop.after(self.period_s, sweep, label="supervisor")
+                loop.after(self.period_s, sweep)
             else:
                 self._sweeping = False
 
-        loop.after(self.period_s, sweep, label="supervisor")
+        loop.after(self.period_s, sweep)
 
     def check(self, now: "float | None" = None) -> "list[str]":
         """One supervision pass; returns the holders acted on."""

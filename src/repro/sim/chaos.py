@@ -166,7 +166,6 @@ def run_chaos(spec: ChaosSpec) -> "tuple[ChaosReport, Scenario]":
         scenario.loop.at(
             scenario.loop.now + index * spec.request_spacing_s,
             lambda i=index: submit(i),
-            label=f"chaos-request-{index + 1}",
         )
     replays = drain(scenario, runtime, supervisor)
 

@@ -426,10 +426,7 @@ def run_load_cell_instrumented(
         )
 
     for index, when in enumerate(arrivals):
-        scenario.loop.at(
-            when, lambda i=index: submit(i),
-            label=f"load-arrival-{index + 1}",
-        )
+        scenario.loop.at(when, lambda i=index: submit(i))
     scenario.loop.run(max_events=4_000_000)
 
     report = LoadCellReport(

@@ -173,7 +173,6 @@ def run_crash_recovery(
         scenario.loop.at(
             scenario.loop.now + index * spec.request_spacing_s,
             lambda i=index: submit(i),
-            label=f"recover-request-{index + 1}",
         )
 
     # Phase 1: negotiate until the injected crash kills the manager.

@@ -364,11 +364,7 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
 
     spacing = RAMP_S / spec.sessions
     for index in range(spec.sessions):
-        scenario.loop.at(
-            index * spacing,
-            lambda i=index: submit(i),
-            label=f"storm-request-{index + 1}",
-        )
+        scenario.loop.at(index * spacing, lambda i=index: submit(i))
     # Late joiners arrive while the brownout is biting: these are the
     # requests the gate queues or sheds (with honest hints).
     if spec.late_requests:
@@ -378,7 +374,6 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
             scenario.loop.at(
                 spec.brownout_start_s + (j + 1) * late_spacing,
                 lambda i=index: submit(i),
-                label=f"storm-late-request-{j + 1}",
             )
     replays = drain(scenario, runtime, supervisor)
 

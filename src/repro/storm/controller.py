@@ -110,9 +110,7 @@ class StormController:
         self._pending[violation.session_id] = None
         if not self._wave_scheduled:
             self._wave_scheduled = True
-            self.loop.after(
-                WAVE_DELAY_S, self._run_wave, label="storm:wave"
-            )
+            self.loop.after(WAVE_DELAY_S, self._run_wave)
 
     # -- the wave ------------------------------------------------------------------
 
@@ -257,7 +255,6 @@ class StormController:
         self.loop.after(
             self._jittered(max(hint, 1.0)),
             lambda: self._retry_lost(session),
-            label=f"storm:retry:{session.session_id}",
         )
 
     def _retry_lost(self, session: PlayoutSession) -> None:

@@ -319,9 +319,7 @@ class AdmissionGate:
             self.stats.max_queue_depth, len(self._queue)
         )
         self._gauge()
-        self.loop.at(
-            not_before, self._pump, label=f"gate:pump:{pending.label}"
-        )
+        self.loop.at(not_before, self._pump)
 
     def _pump(self) -> None:
         """Drain every due queue entry the bucket can pay for."""

@@ -129,7 +129,6 @@ class FlightRecorder:
         loop.every(
             self.interval_s,
             lambda: self.sample(loop.now),
-            label="telemetry:flight-recorder",
             until=until,
         )
 

@@ -299,9 +299,9 @@ class FullScanInjector(FaultInjector):
 # -- the event loop's firing order, from a plain list ---------------------------------
 #
 # ``repro.session.engine.EventLoop`` as its docstring states it: every
-# event fires at its time, events at equal times fire in the order they
-# were scheduled, cancelled events never fire.  The reference keeps its
-# events in a list and, for each firing, stable-sorts what is left.
+# event fires at its time and events at equal times fire in the order
+# they were scheduled.  The reference keeps its events in a list and,
+# for each firing, stable-sorts what is left.
 
 
 class ReferenceEvent:
@@ -309,20 +309,12 @@ class ReferenceEvent:
         self.time = time
         self.index = index
         self.callback = callback
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
 
 
 def reference_firing_order(events):
     """``events`` in the order a loop owes them: a stable sort on
-    ``(time, schedule index)``, cancelled events dropped."""
-    return [
-        event
-        for event in sorted(events, key=lambda e: (e.time, e.index))
-        if not event.cancelled
-    ]
+    ``(time, schedule index)``."""
+    return sorted(events, key=lambda e: (e.time, e.index))
 
 
 class ReferenceEventLoop:
@@ -336,18 +328,16 @@ class ReferenceEventLoop:
 
     @property
     def pending(self):
-        return len(reference_firing_order(self._events))
+        return len(self._events)
 
     def at(self, time, callback):
         # A time a round-off below now fires at now, as EventLoop.at says.
         time = max(float(time), self.now)
-        event = ReferenceEvent(time, self._scheduled, callback)
+        self._events.append(ReferenceEvent(time, self._scheduled, callback))
         self._scheduled += 1
-        self._events.append(event)
-        return event
 
     def after(self, delay, callback):
-        return self.at(self.now + delay, callback)
+        self.at(self.now + delay, callback)
 
     def every(self, period, callback, *, until):
         def tick():

@@ -60,7 +60,6 @@ def run_service(
                 clients[i % len(clients)],
                 label=f"p-{i}",
             ),
-            label=f"submit-{index}",
         )
     scenario.loop.run()
     return scenario, service, journal

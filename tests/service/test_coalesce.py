@@ -47,7 +47,6 @@ def submit_burst(scenario, service, count, profile=None, spacing_s=0.0):
                 clients[i % len(clients)],
                 label=f"n-{i}",
             ),
-            label=f"submit-{index}",
         )
 
 

@@ -53,7 +53,6 @@ def submit_burst(scenario, service, count, spacing_s=0.5):
                 clients[i % len(clients)],
                 label=f"n-{i + 1}",
             ),
-            label=f"submit-{index + 1}",
         )
 
 

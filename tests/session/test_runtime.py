@@ -6,7 +6,8 @@ from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.session.engine import EventLoop
 from repro.session.playout import SessionState
 from repro.session.runtime import SessionRuntime
-from repro.util.errors import SessionError
+from repro.sim.storm import StormSpec, run_storm
+from repro.util.errors import ManagerCrashError, SessionError
 
 
 def congest(loop, servers, transport, link_id, start_s, duration_s, severity):
@@ -134,3 +135,54 @@ class TestMultipleSessions:
             )
         loop.run()
         assert all(s.state is SessionState.COMPLETED for s in sessions)
+
+
+class TestSweepSurvivesACrash:
+    """A manager crash raised inside a monitor sweep (a journal append
+    during an adaptation switch) reaches the loop's caller; the sweep
+    must be re-armed anyway, or no lease is renewed or reaped and no
+    violation is seen again until teardown."""
+
+    def test_sweep_rearms_after_a_raising_pass(
+        self, runtime, negotiated, balanced_profile, client, loop,
+    ):
+        sweeps = []
+        sweep_once = runtime.sweep_once
+
+        def crash_once():
+            sweeps.append(loop.now)
+            if len(sweeps) == 1:
+                raise ManagerCrashError("crash inside the sweep")
+            return sweep_once()
+
+        runtime.sweep_once = crash_once
+        session = runtime.start_session(negotiated, balanced_profile, client)
+        with pytest.raises(ManagerCrashError):
+            loop.run()
+        loop.run()
+        assert session.state is SessionState.COMPLETED
+        assert len(sweeps) > 1
+        assert sweeps[1] == pytest.approx(sweeps[0] + runtime.monitor_period_s)
+
+    def test_storm_keeps_monitoring_after_a_crash_in_the_sweep(
+        self, monkeypatch,
+    ):
+        sweeps, crashes = [], []
+        sweep_once = SessionRuntime.sweep_once
+
+        def counted(self):
+            sweeps.append(self.loop.now)
+            try:
+                return sweep_once(self)
+            except ManagerCrashError:
+                crashes.append(self.loop.now)
+                raise
+
+        monkeypatch.setattr(SessionRuntime, "sweep_once", counted)
+        crash = FaultSpec(
+            kind=FaultKind.MANAGER_CRASH, target_id="manager",
+            start_s=95.0, duration_s=60.0, value=60.0,
+        )
+        run_storm(StormSpec(backpressure=False, extra_faults=(crash,)))
+        assert crashes == [96.0]
+        assert sum(1 for t in sweeps if t > crashes[0]) > 0

@@ -38,7 +38,7 @@ def record(horizon, emit):
     telemetry = Telemetry(clock=clock, seed=0)
     recorder = FlightRecorder(telemetry, interval_s=1.0)
     loop.every(1.0, lambda: emit(telemetry, clock.now()),
-               label="emit", until=horizon - 0.5)
+               until=horizon - 0.5)
     recorder.arm(loop, until=horizon)
     loop.run()
     recorder.finish(clock.now())

@@ -21,7 +21,7 @@ def make_run(horizon=5):
         telemetry.metrics.gauge_set("storm.queue.depth", float(clock.now()))
         telemetry.metrics.observe("service.verdict.wait_s", clock.now())
 
-    loop.every(1.0, emit, label="emit", until=horizon - 0.5)
+    loop.every(1.0, emit, until=horizon - 0.5)
     recorder.arm(loop, until=horizon)
     loop.run()
     recorder.finish(clock.now())
