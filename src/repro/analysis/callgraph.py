@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .extract import CallEvent, FuncExtract, ModuleExtract, imported_name
+from .extract import CallEvent, FuncExtract, ModuleExtract
 from .summaries import FuncSummary, compute_summaries
 
 __all__ = ["Project", "build_project"]
@@ -72,7 +72,7 @@ class Project:
         return None
 
     def _absolute(self, module: ModuleExtract, name: str) -> "str | None":
-        imported = imported_name(module.imports, name)
+        imported = module.ctx.resolve(name)
         if imported is not None:
             return imported
         # Same-module function/class (including nested qualnames).

@@ -1,8 +1,10 @@
 """Per-file analysis context shared by every rule.
 
 Parses the file once, resolves its dotted module name (so rules can
-scope themselves to ``repro.core`` etc.), and extracts the inline
-``# reprolint:`` pragmas:
+scope themselves to ``repro.core`` etc.), maps every imported name to
+the absolute dotted name it binds (so ``import time as clock`` makes
+``clock.sleep`` read as ``time.sleep`` to every rule and to the call
+graph), and extracts the inline ``# reprolint:`` pragmas:
 
 * ``# reprolint: disable=REP001[,REP003]`` — suppress those rules on
   that line;
@@ -170,6 +172,45 @@ def _module_name(path: Path) -> str:
     return ".".join(parts) if parts else path.stem
 
 
+def _import_map(tree: ast.Module, module: str, path: str) -> "dict[str, str]":
+    """Local name -> absolute dotted name, for every import in the file.
+
+    ``import a.b`` binds ``a``; ``import a.b as c`` binds ``c`` to
+    ``a.b``; ``from a import b as c`` binds ``c`` to ``a.b``.  Relative
+    imports resolve against the file's own package (``module`` itself
+    for an ``__init__.py``).  Star imports bind nothing.
+    """
+    is_init = path.replace("\\", "/").endswith("__init__.py")
+    package = module if is_init else module.rpartition(".")[0]
+    imports: "dict[str, str]" = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    imports[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    imports[root] = root
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor_parts = package.split(".") if package else []
+                drop = node.level - 1
+                if drop:
+                    anchor_parts = (
+                        anchor_parts[:-drop] if drop <= len(anchor_parts) else []
+                    )
+                anchor = ".".join(anchor_parts)
+                base = f"{anchor}.{base}" if base and anchor else (anchor or base)
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                imports[alias.asname or alias.name] = (
+                    f"{base}.{alias.name}" if base else alias.name
+                )
+    return imports
+
+
 @dataclass(slots=True)
 class ModuleContext:
     """Everything a rule needs to inspect one file."""
@@ -182,6 +223,7 @@ class ModuleContext:
     pragmas: "dict[int, dict[str, object]]" = field(default_factory=dict)
     _extents: "list[tuple[int, int]] | None" = field(default=None, repr=False)
     _scopes: "list[Scope] | None" = field(default=None, repr=False)
+    _imports: "dict[str, str] | None" = field(default=None, repr=False)
 
     @classmethod
     def from_source(
@@ -228,6 +270,21 @@ class ModuleContext:
         if self._scopes is None:
             self._scopes = scope_extents(self.tree)
         return self._scopes
+
+    @property
+    def imports(self) -> "dict[str, str]":
+        """Local name -> absolute dotted name for every import in the
+        file, built on first use."""
+        if self._imports is None:
+            self._imports = _import_map(self.tree, self.module, self.path)
+        return self._imports
+
+    def resolve(self, name: str) -> "str | None":
+        """Dotted ``name`` made absolute through :attr:`imports`, or
+        ``None`` when its first part is not an imported name."""
+        root, dot, rest = name.partition(".")
+        target = self.imports.get(root)
+        return None if target is None else target + dot + rest
 
     def scope_at(self, line: int) -> str:
         """Qualified name of the innermost def/class enclosing ``line``."""

@@ -56,7 +56,6 @@ __all__ = [
     "FuncExtract",
     "ModuleExtract",
     "extract_module",
-    "imported_name",
     "ACQUIRE_ATTRS",
     "RELEASE_MARKERS",
     "JOURNAL_MARKER",
@@ -226,7 +225,6 @@ class ModuleExtract:
     classes: "dict[str, tuple[list[str], list[str]]]" = field(
         default_factory=dict
     )
-    imports: "dict[str, str]" = field(default_factory=dict)
 
     @property
     def module(self) -> str:
@@ -548,43 +546,9 @@ class _ModuleScan:
 
     def __init__(self, ctx: ModuleContext) -> None:
         self.ctx = ctx
-        self.imports: "dict[str, str]" = {}
         self.mutable_globals: "dict[str, int]" = {}
         self.func_global_decls: "set[str]" = set()
-        self._collect_imports()
         self._collect_globals()
-
-    def _collect_imports(self) -> None:
-        is_init = self.ctx.path.replace("\\", "/").endswith("__init__.py")
-        package = (
-            self.ctx.module
-            if is_init
-            else self.ctx.module.rsplit(".", 1)[0]
-            if "." in self.ctx.module
-            else ""
-        )
-        for node in ast.walk(self.ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    self.imports[local] = target
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    anchor_parts = package.split(".") if package else []
-                    drop = node.level - 1
-                    if drop:
-                        anchor_parts = anchor_parts[: -drop] if drop <= len(anchor_parts) else []
-                    anchor = ".".join(anchor_parts)
-                    base = f"{anchor}.{base}" if base and anchor else (anchor or base)
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    self.imports[local] = (
-                        f"{base}.{alias.name}" if base else alias.name
-                    )
 
     def _collect_globals(self) -> None:
         for stmt in self.ctx.tree.body:
@@ -618,20 +582,12 @@ class _ModuleScan:
         return False
 
     def is_blocking(self, name: str, attr: str) -> bool:
-        resolved = imported_name(self.imports, name) or name
+        resolved = self.ctx.resolve(name) or name
         if resolved in _BLOCKING_DOTTED:
             return True
         if resolved == "open" or name == "open":
             return True
         return attr in _BLOCKING_ATTRS
-
-
-def imported_name(imports: "dict[str, str]", name: str) -> "str | None":
-    """Dotted ``name`` made absolute through an import map, or ``None``
-    when its first part is not an imported name."""
-    root, dot, rest = name.partition(".")
-    target = imports.get(root)
-    return None if target is None else target + dot + rest
 
 
 def _extract_function(
@@ -740,9 +696,7 @@ def _class_table(
 def extract_module(ctx: ModuleContext) -> ModuleExtract:
     """Distil one parsed module into its extract."""
     scan = _ModuleScan(ctx)
-    extract = ModuleExtract(
-        ctx=ctx, imports=scan.imports, classes=_class_table(ctx.tree)
-    )
+    extract = ModuleExtract(ctx=ctx, classes=_class_table(ctx.tree))
     for scope in ctx.scopes():
         if not isinstance(scope.node, ast.ClassDef):
             extract.functions[scope.qualname] = _extract_function(

@@ -11,7 +11,7 @@ REP005    no mutable default arguments
 REP006    no late-binding loop-variable capture in callbacks
 REP007    paper-constant drift (literals duplicating named anchors)
 REP008    offer immutability (Offer dataclasses must be frozen)
-REP011    no naked timing; metric names registered in the catalog
+REP011    metric, series and SLO names registered in the catalog
 ========  ==========================================================
 
 The whole-program rules (REP012..REP017 — interprocedural leak paths,
@@ -24,23 +24,23 @@ lint`` runs both kinds in the same pass.
 from __future__ import annotations
 
 from . import (  # noqa: F401  (imports register the rules)
+    catalog_names,
     closures,
     constants,
     defaults,
     determinism,
     floats,
     immutability,
-    naked_timing,
     taxonomy,
 )
 
 __all__ = [
+    "catalog_names",
     "closures",
     "constants",
     "defaults",
     "determinism",
     "floats",
     "immutability",
-    "naked_timing",
     "taxonomy",
 ]

@@ -1,12 +1,9 @@
-"""REP011 — no naked timing or unregistered metric names.
+"""REP011 — every metric name a call spells is in the catalog.
 
-Observability must flow through the telemetry layer, not around it:
+Observability must flow through the telemetry layer, not around it.
+(A stopwatch built on the wall clock is REP001's, which resolves every
+call through the file's imports.)
 
-* **Naked timing.**  A span's duration comes from the injected
-  :class:`~repro.util.clock.ManualClock` — never from a stopwatch built
-  on ``time.time()`` / ``time.perf_counter()``.  REP001 already bans
-  the dotted forms; this rule closes the ``from time import
-  perf_counter`` loophole where the call site shows only a bare name.
 * **Unregistered metrics.**  Every counter/gauge/histogram name passed
   to ``telemetry.count`` / ``metrics.observe`` / ``gauge_set`` /
   ``gauge_add`` must exist in the :mod:`repro.telemetry.catalog` —
@@ -36,16 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 RULE_ID = "REP011"
 
-# time-module members that read a wall/process clock.
-_TIMING_MEMBERS = {
-    "time",
-    "time_ns",
-    "monotonic",
-    "monotonic_ns",
-    "perf_counter",
-    "perf_counter_ns",
-}
-
 # Metric-recording methods whose first argument is a catalog name.
 _METRIC_METHODS = {"count", "observe", "gauge_set", "gauge_add"}
 
@@ -71,17 +58,6 @@ def _is_metric_receiver(segment: str) -> bool:
     return segment.lstrip("_") in _METRIC_RECEIVERS
 
 
-def _timing_aliases(tree: ast.Module) -> "dict[str, str]":
-    """Local alias -> original ``time`` member for from-imports."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "time":
-            for name in node.names:
-                if name.name in _TIMING_MEMBERS:
-                    aliases[name.asname or name.name] = name.name
-    return aliases
-
-
 def _registered_metric_names() -> "frozenset[str]":
     from ...telemetry.catalog import metric_names
 
@@ -90,32 +66,20 @@ def _registered_metric_names() -> "frozenset[str]":
 
 @rule(
     RULE_ID,
-    "naked-timing",
-    "no from-imported wall clocks; metric, time-series and SLO names "
-    "must be in the catalog",
-    "take timestamps from the injected ManualClock (span start/end "
-    "come from Telemetry) and register every metric name in "
-    "repro.telemetry.catalog.METRICS before recording, querying, or "
-    "declaring an SLO over it",
+    "catalog-names",
+    "metric, time-series and SLO names must be in the catalog",
+    "register every metric name in repro.telemetry.catalog.METRICS "
+    "before recording, querying, or declaring an SLO over it",
 )
 def check(ctx: "ModuleContext") -> "Iterator[Finding]":
-    in_telemetry = ctx.in_package("repro", "telemetry")
-    aliases = _timing_aliases(ctx.tree)
+    if ctx.in_package("repro", "telemetry"):
+        return
     catalog = _registered_metric_names()
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
         name = dotted_name(node.func)
         if name is None:
-            continue
-        if name in aliases:
-            yield make_finding(
-                ctx, RULE_ID, node.lineno, node.col_offset,
-                f"naked timing call `{name}()` "
-                f"(from-imported `time.{aliases[name]}`)",
-            )
-            continue
-        if in_telemetry:
             continue
         parts = name.split(".")
         if (

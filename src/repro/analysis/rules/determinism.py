@@ -23,7 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 RULE_ID = "REP001"
 
-# Call targets that read wall time or block the thread.
+# Absolute call targets that read wall time or block the thread; a call
+# is matched after resolving its name through the file's imports, so
+# ``import time as clock; clock.sleep(1)`` and ``from time import
+# sleep; sleep(1)`` both read as ``time.sleep``.
 _FORBIDDEN_CALLS = {
     "time.time",
     "time.time_ns",
@@ -32,13 +35,9 @@ _FORBIDDEN_CALLS = {
     "time.perf_counter",
     "time.perf_counter_ns",
     "time.sleep",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
     "datetime.datetime.now",
     "datetime.datetime.utcnow",
     "datetime.datetime.today",
-    "date.today",
     "datetime.date.today",
 }
 
@@ -75,41 +74,40 @@ def _is_exempt(ctx: "ModuleContext") -> bool:
 def check(ctx: "ModuleContext") -> "Iterator[Finding]":
     if _is_exempt(ctx):
         return
-    random_aliases = {"random"}
     for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "random":
-                    random_aliases.add(alias.asname or alias.name)
-        elif isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.ImportFrom):
             if node.module == "random":
                 yield make_finding(
                     ctx, RULE_ID, node.lineno, node.col_offset,
                     "import from the process-global `random` module",
                 )
-        elif isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            if name in _FORBIDDEN_CALLS:
-                yield make_finding(
-                    ctx, RULE_ID, node.lineno, node.col_offset,
-                    f"call to wall-clock/sleep API `{name}()`",
-                )
-            elif name.split(".", 1)[0] in random_aliases and "." in name:
-                yield make_finding(
-                    ctx, RULE_ID, node.lineno, node.col_offset,
-                    f"call to the process-global RNG `{name}()`",
-                )
-            else:
-                parts = name.split(".")
-                if (
-                    len(parts) >= 3
-                    and parts[0] in ("np", "numpy")
-                    and parts[1] == "random"
-                    and parts[2] not in _NUMPY_RANDOM_ALLOWED
-                ):
-                    yield make_finding(
-                        ctx, RULE_ID, node.lineno, node.col_offset,
-                        f"call to numpy's process-global RNG `{name}()`",
-                    )
+            continue
+        if not isinstance(node, ast.Call):
+            continue
+        name = dotted_name(node.func)
+        resolved = None if name is None else ctx.resolve(name)
+        if resolved is None:
+            continue
+        shown = f"`{name}()`"
+        if resolved != name:
+            shown += f" (`{resolved}`)"
+        parts = resolved.split(".")
+        if resolved in _FORBIDDEN_CALLS:
+            yield make_finding(
+                ctx, RULE_ID, node.lineno, node.col_offset,
+                f"call to wall-clock/sleep API {shown}",
+            )
+        elif parts[0] == "random" and len(parts) > 1:
+            yield make_finding(
+                ctx, RULE_ID, node.lineno, node.col_offset,
+                f"call to the process-global RNG {shown}",
+            )
+        elif (
+            parts[:2] == ["numpy", "random"]
+            and len(parts) >= 3
+            and parts[2] not in _NUMPY_RANDOM_ALLOWED
+        ):
+            yield make_finding(
+                ctx, RULE_ID, node.lineno, node.col_offset,
+                f"call to numpy's process-global RNG {shown}",
+            )

@@ -97,9 +97,3 @@ class DiskModel:
             rate_bps * self.round_s / self.transfer_rate_bps + self.overhead_s
         )
         return int(self.round_s / per_stream)
-
-    def service_time_s(self, block_bits: float) -> float:
-        """Time to position and read one block (used by the playout
-        engine to model per-block service latency)."""
-        check_positive(block_bits, "block_bits")
-        return self.overhead_s + block_bits / self.transfer_rate_bps

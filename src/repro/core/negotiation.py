@@ -52,7 +52,7 @@ from ..faults.retry import RetryPolicy
 from ..journal import ReservationJournal
 from ..metadata.database import MetadataDatabase
 from ..network.transport import GuaranteeType, TransportSystem
-from ..telemetry import NULL_SPAN, NegotiationReport, Telemetry
+from ..telemetry import NULL_SPAN, Telemetry
 from ..util.clock import ManualClock
 from ..util.errors import NegotiationError
 from .classification import (
@@ -121,7 +121,6 @@ class NegotiationResult:
     attempts: int = 0
     memo_skips: int = 0  # attempts the walk's refusal memo answered
     retry_after_s: "float | None" = None  # hint accompanying FAILEDTRYLATER
-    report: "NegotiationReport | None" = None  # trace-derived step account
     _rest: "Iterator[ClassifiedOffer] | None" = field(
         default=None, repr=False
     )
@@ -618,10 +617,6 @@ class QoSManager:
         telemetry.observe(
             "negotiation.offers.classified", float(len(result.classified))
         )
-        if telemetry.enabled:
-            result.report = NegotiationReport.from_spans(
-                telemetry.tracer.last_trace()
-            )
         return result
 
     def plan(

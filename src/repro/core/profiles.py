@@ -99,10 +99,6 @@ class MMProfile:
             if value is not None:
                 yield medium, value
 
-    def with_qos(self, qos: MediaQoS) -> "MMProfile":
-        """Copy with one medium's QoS replaced."""
-        return replace(self, **{qos.medium.value: qos})
-
     def with_cost(self, cost: "Money | float") -> "MMProfile":
         return replace(self, cost=dollars(cost))
 

@@ -11,7 +11,6 @@ from typing import Callable, Iterable, Iterator
 
 from ..util.errors import DuplicateKeyError, NotFoundError
 from .document import Document
-from .media import Medium
 
 __all__ = ["DocumentCatalog"]
 
@@ -64,17 +63,6 @@ class DocumentCatalog:
         self, predicate: Callable[[Document], bool]
     ) -> tuple[Document, ...]:
         return tuple(doc for doc in self if predicate(doc))
-
-    def with_medium(self, medium: "Medium | str") -> tuple[Document, ...]:
-        medium = Medium.parse(medium)
-        return self.select(lambda doc: medium in doc.media)
-
-    def total_variants(self) -> int:
-        return sum(
-            len(component.variants)
-            for doc in self
-            for component in doc.components
-        )
 
     def servers_referenced(self) -> frozenset[str]:
         """Every server id any variant points at — the scenario builder

@@ -96,14 +96,6 @@ class Document:
         feasible-offer product space enumerated in §4 step 3."""
         return {c.monomedia_id: len(c.variants) for c in self.components}
 
-    def offer_space_size(self) -> int:
-        """Number of raw system offers before compatibility filtering:
-        the product of per-monomedia variant counts."""
-        total = 1
-        for component in self.components:
-            total *= len(component.variants)
-        return total
-
     # -- timing ----------------------------------------------------------------
 
     @property

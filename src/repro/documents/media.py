@@ -293,11 +293,6 @@ class Codecs:
         return cls._ALL
 
     @classmethod
-    def for_medium(cls, medium: Medium) -> tuple[Codec, ...]:
-        medium = Medium.parse(medium)
-        return tuple(c for c in cls.all() if c.medium is medium)
-
-    @classmethod
     def by_name(cls, name: str) -> Codec:
         for codec in cls.all():
             if codec.name.lower() == str(name).lower():

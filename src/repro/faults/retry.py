@@ -8,8 +8,7 @@ fail an otherwise-committable offer.
 All delays are *accounted*, not slept: the simulation runs on a manual
 clock and advancing it from inside a commitment would race the event
 loop, so backoff time counts against the policy's overall deadline
-while the attempts themselves are instantaneous in simulated time.  A
-``sleep`` callable can be supplied where real waiting is meaningful.
+while the attempts themselves are instantaneous in simulated time.
 Jitter draws come from a seeded generator, so a chaos run replays
 exactly.
 """
@@ -110,22 +109,21 @@ def execute_with_retry(
     policy: RetryPolicy,
     *,
     rng: RngLike = None,
-    sleep: "Callable[[float], None] | None" = None,
     on_retry: "Callable[[int, BaseException, float], None] | None" = None,
-    retryable: "Callable[[BaseException], bool]" = is_retryable,
     failed: "Exception | None" = None,
 ) -> T:
     """Call ``fn`` under ``policy``; return its result or re-raise.
 
-    Retries only errors ``retryable`` approves, stops when attempts or
-    the backoff deadline run out, and reports each retry through
+    Retries only :data:`RETRYABLE_ERRORS` (anything else propagates
+    from ``fn`` at once), stops when attempts or the backoff deadline
+    run out, and reports each retry through
     ``on_retry(attempt, error, delay_s)``.  The final error propagates
     unchanged, so callers' except clauses keep working.
 
     ``failed`` is the error of a first call the caller already made
     itself: the loop starts at the decision on that failure, so a
     caller whose first call usually succeeds builds nothing for the
-    retry until it has to.
+    retry until it has to; it must be one of :data:`RETRYABLE_ERRORS`.
     """
     rng = make_rng(rng)
     elapsed = 0.0
@@ -135,12 +133,9 @@ def execute_with_retry(
         if error is None:
             try:
                 return fn()
-            # A generic combinator must catch broadly: callers may pass a
-            # custom ``retryable`` predicate approving error types outside
-            # the repro taxonomy.  Non-retryables are re-raised unchanged.
-            except Exception as raised:  # reprolint: backstop -- custom retryable predicates may approve non-repro errors
+            except RETRYABLE_ERRORS as raised:
                 error = raised
-        if not retryable(error) or attempt >= policy.max_attempts:
+        if attempt >= policy.max_attempts:
             raise error
         delay = policy.backoff_delay(attempt, rng)
         if elapsed + delay > policy.deadline_s + 1e-12:
@@ -148,7 +143,5 @@ def execute_with_retry(
         elapsed += delay
         if on_retry is not None:
             on_retry(attempt, error, delay)
-        if sleep is not None:
-            sleep(delay)
         attempt += 1
         error = None

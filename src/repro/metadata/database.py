@@ -17,7 +17,7 @@ behavioural difference.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from ..documents.catalog import DocumentCatalog
 from ..documents.document import Document
@@ -199,11 +199,6 @@ class MetadataDatabase:
         except KeyError:
             raise NotFoundError(f"no variant {variant_id!r}") from None
 
-    def to_catalog(self) -> DocumentCatalog:
-        return DocumentCatalog(
-            self.get_document(document_id) for document_id in self._documents
-        )
-
     # -- queries ----------------------------------------------------------------
 
     def variants_for_monomedia(self, monomedia_id: str) -> tuple[Variant, ...]:
@@ -212,21 +207,6 @@ class MetadataDatabase:
         return tuple(
             self._variants[variant_id].to_variant()
             for variant_id in self._variants_by_monomedia.get(monomedia_id, ())
-        )
-
-    def variants_on_server(self, server_id: str) -> tuple[Variant, ...]:
-        return tuple(
-            self._variants[variant_id].to_variant()
-            for variant_id in self._variants_by_server.get(server_id, ())
-        )
-
-    def select_variants(
-        self, predicate: Callable[[Variant], bool]
-    ) -> tuple[Variant, ...]:
-        return tuple(
-            variant
-            for record in self._variants.values()
-            if predicate(variant := record.to_variant())
         )
 
     def iter_document_ids(self) -> Iterator[str]:

@@ -42,9 +42,6 @@ class Route:
     def hop_count(self) -> int:
         return len(self.links)
 
-    def bottleneck_available_bps(self) -> float:
-        return min(link.available_bps for link in self.links)
-
     def __str__(self) -> str:
         return " -> ".join(self.nodes)
 

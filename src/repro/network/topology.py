@@ -135,9 +135,6 @@ class Topology:
     def total_reserved_bps(self) -> float:
         return sum(l.reserved_bps for l in self._links.values())
 
-    def total_capacity_bps(self) -> float:
-        return sum(l.capacity_bps for l in self._links.values())
-
     def __repr__(self) -> str:
         return (
             f"Topology({self._graph.number_of_nodes()} nodes, "

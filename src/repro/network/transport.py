@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from ..util.errors import CapacityError, NoRouteError, ReservationError
 from .link import LinkReservation
-from .qosparams import FlowSpec, PathQoS
+from .qosparams import FlowSpec
 from .routing import Route, find_route
 from .topology import Topology
 
@@ -232,7 +232,3 @@ class TransportSystem:
         return tuple(
             flow for flow_id, flow in self._flows.items() if flow_id in victims
         )
-
-    def path_qos(self, flow: "FlowReservation | str") -> PathQoS:
-        record = flow if isinstance(flow, FlowReservation) else self.flow(flow)
-        return record.route.qos

@@ -10,7 +10,7 @@ system, so an optimistic booking can still fail and trigger
 renegotiation).
 
 Ledger capacities: links use their raw capacity; servers use
-``min(NIC, disk_transfer_rate × disk_plan_factor)`` — a documented linear
+``min(NIC, disk_transfer_rate × DISK_PLAN_FACTOR)`` — a documented linear
 approximation of the nonlinear round-based admission (per-stream seek
 overhead is ignored at planning time; the claim step runs the real
 admission).
@@ -73,13 +73,8 @@ class AdvancePlanner:
     """Interval ledgers mirroring a deployment's links and servers."""
 
     def __init__(
-        self,
-        topology: Topology,
-        servers: Mapping[str, MediaServer],
-        *,
-        disk_plan_factor: float = DISK_PLAN_FACTOR,
+        self, topology: Topology, servers: Mapping[str, MediaServer]
     ) -> None:
-        check_positive(disk_plan_factor, "disk_plan_factor")
         self._topology = topology
         self._link_ledgers = {
             link.link_id: IntervalLedger(link.link_id, link.capacity_bps)
@@ -90,7 +85,7 @@ class AdvancePlanner:
                 server_id,
                 min(
                     server.admission.nic_bps,
-                    server.disk.transfer_rate_bps * disk_plan_factor,
+                    server.disk.transfer_rate_bps * DISK_PLAN_FACTOR,
                 ),
             )
             for server_id, server in servers.items()
@@ -180,9 +175,9 @@ class AdvanceNegotiator:
     confirmation is the later :meth:`claim`.
     """
 
-    def __init__(self, manager: QoSManager, planner: AdvancePlanner | None = None) -> None:
+    def __init__(self, manager: QoSManager) -> None:
         self.manager = manager
-        self.planner = planner or AdvancePlanner(
+        self.planner = AdvancePlanner(
             manager.committer.transport.topology,
             manager.committer.servers,
         )

@@ -244,7 +244,6 @@ class NegotiationService:
 
         if self.gate is not None:
             self.gate.submit_deferred(
-                request.label,
                 lambda done: self._start(
                     request, document_id, profile, client, done
                 ),

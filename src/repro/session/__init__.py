@@ -2,7 +2,7 @@
 
 from .datapath import DataPathReport, StreamDemand, simulate_rounds
 from .engine import EventLoop
-from .monitor import JitterCompensator, QoSMonitor, Violation
+from .monitor import QoSMonitor, Violation
 from .playout import PlayoutSession, SessionRecord, SessionState
 from .runtime import SessionRuntime
 from .supervisor import SessionSupervisor, SupervisedEntry, SupervisorStats
@@ -12,7 +12,6 @@ __all__ = [
     "StreamDemand",
     "simulate_rounds",
     "EventLoop",
-    "JitterCompensator",
     "QoSMonitor",
     "Violation",
     "PlayoutSession",

@@ -4,10 +4,9 @@ The paper's adaptation is triggered when "the network or/and the server
 machine become congested thus leading to lower presentation quality".
 :class:`QoSMonitor` polls the transport system and the server fleet,
 maps violated reservation holders back to playout sessions, and reports
-:class:`Violation` records.  A playout buffer model
-(:class:`JitterCompensator`, standing in for the U. Ottawa
-synchronization component) decides how long a violation may persist
-before the presentation visibly stalls.
+:class:`Violation` records.  How long a degraded stream can play
+before the presentation visibly stalls is the synchronization
+component's business (§6); :mod:`repro.session.datapath` models it.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ from typing import Iterable, Mapping
 
 from ..cmfs.server import MediaServer
 from ..network.transport import TransportSystem
-from ..util.validation import check_positive
 from .playout import PlayoutSession
 
-__all__ = ["Violation", "JitterCompensator", "QoSMonitor"]
+__all__ = ["Violation", "QoSMonitor"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,23 +31,6 @@ class Violation:
     detected_at: float
 
 
-@dataclass(frozen=True, slots=True)
-class JitterCompensator:
-    """Playout-buffer model: a violation shorter than the buffered
-    playout time is absorbed invisibly (the synchronization protocols
-    "compensate" jitter, §6)."""
-
-    buffer_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_positive(self.buffer_s, "buffer_s")
-
-    def visible_stall(self, violation_duration_s: float) -> float:
-        """Stall time the user perceives for a violation of the given
-        duration."""
-        return max(violation_duration_s - self.buffer_s, 0.0)
-
-
 class QoSMonitor:
     """Maps infrastructure-level violations to sessions."""
 
@@ -57,12 +38,9 @@ class QoSMonitor:
         self,
         transport: TransportSystem,
         servers: Mapping[str, MediaServer],
-        *,
-        compensator: JitterCompensator | None = None,
     ) -> None:
         self._transport = transport
         self._servers = dict(servers)
-        self.compensator = compensator or JitterCompensator()
 
     def scan(
         self, sessions: Iterable[PlayoutSession], now: float

@@ -181,11 +181,17 @@ class SessionSupervisor:
         self._sweeping = True
 
         def sweep() -> None:
-            self.check(self._clock.now())
-            if self._entries:
-                loop.after(self.period_s, sweep)
-            else:
-                self._sweeping = False
+            # Re-arm even when the pass raises: a recovered holder's
+            # release journals RELEASED, and a manager crash there must
+            # not leave the flag set with no sweep pending, or
+            # supervision stays off after the manager restarts.
+            try:
+                self.check(self._clock.now())
+            finally:
+                if self._entries:
+                    loop.after(self.period_s, sweep)
+                else:
+                    self._sweeping = False
 
         loop.after(self.period_s, sweep)
 

@@ -357,7 +357,6 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
         client = clients[index % len(clients)]
         document = documents[index % len(documents)]
         gate.submit(
-            f"req-{index + 1}",
             lambda: scenario.manager.negotiate(document, profile, client),
             lambda result, c=client: deliver(result, c),
         )

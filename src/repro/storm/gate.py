@@ -155,7 +155,6 @@ class _Pending:
     monotone no matter which path delivers last.
     """
 
-    label: str
     start: Start
     deliver: Deliver
     submitted_at: float
@@ -210,18 +209,16 @@ class AdmissionGate:
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    def submit(self, label: str, attempt: Attempt, deliver: Deliver) -> None:
+    def submit(self, attempt: Attempt, deliver: Deliver) -> None:
         """Route one negotiation request through the gate.
 
         ``attempt`` runs the negotiation (it is only invoked when the
         gate dispatches the request); ``deliver`` receives the terminal
         :class:`NegotiationResult` — possibly a synthetic shed verdict.
         """
-        self._enter(label, lambda done: done(attempt()), deliver)
+        self._enter(lambda done: done(attempt()), deliver)
 
-    def submit_deferred(
-        self, label: str, start: Start, deliver: Deliver
-    ) -> None:
+    def submit_deferred(self, start: Start, deliver: Deliver) -> None:
         """Like :meth:`submit`, for negotiations that finish later.
 
         ``start`` is invoked when the gate dispatches the request; it
@@ -231,15 +228,14 @@ class AdmissionGate:
         requeue/shed policy to that verdict as it does to synchronous
         attempts.
         """
-        self._enter(label, start, deliver)
+        self._enter(start, deliver)
 
     # -- dispatch machinery --------------------------------------------------------
 
-    def _enter(self, label: str, start: Start, deliver: Deliver) -> None:
+    def _enter(self, start: Start, deliver: Deliver) -> None:
         """Both public entries: admit, park or shed one request."""
         self.stats.submitted += 1
         pending = _Pending(
-            label=label,
             start=start,
             deliver=deliver,
             submitted_at=self.loop.now,

@@ -3,10 +3,10 @@
 Span/trace ids are drawn from a seeded RNG and timestamps from the
 injected :class:`~repro.util.clock.ManualClock`, so a trace is a pure
 function of the run's seed — two same-seed runs export byte-identical
-JSONL.  The tracer keeps a stack of open spans (nesting), hands every
-finished span to its exporters, and retains the most recently finished
-*root* trace so the negotiation can turn it into a
-:class:`~repro.telemetry.report.NegotiationReport` in O(trace size).
+JSONL.  The tracer keeps a stack of open spans (nesting) and hands
+every finished span to its exporters; it keeps no finished span
+itself.  Reports are built from what an exporter collected
+(:meth:`~repro.telemetry.report.NegotiationReport.from_spans`).
 """
 
 from __future__ import annotations
@@ -112,12 +112,6 @@ class Tracer:
         self._exporters: "list[SpanExporter]" = list(exporters)
         self._stack: "list[Span]" = []
         self._sequence = 0
-        # trace_id -> spans started under it, in start order; a root
-        # span's end moves its bucket to _last_trace, so collecting the
-        # finished negotiation trace is O(1) lookups per span (never a
-        # scan over the whole run's span history).
-        self._open_traces: "dict[str, list[Span]]" = {}
-        self._last_trace: "tuple[Span, ...]" = ()
 
     # -- wiring --------------------------------------------------------------------
 
@@ -154,7 +148,6 @@ class Tracer:
             sequence=self._sequence, attributes=attributes,
         )
         self._stack.append(span)
-        self._open_traces.setdefault(trace_id, []).append(span)
         return span
 
     def end_span(self, span: Span) -> None:
@@ -165,9 +158,6 @@ class Tracer:
             self._stack.remove(span)
         for exporter in self._exporters:
             exporter.export(span)
-        if span.parent_id is None:
-            bucket = self._open_traces.pop(span.trace_id, [])
-            self._last_trace = tuple(bucket)
 
     def span(
         self, name: str, **attributes: Any
@@ -191,13 +181,10 @@ class Tracer:
         in flight, long before the root's end time is known — and the
         stack-based :meth:`span` cannot stay open across task switches
         without capturing unrelated tasks' spans.  Children emitted
-        with ``parent=context`` accumulate under the trace until the
-        root lands.
+        with ``parent=context`` carry the trace id the root lands with.
         """
         pool = self._id_pool if len(self._id_pool) > 1 else self._refill()
-        trace_id, span_id = pool.pop(), pool.pop()
-        self._open_traces.setdefault(trace_id, [])
-        return trace_id, span_id
+        return pool.pop(), pool.pop()
 
     def emit(
         self,
@@ -215,7 +202,7 @@ class Tracer:
         enclosing trace closed).  ``parent`` is a ``(trace_id,
         span_id)`` context, e.g. from :meth:`root_context`; ``context``
         instead makes this span the *root* carrying the pre-allocated
-        identity from :meth:`new_context`, closing that trace.  The
+        identity from :meth:`new_context`.  The
         span keeps ``attributes`` itself; callers hand over a dict they
         no longer touch."""
         if not self.enabled:
@@ -239,17 +226,8 @@ class Tracer:
             name, trace_id, span_id, parent_id, start_s, end_s, status,
             self._sequence, {} if attributes is None else attributes,
         )
-        bucket = self._open_traces.get(trace_id)
-        if bucket is not None:
-            if context is not None:
-                bucket.insert(0, span)
-            else:
-                bucket.append(span)
         for exporter in self._exporters:
             exporter.export(span)
-        if context is not None:
-            finished = self._open_traces.pop(trace_id, [span])
-            self._last_trace = tuple(finished)
         return span
 
     # -- context -------------------------------------------------------------------
@@ -277,8 +255,3 @@ class Tracer:
         span is open or the tracer is disabled)."""
         if self._stack:
             self._stack[-1].attributes.update(attributes)
-
-    def last_trace(self) -> "tuple[Span, ...]":
-        """Every span of the most recently finished root trace, in
-        start order."""
-        return self._last_trace

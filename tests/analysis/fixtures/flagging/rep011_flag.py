@@ -1,18 +1,13 @@
-"""REP011 fixture (flagged): naked timing, unregistered metric names on
-the write side (emission), the read side (series queries), and in SLO
+"""REP011 fixture (flagged): unregistered metric names on the write
+side (emission), the read side (series queries), and in SLO
 declarations."""
-
-from time import perf_counter
-from time import time as wall_time
 
 from repro.telemetry import EventSelector, SloSpec
 
 
 def measure(telemetry):
-    started = perf_counter()
     telemetry.count("negotiation.bogus.counter")
     telemetry.metrics.observe("not.in.the.catalog", 1.0)
-    return wall_time() - started
 
 
 def dashboard(recorder):

@@ -1,5 +1,5 @@
-"""REP011 fixture (clean): clock-derived spans, catalog metric names on
-the write side, the read side, and in SLO declarations."""
+"""REP011 fixture (clean): catalog metric names on the write side, the
+read side, and in SLO declarations."""
 
 from repro.telemetry import EventSelector, SloSpec
 from repro.util.clock import ManualClock

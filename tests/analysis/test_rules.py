@@ -20,7 +20,10 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 DESIGN = pathlib.Path(__file__).resolve().parents[2] / "DESIGN.md"
 
 RULE_FIXTURES = {
-    "REP001": [("flagging/rep001_flag.py", "passing/rep001_pass.py")],
+    "REP001": [
+        ("flagging/rep001_flag.py", "passing/rep001_pass.py"),
+        ("flagging/rep001_alias_flag.py", "passing/rep001_alias_pass.py"),
+    ],
     "REP003": [("flagging/rep003_flag.py", "passing/rep003_pass.py")],
     "REP004": [("flagging/rep004_flag.py", "passing/rep004_pass.py")],
     "REP005": [("flagging/rep005_flag.py", "passing/rep005_pass.py")],

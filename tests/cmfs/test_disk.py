@@ -48,10 +48,6 @@ class TestAdmission:
     def test_faster_streams_fewer_slots(self, disk):
         assert disk.max_streams_at_rate(20e6) < disk.max_streams_at_rate(2e6)
 
-    def test_service_time(self, disk):
-        t = disk.service_time_s(600_000)
-        assert t == pytest.approx(disk.overhead_s + 0.01)
-
 
 class TestValidation:
     def test_overhead_exceeding_round_rejected(self):

@@ -28,13 +28,6 @@ class TestMMProfile:
         with pytest.raises(ProfileError):
             MMProfile(video=CD)
 
-    def test_with_qos_replaces_one_medium(self):
-        profile = MMProfile(video=TV, audio=CD)
-        updated = profile.with_qos(LOW)
-        assert updated.video == LOW
-        assert updated.audio == CD
-        assert profile.video == TV  # original untouched
-
     def test_with_cost(self):
         assert MMProfile(video=TV).with_cost(3.5).cost == dollars(3.5)
 

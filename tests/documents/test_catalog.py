@@ -49,11 +49,5 @@ class TestCatalog:
         picked = catalog.select(lambda d: d.document_id.endswith("2"))
         assert [d.document_id for d in picked] == ["doc.2"]
 
-    def test_with_medium(self, catalog):
-        assert len(catalog.with_medium("video")) == 3
-
-    def test_total_variants(self, catalog):
-        assert catalog.total_variants() == 3 * 16
-
     def test_servers_referenced(self, catalog):
         assert "server-a" in catalog.servers_referenced()

@@ -76,7 +76,6 @@ class TestVariantViews:
             "d1", "duo", (video_monomedia(n_variants=3), audio_monomedia())
         )
         assert doc.variant_counts() == {"m.video": 3, "m.audio": 1}
-        assert doc.offer_space_size() == 3
 
     def test_iter_variants(self):
         doc = Document(

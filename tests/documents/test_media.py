@@ -151,11 +151,6 @@ class TestCodecs:
         with pytest.raises(ValidationError):
             Codecs.by_name("theora")
 
-    def test_for_medium(self):
-        video = Codecs.for_medium("video")
-        assert Codecs.MPEG1 in video
-        assert all(c.medium is Medium.VIDEO for c in video)
-
     def test_scalable_flag(self):
         assert Codecs.MPEG2.scalable
         assert not Codecs.MPEG1.scalable

@@ -126,19 +126,3 @@ class TestExecuteWithRetry:
             (1, "TransientFaultError", 0.5),
             (2, "TransientFaultError", 1.0),
         ]
-
-    def test_sleep_called_with_each_delay(self):
-        fn, _ = self._flaky(2)
-        slept = []
-        policy = RetryPolicy(max_attempts=3, jitter=0.0)
-        execute_with_retry(fn, policy, sleep=slept.append)
-        assert slept == [0.5, 1.0]
-
-    def test_custom_retryable_predicate(self):
-        fn, state = self._flaky(1, error=ValueError)
-        result = execute_with_retry(
-            fn, RetryPolicy(max_attempts=2, jitter=0.0),
-            retryable=lambda e: isinstance(e, ValueError),
-        )
-        assert result == 42
-        assert state["calls"] == 2

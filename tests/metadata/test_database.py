@@ -60,10 +60,6 @@ class TestReassembly:
         with pytest.raises(NotFoundError):
             db.get_variant("ghost")
 
-    def test_to_catalog(self, db, document):
-        catalog = db.to_catalog()
-        assert catalog.get(document.document_id) == document
-
 
 class TestQueries:
     def test_variants_for_monomedia(self, db, document):
@@ -71,14 +67,6 @@ class TestQueries:
         variants = db.variants_for_monomedia(mid)
         assert len(variants) == 8
         assert all(v.monomedia_id == mid for v in variants)
-
-    def test_variants_on_server(self, db):
-        on_a = db.variants_on_server("server-a")
-        assert on_a and all(v.server_id == "server-a" for v in on_a)
-
-    def test_select_variants(self, db):
-        videos = db.select_variants(lambda v: v.medium.value == "video")
-        assert len(videos) == 8
 
     def test_server_ids(self, db):
         assert db.server_ids() == {"server-a", "server-b"}

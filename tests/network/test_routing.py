@@ -53,11 +53,6 @@ class TestFindRoute:
         route = find_route(diamond, "a", "d", 1e6)
         assert route.qos.delay_s == pytest.approx(0.004)  # 2 x 2 ms default
 
-    def test_bottleneck(self, diamond):
-        diamond.link("ab").reserve(2e6, holder="f")
-        route = find_route(diamond, "a", "d", 1e6)
-        assert route.bottleneck_available_bps() == pytest.approx(3e6)
-
     def test_disconnected(self):
         t = Topology()
         t.connect("a", "b", 1e6)

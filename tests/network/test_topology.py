@@ -60,7 +60,6 @@ class TestLookups:
 
 class TestHealth:
     def test_totals(self, topo):
-        assert topo.total_capacity_bps() == 30e6
         topo.link("ab").reserve(4e6, holder="f")
         assert topo.total_reserved_bps() == 4e6
 

@@ -109,4 +109,4 @@ class TestViolations:
 
     def test_path_qos(self, transport):
         flow = transport.reserve("srv", "cli", SPEC)
-        assert transport.path_qos(flow).delay_s == pytest.approx(0.004)
+        assert flow.route.qos.delay_s == pytest.approx(0.004)

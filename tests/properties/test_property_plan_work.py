@@ -23,7 +23,7 @@ from repro.documents import quality
 from repro.documents.builder import make_news_article
 from repro.documents.media import ColorMode, Medium
 from repro.perf.cache import SPACES, NegotiationCache
-from repro.telemetry import Telemetry
+from repro.telemetry import InMemorySpanExporter, Telemetry
 from repro.util.clock import ManualClock
 
 from .strategies import grid_manager
@@ -159,7 +159,8 @@ class TestStep2CountsOncePerSpace:
 
     def test_span_and_counters_keep_their_amounts(self):
         clock = ManualClock()
-        telemetry = Telemetry(clock=clock)
+        exporter = InMemorySpanExporter()
+        telemetry = Telemetry(clock=clock, exporters=(exporter,))
         document, manager = article_manager(telemetry=telemetry, clock=clock)
         client = ClientMachine("c", access_point="client-net")
         for _ in range(self.N):
@@ -169,10 +170,10 @@ class TestStep2CountsOncePerSpace:
             if result.commitment is not None:
                 result.commitment.release()
         kept, dropped, reasons = step2_reference(result.offer_space)
-        (step2,) = [
-            span for span in telemetry.tracer.last_trace()
+        step2 = [
+            span for span in exporter.spans
             if span.name == "negotiation.step2.filter"
-        ]
+        ][-1]
         assert step2.attributes["offers_in"] == kept + dropped
         assert step2.attributes["offers_out"] == kept
         assert step2.attributes["dropped"] == dropped

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.session.monitor import JitterCompensator, QoSMonitor
+from repro.session.monitor import QoSMonitor
 from repro.session.playout import PlayoutSession
 
 
@@ -70,16 +70,3 @@ class TestScan:
         violations = monitor.scan([session_b], now=1.0)
         assert violations == []
 
-
-class TestJitterCompensator:
-    def test_absorbs_short_violations(self):
-        compensator = JitterCompensator(buffer_s=1.0)
-        assert compensator.visible_stall(0.5) == 0.0
-
-    def test_exposes_excess(self):
-        compensator = JitterCompensator(buffer_s=1.0)
-        assert compensator.visible_stall(3.0) == pytest.approx(2.0)
-
-    def test_buffer_must_be_positive(self):
-        with pytest.raises(Exception):
-            JitterCompensator(buffer_s=0.0)

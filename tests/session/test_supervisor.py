@@ -5,7 +5,7 @@ import pytest
 from repro.session.playout import SessionState
 from repro.session.runtime import SessionRuntime
 from repro.session.supervisor import SessionSupervisor
-from repro.util.errors import SessionError, ValidationError
+from repro.util.errors import ManagerCrashError, SessionError, ValidationError
 
 
 @pytest.fixture
@@ -156,3 +156,29 @@ class TestArmedSweep:
         assert session.state is SessionState.COMPLETED
         assert supervisor.stats.sessions_released == 0
         assert transport.flow_count == 0
+
+
+class TestSweepSurvivesACrash:
+    """A recovered holder's release journals RELEASED, so a manager
+    crash can raise out of a sweep; the sweep must re-arm anyway, or
+    supervision never resumes after the restart."""
+
+    def test_sweep_rearms_after_a_raising_release(
+        self, supervisor, clock, loop
+    ):
+        released = []
+
+        def release(when):
+            released.append(when)
+            if len(released) == 1:
+                raise ManagerCrashError("crash while journaling RELEASED")
+
+        supervisor.adopt("ghost", release)
+        supervisor.arm(loop)
+        with pytest.raises(ManagerCrashError):
+            loop.run()
+        supervisor.arm(loop)  # a restart re-arms; a pending sweep makes it a no-op
+        loop.run()
+        assert released == [pytest.approx(35.0), pytest.approx(40.0)]
+        assert supervisor.watch_count == 0
+        assert supervisor.stats.sessions_released == 1

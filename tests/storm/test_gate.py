@@ -97,8 +97,8 @@ class TestGateDecisions:
     def test_admit_queue_shed(self, loop):
         gate = AdmissionGate(loop, policy=tight_policy(), seed=3)
         sink = Collector(loop)
-        for i in range(3):
-            gate.submit(f"r{i}", succeeded, sink)
+        for _ in range(3):
+            gate.submit(succeeded, sink)
         # Token paid the first, the second parked, the third found the
         # queue full and was shed immediately with a synthetic verdict.
         assert gate.stats.admitted == 1
@@ -117,8 +117,8 @@ class TestGateDecisions:
     def test_shed_hint_is_honest(self, loop):
         gate = AdmissionGate(loop, policy=tight_policy(), seed=3)
         sink = Collector(loop)
-        for i in range(3):
-            gate.submit(f"r{i}", succeeded, sink)
+        for _ in range(3):
+            gate.submit(succeeded, sink)
         _, shed_verdict = sink.results[-1]
         # One token short (1s at 1/s) plus one queued request ahead
         # (another 1s of refill): resubmitting before ~2s is pointless.
@@ -129,8 +129,8 @@ class TestGateDecisions:
             loop, policy=tight_policy(), seed=3, enabled=False
         )
         sink = Collector(loop)
-        for i in range(5):
-            gate.submit(f"r{i}", succeeded, sink)
+        for _ in range(5):
+            gate.submit(succeeded, sink)
         # No gating at all: every attempt ran synchronously.
         assert gate.stats.admitted == 5
         assert gate.stats.queued == 0
@@ -151,7 +151,7 @@ class TestTryLaterRequeue:
             loop, policy=tight_policy(retry_limit=2, queue_limit=4), seed=3
         )
         sink = Collector(loop)
-        gate.submit("r", flaky, sink)
+        gate.submit(flaky, sink)
         assert sink.results == []  # parked on the hint, not delivered
         loop.run()
         assert gate.stats.requeued_try_later == 1
@@ -164,7 +164,7 @@ class TestTryLaterRequeue:
             loop, policy=tight_policy(retry_limit=2, queue_limit=4), seed=3
         )
         sink = Collector(loop)
-        gate.submit("r", lambda: try_later(hint=1.0), sink)
+        gate.submit(lambda: try_later(hint=1.0), sink)
         loop.run()
         assert gate.stats.requeued_try_later == 2
         assert sink.statuses == [NegotiationStatus.FAILED_TRY_LATER]
@@ -174,7 +174,7 @@ class TestTryLaterRequeue:
     def test_zero_retry_limit_delivers_first_verdict(self, loop):
         gate = AdmissionGate(loop, policy=tight_policy(), seed=3)
         sink = Collector(loop)
-        gate.submit("r", lambda: try_later(hint=9.0), sink)
+        gate.submit(lambda: try_later(hint=9.0), sink)
         assert sink.statuses == [NegotiationStatus.FAILED_TRY_LATER]
         assert gate.stats.requeued_try_later == 0
 
@@ -190,10 +190,7 @@ class TestDeterminism:
         gate = AdmissionGate(loop, policy=policy, seed=seed)
         sink = Collector(loop)
         for i in range(6):
-            loop.at(
-                i * 0.1,
-                lambda i=i: gate.submit(f"r{i}", succeeded, sink),
-            )
+            loop.at(i * 0.1, lambda: gate.submit(succeeded, sink))
         loop.run()
         return [
             (now, str(result.status)) for now, result in sink.results
@@ -221,7 +218,7 @@ class TestMonotoneHints:
             seed=3,
         )
         sink = Collector(loop)
-        gate.submit("r", lambda: try_later(hint=30.0), sink)
+        gate.submit(lambda: try_later(hint=30.0), sink)
         loop.run()
         # The FAILEDTRYLATER verdict tried to requeue, found the queue
         # full, and was shed — but the manager already said "not before
@@ -237,7 +234,7 @@ class TestMonotoneHints:
             seed=3,
         )
         sink = Collector(loop)
-        gate.submit("r", lambda: try_later(hint=0.01), sink)
+        gate.submit(lambda: try_later(hint=0.01), sink)
         loop.run()
         # A tiny manager hint must not override the gate's knowledge
         # that no token frees for ~1 s.
@@ -257,7 +254,7 @@ class TestMonotoneHints:
             seed=3,
         )
         sink = Collector(loop)
-        gate.submit("r", shrinking, sink)
+        gate.submit(shrinking, sink)
         loop.run()
         # Retries exhausted: the last verdict passes through, but its
         # 0.5 s hint would contradict the 20 s the manager demanded two
@@ -283,7 +280,7 @@ class TestSubmitDeferred:
             started.append(loop.now)
             loop.after(0.5, lambda: done(succeeded()))
 
-        gate.submit_deferred("r", start, sink)
+        gate.submit_deferred(start, sink)
         assert started == [0.0]
         assert sink.results == []  # verdict not in yet
         loop.run()
@@ -301,8 +298,8 @@ class TestSubmitDeferred:
             started.append(loop.now)
             done(succeeded())
 
-        gate.submit_deferred("r1", start, sink)
-        gate.submit_deferred("r2", start, sink)
+        gate.submit_deferred(start, sink)
+        gate.submit_deferred(start, sink)
         # One token: r1 started, r2 was shed without ever starting.
         assert started == [0.0]
         assert gate.stats.shed == 1
@@ -323,7 +320,7 @@ class TestSubmitDeferred:
                 try_later(hint=2.0) if len(starts) == 1 else succeeded()
             )
 
-        gate.submit_deferred("r", start, sink)
+        gate.submit_deferred(start, sink)
         loop.run()
         assert len(starts) == 2
         assert starts[1] - starts[0] >= 2.0 - 1e-9
@@ -336,7 +333,6 @@ class TestSubmitDeferred:
         sink = Collector(loop)
         started = []
         gate.submit_deferred(
-            "r",
             lambda done: (started.append(loop.now), done(succeeded()))[0],
             sink,
         )

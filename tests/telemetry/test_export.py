@@ -5,6 +5,7 @@ import pytest
 from repro.core import standard_profiles
 from repro.sim import ScenarioSpec, build_scenario
 from repro.telemetry import (
+    InMemorySpanExporter,
     JsonlSpanExporter,
     Tracer,
     read_spans_jsonl,
@@ -40,13 +41,15 @@ class TestJsonlRoundTrip:
         clock = ManualClock()
         tracer = Tracer(clock=clock, seed=3)
         path = tmp_path / "trace.jsonl"
+        memory = InMemorySpanExporter()
+        tracer.add_exporter(memory)
         with JsonlSpanExporter(path) as exporter:
             tracer.add_exporter(exporter)
             with tracer.span("root", document="doc.test"):
                 clock.advance(1.0)
                 with tracer.span("child", offers_in=16):
                     clock.advance(0.5)
-        originals = sorted(tracer.last_trace(), key=lambda s: s.sequence)
+        originals = sorted(memory.spans, key=lambda s: s.sequence)
         restored = sorted(read_spans_jsonl(path), key=lambda s: s.sequence)
         assert [s.to_dict() for s in restored] == [
             s.to_dict() for s in originals

@@ -14,6 +14,13 @@ def make_tracer(seed=0, clock=None):
     return Tracer(clock=clock or ManualClock(), seed=seed)
 
 
+def recorded(tracer):
+    """Attach an in-memory exporter and return it."""
+    exporter = InMemorySpanExporter()
+    tracer.add_exporter(exporter)
+    return exporter
+
+
 class TestNesting:
     def test_child_spans_share_the_trace_and_point_at_their_parent(self):
         tracer = make_tracer()
@@ -41,14 +48,6 @@ class TestNesting:
         assert span.end_s == 2.5
         assert span.duration_s == 2.5
 
-    def test_last_trace_holds_the_whole_finished_root_trace(self):
-        tracer = make_tracer()
-        with tracer.span("root"):
-            with tracer.span("child"):
-                pass
-        names = [span.name for span in tracer.last_trace()]
-        assert names == ["root", "child"]
-
     def test_emit_parents_a_late_span_under_a_closed_trace(self):
         tracer = make_tracer()
         with tracer.span("root") as root:
@@ -71,21 +70,24 @@ class TestNesting:
 class TestDeterminism:
     def test_same_seed_same_ids(self):
         first, second = make_tracer(seed=7), make_tracer(seed=7)
+        exporters = [recorded(first), recorded(second)]
         for tracer in (first, second):
             with tracer.span("root"):
                 with tracer.span("child"):
                     pass
-        lines = lambda t: [s.to_json_line() for s in t.last_trace()]  # noqa: E731
-        assert lines(first) == lines(second)
+        first_lines, second_lines = (
+            [s.to_json_line() for s in e.spans] for e in exporters
+        )
+        assert first_lines == second_lines
 
     def test_different_seed_different_ids(self):
         first, second = make_tracer(seed=1), make_tracer(seed=2)
+        exporters = [recorded(first), recorded(second)]
         for tracer in (first, second):
             with tracer.span("root"):
                 pass
-        assert (
-            first.last_trace()[0].trace_id != second.last_trace()[0].trace_id
-        )
+        (one,), (two,) = (e.spans for e in exporters)
+        assert one.trace_id != two.trace_id
 
 
 class TestErrorTransparency:
@@ -131,10 +133,11 @@ class TestErrorTransparency:
 class TestDisabledTracer:
     def test_disabled_span_is_the_shared_null_span(self):
         tracer = Tracer(clock=ManualClock(), enabled=False)
+        exporter = recorded(tracer)
         with tracer.span("anything", key=1) as span:
             span.set_attribute("more", 2)
         assert span is NULL_SPAN
-        assert tracer.last_trace() == ()
+        assert exporter.spans == []
 
     def test_disabled_hub_is_a_singleton(self):
         assert Telemetry.disabled() is Telemetry.disabled()
