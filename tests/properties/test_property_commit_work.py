@@ -22,7 +22,10 @@ bound.  The resilient configuration — a retry policy, a circuit
 breaker, an armed telemetry hub and a fault hook — is held to counts
 pinned from a scripted fault plan: its stats, counters and breaker
 records are call for call what they were before the wrapper stopped
-building closures.
+building closures, through ``try_commit`` and through a drained
+``iter_commit`` alike.  A server's refusal and the network's, under a
+policy and a breaker, are counted once, never retried and never held
+against a breaker.
 """
 
 import itertools
@@ -106,6 +109,19 @@ def commit(manager, space, index=0, holder="holder-1"):
         space.offer_at(index), space, "client-net",
         guarantee=manager.guarantee, holder=holder,
     )
+
+
+def drained(manager, space, index=0, holder="holder-1"):
+    """``iter_commit`` run to its end with nothing interleaved."""
+    walk = manager.committer.iter_commit(
+        space.offer_at(index), space, "client-net",
+        guarantee=manager.guarantee, holder=holder,
+    )
+    while True:
+        try:
+            next(walk)
+        except StopIteration as done:
+            return done.value
 
 
 class TestSuccessfulCommitWork:
@@ -411,10 +427,12 @@ def test_the_memo_hits_evicts_and_stays_the_definition():
 # -- the resilient configuration, pinned ---------------------------------------------
 
 
-def scripted_run():
+def scripted_run(drive=commit):
     """Thirty commits of a three-monomedia document with a retry policy
     and a breaker armed, under transient refusals, slow admissions,
-    lost releases and a crash, with the telemetry hub counting."""
+    lost releases and a crash, with the telemetry hub counting; each
+    commit is made by ``drive`` (``try_commit`` or a drained
+    ``iter_commit``)."""
     clock = ManualClock()
     telemetry = Telemetry(clock=clock, seed=0)
     breaker = CircuitBreaker(failure_threshold=2, recovery_time_s=4.0)
@@ -446,7 +464,7 @@ def scripted_run():
             servers["server-c"].crash()
         if step == 18:
             servers["server-c"].restart()
-        bundle = commit(
+        bundle = drive(
             manager, space, index=step % space.offer_count,
             holder=f"holder-{step}",
         )
@@ -454,7 +472,11 @@ def scripted_run():
         if bundle is not None:
             manager.committer.release(bundle)
         clock.advance(1.0)
-    committer = manager.committer
+    return accounting(outcomes, manager.committer, telemetry, breaker)
+
+
+def accounting(outcomes, committer, telemetry, breaker):
+    """What a run's commits left in the stats, counters and breaker."""
     return {
         "outcomes": "".join("+" if ok else "-" for ok in outcomes),
         "stats": (
@@ -505,3 +527,84 @@ PINNED = {
 
 def test_resilient_calls_are_counted_as_they_were():
     assert scripted_run() == PINNED
+
+
+def refused_run(drive):
+    """Under a retry policy and a breaker, one commit refused by a full
+    server and one refused by a failed access link: neither refusal is
+    retried, and neither is held against a server's breaker."""
+    clock = ManualClock()
+    telemetry = Telemetry(clock=clock, seed=0)
+    breaker = CircuitBreaker(failure_threshold=2, recovery_time_s=4.0)
+    manager, space = grid_walk(
+        2, clock=clock, telemetry=telemetry, health=breaker,
+        retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.2),
+    )
+    for server in manager.committer.servers.values():
+        server.admission = type(server.admission)(
+            disk=server.disk, max_streams=1
+        )
+    first = drive(manager, space, holder="first")
+    outcomes = [first is not None]
+    outcomes.append(drive(manager, space, holder="full") is not None)
+    manager.committer.release(first)
+    topology = manager.committer.transport.topology
+    topology.link_between("client-net", "backbone").fail()
+    outcomes.append(drive(manager, space, holder="cut-off") is not None)
+    return accounting(outcomes, manager.committer, telemetry, breaker)
+
+
+# The same run through iter_commit, which takes each offer's variants
+# in (server, monomedia) order; pinned from the wrapper that handed
+# every call to one generic resilience routine.
+PINNED_COOPERATIVE = {
+    "outcomes": "-++++-++++++-+---+++++++++++++",
+    "stats": (187, 21, 0),
+    "counters": {
+        "admission.attempts{target=network}": 80.0,
+        "admission.attempts{target=server-a}": 35.0,
+        "admission.attempts{target=server-b}": 37.0,
+        "admission.attempts{target=server-c}": 35.0,
+        "admission.refusals{target=server-a}": 1.0,
+        "admission.refusals{target=server-b}": 1.0,
+        "admission.refusals{target=server-c}": 4.0,
+        "admission.retries{target=server-a}": 4.0,
+        "admission.retries{target=server-b}": 9.0,
+        "admission.retries{target=server-c}": 8.0,
+        "commitment.rollbacks": 6.0,
+    },
+    "breaker": {
+        "server-a": ("closed", 0, 30, 5, None),
+        "server-b": ("closed", 0, 27, 10, None),
+        "server-c": ("closed", 0, 23, 12, None),
+    },
+    "opens": 5,
+}
+
+# Pinned from the same wrapper; try_commit and iter_commit agree.
+PINNED_REFUSALS = {
+    "outcomes": "+--",
+    "stats": (7, 0, 0),
+    "counters": {
+        "admission.attempts{target=network}": 3.0,
+        "admission.attempts{target=server-a}": 3.0,
+        "admission.attempts{target=server-b}": 1.0,
+        "admission.refusals{target=network}": 1.0,
+        "admission.refusals{target=server-a}": 1.0,
+        "commitment.rollbacks": 2.0,
+    },
+    "breaker": {
+        "server-a": ("closed", 0, 2, 0, None),
+        "server-b": ("closed", 0, 1, 0, None),
+    },
+    "opens": 0,
+}
+
+
+def test_cooperative_resilient_calls_are_counted_as_they_were():
+    assert scripted_run(drained) == PINNED_COOPERATIVE
+
+
+@pytest.mark.parametrize("drive", [commit, drained])
+def test_a_refusal_is_counted_once_and_never_retried(drive):
+    assert refused_run(drive) == PINNED_REFUSALS
