@@ -37,6 +37,7 @@ from ..faults.retry import (
     is_retryable,
 )
 from ..journal import JournalRecord, JournalRecordType, ReservationJournal
+from ..network.qosparams import FlowSpec
 from ..network.transport import (
     FlowReservation,
     GuaranteeType,
@@ -230,47 +231,98 @@ class ResourceCommitter:
                 record_type, holder, payload, timestamp=self._clock.now()
             )
 
-    # -- resilient call wrappers ---------------------------------------------------
+    # -- the two step-5 calls ------------------------------------------------------
 
-    def _run_resilient(
+    def _admit(
         self,
-        fn: "Callable[..., T]",
-        *args: Any,
-        server_id: "str | None" = None,
-        **kwargs: Any,
-    ) -> T:
-        """Execute one reservation call, ``fn(*args, **kwargs)``, under
-        the retry policy, feeding attempt outcomes into the health
-        tracker.
+        server: MediaServer,
+        variant_id: str,
+        rate_bps: float,
+        holder: str,
+    ) -> StreamReservation:
+        """Ask ``server`` to admit one stream: the attempt is counted,
+        the call made directly and its outcome fed to the breaker.
 
-        Every step-5 call passes through here, so a call that does not
-        fail retryably builds nothing: the first call is made directly,
-        and only a retryable failure under a policy hands it to the
-        policy's loop, with the retry hook and the thunk built then.
-        The clock is read only for a breaker.
+        A refusal is recorded here and re-raised; only a retryable one
+        under a retry policy goes on to :meth:`_retried`.
         """
+        server_id = server.server_id
         count = self.telemetry.count
-        target = "network" if server_id is None else server_id
         self.stats.attempts += 1
-        count("admission.attempts", target=target)
+        count("admission.attempts", target=server_id)
         try:
-            try:
-                result = fn(*args, **kwargs)
-            except RETRYABLE_ERRORS as failed:
-                policy = self.retry_policy
-                if policy is None:
-                    raise
-                result = execute_with_retry(
-                    lambda: fn(*args, **kwargs),
-                    policy,
-                    rng=self._retry_rng,
-                    on_retry=self._on_retry(count, target, server_id),
-                    failed=failed,
-                )
+            stream = server.admit(variant_id, rate_bps, holder=holder)
         except ReproError as error:
             # Narrow by design (REP003): every fault the injector or the
             # substrate raises is a ReproError; anything else is a bug
             # that must surface unrecorded.
+            policy = self.retry_policy
+            retryable = isinstance(error, RETRYABLE_ERRORS)
+            if not retryable or policy is None:
+                count("admission.refusals", target=server_id)
+                if retryable and self.health is not None:
+                    self.health.record_failure(server_id, self._clock.now())
+                raise
+            stream = self._retried(
+                lambda: server.admit(variant_id, rate_bps, holder=holder),
+                policy, server_id, error,
+            )
+        if self.health is not None:
+            self.health.record_success(server_id, self._clock.now())
+        return stream
+
+    def _reserve(
+        self,
+        source: str,
+        target: str,
+        spec: FlowSpec,
+        guarantee: GuaranteeType,
+        holder: str,
+    ) -> FlowReservation:
+        """Ask the transport system for one flow: the attempt is counted
+        and the call made directly.  No breaker watches the network."""
+        count = self.telemetry.count
+        self.stats.attempts += 1
+        count("admission.attempts", target="network")
+        try:
+            return self._transport.reserve(
+                source, target, spec, guarantee=guarantee, holder=holder
+            )
+        except ReproError as error:
+            policy = self.retry_policy
+            if not isinstance(error, RETRYABLE_ERRORS) or policy is None:
+                count("admission.refusals", target="network")
+                raise
+            return self._retried(
+                lambda: self._transport.reserve(
+                    source, target, spec, guarantee=guarantee, holder=holder
+                ),
+                policy, None, error,
+            )
+
+    def _retried(
+        self,
+        call: "Callable[[], T]",
+        policy: RetryPolicy,
+        server_id: "str | None",
+        failed: Exception,
+    ) -> T:
+        """The error path of a call to ``server_id`` (``None``: the
+        network) whose first try failed retryably under ``policy``: the
+        policy's loop, from its decision on ``failed``, with every retry
+        counted and fed to the breaker.  A final refusal is recorded
+        here and re-raised; a success is left to the caller."""
+        count = self.telemetry.count
+        target = "network" if server_id is None else server_id
+        try:
+            return execute_with_retry(
+                call,
+                policy,
+                rng=self._retry_rng,
+                on_retry=self._on_retry(count, target, server_id),
+                failed=failed,
+            )
+        except ReproError as error:
             count("admission.refusals", target=target)
             if (
                 self.health is not None
@@ -279,9 +331,6 @@ class ResourceCommitter:
             ):
                 self.health.record_failure(server_id, self._clock.now())
             raise
-        if self.health is not None and server_id is not None:
-            self.health.record_success(server_id, self._clock.now())
-        return result
 
     def _on_retry(
         self,
@@ -362,19 +411,18 @@ class ResourceCommitter:
         streams: list[StreamReservation] = []
         flows: list[FlowReservation] = []
         server: "MediaServer | None" = None
-        run, reserve = self._run_resilient, self._transport.reserve
+        admit, reserve = self._admit, self._reserve
         try:
             for variant in offer.variants.values():
                 spec = space.spec_for(variant)
                 server = self.server(variant.server_id)
-                streams.append(run(
-                    server.admit, variant.variant_id,
-                    guarantee.billable_rate(spec), holder=holder,
-                    server_id=server.server_id,
+                streams.append(admit(
+                    server, variant.variant_id,
+                    guarantee.billable_rate(spec), holder,
                 ))
-                flows.append(run(
-                    reserve, server.access_point, client_access_point, spec,
-                    guarantee=guarantee, holder=holder,
+                flows.append(reserve(
+                    server.access_point, client_access_point, spec,
+                    guarantee, holder,
                 ))
         except COMMIT_FAILURES as error:
             # Whatever happens in the bookkeeping, everything already
@@ -444,21 +492,20 @@ class ResourceCommitter:
             offer.variants.items(),
             key=lambda item: (item[1].server_id, item[0]),
         )
-        run, reserve = self._run_resilient, self._transport.reserve
+        admit, reserve = self._admit, self._reserve
         try:
             for _monomedia_id, variant in ordered:
                 spec = space.spec_for(variant)
                 server = self.server(variant.server_id)
                 yield
-                streams.append(run(
-                    server.admit, variant.variant_id,
-                    guarantee.billable_rate(spec), holder=holder,
-                    server_id=server.server_id,
+                streams.append(admit(
+                    server, variant.variant_id,
+                    guarantee.billable_rate(spec), holder,
                 ))
                 yield
-                flows.append(run(
-                    reserve, server.access_point, client_access_point, spec,
-                    guarantee=guarantee, holder=holder,
+                flows.append(reserve(
+                    server.access_point, client_access_point, spec,
+                    guarantee, holder,
                 ))
         except COMMIT_FAILURES as error:
             try:

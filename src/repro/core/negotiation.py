@@ -773,8 +773,11 @@ class QoSManager:
                 telemetry.count(
                     "negotiation.offers.dropped", float(total - out), step="3"
                 )
-        with telemetry.span(
-            "negotiation.step4.classify", policy=policy.value
+        # The span's attribute is worked out only for a tracer that
+        # records it.
+        with (
+            telemetry.span("negotiation.step4.classify", policy=policy.value)
+            if telemetry.enabled else NULL_SPAN
         ) as sp4:
             # The cut comes last, so it keeps the head of the order the
             # walk will see.

@@ -14,7 +14,7 @@ against the profile is symmetric by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from ..documents.media import Medium
 from ..documents.quality import (

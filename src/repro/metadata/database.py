@@ -44,7 +44,6 @@ class MetadataDatabase:
         self._monomedia: dict[str, MonomediaRecord] = {}
         self._variants: dict[str, VariantRecord] = {}
         self._variants_by_monomedia: dict[str, list[str]] = {}
-        self._variants_by_server: dict[str, list[str]] = {}
         # Monotonic per-document mutation counters.  Cache layers key
         # entries by (document_id, version) so any catalog change makes
         # stale entries unreachable; the counter survives removal so a
@@ -122,7 +121,6 @@ class MetadataDatabase:
         if record is None:
             raise NotFoundError(f"no variant {variant_id!r}")
         self._variants_by_monomedia[record.monomedia_id].remove(variant_id)
-        self._variants_by_server[record.server_id].remove(variant_id)
         owner = self._monomedia.get(record.monomedia_id)
         if owner is not None:
             self._bump_version(owner.document_id)
@@ -136,16 +134,12 @@ class MetadataDatabase:
         for monomedia_id in record.monomedia_ids:
             self._monomedia.pop(monomedia_id, None)
             for variant_id in self._variants_by_monomedia.pop(monomedia_id, []):
-                variant = self._variants.pop(variant_id)
-                self._variants_by_server[variant.server_id].remove(variant_id)
+                del self._variants[variant_id]
 
     def _index_variant(self, record: VariantRecord) -> None:
         self._variants[record.variant_id] = record
         self._variants_by_monomedia.setdefault(
             record.monomedia_id, []
-        ).append(record.variant_id)
-        self._variants_by_server.setdefault(
-            record.server_id, []
         ).append(record.variant_id)
 
     # -- reassembly -----------------------------------------------------------
@@ -223,9 +217,6 @@ class MetadataDatabase:
     @property
     def variant_count(self) -> int:
         return len(self._variants)
-
-    def server_ids(self) -> frozenset[str]:
-        return frozenset(self._variants_by_server)
 
     # -- raw record access (persistence layer) -----------------------------------
 

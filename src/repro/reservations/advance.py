@@ -19,7 +19,7 @@ admission).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from ..client.machine import ClientMachine

@@ -35,7 +35,7 @@ the delivered verdicts, with monotone ``retry_after_s`` hints.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..core.classification import ClassifiedOffer, check_top_k, walk_order

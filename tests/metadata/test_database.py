@@ -68,9 +68,6 @@ class TestQueries:
         assert len(variants) == 8
         assert all(v.monomedia_id == mid for v in variants)
 
-    def test_server_ids(self, db):
-        assert db.server_ids() == {"server-a", "server-b"}
-
 
 class TestMutation:
     def _extra_variant(self, document):
@@ -90,7 +87,6 @@ class TestMutation:
     def test_add_variant(self, db, document):
         db.add_variant(self._extra_variant(document))
         assert db.variant_count == 17
-        assert "server-c" in db.server_ids()
 
     def test_add_variant_unknown_monomedia(self, db, document):
         variant = self._extra_variant(document)

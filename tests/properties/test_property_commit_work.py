@@ -13,7 +13,7 @@ successful path to exactly that, with no retry policy and no breaker:
 
 Under a retry policy the first call is still made directly: a success
 or an admission refusal never enters the policy's backoff loop, and a
-transient fault enters it once.
+transient fault, a server's or the network's, enters it once.
 
 The user offer is held to an always-constructing reference, and the
 one a verdict carries — read from the space's ``user_offers`` memo — to
@@ -25,7 +25,8 @@ records are call for call what they were before the wrapper stopped
 building closures, through ``try_commit`` and through a drained
 ``iter_commit`` alike.  A server's refusal and the network's, under a
 policy and a breaker, are counted once, never retried and never held
-against a breaker.
+against a breaker; a crash without a policy is counted once and held
+against the server that refused.
 """
 
 import itertools
@@ -58,6 +59,7 @@ from repro.network.qosparams import PathQoS
 from repro.perf.cache import NegotiationCache
 from repro.telemetry import Telemetry
 from repro.util.clock import ManualClock
+from repro.util.errors import TransientFaultError
 from repro.util.units import Money
 
 from .strategies import (
@@ -217,6 +219,24 @@ class TestRetryWork:
         with self.retry_machinery() as calls:
             bundle = commit(manager, space)
         assert bundle is not None and len(bundle.streams) == N
+        assert calls == {"execute_with_retry": 1, "_on_retry": 1}
+        assert manager.committer.stats.retries == 1
+        assert manager.committer.stats.attempts == 2 * N + 1
+
+    def test_a_transient_network_fault_enters_the_loop_once(self):
+        manager, space = grid_walk(N, retry_policy=self.POLICY)
+        transport = manager.committer.transport
+        reserve, faults = transport.reserve, [TransientFaultError("blip")]
+
+        def flaky(*args, **kwargs):
+            if faults:
+                raise faults.pop()
+            return reserve(*args, **kwargs)
+
+        transport.reserve = flaky
+        with self.retry_machinery() as calls:
+            bundle = commit(manager, space)
+        assert bundle is not None and len(bundle.flows) == N
         assert calls == {"execute_with_retry": 1, "_on_retry": 1}
         assert manager.committer.stats.retries == 1
         assert manager.committer.stats.attempts == 2 * N + 1
@@ -608,3 +628,48 @@ def test_cooperative_resilient_calls_are_counted_as_they_were():
 @pytest.mark.parametrize("drive", [commit, drained])
 def test_a_refusal_is_counted_once_and_never_retried(drive):
     assert refused_run(drive) == PINNED_REFUSALS
+
+
+def crashed_run(drive):
+    """Under a breaker and no retry policy, one commit refused by a
+    crashed fleet, then one made once it is back: the crash is counted
+    once and held against the server that refused."""
+    clock = ManualClock()
+    telemetry = Telemetry(clock=clock, seed=0)
+    breaker = CircuitBreaker(failure_threshold=2, recovery_time_s=4.0)
+    manager, space = grid_walk(
+        2, clock=clock, telemetry=telemetry, health=breaker,
+    )
+    servers = manager.committer.servers.values()
+    for server in servers:
+        server.crash()
+    outcomes = [drive(manager, space, holder="down") is not None]
+    for server in servers:
+        server.restart()
+    outcomes.append(drive(manager, space, holder="up") is not None)
+    return accounting(outcomes, manager.committer, telemetry, breaker)
+
+
+# Pinned from the wrapper that handed every call to one generic
+# resilience routine; try_commit and iter_commit agree.
+PINNED_CRASH = {
+    "outcomes": "-+",
+    "stats": (5, 0, 0),
+    "counters": {
+        "admission.attempts{target=network}": 2.0,
+        "admission.attempts{target=server-a}": 2.0,
+        "admission.attempts{target=server-b}": 1.0,
+        "admission.refusals{target=server-a}": 1.0,
+        "commitment.rollbacks": 1.0,
+    },
+    "breaker": {
+        "server-a": ("closed", 0, 1, 1, None),
+        "server-b": ("closed", 0, 1, 0, None),
+    },
+    "opens": 0,
+}
+
+
+@pytest.mark.parametrize("drive", [commit, drained])
+def test_a_crash_without_a_policy_is_held_against_the_breaker(drive):
+    assert crashed_run(drive) == PINNED_CRASH

@@ -4,7 +4,8 @@ clock is read.
 Step 1 returns a local offer only with FAILEDWITHLOCALOFFER, so a
 supported request builds no ``MMProfile``, no ``LocalCheckResult`` and
 no QoS point while it is planned, and walking a profile's media reads
-no ``Enum.value``.  Step 2's account of a space (variants kept and
+no ``Enum.value``; with the telemetry hub disabled, neither does the
+step-4 span it does not record.  Step 2's account of a space (variants kept and
 dropped, drops per monomedia) is a constant of the immutable space: it
 is worked out when the space is built and read by every request, while
 the step-2 span and the ``negotiation.offers.*`` counters report the
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from repro.client import machine
 from repro.client.machine import ClientMachine
 from repro.core import enumeration, standard_profiles
+from repro.core.classification import ClassificationPolicy
 from repro.core.profiles import MMProfile
 from repro.documents import quality
 from repro.documents.builder import make_news_article
@@ -56,6 +58,9 @@ class Built:
             return member._value_
 
         monkeypatch.setattr(Medium, "value", property(value), raising=False)
+        monkeypatch.setattr(
+            ClassificationPolicy, "value", property(value), raising=False
+        )
 
     def _wrap(self, monkeypatch, owner, name, tally):
         inner = getattr(owner, name)
@@ -181,6 +186,11 @@ class TestStep2CountsOncePerSpace:
         assert step2.attributes["offer_count"] == (
             result.offer_space.offer_count
         )
+        step4 = [
+            span for span in exporter.spans
+            if span.name == "negotiation.step4.classify"
+        ][-1]
+        assert step4.attributes["policy"] == manager.policy.value
         metrics = telemetry.metrics
         assert metrics.counter_value("negotiation.offers.enumerated") == (
             self.N * (kept + dropped)
