@@ -1,11 +1,10 @@
-"""The media server: admission + reservation ledger + scheduler.
+"""The media server: admission + reservation ledger.
 
 One :class:`MediaServer` is one server machine of §4's "set of server
 machines".  The QoS manager's resource-commitment step calls
-:meth:`admit` / :meth:`release`; the playout engine drives
-:meth:`execute_round`; the adaptation experiments inject load spikes
-with :meth:`set_degradation` (a degraded server sheds its most recent
-streams exactly like an oversubscribed link does).
+:meth:`admit` / :meth:`release`; the adaptation experiments inject
+load spikes with :meth:`set_degradation` (a degraded server sheds its
+most recent streams exactly like an oversubscribed link does).
 
 Beside the ledger the server keeps its :class:`ServerLoad` — the four
 totals the admission rules read — so a question costs O(1) however
@@ -43,7 +42,6 @@ from .admission import (
     ServerLoad,
 )
 from .disk import DiskModel
-from .scheduler import RoundScheduler, SchedulingPolicy
 
 __all__ = ["StreamReservation", "MediaServer"]
 
@@ -73,7 +71,6 @@ class MediaServer:
         access_point: str | None = None,
         disk: DiskModel | None = None,
         admission: AdmissionController | None = None,
-        scheduling: SchedulingPolicy = SchedulingPolicy.SCAN,
     ) -> None:
         self.server_id = check_name(server_id, "server_id")
         self.access_point = access_point or f"{server_id}-net"
@@ -87,7 +84,6 @@ class MediaServer:
         # last summed, oldest first, the load before that admission.
         self._undo: list[ServerLoad] = []
         self.admission = admission or AdmissionController(disk=disk)
-        self.scheduler = RoundScheduler(self.disk, scheduling)
         # Insertion order is admission order: ``sequence`` only grows
         # and entries are only ever appended or removed.
         self._streams: dict[str, StreamReservation] = {}
@@ -214,9 +210,8 @@ class MediaServer:
         self._streams[stream_id] = reservation
         self._undo.append(held)
         self._load = load  # appended last, exactly as a re-sum would
-        self.scheduler.add_stream(stream_id, rate_bps)
         if self.telemetry is not None:
-            self.telemetry.count(
+            self.telemetry.metrics.count(
                 "server.streams.reserved", server=self.server_id
             )
         return reservation
@@ -246,9 +241,8 @@ class MediaServer:
             self._load = None  # dropped, never subtracted from
             undo.clear()
         del streams[stream_id]
-        self.scheduler.remove_stream(stream_id)
         if self.telemetry is not None:
-            self.telemetry.count(
+            self.telemetry.metrics.count(
                 "server.streams.released", server=self.server_id
             )
 
@@ -285,9 +279,7 @@ class MediaServer:
         reservation ledger, so by default held streams are wiped — their
         holders' later releases are tolerated by the rollback paths."""
         if not preserve_streams:
-            for stream_id in list(self._streams):
-                self._streams.pop(stream_id)
-                self.scheduler.remove_stream(stream_id)
+            self._streams.clear()
             self._drop_load()
         self._crashed = False
 
@@ -323,10 +315,6 @@ class MediaServer:
             if running > budget + 1e-12:
                 victims.append(reservation.holder)
         return frozenset(victims)
-
-    def execute_round(self, rng=None):
-        """Advance one service round (delegates to the scheduler)."""
-        return self.scheduler.execute_round(rng)
 
     def __repr__(self) -> str:
         return (

@@ -175,7 +175,7 @@ class TransportSystem:
         )
         self._flows[flow_id] = flow
         if self.telemetry is not None:
-            self.telemetry.count("network.flows.reserved")
+            self.telemetry.metrics.count("network.flows.reserved")
         return flow
 
     def release(self, flow: "FlowReservation | str") -> None:
@@ -187,7 +187,7 @@ class TransportSystem:
             raise ReservationError(f"no flow {flow_id!r}")
         self._give_back(record)
         if self.telemetry is not None:
-            self.telemetry.count("network.flows.released")
+            self.telemetry.metrics.count("network.flows.released")
 
     def _hold(
         self, route: Route, rate: float, flow_id: str

@@ -19,7 +19,6 @@ class TestAdmission:
         assert server.stream_count == 1
         assert server.aggregate_rate_bps == 6e6
         assert reservation.server_id == "server-a"
-        assert server.scheduler.stream_count == 1
 
     def test_admit_saturates(self, server):
         cap = server.disk.max_streams_at_rate(6e6)
@@ -32,7 +31,6 @@ class TestAdmission:
         reservation = server.admit("v1", 6e6)
         server.release(reservation)
         assert server.stream_count == 0
-        assert server.scheduler.stream_count == 0
 
     def test_release_by_id(self, server):
         reservation = server.admit("v1", 6e6)
@@ -75,7 +73,6 @@ class TestOneMachineOneDisk:
             "server-a", admission=AdmissionController(disk=self.SLOW_ROUNDS)
         )
         assert server.disk is self.SLOW_ROUNDS
-        assert server.scheduler.disk is self.SLOW_ROUNDS
 
     def test_admission_is_reassigned_on_an_equal_disk_only(self, server):
         server.admit("v1", 6e6)
@@ -118,10 +115,3 @@ class TestDegradation:
         server.admit("v1", 6e6, holder="a")
         server.set_degradation(0.1)
         assert server.violated_holders() == frozenset()
-
-
-class TestRounds:
-    def test_execute_round_returns_plan(self, server):
-        server.admit("v1", 6e6)
-        plan = server.execute_round()
-        assert plan.feasible and plan.order

@@ -193,11 +193,7 @@ class AdmissionLedgerMachine(RuleBasedStateMachine):
         assert server.violated_holders() == reference_violated_holders(server)
         assert server.disk_utilization == reference_disk_utilization(server)
         assert server.aggregate_rate_bps == reference_aggregate_rate_bps(server)
-        assert (
-            server.stream_count
-            == len(server.stream_rates())
-            == server.scheduler.stream_count
-        )
+        assert server.stream_count == len(server.stream_rates())
 
     @invariant()
     def ledger_order_is_admission_order(self):

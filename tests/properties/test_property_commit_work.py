@@ -9,7 +9,10 @@ successful path to exactly that, with no retry policy and no breaker:
 * no ``PathQoS`` is built once the route is memoised (the spec's
   bounds are read, not wrapped);
 * ``find_route`` runs once per flow;
-* an admitted stream allocates no ``AdmissionDecision``.
+* an admitted stream allocates no ``AdmissionDecision``;
+* an admitted stream is kept in the server's ledger alone: neither the
+  commit nor its release touches a ``RoundScheduler`` or builds a
+  ``StreamState``.
 
 Under a retry policy the first call is still made directly: a success
 or an admission refusal never enters the policy's backoff loop, and a
@@ -44,6 +47,7 @@ import repro.core.commitment as commitment
 import repro.network.transport as transport_module
 from repro.client.machine import ClientMachine
 from repro.cmfs.admission import AdmissionDecision
+from repro.cmfs.scheduler import RoundScheduler, StreamState
 from repro.core.enumeration import build_offer_space
 from repro.core.offers import derive_user_offer
 from repro.core.profiles import MMProfile, TimeProfile
@@ -162,6 +166,16 @@ class TestSuccessfulCommitWork:
             bundle = commit(manager, space)
         assert len(bundle.streams) == N
         assert not calls
+
+    def test_an_admitted_stream_is_kept_in_one_ledger(self, warm):
+        manager, space = warm
+        with counted(StreamState, "__init__") as built, counted(
+            RoundScheduler, "add_stream"
+        ) as added, counted(RoundScheduler, "remove_stream") as removed:
+            bundle = commit(manager, space)
+            assert len(bundle.streams) == N
+            manager.committer.release(bundle)
+        assert not built and not added and not removed
 
     def test_only_a_refusal_allocates_a_decision(self):
         manager, space = grid_walk(2)

@@ -91,6 +91,6 @@ class TestServerConservation:
                 server.release(active.pop())
             expected = sum(r.rate_bps for r in active)
             assert abs(server.aggregate_rate_bps - expected) < 1e-3
-            assert server.scheduler.stream_count == len(active)
+            assert server.stream_count == len(active)
         # Admission invariant: what was admitted is always feasible.
         assert server.disk.round_feasibility(server.stream_rates()).feasible
