@@ -112,22 +112,29 @@ def test_e12_choice_period_sweep(benchmark, sweep, publish):
 
 def test_e12_renegotiation_converges(benchmark, publish):
     """Reject → relax the profile → renegotiate, until acceptance: the
-    §8 renegotiation loop expressed with the library API."""
+    §8 renegotiation loop through ``QoSManager.renegotiate``."""
     from repro.core.profile_manager import standard_profiles
     from repro.core.status import NegotiationStatus
 
     def renegotiate_until_accepted():
         scenario = build_scenario(SPEC)
         client = scenario.any_client()
+        manager = scenario.manager
+        document = scenario.document_ids()[0]
         names = ("premium", "balanced", "economy")
         by_name = {p.name: p for p in standard_profiles()}
         history = []
+        result = None
         # The user keeps the best offer only if it is DESIRABLE;
-        # otherwise rejects and retries with the next cheaper profile.
+        # otherwise rejects it and renegotiates with the next cheaper
+        # profile (``renegotiate`` rejects the pending offer first).
         for name in names:
-            result = scenario.manager.negotiate(
-                scenario.document_ids()[0], by_name[name], client
-            )
+            if result is None:
+                result = manager.negotiate(document, by_name[name], client)
+            else:
+                result = manager.renegotiate(
+                    result, document, by_name[name], client
+                )
             history.append((name, result.status.value,
                             str(result.chosen.offer.cost)
                             if result.chosen else "-"))
@@ -135,8 +142,8 @@ def test_e12_renegotiation_converges(benchmark, publish):
                 result.commitment.confirm(scenario.clock.now())
                 result.commitment.release()
                 return history
-            if result.commitment is not None:
-                result.commitment.reject(scenario.clock.now())
+        if result.commitment is not None:
+            result.commitment.reject(scenario.clock.now())
         return history
 
     history = benchmark.pedantic(

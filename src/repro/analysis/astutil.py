@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 __all__ = ["dotted_name", "build_parent_map", "assigned_names", "decorator_name"]
 

@@ -15,7 +15,7 @@ whose rate/resolution fall inside its window, down-scaling the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..documents.media import (
     Codec,
@@ -135,9 +135,6 @@ class DecoderBank:
 
     def __iter__(self):
         return iter(self._decoders)
-
-    def codecs(self) -> frozenset[Codec]:
-        return frozenset(d.codec for d in self._decoders)
 
     def decoder_for(self, variant: Variant) -> "Decoder | None":
         """The first installed decoder able to present ``variant`` —

@@ -23,7 +23,6 @@ from ..documents.quality import (
     VideoQoS,
 )
 from ..util.errors import ClientError
-from ..util.units import mbps
 from ..util.validation import check_name, check_positive
 from .decoder import Decoder, DecoderBank, standard_decoders
 

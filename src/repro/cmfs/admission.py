@@ -93,11 +93,6 @@ class AdmissionController:
         check_positive(self.nic_bps, "nic_bps")
         check_positive(self.max_streams, "max_streams")
 
-    def buffer_demand_bits(self, rate_bps: float) -> float:
-        """Double-buffering demand of one stream: two rounds of data at
-        peak rate (one being filled, one being drained)."""
-        return 2.0 * rate_bps * self.disk.round_s
-
     def extended(
         self, load: ServerLoad, rates_bps: Iterable[float]
     ) -> ServerLoad:
@@ -109,7 +104,7 @@ class AdmissionController:
         for rate in rates_bps:
             streams += 1
             transfer_s += rate * round_s / transfer_rate_bps
-            buffer_bits += 2.0 * rate * round_s  # buffer_demand_bits
+            buffer_bits += 2.0 * rate * round_s  # filled + drained buffer
             rate_bps += rate
         return ServerLoad(streams, transfer_s, buffer_bits, rate_bps)
 
@@ -158,8 +153,7 @@ class AdmissionController:
 
     def headroom(self, existing_rates_bps: Iterable[float]) -> float:
         """Largest additional peak rate admissible right now (bps),
-        by bisection over the admission test — used by capacity-planning
-        examples and the FAILEDTRYLATER diagnostics."""
+        by bisection over the admission test."""
         held = self.extended(EMPTY_LOAD, existing_rates_bps)
 
         def admits(rate_bps: float) -> bool:

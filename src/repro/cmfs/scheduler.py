@@ -2,8 +2,7 @@
 
 Within each round the CMFS serves every stream once; ordering the reads
 by track position (SCAN) minimises seek distance.  We model track
-positions abstractly (a position in [0, 1) per stream, advancing as the
-file is consumed) — enough to reproduce the scheduler's two observable
+positions abstractly (a position in [0, 1) per stream) — enough to reproduce the scheduler's two observable
 effects: per-round service order and seek-overhead reduction relative to
 FCFS, which the E-series ablation benchmark measures.
 """
@@ -11,9 +10,7 @@ FCFS, which the E-series ablation benchmark measures.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..util.errors import ServerError
 from ..util.validation import check_fraction, check_positive
@@ -34,7 +31,6 @@ class StreamState:
     stream_id: str
     rate_bps: float
     track_position: float = 0.0  # abstract head position in [0, 1)
-    blocks_served: int = 0
 
     def __post_init__(self) -> None:
         check_positive(self.rate_bps, "rate_bps")
@@ -72,10 +68,6 @@ class RoundScheduler:
             stream_id=stream_id, rate_bps=rate_bps, track_position=track_position
         )
 
-    def remove_stream(self, stream_id: str) -> None:
-        if self._streams.pop(stream_id, None) is None:
-            raise ServerError(f"no stream {stream_id!r}")
-
     @property
     def stream_count(self) -> int:
         return len(self._streams)
@@ -109,18 +101,3 @@ class RoundScheduler:
             travel += abs(stream.track_position - position)
             position = stream.track_position
         return travel
-
-    def execute_round(self, rng: "np.random.Generator | None" = None) -> RoundPlan:
-        """Plan the round and advance stream head positions.
-
-        Positions drift as files are consumed; with an RNG provided the
-        drift is jittered (VBR block placement), otherwise deterministic.
-        """
-        plan = self.plan_round()
-        for stream in self._streams.values():
-            drift = 0.02
-            if rng is not None:
-                drift *= float(rng.uniform(0.5, 1.5))
-            stream.track_position = (stream.track_position + drift) % 1.0
-            stream.blocks_served += 1
-        return plan

@@ -21,7 +21,7 @@ Adaptation is automatic: the new commitment is confirmed immediately,
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..client.machine import ClientMachine
 from ..journal import JournalRecordType

@@ -48,12 +48,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..util.errors import OfferError, ValidationError
-from ..util.units import Money
 from .enumeration import OfferSpace
 from .importance import ImportanceProfile
 from .offers import SystemOffer
 from .preferences import UserPreferences
-from .profiles import MMProfile, UserProfile
+from .profiles import UserProfile
 from .status import StaticNegotiationStatus
 
 __all__ = [

@@ -283,64 +283,49 @@ class ResourceCommitter:
         holder: str,
     ) -> FlowReservation:
         """Ask the transport system for one flow: the attempt is counted
-        and the call made directly.  No breaker watches the network."""
+        and the call made directly.  A refusal is recorded and re-raised:
+        the network raises nothing retryable, and no breaker watches it."""
         self.stats.attempts += 1
         self.telemetry.metrics.count("admission.attempts", target="network")
         try:
             return self._transport.reserve(
                 source, target, spec, guarantee=guarantee, holder=holder
             )
-        except ReproError as error:
-            policy = self.retry_policy
-            if not isinstance(error, RETRYABLE_ERRORS) or policy is None:
-                self.telemetry.metrics.count(
-                    "admission.refusals", target="network"
-                )
-                raise
-            return self._retried(
-                lambda: self._transport.reserve(
-                    source, target, spec, guarantee=guarantee, holder=holder
-                ),
-                policy, None, error,
-            )
+        except ReproError:
+            self.telemetry.metrics.count("admission.refusals", target="network")
+            raise
 
     def _retried(
         self,
         call: "Callable[[], T]",
         policy: RetryPolicy,
-        server_id: "str | None",
+        server_id: str,
         failed: Exception,
     ) -> T:
-        """The error path of a call to ``server_id`` (``None``: the
-        network) whose first try failed retryably under ``policy``: the
-        policy's loop, from its decision on ``failed``, with every retry
-        counted and fed to the breaker.  A final refusal is recorded
-        here and re-raised; a success is left to the caller."""
+        """The error path of a call to ``server_id`` whose first try
+        failed retryably under ``policy``: the policy's loop, from its
+        decision on ``failed``, with every retry counted and fed to the
+        breaker.  A final refusal is recorded here and re-raised; a
+        success is left to the caller."""
         count = self.telemetry.count
-        target = "network" if server_id is None else server_id
         try:
             return execute_with_retry(
                 call,
                 policy,
                 rng=self._retry_rng,
-                on_retry=self._on_retry(count, target, server_id),
+                on_retry=self._on_retry(count, server_id),
                 failed=failed,
             )
         except ReproError as error:
-            count("admission.refusals", target=target)
-            if (
-                self.health is not None
-                and server_id is not None
-                and is_retryable(error)
-            ):
+            count("admission.refusals", target=server_id)
+            if self.health is not None and is_retryable(error):
                 self.health.record_failure(server_id, self._clock.now())
             raise
 
     def _on_retry(
         self,
         count: "Callable[..., None]",
-        target: str,
-        server_id: "str | None",
+        server_id: str,
     ) -> "Callable[[int, BaseException, float], None]":
         """The retry policy's report of one retried call: one more
         attempt, and a failure on the server's breaker record."""
@@ -348,9 +333,9 @@ class ResourceCommitter:
         def on_retry(attempt: int, error: BaseException, delay: float) -> None:
             self.stats.retries += 1
             self.stats.attempts += 1
-            count("admission.retries", target=target)
-            count("admission.attempts", target=target)
-            if self.health is not None and server_id is not None:
+            count("admission.retries", target=server_id)
+            count("admission.attempts", target=server_id)
+            if self.health is not None:
                 self.health.record_failure(server_id, self._clock.now())
 
         return on_retry

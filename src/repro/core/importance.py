@@ -155,11 +155,6 @@ class ScaleImportance:
         slope = (vs[j + 1] - v_j) / (xs[j + 1] - x_j)
         return slope * (x - x_j) + v_j
 
-    def with_override(self, x: float, value: float) -> "ScaleImportance":
-        overrides = dict(self.overrides)
-        overrides[float(x)] = float(value)
-        return replace(self, overrides=overrides)
-
 
 def _scale_numbers(scale: ScaleImportance) -> "list[float]":
     """Every number ``scale.value`` reads, self-delimiting: the anchor
@@ -289,23 +284,10 @@ class ImportanceProfile:
     def with_cost_per_dollar(self, value: float) -> "ImportanceProfile":
         return replace(self, cost_per_dollar=float(value))
 
-    def with_color(self, mode: ColorMode, value: float) -> "ImportanceProfile":
-        colors = dict(self.color)
-        colors[ColorMode.parse(mode)] = float(value)
-        return replace(self, color=colors)
-
     def with_media_weight(self, medium: "Medium | str", weight: float) -> "ImportanceProfile":
         weights = dict(self.media_weight)
         weights[Medium.parse(medium)] = float(weight)
         return replace(self, media_weight=weights)
-
-    def with_frame_rate_override(self, rate: int, value: float) -> "ImportanceProfile":
-        return replace(self, frame_rate=self.frame_rate.with_override(rate, value))
-
-    def with_resolution_override(self, resolution: int, value: float) -> "ImportanceProfile":
-        return replace(
-            self, resolution=self.resolution.with_override(resolution, value)
-        )
 
     def with_language(self, language: Language, value: float) -> "ImportanceProfile":
         languages = dict(self.language)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..documents.media import Medium
 from ..documents.monomedia import BlockStats, Variant
 from ..network.qosparams import FlowSpec, preset_for
 from ..util.errors import ValidationError

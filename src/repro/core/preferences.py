@@ -80,9 +80,6 @@ class ServerDirectory:
     ) -> None:
         self._attributes: dict[str, ServerAttributes] = dict(attributes or {})
 
-    def register(self, server_id: str, attributes: ServerAttributes) -> None:
-        self._attributes[server_id] = attributes
-
     def attributes_of(self, server_id: str) -> ServerAttributes:
         return self._attributes.get(server_id, ServerAttributes())
 

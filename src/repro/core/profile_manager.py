@@ -21,7 +21,7 @@ from ..documents.media import (
     TV_FRAME_RATE,
     TV_RESOLUTION,
 )
-from ..documents.quality import AudioQoS, MediaQoS, TextQoS, VideoQoS
+from ..documents.quality import AudioQoS, MediaQoS, VideoQoS
 from ..util.errors import DuplicateKeyError, NotFoundError, ProfileError
 from .importance import ImportanceProfile, default_importance
 from .profiles import MMProfile, TimeProfile, UserProfile

@@ -13,7 +13,7 @@ against the profile is symmetric by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..documents.media import Medium
@@ -99,9 +99,6 @@ class MMProfile:
             if value is not None:
                 yield medium, value
 
-    def with_cost(self, cost: "Money | float") -> "MMProfile":
-        return replace(self, cost=dollars(cost))
-
     # -- comparison (the §5 building block) -----------------------------------------
 
     def qos_satisfied_by(self, offered: "MMProfile") -> bool:
@@ -133,10 +130,6 @@ class MMProfile:
                 if bad:
                     violations[medium] = bad
         return violations
-
-    def cost_satisfied_by(self, offered: "MMProfile") -> bool:
-        """Whether the offer's price is within this profile's budget."""
-        return offered.cost <= self.cost
 
     def describe(self) -> str:
         parts = [f"{medium.value}={qos}" for medium, qos in self.qos_points()]

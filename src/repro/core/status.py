@@ -42,15 +42,6 @@ class NegotiationStatus(enum.Enum):
         return self is NegotiationStatus.SUCCEEDED
 
     @property
-    def has_offer(self) -> bool:
-        """Whether a user offer accompanies this status."""
-        return self in (
-            NegotiationStatus.SUCCEEDED,
-            NegotiationStatus.FAILED_WITH_OFFER,
-            NegotiationStatus.FAILED_WITH_LOCAL_OFFER,
-        )
-
-    @property
     def reserves_resources(self) -> bool:
         """Whether resources are held pending user confirmation."""
         return self in (

@@ -63,12 +63,3 @@ class DocumentCatalog:
         self, predicate: Callable[[Document], bool]
     ) -> tuple[Document, ...]:
         return tuple(doc for doc in self if predicate(doc))
-
-    def servers_referenced(self) -> frozenset[str]:
-        """Every server id any variant points at — the scenario builder
-        validates these against the deployed server fleet."""
-        return frozenset(
-            variant.server_id
-            for doc in self
-            for variant in doc.iter_variants()
-        )

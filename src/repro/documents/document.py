@@ -61,10 +61,6 @@ class Document:
         return len(self.components) == 1
 
     @property
-    def is_multimedia(self) -> bool:
-        return not self.is_monomedia
-
-    @property
     def monomedia_ids(self) -> tuple[str, ...]:
         return tuple(c.monomedia_id for c in self.components)
 
@@ -81,20 +77,11 @@ class Document:
             f"{monomedia_id!r}"
         )
 
-    def components_of(self, medium: "Medium | str") -> tuple[Monomedia, ...]:
-        medium = Medium.parse(medium)
-        return tuple(c for c in self.components if c.medium is medium)
-
     # -- variants -------------------------------------------------------------
 
     def iter_variants(self) -> Iterator[Variant]:
         for component in self.components:
             yield from component.variants
-
-    def variant_counts(self) -> dict[str, int]:
-        """Variants available per monomedia — the per-axis sizes of the
-        feasible-offer product space enumerated in §4 step 3."""
-        return {c.monomedia_id: len(c.variants) for c in self.components}
 
     # -- timing ----------------------------------------------------------------
 

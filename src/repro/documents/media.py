@@ -73,11 +73,6 @@ class Medium(enum.Enum):
         """Continuous media are streamed block-by-block (§6)."""
         return self in CONTINUOUS_MEDIA
 
-    @property
-    def is_visual(self) -> bool:
-        """Visual media occupy screen real estate (spatial layout)."""
-        return self in VISUAL_MEDIA
-
 
 CONTINUOUS_MEDIA = frozenset({Medium.VIDEO, Medium.AUDIO})
 DISCRETE_MEDIA = frozenset({Medium.IMAGE, Medium.TEXT, Medium.GRAPHIC})

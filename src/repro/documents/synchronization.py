@@ -91,9 +91,6 @@ class ScreenRegion:
             or other.bottom <= self.y
         )
 
-    def fits_on(self, screen_width: int, screen_height: int) -> bool:
-        return self.right <= screen_width and self.bottom <= screen_height
-
 
 @dataclass(frozen=True, slots=True)
 class SpatialLayout:

@@ -16,7 +16,7 @@ negotiation first becomes worthwhile.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..util.errors import ValidationError
@@ -150,20 +150,6 @@ class CircuitBreaker:
         self._maybe_half_open(server_id, record, now)
         return record.state is not BreakerState.OPEN
 
-    def quarantined(self, now: float) -> frozenset[str]:
-        """Servers currently skipped (read-only: no transitions)."""
-        out = []
-        for server_id, record in self._health.items():
-            if record.state is not BreakerState.OPEN:
-                continue
-            if (
-                record.opened_at is not None
-                and now >= record.opened_at + self.recovery_time_s - 1e-12
-            ):
-                continue  # due for a half-open probe: not quarantined
-            out.append(server_id)
-        return frozenset(out)
-
     def earliest_reopen(self, now: float) -> "float | None":
         """The soonest time a quarantined server becomes probeable, or
         ``None`` when nothing is quarantined."""
@@ -174,9 +160,6 @@ class CircuitBreaker:
         ]
         future = [d for d in deadlines if d > now]
         return min(future) if future else None
-
-    def reset(self) -> None:
-        self._health.clear()
 
     def __repr__(self) -> str:
         open_count = sum(

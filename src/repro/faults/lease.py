@@ -10,7 +10,7 @@ forever, including the ``choicePeriod`` expiry path under faults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..util.errors import LeaseError

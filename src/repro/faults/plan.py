@@ -15,7 +15,7 @@ Specs also have a compact string form for the CLI
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from ..util.errors import ValidationError
@@ -86,15 +86,6 @@ _ALIASES = {
     "manager-crash": FaultKind.MANAGER_CRASH,
 }
 
-_CALL_LEVEL = frozenset(
-    {
-        FaultKind.SLOW_ADMISSION,
-        FaultKind.TRANSIENT_REFUSAL,
-        FaultKind.LOST_RELEASE,
-        FaultKind.MANAGER_CRASH,
-    }
-)
-
 
 @dataclass(frozen=True, slots=True)
 class FaultSpec:
@@ -155,12 +146,6 @@ class FaultSpec:
             return False
         end = self.end_s
         return end is None or now < end - 1e-12
-
-    @property
-    def is_call_level(self) -> bool:
-        """Fires on individual admit/release calls (vs a timed state
-        change scheduled on the event loop)."""
-        return self.kind in _CALL_LEVEL
 
     def describe(self) -> str:
         window = (

@@ -254,9 +254,6 @@ class ReservationJournal:
     def records(self) -> "tuple[JournalRecord, ...]":
         return tuple(self._records)
 
-    def records_for(self, holder: str) -> "tuple[JournalRecord, ...]":
-        return tuple(r for r in self._records if r.holder == holder)
-
     def by_holder(self) -> "dict[str, list[JournalRecord]]":
         """Records grouped per holder, in first-seen order (the order
         the recovery manager classifies in — deterministic)."""

@@ -6,9 +6,7 @@ indexes the negotiation procedure needs:
 * *by document* — reassemble a full :class:`Document` for playout;
 * *by monomedia* — the variant lists that seed offer enumeration
   (§4 step 2 operates on "the variants, related to the document
-  selected");
-* *by server* — which variants a media server hosts (used by placement
-  and by adaptation when a server degrades).
+  selected").
 
 The store is synchronous and in-process: the paper's negotiation reads
 metadata once per request, so a remote DBMS adds latency but no
@@ -17,7 +15,7 @@ behavioural difference.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..documents.catalog import DocumentCatalog
 from ..documents.document import Document
@@ -46,8 +44,7 @@ class MetadataDatabase:
         self._variants_by_monomedia: dict[str, list[str]] = {}
         # Monotonic per-document mutation counters.  Cache layers key
         # entries by (document_id, version) so any catalog change makes
-        # stale entries unreachable; the counter survives removal so a
-        # re-inserted document id never reuses an old version.
+        # stale entries unreachable.
         self._versions: dict[str, int] = {}
         # Hydrate-once memo: document id -> (version, hydrated document),
         # one entry per stored document.  Documents are frozen, so every
@@ -116,26 +113,6 @@ class MetadataDatabase:
         self._index_variant(VariantRecord.from_variant(variant))
         self._bump_version(self._monomedia[variant.monomedia_id].document_id)
 
-    def remove_variant(self, variant_id: str) -> None:
-        record = self._variants.pop(variant_id, None)
-        if record is None:
-            raise NotFoundError(f"no variant {variant_id!r}")
-        self._variants_by_monomedia[record.monomedia_id].remove(variant_id)
-        owner = self._monomedia.get(record.monomedia_id)
-        if owner is not None:
-            self._bump_version(owner.document_id)
-
-    def remove_document(self, document_id: str) -> None:
-        record = self._documents.pop(document_id, None)
-        if record is None:
-            raise NotFoundError(f"no document {document_id!r}")
-        self._bump_version(document_id)
-        self._hydrated.pop(document_id, None)
-        for monomedia_id in record.monomedia_ids:
-            self._monomedia.pop(monomedia_id, None)
-            for variant_id in self._variants_by_monomedia.pop(monomedia_id, []):
-                del self._variants[variant_id]
-
     def _index_variant(self, record: VariantRecord) -> None:
         self._variants[record.variant_id] = record
         self._variants_by_monomedia.setdefault(
@@ -187,36 +164,11 @@ class MetadataDatabase:
             variants=variants,
         )
 
-    def get_variant(self, variant_id: str) -> Variant:
-        try:
-            return self._variants[variant_id].to_variant()
-        except KeyError:
-            raise NotFoundError(f"no variant {variant_id!r}") from None
-
     # -- queries ----------------------------------------------------------------
-
-    def variants_for_monomedia(self, monomedia_id: str) -> tuple[Variant, ...]:
-        if monomedia_id not in self._monomedia:
-            raise NotFoundError(f"no monomedia {monomedia_id!r}")
-        return tuple(
-            self._variants[variant_id].to_variant()
-            for variant_id in self._variants_by_monomedia.get(monomedia_id, ())
-        )
-
-    def iter_document_ids(self) -> Iterator[str]:
-        return iter(self._documents)
 
     @property
     def document_count(self) -> int:
         return len(self._documents)
-
-    @property
-    def monomedia_count(self) -> int:
-        return len(self._monomedia)
-
-    @property
-    def variant_count(self) -> int:
-        return len(self._variants)
 
     # -- raw record access (persistence layer) -----------------------------------
 

@@ -181,11 +181,6 @@ class HierarchicalTransport(TransportSystem):
                 segments.append((agent, [link]))
         return segments
 
-    def domains_on_route(self, route: Route) -> tuple[str, ...]:
-        return tuple(
-            agent.domain.name for agent, _ in self._split_route(route)
-        )
-
     @property
     def total_messages(self) -> int:
         return sum(agent.messages for agent in self.agents.values())

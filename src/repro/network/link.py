@@ -14,7 +14,7 @@ import itertools
 from typing import NamedTuple
 
 from ..util.errors import CapacityError, ReservationError
-from ..util.validation import check_fraction, check_non_negative, check_positive
+from ..util.validation import check_fraction, check_positive
 from .qosparams import PathQoS
 
 __all__ = ["LinkReservation", "Link"]
@@ -73,11 +73,6 @@ class Link:
     @property
     def available_bps(self) -> float:
         return max(self.effective_capacity_bps - self._reserved_bps, 0.0)
-
-    @property
-    def utilization(self) -> float:
-        """Reserved share of raw capacity (may exceed 1 under congestion)."""
-        return self._reserved_bps / self.capacity_bps
 
     @property
     def oversubscribed(self) -> bool:
@@ -142,15 +137,6 @@ class Link:
     def set_congestion(self, fraction: float) -> None:
         """Shrink effective capacity by ``fraction`` (0 = healthy)."""
         self._congestion = check_fraction(fraction, "congestion fraction")
-
-    def fail(self) -> None:
-        """Take the link down: zero effective capacity, every holder
-        violated, no new reservations (routing skips it)."""
-        self.set_congestion(1.0)
-
-    def restore(self) -> None:
-        """Bring a failed/congested link back to full health."""
-        self.set_congestion(0.0)
 
     @property
     def congestion(self) -> float:

@@ -38,10 +38,6 @@ class Route:
     links: tuple[Link, ...]
     qos: PathQoS
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.links)
-
     def __str__(self) -> str:
         return " -> ".join(self.nodes)
 

@@ -36,9 +36,6 @@ class Topology:
 
     # -- construction -----------------------------------------------------------
 
-    def add_node(self, node_id: str) -> None:
-        self._graph.add_node(node_id)
-
     def add_link(self, link: Link) -> Link:
         if link.link_id in self._links:
             raise NetworkError(f"duplicate link id {link.link_id!r}")
@@ -101,11 +98,6 @@ class Topology:
         return tuple(
             self.link_between(a, b) for a, b in zip(nodes, nodes[1:])
         )
-
-    def neighbors(self, node_id: str) -> tuple[str, ...]:
-        if not self._graph.has_node(node_id):
-            raise NotFoundError(f"no node {node_id!r}")
-        return tuple(self._graph.neighbors(node_id))
 
     # -- route memoisation ---------------------------------------------------------
 

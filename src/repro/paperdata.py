@@ -50,7 +50,7 @@ from .documents.media import (
 )
 from .documents.monomedia import BlockStats, Variant
 from .documents.quality import VideoQoS
-from .util.units import Money, dollars
+from .util.units import dollars
 
 __all__ = [
     "MONOMEDIA_ID",

@@ -18,8 +18,7 @@ per request.
 Invalidation rides on :meth:`MetadataDatabase.version_of`: every
 catalog mutation bumps the document's version counter, which changes
 the key, so stale entries simply stop being reachable and age out of
-the LRU.  :meth:`NegotiationCache.invalidate_document` drops them
-eagerly when memory matters.
+the LRU.
 
 Requests carrying a preference ``variant_filter`` build per-user
 spaces and must bypass the cache entirely — that decision is made by
@@ -134,14 +133,6 @@ class _LRUStore:
             self._evicted(1)
         return value
 
-    def drop_where(self, predicate: "Callable[[Hashable], bool]") -> int:
-        doomed = [key for key in self._entries if predicate(key)]
-        for key in doomed:
-            del self._entries[key]
-        if doomed:
-            self._evicted(len(doomed))
-        return len(doomed)
-
     def clear(self) -> None:
         """Flush every entry.  Counted under ``cache.flushes`` — an
         explicit flush is not capacity pressure, and the SLO layer's
@@ -209,21 +200,8 @@ class NegotiationCache:
 
     # -- maintenance --------------------------------------------------------------
 
-    def invalidate_document(self, document_id: str) -> int:
-        """Eagerly drop every entry derived from ``document_id``.
-
-        Version-keyed lookups already make stale entries unreachable;
-        this reclaims their memory immediately (e.g. on document
-        removal).  Returns the number of entries dropped.
-        """
-        return self._spaces.drop_where(lambda key: key[0] == document_id)
-
     def clear(self) -> None:
         self._spaces.clear()
-
-    @property
-    def entry_counts(self) -> dict[str, int]:
-        return {SPACES: len(self._spaces)}
 
 
 # -- the process-wide shared cache ------------------------------------------------

@@ -110,9 +110,6 @@ class AdvancePlanner:
             self._server_ledgers.values()
         )
 
-    def expire_before(self, instant_s: float) -> int:
-        return sum(l.expire_before(instant_s) for l in self.ledgers())
-
     # -- planning one offer ---------------------------------------------------------
 
     def try_book_offer(

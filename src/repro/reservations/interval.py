@@ -138,15 +138,6 @@ class IntervalLedger:
                 f"{self.resource_id}: no booking {key}"
             )
 
-    def expire_before(self, instant_s: float) -> int:
-        """Drop bookings entirely in the past; returns the count."""
-        stale = [
-            key for key, b in self._bookings.items() if b.end_s <= instant_s
-        ]
-        for key in stale:
-            del self._bookings[key]
-        return len(stale)
-
     def __repr__(self) -> str:
         return (
             f"IntervalLedger({self.resource_id}, capacity={self.capacity:g}, "

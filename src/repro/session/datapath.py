@@ -15,9 +15,7 @@ VIOLATED" into measured stall seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..cmfs.disk import DiskModel
 from ..util.errors import SimulationError
@@ -57,10 +55,6 @@ class DataPathReport:
     stall_events: int = 0
     buffer_peak_bits: float = 0.0
     infeasible_rounds: int = 0
-
-    @property
-    def smooth(self) -> bool:
-        return self.stall_s == 0.0
 
 
 def simulate_rounds(

@@ -11,7 +11,7 @@ completion).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..client.machine import ClientMachine
 from ..core.adaptation import AdaptationManager, AdaptationOutcome

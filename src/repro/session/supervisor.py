@@ -18,16 +18,15 @@ Two kinds of watch:
   ledger) is dead and is adapted — or aborted, releasing whatever is
   left — on the next sweep.
 * **adopted holders** (:meth:`adopt`) — sessions recovered from the
-  journal after a crash, known only by holder id.  The reconnecting
-  client must call :meth:`heartbeat` within ``heartbeat_timeout_s``;
-  silence means the user is gone and the supervisor invokes the release
-  closure the recovery manager attached (journaled as a
+  journal after a crash, known only by holder id.  No client reconnects
+  to one, so once ``heartbeat_timeout_s`` passes the supervisor invokes
+  the release closure the recovery manager attached (journaled as a
   ``supervisor-timeout`` release).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..util.clock import ManualClock
@@ -124,8 +123,8 @@ class SessionSupervisor:
     ) -> SupervisedEntry:
         """Take over a crash-recovered confirmed session by holder id.
 
-        ``release`` is invoked with the current time if no heartbeat
-        arrives within ``heartbeat_timeout_s`` — the recovery manager
+        ``release`` is invoked with the current time once
+        ``heartbeat_timeout_s`` has passed — the recovery manager
         passes a closure that journals the release and frees the
         holder's journaled resources.
         """
@@ -139,18 +138,7 @@ class SessionSupervisor:
         self.stats.adopted += 1
         return entry
 
-    def heartbeat(self, holder: str, now: "float | None" = None) -> bool:
-        """A liveness signal for ``holder``; False if it is not watched
-        (already released, or never adopted)."""
-        entry = self._entries.get(holder)
-        if entry is None:
-            return False
-        entry.last_heartbeat = self._clock.now() if now is None else now
-        self.stats.heartbeats += 1
-        self._beat(holder, entry.last_heartbeat, "client")
-        return True
-
-    def _beat(self, holder: str, now: float, kind: str) -> None:
+    def _beat(self, holder: str, now: float) -> None:
         telemetry = self.telemetry
         telemetry.count("supervisor.heartbeats")
         if telemetry.enabled:
@@ -158,7 +146,7 @@ class SessionSupervisor:
                 "playout.heartbeat",
                 start_s=now,
                 end_s=now,
-                attributes={"holder": holder, "kind": kind},
+                attributes={"holder": holder, "kind": "progress"},
             )
 
     def forget(self, holder: str) -> None:
@@ -226,7 +214,7 @@ class SessionSupervisor:
             entry.last_position_s = position
             entry.last_heartbeat = now
             self.stats.heartbeats += 1
-            self._beat(entry.holder, now, "progress")
+            self._beat(entry.holder, now)
         stalled = now - entry.last_heartbeat > self.heartbeat_timeout_s
         dead = self._resources_gone(session)
         if not stalled and not dead:

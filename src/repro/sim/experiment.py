@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.negotiation import NegotiationResult
-from ..core.status import NegotiationStatus
-from ..session.playout import PlayoutSession
 from ..session.runtime import SessionRuntime
 from ..util.errors import ConfirmationTimeout, SimulationError
 from .baselines import Negotiator

@@ -9,7 +9,6 @@ measurable quantities for the E-series benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..core.status import NegotiationStatus
 from ..session.playout import PlayoutSession

@@ -10,8 +10,7 @@ articles with variant grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 from ..client.machine import ClientMachine
 from ..cmfs.admission import AdmissionController

@@ -10,7 +10,6 @@ with flat ``name{label=value}`` keys, rendered deterministically
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from typing import Any, Iterator
 
@@ -243,10 +242,6 @@ class MetricsRegistry:
             if key == name or key.startswith(prefix)
         )
 
-    def gauge_value(self, name: str, **labels: str) -> float:
-        key = self._gauge_keys[(name, *labels.items())]
-        return self._gauges.get(key, 0.0)
-
     def histogram(self, name: str) -> "HistogramState | None":
         self._spec(name, MetricKind.HISTOGRAM)
         return self._histograms.get(name)
@@ -265,11 +260,6 @@ class MetricsRegistry:
                 for name in sorted(self._histograms)
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(
-            self.snapshot(), sort_keys=True, separators=(",", ":")
-        )
 
     def render(self) -> str:
         """Human-readable snapshot with catalog units."""
@@ -296,8 +286,3 @@ class MetricsRegistry:
                 f"n={state.total} mean={mean:g}",
                 CATALOG[name].unit,
             )
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()

@@ -21,7 +21,6 @@ profiles to byte-identical output — flamegraphs diff cleanly in CI.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Union
@@ -221,11 +220,6 @@ class ProfileReport:
             ("segment", "total s", "mean ms/negotiation", "share", ""),
             rows,
             title=f"critical path over {self.paths} negotiations",
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":")
         )
 
 

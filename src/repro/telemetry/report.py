@@ -13,7 +13,7 @@ prove the metrics, the write-ahead journal and the leak audit agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from ..journal.records import TERMINAL_TYPES, JournalRecordType
 from .spans import Span

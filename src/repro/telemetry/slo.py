@@ -30,7 +30,6 @@ seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -260,11 +259,6 @@ class SloReport:
             "breached": self.breached,
             "slos": [result.as_dict() for result in self.results],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":")
-        )
 
     def render(self) -> str:
         rows = []

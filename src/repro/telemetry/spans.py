@@ -52,9 +52,6 @@ class Span:
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
 
-    def set_attributes(self, attributes: "Mapping[str, Any]") -> None:
-        self.attributes.update(attributes)
-
     # -- canonical serialization ---------------------------------------------------
 
     def to_dict(self) -> "dict[str, Any]":

@@ -41,9 +41,6 @@ class _NullSpan:
     def set_attribute(self, key: str, value: Any) -> None:
         pass
 
-    def set_attributes(self, attributes: "dict[str, Any]") -> None:
-        pass
-
     def __enter__(self) -> "_NullSpan":
         return self
 

@@ -9,7 +9,7 @@ and deterministic sub-stream derivation.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -7,7 +7,7 @@ message naming the offending field, so constructor call sites stay terse.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Iterable, Sequence, TypeVar
 
 from .errors import ValidationError
 

@@ -91,7 +91,7 @@ class TestDecoderBank:
 
     def test_codecs(self):
         bank = DecoderBank((Decoder(Codecs.MPEG1), Decoder(Codecs.JPEG)))
-        assert bank.codecs() == {Codecs.MPEG1, Codecs.JPEG}
+        assert {decoder.codec for decoder in bank} == {Codecs.MPEG1, Codecs.JPEG}
 
 
 class TestStandardDecoders:
@@ -104,5 +104,5 @@ class TestStandardDecoders:
 
     def test_covers_all_default_media(self):
         bank = standard_decoders()
-        names = {codec.name for codec in bank.codecs()}
+        names = {decoder.codec.name for decoder in bank}
         assert {"MPEG-1", "MPEG-AUDIO", "JPEG", "HTML"} <= names

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.cmfs.admission import AdmissionController
+from repro.cmfs.admission import EMPTY_LOAD, AdmissionController
 from repro.cmfs.disk import DiskModel
 
 
@@ -86,9 +86,8 @@ class TestAccumulationOrder:
 
 class TestBufferDemand:
     def test_double_buffering(self, controller):
-        assert controller.buffer_demand_bits(6e6) == pytest.approx(
-            2 * 6e6 * controller.disk.round_s
-        )
+        load = controller.extended(EMPTY_LOAD, [6e6])
+        assert load.buffer_bits == pytest.approx(2 * 6e6 * controller.disk.round_s)
 
 
 class TestHeadroom:

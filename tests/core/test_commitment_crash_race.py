@@ -79,7 +79,7 @@ class TestCrashDuringExpiry:
         # state must agree with it.
         assert commitment.state is CommitmentState.EXPIRED
         expired = [
-            r for r in journal.records_for(commitment.bundle.holder)
+            r for r in journal.by_holder()[commitment.bundle.holder]
             if r.record_type is JournalRecordType.EXPIRED
         ]
         assert len(expired) == 1
@@ -111,7 +111,7 @@ class TestCrashDuringExpiry:
         assert commitment.expire_check(clock.now())
         commitment.release()
         terminal = [
-            r for r in journal.records_for(commitment.bundle.holder)
+            r for r in journal.by_holder()[commitment.bundle.holder]
             if r.record_type in (
                 JournalRecordType.EXPIRED, JournalRecordType.RELEASED
             )

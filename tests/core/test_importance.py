@@ -21,6 +21,8 @@ from repro.documents.quality import AudioQoS, ImageQoS, TextQoS, VideoQoS
 from repro.util.errors import ProfileError
 from repro.util.units import dollars
 
+from ..properties.strategies import with_override
+
 TV = VideoQoS(color=ColorMode.COLOR, frame_rate=25, resolution=720)
 
 
@@ -50,11 +52,6 @@ class TestScaleImportance:
         assert scale.value(15) == 5.0
         assert scale.value(14) != 5.0
 
-    def test_with_override(self):
-        scale = ScaleImportance(anchors={0.0: 0.0, 10.0: 10.0})
-        assert scale.with_override(5, 42).value(5) == 42.0
-        assert scale.value(5) == 5.0  # original untouched
-
     def test_vectorized_matches_scalar(self):
         scale = ScaleImportance(
             anchors={1.0: 1.0, 25.0: 9.0, 60.0: 10.0}, overrides={15.0: 5.0}
@@ -83,8 +80,6 @@ class TestScaleImportance:
             ScaleImportance(anchors={1.0: 1.0}, overrides={bad: 2.0})
         with pytest.raises(ProfileError, match="finite"):
             ScaleImportance(anchors={1.0: 1.0}, overrides={5.0: bad})
-        with pytest.raises(ProfileError, match="finite"):
-            ScaleImportance(anchors={1.0: 1.0}).with_override(5, bad)
 
 
 class TestQoSImportance:
@@ -143,18 +138,6 @@ class TestOverallImportance:
 
 
 class TestEditing:
-    def test_with_color(self):
-        importance = default_importance().with_color(ColorMode.GREY, 7.0)
-        assert importance.color[ColorMode.GREY] == 7.0
-
-    def test_with_frame_rate_override(self):
-        importance = default_importance().with_frame_rate_override(17, 4.2)
-        assert importance.frame_rate.value(17) == 4.2
-
-    def test_with_resolution_override(self):
-        importance = default_importance().with_resolution_override(512, 3.0)
-        assert importance.resolution.value(512) == 3.0
-
     def test_missing_color_levels_rejected(self):
         with pytest.raises(ProfileError):
             ImportanceProfile(
@@ -170,13 +153,13 @@ class TestEditing:
     def test_non_finite_factors_rejected(self, bad):
         importance = default_importance()
         with pytest.raises(ProfileError, match="finite"):
-            importance.with_color(ColorMode.COLOR, bad)
+            replace(importance, color={**importance.color, ColorMode.COLOR: bad})
         with pytest.raises(ProfileError, match="finite"):
             importance.with_language(Language.FRENCH, bad)
         with pytest.raises(ProfileError, match="finite"):
             importance.with_media_weight("video", bad)
         with pytest.raises(ProfileError, match="finite"):
-            importance.with_frame_rate_override(15, bad)
+            with_override(importance, "frame_rate", 15, bad)
         with pytest.raises(ProfileError, match="finite"):
             replace(
                 importance,
@@ -265,12 +248,12 @@ class TestReadOnlyTables:
     def test_editors_and_equality_unchanged(self):
         base = default_importance()
         edited = (
-            base.with_color(ColorMode.GREY, 5.0)
+            replace(base, color={**base.color, ColorMode.GREY: 5.0})
             .with_language(Language.FRENCH, 3.0)
             .with_media_weight("audio", 2.0)
-            .with_frame_rate_override(15, 5.0)
-            .with_resolution_override(480, 6.0)
         )
+        edited = with_override(edited, "frame_rate", 15, 5.0)
+        edited = with_override(edited, "resolution", 480, 6.0)
         assert edited.color[ColorMode.GREY] == 5.0
         assert edited.language[Language.FRENCH] == 3.0
         assert edited.media_weight[Medium.AUDIO] == 2.0
@@ -294,9 +277,8 @@ class TestReadOnlyTables:
         assert base.with_media_weight("video", -0.0).tables_key != (
             zero.tables_key
         )
-        assert base.with_frame_rate_override(15, 5.0).tables_key != (
-            base.tables_key
-        )
-        assert base.with_frame_rate_override(15, 5.0).tables_key != (
-            base.with_resolution_override(15, 5.0).tables_key
+        frame_rate = with_override(base, "frame_rate", 15, 5.0)
+        assert frame_rate.tables_key != base.tables_key
+        assert frame_rate.tables_key != (
+            with_override(base, "resolution", 15, 5.0).tables_key
         )

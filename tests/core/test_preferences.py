@@ -42,9 +42,8 @@ class TestServerDirectory:
         assert directory.security_of("anything") is SecurityLevel.PUBLIC
 
     def test_register_and_lookup(self):
-        directory = ServerDirectory()
-        directory.register(
-            "server-a", ServerAttributes(security=SecurityLevel.CONFIDENTIAL)
+        directory = ServerDirectory(
+            {"server-a": ServerAttributes(security=SecurityLevel.CONFIDENTIAL)}
         )
         assert directory.security_of("server-a") is SecurityLevel.CONFIDENTIAL
         assert "server-a" in directory
@@ -94,10 +93,10 @@ class TestUserPreferences:
         offers = section_5_offers()  # all variants on server-a
         variant = next(iter(offers[0].variants.values()))
         assert admissible(variant)
-        directory.register(
-            "server-a", ServerAttributes(security=SecurityLevel.PUBLIC)
+        public = ServerDirectory(
+            {"server-a": ServerAttributes(security=SecurityLevel.PUBLIC)}
         )
-        assert not admissible(variant)
+        assert not prefs.variant_filter(public)(variant)
 
     def test_offer_bonus_sums_variants(self):
         prefs = UserPreferences(server_preference={"server-a": 2.5})

@@ -28,9 +28,6 @@ class TestMMProfile:
         with pytest.raises(ProfileError):
             MMProfile(video=CD)
 
-    def test_with_cost(self):
-        assert MMProfile(video=TV).with_cost(3.5).cost == dollars(3.5)
-
     def test_qos_satisfied_by(self):
         bound = MMProfile(video=LOW, audio=PHONE)
         rich = MMProfile(video=TV, audio=CD)
@@ -50,11 +47,6 @@ class TestMMProfile:
             "color", "frame_rate", "resolution",
         }
         assert "grade" in violations[Medium.AUDIO]
-
-    def test_cost_satisfied_by(self):
-        bound = MMProfile(video=TV, cost=dollars(4))
-        assert bound.cost_satisfied_by(MMProfile(video=TV, cost=dollars(4)))
-        assert not bound.cost_satisfied_by(MMProfile(video=TV, cost=dollars(4.01)))
 
     def test_describe_mentions_cost(self):
         assert "$4.00" in MMProfile(video=TV, cost=dollars(4)).describe()

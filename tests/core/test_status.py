@@ -18,13 +18,6 @@ class TestNegotiationStatus:
         assert NegotiationStatus.SUCCEEDED.is_success
         assert not NegotiationStatus.FAILED_WITH_OFFER.is_success
 
-    def test_offer_bearing_statuses(self):
-        assert NegotiationStatus.SUCCEEDED.has_offer
-        assert NegotiationStatus.FAILED_WITH_OFFER.has_offer
-        assert NegotiationStatus.FAILED_WITH_LOCAL_OFFER.has_offer
-        assert not NegotiationStatus.FAILED_TRY_LATER.has_offer
-        assert not NegotiationStatus.FAILED_WITHOUT_OFFER.has_offer
-
     def test_reserving_statuses(self):
         # Only step-5 successes hold resources pending confirmation.
         assert NegotiationStatus.SUCCEEDED.reserves_resources

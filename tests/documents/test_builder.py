@@ -8,7 +8,7 @@ from repro.documents.builder import (
     MonomediaBuilder,
     make_news_article,
 )
-from repro.documents.media import AudioGrade, Codecs, ColorMode, Medium
+from repro.documents.media import AudioGrade, Codecs, ColorMode
 from repro.documents.quality import AudioQoS, VideoQoS
 from repro.documents.synchronization import ScreenRegion
 from repro.util.errors import DocumentError
@@ -125,13 +125,13 @@ class TestMakeNewsArticle:
 
     def test_variant_grid_size(self):
         doc = make_news_article()
-        counts = doc.variant_counts()
+        counts = {c.monomedia_id: len(c.variants) for c in doc.components}
         assert counts[f"{doc.document_id}.video"] == 8  # 2 codecs x 2 colors x 2 rates
         assert counts[f"{doc.document_id}.audio"] == 4  # 2 grades x 2 languages
 
     def test_servers_round_robin(self):
         doc = make_news_article(video_servers=("s1", "s2"))
-        video = doc.components_of(Medium.VIDEO)[0]
+        video = doc.component(f"{doc.document_id}.video")
         assert {v.server_id for v in video.variants} == {"s1", "s2"}
 
     def test_optional_media(self):

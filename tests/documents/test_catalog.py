@@ -48,6 +48,3 @@ class TestCatalog:
     def test_select(self, catalog):
         picked = catalog.select(lambda d: d.document_id.endswith("2"))
         assert [d.document_id for d in picked] == ["doc.2"]
-
-    def test_servers_referenced(self, catalog):
-        assert "server-a" in catalog.servers_referenced()

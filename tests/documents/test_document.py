@@ -40,11 +40,10 @@ class TestDocumentShape:
     def test_monomedia_document(self):
         doc = Document("d1", "solo", (video_monomedia(),))
         assert doc.is_monomedia
-        assert not doc.is_multimedia
 
     def test_multimedia_document(self):
         doc = Document("d1", "duo", (video_monomedia(), audio_monomedia()))
-        assert doc.is_multimedia
+        assert not doc.is_monomedia
         assert doc.media == (Medium.VIDEO, Medium.AUDIO)
 
     def test_empty_rejected(self):
@@ -61,10 +60,6 @@ class TestDocumentShape:
         with pytest.raises(DocumentError):
             doc.component("m.ghost")
 
-    def test_components_of(self):
-        doc = Document("d1", "duo", (video_monomedia(), audio_monomedia()))
-        assert len(doc.components_of("audio")) == 1
-
     def test_non_monomedia_component_rejected(self):
         with pytest.raises(DocumentError):
             Document("d1", "bad", ("not a monomedia",))
@@ -75,7 +70,8 @@ class TestVariantViews:
         doc = Document(
             "d1", "duo", (video_monomedia(n_variants=3), audio_monomedia())
         )
-        assert doc.variant_counts() == {"m.video": 3, "m.audio": 1}
+        counts = {c.monomedia_id: len(c.variants) for c in doc.components}
+        assert counts == {"m.video": 3, "m.audio": 1}
 
     def test_iter_variants(self):
         doc = Document(

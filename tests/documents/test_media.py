@@ -42,10 +42,6 @@ class TestMedium:
         assert not Medium.TEXT.is_continuous
         assert CONTINUOUS_MEDIA == {Medium.VIDEO, Medium.AUDIO}
 
-    def test_visual(self):
-        assert Medium.VIDEO.is_visual
-        assert not Medium.AUDIO.is_visual
-
 
 class TestColorMode:
     def test_ordering_worst_to_best(self):

@@ -34,10 +34,6 @@ class TestScreenRegion:
         assert a.overlaps(b)
         assert not a.overlaps(c)  # edge-adjacent is not overlap
 
-    def test_fits_on(self):
-        assert ScreenRegion(0, 0, 640, 480).fits_on(640, 480)
-        assert not ScreenRegion(1, 0, 640, 480).fits_on(640, 480)
-
 
 class TestSpatialLayout:
     def test_overlapping_regions_rejected(self):

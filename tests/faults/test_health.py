@@ -70,22 +70,8 @@ class TestRecovery:
         assert breaker.allow("server-a", now=61.0)
         assert breaker.opens == 2
 
-    def test_quarantined_is_read_only(self, breaker):
-        self._trip(breaker)
-        assert breaker.quarantined(now=10.0) == frozenset({"server-a"})
-        # Past the window the server is probeable, hence not quarantined
-        # — but peeking must not consume the transition.
-        assert breaker.quarantined(now=40.0) == frozenset()
-        assert breaker.state("server-a", now=10.0) is BreakerState.OPEN
-
     def test_earliest_reopen(self, breaker):
         assert breaker.earliest_reopen(now=0.0) is None
         self._trip(breaker, "server-a", now=10.0)
         self._trip(breaker, "server-b", now=20.0)
         assert breaker.earliest_reopen(now=15.0) == 40.0
-
-    def test_reset_forgets_everything(self, breaker):
-        self._trip(breaker)
-        breaker.reset()
-        assert breaker.allow("server-a", now=0.0)
-        assert breaker.quarantined(now=0.0) == frozenset()

@@ -22,15 +22,6 @@ class TestFaultSpec:
         assert not spec.active_at(0.0)
         assert spec.active_at(1e9)
 
-    def test_call_level_classification(self):
-        assert FaultSpec(FaultKind.TRANSIENT_REFUSAL, "x").is_call_level
-        assert FaultSpec(
-            FaultKind.SLOW_ADMISSION, "x", value=2.0
-        ).is_call_level
-        assert FaultSpec(FaultKind.LOST_RELEASE, "x").is_call_level
-        assert not FaultSpec(FaultKind.SERVER_CRASH, "x").is_call_level
-        assert not FaultSpec(FaultKind.LINK_FLAP, "x").is_call_level
-
     def test_empty_target_rejected(self):
         with pytest.raises(ValidationError):
             FaultSpec(FaultKind.SERVER_CRASH, "")

@@ -245,7 +245,7 @@ class TestReservedHolders:
         with pytest.raises(ConfirmationTimeout):
             commitment.confirm(clock.now())
 
-        types = [r.record_type for r in journal.records_for("s1")]
+        types = [r.record_type for r in journal.by_holder()["s1"]]
         assert types.count(JournalRecordType.EXPIRED) == 1
         assert JournalRecordType.CONFIRMED not in types
         assert journal.last_for("s1").record_type is JournalRecordType.EXPIRED
@@ -344,21 +344,6 @@ class TestConfirmedHolders:
         last = journal.last_for("s1")
         assert last.record_type is JournalRecordType.RELEASED
         assert last.payload["reason"] == "supervisor-timeout"
-
-    def test_heartbeats_keep_the_adopted_holder_alive(
-        self, recovery, servers, transport, clock
-    ):
-        journal, manager = recovery
-        stream, flow = take_resources(servers, transport, "s1")
-        self.journal_confirmed(journal, stream, flow)
-        supervisor = SessionSupervisor(clock=clock, heartbeat_timeout_s=30.0)
-        manager.replay(supervisor=supervisor)
-
-        for _ in range(4):
-            clock.advance(20.0)
-            assert supervisor.heartbeat("s1")
-            assert supervisor.check() == []
-        assert total_reserved(servers, transport) == (1, 1)
 
     def test_adapt_switch_is_an_active_timeline(
         self, recovery, servers, transport, clock

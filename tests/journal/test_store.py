@@ -29,9 +29,9 @@ class TestInMemory:
         journal = fill(ReservationJournal())
         assert [r.sequence for r in journal] == [1, 2, 3, 4]
 
-    def test_records_for_and_last_for(self):
+    def test_by_holder_and_last_for(self):
         journal = fill(ReservationJournal())
-        assert [r.holder for r in journal.records_for("s2")] == ["s2", "s2"]
+        assert [r.holder for r in journal.by_holder()["s2"]] == ["s2", "s2"]
         last = journal.last_for("s1")
         assert last is not None
         assert last.record_type is JournalRecordType.RESERVED

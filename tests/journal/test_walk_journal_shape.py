@@ -59,7 +59,7 @@ def quarantine(manager, servers):
 def shape(journal, holder=None):
     """``[(type, reason)]`` of the whole journal or one holder."""
     records = (
-        journal.records() if holder is None else journal.records_for(holder)
+        journal.records() if holder is None else journal.by_holder()[holder]
     )
     return [
         (record.record_type, record.payload.get("reason"))

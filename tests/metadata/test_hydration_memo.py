@@ -16,7 +16,6 @@ from repro.documents.media import Codecs, ColorMode
 from repro.documents.monomedia import BlockStats, Variant
 from repro.documents.quality import VideoQoS
 from repro.metadata.database import MetadataDatabase
-from repro.util.errors import NotFoundError
 
 DOCUMENT_IDS = ("doc.memo-1", "doc.memo-2")
 
@@ -75,34 +74,6 @@ class TestMemo:
         # The sibling's version did not move: still the shared object.
         assert db.get_document(DOCUMENT_IDS[1]) is other
 
-    def test_remove_variant_invalidates(self, db):
-        stale = db.get_document(DOCUMENT_IDS[0])
-        victim = stale.components[0].variants[0]
-        db.remove_variant(victim.variant_id)
-        current = db.get_document(DOCUMENT_IDS[0])
-        assert current is not stale
-        assert current == fresh(db, DOCUMENT_IDS[0])
-        assert victim not in current.components[0].variants
-
-    def test_remove_document_drops_the_entry(self, db):
-        db.get_document(DOCUMENT_IDS[0])
-        db.remove_document(DOCUMENT_IDS[0])
-        assert DOCUMENT_IDS[0] not in db._hydrated
-        with pytest.raises(NotFoundError):
-            db.get_document(DOCUMENT_IDS[0])
-
-    def test_reinsert_under_the_same_id(self, db):
-        stale = db.get_document(DOCUMENT_IDS[0])
-        db.remove_document(DOCUMENT_IDS[0])
-        replacement = make_news_article(
-            DOCUMENT_IDS[0], title="second edition"
-        )
-        db.insert_document(replacement)
-        current = db.get_document(DOCUMENT_IDS[0])
-        assert current is not stale
-        assert current == replacement == fresh(db, DOCUMENT_IDS[0])
-        assert current.title == "second edition"
-
     def test_from_records_starts_without_a_memo(self, db):
         original = db.get_document(DOCUMENT_IDS[0])
         restored = MetadataDatabase.from_records(db.dump_records())
@@ -113,11 +84,7 @@ class TestMemo:
 
 
 MUTATIONS = st.lists(
-    st.tuples(
-        st.sampled_from(["add", "drop", "remove", "insert", "read"]),
-        st.sampled_from(DOCUMENT_IDS),
-        st.integers(min_value=0, max_value=7),
-    ),
+    st.tuples(st.sampled_from(["add", "read"]), st.sampled_from(DOCUMENT_IDS)),
     min_size=1,
     max_size=12,
 )
@@ -130,22 +97,9 @@ class TestMemoUnderMutation:
         db = MetadataDatabase()
         for document_id in DOCUMENT_IDS:
             db.insert_document(make_news_article(document_id))
-        for serial, (action, document_id, pick) in enumerate(steps):
-            stored = document_id in set(db.iter_document_ids())
-            if action == "insert" and not stored:
-                db.insert_document(make_news_article(
-                    document_id, title=f"edition {serial}"
-                ))
-            elif action == "remove" and stored:
-                db.remove_document(document_id)
-            elif action == "add" and stored:
+        for serial, (action, document_id) in enumerate(steps):
+            if action == "add":
                 db.add_variant(extra_variant(db, document_id, serial))
-            elif action == "drop" and stored:
-                variants = db.get_document(document_id).components[0].variants
-                if len(variants) > 1:
-                    db.remove_variant(
-                        variants[pick % len(variants)].variant_id
-                    )
-            for other in db.iter_document_ids():
+            for other in DOCUMENT_IDS:
                 assert db.get_document(other) == fresh(db, other)
-            assert set(db._hydrated) <= set(db.iter_document_ids())
+            assert set(db._hydrated) <= set(DOCUMENT_IDS)

@@ -27,7 +27,7 @@ def db():
 class TestDumpsLoads:
     def test_roundtrip_preserves_documents(self, db):
         restored = loads(dumps(db))
-        for document_id in db.iter_document_ids():
+        for document_id in ("doc.p1", "doc.p2"):
             assert restored.get_document(document_id) == db.get_document(
                 document_id
             )
@@ -59,7 +59,7 @@ class TestFiles:
     def test_save_and_load(self, db, tmp_path):
         path = save_database(db, tmp_path / "meta.json")
         restored = load_database(path)
-        assert restored.variant_count == db.variant_count
+        assert restored.dump_records() == db.dump_records()
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(PersistenceError, match="no snapshot"):

@@ -47,10 +47,6 @@ class TestReservations:
         link.reserve(1e6, holder="f2")
         assert link.holders() == {"f1", "f2"}
 
-    def test_utilization(self, link):
-        link.reserve(5e6, holder="f1")
-        assert link.utilization == pytest.approx(0.5)
-
     def test_self_loop_rejected(self):
         with pytest.raises(ReservationError):
             Link("L", "a", "a", 1e6)

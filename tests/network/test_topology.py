@@ -48,11 +48,6 @@ class TestLookups:
         with pytest.raises(NetworkError):
             topo.links_on_path(["a"])
 
-    def test_neighbors(self, topo):
-        assert set(topo.neighbors("b")) == {"a", "c"}
-        with pytest.raises(NotFoundError):
-            topo.neighbors("ghost")
-
     def test_unknown_link(self, topo):
         with pytest.raises(NotFoundError):
             topo.link("zz")

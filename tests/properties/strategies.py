@@ -90,6 +90,16 @@ def weighted(profile, weights):
     )
 
 
+def with_override(importance, scale, x, value):
+    """``importance`` with ``value`` pinned at ``x`` on its ``scale``
+    table (``"frame_rate"`` or ``"resolution"``)."""
+    from dataclasses import replace
+
+    table = getattr(importance, scale)
+    overrides = {**table.overrides, float(x): float(value)}
+    return replace(importance, **{scale: replace(table, overrides=overrides)})
+
+
 # -- banded offer spaces (stream band-laziness suites) ------------------------------
 
 GRID_FLAVOURS = (

@@ -45,8 +45,6 @@ SPEC = FlowSpec(
 def chain():
     """``A - B - C``, wide enough never to refuse a test flow."""
     topology = Topology()
-    for node in "ABC":
-        topology.add_node(node)
     topology.connect("A", "B", 1e9, link_id="L-AB")
     topology.connect("B", "C", 1e9, link_id="L-BC")
     return topology

@@ -15,8 +15,9 @@ successful path to exactly that, with no retry policy and no breaker:
   ``StreamState``.
 
 Under a retry policy the first call is still made directly: a success
-or an admission refusal never enters the policy's backoff loop, and a
-transient fault, a server's or the network's, enters it once.
+or an admission refusal never enters the policy's backoff loop, a
+server's transient fault enters it once, and the network's is refused
+without a retry.
 
 The user offer is held to an always-constructing reference, and the
 one a verdict carries — read from the space's ``user_offers`` memo — to
@@ -171,11 +172,11 @@ class TestSuccessfulCommitWork:
         manager, space = warm
         with counted(StreamState, "__init__") as built, counted(
             RoundScheduler, "add_stream"
-        ) as added, counted(RoundScheduler, "remove_stream") as removed:
+        ) as added:
             bundle = commit(manager, space)
             assert len(bundle.streams) == N
             manager.committer.release(bundle)
-        assert not built and not added and not removed
+        assert not built and not added
 
     def test_only_a_refusal_allocates_a_decision(self):
         manager, space = grid_walk(2)
@@ -237,8 +238,14 @@ class TestRetryWork:
         assert manager.committer.stats.retries == 1
         assert manager.committer.stats.attempts == 2 * N + 1
 
-    def test_a_transient_network_fault_enters_the_loop_once(self):
-        manager, space = grid_walk(N, retry_policy=self.POLICY)
+    def test_a_transient_network_fault_is_refused_without_a_retry(self):
+        """The network raises nothing retryable, so the committer keeps
+        no retry path for it: a fault there is one refusal, and the
+        attempt is rolled back."""
+        telemetry = Telemetry(clock=ManualClock(), seed=0)
+        manager, space = grid_walk(
+            N, retry_policy=self.POLICY, telemetry=telemetry
+        )
         transport = manager.committer.transport
         reserve, faults = transport.reserve, [TransientFaultError("blip")]
 
@@ -249,11 +256,16 @@ class TestRetryWork:
 
         transport.reserve = flaky
         with self.retry_machinery() as calls:
-            bundle = commit(manager, space)
-        assert bundle is not None and len(bundle.flows) == N
-        assert calls == {"execute_with_retry": 1, "_on_retry": 1}
-        assert manager.committer.stats.retries == 1
-        assert manager.committer.stats.attempts == 2 * N + 1
+            assert commit(manager, space) is None
+        assert not calls and manager.committer.stats.retries == 0
+        counters = telemetry.metrics.snapshot()["counters"]
+        refusals = {k: v for k, v in counters.items() if "refusals" in k}
+        assert refusals == {"admission.refusals{target=network}": 1.0}
+        assert counters["commitment.rollbacks"] == 1.0
+        assert transport.flow_count == 0
+        assert not any(
+            s.stream_rates() for s in manager.committer.servers.values()
+        )
 
 
 # -- the user offer against an always-constructing reference --------------------------
@@ -583,7 +595,7 @@ def refused_run(drive):
     outcomes.append(drive(manager, space, holder="full") is not None)
     manager.committer.release(first)
     topology = manager.committer.transport.topology
-    topology.link_between("client-net", "backbone").fail()
+    topology.link_between("client-net", "backbone").set_congestion(1.0)
     outcomes.append(drive(manager, space, holder="cut-off") is not None)
     return accounting(outcomes, manager.committer, telemetry, breaker)
 

@@ -176,12 +176,12 @@ class DomainTwinMachine(RuleBasedStateMachine):
     @rule(index=st.integers(min_value=0))
     def fail(self, index):
         for link in self._links(index):
-            link.fail()
+            link.set_congestion(1.0)
 
     @rule(index=st.integers(min_value=0))
     def restore(self, index):
         for link in self._links(index):
-            link.restore()
+            link.set_congestion(0.0)
 
     @invariant()
     def flows_agree(self):

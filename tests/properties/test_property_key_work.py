@@ -39,7 +39,7 @@ from repro.perf.fingerprint import (
     importance_fingerprint,
 )
 
-from .strategies import grid_manager
+from .strategies import grid_manager, with_override
 
 BALANCED = next(p for p in standard_profiles() if p.name == "balanced")
 VIDEO_CODECS = (Codecs.MPEG1, Codecs.MPEG2, Codecs.MJPEG)
@@ -136,8 +136,7 @@ class TestMemoIsFresh:
         st.lists(
             st.tuples(
                 st.sampled_from([
-                    "with_cost_per_dollar", "with_frame_rate_override",
-                    "with_resolution_override",
+                    "with_cost_per_dollar", "frame_rate", "resolution",
                 ]),
                 st.integers(min_value=1, max_value=60),
                 st.sampled_from([0.0, -0.0, 0.5, 3.0]),
@@ -149,10 +148,10 @@ class TestMemoIsFresh:
     def test_importance_memo_equals_a_fresh_computation(self, edits):
         importance = default_importance()
         for name, x, value in edits:
-            editor = getattr(importance, name)
             importance = (
-                editor(value) if name == "with_cost_per_dollar"
-                else editor(x, value)
+                importance.with_cost_per_dollar(value)
+                if name == "with_cost_per_dollar"
+                else with_override(importance, name, x, value)
             )
         first = importance_fingerprint(importance)
         assert importance._fingerprint == first

@@ -50,6 +50,7 @@ from .strategies import (
     offer_cost_bounds,
     server_weights,
     weighted,
+    with_override,
 )
 
 BOUNDS = (
@@ -320,16 +321,17 @@ def signed_zero_importance(sign):
 TABLE_BUILDERS = (
     default_importance,
     lambda: default_importance().with_cost_per_dollar(2.0),
-    lambda: default_importance().with_frame_rate_override(15, 5.0),
-    lambda: default_importance().with_frame_rate_override(25, -0.0),
-    lambda: default_importance().with_resolution_override(
-        GRID_RESOLUTION, 3.0
+    lambda: with_override(default_importance(), "frame_rate", 15, 5.0),
+    lambda: with_override(default_importance(), "frame_rate", 25, -0.0),
+    lambda: with_override(
+        default_importance(), "resolution", GRID_RESOLUTION, 3.0
     ),
     lambda: default_importance().with_media_weight("video", 0.0),
     lambda: default_importance().with_media_weight("video", -0.0),
-    lambda: default_importance()
-    .with_media_weight("video", -0.0)
-    .with_color(ColorMode.GREY, -0.0),
+    lambda: replace(
+        default_importance().with_media_weight("video", -0.0),
+        color={**default_importance().color, ColorMode.GREY: -0.0},
+    ),
     lambda: signed_zero_importance(1.0),
     lambda: signed_zero_importance(-1.0),
 )

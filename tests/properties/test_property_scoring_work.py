@@ -152,8 +152,8 @@ class TestRepeatRequestWork:
         repeat = replace(
             profile,
             name="repeat",
-            desired=profile.desired.with_cost(Money(cents)),
-            worst=profile.worst.with_cost(Money(cents)),
+            desired=replace(profile.desired, cost=Money(cents)),
+            worst=replace(profile.worst, cost=Money(cents)),
         )
         assert repeat.max_cost != profile.max_cost
         fresh = default_importance()

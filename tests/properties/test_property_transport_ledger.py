@@ -75,7 +75,7 @@ class TransportLedgerMachine(RuleBasedStateMachine):
     def build(self):
         self.topology = Topology()
         for node in NODES:
-            self.topology.add_node(node)
+            self.topology.graph.add_node(node)
         for a, b, weight in DIAMOND:
             self.topology.connect(
                 a, b, CAPACITY, cost_weight=weight, link_id=f"L-{a}{b}"
@@ -155,11 +155,11 @@ class TransportLedgerMachine(RuleBasedStateMachine):
 
     @rule(index=st.integers(min_value=0))
     def fail(self, index):
-        self._link(index).fail()
+        self._link(index).set_congestion(1.0)
 
     @rule(index=st.integers(min_value=0))
     def restore(self, index):
-        self._link(index).restore()
+        self._link(index).set_congestion(0.0)
 
     @rule(
         pair=st.sampled_from(EXTRA_PAIRS),

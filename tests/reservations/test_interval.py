@@ -74,11 +74,3 @@ class TestPeakUsage:
         ledger = IntervalLedger("L", 5.0)
         ledger.book(0.0, 10.0, 5.0, "a")
         assert ledger.available(0.0, 10.0) == 0.0
-
-
-class TestExpiry:
-    def test_expire_before(self, ledger):
-        ledger.book(0.0, 5.0, 1.0, "a")
-        ledger.book(3.0, 8.0, 1.0, "b")
-        assert ledger.expire_before(6.0) == 1
-        assert len(ledger) == 1

@@ -169,7 +169,9 @@ class TestLazyKey:
     def test_a_document_version_bump_between_them_shares_nothing(self):
         def bump(scenario, document):
             variant = next(scenario.catalog.get(document).iter_variants())
-            scenario.database.remove_variant(variant.variant_id)
+            scenario.database.add_variant(
+                replace(variant, variant_id=f"{variant.variant_id}.replica")
+            )
 
         # The held plan is dropped unkeyed; only the second is keyed.
         assert self.plan_twice(bump) == (0, 1)

@@ -26,7 +26,7 @@ class TestFeasibleLoad:
         demands = [demand(f"s{i}") for i in range(n)]
         reports = simulate_rounds(disk, demands, 120.0, rng=1)
         for report in reports.values():
-            assert report.smooth, report
+            assert report.stall_s == 0.0, report
             assert report.infeasible_rounds == 0
 
     def test_delivery_tracks_demand(self):

@@ -110,20 +110,6 @@ class TestAdoptedHolders:
         assert released == [pytest.approx(31.0)]
         assert supervisor.stats.sessions_released == 1
 
-    def test_heartbeat_defers_the_timeout(self, supervisor, clock):
-        released = []
-        supervisor.adopt("ghost", lambda when: released.append(when))
-        clock.advance(25.0)
-        assert supervisor.heartbeat("ghost")
-        clock.advance(25.0)
-        assert supervisor.check() == []
-        clock.advance(10.0)
-        assert supervisor.check() == ["ghost"]
-        assert released
-
-    def test_heartbeat_for_unknown_holder_is_false(self, supervisor):
-        assert not supervisor.heartbeat("nobody")
-
     def test_forget_cancels_the_watch(self, supervisor, clock):
         released = []
         supervisor.adopt("ghost", lambda when: released.append(when))

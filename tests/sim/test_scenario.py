@@ -32,7 +32,11 @@ class TestBuildScenario:
 
     def test_placement_valid(self):
         scenario = build_scenario(ScenarioSpec(server_count=3))
-        referenced = scenario.catalog.servers_referenced()
+        referenced = {
+            variant.server_id
+            for document in scenario.catalog
+            for variant in document.iter_variants()
+        }
         assert referenced <= set(scenario.servers)
 
     def test_clients_connected(self):

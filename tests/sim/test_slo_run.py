@@ -70,7 +70,7 @@ class TestDeterminism:
         write_flamegraph(one, {"nominal": nominal.paths})
         write_flamegraph(two, {"nominal": again.paths})
         assert one.read_bytes() == two.read_bytes()
-        assert nominal.slo.to_json() == again.slo.to_json()
+        assert nominal.slo.as_dict() == again.slo.as_dict()
 
 
 CLI_ARGS = [

@@ -204,5 +204,5 @@ class TestZeroEvaluation:
 
         first = evaluate_slos(record(10, emit), (self.ZERO,))
         second = evaluate_slos(record(10, emit), (self.ZERO,))
-        assert first.to_json() == second.to_json()
+        assert first.as_dict() == second.as_dict()
         assert "leak-free" in first.render()
