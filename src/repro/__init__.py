@@ -37,7 +37,6 @@ from .core import (
     default_cost_model,
     default_importance,
     make_profile,
-    paper_example_importance,
     standard_profiles,
 )
 from .documents import Document, DocumentCatalog, make_news_article
@@ -59,7 +58,6 @@ __all__ = [
     "default_cost_model",
     "default_importance",
     "make_profile",
-    "paper_example_importance",
     "standard_profiles",
     "Document",
     "DocumentCatalog",

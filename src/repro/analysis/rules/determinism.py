@@ -69,7 +69,7 @@ def _is_exempt(ctx: "ModuleContext") -> bool:
     "determinism",
     "no wall clock, time.sleep, or unseeded randomness in library code",
     "read time from util.clock.ManualClock and randomness from "
-    "util.rng.make_rng/derive_rng so runs replay from a seed",
+    "util.rng.make_rng so runs replay from a seed",
 )
 def check(ctx: "ModuleContext") -> "Iterator[Finding]":
     if _is_exempt(ctx):

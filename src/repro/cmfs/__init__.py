@@ -4,12 +4,7 @@ from .admission import AdmissionController, AdmissionDecision
 from .disk import DiskModel, RoundFeasibility
 from .scheduler import RoundPlan, RoundScheduler, SchedulingPolicy, StreamState
 from .server import MediaServer, StreamReservation
-from .storage import (
-    PlacementReport,
-    rebalance,
-    storage_by_server,
-    validate_placement,
-)
+from .storage import PlacementReport, validate_placement
 
 __all__ = [
     "AdmissionController",
@@ -23,7 +18,5 @@ __all__ = [
     "MediaServer",
     "StreamReservation",
     "PlacementReport",
-    "rebalance",
-    "storage_by_server",
     "validate_placement",
 ]

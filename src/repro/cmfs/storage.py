@@ -1,9 +1,8 @@
 """Variant placement across the server fleet.
 
 Variants name their hosting server (§2: "the localization of the file");
-this module validates placements against a deployed fleet, summarises
-per-server storage demand, and can re-balance a catalogue across servers
-for the capacity-planning example.
+this module validates placements against a deployed fleet and summarises
+per-server storage demand.
 """
 
 from __future__ import annotations
@@ -13,11 +12,9 @@ from typing import Iterable, Mapping, Sequence
 
 from ..documents.catalog import DocumentCatalog
 from ..documents.document import Document
-from ..documents.monomedia import Monomedia, Variant
-from ..util.errors import ServerError
 from .server import MediaServer
 
-__all__ = ["PlacementReport", "validate_placement", "storage_by_server", "rebalance"]
+__all__ = ["PlacementReport", "validate_placement"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,57 +56,4 @@ def validate_placement(
         orphan_servers=frozenset(referenced - known),
         variants_per_server=variants_per,
         bits_per_server=bits_per,
-    )
-
-
-def storage_by_server(
-    catalog: "DocumentCatalog | Iterable[Document]",
-) -> dict[str, float]:
-    """Total stored bits per server id."""
-    totals: dict[str, float] = {}
-    for document in catalog:
-        for variant in document.iter_variants():
-            totals[variant.server_id] = (
-                totals.get(variant.server_id, 0.0) + variant.size_bits
-            )
-    return totals
-
-
-def rebalance(
-    document: Document, server_ids: Sequence[str]
-) -> Document:
-    """Re-assign variants of ``document`` round-robin over ``server_ids``.
-
-    Returns a new document; used to spread a hot article across servers
-    so the negotiation has genuinely distinct configurations to choose
-    between.
-    """
-    if not server_ids:
-        raise ServerError("rebalance needs at least one server id")
-    components: list[Monomedia] = []
-    index = 0
-    for component in document.components:
-        new_variants: list[Variant] = []
-        for variant in component.variants:
-            server = server_ids[index % len(server_ids)]
-            index += 1
-            new_variants.append(
-                Variant(
-                    variant_id=variant.variant_id,
-                    monomedia_id=variant.monomedia_id,
-                    codec=variant.codec,
-                    qos=variant.qos,
-                    size_bits=variant.size_bits,
-                    block_stats=variant.block_stats,
-                    server_id=server,
-                    duration_s=variant.duration_s,
-                )
-            )
-        components.append(component.with_variants(new_variants))
-    return Document(
-        document_id=document.document_id,
-        title=document.title,
-        components=tuple(components),
-        sync=document.sync,
-        copyright_cost=document.copyright_cost,
     )

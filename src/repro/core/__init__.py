@@ -42,19 +42,10 @@ from .importance import (
     ImportanceProfile,
     ScaleImportance,
     default_importance,
-    paper_example_importance,
 )
-from .mapping import QoSMapper, flow_spec_for_variant
+from .mapping import QoSMapper
 from .negotiation import NegotiationPlan, NegotiationResult, QoSManager
 from .offers import SystemOffer, derive_user_offer
-from .profile_io import (
-    dump_profiles,
-    load_profiles,
-    profile_from_record,
-    profile_to_record,
-    read_profiles,
-    save_profiles,
-)
 from .profile_manager import ProfileManager, make_profile, standard_profiles
 from .profiles import MMProfile, TimeProfile, UserProfile
 from .status import NegotiationStatus, StaticNegotiationStatus

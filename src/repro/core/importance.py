@@ -71,7 +71,6 @@ __all__ = [
     "ScaleImportance",
     "ImportanceProfile",
     "default_importance",
-    "paper_example_importance",
 ]
 
 
@@ -334,43 +333,4 @@ def default_importance() -> ImportanceProfile:
         },
         media_weight={},
         cost_per_dollar=1.0,
-    )
-
-
-def paper_example_importance(cost_per_dollar: float = 4.0) -> ImportanceProfile:
-    """The importance setting of the §5.2.2 worked example (setting 1):
-    colour 9, grey 6, black&white 2, TV resolution 9, 25 frames/s 9,
-    15 frames/s 5, cost importance 4.
-
-    The frame-rate values 25→9 and 15→5 are installed as exact
-    overrides, reproducing the paper's numbers verbatim; other scale
-    values fall back to interpolation between the stated anchors.
-    """
-    base = default_importance()
-    return ImportanceProfile(
-        color={
-            ColorMode.SUPER_COLOR: 10.0,  # not used by the example
-            ColorMode.COLOR: 9.0,
-            ColorMode.GREY: 6.0,
-            ColorMode.BLACK_AND_WHITE: 2.0,
-        },
-        frame_rate=ScaleImportance(
-            anchors={
-                float(FROZEN_FRAME_RATE): 1.0,
-                float(TV_FRAME_RATE): 9.0,
-                float(HDTV_FRAME_RATE): 10.0,
-            },
-            overrides={25.0: 9.0, 15.0: 5.0},
-        ),
-        resolution=ScaleImportance(
-            anchors={
-                float(MIN_RESOLUTION): 1.0,
-                float(TV_RESOLUTION): 9.0,
-                float(HDTV_RESOLUTION): 10.0,
-            }
-        ),
-        audio_grade=dict(base.audio_grade),
-        language=dict(base.language),
-        media_weight={},
-        cost_per_dollar=cost_per_dollar,
     )

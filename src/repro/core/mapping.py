@@ -26,7 +26,7 @@ from ..network.qosparams import FlowSpec, preset_for
 from ..util.errors import ValidationError
 from ..util.validation import check_positive
 
-__all__ = ["QoSMapper", "flow_spec_for_variant"]
+__all__ = ["QoSMapper"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,11 +91,3 @@ class QoSMapper:
             max_jitter_s=preset.jitter_s,
             max_loss_rate=preset.loss_rate,
         )
-
-
-_DEFAULT_MAPPER = QoSMapper()
-
-
-def flow_spec_for_variant(variant: Variant) -> FlowSpec:
-    """Module-level convenience using the default mapper."""
-    return _DEFAULT_MAPPER.flow_spec(variant)

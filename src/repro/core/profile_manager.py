@@ -2,8 +2,8 @@
 
 "The system component responsible for user profile management via the
 QoS GUI is called the profile manager."  It stores named user profiles,
-supports the GUI's *Save* / *Save as* / delete / default-selection
-operations, and ships the stock profiles a fresh installation offers.
+supports the GUI's *Save* / *Save as* / delete operations (the first
+profile saved is the default), and ships the stock profiles a fresh installation offers.
 
 The stock profiles span the preference spectrum the §5.2.2 examples
 explore: quality-first (cost importance 0), budget (QoS importance
@@ -180,11 +180,6 @@ class ProfileManager:
             return self._profiles[name]
         except KeyError:
             raise NotFoundError(f"no profile {name!r}") from None
-
-    def set_default(self, name: str) -> None:
-        if name not in self._profiles:
-            raise NotFoundError(f"no profile {name!r}")
-        self._default = name
 
     @property
     def default(self) -> UserProfile:

@@ -17,14 +17,12 @@ from .catalog import DocumentCatalog
 from .document import Document
 from .media import (
     CONTINUOUS_MEDIA,
-    DISCRETE_MEDIA,
     FROZEN_FRAME_RATE,
     HDTV_FRAME_RATE,
     HDTV_RESOLUTION,
     MIN_RESOLUTION,
     TV_FRAME_RATE,
     TV_RESOLUTION,
-    VISUAL_MEDIA,
     AudioGrade,
     Codec,
     Codecs,

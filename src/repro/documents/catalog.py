@@ -2,7 +2,7 @@
 
 The news-on-demand prototype presents the user a list of articles; the
 catalog is that list.  It enforces id uniqueness, offers lookup and
-filtered iteration, and is the unit the metadata database persists.
+filtered iteration, and is the unit the metadata database ingests.
 """
 
 from __future__ import annotations

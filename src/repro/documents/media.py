@@ -42,8 +42,6 @@ __all__ = [
     "TV_RESOLUTION",
     "MIN_RESOLUTION",
     "CONTINUOUS_MEDIA",
-    "DISCRETE_MEDIA",
-    "VISUAL_MEDIA",
 ]
 
 
@@ -75,10 +73,6 @@ class Medium(enum.Enum):
 
 
 CONTINUOUS_MEDIA = frozenset({Medium.VIDEO, Medium.AUDIO})
-DISCRETE_MEDIA = frozenset({Medium.IMAGE, Medium.TEXT, Medium.GRAPHIC})
-VISUAL_MEDIA = frozenset(
-    {Medium.VIDEO, Medium.IMAGE, Medium.TEXT, Medium.GRAPHIC}
-)
 
 
 class ColorMode(enum.IntEnum):

@@ -148,16 +148,6 @@ class Monomedia:
                 )
             seen.add(variant.variant_id)
 
-    def with_variants(self, variants: "tuple[Variant, ...] | list[Variant]") -> "Monomedia":
-        """Return a copy holding ``variants`` (monomedia are immutable)."""
-        return Monomedia(
-            monomedia_id=self.monomedia_id,
-            medium=self.medium,
-            title=self.title,
-            duration_s=self.duration_s,
-            variants=tuple(variants),
-        )
-
     def variant(self, variant_id: str) -> Variant:
         for candidate in self.variants:
             if candidate.variant_id == variant_id:

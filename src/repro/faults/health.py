@@ -37,8 +37,6 @@ class ServerHealth:
 
     state: BreakerState = BreakerState.CLOSED
     consecutive_failures: int = 0
-    successes: int = 0
-    failures: int = 0
     opened_at: "float | None" = None
 
 
@@ -101,7 +99,6 @@ class CircuitBreaker:
     def record_success(self, server_id: str, now: float) -> None:
         record = self._record(server_id)
         old = record.state
-        record.successes += 1
         record.consecutive_failures = 0
         record.state = BreakerState.CLOSED
         record.opened_at = None
@@ -109,7 +106,6 @@ class CircuitBreaker:
 
     def record_failure(self, server_id: str, now: float) -> None:
         record = self._record(server_id)
-        record.failures += 1
         record.consecutive_failures += 1
         if record.state is BreakerState.HALF_OPEN:
             # The probe failed: back to quarantine for a fresh window.

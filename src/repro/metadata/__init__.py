@@ -1,17 +1,10 @@
 """Metadata database substrate (stands in for the U. Alberta MM DBMS).
 
 Holds documents, monomedia and variants as flat records with the
-indexes the negotiation procedure queries, plus JSON persistence.
+indexes the negotiation procedure queries.
 """
 
 from .database import MetadataDatabase
-from .persistence import (
-    SCHEMA_VERSION,
-    dumps,
-    load_database,
-    loads,
-    save_database,
-)
 from .schema import (
     DocumentRecord,
     MonomediaRecord,

@@ -169,51 +169,3 @@ class MetadataDatabase:
     @property
     def document_count(self) -> int:
         return len(self._documents)
-
-    # -- raw record access (persistence layer) -----------------------------------
-
-    def dump_records(self) -> dict:
-        """Plain-dict snapshot of all three relations."""
-        return {
-            "documents": [
-                {
-                    "document_id": rec.document_id,
-                    "title": rec.title,
-                    "monomedia_ids": list(rec.monomedia_ids),
-                    "copyright_cents": rec.copyright_cents,
-                    "sync_blob": rec.sync_blob,
-                }
-                for rec in self._documents.values()
-            ],
-            "monomedia": [
-                {
-                    "monomedia_id": rec.monomedia_id,
-                    "document_id": rec.document_id,
-                    "medium": rec.medium,
-                    "title": rec.title,
-                    "duration_s": rec.duration_s,
-                }
-                for rec in self._monomedia.values()
-            ],
-            "variants": [rec.as_dict() for rec in self._variants.values()],
-        }
-
-    @classmethod
-    def from_records(cls, blob: dict) -> "MetadataDatabase":
-        """Rebuild a database from a :meth:`dump_records` snapshot."""
-        db = cls()
-        for item in blob.get("documents", ()):
-            db._documents[item["document_id"]] = DocumentRecord(
-                document_id=item["document_id"],
-                title=item["title"],
-                monomedia_ids=tuple(item["monomedia_ids"]),
-                copyright_cents=int(item["copyright_cents"]),
-                sync_blob=item.get("sync_blob", {}),
-            )
-        for item in blob.get("monomedia", ()):
-            db._monomedia[item["monomedia_id"]] = MonomediaRecord(**item)
-        for item in blob.get("variants", ()):
-            db._index_variant(VariantRecord(**item))
-        for document_id in db._documents:
-            db._bump_version(document_id)
-        return db

@@ -7,14 +7,13 @@ mapping (§6) reads.  We mirror that as flat, serializable records keyed
 by ids — the object model in :mod:`repro.documents` is assembled *from*
 these records, and decomposed back *into* them on insert.
 
-Keeping a record layer distinct from the object model buys two things:
-JSON persistence without custom picklers, and queries over variants
-without walking document trees.
+Keeping a record layer distinct from the object model lets queries
+over variants run without walking document trees.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..documents.media import Codecs, ColorMode, Language, Medium
 from ..documents.monomedia import BlockStats, Variant
@@ -107,9 +106,6 @@ class VariantRecord:
             server_id=self.server_id,
             duration_s=self.duration_s,
         )
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def qos_to_record(qos: MediaQoS) -> dict:

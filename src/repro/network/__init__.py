@@ -4,7 +4,7 @@ and multi-domain hierarchical reservation ([Haf 95b] extension)."""
 from .domains import Domain, DomainAgent, DomainMap, HierarchicalTransport
 from .link import Link, LinkReservation
 from .qosparams import STEINMETZ_PRESETS, FlowSpec, PathQoS, preset_for
-from .routing import Route, find_route, find_route_any
+from .routing import Route, find_route
 from .topology import Topology
 from .transport import FlowReservation, GuaranteeType, TransportSystem
 
@@ -21,7 +21,6 @@ __all__ = [
     "preset_for",
     "Route",
     "find_route",
-    "find_route_any",
     "Topology",
     "FlowReservation",
     "GuaranteeType",

@@ -27,7 +27,7 @@ from .link import Link
 from .qosparams import PathQoS
 from .topology import Topology
 
-__all__ = ["Route", "find_route", "find_route_any"]
+__all__ = ["Route", "find_route"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,23 +98,3 @@ def find_route(
     if unconstrained:
         topology.store_route(source, target, route)
     return route
-
-
-def find_route_any(topology: Topology, source: str, target: str) -> Route:
-    """Cheapest path ignoring residual bandwidth (baseline policy)."""
-    if not topology.has_node(source):
-        raise NoRouteError(f"unknown node {source!r}")
-    if not topology.has_node(target):
-        raise NoRouteError(f"unknown node {target!r}")
-    if source == target:
-        return Route(nodes=(source,), links=(), qos=PathQoS.identity())
-    def weight(a: str, b: str, data: dict) -> float:
-        return data["link"].cost_weight
-
-    try:
-        nodes = nx.shortest_path(topology.graph, source, target, weight=weight)
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
-        raise NoRouteError(
-            f"no path from {source!r} to {target!r}"
-        ) from None
-    return _route_from_nodes(topology, nodes)

@@ -35,7 +35,7 @@ the delivered verdicts, with monotone ``retry_after_s`` hints.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..core.classification import ClassifiedOffer, check_top_k, walk_order
@@ -115,15 +115,9 @@ class ServiceStats:
     """Service-level counters (per run)."""
 
     submitted: int = 0
-    delivered: int = 0
     overruns: int = 0
     confirmations: int = 0
-    rejections: int = 0
     expiries: int = 0
-    releases: int = 0
-
-    def as_dict(self) -> "dict[str, int]":
-        return asdict(self)
 
 
 @dataclass(slots=True)
@@ -296,7 +290,6 @@ class NegotiationService:
     ) -> None:
         request.result = result
         request.finished_at = self.loop.now
-        self.stats.delivered += 1
         self._inflight -= 1
         telemetry = self.telemetry
         telemetry.metrics.gauge_set(
@@ -521,7 +514,6 @@ class NegotiationService:
             commitment.reject(now)
             if commitment.state is CommitmentState.REJECTED:
                 request.rejected = True
-                self.stats.rejections += 1
             return
         try:
             commitment.confirm(now)
@@ -537,7 +529,6 @@ class NegotiationService:
             yield Sleep(self.policy.hold_s)
         commitment.release()
         request.released = True
-        self.stats.releases += 1
 
     def _expiry_task(
         self, request: ServiceRequest, commitment: Commitment

@@ -26,7 +26,7 @@ Two kinds of watch:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..util.clock import ManualClock
@@ -53,22 +53,13 @@ class SupervisedEntry:
     session: "PlayoutSession | None" = None
     release: "Callable[[float], None] | None" = None
     last_position_s: float = -1.0
-    adopted: bool = False
 
 
 @dataclass(slots=True)
 class SupervisorStats:
     """What the supervisor observed and did."""
 
-    heartbeats: int = 0
-    adopted: int = 0
-    stalls_detected: int = 0
-    dead_sessions: int = 0
-    adaptations_driven: int = 0
     sessions_released: int = 0
-
-    def as_dict(self) -> "dict[str, int]":
-        return asdict(self)
 
 
 class SessionSupervisor:
@@ -132,10 +123,9 @@ class SessionSupervisor:
             raise SessionError("cannot adopt an empty holder id")
         now = self._clock.now() if now is None else now
         entry = SupervisedEntry(
-            holder=holder, last_heartbeat=now, release=release, adopted=True
+            holder=holder, last_heartbeat=now, release=release
         )
         self._entries[holder] = entry
-        self.stats.adopted += 1
         return entry
 
     def _beat(self, holder: str, now: float) -> None:
@@ -194,7 +184,6 @@ class SessionSupervisor:
             elif now - entry.last_heartbeat > self.heartbeat_timeout_s:
                 # Adopted holder went silent: the user never came back
                 # after the crash, so return the resources.
-                self.stats.stalls_detected += 1
                 if entry.release is not None:
                     entry.release(now)
                 self.stats.sessions_released += 1
@@ -213,16 +202,11 @@ class SessionSupervisor:
         if position > entry.last_position_s + 1e-12:
             entry.last_position_s = position
             entry.last_heartbeat = now
-            self.stats.heartbeats += 1
             self._beat(entry.holder, now)
         stalled = now - entry.last_heartbeat > self.heartbeat_timeout_s
         dead = self._resources_gone(session)
         if not stalled and not dead:
             return False
-        if dead:
-            self.stats.dead_sessions += 1
-        else:
-            self.stats.stalls_detected += 1
         return self._release_or_adapt(entry, session, now)
 
     def _resources_gone(self, session: PlayoutSession) -> bool:
@@ -251,7 +235,6 @@ class SessionSupervisor:
                 pass  # fall through to release
             else:
                 if not session.record.resources_lost:
-                    self.stats.adaptations_driven += 1
                     entry.last_heartbeat = now
                     entry.last_position_s = session.position_at(now)
                     return True

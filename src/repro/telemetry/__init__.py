@@ -29,7 +29,6 @@ from .catalog import CATALOG, METRICS, MetricKind, MetricSpec, metric_names
 from .export import (
     InMemorySpanExporter,
     JsonlSpanExporter,
-    read_spans_jsonl,
     render_span_tree,
 )
 from .instrument import observe_breaker, traced
@@ -64,11 +63,7 @@ from .slo import (
     evaluate_slos,
 )
 from .spans import Span, SpanStatus
-from .timeseries import (
-    FlightRecorder,
-    TimeSeriesDump,
-    read_timeseries_jsonl,
-)
+from .timeseries import FlightRecorder
 from .tracer import NULL_SPAN, SpanExporter, Tracer
 
 __all__ = [
@@ -79,7 +74,6 @@ __all__ = [
     "metric_names",
     "InMemorySpanExporter",
     "JsonlSpanExporter",
-    "read_spans_jsonl",
     "render_span_tree",
     "observe_breaker",
     "traced",
@@ -102,8 +96,6 @@ __all__ = [
     "default_slos",
     "evaluate_slos",
     "FlightRecorder",
-    "TimeSeriesDump",
-    "read_timeseries_jsonl",
     "AttemptSummary",
     "NegotiationReport",
     "StepSummary",

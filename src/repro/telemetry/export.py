@@ -17,7 +17,6 @@ from .spans import Span, SpanStatus
 __all__ = [
     "InMemorySpanExporter",
     "JsonlSpanExporter",
-    "read_spans_jsonl",
     "render_span_tree",
 ]
 
@@ -67,15 +66,6 @@ class JsonlSpanExporter:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def read_spans_jsonl(path: "Union[str, Path]") -> "list[Span]":
-    """Round-trip reader for the JSONL exporter's output."""
-    spans = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            spans.append(Span.from_json_line(line))
-    return spans
 
 
 def _format_span(span: Span) -> str:

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
-
-from ..util.errors import TelemetryError
+from typing import Any
 
 __all__ = ["Span", "SpanStatus"]
 
@@ -71,37 +69,3 @@ class Span:
         return json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )
-
-    @classmethod
-    def from_dict(cls, data: "Mapping[str, Any]") -> "Span":
-        try:
-            return cls(
-                name=str(data["name"]),
-                trace_id=str(data["trace_id"]),
-                span_id=str(data["span_id"]),
-                parent_id=(
-                    None if data["parent_id"] is None
-                    else str(data["parent_id"])
-                ),
-                start_s=float(data["start_s"]),
-                end_s=(
-                    None if data["end_s"] is None else float(data["end_s"])
-                ),
-                status=str(data["status"]),
-                sequence=int(data["sequence"]),
-                attributes=dict(data["attributes"]),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise TelemetryError(f"malformed span record: {error}") from error
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "Span":
-        try:
-            data = json.loads(line)
-        except ValueError as error:
-            raise TelemetryError(
-                f"span line is not valid JSON: {error}"
-            ) from error
-        if not isinstance(data, dict):
-            raise TelemetryError("span line must decode to an object")
-        return cls.from_dict(data)

@@ -42,18 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..session.engine import EventLoop
     from . import Telemetry
 
-__all__ = [
-    "FlightRecorder",
-    "SeriesPoint",
-    "TimeSeriesDump",
-    "read_timeseries_jsonl",
-]
+__all__ = ["FlightRecorder"]
 
 TIMESERIES_SCHEMA = "repro.timeseries/v1"
-
-# A sample is (simulated time, value); histogram samples carry the
-# bucket vector instead of a scalar.
-SeriesPoint = "tuple[float, Any]"
 
 
 class _Ring:
@@ -382,46 +373,3 @@ def _last_at_or_before(
         else:
             break
     return found
-
-
-class TimeSeriesDump:
-    """Parsed form of one recorder JSONL artifact."""
-
-    __slots__ = ("header", "series")
-
-    def __init__(
-        self, header: "dict[str, Any]",
-        series: "dict[str, list[tuple[float, Any]]]",
-    ) -> None:
-        self.header = header
-        self.series = series
-
-    def points(self, series: str) -> "list[tuple[float, Any]]":
-        return self.series.get(series, [])
-
-    def names(self) -> "tuple[str, ...]":
-        return tuple(sorted(self.series))
-
-
-def read_timeseries_jsonl(path: "Union[str, Path]") -> TimeSeriesDump:
-    """Round-trip reader for :meth:`FlightRecorder.write_jsonl`."""
-    lines = [
-        line for line in
-        Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    if not lines:
-        raise TelemetryError(f"empty time-series file: {path}")
-    header = json.loads(lines[0])
-    if header.get("schema") != TIMESERIES_SCHEMA:
-        raise TelemetryError(
-            f"unexpected time-series schema {header.get('schema')!r} "
-            f"in {path}"
-        )
-    series: "dict[str, list[tuple[float, Any]]]" = {}
-    for line in lines[1:]:
-        record = json.loads(line)
-        series[record["series"]] = [
-            (float(now), value) for now, value in record["points"]
-        ]
-    return TimeSeriesDump(header, series)

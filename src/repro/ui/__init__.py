@@ -4,7 +4,6 @@ from .figures import document_model_figure, mm_profile_figure
 from .widgets import button_row, choice_row, scale_bar
 from .windows import (
     audio_profile_window,
-    booking_window,
     cost_profile_window,
     information_window,
     main_window,
@@ -13,7 +12,6 @@ from .windows import (
 )
 
 __all__ = [
-    "booking_window",
     "document_model_figure",
     "mm_profile_figure",
     "button_row",

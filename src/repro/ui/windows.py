@@ -33,7 +33,6 @@ from ..util.tables import render_box
 from .widgets import button_row, choice_row, scale_bar
 
 __all__ = [
-    "booking_window",
     "main_window",
     "profile_component_window",
     "video_profile_window",
@@ -221,31 +220,3 @@ def information_window(
         lines.append("")
         lines.append(button_row("OK"))
     return render_box(lines, title="Information", width=60)
-
-
-def booking_window(plan) -> str:
-    """The advance-booking counterpart of the information window
-    ([Haf 96] extension): the reserved future window, its offer, and
-    the claim/cancel actions."""
-    from ..util.units import format_duration
-
-    lines = [
-        f"booking {plan.plan_id}: {plan.status}",
-        "",
-        f"  window : t={plan.start_s:g}s .. t={plan.end_s:g}s "
-        f"({format_duration(plan.end_s - plan.start_s)})",
-    ]
-    if plan.user_offer is not None:
-        for medium, qos in plan.user_offer.qos_points():
-            lines.append(f"  {medium.value:<8} {qos}")
-        lines.append(f"  {'cost':<8} {plan.user_offer.cost}")
-    lines.append("")
-    state = (
-        "claimed" if plan.claimed
-        else "cancelled" if plan.cancelled
-        else f"{len(plan.bookings)} resource bookings held"
-    )
-    lines.append(f"  state  : {state}")
-    lines.append("")
-    lines.append(button_row("Claim", "Cancel"))
-    return render_box(lines, title="Advance booking", width=60)

@@ -29,35 +29,26 @@ from .errors import (
     ValidationError,
     VariantError,
 )
-from .rng import RngLike, derive_rng, make_rng, spawn_rngs
-from .tables import render_box, render_kv, render_table
+from .rng import RngLike, make_rng
+from .tables import render_box, render_table
 from .units import (
     Money,
     bps,
     bits,
-    bytes_,
     dollars,
     format_bitrate,
-    format_duration,
     format_size,
-    gbps,
     kbps,
-    kilobits,
-    mbps,
-    megabits,
-    minutes,
     ms,
     seconds,
 )
 from .validation import (
-    check_choice,
     check_fraction,
     check_name,
     check_non_empty,
     check_non_negative,
     check_positive,
     check_range,
-    require,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

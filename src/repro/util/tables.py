@@ -12,7 +12,7 @@ from typing import Any, Iterable, Sequence
 
 from .errors import ValidationError
 
-__all__ = ["render_table", "render_kv", "render_box"]
+__all__ = ["render_table", "render_box"]
 
 
 def _cell(value: Any) -> str:
@@ -76,18 +76,6 @@ def render_table(
     for row in str_rows:
         lines.append(fmt_row(row))
     lines.append(sep)
-    return "\n".join(lines)
-
-
-def render_kv(pairs: Iterable[tuple[str, Any]], *, title: str | None = None) -> str:
-    """Render key/value pairs as an aligned two-column block."""
-    items = [(str(k), _cell(v)) for k, v in pairs]
-    if not items:
-        return title or ""
-    width = max(len(k) for k, _ in items)
-    lines = [title] if title else []
-    for key, value in items:
-        lines.append(f"  {key.ljust(width)} : {value}")
     return "\n".join(lines)
 
 

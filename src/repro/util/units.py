@@ -25,29 +25,20 @@ from typing import Union
 from .errors import UnitError
 
 __all__ = [
-    "BITS_PER_BYTE",
     "KILO",
     "MEGA",
     "GIGA",
     "bits",
-    "kilobits",
-    "megabits",
-    "bytes_",
     "bps",
     "kbps",
-    "mbps",
-    "gbps",
     "seconds",
-    "minutes",
     "ms",
     "Money",
     "dollars",
     "format_bitrate",
     "format_size",
-    "format_duration",
 ]
 
-BITS_PER_BYTE = 8
 KILO = 1_000
 MEGA = 1_000_000
 GIGA = 1_000_000_000
@@ -70,21 +61,6 @@ def bits(value: float) -> float:
     return _positive_finite(value, "size in bits")
 
 
-def kilobits(value: float) -> float:
-    """Convert kilobits to bits."""
-    return bits(value) * KILO if value >= 0 else bits(value)
-
-
-def megabits(value: float) -> float:
-    """Convert megabits to bits."""
-    return bits(value) * MEGA if value >= 0 else bits(value)
-
-
-def bytes_(value: float) -> float:
-    """Convert bytes to bits."""
-    return bits(value) * BITS_PER_BYTE if value >= 0 else bits(value)
-
-
 # -- bit rates (canonical unit: bits per second) -----------------------------
 
 def bps(value: float) -> float:
@@ -97,26 +73,11 @@ def kbps(value: float) -> float:
     return bps(value) * KILO
 
 
-def mbps(value: float) -> float:
-    """Convert megabits per second to bits per second."""
-    return bps(value) * MEGA
-
-
-def gbps(value: float) -> float:
-    """Convert gigabits per second to bits per second."""
-    return bps(value) * GIGA
-
-
 # -- time (canonical unit: seconds) ------------------------------------------
 
 def seconds(value: float) -> float:
     """Validate a duration expressed in seconds."""
     return _positive_finite(value, "duration")
-
-
-def minutes(value: float) -> float:
-    """Convert minutes to seconds."""
-    return seconds(value) * 60.0
 
 
 def ms(value: float) -> float:
@@ -211,15 +172,3 @@ def format_size(size_bits: float) -> str:
             return f"{size_bits / bound:.2f} {suffix}"
     return f"{size_bits:.0f} bit"
 
-
-def format_duration(duration_s: float) -> str:
-    """Render a duration as ``h:mm:ss`` or ``m:ss`` or ``s``."""
-    duration_s = float(duration_s)
-    total = int(round(duration_s))
-    hours, rest = divmod(total, 3600)
-    mins, secs = divmod(rest, 60)
-    if hours:
-        return f"{hours}:{mins:02d}:{secs:02d}"
-    if mins:
-        return f"{mins}:{secs:02d}"
-    return f"{duration_s:.3g} s"

@@ -7,29 +7,21 @@ message naming the offending field, so constructor call sites stay terse.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Sequence, TypeVar
+from typing import Any, Sequence, TypeVar
 
 from .errors import ValidationError
 
 __all__ = [
-    "require",
     "check_range",
     "check_at_least",
     "check_positive",
     "check_non_negative",
     "check_fraction",
     "check_name",
-    "check_choice",
     "check_non_empty",
 ]
 
 T = TypeVar("T")
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValidationError` with ``message`` unless ``condition``."""
-    if not condition:
-        raise ValidationError(message)
 
 
 # These helpers sit on the admission/reservation hot path (every link
@@ -112,13 +104,6 @@ def check_name(value: Any, what: str) -> str:
         raise ValidationError(f"{what} must be a non-empty string, got {value!r}")
     if any(ord(ch) < 32 for ch in value):
         raise ValidationError(f"{what} contains control characters: {value!r}")
-    return value
-
-
-def check_choice(value: T, choices: Iterable[T], what: str) -> T:
-    options = tuple(choices)
-    if value not in options:
-        raise ValidationError(f"{what} must be one of {options!r}, got {value!r}")
     return value
 
 

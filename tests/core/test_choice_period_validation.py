@@ -1,8 +1,7 @@
 """``choicePeriod`` validation (§8): zero, negative and non-finite
 periods are rejected everywhere one can enter the system — profile
-construction, profile load, and commitment creation."""
+construction and commitment creation."""
 
-import json
 import math
 
 import pytest
@@ -12,8 +11,6 @@ from repro.core.commitment import Commitment, ResourceCommitter
 from repro.core.cost import default_cost_model
 from repro.core.enumeration import build_offer_space
 from repro.core.importance import default_importance
-from repro.core.profile_io import dump_profiles, load_profiles
-from repro.core.profile_manager import ProfileManager
 from repro.core.profiles import TimeProfile
 from repro.util.errors import ValidationError
 
@@ -28,20 +25,6 @@ class TestTimeProfile:
 
     def test_positive_period_accepted(self):
         assert TimeProfile(choice_period_s=0.5).choice_period_s == 0.5
-
-
-class TestProfileLoad:
-    @pytest.mark.parametrize("period", [0.0, -5.0])
-    def test_bad_choice_period_rejected_at_load(self, period):
-        envelope = json.loads(dump_profiles(ProfileManager()))
-        envelope["profiles"][0]["desired"]["time"]["choice_period_s"] = period
-        with pytest.raises(ValidationError, match="choice_period_s"):
-            load_profiles(json.dumps(envelope))
-
-    def test_standard_profiles_round_trip(self):
-        manager = load_profiles(dump_profiles(ProfileManager()))
-        for profile in manager:
-            assert profile.choice_period_s > 0
 
 
 class TestCommitment:

@@ -9,7 +9,6 @@ from repro.core.importance import (
     ImportanceProfile,
     ScaleImportance,
     default_importance,
-    paper_example_importance,
 )
 from repro.documents.media import (
     AudioGrade,
@@ -18,6 +17,7 @@ from repro.documents.media import (
     Medium,
 )
 from repro.documents.quality import AudioQoS, ImageQoS, TextQoS, VideoQoS
+from repro.paperdata import importance_setting_1
 from repro.util.errors import ProfileError
 from repro.util.units import dollars
 
@@ -84,7 +84,7 @@ class TestScaleImportance:
 
 class TestQoSImportance:
     def test_video_sums_parameters(self):
-        importance = paper_example_importance()
+        importance = importance_setting_1()
         # color 9 + 25 f/s 9 + TV resolution 9 = 27 (the offer4 value).
         assert importance.qos_importance(TV) == pytest.approx(27.0)
 
@@ -117,7 +117,7 @@ class TestQoSImportance:
 class TestCostImportance:
     def test_product_rule(self):
         # §5.2.2(b): cost importance = (importance of 1 $) x cost.
-        importance = paper_example_importance(cost_per_dollar=4.0)
+        importance = importance_setting_1()
         assert importance.cost_importance(dollars(2.5)) == pytest.approx(10.0)
 
     def test_zero_weight(self):
@@ -127,12 +127,12 @@ class TestCostImportance:
 
 class TestOverallImportance:
     def test_subtraction(self):
-        importance = paper_example_importance()
+        importance = importance_setting_1()
         oif = importance.overall_importance([TV], dollars(5))
         assert oif == pytest.approx(27.0 - 20.0)
 
     def test_sums_over_monomedia(self):
-        importance = paper_example_importance()
+        importance = importance_setting_1()
         oif = importance.overall_importance([TV, TV], dollars(0))
         assert oif == pytest.approx(54.0)
 
@@ -209,7 +209,7 @@ class TestReadOnlyTables:
     them can change afterwards; everything else sees plain dicts."""
 
     @pytest.mark.parametrize(
-        "name", sorted(tables_of(paper_example_importance()))
+        "name", sorted(tables_of(importance_setting_1()))
     )
     @pytest.mark.parametrize(
         "change",
@@ -225,7 +225,7 @@ class TestReadOnlyTables:
         ids=["assign", "del", "update", "pop", "setdefault", "clear", "popitem"],
     )
     def test_every_table_refuses_changes(self, name, change):
-        importance = paper_example_importance()
+        importance = importance_setting_1()
         table = tables_of(importance)[name]
         before = dict(table)
         key = next(iter(table), 15.0)
@@ -239,10 +239,10 @@ class TestReadOnlyTables:
         from repro.perf.fingerprint import importance_fingerprint
 
         assert repr(default_importance()) == DEFAULT_REPR
-        assert "mappingproxy" not in repr(paper_example_importance())
+        assert "mappingproxy" not in repr(importance_setting_1())
         assert importance_fingerprint(default_importance()) == "6495892865053065"
-        assert importance_fingerprint(paper_example_importance()) == (
-            "419ebdb2104c702e"
+        assert importance_fingerprint(importance_setting_1()) == (
+            "67df30300d3d7dc5"
         )
 
     def test_editors_and_equality_unchanged(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.mapping import QoSMapper, flow_spec_for_variant
+from repro.core.mapping import QoSMapper
 from repro.documents.media import AudioGrade, Codecs, ColorMode, Language
 from repro.documents.monomedia import BlockStats, Variant
 from repro.documents.quality import AudioQoS, ImageQoS, VideoQoS
@@ -104,6 +104,3 @@ class TestMapperConfig:
         bad = video_variant(stats=BlockStats(1e5, 1e5, 0.0))
         with pytest.raises(ValidationError):
             QoSMapper().flow_spec(bad)
-
-    def test_module_level_convenience(self):
-        assert flow_spec_for_variant(video_variant()).max_bit_rate > 0

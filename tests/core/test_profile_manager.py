@@ -98,13 +98,6 @@ class TestProfileManager:
         assert manager.default_name != "premium"
         assert manager.default is not None
 
-    def test_set_default(self):
-        manager = ProfileManager()
-        manager.set_default("economy")
-        assert manager.default.name == "economy"
-        with pytest.raises(NotFoundError):
-            manager.set_default("ghost")
-
     def test_empty_manager(self):
         manager = ProfileManager(profiles=[])
         assert len(manager) == 0

@@ -98,12 +98,6 @@ class TestMonomedia:
                 variants=(make_variant(), make_variant()),
             )
 
-    def test_with_variants_copy(self):
-        mono = Monomedia("m1", Medium.VIDEO, "clip", 120.0)
-        grown = mono.with_variants([make_variant()])
-        assert len(mono.variants) == 0
-        assert len(grown.variants) == 1
-
     def test_medium_parsed_from_string(self):
         mono = Monomedia("m1", "video", "clip", 120.0)
         assert mono.medium is Medium.VIDEO

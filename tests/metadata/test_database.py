@@ -23,8 +23,7 @@ def db(document):
 
 
 def record_counts(db):
-    records = db.dump_records()
-    return tuple(len(records[k]) for k in ("documents", "monomedia", "variants"))
+    return len(db._documents), len(db._monomedia), len(db._variants)
 
 
 class TestIngestion:

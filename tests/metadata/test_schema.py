@@ -85,18 +85,3 @@ class TestVariantRecord:
             duration_s=120.0,
         )
         assert VariantRecord.from_variant(variant).to_variant() == variant
-
-    def test_as_dict_json_plain(self):
-        import json
-
-        variant = Variant(
-            variant_id="v1",
-            monomedia_id="m1",
-            codec=Codecs.MPEG1,
-            qos=ALL_QOS[0],
-            size_bits=1e8,
-            block_stats=BlockStats(3e5, 1e5, 25.0),
-            server_id="server-a",
-            duration_s=120.0,
-        )
-        json.dumps(VariantRecord.from_variant(variant).as_dict())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.routing import find_route, find_route_any
+from repro.network.routing import find_route
 from repro.network.topology import Topology
 from repro.util.errors import NoRouteError
 
@@ -59,15 +59,3 @@ class TestFindRoute:
         t.graph.add_node("z")
         with pytest.raises(NoRouteError):
             find_route(t, "a", "z", 1e3)
-
-
-class TestFindRouteAny:
-    def test_ignores_capacity(self, diamond):
-        route = find_route_any(diamond, "a", "d")
-        assert route.nodes == ("a", "b", "d")  # cheap path even at 0 bps free
-        diamond.link("ab").reserve(5e6, holder="f")
-        assert find_route_any(diamond, "a", "d").nodes == ("a", "b", "d")
-
-    def test_unknown_node(self, diamond):
-        with pytest.raises(NoRouteError):
-            find_route_any(diamond, "a", "zz")

@@ -473,6 +473,27 @@ def test_the_memo_hits_evicts_and_stays_the_definition():
 # -- the resilient configuration, pinned ---------------------------------------------
 
 
+class CountingBreaker(CircuitBreaker):
+    """A breaker that also counts the outcomes recorded per server, as
+    ``(successes, failures)``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.outcomes = {}
+
+    def _tally(self, server_id, index):
+        tally = self.outcomes.setdefault(server_id, [0, 0])
+        tally[index] += 1
+
+    def record_success(self, server_id, now):
+        self._tally(server_id, 0)
+        super().record_success(server_id, now)
+
+    def record_failure(self, server_id, now):
+        self._tally(server_id, 1)
+        super().record_failure(server_id, now)
+
+
 def scripted_run(drive=commit):
     """Thirty commits of a three-monomedia document with a retry policy
     and a breaker armed, under transient refusals, slow admissions,
@@ -481,7 +502,7 @@ def scripted_run(drive=commit):
     ``iter_commit``)."""
     clock = ManualClock()
     telemetry = Telemetry(clock=clock, seed=0)
-    breaker = CircuitBreaker(failure_threshold=2, recovery_time_s=4.0)
+    breaker = CountingBreaker(failure_threshold=2, recovery_time_s=4.0)
     manager, space = grid_walk(
         3, clock=clock, telemetry=telemetry, health=breaker, retry_seed=7,
         retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.2),
@@ -537,7 +558,7 @@ def accounting(outcomes, committer, telemetry, breaker):
         "breaker": {
             server_id: (
                 record.state.value, record.consecutive_failures,
-                record.successes, record.failures, record.opened_at,
+                *breaker.outcomes.get(server_id, (0, 0)), record.opened_at,
             )
             for server_id, record in sorted(breaker._health.items())
         },
@@ -581,7 +602,7 @@ def refused_run(drive):
     retried, and neither is held against a server's breaker."""
     clock = ManualClock()
     telemetry = Telemetry(clock=clock, seed=0)
-    breaker = CircuitBreaker(failure_threshold=2, recovery_time_s=4.0)
+    breaker = CountingBreaker(failure_threshold=2, recovery_time_s=4.0)
     manager, space = grid_walk(
         2, clock=clock, telemetry=telemetry, health=breaker,
         retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.2),
@@ -662,7 +683,7 @@ def crashed_run(drive):
     once and held against the server that refused."""
     clock = ManualClock()
     telemetry = Telemetry(clock=clock, seed=0)
-    breaker = CircuitBreaker(failure_threshold=2, recovery_time_s=4.0)
+    breaker = CountingBreaker(failure_threshold=2, recovery_time_s=4.0)
     manager, space = grid_walk(
         2, clock=clock, telemetry=telemetry, health=breaker,
     )

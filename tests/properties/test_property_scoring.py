@@ -33,7 +33,6 @@ from repro.core.enumeration import build_offer_space
 from repro.core.importance import (
     ScaleImportance,
     default_importance,
-    paper_example_importance,
 )
 from repro.core.offers import SystemOffer
 from repro.core.profiles import MMProfile
@@ -47,6 +46,7 @@ from repro.documents.quality import (
     TextQoS,
     VideoQoS,
 )
+from repro.paperdata import importance_setting_1
 from repro.util.errors import OfferError, ValidationError
 from repro.util.units import Money
 
@@ -128,7 +128,7 @@ class TestScaleValue:
             assert bits(value) == bits(interp_oracle(anchors, x))
 
     @pytest.mark.parametrize(
-        "importance", [default_importance(), paper_example_importance()]
+        "importance", [default_importance(), importance_setting_1()]
     )
     def test_every_legal_scale_value_of_the_shipped_tables(self, importance):
         """Exhaustive over the QoS types' own ranges (frame rates 1–60,
@@ -350,7 +350,7 @@ def grid_cases(draw):
 class TestAxisColumns:
     @given(
         grid_cases(),
-        st.sampled_from([default_importance(), paper_example_importance()]),
+        st.sampled_from([default_importance(), importance_setting_1()]),
     )
     @settings(max_examples=60, deadline=None)
     def test_grid_columns_match_the_scalar_reference(self, case, importance):

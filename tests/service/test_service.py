@@ -74,7 +74,6 @@ class TestEndToEnd:
         assert service.inflight == 0
         assert len(service.requests) == 10
         assert all(r.result is not None for r in service.requests)
-        assert service.stats.delivered == 10
         assert_leak_free(scenario, journal)
 
     def test_statuses_are_real_negotiation_verdicts(self):
@@ -191,7 +190,7 @@ class TestStepSixRaces:
         submit_burst(scenario, service, 6)
         scenario.loop.run()
         assert service.stats.confirmations == 0
-        assert service.stats.rejections > 0
+        assert any(r.rejected for r in service.requests)
         assert_leak_free(scenario, journal)
 
     def test_confirmed_sessions_hold_then_release(self):
@@ -203,7 +202,8 @@ class TestStepSixRaces:
         submit_burst(scenario, service, 4)
         scenario.loop.run()
         assert service.stats.confirmations > 0
-        assert service.stats.releases == service.stats.confirmations
+        released = sum(r.released for r in service.requests)
+        assert released == service.stats.confirmations
         assert_leak_free(scenario, journal)
 
 
@@ -231,6 +231,7 @@ class TestGateIntegration:
         scenario, service, journal = build_service(gate_policy=gate_policy)
         submit_burst(scenario, service, 12, spacing_s=0.05)
         scenario.loop.run()
-        assert service.stats.delivered == 12
+        assert len(service.requests) == 12
+        assert all(r.result is not None for r in service.requests)
         assert service.inflight == 0
         assert_leak_free(scenario, journal)

@@ -1,9 +1,11 @@
 """Flight recorder: sampling, derived rates, windows, canonical JSONL."""
 
+import json
+
 import pytest
 
 from repro.session.engine import EventLoop
-from repro.telemetry import FlightRecorder, Telemetry, read_timeseries_jsonl
+from repro.telemetry import FlightRecorder, Telemetry
 from repro.util.clock import ManualClock
 from repro.util.errors import TelemetryError
 
@@ -113,17 +115,12 @@ class TestCanonicalExport:
         recorder, _ = make_run(horizon=3)
         path = tmp_path / "ts.jsonl"
         lines = recorder.write_jsonl(path)
-        dump = read_timeseries_jsonl(path)
-        assert lines == 1 + len(dump.names())
-        assert dump.header["samples"] == recorder.samples
+        header, *records = map(json.loads, path.read_text("utf-8").splitlines())
+        series = {record["series"]: record["points"] for record in records}
+        assert lines == 1 + len(series)
+        assert header["schema"] == "repro.timeseries/v1"
+        assert header["samples"] == recorder.samples
         key = "counter:commitment.rollbacks"
-        assert key in dump.names()
-        assert dump.points(key) == list(
+        assert [tuple(point) for point in series[key]] == list(
             recorder.counter_series("commitment.rollbacks")
         )
-
-    def test_reader_rejects_foreign_schemas(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"schema":"something/else"}\n', encoding="utf-8")
-        with pytest.raises(TelemetryError, match="schema"):
-            read_timeseries_jsonl(path)

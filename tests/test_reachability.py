@@ -1,9 +1,12 @@
 """Each def under ``src/`` is reached from the program, or is listed with
 its reason in ``tests/reachability_golden.txt``; so is each unread import.
 
-A def is used when its name appears in ``src/``, ``benchmarks/`` or
-``examples/`` outside its own body and every unused def's body, to a
-fixpoint.  Dunders and decorator-registered defs count as used.
+A def, or a module-level assignment, is used when its name appears in
+``src/``, ``benchmarks/`` or ``examples/`` outside its own body and every
+unused def's body, to a fixpoint.  A re-export is not a use: neither the
+alias of a relative import in an ``__init__.py`` nor a string in an
+``__all__``.  A string annotation is read for the names in it.  Dunders
+and decorator-registered defs count as used.
 """
 
 import ast
@@ -18,8 +21,36 @@ def parsed(directory):
         yield path.relative_to(ROOT).as_posix(), ast.parse(path.read_text("utf-8"))
 
 
-def mentions(tree):
+def re_exports(path, tree):
+    """The nodes whose names only pass a def on: ``__all__`` and, in an
+    ``__init__.py``, relative imports."""
     for node in ast.walk(tree):
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if any(getattr(t, "id", None) == "__all__" for t in targets):
+            yield from ast.walk(node)
+        elif path.endswith("/__init__.py") and getattr(node, "level", 0):
+            yield from ast.walk(node)
+
+
+def annotations(tree):
+    """The expressions a string annotation such as ``"AfterEach | None"``
+    holds, parsed, with the line of the string."""
+    for node in ast.walk(tree):
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for text in ast.walk(note) if note else ():
+                if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    try:  # a Literal["..."] member need not be an expression
+                        parsed = ast.parse(text.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    yield from (ast.copy_location(n, text) for n in ast.walk(parsed))
+
+
+def mentions(path, tree):
+    skipped = {id(node) for node in re_exports(path, tree)}
+    for node in [*ast.walk(tree), *annotations(tree)]:
+        if id(node) in skipped:
+            continue
         if isinstance(node, ast.alias):
             yield node.name.split(".")[-1], node.lineno
             yield (node.asname or node.name).split(".")[-1], node.lineno
@@ -32,8 +63,13 @@ def mentions(tree):
 
 
 def candidates(path, scope, prefix=""):
-    """``(path, qualname, name, first line, last line)`` per def."""
+    """``(path, qualname, name, first line, last line)`` per def, and per
+    name a module-level assignment binds."""
     for node in scope.body:
+        if not prefix and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for name in getattr(node, "targets", None) or [node.target]:
+                if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                    yield path, name.id, name.id, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             yield from candidates(path, node, f"{prefix}{node.name}.")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -48,7 +84,7 @@ def unreached_defs():
     program = [pt for d in ("src", "benchmarks", "examples") for pt in parsed(d)]
     uses = {}
     for path, tree in program:
-        for name, line in mentions(tree):
+        for name, line in mentions(path, tree):
             uses.setdefault(name, []).append((path, line))
     defs = [d for p, t in program if p.startswith("src/") for d in candidates(p, t)]
     dead, new = set(), True

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.profile_manager import ProfileManager
+from repro.core.profile_manager import ProfileManager, standard_profiles
 from repro.documents.media import Medium
 from repro.ui.windows import (
     audio_profile_window,
@@ -27,9 +27,10 @@ class TestMainWindow:
         for button in ("OK", "Edit", "Delete", "EXIT"):
             assert button in window
 
-    def test_default_starred(self, profiles):
-        profiles.set_default("economy")
-        window = main_window(profiles)
+    def test_default_starred(self):
+        # The first profile a manager is given is its default.
+        first = sorted(standard_profiles(), key=lambda p: p.name != "economy")
+        window = main_window(ProfileManager(first))
         line = next(l for l in window.splitlines() if "economy" in l)
         assert "*" in line
 
@@ -101,32 +102,3 @@ class TestInformationWindow:
         window = information_window(result)
         assert "FAILEDTRYLATER" in window
         assert "press OK within" not in window
-
-
-class TestBookingWindow:
-    def test_booking_window_states(self, manager, document, balanced_profile, client):
-        from repro.reservations import AdvanceNegotiator
-        from repro.ui.windows import booking_window
-
-        advance = AdvanceNegotiator(manager)
-        plan = advance.negotiate_advance(
-            document.document_id, balanced_profile, client, start_s=500.0
-        )
-        window = booking_window(plan)
-        assert "Advance booking" in window
-        assert "t=500s" in window
-        assert "bookings held" in window
-        advance.cancel(plan)
-        assert "cancelled" in booking_window(plan)
-
-    def test_booking_window_claimed(self, manager, document, balanced_profile, client):
-        from repro.reservations import AdvanceNegotiator
-        from repro.ui.windows import booking_window
-
-        advance = AdvanceNegotiator(manager)
-        plan = advance.negotiate_advance(
-            document.document_id, balanced_profile, client, start_s=0.0
-        )
-        result = advance.claim(plan, balanced_profile, client)
-        assert "claimed" in booking_window(plan)
-        result.commitment.release()

@@ -1,9 +1,8 @@
-"""Seeded RNG helpers: determinism and independence."""
+"""Seeded RNG construction: determinism and pass-through."""
 
 import numpy as np
-import pytest
 
-from repro.util.rng import derive_rng, make_rng, spawn_rngs
+from repro.util.rng import make_rng
 
 
 class TestMakeRng:
@@ -18,41 +17,3 @@ class TestMakeRng:
 
     def test_none_gives_generator(self):
         assert isinstance(make_rng(None), np.random.Generator)
-
-
-class TestDeriveRng:
-    def test_deterministic(self):
-        a = derive_rng(make_rng(1), "arrivals").random(3)
-        b = derive_rng(make_rng(1), "arrivals").random(3)
-        assert np.array_equal(a, b)
-
-    def test_different_keys_differ(self):
-        a = derive_rng(make_rng(1), "arrivals").random(3)
-        b = derive_rng(make_rng(1), "failures").random(3)
-        assert not np.array_equal(a, b)
-
-    def test_int_and_str_keys(self):
-        a = derive_rng(make_rng(1), 1, "x").random(2)
-        b = derive_rng(make_rng(1), 2, "x").random(2)
-        assert not np.array_equal(a, b)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(9, 4)) == 4
-
-    def test_reproducible(self):
-        a = [g.random() for g in spawn_rngs(9, 3)]
-        b = [g.random() for g in spawn_rngs(9, 3)]
-        assert a == b
-
-    def test_independent_streams(self):
-        g1, g2 = spawn_rngs(9, 2)
-        assert g1.random() != g2.random()
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(1, -1)
-
-    def test_zero_count(self):
-        assert spawn_rngs(1, 0) == []

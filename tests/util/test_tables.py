@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import render_box, render_kv, render_table
+from repro.util.tables import render_box, render_table
 
 
 class TestRenderTable:
@@ -33,16 +33,6 @@ class TestRenderTable:
     def test_empty_rows(self):
         out = render_table(("only", "headers"), [])
         assert "only" in out and "headers" in out
-
-
-class TestRenderKv:
-    def test_alignment(self):
-        out = render_kv([("key", 1), ("longerkey", 2)])
-        lines = out.splitlines()
-        assert lines[0].index(":") == lines[1].index(":")
-
-    def test_empty(self):
-        assert render_kv([], title="t") == "t"
 
 
 class TestRenderBox:

@@ -9,39 +9,20 @@ from repro.util.units import (
     Money,
     bps,
     bits,
-    bytes_,
     dollars,
     format_bitrate,
-    format_duration,
     format_size,
-    gbps,
     kbps,
-    kilobits,
-    mbps,
-    megabits,
-    minutes,
     ms,
     seconds,
 )
 
 
 class TestConversions:
-    def test_bytes_to_bits(self):
-        assert bytes_(1) == 8
-
-    def test_kilobits(self):
-        assert kilobits(3) == 3_000
-
-    def test_megabits(self):
-        assert megabits(1.5) == 1_500_000
-
     def test_rate_ladder(self):
         assert kbps(1) == 1_000
-        assert mbps(1) == 1_000_000
-        assert gbps(1) == 1_000_000_000
 
     def test_time_ladder(self):
-        assert minutes(2) == 120
         assert ms(250) == 0.25
         assert seconds(0) == 0.0
 
@@ -113,8 +94,3 @@ class TestFormatting:
     def test_format_size(self):
         assert format_size(100) == "100 bit"
         assert format_size(2_000_000) == "2.00 Mbit"
-
-    def test_format_duration(self):
-        assert format_duration(5) == "5 s"
-        assert format_duration(65) == "1:05"
-        assert format_duration(3_600 + 125) == "1:02:05"

@@ -4,24 +4,13 @@ import pytest
 
 from repro.util.errors import ValidationError
 from repro.util.validation import (
-    check_choice,
     check_fraction,
     check_name,
     check_non_empty,
     check_non_negative,
     check_positive,
     check_range,
-    require,
 )
-
-
-class TestRequire:
-    def test_passes(self):
-        require(True, "never")
-
-    def test_raises(self):
-        with pytest.raises(ValidationError, match="boom"):
-            require(False, "boom")
 
 
 class TestCheckRange:
@@ -71,11 +60,6 @@ class TestNameAndChoice:
     def test_name_bad(self, bad):
         with pytest.raises(ValidationError):
             check_name(bad, "x")
-
-    def test_choice(self):
-        assert check_choice("a", ("a", "b"), "x") == "a"
-        with pytest.raises(ValidationError):
-            check_choice("c", ("a", "b"), "x")
 
     def test_non_empty(self):
         assert check_non_empty([1], "x") == [1]
