@@ -12,8 +12,8 @@ call through the file's imports.)
   package itself (which defines and validates the catalog) is exempt.
 * **Unregistered time-series and SLO names.**  The same discipline on
   the *read* side: flight-recorder series queries
-  (``counter_series`` / ``counter_rate`` / ``gauge_series`` /
-  ``quantile_series`` / ``histogram_series`` / ``window_histogram``)
+  (``counter_series`` / ``quantile_series`` / ``histogram_series`` /
+  ``window_histogram``)
   and SLO declarations (``EventSelector(...)``, ``SloSpec(metric=...)``)
   name catalog metrics too — a typo'd dashboard or SLO silently reads
   an empty series forever, which is worse than crashing.
@@ -43,8 +43,6 @@ _METRIC_RECEIVERS = {"metrics", "telemetry"}
 # (the names are distinctive enough to check on any receiver).
 _SERIES_METHODS = {
     "counter_series",
-    "counter_rate",
-    "gauge_series",
     "quantile_series",
     "histogram_series",
     "window_histogram",

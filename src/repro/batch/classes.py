@@ -36,11 +36,7 @@ __all__ = ["BatchRequest", "request_class_key"]
 
 @dataclass(frozen=True, slots=True)
 class BatchRequest:
-    """One pending negotiation request, as the batch engine sees it.
-
-    ``tag`` is opaque caller correlation (session id, arrival record);
-    it never enters the class key.
-    """
+    """One pending negotiation request, as the batch engine sees it."""
 
     document: "Document | str"
     profile: UserProfile
@@ -48,7 +44,6 @@ class BatchRequest:
     policy: "ClassificationPolicy | None" = None
     guarantee: "GuaranteeType | None" = None
     max_offers: "int | None" = None
-    tag: object = None
 
     @property
     def document_id(self) -> str:
@@ -69,7 +64,7 @@ def request_class_key(
     version, client capability fingerprint, guarantee, cost model,
     mapper) extended with the classification inputs (profile bounds,
     importance, policy) and the walk bound.  Everything identity-like
-    (client id, access point, profile name, tag) is excluded by
+    (client id, access point, profile name) is excluded by
     construction — that is the fingerprint module's contract.
     """
     profile = request.profile

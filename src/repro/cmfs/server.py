@@ -274,13 +274,12 @@ class MediaServer:
         violated until :meth:`restart`."""
         self._crashed = True
 
-    def restart(self, *, preserve_streams: bool = False) -> None:
+    def restart(self) -> None:
         """Bring the machine back.  A real crash loses the in-memory
-        reservation ledger, so by default held streams are wiped — their
-        holders' later releases are tolerated by the rollback paths."""
-        if not preserve_streams:
-            self._streams.clear()
-            self._drop_load()
+        reservation ledger, so held streams are wiped — their holders'
+        later releases are tolerated by the rollback paths."""
+        self._streams.clear()
+        self._drop_load()
         self._crashed = False
 
     # -- degradation / adaptation hooks ----------------------------------------------

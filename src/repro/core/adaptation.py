@@ -140,10 +140,15 @@ class AdaptationManager:
         set; include the current offer in it so break-before-make can
         still revert.
 
-        On success the old reservation is released *after* the new one
-        is held (make-before-break) and the new commitment is confirmed
-        automatically.  On failure the old reservation is left in place
-        — a degraded session is still a session.
+        The order follows ``strategy``.  Under the default
+        ``BREAK_BEFORE_MAKE`` the old reservation is released *first*;
+        on success the new commitment is confirmed automatically, and
+        on failure the walk tries to take the original offer back
+        (``reverted``) or, when nothing is reservable any more, reports
+        ``resources_lost``.  Under ``MAKE_BEFORE_BREAK`` the old
+        reservation is released only after the new one is held, and a
+        failure leaves it in place — a degraded session is still a
+        session.
         """
         telemetry = self.manager.telemetry
         with telemetry.span(

@@ -38,7 +38,6 @@ def make_profile(
     worst_audio: AudioQoS | None = None,
     max_cost: float = 10.0,
     importance: ImportanceProfile | None = None,
-    time: TimeProfile | None = None,
     **extra_media: "MediaQoS | None",
 ) -> UserProfile:
     """Convenience constructor for the common video(+audio) profile.
@@ -47,7 +46,7 @@ def make_profile(
     worst bounds default to the desired values (the §5.2.1 example's
     "the desired and the worst acceptable values are the same").
     """
-    time = time or TimeProfile()
+    time = TimeProfile()
 
     def pick(kind: str, medium: str):
         desired = extra_media.get(f"desired_{medium}")
@@ -145,13 +144,11 @@ def standard_profiles() -> "list[UserProfile]":
 class ProfileManager:
     """Named user-profile store behind the QoS GUI windows."""
 
-    def __init__(self, profiles: "list[UserProfile] | None" = None) -> None:
+    def __init__(self) -> None:
         self._profiles: dict[str, UserProfile] = {}
         self._default: str | None = None
-        for profile in profiles if profiles is not None else standard_profiles():
+        for profile in standard_profiles():
             self.save_as(profile)
-        if self._profiles and self._default is None:
-            self._default = next(iter(self._profiles))
 
     # -- GUI operations (§8 main window) ----------------------------------------
 

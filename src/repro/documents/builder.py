@@ -78,6 +78,8 @@ AUDIO_BLOCKS_PER_SECOND = 50.0  # 20 ms audio frames, the common framing
 
 _ASPECT = 3 / 4  # lines per pixels-per-line, 4:3 video
 
+_TEXT_BITS = 4_000 * 8.0  # a 4,000-character article body
+
 
 @dataclass(frozen=True, slots=True)
 class MediaRateModel:
@@ -127,9 +129,6 @@ class MediaRateModel:
         pixels = qos.resolution * qos.resolution * _ASPECT
         return max(pixels * _BITS_PER_PIXEL[qos.color] / 10.0, 1.0)  # JPEG ~10:1
 
-    def text_size_bits(self, length_chars: float = 4_000) -> float:
-        return length_chars * 8.0
-
 
 DEFAULT_RATE_MODEL = MediaRateModel()
 
@@ -144,14 +143,11 @@ class MonomediaBuilder:
         medium: "Medium | str",
         title: str,
         duration_s: float,
-        *,
-        rate_model: MediaRateModel = DEFAULT_RATE_MODEL,
     ) -> None:
         self.monomedia_id = monomedia_id
         self.medium = Medium.parse(medium)
         self.title = title
         self.duration_s = check_positive(duration_s, "duration_s")
-        self.rate_model = rate_model
         self._variants: list[Variant] = []
         self._counter = 0
 
@@ -164,49 +160,35 @@ class MonomediaBuilder:
         codec: Codec,
         qos: MediaQoS,
         server_id: str,
-        *,
-        variant_id: str | None = None,
-        size_bits: float | None = None,
-        block_stats: BlockStats | None = None,
-        duration_s: float | None = None,
     ) -> "MonomediaBuilder":
-        """Add one variant; sizes/blocks are derived when omitted."""
-        duration = duration_s if duration_s is not None else self.duration_s
-        if block_stats is None:
-            if self.medium is Medium.VIDEO:
-                block_stats = self.rate_model.video_block_stats(codec, qos)  # type: ignore[arg-type]
-            elif self.medium is Medium.AUDIO:
-                block_stats = self.rate_model.audio_block_stats(codec, qos)  # type: ignore[arg-type]
-            else:
-                size = size_bits
-                if size is None:
-                    if self.medium is Medium.TEXT:
-                        size = self.rate_model.text_size_bits()
-                    else:
-                        size = self.rate_model.image_size_bits(qos)  # type: ignore[arg-type]
-                block_stats = BlockStats(
-                    max_block_bits=size, avg_block_bits=size,
-                    blocks_per_second=0.0,
-                )
-        if size_bits is None:
-            if block_stats.blocks_per_second > 0:
-                size_bits = (
-                    block_stats.avg_block_bits
-                    * block_stats.blocks_per_second
-                    * duration
-                )
-            else:
-                size_bits = block_stats.avg_block_bits
+        """Add one variant, its size and blocks derived from the rate
+        model."""
+        if self.medium is Medium.VIDEO:
+            block_stats = DEFAULT_RATE_MODEL.video_block_stats(codec, qos)  # type: ignore[arg-type]
+        elif self.medium is Medium.AUDIO:
+            block_stats = DEFAULT_RATE_MODEL.audio_block_stats(codec, qos)  # type: ignore[arg-type]
+        else:
+            size = (
+                _TEXT_BITS if self.medium is Medium.TEXT
+                else DEFAULT_RATE_MODEL.image_size_bits(qos)  # type: ignore[arg-type]
+            )
+            block_stats = BlockStats(
+                max_block_bits=size, avg_block_bits=size,
+                blocks_per_second=0.0,
+            )
+        size_bits = block_stats.avg_block_bits
+        if block_stats.blocks_per_second > 0:
+            size_bits = size_bits * block_stats.blocks_per_second * self.duration_s
         self._variants.append(
             Variant(
-                variant_id=variant_id or self._next_id(),
+                variant_id=self._next_id(),
                 monomedia_id=self.monomedia_id,
                 codec=codec,
                 qos=qos,
                 size_bits=size_bits,
                 block_stats=block_stats,
                 server_id=server_id,
-                duration_s=duration,
+                duration_s=self.duration_s,
             )
         )
         return self
@@ -244,14 +226,6 @@ class DocumentBuilder:
         )
         return self
 
-    def sequential(self, first: str, second: str, offset_s: float = 0.0) -> "DocumentBuilder":
-        self._temporal.append(
-            TemporalRelation(
-                TemporalRelationKind.SEQUENTIAL, first, second, offset_s
-            )
-        )
-        return self
-
     def overlaps(self, first: str, second: str, offset_s: float) -> "DocumentBuilder":
         self._temporal.append(
             TemporalRelation(TemporalRelationKind.OVERLAPS, first, second, offset_s)
@@ -277,6 +251,11 @@ class DocumentBuilder:
         )
 
 
+_AUDIO_GRADES = (AudioGrade.CD, AudioGrade.TELEPHONE)
+_LANGUAGES = (Language.ENGLISH, Language.FRENCH)
+_COPYRIGHT_COST = 0.5  # dollars per article
+
+
 def make_news_article(
     document_id: str = "doc.news-1",
     *,
@@ -289,9 +268,6 @@ def make_news_article(
     colors: Sequence[ColorMode] = (ColorMode.COLOR, ColorMode.GREY),
     resolutions: Sequence[int] = (TV_RESOLUTION,),
     video_codecs: Sequence[Codec] = (Codecs.MPEG1, Codecs.MJPEG),
-    audio_grades: Sequence[AudioGrade] = (AudioGrade.CD, AudioGrade.TELEPHONE),
-    languages: Sequence[Language] = (Language.ENGLISH, Language.FRENCH),
-    copyright_cost: float = 0.5,
     include_image: bool = True,
     include_text: bool = True,
 ) -> Document:
@@ -323,8 +299,8 @@ def make_news_article(
         f"{document_id}.audio", Medium.AUDIO, "soundtrack", duration_s
     )
     index = 0
-    for grade in audio_grades:
-        for language in languages:
+    for grade in _AUDIO_GRADES:
+        for language in _LANGUAGES:
             server = audio_servers[index % len(audio_servers)]
             index += 1
             audio.add_variant(
@@ -338,7 +314,7 @@ def make_news_article(
         .add(video)
         .add(audio)
         .parallel(f"{document_id}.video", f"{document_id}.audio")
-        .copyright(copyright_cost)
+        .copyright(_COPYRIGHT_COST)
         .place(
             f"{document_id}.video", ScreenRegion(0, 0, TV_RESOLUTION, 540)
         )
@@ -362,7 +338,7 @@ def make_news_article(
         text = MonomediaBuilder(
             f"{document_id}.text", Medium.TEXT, "article body", duration_s
         )
-        for language in languages:
+        for language in _LANGUAGES:
             text.add_variant(
                 Codecs.HTML, TextQoS(language=language), still_server
             )

@@ -7,7 +7,7 @@ filtered iteration, and is the unit the metadata database ingests.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from ..util.errors import DuplicateKeyError, NotFoundError
 from .document import Document
@@ -18,10 +18,8 @@ __all__ = ["DocumentCatalog"]
 class DocumentCatalog:
     """An ordered, id-unique collection of documents."""
 
-    def __init__(self, documents: Iterable[Document] = ()) -> None:
+    def __init__(self) -> None:
         self._documents: dict[str, Document] = {}
-        for document in documents:
-            self.add(document)
 
     def add(self, document: Document) -> None:
         if document.document_id in self._documents:

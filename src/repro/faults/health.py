@@ -19,10 +19,10 @@ import enum
 from dataclasses import dataclass
 from typing import Callable
 
-from ..util.errors import ValidationError
-from ..util.validation import check_positive
-
 __all__ = ["BreakerState", "ServerHealth", "CircuitBreaker"]
+
+FAILURE_THRESHOLD = 3  # consecutive failures that open a breaker
+RECOVERY_TIME_S = 30.0  # how long an open breaker quarantines its server
 
 
 class BreakerState(enum.Enum):
@@ -43,25 +43,12 @@ class ServerHealth:
 class CircuitBreaker:
     """Failure counting + quarantine over a server fleet.
 
-    ``failure_threshold`` consecutive failures open the breaker for
-    ``recovery_time_s``.  All transitions are driven by the caller's
+    ``FAILURE_THRESHOLD`` consecutive failures open the breaker for
+    ``RECOVERY_TIME_S``.  All transitions are driven by the caller's
     simulated ``now`` — the breaker holds no clock of its own.
     """
 
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 3,
-        recovery_time_s: float = 30.0,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValidationError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        self.failure_threshold = failure_threshold
-        self.recovery_time_s = check_positive(
-            recovery_time_s, "recovery_time_s"
-        )
+    def __init__(self) -> None:
         self._health: dict[str, ServerHealth] = {}
         self.opens = 0  # lifetime count of CLOSED/HALF_OPEN -> OPEN trips
         # Optional observer called as (server_id, old, new, now) on every
@@ -112,7 +99,7 @@ class CircuitBreaker:
             self._trip(server_id, record, now)
         elif (
             record.state is BreakerState.CLOSED
-            and record.consecutive_failures >= self.failure_threshold
+            and record.consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._trip(server_id, record, now)
 
@@ -131,7 +118,7 @@ class CircuitBreaker:
         if (
             record.state is BreakerState.OPEN
             and record.opened_at is not None
-            and now >= record.opened_at + self.recovery_time_s - 1e-12
+            and now >= record.opened_at + RECOVERY_TIME_S - 1e-12
         ):
             record.state = BreakerState.HALF_OPEN
             self._notify(
@@ -150,7 +137,7 @@ class CircuitBreaker:
         """The soonest time a quarantined server becomes probeable, or
         ``None`` when nothing is quarantined."""
         deadlines = [
-            record.opened_at + self.recovery_time_s
+            record.opened_at + RECOVERY_TIME_S
             for record in self._health.values()
             if record.state is BreakerState.OPEN and record.opened_at is not None
         ]
@@ -163,6 +150,6 @@ class CircuitBreaker:
         )
         return (
             f"CircuitBreaker({len(self._health)} tracked, {open_count} open, "
-            f"threshold={self.failure_threshold}, "
-            f"recovery={self.recovery_time_s:g}s)"
+            f"threshold={FAILURE_THRESHOLD}, "
+            f"recovery={RECOVERY_TIME_S:g}s)"
         )

@@ -28,10 +28,8 @@ class Lease:
 
     holder: str
     bundle: "ReservationBundle"
-    granted_at: float
     ttl_s: float
     expires_at: float
-    renewals: int = 0
     zombie: bool = False  # a release was attempted but resources remain
 
     def expired(self, now: float) -> bool:
@@ -39,7 +37,6 @@ class Lease:
 
     def renew(self, now: float) -> None:
         self.expires_at = now + self.ttl_s
-        self.renewals += 1
 
 
 class LeaseManager:
@@ -70,7 +67,6 @@ class LeaseManager:
         lease = Lease(
             holder=holder,
             bundle=bundle,
-            granted_at=now,
             ttl_s=self.ttl_s,
             expires_at=now + self.ttl_s,
         )

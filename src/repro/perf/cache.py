@@ -213,16 +213,13 @@ class NegotiationCache:
 _shared: "NegotiationCache | None" = None
 
 
-def shared_cache(telemetry: "Telemetry | None" = None) -> NegotiationCache:
-    """The process-wide :class:`NegotiationCache`, created on first use.
-
-    ``telemetry`` only matters on the creating call; later callers get
-    the existing instance unchanged (the cache's own ``stats`` counters
-    are always live regardless).
-    """
+def shared_cache() -> NegotiationCache:
+    """The process-wide :class:`NegotiationCache`, created on first use
+    with the disabled telemetry hub (its own ``stats`` counters are
+    always live)."""
     global _shared
     if _shared is None:
-        _shared = NegotiationCache(telemetry=telemetry)
+        _shared = NegotiationCache()
     return _shared
 
 

@@ -37,7 +37,6 @@ from ..core.status import NegotiationStatus
 from ..network.routing import find_route
 from ..network.topology import Topology
 from ..util.errors import CapacityError, NoRouteError, ReservationError
-from ..util.validation import check_positive
 from .interval import IntervalBooking, IntervalLedger
 
 __all__ = ["AdvanceBookingPlan", "AdvancePlanner", "AdvanceNegotiator"]
@@ -187,9 +186,9 @@ class AdvanceNegotiator:
         client: ClientMachine,
         *,
         start_s: float,
-        duration_s: "float | None" = None,
     ) -> "AdvanceBookingPlan | NegotiationResult":
-        """Negotiate a booking for ``[start_s, start_s + duration)``.
+        """Negotiate a booking for ``[start_s, start_s + duration)``, the
+        document's whole duration.
 
         Returns an :class:`AdvanceBookingPlan` when a bookable offer
         exists, else the failing :class:`NegotiationResult` (local /
@@ -198,10 +197,7 @@ class AdvanceNegotiator:
         manager = self.manager
         if isinstance(document, str):
             document = manager.database.get_document(document)
-        if duration_s is None:
-            duration_s = document.duration_s
-        check_positive(duration_s, "duration_s")
-        end_s = start_s + duration_s
+        end_s = start_s + document.duration_s
 
         plan = manager.plan(
             document, profile, client,

@@ -24,6 +24,8 @@ from ..util.validation import check_non_negative, check_positive
 
 __all__ = ["StreamDemand", "DataPathReport", "simulate_rounds"]
 
+VBR_SPREAD = 0.5  # a round's demand is uniform in avg x [1 - 0.5, 1 + 0.5]
+
 
 @dataclass(frozen=True, slots=True)
 class StreamDemand:
@@ -52,7 +54,6 @@ class DataPathReport:
     delivered_bits: float = 0.0
     consumed_bits: float = 0.0
     stall_s: float = 0.0
-    stall_events: int = 0
     buffer_peak_bits: float = 0.0
     infeasible_rounds: int = 0
 
@@ -63,13 +64,12 @@ def simulate_rounds(
     duration_s: float,
     *,
     rng: RngLike = None,
-    vbr_spread: float = 0.5,
 ) -> "dict[str, DataPathReport]":
     """Simulate ``duration_s`` of service rounds for ``demands``.
 
     Per round, each stream needs a VBR-fluctuating amount of data
-    (uniform in ``avg × [1−spread, 1+spread]``, capped at its peak
-    rate).  If the round's total work exceeds the round budget every
+    (uniform in ``avg × [1−VBR_SPREAD, 1+VBR_SPREAD]``, capped at its
+    peak rate).  If the round's total work exceeds the round budget every
     stream's delivery is scaled down proportionally — the disk has no
     spare time to catch up, which is exactly why admission control
     matters.  Playout starts once the prebuffer is filled; a drained
@@ -78,8 +78,6 @@ def simulate_rounds(
     check_positive(duration_s, "duration_s")
     if not demands:
         raise SimulationError("need at least one stream")
-    if not (0.0 <= vbr_spread < 1.0):
-        raise SimulationError("vbr_spread must be in [0, 1)")
     rng = make_rng(rng)
     round_s = disk.round_s
     rounds = max(int(round(duration_s / round_s)), 1)
@@ -101,7 +99,7 @@ def simulate_rounds(
         # Per-stream content size for this round (the VBR draw).
         needs: dict[str, float] = {}
         for demand in demands:
-            factor = float(rng.uniform(1.0 - vbr_spread, 1.0 + vbr_spread))
+            factor = float(rng.uniform(1.0 - VBR_SPREAD, 1.0 + VBR_SPREAD))
             bits = min(
                 demand.avg_bps * round_s * factor, demand.max_bps * round_s
             )
@@ -142,6 +140,5 @@ def simulate_rounds(
                 report.consumed_bits += have
                 shortfall = want - have
                 report.stall_s += shortfall / demand.avg_bps
-                report.stall_events += 1
                 buffers[sid] = 0.0
     return reports

@@ -91,11 +91,9 @@ class SessionSupervisor:
 
     # -- registration --------------------------------------------------------------
 
-    def watch(
-        self, session: PlayoutSession, *, now: "float | None" = None
-    ) -> SupervisedEntry:
+    def watch(self, session: PlayoutSession) -> SupervisedEntry:
         """Put a live playout session under supervision."""
-        now = self._clock.now() if now is None else now
+        now = self._clock.now()
         entry = SupervisedEntry(
             holder=session.holder,
             last_heartbeat=now,

@@ -153,11 +153,11 @@ class RandomNegotiator(_ReorderingNegotiator):
 
     name = "random"
 
-    def __init__(self, manager: QoSManager, seed: int = 0) -> None:
+    def __init__(self, manager: QoSManager) -> None:
         super().__init__(manager)
         from ..util.rng import make_rng
 
-        self._rng = make_rng(seed)
+        self._rng = make_rng(0)
 
     def _order(self, classified):
         order = list(classified)

@@ -111,7 +111,6 @@ class RunStats:
     failed_adaptations: int = 0
     total_interruption_s: float = 0.0
     total_degraded_s: float = 0.0
-    sessions_with_loss: int = 0
 
     def record_session(self, session: PlayoutSession) -> None:
         record = session.record
@@ -123,8 +122,6 @@ class RunStats:
         self.failed_adaptations += record.failed_adaptations
         self.total_interruption_s += record.total_interruption_s
         self.total_degraded_s += record.degraded_time_s
-        if record.resources_lost:
-            self.sessions_with_loss += 1
 
     @property
     def blocking_probability(self) -> float:

@@ -17,16 +17,13 @@ from ..cmfs.admission import AdmissionController
 from ..cmfs.disk import DiskModel
 from ..cmfs.server import MediaServer
 from ..cmfs.storage import validate_placement
-from ..core.classification import ClassificationPolicy
-from ..core.cost import CostModel, default_cost_model
-from ..core.mapping import QoSMapper
 from ..core.negotiation import QoSManager
 from ..documents.builder import make_news_article
 from ..documents.catalog import DocumentCatalog
 from ..faults.plan import FaultKind, FaultSpec
 from ..metadata.database import MetadataDatabase
 from ..network.topology import Topology
-from ..network.transport import GuaranteeType, TransportSystem
+from ..network.transport import TransportSystem
 from ..perf.cache import NegotiationCache
 from ..session.engine import EventLoop
 from ..session.runtime import SessionRuntime
@@ -137,10 +134,6 @@ class Scenario:
 def build_scenario(
     spec: ScenarioSpec | None = None,
     *,
-    cost_model: CostModel | None = None,
-    mapper: QoSMapper | None = None,
-    policy: ClassificationPolicy = ClassificationPolicy.SNS_PRIMARY,
-    guarantee: GuaranteeType = GuaranteeType.GUARANTEED,
     retry_policy=None,
     health=None,
     lease_ttl_s: "float | None" = None,
@@ -254,11 +247,7 @@ def build_scenario(
         database=database,
         transport=transport,
         servers=servers,
-        cost_model=cost_model or default_cost_model(),
-        mapper=mapper,
         clock=clock,
-        policy=policy,
-        guarantee=guarantee,
         retry_policy=retry_policy,
         health=health,
         lease_ttl_s=lease_ttl_s,

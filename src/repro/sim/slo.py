@@ -27,7 +27,7 @@ from ..telemetry.profiler import (
     extract_critical_paths,
     profile_spans,
 )
-from ..telemetry.slo import SloReport, SloSpec, evaluate_slos
+from ..telemetry.slo import SloReport, default_slos, evaluate_slos
 from ..telemetry.timeseries import FlightRecorder
 from ..util.errors import SimulationError
 from ..util.validation import check_fraction, check_positive
@@ -127,12 +127,9 @@ class SloRunReport:
         }
 
 
-def run_slo(
-    spec: SloRunSpec,
-    *,
-    slos: "tuple[SloSpec, ...] | None" = None,
-) -> SloRunReport:
-    """Replay the scenario's load cell and grade it."""
+def run_slo(spec: SloRunSpec) -> SloRunReport:
+    """Replay the scenario's load cell and grade it against the shipped
+    SLO set."""
     run = run_load_cell_instrumented(
         spec.load_spec(),
         spec.multiplier,
@@ -143,7 +140,7 @@ def run_slo(
         raise SimulationError(
             "SLO runs need telemetry; set telemetry_seed"
         )
-    report = evaluate_slos(run.recorder, slos)
+    report = evaluate_slos(run.recorder, default_slos())
     paths = extract_critical_paths(run.spans)
     return SloRunReport(
         spec=spec,

@@ -117,15 +117,12 @@ class Telemetry:
         *,
         clock: ManualClock,
         seed: int = 0,
-        exporters: "tuple[SpanExporter, ...]" = (),
         enabled: bool = True,
     ) -> None:
         self.clock = clock
         self.seed = seed
         self.enabled = enabled
-        self.tracer = Tracer(
-            clock=clock, seed=seed, exporters=exporters, enabled=enabled
-        )
+        self.tracer = Tracer(clock=clock, seed=seed, enabled=enabled)
         self.metrics = MetricsRegistry(enabled=enabled)
 
     # -- convenience delegates (the one-line call sites) ---------------------------

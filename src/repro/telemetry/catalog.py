@@ -39,10 +39,8 @@ def _counter(
     return MetricSpec(name, MetricKind.COUNTER, unit, description, label)
 
 
-def _gauge(
-    name: str, unit: str, description: str, label: "str | None" = None
-) -> MetricSpec:
-    return MetricSpec(name, MetricKind.GAUGE, unit, description, label)
+def _gauge(name: str, unit: str, description: str) -> MetricSpec:
+    return MetricSpec(name, MetricKind.GAUGE, unit, description)
 
 
 def _histogram(

@@ -459,13 +459,9 @@ def _evaluate_zero(
 
 
 def evaluate_slos(
-    recorder: "FlightRecorder",
-    slos: "tuple[SloSpec, ...] | None" = None,
+    recorder: "FlightRecorder", slos: "tuple[SloSpec, ...]"
 ) -> SloReport:
-    """Grade a recorded run against the SLO set (default: the shipped
-    3-server deployment set)."""
-    if slos is None:
-        slos = default_slos()
+    """Grade a recorded run against the SLO set ``slos``."""
     results = []
     for spec in slos:
         if spec.kind == "ratio":

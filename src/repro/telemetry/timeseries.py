@@ -4,15 +4,14 @@ A terminal metrics snapshot answers *what happened*; an operator needs
 *when*.  The :class:`FlightRecorder` rides the simulated clock: armed
 on an :class:`~repro.session.engine.EventLoop`, it snapshots the
 :class:`~repro.telemetry.metrics.MetricsRegistry` every ``interval_s``
-simulated seconds into bounded ring buffers — cumulative counters (from
-which per-interval rates derive), gauge values, and full histogram
-bucket vectors (from which windowed quantiles derive).  Everything is a
+simulated seconds into bounded ring buffers — cumulative counters,
+gauge values, and full histogram bucket vectors (from which windowed
+quantiles derive).  Everything is a
 pure function of the run's seed: sample times come from the event loop,
 values from the catalog-validated registry, so two same-seed runs
 export byte-identical JSONL.
 
-Series keys are ``kind:flat-metric-key`` (``rate:`` series are derived
-at query/export time, never stored):
+Series keys are ``kind:flat-metric-key``:
 
 * ``counter:storm.gate.decisions{decision=shed}`` — cumulative value,
 * ``gauge:storm.queue.depth`` — last set value,
@@ -20,8 +19,6 @@ at query/export time, never stored):
   sum]`` cumulative bucket vector.
 
 The query methods (:meth:`~FlightRecorder.counter_series`,
-:meth:`~FlightRecorder.counter_rate`,
-:meth:`~FlightRecorder.gauge_series`,
 :meth:`~FlightRecorder.quantile_series`,
 :meth:`~FlightRecorder.histogram_series`) take catalog metric names —
 reprolint REP011 statically rejects names the catalog does not know,
@@ -106,7 +103,6 @@ class FlightRecorder:
         self.capacity = capacity
         self._ticks = _Ring(capacity)
         self._series: "dict[str, _Ring]" = {}
-        self._armed_at: "float | None" = None
 
     # -- sampling ------------------------------------------------------------------
 
@@ -115,7 +111,6 @@ class FlightRecorder:
         until ``until`` (absolute simulated time).  A bound is required
         whenever the loop is drained to exhaustion — an unbounded
         periodic sampler would keep the loop alive forever."""
-        self._armed_at = loop.now
         self.sample(loop.now)
         loop.every(
             self.interval_s,
@@ -209,47 +204,6 @@ class FlightRecorder:
         self._require(name, MetricKind.COUNTER)
         key = format_metric_key(name, label)
         return tuple(self._points(f"counter:{key}"))
-
-    def counter_rate(
-        self, name: str, label: "str | None" = None
-    ) -> "tuple[tuple[float, float], ...]":
-        """Per-second rate over each sampling interval; the point at
-        ``t`` covers ``(previous tick, t]``.  A counter born mid-run
-        counts from zero at the preceding tick."""
-        self._require(name, MetricKind.COUNTER)
-        key = format_metric_key(name, label)
-        return self._rate_of(self._points(f"counter:{key}"))
-
-    def _rate_of(
-        self, points: "list[tuple[float, float]]"
-    ) -> "tuple[tuple[float, float], ...]":
-        if not points:
-            return ()
-        ticks = self._ticks.items()
-        first_t = points[0][0]
-        previous_ticks = [t for t in ticks if t < first_t]
-        if previous_ticks:
-            prior = (previous_ticks[-1], 0.0)
-        elif self._armed_at is not None and self._armed_at < first_t:
-            prior = (self._armed_at, 0.0)
-        else:
-            prior = None
-        rates: "list[tuple[float, float]]" = []
-        if prior is not None:
-            points = [prior] + points
-        else:
-            rates.append((points[0][0], 0.0))
-        for (t0, v0), (t1, v1) in zip(points, points[1:]):
-            dt = t1 - t0
-            rates.append((t1, (v1 - v0) / dt if dt > 0 else 0.0))
-        return tuple(rates)
-
-    def gauge_series(
-        self, name: str, label: "str | None" = None
-    ) -> "tuple[tuple[float, float], ...]":
-        self._require(name, MetricKind.GAUGE)
-        key = format_metric_key(name, label)
-        return tuple(self._points(f"gauge:{key}"))
 
     def histogram_series(
         self, name: str

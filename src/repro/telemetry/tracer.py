@@ -94,7 +94,6 @@ class Tracer:
         *,
         clock: ManualClock,
         seed: int = 0,
-        exporters: "tuple[SpanExporter, ...]" = (),
         enabled: bool = True,
     ) -> None:
         self.clock = clock
@@ -106,7 +105,7 @@ class Tracer:
             )
         self._rng = make_rng(seed)
         self._id_pool: "list[str]" = []  # reversed: pop() draws the next id
-        self._exporters: "list[SpanExporter]" = list(exporters)
+        self._exporters: "list[SpanExporter]" = []
         self._stack: "list[Span]" = []
         self._sequence = 0
 
@@ -114,10 +113,6 @@ class Tracer:
 
     def add_exporter(self, exporter: SpanExporter) -> None:
         self._exporters.append(exporter)
-
-    @property
-    def exporters(self) -> "tuple[SpanExporter, ...]":
-        return tuple(self._exporters)
 
     # -- identity ------------------------------------------------------------------
 
@@ -191,7 +186,6 @@ class Tracer:
         end_s: float,
         parent: "tuple[str, str] | None" = None,
         context: "tuple[str, str] | None" = None,
-        status: str = SpanStatus.OK,
         attributes: "dict[str, Any] | None" = None,
     ) -> "Span | _NullSpan":
         """Record a manually-timed span (confirmation waits, breaker
@@ -220,7 +214,7 @@ class Tracer:
             span_id = pool.pop()
         self._sequence += 1
         span = Span(
-            name, trace_id, span_id, parent_id, start_s, end_s, status,
+            name, trace_id, span_id, parent_id, start_s, end_s, SpanStatus.OK,
             self._sequence, {} if attributes is None else attributes,
         )
         for exporter in self._exporters:

@@ -14,6 +14,8 @@ from ..util.errors import ValidationError
 
 __all__ = ["scale_bar", "button_row", "choice_row"]
 
+_BAR_WIDTH = 40  # cells between the brackets
+
 
 def scale_bar(
     label: str,
@@ -23,18 +25,19 @@ def scale_bar(
     desired: "float | None" = None,
     worst: "float | None" = None,
     offer: "float | None" = None,
-    width: int = 40,
     unit: str = "",
 ) -> str:
     """One scaling bar with markers: ``w`` worst, ``d`` desired, ``o``
     offer (``*`` where two coincide)."""
     if hi <= lo:
         raise ValidationError(f"scale needs hi > lo, got [{lo}, {hi}]")
-    cells = [" "] * width
+    cells = [" "] * _BAR_WIDTH
 
     def pos(value: float) -> int:
         clamped = min(max(value, lo), hi)
-        return min(int((clamped - lo) / (hi - lo) * (width - 1)), width - 1)
+        return min(
+            int((clamped - lo) / (hi - lo) * (_BAR_WIDTH - 1)), _BAR_WIDTH - 1
+        )
 
     markers = []
     if worst is not None:

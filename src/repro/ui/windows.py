@@ -128,13 +128,10 @@ def profile_component_window(
     profile: UserProfile,
     *,
     violated_media: "set[Medium] | None" = None,
-    cost_violated: bool = False,
 ) -> str:
     """Figure 5: the component list; violated constraints marked red (!)."""
     violated_media = violated_media or set()
     active = {medium.value for medium in violated_media}
-    if cost_violated:
-        active.add("cost")
     lines = [f"Profile: {profile.name}", ""]
     component_buttons = [m.value for m in profile.media()] + ["time", "cost"]
     lines.append(button_row(*component_buttons, active=active))
@@ -194,9 +191,7 @@ def cost_profile_window(profile: UserProfile) -> str:
     return render_box(lines, title="Cost profile", width=66)
 
 
-def information_window(
-    result: NegotiationResult, *, choice_period_s: "float | None" = None
-) -> str:
+def information_window(result: NegotiationResult) -> str:
     """Figure 7: the negotiation outcome presented to the user."""
     lines = [f"negotiation status: {result.status}"]
     if result.user_offer is not None:
@@ -205,9 +200,10 @@ def information_window(
             lines.append(f"  {medium.value:<8} {qos}")
         lines.append(f"  {'cost':<8} {result.user_offer.cost}")
     if result.status.reserves_resources:
-        period = choice_period_s
-        if period is None and result.commitment is not None:
-            period = result.commitment.choice_period_s
+        period = (
+            result.commitment.choice_period_s
+            if result.commitment is not None else None
+        )
         lines.append("")
         lines.append(
             f"press OK within {period:g} s to start the delivery"

@@ -15,8 +15,8 @@ __all__ = ["ManualClock"]
 class ManualClock:
     """A clock that only moves when told to."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now

@@ -28,13 +28,9 @@ def render_table(
     rows: Iterable[Sequence[Any]],
     *,
     title: str | None = None,
-    align: Sequence[str] | None = None,
 ) -> str:
-    """Render ``rows`` under ``headers`` as a boxed ASCII table.
-
-    ``align`` holds one of ``"l"``/``"r"`` per column; numeric-looking
-    columns default to right alignment.
-    """
+    """Render ``rows`` under ``headers`` as a boxed ASCII table;
+    numeric-looking columns align right, the rest left."""
     str_rows = [[_cell(v) for v in row] for row in rows]
     headers = [str(h) for h in headers]
     ncols = len(headers)
@@ -49,16 +45,15 @@ def render_table(
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
 
-    if align is None:
-        align = []
-        for i in range(ncols):
-            column = [row[i] for row in str_rows]
-            numeric = column and all(
-                c.replace(".", "", 1).replace("-", "", 1).replace("%", "", 1).isdigit()
-                or c in ("", "-")
-                for c in column
-            )
-            align.append("r" if numeric else "l")
+    align = []
+    for i in range(ncols):
+        column = [row[i] for row in str_rows]
+        numeric = column and all(
+            c.replace(".", "", 1).replace("-", "", 1).replace("%", "", 1).isdigit()
+            or c in ("", "-")
+            for c in column
+        )
+        align.append("r" if numeric else "l")
 
     def fmt_row(cells: Sequence[str]) -> str:
         parts = []

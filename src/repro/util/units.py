@@ -44,13 +44,12 @@ MEGA = 1_000_000
 GIGA = 1_000_000_000
 
 
-def _positive_finite(value: float, what: str, *, allow_zero: bool = True) -> float:
+def _non_negative_finite(value: float, what: str) -> float:
     value = float(value)
     if math.isnan(value) or math.isinf(value):
         raise UnitError(f"{what} must be finite, got {value!r}")
-    if value < 0 or (value == 0 and not allow_zero):
-        bound = "non-negative" if allow_zero else "positive"
-        raise UnitError(f"{what} must be {bound}, got {value!r}")
+    if value < 0:
+        raise UnitError(f"{what} must be non-negative, got {value!r}")
     return value
 
 
@@ -58,14 +57,14 @@ def _positive_finite(value: float, what: str, *, allow_zero: bool = True) -> flo
 
 def bits(value: float) -> float:
     """Validate a size expressed in bits."""
-    return _positive_finite(value, "size in bits")
+    return _non_negative_finite(value, "size in bits")
 
 
 # -- bit rates (canonical unit: bits per second) -----------------------------
 
 def bps(value: float) -> float:
     """Validate a rate expressed in bits per second."""
-    return _positive_finite(value, "bit rate")
+    return _non_negative_finite(value, "bit rate")
 
 
 def kbps(value: float) -> float:
@@ -77,7 +76,7 @@ def kbps(value: float) -> float:
 
 def seconds(value: float) -> float:
     """Validate a duration expressed in seconds."""
-    return _positive_finite(value, "duration")
+    return _non_negative_finite(value, "duration")
 
 
 def ms(value: float) -> float:

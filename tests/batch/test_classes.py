@@ -45,10 +45,6 @@ class TestIdentityExclusion:
         renamed = replace(profile, name="balanced-copy")
         assert make_request(manager, renamed, client) == base_key
 
-    def test_tag_is_excluded(self, manager, profile, client, base_key):
-        tagged = make_request(manager, profile, client, tag="session-17")
-        assert tagged == base_key
-
     def test_structurally_equal_copies_share_a_class(
         self, manager, profile, client, base_key
     ):

@@ -37,7 +37,6 @@ def make_requests(scenario, profiles=("balanced", "premium"), repeat=3):
                         document=document_id,
                         profile=profile,
                         client=clients[index % len(clients)],
-                        tag=f"{document_id}:{name}:{index}",
                     )
                 )
     return requests
@@ -139,9 +138,9 @@ class TestFallback:
         client = scenario.any_client()
         document_id = scenario.document_ids()[0]
         requests = [
-            BatchRequest(document_id, profile, client, tag="plain-1"),
-            BatchRequest(document_id, quirky, client, tag="quirky"),
-            BatchRequest(document_id, profile, client, tag="plain-2"),
+            BatchRequest(document_id, profile, client),
+            BatchRequest(document_id, quirky, client),
+            BatchRequest(document_id, profile, client),
         ]
         results = negotiate_batch(scenario.manager, requests)
         assert len(results) == 3
@@ -163,12 +162,13 @@ class TestAfterEach:
         seen = []
 
         def after_each(request, result):
-            seen.append(request.tag)
+            seen.append(request)
             if result.commitment is not None:
                 result.commitment.release()
 
         negotiate_batch(scenario.manager, requests, after_each=after_each)
-        assert seen == [request.tag for request in requests]
+        assert len(seen) == len(requests)
+        assert all(got is sent for got, sent in zip(seen, requests))
 
     def test_runs_before_the_next_member_walks(self):
         """Releasing inside after_each must restore the ledgers before

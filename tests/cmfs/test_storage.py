@@ -10,7 +10,9 @@ from repro.documents.catalog import DocumentCatalog
 
 @pytest.fixture
 def catalog():
-    return DocumentCatalog([make_news_article("doc.s")])
+    catalog = DocumentCatalog()
+    catalog.add(make_news_article("doc.s"))
+    return catalog
 
 
 class TestValidatePlacement:
@@ -19,18 +21,8 @@ class TestValidatePlacement:
         report = validate_placement(catalog, servers)
         assert report.valid
         assert report.orphan_servers == frozenset()
-        assert report.variants_per_server["server-a"] > 0
 
     def test_orphans_detected(self, catalog):
         report = validate_placement(catalog, [MediaServer("server-a")])
         assert not report.valid
         assert report.orphan_servers == {"server-b"}
-
-    def test_bits_accounted(self, catalog):
-        servers = [MediaServer("server-a"), MediaServer("server-b")]
-        report = validate_placement(catalog, servers)
-        total = sum(report.bits_per_server.values())
-        document = next(iter(catalog))
-        assert total == pytest.approx(
-            sum(v.size_bits for v in document.iter_variants())
-        )

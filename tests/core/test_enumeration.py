@@ -1,5 +1,7 @@
 """Offer-space enumeration (§4 steps 2–3)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.client.decoder import Decoder, DecoderBank
@@ -120,15 +122,14 @@ class TestPrecomputation:
             mono = MonomediaBuilder(
                 f"doc.dup.m{mono_index}", Medium.VIDEO,
                 f"segment {mono_index}", 30.0,
-            )
-            mono.add_variant(
+            ).add_variant(
                 Codecs.MPEG1,
                 VideoQoS(color=ColorMode.COLOR, frame_rate=frame_rate,
                          resolution=TV_RESOLUTION),
                 "server-a",
-                variant_id="shared",
-            )
-            builder.add(mono)
+            ).build()
+            shared = replace(mono.variants[0], variant_id="shared")
+            builder.add(replace(mono, variants=(shared,)))
         space = build_offer_space(
             builder.build(), client, default_cost_model()
         )

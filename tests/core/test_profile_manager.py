@@ -99,7 +99,9 @@ class TestProfileManager:
         assert manager.default is not None
 
     def test_empty_manager(self):
-        manager = ProfileManager(profiles=[])
+        manager = ProfileManager()
+        for name in manager.names():
+            manager.delete(name)
         assert len(manager) == 0
         with pytest.raises(NotFoundError):
             _ = manager.default

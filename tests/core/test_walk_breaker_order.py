@@ -16,7 +16,12 @@ from repro.core.enumeration import build_offer_space
 from repro.core.negotiation import Walk
 from repro.core.status import NegotiationStatus
 from repro.documents.media import ColorMode
-from repro.faults.health import BreakerState, CircuitBreaker
+from repro.faults.health import (
+    FAILURE_THRESHOLD,
+    RECOVERY_TIME_S as RECOVERY_S,
+    BreakerState,
+    CircuitBreaker,
+)
 from repro.util.clock import ManualClock
 
 from ..properties.strategies import (
@@ -26,15 +31,12 @@ from ..properties.strategies import (
     grid_profile,
 )
 
-RECOVERY_S = 10.0
-
-
 def quarantined_walk(rotate):
     """A two-monomedia offer whose first server is OPEN and not yet
     due, and whose second server is OPEN and due for its probe; the
     breaker's observer records every transition from here on."""
     clock = ManualClock()
-    breaker = CircuitBreaker(failure_threshold=1, recovery_time_s=RECOVERY_S)
+    breaker = CircuitBreaker()
     manager = grid_manager(
         [grid_document([GRID_FLAVOURS[:1]] * 2, rotate=rotate)],
         stream_caps=(4, 4, 4), clock=clock, health=breaker,
@@ -47,9 +49,11 @@ def quarantined_walk(rotate):
     )
     offer = space.offer_at(0)
     first, second = (v.server_id for v in offer.variants.values())
-    breaker.record_failure(second, clock.now())
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure(second, clock.now())
     clock.advance(RECOVERY_S / 2)
-    breaker.record_failure(first, clock.now())
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure(first, clock.now())
     clock.advance(RECOVERY_S / 2 + 1.0)
     transitions = []
     breaker.on_transition = lambda *change: transitions.append(change)

@@ -76,14 +76,6 @@ class TestMonomediaBuilder:
         )
         assert [v.variant_id for v in mono.variants] == ["m.v1", "m.v2"]
 
-    def test_explicit_variant_id(self):
-        mono = (
-            MonomediaBuilder("m", "video", "clip", 60.0)
-            .add_variant(Codecs.MPEG1, TV, "s1", variant_id="m.custom")
-            .build()
-        )
-        assert mono.variants[0].variant_id == "m.custom"
-
 
 class TestDocumentBuilder:
     def test_fluent_assembly(self):
@@ -111,7 +103,7 @@ class TestDocumentBuilder:
                 MonomediaBuilder("d.b", "video", "b", 30.0)
                 .add_variant(Codecs.MPEG1, TV, "s1")
             )
-            .sequential("d.a", "d.b")
+            .overlaps("d.a", "d.b", 60.0)
             .build()
         )
         assert doc.duration_s == pytest.approx(90.0)

@@ -9,10 +9,10 @@ from repro.util.errors import DuplicateKeyError, NotFoundError
 
 @pytest.fixture
 def catalog():
-    return DocumentCatalog(
-        make_news_article(f"doc.{i}", still_server="server-a")
-        for i in range(3)
-    )
+    catalog = DocumentCatalog()
+    for i in range(3):
+        catalog.add(make_news_article(f"doc.{i}", still_server="server-a"))
+    return catalog
 
 
 class TestCatalog:

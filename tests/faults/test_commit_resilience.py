@@ -76,7 +76,7 @@ class TestRetryAwareCommit:
         self, transport, servers, clock, best_offer, space, client
     ):
         servers["server-a"].crash()
-        health = CircuitBreaker(failure_threshold=3, recovery_time_s=30.0)
+        health = CircuitBreaker()
         committer = ResourceCommitter(
             transport, servers, clock=clock,
             retry_policy=RetryPolicy(max_attempts=3, jitter=0.0),
@@ -116,7 +116,7 @@ class TestBreakerAwareWalk:
     def test_degrades_to_alternate_server_offers(
         self, av_database, transport, servers, clock, client, balanced_profile
     ):
-        health = CircuitBreaker(failure_threshold=2, recovery_time_s=30.0)
+        health = CircuitBreaker()
         manager = self._manager(av_database, transport, servers, clock, health)
         servers["server-a"].crash()
         result = manager.negotiate("doc.av", balanced_profile, client)
@@ -132,7 +132,7 @@ class TestBreakerAwareWalk:
     ):
         # The canonical article keeps audio and stills on server-a only,
         # so with server-a dead no offer can commit at all.
-        health = CircuitBreaker(failure_threshold=2, recovery_time_s=30.0)
+        health = CircuitBreaker()
         manager = QoSManager(
             database=database, transport=transport, servers=servers,
             clock=clock,

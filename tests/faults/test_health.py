@@ -3,12 +3,13 @@
 import pytest
 
 from repro.faults import BreakerState, CircuitBreaker
-from repro.util.errors import ValidationError
+from repro.faults.health import FAILURE_THRESHOLD, RECOVERY_TIME_S
 
 
 @pytest.fixture
 def breaker():
-    return CircuitBreaker(failure_threshold=3, recovery_time_s=30.0)
+    assert (FAILURE_THRESHOLD, RECOVERY_TIME_S) == (3, 30.0)
+    return CircuitBreaker()
 
 
 class TestTripping:
@@ -38,14 +39,10 @@ class TestTripping:
         assert not breaker.allow("server-a", now=1.0)
         assert breaker.allow("server-b", now=1.0)
 
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            CircuitBreaker(failure_threshold=0)
-
 
 class TestRecovery:
     def _trip(self, breaker, server_id="server-a", now=0.0):
-        for _ in range(breaker.failure_threshold):
+        for _ in range(FAILURE_THRESHOLD):
             breaker.record_failure(server_id, now=now)
 
     def test_half_open_probe_after_recovery_window(self, breaker):

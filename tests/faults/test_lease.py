@@ -37,7 +37,6 @@ class TestRenewal:
         lease = manager.grant("s1", BUNDLE, now=0.0)
         manager.renew("s1", now=50.0)
         assert lease.expires_at == 150.0
-        assert lease.renewals == 1
 
     def test_renew_unknown_holder_raises(self, manager):
         with pytest.raises(LeaseError):

@@ -11,6 +11,7 @@ import pytest
 
 from repro.client.machine import ClientMachine
 from repro.faults import CircuitBreaker
+from repro.faults.health import FAILURE_THRESHOLD, RECOVERY_TIME_S
 from repro.journal import JournalRecordType, ReservationJournal
 from repro.reservations import AdvanceNegotiator
 from repro.service import NegotiationService, ServicePolicy
@@ -49,11 +50,12 @@ def journalled_manager(stream_caps, full=(), **options):
 
 
 def quarantine(manager, servers):
-    """Open the manager's breaker on ``servers`` (threshold 1)."""
+    """Open the manager's breaker on ``servers``."""
     for server_id in servers:
-        manager.committer.health.record_failure(
-            server_id, manager.clock.now()
-        )
+        for _ in range(FAILURE_THRESHOLD):
+            manager.committer.health.record_failure(
+                server_id, manager.clock.now()
+            )
 
 
 def shape(journal, holder=None):
@@ -101,7 +103,7 @@ class TestSynchronousWalk:
         assert not journal.has_open_intent(journal.records()[0].holder)
 
     def test_every_offer_breaker_skipped_leaves_no_record(self):
-        breaker = CircuitBreaker(failure_threshold=1, recovery_time_s=60.0)
+        breaker = CircuitBreaker()
         manager = journalled_manager((3, 3, 3), health=breaker)
         quarantine(manager, GRID_SERVERS)
         result = manager.negotiate("doc.grid", PROFILE, CLIENT)
@@ -269,16 +271,17 @@ class TestCooperativeWalk:
         manager = journalled_manager(
             (3, 3, 3),
             clock=clock,
-            health=CircuitBreaker(failure_threshold=1, recovery_time_s=60.0),
-            telemetry=Telemetry(clock=clock, seed=0, exporters=(exporter,)),
+            health=CircuitBreaker(),
+            telemetry=Telemetry(clock=clock, seed=0),
         )
+        manager.telemetry.tracer.add_exporter(exporter)
         quarantine(manager, GRID_SERVERS)
         loop, service = self.service(manager, plan_s=0.0)
         request = service.submit("doc.grid", PROFILE, CLIENT)
         loop.run()
         result = request.result
         assert result.commitment is None and result.attempts == 0
-        assert result.retry_after_s == 60.0
+        assert result.retry_after_s == RECOVERY_TIME_S
         assert manager.committer.stats.breaker_skips == 27
         assert len(manager.committer.journal) == 0
         skips = [
@@ -292,7 +295,7 @@ class TestCooperativeWalk:
     def test_offers_on_a_quarantined_server_are_skipped(self):
         manager = journalled_manager(
             (3, 3, 3),
-            health=CircuitBreaker(failure_threshold=1, recovery_time_s=60.0),
+            health=CircuitBreaker(),
         )
         quarantine(manager, ["server-a"])
         loop, service = self.service(manager)
@@ -331,7 +334,7 @@ def test_a_quiet_service_walks_like_negotiate(case):
     def deployment():
         manager = journalled_manager(
             stream_caps, full=full,
-            health=CircuitBreaker(failure_threshold=1, recovery_time_s=60.0),
+            health=CircuitBreaker(),
         )
         quarantine(manager, open_on)
         return manager

@@ -39,7 +39,9 @@ class TestIngestion:
         from repro.documents.catalog import DocumentCatalog
 
         db = MetadataDatabase()
-        db.insert_catalog(DocumentCatalog([document]))
+        catalog = DocumentCatalog()
+        catalog.add(document)
+        db.insert_catalog(catalog)
         assert db.document_count == 1
 
 

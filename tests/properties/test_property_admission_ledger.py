@@ -171,11 +171,10 @@ class AdmissionLedgerMachine(RuleBasedStateMachine):
     def crash(self):
         self.server.crash()
 
-    @rule(preserve_streams=st.booleans())
-    def restart(self, preserve_streams):
-        before = self.server.reservations()
-        self.server.restart(preserve_streams=preserve_streams)
-        assert self.server.reservations() == (before if preserve_streams else ())
+    @rule()
+    def restart(self):
+        self.server.restart()
+        assert self.server.reservations() == ()
 
     @rule(fraction=DEGRADATIONS)
     def set_degradation(self, fraction):

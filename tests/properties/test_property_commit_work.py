@@ -477,8 +477,8 @@ class CountingBreaker(CircuitBreaker):
     """A breaker that also counts the outcomes recorded per server, as
     ``(successes, failures)``."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self):
+        super().__init__()
         self.outcomes = {}
 
     def _tally(self, server_id, index):
@@ -502,7 +502,7 @@ def scripted_run(drive=commit):
     ``iter_commit``)."""
     clock = ManualClock()
     telemetry = Telemetry(clock=clock, seed=0)
-    breaker = CountingBreaker(failure_threshold=2, recovery_time_s=4.0)
+    breaker = CountingBreaker()
     manager, space = grid_walk(
         3, clock=clock, telemetry=telemetry, health=breaker, retry_seed=7,
         retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.2),
@@ -588,7 +588,7 @@ PINNED = {
         "server-b": ("closed", 0, 27, 10, None),
         "server-c": ("closed", 0, 23, 12, None),
     },
-    "opens": 5,
+    "opens": 3,  # 5 under the old threshold 2 / 4 s breaker
 }
 
 
@@ -602,7 +602,7 @@ def refused_run(drive):
     retried, and neither is held against a server's breaker."""
     clock = ManualClock()
     telemetry = Telemetry(clock=clock, seed=0)
-    breaker = CountingBreaker(failure_threshold=2, recovery_time_s=4.0)
+    breaker = CountingBreaker()
     manager, space = grid_walk(
         2, clock=clock, telemetry=telemetry, health=breaker,
         retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.2),
@@ -645,7 +645,7 @@ PINNED_COOPERATIVE = {
         "server-b": ("closed", 0, 27, 10, None),
         "server-c": ("closed", 0, 23, 12, None),
     },
-    "opens": 5,
+    "opens": 3,  # 5 under the old threshold 2 / 4 s breaker
 }
 
 # Pinned from the same wrapper; try_commit and iter_commit agree.
@@ -683,7 +683,7 @@ def crashed_run(drive):
     once and held against the server that refused."""
     clock = ManualClock()
     telemetry = Telemetry(clock=clock, seed=0)
-    breaker = CountingBreaker(failure_threshold=2, recovery_time_s=4.0)
+    breaker = CountingBreaker()
     manager, space = grid_walk(
         2, clock=clock, telemetry=telemetry, health=breaker,
     )

@@ -165,7 +165,8 @@ class TestStep2CountsOncePerSpace:
     def test_span_and_counters_keep_their_amounts(self):
         clock = ManualClock()
         exporter = InMemorySpanExporter()
-        telemetry = Telemetry(clock=clock, exporters=(exporter,))
+        telemetry = Telemetry(clock=clock)
+        telemetry.tracer.add_exporter(exporter)
         document, manager = article_manager(telemetry=telemetry, clock=clock)
         client = ClientMachine("c", access_point="client-net")
         for _ in range(self.N):

@@ -159,7 +159,7 @@ def test_memo_is_inert_under_a_circuit_breaker(case):
     case = dict(case, crashed=())
     asked_by_reference, asked, result = walk_both(
         case,
-        health=CircuitBreaker(failure_threshold=2, recovery_time_s=60.0),
+        health=CircuitBreaker(),
     )
     assert asked == asked_by_reference
     assert result.memo_skips == 0
@@ -169,19 +169,20 @@ def test_memo_is_inert_under_a_circuit_breaker(case):
 # one, under a breaker.  A memo that answered for the full server would
 # spare the crashed one the calls that trip its breaker, and the walk
 # would count attempts where it used to count breaker skips.  Expected
-# values are the memo-less parent commit's.
+# values are the memo-less walk's; a memo left on under the breaker
+# reaches (offer-31, 13 attempts, 7 skips) and (35 attempts, 29 skips).
 BREAKER_FED_WALKS = [
     dict(
-        flavours=(2, 2, 1, 3), rotate=0, stream_caps=(4, 3, 4),
-        preload=(1, 1, 4), crashed="server-b", threshold=6,
+        flavours=(3, 1, 3, 0), rotate=2, stream_caps=(4, 3, 4),
+        preload=(0, 2, 4), crashed="server-b",
         policy=ClassificationPolicy.SNS_PRIMARY,
-        verdict=("FAILED_WITH_OFFER", "offer-58", 19), breaker_skips=6,
+        verdict=("FAILED_WITH_OFFER", "offer-31", 11), breaker_skips=9,
     ),
     dict(
         flavours=(1, 4, 3, 3), rotate=1, stream_caps=(3, 4, 3),
-        preload=(2, 3, 3), crashed="server-a", threshold=2,
+        preload=(2, 3, 3), crashed="server-a",
         policy=ClassificationPolicy.COST_GATED,
-        verdict=("FAILED_TRY_LATER", None, 27), breaker_skips=37,
+        verdict=("FAILED_TRY_LATER", None, 28), breaker_skips=36,
     ),
 ]
 
@@ -194,9 +195,7 @@ def test_breaker_fed_walk_counts_what_it_counted_without_a_memo(walk):
         stream_caps=walk["stream_caps"], preload=walk["preload"],
         policy=walk["policy"], crashed=(walk["crashed"],),
     )
-    manager = deployment(case, health=CircuitBreaker(
-        failure_threshold=walk["threshold"], recovery_time_s=60.0
-    ))
+    manager = deployment(case, health=CircuitBreaker())
     result = manager.negotiate(
         "doc.grid",
         grid_profile(GRID_FLAVOURS[0], GRID_FLAVOURS[1], 100_000),

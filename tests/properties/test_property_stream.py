@@ -163,9 +163,8 @@ class TestNegotiationEquivalence:
             (QoSManager.negotiate, False),
             (QoSManager.negotiate, True),
         ):
-            scenario = build_scenario(
-                ScenarioSpec(document_count=1), policy=policy
-            )
+            scenario = build_scenario(ScenarioSpec(document_count=1))
+            scenario.manager.policy = policy
             if not cached:
                 uncached(scenario)
             result = negotiate(

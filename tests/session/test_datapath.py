@@ -71,10 +71,6 @@ class TestValidation:
         with pytest.raises(SimulationError):
             simulate_rounds(DiskModel(), [], 10.0)
 
-    def test_bad_spread_rejected(self):
-        with pytest.raises(SimulationError):
-            simulate_rounds(DiskModel(), [demand()], 10.0, vbr_spread=1.5)
-
     def test_prebuffer_delays_consumption(self):
         disk = DiskModel()
         long_pre = simulate_rounds(

@@ -50,7 +50,9 @@ class TestScheduling:
     def test_round_off_below_now_fires_at_now(self):
         # Within the 1e-12 tolerance, but below the clock: it used to be
         # accepted and then refused by advance_to when it fired.
-        loop = EventLoop(ManualClock(5.0))
+        clock = ManualClock()
+        clock.advance(5.0)
+        loop = EventLoop(clock)
         fired = []
         loop.at(5.0, lambda: fired.append(("first", loop.now)))
         loop.at(5.0 - 1e-13, lambda: fired.append(("late", loop.now)))

@@ -167,8 +167,8 @@ class TestRandomNegotiator:
     def test_reproducible_with_seed(self, manager, document, balanced_profile, client):
         from repro.sim.baselines import RandomNegotiator
 
-        def run(seed):
-            negotiator = RandomNegotiator(manager, seed=seed)
+        def run():
+            negotiator = RandomNegotiator(manager)
             result = negotiator.negotiate(
                 document.document_id, balanced_profile, client
             )
@@ -176,12 +176,12 @@ class TestRandomNegotiator:
             result.commitment.release()
             return chosen
 
-        assert run(5) == run(5)
+        assert run() == run()
 
     def test_is_permutation(self, manager, document, balanced_profile, client):
         from repro.sim.baselines import RandomNegotiator
 
-        negotiator = RandomNegotiator(manager, seed=3)
+        negotiator = RandomNegotiator(manager)
         result = negotiator.negotiate(
             document.document_id, balanced_profile, client
         )

@@ -116,7 +116,8 @@ class TestMemoSkips:
     def contended(self):
         clock = ManualClock()
         exporter = InMemorySpanExporter()
-        telemetry = Telemetry(clock=clock, seed=5, exporters=(exporter,))
+        telemetry = Telemetry(clock=clock, seed=5)
+        telemetry.tracer.add_exporter(exporter)
         manager = grid_manager(
             [grid_document([WALK_FLAVOURS] * 3)], (1, 1, 6),
             clock=clock, telemetry=telemetry,

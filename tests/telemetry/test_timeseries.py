@@ -1,4 +1,4 @@
-"""Flight recorder: sampling, derived rates, windows, canonical JSONL."""
+"""Flight recorder: sampling, windows, canonical JSONL."""
 
 import json
 
@@ -44,16 +44,13 @@ class TestSampling:
         recorder.finish(3.0)
         assert recorder.samples == before
 
-    def test_counter_series_is_cumulative_and_rate_is_per_interval(self):
+    def test_counter_series_is_cumulative(self):
         # The emitter stops at horizon - 0.5, so the final tick sees no
-        # new events: the cumulative series plateaus, the rate drops
-        # to zero.  The counter is born at t=1; its first interval
-        # counts from zero at the preceding tick (t=0).
+        # new events: the cumulative series plateaus.  The counter is
+        # born at t=1.
         recorder, _ = make_run(horizon=3)
         series = recorder.counter_series("commitment.rollbacks")
         assert series == ((1.0, 2.0), (2.0, 4.0), (3.0, 4.0))
-        rates = recorder.counter_rate("commitment.rollbacks")
-        assert rates == ((1.0, 2.0), (2.0, 2.0), (3.0, 0.0))
 
     def test_labelled_counters_need_their_label(self):
         recorder, _ = make_run(horizon=3)
@@ -64,8 +61,9 @@ class TestSampling:
 
     def test_gauge_series_holds_the_last_set_value(self):
         recorder, _ = make_run(horizon=3)
-        gauges = recorder.gauge_series("storm.queue.depth")
-        assert gauges == ((1.0, 1.0), (2.0, 2.0), (3.0, 2.0))
+        records = map(json.loads, recorder.to_jsonl_lines()[1:])
+        gauges = {r["series"]: r["points"] for r in records}["gauge:storm.queue.depth"]
+        assert gauges == [[1.0, 1.0], [2.0, 2.0], [3.0, 2.0]]
 
     def test_quantile_series_is_cumulative(self):
         recorder, _ = make_run(horizon=4)
@@ -91,7 +89,7 @@ class TestSampling:
         with pytest.raises(TelemetryError, match="not in the catalog"):
             recorder.counter_series("no.such.metric")
         with pytest.raises(TelemetryError, match="is a counter"):
-            recorder.gauge_series("commitment.rollbacks")
+            recorder.quantile_series("commitment.rollbacks", 0.5)
 
     def test_ring_overflow_drops_oldest_and_counts_them(self):
         clock = ManualClock()

@@ -7,8 +7,8 @@ from repro.util.errors import ValidationError
 
 
 class TestManualClock:
-    def test_starts_at_given_time(self):
-        assert ManualClock(5.0).now() == 5.0
+    def test_starts_at_zero(self):
+        assert ManualClock().now() == 0.0
 
     def test_advance(self):
         clock = ManualClock()
@@ -16,7 +16,8 @@ class TestManualClock:
         assert clock.now() == 2.5
 
     def test_advance_zero_allowed(self):
-        clock = ManualClock(1.0)
+        clock = ManualClock()
+        clock.advance(1.0)
         clock.advance(0.0)
         assert clock.now() == 1.0
 
@@ -30,9 +31,12 @@ class TestManualClock:
         assert clock.now() == 10.0
 
     def test_advance_to_past_rejected(self):
-        clock = ManualClock(5.0)
+        clock = ManualClock()
+        clock.advance(5.0)
         with pytest.raises(ValidationError):
             clock.advance_to(4.0)
 
     def test_repr_mentions_time(self):
-        assert "2" in repr(ManualClock(2.0))
+        clock = ManualClock()
+        clock.advance(2.0)
+        assert "2" in repr(clock)
