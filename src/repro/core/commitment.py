@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, TypeVar
 
 from ..cmfs.server import MediaServer, StreamReservation
 from ..faults.health import CircuitBreaker
+from ..faults.injector import FaultInjector
 from ..faults.lease import LeaseManager
 from ..faults.retry import (
     RETRYABLE_ERRORS,
@@ -122,13 +123,19 @@ class RefusalMemo:
     does not reach it failed earlier).  The routine that owns the walk
     creates one and hands it to every
     :meth:`ResourceCommitter.try_commit` of that walk; it must not
-    outlive the walk.  What may be learnt is the committer's decision
-    (see ``try_commit``), not the memo's.
+    outlive the walk.  Whether the walk may learn at all is the
+    committer's decision, kept in ``learns`` (see
+    ``ResourceCommitter._skips_unseen``): the breaker is read at the
+    walk's first attempt, the fault hooks and crashed servers at its
+    first refusal.  It learns only where a skipped attempt differs from
+    a made one in nothing but the ledgers that attempt would have rolled
+    back.
     """
 
     nogoods: "set[tuple[str, tuple[str, ...], str]]" = field(
         default_factory=set
     )
+    learns: "bool | None" = None     # None before the first attempt
     skips: int = 0                   # offers refused from memory
     refused_by: "str | None" = None  # the server behind the latest skip
 
@@ -394,8 +401,14 @@ class ResourceCommitter:
         would repeat an admission call the walk has already seen
         refused fails here, before anything is journalled or taken.
         """
-        if memo is not None and memo.nogoods and memo.refuses(offer):
-            return None
+        if memo is not None:
+            if memo.learns is None:
+                # The breaker is read before the walk's first call (see
+                # _skips_unseen): a quiet one stays quiet to the end.
+                health = self.health
+                memo.learns = health is None or health.quiet()
+            elif memo.nogoods and memo.refuses(offer):
+                return None
         self._begin_walk(holder, client_access_point)
         streams: list[StreamReservation] = []
         flows: list[FlowReservation] = []
@@ -421,22 +434,62 @@ class ResourceCommitter:
                 self.telemetry.annotate(refusal=type(error).__name__)
                 if (
                     memo is not None
+                    and memo.learns
                     and type(error) is AdmissionError
                     and server is not None
-                    and server.fault_hook is None
-                    and self._transport.fault_hook is None
-                    and self.health is None
                 ):
-                    # Only MediaServer.admit raises AdmissionError, and
-                    # it is worth remembering only when skipping the
-                    # calls that lead up to it cannot be observed: a
-                    # fault hook counts calls, a breaker is fed by the
-                    # successes and crashes along the way.
-                    memo.learn(server.server_id, streams, variant.variant_id)
+                    # Only MediaServer.admit raises AdmissionError; the
+                    # walk learns it only where skipping the calls that
+                    # lead up to it cannot be observed.  Its first such
+                    # refusal settles that for the rest of the walk, so
+                    # a walk that meets none never scans the fleet.
+                    if not memo.nogoods:
+                        memo.learns = self._skips_unseen()
+                    if memo.learns:
+                        memo.learn(
+                            server.server_id, streams, variant.variant_id
+                        )
             finally:
                 self._rollback(streams, flows)
             return None
         return self._granted(offer, streams, flows, holder)
+
+    def _skips_unseen(self) -> bool:
+        """May a synchronous walk skip the attempts its memo refuses?
+        Only if a skipped attempt would differ from a made one in
+        nothing but the ledgers it rolls back (and the ids, sequence
+        numbers, per-call counters and span outcome they use):
+
+        * the walk is atomic — the clock does not move and no loop event
+          runs during it — so brownouts, link flaps, degradation and
+          crashed state are fixed until it ends, and this answer holds
+          for all of it;
+        * every installed fault hook is a :class:`FaultInjector` whose
+          plan has no per-call spec, so ``before_admit``, the crash
+          opportunities and the ``intercept_*`` releases draw, count
+          and fire nothing (any other hook object observes calls);
+        * no server is crashed, so with no per-call fault no retryable
+          error can occur and nothing calls ``record_failure``;
+        * the breaker, if any, was quiet when the walk began (checked
+          by ``try_commit`` before the first call), so ``record_success``
+          changes no record and notifies no one — and it stays quiet,
+          since nothing can fail it.  ``Walk._admits`` asks it about
+          every server of an offer before the attempt, made or
+          skipped, so a skip leaves out no record either.
+
+        With no hook and no breaker the first check decides it: only an
+        installed injector crashes a server.
+        """
+        servers = self._servers.values()
+        hooks = [server.fault_hook for server in servers]
+        hooks.append(self._transport.fault_hook)
+        if self.health is None and hooks.count(None) == len(hooks):
+            return True
+        return all(
+            hook is None
+            or (isinstance(hook, FaultInjector) and not hook.observes_calls)
+            for hook in hooks
+        ) and not any(server.is_crashed for server in servers)
 
     def iter_commit(
         self,

@@ -192,8 +192,12 @@ class Walk:
 
     Two drivers consume it and differ only in where they yield and how
     they emit spans.  :meth:`run` is atomic: nothing else touches the
-    ledgers between its attempts, so it calls ``try_commit`` directly
-    and keeps the walk-local :class:`RefusalMemo`.
+    ledgers between its attempts and the clock does not move, so it
+    calls ``try_commit`` directly and keeps the walk-local
+    :class:`RefusalMemo`, which learns wherever skipping a repeated
+    call cannot be observed — under timed faults and a quiet breaker
+    too, not under a per-call fault, a crashed server or a breaker
+    that is not quiet.
     :meth:`run_cooperative` parks before every reservation call of
     ``iter_commit`` and honours ``deadline``; it has no memo, because
     other tasks move the ledgers while it is parked.

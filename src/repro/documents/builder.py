@@ -17,7 +17,6 @@ variants, mirroring the news-on-demand catalogue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..util.errors import DocumentError
@@ -81,24 +80,21 @@ _ASPECT = 3 / 4  # lines per pixels-per-line, 4:3 video
 _TEXT_BITS = 4_000 * 8.0  # a 4,000-character article body
 
 
-@dataclass(frozen=True, slots=True)
 class MediaRateModel:
-    """Derives plausible block statistics for synthetic variants."""
+    """Derives plausible block statistics for synthetic variants from
+    the module's per-codec tables."""
 
-    video_codec_model: dict[str, tuple[float, float]] | None = None
-    audio_codec_model: dict[str, tuple[float, float]] | None = None
+    __slots__ = ()
 
     def _video_model(self, codec: Codec) -> tuple[float, float]:
-        table = self.video_codec_model or _VIDEO_CODEC_MODEL
         try:
-            return table[codec.name]
+            return _VIDEO_CODEC_MODEL[codec.name]
         except KeyError:
             raise DocumentError(f"no rate model for video codec {codec}") from None
 
     def _audio_model(self, codec: Codec) -> tuple[float, float]:
-        table = self.audio_codec_model or _AUDIO_CODEC_MODEL
         try:
-            return table[codec.name]
+            return _AUDIO_CODEC_MODEL[codec.name]
         except KeyError:
             raise DocumentError(f"no rate model for audio codec {codec}") from None
 

@@ -81,6 +81,16 @@ class CircuitBreaker:
         self._maybe_half_open(server_id, record, now)
         return record.state
 
+    def quiet(self) -> bool:
+        """Is every record ``CLOSED`` with no failure counted?  A server
+        with no record is quiet.  On a quiet record a success changes no
+        state and notifies no one."""
+        return all(
+            record.state is BreakerState.CLOSED
+            and not record.consecutive_failures
+            for record in self._health.values()
+        )
+
     # -- outcome recording ---------------------------------------------------------
 
     def record_success(self, server_id: str, now: float) -> None:

@@ -23,7 +23,10 @@ generator in call order, so a chaos run is exactly reproducible.
 The injector indexes its plan by kind once, at construction: a hook
 visits only the specs of its own kind, in plan order, and a hook whose
 kind the plan lacks returns at once.  A congestion run whose plan holds
-only timed brownouts or flaps pays one lookup per admit or release.
+only timed brownouts or flaps pays one lookup per admit or release, and
+its hooks draw, count and fire nothing (:attr:`FaultInjector.observes_calls`
+is false), so a caller that skips a call cannot be told apart from one
+that made it.
 """
 
 from __future__ import annotations
@@ -49,6 +52,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..session.engine import EventLoop
 
 __all__ = ["FaultStats", "FaultInjector"]
+
+# The kinds a hook acts on inside individual calls: each draws, counts
+# or fires per admit, journal append or release.  The other kinds are
+# timed state changes scheduled by ``arm``.
+PER_CALL_KINDS = frozenset({
+    FaultKind.TRANSIENT_REFUSAL,
+    FaultKind.SLOW_ADMISSION,
+    FaultKind.MANAGER_CRASH,
+    FaultKind.LOST_RELEASE,
+})
 
 
 @dataclass(slots=True)
@@ -101,6 +114,7 @@ class FaultInjector:
         self._by_kind: dict[FaultKind, tuple[tuple[int, FaultSpec], ...]] = {
             kind: tuple(specs) for kind, specs in by_kind.items()
         }
+        self._observes_calls = not PER_CALL_KINDS.isdisjoint(by_kind)
         # Remaining firing budget per spec index (None = unlimited).
         self._budget: dict[int, "int | None"] = {
             i: (int(spec.value) if spec.kind is FaultKind.TRANSIENT_REFUSAL
@@ -117,6 +131,14 @@ class FaultInjector:
         # Severities of the open brownout / flap windows per server or link.
         self._open_levels: dict[object, list[float]] = {}
         self._armed = False
+
+    @property
+    def observes_calls(self) -> bool:
+        """Does the plan hold a spec of a per-call kind?  Without one,
+        ``before_admit``, the crash opportunities and both
+        ``intercept_*`` hooks draw nothing, count nothing and fire
+        nothing: a call made and a call skipped look the same."""
+        return self._observes_calls
 
     # -- installation --------------------------------------------------------------
 

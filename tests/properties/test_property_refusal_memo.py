@@ -5,9 +5,12 @@ calls and fails an offer that would repeat one without asking again;
 ``tests/oracle.py`` asks the servers about every offer.  Over generated
 offer spaces, stream caps and pre-loaded ledgers both must reach the
 same ``(status, offer id, attempts)`` and leave the same ledgers, the
-memo only ever *saving* admission calls; it must go quiet wherever a
-skipped call could be observed (an installed fault injector, a circuit
-breaker fed by attempt outcomes), and it must not outlive its walk.
+memo only ever *saving* admission calls.  It learns under a fault
+injector whose plan holds only timed faults and under a quiet circuit
+breaker, and leaves both exactly as the memo-less walk leaves them; it
+goes quiet wherever a skipped call could be observed (a per-call fault
+spec, a crashed server, a breaker record that a success would move),
+and it must not outlive its walk.
 """
 
 from contextlib import contextmanager
@@ -20,8 +23,12 @@ from hypothesis import strategies as st
 from repro.client.machine import ClientMachine
 from repro.cmfs import MediaServer
 from repro.core.classification import ClassificationPolicy
+from repro.core.commitment import RefusalMemo
 from repro.faults import CircuitBreaker, FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.health import FAILURE_THRESHOLD, RECOVERY_TIME_S
+from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.session.engine import EventLoop
+from repro.sim import StormSpec, run_storm
 from tests.core.test_stream import DEAREST_CENTS, walk_manager
 from tests.integration.test_walk_window import ledger_snapshot
 from tests.oracle import reference_negotiate, signature
@@ -104,12 +111,13 @@ def counted_admits():
 def walk_both(case, prepare=lambda manager: None, **manager_options):
     """The reference and the real walk on twin deployments; returns
     ``(reference admits, real admits, real result)`` after checking
-    that nobody could tell the two apart."""
+    that nobody could tell the two apart.  ``prepare`` readies each
+    twin and may return a probe of state outside the ledgers; the two
+    probes must read the same after the walks."""
     reference, real = (
         deployment(case, **manager_options), deployment(case, **manager_options)
     )
-    prepare(reference)
-    prepare(real)
+    probes = prepare(reference), prepare(real)
     with counted_admits() as asked_by_reference:
         expected = reference_negotiate(
             reference, "doc.grid", case["profile"], CLIENT
@@ -118,6 +126,8 @@ def walk_both(case, prepare=lambda manager: None, **manager_options):
         result = real.negotiate("doc.grid", case["profile"], CLIENT)
     assert signature(result) == signature(expected)
     assert ledger_snapshot(real) == ledger_snapshot(reference)
+    if probes[0] is not None:
+        assert probes[1]() == probes[0]()
     return len(asked_by_reference), len(asked), result
 
 
@@ -132,34 +142,152 @@ def test_memoised_walk_matches_the_reference_and_asks_no_more(case):
     assert result.memo_skips <= result.attempts
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=contended_cases())
-def test_memo_is_inert_under_an_installed_injector(case):
-    """The injector counts calls (budgets, the k-th crash opportunity,
-    seeded coin flips), so with its hooks in place every call is made,
-    even by a plan that injects nothing."""
-    def install_empty_plan(manager):
+def injected(*faults, armed_until=None):
+    """Install an injector with ``faults`` on the fleet and the
+    transport (armed and run to ``armed_until`` when given); its probe
+    reads every number a hook could move: stats, budgets, crash
+    opportunities and the coin's state."""
+    def prepare(manager):
         committer = manager.committer
-        FaultInjector(FaultPlan(faults=()), clock=manager.clock).install(
-            committer.servers, committer.transport
+        injector = FaultInjector(
+            FaultPlan(faults=faults, seed=7), clock=manager.clock
+        ).install(committer.servers, committer.transport)
+        if armed_until is not None:
+            loop = EventLoop(manager.clock)
+            injector.arm(loop)
+            loop.run_until(armed_until)
+        return lambda: (
+            injector.stats.as_dict(),
+            dict(injector._budget),
+            dict(injector._crash_opportunities),
+            set(injector._crashed_specs),
+            injector._rng.bit_generator.state,
         )
 
-    asked_by_reference, asked, result = walk_both(case, install_empty_plan)
-    assert asked == asked_by_reference
-    assert result.memo_skips == 0
+    return prepare
 
 
+def watched_breaker(*setup):
+    """Give the twin a breaker of its own, run ``setup(breaker)`` steps
+    on it, then watch it; the probe reads every server's record and the
+    transitions the walk caused."""
+    def prepare(manager):
+        breaker = manager.committer.health = CircuitBreaker()
+        for step in setup:
+            step(breaker)
+        transitions = []
+        breaker.on_transition = lambda *event: transitions.append(event)
+        return lambda: (
+            {
+                server_id: (
+                    record.state, record.consecutive_failures,
+                    record.opened_at,
+                )
+                for server_id in GRID_SERVERS
+                for record in [breaker.health(server_id)]
+            },
+            breaker.opens,
+            transitions,
+        )
+
+    return prepare
+
+
+def assert_learns(case, prepare):
+    asked_by_reference, asked, result = walk_both(
+        dict(case, crashed=()), prepare
+    )
+    assert asked <= asked_by_reference
+    assert asked_by_reference - asked >= result.memo_skips
+    return result
+
+
+BROWNOUTS = (
+    FaultSpec(FaultKind.SERVER_BROWNOUT, "server-a", duration_s=100.0,
+              value=0.9),
+    FaultSpec(FaultKind.SERVER_BROWNOUT, "server-c", start_s=0.5,
+              duration_s=100.0),
+)
+
+
+# name -> prepare.  An installed injector whose plan injects nothing
+# draws, counts and fires nothing; brownouts change server state on the
+# loop, never inside a call (the walk runs inside both windows); on a
+# quiet breaker the successes a skip leaves out would have changed no
+# record and sent no transition, and with no crashed server and no
+# per-call fault nothing can fail one.
+LEARNING = {
+    "empty-plan": injected(),
+    "brownouts": injected(*BROWNOUTS, armed_until=1.0),
+    "quiet-breaker": watched_breaker(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEARNING))
 @settings(max_examples=60, deadline=None)
 @given(case=contended_cases())
-def test_memo_is_inert_under_a_circuit_breaker(case):
-    """A skipped attempt would also skip the admissions that succeed or
-    hit a crashed server before the refusal, and those feed the
-    breaker that decides which later offers are skipped outright."""
-    # The reference knows no breaker, so nothing here may trip one.
-    case = dict(case, crashed=())
+def test_memo_learns(name, case):
+    assert_learns(case, LEARNING[name])
+
+
+@pytest.mark.parametrize("name", sorted(LEARNING))
+def test_learning_is_not_vacuous(name):
+    result = assert_learns(CANONICAL, LEARNING[name])
+    assert result.memo_skips >= result.attempts // 2
+
+
+def test_memo_learns_when_only_the_transport_is_hooked():
+    """An inert hook on the transport alone: the releases a skip leaves
+    out flip no coin."""
+    def hook_the_transport(manager):
+        injector = FaultInjector(FaultPlan(faults=()), clock=manager.clock)
+        injector.install({}, manager.committer.transport)
+        return lambda: injector._rng.bit_generator.state
+
+    assert assert_learns(CANONICAL, hook_the_transport).memo_skips > 0
+
+
+def one_failure(breaker):
+    breaker.record_failure("server-a", 0.0)
+
+
+def half_open(breaker):
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure("server-a", 0.0)
+    breaker.state("server-a", RECOVERY_TIME_S)
+
+
+# name -> (prepare, crashed servers)
+INERT = {
+    "transient-refusal": (injected(FaultSpec(
+        FaultKind.TRANSIENT_REFUSAL, "*", probability=0.5,
+    )), ()),
+    "slow-admission": (injected(FaultSpec(
+        FaultKind.SLOW_ADMISSION, "*", value=2.0, probability=0.5,
+    )), ()),
+    "crash-manager": (injected(FaultSpec(
+        FaultKind.MANAGER_CRASH, "manager", value=1e9,
+    )), ()),
+    "lost-release": (injected(FaultSpec(
+        FaultKind.LOST_RELEASE, "*", probability=0.5,
+    )), ()),
+    "crashed-server": (injected(), ("server-a",)),
+    "breaker-one-failure": (watched_breaker(one_failure), ()),
+    "breaker-half-open": (watched_breaker(half_open), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INERT))
+@settings(max_examples=25, deadline=None)
+@given(case=contended_cases())
+def test_memo_stays_inert(name, case):
+    """Each of these would see a skipped call: a per-call spec draws,
+    counts or fires in the hook, a crashed server raises a retryable
+    error, and a success moves a record holding a failure or sitting
+    half-open.  The walk asks every call the reference asks."""
+    prepare, crashed = INERT[name]
     asked_by_reference, asked, result = walk_both(
-        case,
-        health=CircuitBreaker(),
+        dict(case, crashed=crashed), prepare
     )
     assert asked == asked_by_reference
     assert result.memo_skips == 0
@@ -225,20 +353,28 @@ def test_the_property_is_not_vacuous():
     assert asked < asked_by_reference // 2
 
 
-def test_memo_is_inert_when_only_the_transport_is_hooked():
-    """A skipped attempt also skips the flow reservations (and their
-    releases) that precede the refusal, and the injector's lost-release
-    coin is flipped per release."""
-    def hook_the_transport(manager):
-        FaultInjector(FaultPlan(faults=()), clock=manager.clock).install(
-            {}, manager.committer.transport
-        )
-
-    asked_by_reference, asked, result = walk_both(
-        CANONICAL, hook_the_transport
+def storm_outcome(report):
+    return (
+        sorted(report.statuses.items()),
+        report.adaptations,
+        report.failed_adaptations,
+        sorted(report.gate.items()),
+        sorted(report.waves.items()),
+        report.journal_records,
+        report.retry_after_hints,
     )
-    assert asked == asked_by_reference
-    assert result.memo_skips == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_storm_learns_and_ends_alike(seed):
+    """A storm installs an injector whose plan holds timed brownouts
+    only, and a breaker that nothing can fail: its walks learn, and the
+    run ends where a committer that never learns ends, in fewer calls."""
+    learning, _ = run_storm(StormSpec(seed=seed))
+    with mock.patch.object(RefusalMemo, "learn", lambda *args: None):
+        asking, _ = run_storm(StormSpec(seed=seed))
+    assert storm_outcome(learning) == storm_outcome(asking)
+    assert learning.commit_attempts < asking.commit_attempts
 
 
 def test_nogoods_do_not_survive_into_the_next_walk():

@@ -79,6 +79,17 @@ same PR pinned ``recover-k6`` and ``recover-k13``, the other two crash
 points of ``recover --crash-after 1..40`` that re-arm a holder, from
 the change itself (their parent read ``t=60s`` and ``t=65s`` where they
 now read ``t=60.001s`` and ``t=65.001s``).
+
+Re-pinned a fifth time, ``STORM_TRACE_JSONL`` alone, by the PR that let
+the synchronous walk's refusal memo learn under a fault injector whose
+plan holds only timed faults and under a quiet circuit breaker, as every
+storm run installs them.  One class of difference, shown by diffing the
+parent's artifact against the change's: 4,388 of the 7,042
+``negotiation.step5.attempt`` spans read ``outcome=memo-skip`` with a
+``server_id`` where they read ``outcome=rolled-back`` with a
+``refusal``.  The span count (12,944) and every other span, ids and
+sequence numbers included, are equal.  Every other digest and every
+``STDOUT`` pin kept its value.
 """
 
 import hashlib
@@ -93,7 +104,7 @@ CHAOS_TRACE_JSONL = "c1dd9352a5e0a768cb97446efa4117b0bc2ac8abea5dff0a8cb332f462e
 LOAD_JSON = "99e5042f633b432e01eb8d174a5f7287e585fb7cbf0917e740f98f33d8370eb5"
 SLO_TIMESERIES = "a9d4f2934532c65177c4c96d35c7ac20ae49f64164185b8adf2a5d8506d780ef"
 SLO_FLAMEGRAPH = "610670a8cf85d245dd244f1dccc6386e31b66faa5d36b1154db0b38180dfc56c"
-STORM_TRACE_JSONL = "bbb229466f6952d32e81628eefb534c27c708307f1f67b3dd5bef3672cd12d27"
+STORM_TRACE_JSONL = "cc672956f770fd82ea1aca05e8862d92ae8a0fe7d75e01d343ad7ca9ce6a87b1"
 
 STDOUT = {
     "chaos-acceptance": (
